@@ -11,8 +11,7 @@ the partial trace - without assuming the family composes edge to edge.
 import numpy as np
 
 from graphdyn import rewrite
-from graphdyn.dilate import (Channel, FormalVector, dilate_cptp, ved_apply,
-                             ved_verify)
+from graphdyn.dilate import Channel, FormalVector, dilate_cptp
 from graphdyn.dynamics import LinearOrderGraph
 from graphdyn.linops import trace_norm
 from graphdyn.rewrite import embed_edge, gmul
@@ -34,7 +33,7 @@ print("== reconstruction along edges ==")
 s = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
 for e in [(0, 1), (1, 2), (0, 2)]:
     g = embed_edge(ctx, e)
-    print(f"edge {e}: trace-norm defect = {ved_verify(dil, g, s):.2e}")
+    print(f"edge {e}: trace-norm defect = {dil.verify_element(g, s):.2e}")
 
 print("\n== the representation law, exactly on tags ==")
 p = dil.dim * dil.env_dim
@@ -42,8 +41,8 @@ x = embed_edge(ctx, (0, 1))
 y = embed_edge(ctx, (1, 2))
 zeta = rng.standard_normal(p) + 1j * rng.standard_normal(p)
 v = FormalVector.of([(rewrite.identity(), zeta)])
-two = ved_apply(dil, x, ved_apply(dil, y, v))
-one = ved_apply(dil, gmul(x, y), v)
+two = dil.apply(x, dil.apply(y, v))
+one = dil.apply(gmul(x, y), v)
 print(f"U(x)U(y) vs U(xy) on a random vector: {two.distance(one):.2e}")
 
 print("\n== indivisibility is preserved, not repaired ==")

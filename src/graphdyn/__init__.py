@@ -9,11 +9,10 @@ on finitely supported carrier spaces.
 
 from . import dilate, dynamics, extend, linops, rewrite, sampling
 from .dilate import (Channel, DilatedSystem, FormalVector, KrausDilation,
-                     PureState, VedDilation, dilate_cptp, dilate_discrete,
-                     dilate_divisible, dilate_exponential, isometric_partition,
-                     kraus_from_choi, kraus_ii_dilation,
-                     one_param_factorization, stroescu_dilation, ved_apply,
-                     ved_dilation, ved_verify)
+                     PureState, ShiftDilation, VedDilation, dilate_cptp,
+                     dilate_discrete, dilate_divisible, dilate_exponential,
+                     isometric_partition, kraus_from_choi, kraus_ii_dilation,
+                     one_param_factorization)
 from .dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
                        LinearOrderGraph, OperatorFamily, additivity_defect,
                        check_geometric_growth, check_identity_axiom,
@@ -34,7 +33,7 @@ from .linops import SuperOp
 from .reports import CheckReport
 from .rewrite import (EdgeContext, GroupElement, Letter,
                       check_confluence_bruteforce, check_rule_axioms,
-                      embed_edge, ginv, gmul, identity, inv, is_irreducible,
-                      mul, normalize, reduce_once_all, word)
+                      embed_edge, ginv, gmul, identity, is_irreducible,
+                      normalize, reduce_once_all, word)
 
 __version__ = "0.1.0"

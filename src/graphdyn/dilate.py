@@ -9,15 +9,13 @@ are finitely supported tag/payload lists with lazy evaluation, so every
 identity that is pointwise can be checked exactly or numerically.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linops, rewrite
 from .dynamics import GeneratorFamily, LinearOrderGraph, check_geometric_growth
-from .errors import (GraphError, InputError, NotCPTPError, PreconditionError,
-                     StructureError)
+from .errors import InputError, NotCPTPError, PreconditionError, StructureError
 from .extend import (FirstCoverExtension, NormalFormExtension,
                      SecondCoverExtension, continuity_modulus_check)
 from .linops import dagger, eye, spectral_norm, trace_norm
@@ -48,7 +46,9 @@ class Channel:
     Choi convention (fixed globally): ``choi = sum_ij Phi(E_ij) (x) E_ij``
     over matrix units, output factor first.  Complete positivity = the Choi
     matrix is PSD; trace preservation = its partial trace over the output
-    factor is the identity.
+    factor is the identity.  The superoperator form is the index reshuffle
+    :func:`linops.choi_to_superop`; Kraus forms come from
+    :func:`kraus_from_choi`.
     """
 
     def __init__(self, dim, choi, kraus=None, tol=1e-10, validate=True):
@@ -73,7 +73,7 @@ class Channel:
             if norm_defect > tol:
                 raise NotCPTPError(f"Kraus normalization defect {norm_defect:.3e}")
             rec = max(spectral_norm(self._apply_kraus(s) - self._apply_choi(s))
-                      for s in _matrix_units(d))
+                      for s in linops.matrix_units(d))
             if rec > tol:
                 raise NotCPTPError(f"Kraus/Choi mismatch {rec:.3e}")
 
@@ -93,26 +93,18 @@ class Channel:
 
     def superop(self):
         """The channel as a column-stacking superoperator matrix."""
-        d = self.dim
-        m = np.empty((d * d, d * d), dtype=complex)
-        for j, u in enumerate(_matrix_units_colstack(d)):
-            m[:, j] = linops.vec(self.apply(u))
-        return linops.SuperOp(d, m)
+        return linops.SuperOp(self.dim, linops.choi_to_superop(self.choi, self.dim))
 
     @classmethod
     def from_kraus(cls, kraus_ops, tol=1e-10):
-        ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
-        d = ks[0].shape[0]
-        choi = _choi_of_apply(lambda s: sum(k @ s @ dagger(k) for k in ks), d)
-        return cls(d, choi, kraus=ks, tol=tol)
-
-    @classmethod
-    def from_apply(cls, apply_fn, dim, tol=1e-10):
-        return cls(dim, _choi_of_apply(apply_fn, dim), tol=tol)
+        ks = list(kraus_ops)
+        sop = linops.SuperOp.from_kraus(ks)
+        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim),
+                   kraus=ks, tol=tol)
 
     @classmethod
     def from_superop(cls, sop, tol=1e-10):
-        return cls.from_apply(sop.apply, sop.dim, tol=tol)
+        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim), tol=tol)
 
     @classmethod
     def identity(cls, d):
@@ -125,13 +117,7 @@ class Channel:
     @classmethod
     def depolarizing(cls, d):
         """s -> tr(s) 1/d."""
-        ks = []
-        for i in range(d):
-            for j in range(d):
-                k = np.zeros((d, d), dtype=complex)
-                k[i, j] = d**-0.5
-                ks.append(k)
-        return cls.from_kraus(ks)
+        return cls.from_kraus(d**-0.5 * linops.matrix_units(d))
 
     @classmethod
     def random(cls, rng, d, k=None):
@@ -142,35 +128,7 @@ class Channel:
         """Composition self after other (apply ``other`` first)."""
         if self.dim != other.dim:
             raise InputError("channel dimensions differ")
-        return Channel.from_apply(lambda s: self.apply(other.apply(s)),
-                                  self.dim, tol=tol)
-
-
-def _matrix_units(d):
-    for i in range(d):
-        for j in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            u[i, j] = 1.0
-            yield u
-
-
-def _matrix_units_colstack(d):
-    """Matrix units ordered so that vec(unit_j) = e_j (column-stacking)."""
-    for j in range(d):
-        for i in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            u[i, j] = 1.0
-            yield u
-
-
-def _choi_of_apply(apply_fn, d):
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            u[i, j] = 1.0
-            choi += linops.tensor(apply_fn(u), u)
-    return choi
+        return Channel.from_superop(self.superop() @ other.superop(), tol=tol)
 
 
 def kraus_from_choi(ch, tol=1e-12):
@@ -203,11 +161,7 @@ def isometric_partition(ch, tol=1e-12):
     ks = ch.kraus
     d, k = ch.dim, len(ks)
     v = np.transpose(np.stack(ks, axis=0), (1, 0, 2)).reshape(d * k, d)
-    parts = []
-    for i in range(k):
-        e_i = np.zeros((k, 1), dtype=complex)
-        e_i[i, 0] = 1.0
-        parts.append(linops.tensor(eye(d), e_i))
+    parts = [linops.tensor(eye(d), eye(k)[:, [i]]) for i in range(k)]
     checks = [spectral_norm(dagger(v) @ v - eye(d))]
     for i, vi in enumerate(parts):
         checks.append(spectral_norm(dagger(v) @ vi - dagger(ks[i])))
@@ -219,6 +173,19 @@ def isometric_partition(ch, tol=1e-12):
     if worst > tol:
         raise NotCPTPError(f"isometric partition identities fail by {worst:.3e}")
     return v, parts
+
+
+def _reduced_action(u, psi, s):
+    """``Tr_env(V s V*)`` with ``V = u (1 (x) psi)``: the reduced action on
+    ``s (x) |psi><psi|`` of a unitary ``u`` on system (x) environment.
+
+    The isometry V has only dim(system) columns, so this costs O(n d^2) for
+    ``n = dim u``; the n x n product state is never formed.
+    """
+    env = psi.size
+    d = u.shape[0] // env
+    v = (u.reshape(-1, d, env) @ psi).reshape(d, env, d)
+    return (v @ np.asarray(s, dtype=complex)).reshape(d, -1) @ dagger(v.reshape(d, -1))
 
 
 @dataclass
@@ -234,9 +201,7 @@ class KrausDilation:
     state: PureState
 
     def reconstructed(self, s):
-        big = linops.tensor(np.asarray(s, dtype=complex), self.state.matrix)
-        return linops.partial_trace_second(
-            linops.adjoint_action(self.unitary, big), self.dim, self.env_dim)
+        return _reduced_action(self.unitary, self.state.vector, s)
 
     def verify(self, ch, tol=1e-10):
         u = self.unitary
@@ -247,7 +212,7 @@ class KrausDilation:
             "squares_to_identity": spectral_norm(u @ u - eye(n)),
             "reconstruction": max(
                 trace_norm(self.reconstructed(s) - ch.apply(s))
-                for s in _matrix_units(self.dim)),
+                for s in linops.matrix_units(self.dim)),
         }
         worst = max(defects.values())
         return CheckReport("reflection-dilation", worst <= tol, worst, tol,
@@ -281,11 +246,8 @@ def kraus_ii_dilation(ch, xi=None, pad_to=None):
 
     env = d + d * k
     # D : system (x) system -> system (x) (system (x) C^k)
-    dmat = np.zeros((d * d * k, d * d), dtype=complex)
-    for i, ki in enumerate(ks):
-        e_i = np.zeros((k, 1), dtype=complex)
-        e_i[i, 0] = 1.0
-        dmat += linops.tensor(ki, linops.tensor(eye(d), e_i))
+    dmat = sum(linops.tensor(ki, linops.tensor(eye(d), eye(k)[:, [i]]))
+               for i, ki in enumerate(ks))
     iota1 = np.zeros((env, d), dtype=complex)
     iota1[:d, :] = eye(d)
     iota2 = np.zeros((env, d * k), dtype=complex)
@@ -365,7 +327,7 @@ class VedDilation:
         self.xi = np.asarray(xi, dtype=complex)
         ident = assignment(rewrite.identity())
         defect = max(spectral_norm(ident.apply(s) - s)
-                     for s in _matrix_units(self.dim))
+                     for s in linops.matrix_units(self.dim))
         if defect > tol:
             raise InputError(
                 f"assignment at the group identity deviates from the identity "
@@ -374,7 +336,6 @@ class VedDilation:
         iota1[:self.dim, :] = eye(self.dim)
         self.base_state = PureState(iota1 @ self.xi)
         self._unitaries = {rewrite.identity(): eye(self.dim * self.env_dim)}
-        self._lock = threading.Lock()
 
     def unitary_of(self, x):
         u = self._unitaries.get(x)
@@ -387,8 +348,7 @@ class VedDilation:
                     f"channel at {x!r} has {len(ch.kraus)} Kraus operators; "
                     f"the shared environment allows {self.k}")
             u = kraus_ii_dilation(ch, self.xi, pad_to=self.k).unitary
-            with self._lock:
-                u = self._unitaries.setdefault(x, u)
+            u = self._unitaries.setdefault(x, u)
         return u
 
     def apply(self, x, v):
@@ -400,39 +360,11 @@ class VedDilation:
 
     def verify_element(self, x, s, tol=1e-10):
         """Trace-norm defect between the dilated action at ``x`` and the
-        assigned channel, computed on the finite support the product state
-        actually occupies (the group-identity slot)."""
-        p = self.dim * self.env_dim
-        m = linops.tensor(np.asarray(s, dtype=complex), self.base_state.matrix)
-        x_inv = rewrite.ginv(x)
-        one = rewrite.identity()
-        cols = np.empty((p, p), dtype=complex)
-        for j in range(p):
-            e_j = np.zeros(p, dtype=complex)
-            e_j[j] = 1.0
-            back = self.apply(x_inv, FormalVector.of([(x, e_j)]))
-            (tag, payload), = back.terms
-            if tag != one:
-                raise GraphError("support tracking failed in verify_element")
-            fwd = self.apply(x, FormalVector.of([(one, m @ payload)]))
-            (tag, payload), = fwd.terms
-            if tag != x:
-                raise GraphError("support tracking failed in verify_element")
-            cols[:, j] = payload
-        reduced = linops.partial_trace_second(cols, self.dim, self.env_dim)
+        assigned channel.  The product state sits at the group-identity tag,
+        and U(x) moves it to tag x with payload u(x) (s (x) |psi><psi|) u(x)*,
+        so the reduced action of u(x) is the dilated channel at x."""
+        reduced = _reduced_action(self.unitary_of(x), self.base_state.vector, s)
         return trace_norm(reduced - self.assignment(x).apply(s))
-
-
-def ved_dilation(assignment, dim, kraus_slots=None, xi=None):
-    return VedDilation(assignment, dim, kraus_slots=kraus_slots, xi=xi)
-
-
-def ved_apply(dil, x, v):
-    return dil.apply(x, v)
-
-
-def ved_verify(dil, x, s, tol=1e-10):
-    return dil.verify_element(x, s, tol)
 
 
 # -- shift dilation of contraction families on groups ---------------------------
@@ -459,7 +391,6 @@ class ShiftDilation:
         self.tol = tol
         self._phi = phi_bar
         self._values = {}
-        self._lock = threading.Lock()
 
     def value(self, g):
         val = self._values.get(g)
@@ -482,8 +413,7 @@ class ShiftDilation:
                     raise PreconditionError(
                         "unitality",
                         f"family value at {g!r} has unitality defect {unital:.3e}")
-            with self._lock:
-                val = self._values.setdefault(g, val)
+            val = self._values.setdefault(g, val)
         return val
 
     def _act(self, g, payload):
@@ -531,16 +461,12 @@ class ShiftDilation:
         """The matrix of payload -> compress(shift(x, embed(payload)))."""
         n = self.dim if self.flavor == "banach" else self.dim**2
         out = np.empty((n, n), dtype=complex)
-        for idx in range(n):
+        for idx, e in enumerate(eye(n)):
             if self.flavor == "banach":
-                payload = np.zeros(n, dtype=complex)
-                payload[idx] = 1.0
-                col = self.compress(self.shift(x, self.embed(payload)))
-                out[:, idx] = col
+                out[:, idx] = self.compress(self.shift(x, self.embed(e)))
             else:
-                payload = linops.unvec(_unit_vec(n, idx), self.dim)
-                col = self.compress(self.shift(x, self.embed(payload)))
-                out[:, idx] = linops.vec(col)
+                payload = linops.unvec(e, self.dim)
+                out[:, idx] = linops.vec(self.compress(self.shift(x, self.embed(payload))))
         return out
 
     def check_embedding(self, samples):
@@ -570,18 +496,6 @@ class ShiftDilation:
             name = "embedding-positive-unital"
         return CheckReport(name, worst <= 10 * self.tol, worst, 10 * self.tol,
                            count=len(samples))
-
-
-def _unit_vec(n, idx):
-    v = np.zeros(n, dtype=complex)
-    v[idx] = 1.0
-    return v
-
-
-def stroescu_dilation(phi_bar, dim, flavor="banach", tol=1e-10):
-    """Shift dilation of a group-indexed contraction family with
-    ``phi_bar(identity) = 1``; see :class:`ShiftDilation`."""
-    return ShiftDilation(phi_bar, dim, flavor=flavor, tol=tol)
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -645,11 +559,11 @@ class DilatedSystem:
             for e in edges:
                 g = self.edge_element(e)
                 defect = max(self.dilation.verify_element(g, s)
-                             for s in _matrix_units(self.dilation.dim))
+                             for s in linops.matrix_units(self.dilation.dim))
                 direct = max(
                     trace_norm(self.extension_channel(g).apply(s)
                                - channels(e).apply(s))
-                    for s in _matrix_units(self.dilation.dim))
+                    for s in linops.matrix_units(self.dilation.dim))
                 defect = max(defect, direct)
                 if defect > worst:
                     worst, arg = defect, e
@@ -711,7 +625,7 @@ def dilate_discrete(system, flavor="banach", tol=1e-10):
     identity axiom only; the input family may be indivisible."""
     fam = system["family"]
     ext = NormalFormExtension(fam, tol=tol)
-    dil = stroescu_dilation(ext, _payload_dim(fam.dim, flavor), flavor=flavor)
+    dil = ShiftDilation(ext, _payload_dim(fam.dim, flavor), flavor=flavor)
     ctx = system["graph"].context()
     return DilatedSystem("A", system, ext, dil, ctx)
 
@@ -728,7 +642,7 @@ def dilate_divisible(system, flavor="banach", tol=1e-9):
                 "geometric-growth",
                 f"growth bound fails by {growth.max_defect:.3e} at {growth.argmax}")
     ext = FirstCoverExtension(fam, tol=tol)
-    dil = stroescu_dilation(ext, _payload_dim(fam.dim, flavor), flavor=flavor)
+    dil = ShiftDilation(ext, _payload_dim(fam.dim, flavor), flavor=flavor)
     return DilatedSystem("B", system, ext, dil, system["graph"].context())
 
 
@@ -750,7 +664,7 @@ def dilate_exponential(system, flavor="banach", tol=1e-9):
                 f"generator growth bound fails by {growth.max_defect:.3e} "
                 f"at {growth.argmax}")
     ext = SecondCoverExtension(scaled, tol=tol)
-    dil = stroescu_dilation(ext, _payload_dim(gens.dim, flavor), flavor=flavor)
+    dil = ShiftDilation(ext, _payload_dim(gens.dim, flavor), flavor=flavor)
     return DilatedSystem("C", system, ext, dil, gens.graph.context())
 
 

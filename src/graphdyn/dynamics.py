@@ -3,7 +3,6 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +90,6 @@ class _Family:
         self._eval = eval_fn
         self.name = name
         self._cache = {}
-        self._lock = threading.Lock()
 
     def _check_edge(self, edge):
         u, v = edge
@@ -109,8 +107,7 @@ class _Family:
                     f"evaluator returned shape {out.shape}, expected "
                     f"{(self.dim, self.dim)} at edge {edge!r}"
                 )
-            with self._lock:
-                self._cache.setdefault(edge, out)
+            self._cache.setdefault(edge, out)
         return out
 
     def sample_edges(self, rng=None, count=None):
@@ -459,12 +456,9 @@ def check_schwarz_generator(l, samples, tol=1e-10, alphas=(0.1, 1.0, 10.0)):
     details = {"alphas": list(alphas), "samples": len(samples)}
     unital_defect = spectral_norm(l.apply(eye))
     sa_defect = 0.0
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=complex)
-            e_ij[i, j] = 1.0
-            sa_defect = max(sa_defect, spectral_norm(
-                l.apply(linops.dagger(e_ij)) - linops.dagger(l.apply(e_ij))))
+    for e_ij in linops.matrix_units(d):
+        sa_defect = max(sa_defect, spectral_norm(
+            l.apply(linops.dagger(e_ij)) - linops.dagger(l.apply(e_ij))))
     psd_defect = 0.0
     for a in samples:
         m = dissipation_map(l, a, a)
@@ -513,15 +507,15 @@ class DagNetwork:
             indeg[h] += 1
         # Kahn's algorithm: a leftover node means a directed cycle
         queue = [u for u in self.nodes if indeg[u] == 0]
-        seen = 0
+        self.order = []  # topological: every edge points forward
         while queue:
             u = queue.pop()
-            seen += 1
+            self.order.append(u)
             for v in self._succ[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     queue.append(v)
-        if seen != len(self.nodes):
+        if len(self.order) != len(self.nodes):
             raise AcyclicityError("the weighted graph has a directed cycle")
 
     def successors(self, u):
@@ -549,24 +543,33 @@ def enumerate_walks(net, u, v, cap=10_000):
     return out
 
 
+def _path_sums_into(net, target, avoid=None):
+    """Ordered weight-product sums over the walks from every node to
+    ``target`` that skip the node ``avoid``, by one reverse-topological sweep
+    (iterative, so chain depth is not bounded by the recursion limit)."""
+    eye = linops.eye(net.dim)
+    sums = {}
+    for x in reversed(net.order):
+        total = eye.copy() if x == target else np.zeros((net.dim, net.dim), dtype=complex)
+        for z in net.successors(x):
+            if z != avoid:
+                total = total + net.weight(x, z) @ sums[z]
+        sums[x] = total
+    return sums
+
+
 def network_family(net):
     """Path-sum family on the complete graph over the network's nodes:
     phi(u, v) sums the ordered weight products over all directed walks.
     Loops contribute the empty product, so phi(u, u) = 1."""
     graph = CompleteGraph(net.nodes)
-    eye = linops.eye(net.dim)
-    memo = {}
+    columns = {}
 
     def phi(edge):
         u, v = edge
-        key = (u, v)
-        if key in memo:
-            return memo[key]
-        total = eye.copy() if u == v else np.zeros((net.dim, net.dim), dtype=complex)
-        for z in net.successors(u):
-            total = total + net.weight(u, z) @ phi((z, v))
-        memo[key] = total
-        return total
+        if v not in columns:
+            columns[v] = _path_sums_into(net, v)
+        return columns[v][u]
 
     return OperatorFamily(graph, net.dim, phi, name="network-path-sum")
 
@@ -582,20 +585,7 @@ def network_defect(net, u, v, w):
             raise GraphError(f"node {x!r} is not in the network")
     if u == v or w == v:
         return np.zeros((net.dim, net.dim), dtype=complex)
-    eye = linops.eye(net.dim)
-    memo = {}
-
-    def phi_avoiding(x):
-        if x in memo:
-            return memo[x]
-        total = eye.copy() if x == w else np.zeros((net.dim, net.dim), dtype=complex)
-        for z in net.successors(x):
-            if z != v:
-                total = total + net.weight(x, z) @ phi_avoiding(z)
-        memo[x] = total
-        return total
-
-    return phi_avoiding(u)
+    return _path_sums_into(net, w, avoid=v)[u]
 
 
 # -- JSON system specs ------------------------------------------------------------

@@ -191,6 +191,25 @@ def unvec(v, d):
     return v.reshape(d, d, order="F")
 
 
+def matrix_units(d):
+    """The d^2 matrix units E_ij as a (d^2, d, d) array, ordered row-major in
+    (i, j)."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+
+# Choi convention: ``choi = sum_ij Phi(E_ij) (x) E_ij`` (output factor first),
+# so choi[(a, i), (b, j)] = Phi(E_ij)[a, b] = superop[a + b d, i + j d].
+
+def choi_to_superop(choi, d):
+    """Column-stacking superoperator matrix of the map with this Choi matrix."""
+    return as_matrix(choi).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def superop_to_choi(m, d):
+    """Inverse of :func:`choi_to_superop`."""
+    return as_matrix(m).reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+
+
 class SuperOp:
     """Linear map on d x d matrices, stored as a d^2 x d^2 matrix.
 

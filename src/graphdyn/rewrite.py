@@ -182,14 +182,6 @@ def ginv(g):
     return GroupElement(tuple(Letter(h, t) for t, h in reversed(g.letters)))
 
 
-def mul(ctx, g, h):
-    return gmul(g, h)
-
-
-def inv(g):
-    return ginv(g)
-
-
 def embed_edge(ctx, edge):
     """The group element of a single edge letter (loops map to the identity)."""
     u, v = edge

@@ -9,12 +9,11 @@ import time
 
 import numpy as np
 
-from graphdyn import dilate, dynamics, linops, rewrite
+from graphdyn import dynamics, linops, rewrite
 from graphdyn.dilate import (Channel, FormalVector, dilate_cptp,
                              dilate_discrete, dilate_divisible,
                              dilate_exponential, kraus_from_choi,
-                             kraus_ii_dilation, one_param_factorization,
-                             ved_apply, ved_verify)
+                             kraus_ii_dilation, one_param_factorization)
 from graphdyn.dynamics import (LinearOrderGraph, descending_grid,
                                divisibility_defect, example_indivisible,
                                proportional_length)
@@ -261,7 +260,7 @@ def test_criterion_9_kraus_suite():
             norm_defect = spectral_norm(
                 sum(dagger(k) @ k for k in ch.kraus) - eye)
             rec = max(spectral_norm(ch._apply_kraus(s) - ch._apply_choi(s))
-                      for s in dilate._matrix_units(d))
+                      for s in linops.matrix_units(d))
             ok = ok and norm_defect <= 1e-10 and rec <= 1e-10
             kd = kraus_ii_dilation(ch)
             u = kd.unitary
@@ -269,7 +268,7 @@ def test_criterion_9_kraus_suite():
             ok = ok and spectral_norm(u @ u - np.eye(n)) <= 1e-10
             ok = ok and spectral_norm(u - dagger(u)) <= 1e-10
             rec2 = max(trace_norm(kd.reconstructed(s) - ch.apply(s))
-                       for s in dilate._matrix_units(d))
+                       for s in linops.matrix_units(d))
             ok = ok and rec2 <= 1e-10
             if not ok:
                 break
@@ -304,10 +303,10 @@ def test_criterion_10_ved_suite():
                     elements.add(cand)
                     nxt.append(cand)
         frontier = nxt
-    units = list(dilate._matrix_units(2))
+    units = list(linops.matrix_units(2))
     for g in sorted(elements, key=lambda x: (len(x.letters), repr(x.letters))):
         for s in units:
-            ok = ok and ved_verify(dil, g, s) <= 1e-10
+            ok = ok and dil.verify_element(g, s) <= 1e-10
         if not ok:
             break
 
@@ -319,8 +318,8 @@ def test_criterion_10_ved_suite():
         z = rewrite.random_element(ctx, rng, 2)
         zeta = rng.standard_normal(p) + 1j * rng.standard_normal(p)
         v = FormalVector.of([(z, zeta)])
-        ok = ok and ved_apply(dil, x, ved_apply(dil, y, v)).distance(
-            ved_apply(dil, gmul(x, y), v)) <= 1e-12
+        ok = ok and dil.apply(x, dil.apply(y, v)).distance(
+            dil.apply(gmul(x, y), v)) <= 1e-12
         if not ok:
             break
 
@@ -333,7 +332,7 @@ def test_criterion_10_ved_suite():
         composed = chans[(0, 1)].apply(chans[(1, 2)].apply(s))
         family_defect = trace_norm(chans[(0, 2)].apply(s) - composed)
         ok = ok and abs(trace_norm(dilated - composed) - family_defect) <= 1e-10
-        ok = ok and ved_verify(dil, gh, s) <= 1e-10
+        ok = ok and dil.verify_element(gh, s) <= 1e-10
     _report(10, "unitary-representation dilation suite",
             time.time() - start, 60.0, ok)
 

@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdyn import dilate, dynamics, linops, rewrite
-from graphdyn.dilate import (Channel, FormalVector,
+from graphdyn.dilate import (Channel, FormalVector, ShiftDilation,
                              VedDilation, dilate_cptp, dilate_discrete,
                              dilate_divisible, dilate_exponential,
                              isometric_partition, kraus_from_choi,
-                             kraus_ii_dilation, one_param_factorization,
-                             stroescu_dilation, ved_apply, ved_verify)
+                             kraus_ii_dilation, one_param_factorization)
 from graphdyn.dynamics import (LinearOrderGraph, OperatorFamily,
                                descending_grid, example_indivisible,
                                proportional_length)
 from graphdyn.errors import InputError, NotCPTPError, PreconditionError
 from graphdyn.linops import (SIGMA_X, SIGMA_Z, SuperOp, dagger, spectral_norm,
                              trace_norm)
-from graphdyn.rewrite import embed_edge, gmul, identity
-from graphdyn.sampling import (random_dissipative, random_matrix,
-                               random_unit_vector, random_unitary,
-                               rng_from_seed)
+from graphdyn.rewrite import embed_edge, ginv, gmul, identity
+from graphdyn.sampling import (random_dissipative, random_kraus_ops,
+                               random_matrix, random_unit_vector,
+                               random_unitary, rng_from_seed)
 
 
 def matrix_units(d):
@@ -66,6 +67,55 @@ class TestChannel:
         b = Channel.random(rng, 2)
         s = random_matrix(rng, 2)
         assert np.allclose(a.compose(b).apply(s), a.apply(b.apply(s)))
+
+
+seeded_dims = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+
+
+def transpose_superop(d):
+    """Column-stacking matrix of X -> X^T: positive and trace preserving, but
+    not completely positive."""
+    return np.stack([linops.vec(linops.unvec(e, d).T) for e in np.eye(d * d)],
+                    axis=1)
+
+
+class TestChannelForms:
+    @settings(max_examples=30, deadline=None)
+    @given(seeded_dims, st.integers(1, 16))
+    def test_kraus_choi_superop_round_trips(self, dim_seed, rank):
+        d, seed = dim_seed
+        rng = rng_from_seed(seed)
+        ch = Channel.from_kraus(random_kraus_ops(rng, d, min(rank, d * d)))
+        sop = ch.superop()
+        assert np.array_equal(linops.superop_to_choi(sop.matrix, d), ch.choi)
+        assert np.array_equal(Channel.from_superop(sop).choi, ch.choi)
+        again = Channel.from_kraus(kraus_from_choi(ch).kraus)
+        assert np.abs(again.choi - ch.choi).max() <= 1e-12
+        for s in [*linops.matrix_units(d), random_matrix(rng, d)]:
+            want = ch._apply_kraus(s)
+            assert spectral_norm(sop.apply(s) - want) <= 1e-12
+            assert spectral_norm(ch._apply_choi(s) - want) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeded_dims)
+    def test_compose_matches_sequential_apply(self, dim_seed):
+        d, seed = dim_seed
+        rng = rng_from_seed(seed)
+        a, b = Channel.random(rng, d), Channel.random(rng, d)
+        ab = a.compose(b)
+        for s in [*linops.matrix_units(d), random_matrix(rng, d)]:
+            assert spectral_norm(ab.apply(s) - a.apply(b.apply(s))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_transpose_map_rejected(self, d):
+        with pytest.raises(NotCPTPError):
+            Channel.from_superop(SuperOp(d, transpose_superop(d)))
+
+    def test_compose_revalidates(self):
+        t = Channel(2, linops.superop_to_choi(transpose_superop(2), 2),
+                    validate=False)
+        with pytest.raises(NotCPTPError):
+            Channel.identity(2).compose(t)
 
 
 class TestKrausFromChoi:
@@ -185,6 +235,32 @@ def three_node_channel_family(rng, indivisible=True):
     return graph, get, chans
 
 
+def formal_verify_element(dil, x, s):
+    """Oracle for ``VedDilation.verify_element``: builds U(x) m U(x)* column
+    by column from FormalVector round trips through the group identity."""
+    p = dil.dim * dil.env_dim
+    m = linops.tensor(s, dil.base_state.matrix)
+    cols = np.empty((p, p), dtype=complex)
+    for j, e_j in enumerate(np.eye(p, dtype=complex)):
+        (tag, back), = dil.apply(ginv(x), FormalVector.of([(x, e_j)])).terms
+        assert tag == identity()
+        (tag, cols[:, j]), = dil.apply(x, FormalVector.of([(identity(), m @ back)])).terms
+        assert tag == x
+    reduced = linops.partial_trace_second(cols, dil.dim, dil.env_dim)
+    return trace_norm(reduced - dil.assignment(x).apply(s))
+
+
+def elements_up_to(ctx, length):
+    pairs = [(u, v) for (u, v) in ctx.closure_pairs() if u != v]
+    elements, frontier = {identity()}, [identity()]
+    for _ in range(length):
+        frontier = [g for g in {gmul(h, embed_edge(ctx, e))
+                                for h in frontier for e in pairs}
+                    if g not in elements]
+        elements.update(frontier)
+    return sorted(elements, key=lambda g: (len(g.letters), repr(g.letters)))
+
+
 class TestVedDilation:
     def test_identity_element_acts_trivially(self):
         rng = rng_from_seed(11)
@@ -193,7 +269,7 @@ class TestVedDilation:
         ds = dilate_cptp(system)
         v = FormalVector.of([(identity(), np.arange(ds.dilation.dim
                                                     * ds.dilation.env_dim))])
-        out = ved_apply(ds.dilation, identity(), v)
+        out = ds.dilation.apply(identity(), v)
         assert out.distance(v) == 0.0
 
     def test_single_edge_reconstruction(self):
@@ -203,7 +279,7 @@ class TestVedDilation:
         ds = dilate_cptp(system)
         ctx = graph.context()
         for s in matrix_units(2):
-            assert ved_verify(ds.dilation, embed_edge(ctx, (0, 1)), s) < 1e-10
+            assert ds.dilation.verify_element(embed_edge(ctx, (0, 1)), s) < 1e-10
 
     def test_verify_at_identity_element(self):
         rng = rng_from_seed(29)
@@ -211,7 +287,7 @@ class TestVedDilation:
         ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
                           "family": None})
         s = random_matrix(rng, 2)
-        assert ved_verify(ds.dilation, identity(), s) < 1e-14
+        assert ds.dilation.verify_element(identity(), s) < 1e-14
 
     def test_common_environment_shapes(self):
         rng = rng_from_seed(13)
@@ -243,8 +319,8 @@ class TestVedDilation:
             z = rewrite.random_element(ctx, rng, 2)
             zeta = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             v = FormalVector.of([(z, zeta)])
-            two_step = ved_apply(dil, x, ved_apply(dil, y, v))
-            one_step = ved_apply(dil, gmul(x, y), v)
+            two_step = dil.apply(x, dil.apply(y, v))
+            one_step = dil.apply(gmul(x, y), v)
             assert two_step.distance(one_step) < 1e-12
 
     def test_unitarity_on_terms(self):
@@ -258,7 +334,7 @@ class TestVedDilation:
         for _ in range(20):
             x = rewrite.random_element(ctx, rng, 3)
             zeta = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-            out = ved_apply(dil, x, FormalVector.of([(identity(), zeta)]))
+            out = dil.apply(x, FormalVector.of([(identity(), zeta)]))
             (_, payload), = out.terms
             assert abs(np.linalg.norm(payload) - np.linalg.norm(zeta)) < 1e-12
 
@@ -278,7 +354,29 @@ class TestVedDilation:
         family_defect = trace_norm(chans[(0, 2)].apply(s) - composed)
         assert trace_norm(dilated - composed) == pytest.approx(family_defect,
                                                                abs=1e-10)
-        assert ved_verify(ds.dilation, gh, s) < 1e-10
+        assert ds.dilation.verify_element(gh, s) < 1e-10
+
+    def test_closed_form_matches_formal_oracle(self):
+        rng = rng_from_seed(30)
+        graph, get, _ = three_node_channel_family(rng)
+        dil = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
+                           "family": None}).dilation
+        samples = [*linops.matrix_units(2), random_matrix(rng, 2)]
+        for g in elements_up_to(graph.context(), 2):
+            for s in samples:
+                closed = dil.verify_element(g, s)
+                assert closed <= 1e-10
+                assert abs(closed - formal_verify_element(dil, g, s)) <= 1e-12
+
+    def test_wrong_reflection_detected(self):
+        rng = rng_from_seed(31)
+        graph, get, _ = three_node_channel_family(rng)
+        dil = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
+                           "family": None}).dilation
+        ctx = graph.context()
+        x, y = embed_edge(ctx, (0, 1)), embed_edge(ctx, (1, 2))
+        dil._unitaries[x] = dil.unitary_of(y)
+        assert max(dil.verify_element(x, s) for s in linops.matrix_units(2)) > 1e-10
 
     def test_identity_assignment_enforced(self):
         rng = rng_from_seed(17)
@@ -294,7 +392,7 @@ class TestShiftDilation:
         fam = gens.exponential(1.0)
         from graphdyn.extend import FirstCoverExtension
         ext = FirstCoverExtension(fam)
-        dil = stroescu_dilation(ext, fam.dim, flavor="banach")
+        dil = ShiftDilation(ext, fam.dim, flavor="banach")
         return rng, fam, dil, fam.graph.context()
 
     def test_section_identity(self):
@@ -338,7 +436,7 @@ class TestShiftDilation:
                              * (1.0 if e[0] == e[1] else 2.0))
         from graphdyn.extend import NormalFormExtension
         ext = NormalFormExtension(fam)
-        dil = stroescu_dilation(ext, 2, flavor="banach")
+        dil = ShiftDilation(ext, 2, flavor="banach")
         with pytest.raises(PreconditionError) as exc:
             dil.compression_matrix(embed_edge(graph.context(), (1.0, 0.5)))
         assert exc.value.axiom == "contraction"
@@ -359,7 +457,7 @@ class TestShiftDilationCstar:
         fam = OperatorFamily(graph, 4, value)
         from graphdyn.extend import FirstCoverExtension
         ext = FirstCoverExtension(fam)
-        return rng, fam, stroescu_dilation(ext, 2, flavor="cstar"), graph.context()
+        return rng, fam, ShiftDilation(ext, 2, flavor="cstar"), graph.context()
 
     def test_compression_reproduces_family(self):
         rng, fam, dil, ctx = self.setup_cstar()

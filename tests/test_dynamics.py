@@ -400,6 +400,19 @@ class TestNetworks:
         rhs = fam(("a", "c")) - fam(("a", "b")) @ fam(("b", "c"))
         assert np.array_equal(defect, rhs)
 
+    def test_chain_deeper_than_recursion_limit(self):
+        # unit-modulus weights keep the 2,999-factor product from underflowing
+        n = 3000
+        thetas = rng_from_seed(13).uniform(-np.pi, np.pi, size=(n - 1, 2))
+        edges = [(i, i + 1) for i in range(n - 1)]
+        weights = {e: np.diag(np.exp(1j * t)) for e, t in zip(edges, thetas)}
+        net = DagNetwork(range(n), edges, weights, 2)
+        product = np.diag(np.exp(1j * thetas.sum(axis=0)))
+        assert spectral_norm(network_family(net)((0, n - 1)) - product) < 1e-10
+        # node 0 is not on any walk from 1, so avoiding it removes nothing
+        tail = np.diag(np.exp(1j * thetas[1:].sum(axis=0)))
+        assert spectral_norm(network_defect(net, 1, 0, n - 1) - tail) < 1e-10
+
     def test_cycle_rejected(self):
         with pytest.raises(AcyclicityError):
             DagNetwork(["a", "b"], [("a", "b"), ("b", "a")],

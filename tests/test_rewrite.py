@@ -151,11 +151,6 @@ class TestGroupOps:
             g, h = (rewrite.random_element(abc, rng) for _ in range(2))
             assert ginv(gmul(g, h)) == gmul(ginv(h), ginv(g))
 
-    def test_spec_aliases(self, abc):
-        g = embed_edge(abc, ("a", "b"))
-        assert rewrite.mul(abc, g, ginv(g)).is_identity()
-        assert rewrite.inv(g) == ginv(g)
-
 
 class TestEmbedEdge:
     def test_loop_maps_to_identity(self, abc):
