@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops, rewrite
-from .dynamics import GeneratorFamily, LinearOrderGraph, check_geometric_growth
+from .dynamics import (GeneratorFamily, LinearOrderGraph, _blockwise,
+                       _node_triples, _ordered_triples, _worst,
+                       check_geometric_growth)
 from .errors import InputError, NotCPTPError, PreconditionError, StructureError
 from .extend import (FirstCoverExtension, NormalFormExtension,
                      SecondCoverExtension, continuity_modulus_check)
@@ -459,14 +461,14 @@ class ShiftDilation:
 
     def compression_matrix(self, x):
         """The matrix of payload -> compress(shift(x, embed(payload)))."""
-        n = self.dim if self.flavor == "banach" else self.dim**2
+        if self.flavor == "banach":
+            # the identity payload carries every basis column at once
+            return self.compress(self.shift(x, self.embed(eye(self.dim))))
+        n = self.dim**2
         out = np.empty((n, n), dtype=complex)
         for idx, e in enumerate(eye(n)):
-            if self.flavor == "banach":
-                out[:, idx] = self.compress(self.shift(x, self.embed(e)))
-            else:
-                payload = linops.unvec(e, self.dim)
-                out[:, idx] = linops.vec(self.compress(self.shift(x, self.embed(payload))))
+            payload = linops.unvec(e, self.dim)
+            out[:, idx] = linops.vec(self.compress(self.shift(x, self.embed(payload))))
         return out
 
     def check_embedding(self, samples):
@@ -525,14 +527,7 @@ class DilatedSystem:
         reports.append(CheckReport("group-identity-axiom", not bad,
                                    float(len(bad)), 0.0, offenders=bad[:10],
                                    count=len(nodes)))
-        triples = [(u, v, w)
-                   for i, u in enumerate(nodes)
-                   for j, v in enumerate(nodes[i:], i)
-                   for w in nodes[j:]
-                   if graph.has_edge(u, v) and graph.has_edge(v, w)]
-        if rng is not None and len(triples) > 200:
-            idx = rng.choice(len(triples), size=200, replace=False)
-            triples = [triples[i] for i in idx]
+        triples = _node_triples(nodes, _ordered_triples(graph, rng, 200))
         bad = []
         for (u, v, w) in triples:
             lhs = rewrite.gmul(self.edge_element((u, v)), self.edge_element((v, w)))
@@ -569,10 +564,9 @@ class DilatedSystem:
                     worst, arg = defect, e
             return CheckReport("dilation-reconstruction", worst <= tol, worst,
                                tol, arg, count=len(edges))
-        for e in edges:
-            defect = spectral_norm(self.edge_operator(e) - fam(e))
-            if defect > worst:
-                worst, arg = defect, e
+        defects = _blockwise(edges, lambda es: spectral_norm(
+            np.stack([self.edge_operator(e) for e in es]) - fam.stack(es)))
+        worst, arg = _worst(defects, edges)
         return CheckReport("compression-identity", worst <= tol, worst, tol,
                            arg, count=len(edges))
 

@@ -110,6 +110,15 @@ class _Family:
             self._cache.setdefault(edge, out)
         return out
 
+    def stack(self, edges):
+        """The values at ``edges`` as one (len(edges), dim, dim) array; each
+        distinct edge is evaluated once."""
+        rows = {}
+        order = [rows.setdefault((e[0], e[1]), len(rows)) for e in edges]
+        if not rows:
+            return np.empty((0, self.dim, self.dim), dtype=complex)
+        return np.stack([self(e) for e in rows])[order]
+
     def sample_edges(self, rng=None, count=None):
         edges = list(self.graph.edges())
         if rng is None or count is None or count >= len(edges):
@@ -127,11 +136,8 @@ class OperatorFamily(_Family):
 
     def check_contractions(self, edges=None, tol=1e-10):
         edges = list(self.graph.edges()) if edges is None else edges
-        worst, arg = 0.0, None
-        for e in edges:
-            excess = spectral_norm(self(e)) - 1.0
-            if excess > worst:
-                worst, arg = excess, e
+        excess = _blockwise(edges, lambda es: spectral_norm(self.stack(es)) - 1.0)
+        worst, arg = _worst(excess, edges)
         return CheckReport("contractions", worst <= tol, worst, tol, arg,
                            count=len(edges))
 
@@ -154,11 +160,13 @@ class GeneratorFamily(_Family):
 
     def check_dissipative(self, edges=None, tol=1e-10):
         edges = list(self.graph.edges()) if edges is None else edges
-        worst, arg = 0.0, None
-        for e in edges:
-            top = float(np.linalg.eigvalsh(linops.hermitian_part(self(e))).max())
-            if top > worst:
-                worst, arg = top, e
+
+        def top_eigenvalues(es):
+            vals = self.stack(es)
+            herm = 0.5 * (vals + np.conj(vals).swapaxes(-1, -2))
+            return np.linalg.eigvalsh(herm).max(axis=-1)
+
+        worst, arg = _worst(_blockwise(edges, top_eigenvalues), edges)
         return CheckReport("dissipative", worst <= tol, worst, tol, arg,
                            count=len(edges))
 
@@ -189,10 +197,7 @@ class LengthFunction:
             if d > worst:
                 worst, arg = d, (u, u, u)
         if triples is None:
-            triples = [(u, v, w)
-                       for i, u in enumerate(nodes)
-                       for j, v in enumerate(nodes[i:], i)
-                       for w in nodes[j:]]
+            triples = _node_triples(nodes, _ordered_triples(graph))
         for (u, v, w) in triples:
             split = self((u, v)) + self((v, w))
             whole = self((u, w))
@@ -215,18 +220,42 @@ def proportional_length(scale):
 
 # -- axiom checkers ------------------------------------------------------------
 
+# Edges, nodes or triples per batched call: value stacks stay a few hundred
+# matrices long, so exhaustive checks on fine grids add no peak memory.
+_BLOCK = 512
+
+
+def _blockwise(keys, defect):
+    """``defect(block)`` over consecutive blocks of ``keys``, as one array."""
+    out = np.empty(len(keys))
+    for start in range(0, len(keys), _BLOCK):
+        out[start:start + _BLOCK] = defect(keys[start:start + _BLOCK])
+    return out
+
+
+def _worst(defects, keys):
+    """(max_defect, argmax) over parallel ``defects`` and ``keys``: the first
+    strict maximum wins, and (0.0, None) when no defect is positive."""
+    if len(defects) == 0:
+        return 0.0, None
+    i = int(np.argmax(defects))
+    if not defects[i] > 0:
+        return 0.0, None
+    return float(defects[i]), keys[i]
+
+
+def _offenders(defects, keys, tol):
+    return [(keys[i], float(defects[i])) for i in np.flatnonzero(defects > tol)[:10]]
+
+
 def check_identity_axiom(fam, tol=1e-10, nodes=None):
     nodes = fam.graph.nodes if nodes is None else nodes
     eye = linops.eye(fam.dim)
-    worst, arg, offenders = 0.0, None, []
-    for u in nodes:
-        d = spectral_norm(fam((u, u)) - eye)
-        if d > tol:
-            offenders.append((u, d))
-        if d > worst:
-            worst, arg = d, u
+    defects = _blockwise(nodes, lambda us: spectral_norm(
+        fam.stack([(u, u) for u in us]) - eye))
+    worst, arg = _worst(defects, nodes)
     return CheckReport("identity-axiom", worst <= tol, worst, tol, arg,
-                       count=len(nodes), offenders=offenders[:10])
+                       count=len(nodes), offenders=_offenders(defects, nodes, tol))
 
 
 def divisibility_defect(fam, u, v, w):
@@ -245,56 +274,74 @@ def additivity_defect(gen, u, v, w):
     return spectral_norm(gen((u, w)) - gen((u, v)) - gen((v, w)))
 
 
+def _unrank_triples(m, ranks):
+    """Node-index triples (i <= j <= k < m) at the given ranks of their
+    lexicographic order, as an (N, 3) array."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    rest = np.arange(m, 0, -1, dtype=np.int64)  # m - i
+    total = m * (m + 1) * (m + 2) // 6
+    # ranks of (i, i, i) among the triples and of (i, i) among the pairs j <= k
+    first_triple = total - rest * (rest + 1) * (rest + 2) // 6
+    first_pair = m * (m + 1) // 2 - rest * (rest + 1) // 2
+    i = np.searchsorted(first_triple, ranks, side="right") - 1
+    # (j, k) ranges over the pairs j <= k < m from (i, i) on
+    pair = ranks - first_triple[i] + first_pair[i]
+    j = np.searchsorted(first_pair, pair, side="right") - 1
+    return np.stack([i, j, j + pair - first_pair[j]], axis=-1)
+
+
 def _ordered_triples(graph, rng=None, count=None):
-    nodes = graph.nodes
-    triples = [(u, v, w)
-               for i, u in enumerate(nodes)
-               for j, v in enumerate(nodes[i:], i)
-               for w in nodes[j:]]
-    if rng is not None and count is not None and count < len(triples):
-        idx = rng.choice(len(triples), size=count, replace=False)
-        triples = [triples[i] for i in idx]
-    return triples
+    """Node-index triples (i <= j <= k) of the graph's node order, as an
+    (N, 3) array: all of them, or ``count`` drawn without replacement."""
+    m = len(graph.nodes)
+    total = m * (m + 1) * (m + 2) // 6
+    if rng is not None and count is not None and count < total:
+        return _unrank_triples(m, rng.choice(total, size=count, replace=False))
+    return _unrank_triples(m, np.arange(total))
+
+
+def _node_triples(nodes, idx):
+    """The node-index triples of ``idx`` as tuples of node keys."""
+    return [(nodes[i], nodes[j], nodes[k]) for i, j, k in idx.tolist()]
+
+
+def _triple_check(name, fam, defect, tol, rng, count):
+    """Report on ``defect(phi(u,v), phi(v,w), phi(u,w))``, which maps three
+    (N, d, d) value stacks to N norms, over the ordered triples."""
+    nodes = fam.graph.nodes
+    idx = _ordered_triples(fam.graph, rng, count)
+
+    def block_defects(rows):
+        i, j, k = rows.T.tolist()
+        edges = [(nodes[a], nodes[b]) for a, b in zip(i + j + i, j + k + k)]
+        return defect(*np.split(fam.stack(edges), 3))
+
+    worst, at = _worst(_blockwise(idx, block_defects), idx)
+    arg = None if at is None else tuple(nodes[t] for t in at)
+    return CheckReport(name, worst <= tol, worst, tol, arg, count=len(idx))
 
 
 def check_divisibility(fam, tol=1e-9, rng=None, count=None):
-    triples = _ordered_triples(fam.graph, rng, count)
-    worst, arg = 0.0, None
-    for (u, v, w) in triples:
-        d = divisibility_defect(fam, u, v, w)
-        if d > worst:
-            worst, arg = d, (u, v, w)
-    return CheckReport("divisibility-axiom", worst <= tol, worst, tol, arg,
-                       count=len(triples))
+    return _triple_check("divisibility-axiom", fam,
+                         lambda uv, vw, uw: spectral_norm(uw - uv @ vw),
+                         tol, rng, count)
 
 
 def check_additivity(gen, tol=1e-9, rng=None, count=None):
-    triples = _ordered_triples(gen.graph, rng, count)
-    worst, arg = 0.0, None
-    for (u, v, w) in triples:
-        d = additivity_defect(gen, u, v, w)
-        if d > worst:
-            worst, arg = d, (u, v, w)
-    return CheckReport("additivity-axiom", worst <= tol, worst, tol, arg,
-                       count=len(triples))
+    return _triple_check("additivity-axiom", gen,
+                         lambda uv, vw, uw: spectral_norm(uw - uv - vw),
+                         tol, rng, count)
 
 
 def check_geometric_growth(fam, ell, edges=None, tol=1e-12):
     """Operator families: |phi(e) - 1| <= l(e).  Generator families: |A(e)| <= l(e)."""
     edges = list(fam.graph.edges()) if edges is None else edges
-    eye = linops.eye(fam.dim)
-    is_gen = isinstance(fam, GeneratorFamily)
-    worst, arg, offenders = 0.0, None, []
-    for e in edges:
-        val = fam(e)
-        lhs = spectral_norm(val if is_gen else val - eye)
-        excess = lhs - ell(e)
-        if excess > tol:
-            offenders.append((e, excess))
-        if excess > worst:
-            worst, arg = excess, e
+    shift = 0 if isinstance(fam, GeneratorFamily) else linops.eye(fam.dim)
+    excess = _blockwise(edges, lambda es: spectral_norm(fam.stack(es) - shift)
+                        - np.array([ell(e) for e in es], dtype=float))
+    worst, arg = _worst(excess, edges)
     return CheckReport("geometric-growth", worst <= tol, worst, tol, arg,
-                       count=len(edges), offenders=offenders[:10])
+                       count=len(edges), offenders=_offenders(excess, edges, tol))
 
 
 def lipschitz_check(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10):

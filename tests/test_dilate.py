@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from graphdyn.dilate import (Channel, FormalVector, ShiftDilation,
                              dilate_divisible, dilate_exponential,
                              isometric_partition, kraus_from_choi,
                              kraus_ii_dilation, one_param_factorization)
-from graphdyn.dynamics import (LinearOrderGraph, OperatorFamily,
-                               descending_grid, example_indivisible,
-                               proportional_length)
+from graphdyn.dynamics import (CompleteGraph, LinearOrderGraph,
+                               OperatorFamily, descending_grid,
+                               example_indivisible, proportional_length)
 from graphdyn.errors import InputError, NotCPTPError, PreconditionError
 from graphdyn.linops import (SIGMA_X, SIGMA_Z, SuperOp, dagger, spectral_norm,
                              trace_norm)
@@ -407,6 +409,13 @@ class TestShiftDilation:
             g = embed_edge(ctx, e)
             assert spectral_norm(dil.compression_matrix(g) - fam(e)) < 1e-10
 
+    def test_compression_matrix_matches_column_loop(self):
+        rng, fam, dil, ctx = self.banach_setup()
+        for _ in range(10):
+            x = rewrite.random_element(ctx, rng, 3)
+            columns = [dil.compress(dil.shift(x, dil.embed(e))) for e in np.eye(3)]
+            assert np.array_equal(dil.compression_matrix(x), np.stack(columns, axis=1))
+
     def test_right_shift_law(self):
         rng, fam, dil, ctx = self.banach_setup()
         for _ in range(20):
@@ -571,6 +580,52 @@ class TestPipelines:
         fam = OperatorFamily(graph, 3, lambda e: np.eye(3))
         with pytest.raises(InputError):
             dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
+
+
+class TestBatchedVerify:
+    def test_compression_report_matches_edge_loop(self):
+        # the dilation compresses to fam; the report compares against a family
+        # bumped by an edge-dependent amount, so every non-loop edge has a defect
+        rng = rng_from_seed(24)
+        gens = dynamics.commuting_evolution(random_dissipative(rng, 3), 1.0, 6)
+        fam = gens.exponential(1.0)
+        ds = dilate_divisible({"graph": fam.graph, "family": fam})
+        bumps = {e: rng.uniform(0.0, 1e-3) * (e[0] != e[1]) for e in fam.graph.edges()}
+        bumped = OperatorFamily(fam.graph, 3, lambda e: fam(e) + bumps[e] * np.eye(3))
+        ds.system = {"graph": fam.graph, "family": bumped}
+        for max_edges, block in ((None, 4), (None, 512), (7, 512), (0, 512)):
+            with mock.patch.object(dynamics, "_BLOCK", block):
+                rep = ds._compression_report(1e-10, max_edges)
+            edges = list(fam.graph.edges())[:max_edges]
+            worst, arg = 0.0, None
+            for e in edges:
+                d = spectral_norm(ds.edge_operator(e) - bumped(e))
+                if d > worst:
+                    worst, arg = d, e
+            assert (rep.max_defect, rep.argmax, rep.count) == (worst, arg, len(edges))
+            assert rep.passed == (not edges)
+
+    def test_verify_samples_at_most_200_triples(self):
+        for points, sampled in ((9, 165), (17, 200)):
+            fam = OperatorFamily(descending_grid(1.0, points), 2, lambda e: np.eye(2))
+            ds = dilate_discrete({"graph": fam.graph, "family": fam})
+            for rng, count in ((rng_from_seed(0), sampled),
+                               (None, points * (points + 1) * (points + 2) // 6)):
+                rep = ds.verify(rng=rng)[1]
+                assert (rep.name, rep.passed, rep.count) == \
+                    ("group-divisibility-axiom", True, count)
+
+    @pytest.mark.parametrize("graph", [LinearOrderGraph(range(7)),
+                                       descending_grid(1.0, 9),
+                                       CompleteGraph("abcde")])
+    def test_ordered_triples_are_paths(self, graph):
+        # DilatedSystem.verify takes every ordered triple of the node list; on
+        # both graph classes its pipelines run on, each one is a path u -> v -> w
+        triples = dynamics._node_triples(graph.nodes, dynamics._ordered_triples(graph))
+        m = len(graph.nodes)
+        assert len(triples) == m * (m + 1) * (m + 2) // 6
+        assert all(graph.has_edge(u, v) and graph.has_edge(v, w) and graph.has_edge(u, w)
+                   for u, v, w in triples)
 
 
 class TestOneParamFactorization:

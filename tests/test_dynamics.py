@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdyn import dynamics, linops
 from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
                                LinearOrderGraph, OperatorFamily,
-                               additivity_defect, check_geometric_growth,
+                               additivity_defect, check_additivity,
+                               check_divisibility, check_geometric_growth,
                                check_identity_axiom, check_schwarz_generator,
                                descending_grid, dissipation_map,
                                divisibility_defect, enumerate_walks,
@@ -15,8 +20,8 @@ from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
 from graphdyn.errors import (AcyclicityError, DegeneracyError, GraphError,
                              InputError, OrderError)
 from graphdyn.linops import SIGMA_X, SIGMA_Y, SIGMA_Z, SuperOp, spectral_norm
-from graphdyn.sampling import (random_dissipative, random_kraus_ops,
-                               random_matrix, rng_from_seed)
+from graphdyn.sampling import (random_dissipative, random_hermitian,
+                               random_kraus_ops, random_matrix, rng_from_seed)
 
 
 @pytest.fixture
@@ -150,6 +155,171 @@ class TestGeometricGrowth:
         ell = proportional_length(spectral_norm(a))
         assert check_geometric_growth(fam, ell).passed
         assert check_identity_axiom(fam, tol=1e-12).passed
+
+
+# -- batched checkers against the scalar loops they replace ----------------------
+
+def enumerated_triples(graph):
+    nodes = graph.nodes
+    return [(u, v, w)
+            for i, u in enumerate(nodes)
+            for j, v in enumerate(nodes[i:], i)
+            for w in nodes[j:]]
+
+
+def drawn_triples(graph, seed, count):
+    """The enumerated list, or ``count`` of it drawn by index from ``seed``."""
+    triples = enumerated_triples(graph)
+    if count is not None and count < len(triples):
+        idx = rng_from_seed(seed).choice(len(triples), size=count, replace=False)
+        triples = [triples[i] for i in idx]
+    return triples
+
+
+def loop_worst(keyed_defects):
+    worst, arg = 0.0, None
+    for key, d in keyed_defects:
+        if d > worst:
+            worst, arg = d, key
+    return worst, arg
+
+
+def loop_offenders(keyed_defects, tol):
+    return [(key, d) for key, d in keyed_defects if d > tol][:10]
+
+
+def random_generators(kind, points, seed):
+    rng = rng_from_seed(seed)
+    if kind == "indivisible":
+        return example_indivisible(random_hermitian(rng, 2), random_hermitian(rng, 2),
+                                   1.0, points)
+    return dynamics.commuting_evolution(random_dissipative(rng, 3), 1.0, points)
+
+
+families = dict(kind=st.sampled_from(["indivisible", "exponential"]),
+                points=st.integers(2, 12), seed=st.integers(0, 2**16),
+                count=st.one_of(st.none(), st.integers(1, 60)),
+                block=st.sampled_from([1, 7, 512]))
+
+
+class TestBatchedCheckers:
+    @settings(max_examples=40, deadline=None)
+    @given(**families)
+    def test_divisibility_matches_scalar_loop(self, kind, points, seed, count, block):
+        fam = random_generators(kind, points, seed).exponential(1.0 + seed % 3)
+        rng = None if count is None else rng_from_seed(seed)
+        with mock.patch.object(dynamics, "_BLOCK", block):
+            rep = check_divisibility(fam, rng=rng, count=count)
+        triples = drawn_triples(fam.graph, seed, count)
+        want = loop_worst((t, divisibility_defect(fam, *t)) for t in triples)
+        assert (rep.max_defect, rep.argmax, rep.count) == (*want, len(triples))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**families)
+    def test_additivity_matches_scalar_loop(self, kind, points, seed, count, block):
+        gens = random_generators(kind, points, seed)
+        rng = None if count is None else rng_from_seed(seed)
+        with mock.patch.object(dynamics, "_BLOCK", block):
+            rep = check_additivity(gens, rng=rng, count=count)
+        triples = drawn_triples(gens.graph, seed, count)
+        want = loop_worst((t, additivity_defect(gens, *t)) for t in triples)
+        assert (rep.max_defect, rep.argmax, rep.count) == (*want, len(triples))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=families["kind"], points=families["points"], seed=families["seed"],
+           block=families["block"], scale=st.floats(0.0, 3.0))
+    def test_edge_checkers_match_scalar_loops(self, kind, points, seed, block, scale):
+        with mock.patch.object(dynamics, "_BLOCK", block):
+            self.edge_checkers_match_scalar_loops(kind, points, seed, scale)
+
+    def edge_checkers_match_scalar_loops(self, kind, points, seed, scale):
+        gens = random_generators(kind, points, seed)
+        fam = gens.exponential(1.0)
+        edges = list(fam.graph.edges())
+        eye = np.eye(fam.dim)
+        ell = proportional_length(scale)
+        tol = 1e-12
+        for f, lhs in ((fam, lambda e: spectral_norm(fam(e) - eye)),
+                       (gens, lambda e: spectral_norm(gens(e)))):
+            rep = check_geometric_growth(f, ell)
+            keyed = [(e, lhs(e) - ell(e)) for e in edges]
+            assert (rep.max_defect, rep.argmax, rep.count, rep.offenders) == \
+                (*loop_worst(keyed), len(edges), loop_offenders(keyed, tol))
+        rep = fam.check_contractions()
+        assert (rep.max_defect, rep.argmax) == \
+            loop_worst((e, spectral_norm(fam(e)) - 1.0) for e in edges)
+        # plus a drift whose Hermitian part has eigenvalues of both signs
+        noise = random_matrix(rng_from_seed(seed), gens.dim)
+        rough = GeneratorFamily(gens.graph, gens.dim,
+                                lambda e: gens(e) + (e[0] - e[1]) * noise)
+        for g in (gens, rough):
+            rep = g.check_dissipative()
+            assert (rep.max_defect, rep.argmax) == loop_worst(
+                (e, float(np.linalg.eigvalsh(linops.hermitian_part(g(e))).max()))
+                for e in edges)
+        # loops pushed off the identity by a node-dependent amount
+        index = fam.graph.index
+        bumped = OperatorFamily(fam.graph, fam.dim,
+                                lambda e: fam(e) * (1.0 + scale * index(e[0])))
+        rep = check_identity_axiom(bumped)
+        keyed = [(u, spectral_norm(bumped((u, u)) - eye)) for u in fam.graph.nodes]
+        assert (rep.max_defect, rep.argmax, rep.count, rep.offenders) == \
+            (*loop_worst(keyed), points, loop_offenders(keyed, 1e-10))
+
+    def test_all_zero_defects_have_no_argmax(self, grid):
+        fam = OperatorFamily(grid, 2, lambda e: np.eye(2))
+        for rep in (check_divisibility(fam), check_identity_axiom(fam),
+                    check_geometric_growth(fam, LengthFunction(lambda e: 0.0))):
+            assert rep.passed and rep.max_defect == 0.0 and rep.argmax is None
+        assert dynamics._worst(np.zeros(4), "abcd") == (0.0, None)
+        assert dynamics._worst(np.array([0.0, 2.0, 1.0, 2.0]), "abcd") == (2.0, "b")
+        assert dynamics._worst(np.empty(0), "") == (0.0, None)
+
+    def test_perturbed_edge_is_the_argmax(self):
+        # strict contractions: the bump at (t0, t2) shows at full size only in
+        # the triple that has (t0, t2) as its whole edge
+        rng = rng_from_seed(40)
+        rate = 1j * random_hermitian(rng, 3) - np.eye(3)
+        fam = dynamics.commuting_evolution(rate, 1.0, 9).exponential(1.0)
+        t = fam.graph.nodes
+        bump = 1e-3 * np.eye(3)
+        bumped = OperatorFamily(fam.graph, 3,
+                                lambda e: fam(e) + bump if e == (t[0], t[2]) else fam(e))
+        assert check_divisibility(fam).passed
+        rep = check_divisibility(bumped)
+        assert not rep.passed
+        assert rep.argmax == (t[0], t[1], t[2])
+        assert rep.max_defect == divisibility_defect(bumped, t[0], t[1], t[2])
+
+
+class TestTripleSampling:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_unrank_is_a_bijection_onto_the_enumeration(self, m):
+        graph = LinearOrderGraph(range(m))
+        total = m * (m + 1) * (m + 2) // 6
+        got = [tuple(r) for r in dynamics._unrank_triples(m, np.arange(total)).tolist()]
+        assert got == enumerated_triples(graph)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 12), seed=st.integers(0, 2**16), count=st.integers(1, 400))
+    def test_sample_keeps_the_rng_stream(self, m, seed, count):
+        graph = LinearOrderGraph([f"n{i}" for i in range(m)])
+        idx = dynamics._ordered_triples(graph, rng_from_seed(seed), count)
+        triples = dynamics._node_triples(graph.nodes, idx)
+        assert triples == drawn_triples(graph, seed, count)
+
+    def test_large_grid_draw(self):
+        m, count = 400, 1000
+        graph = LinearOrderGraph(range(m))
+        idx = dynamics._ordered_triples(graph, rng_from_seed(3), count)
+        total = m * (m + 1) * (m + 2) // 6
+        ranks = rng_from_seed(3).choice(total, size=count, replace=False)
+        assert idx.shape == (count, 3)
+        for (i, j, k), rank in zip(idx.tolist(), ranks.tolist()):
+            assert 0 <= i <= j <= k < m
+            lex = (sum((m - a) * (m - a + 1) // 2 for a in range(i))
+                   + sum(m - b for b in range(i, j)) + k - j)
+            assert lex == rank
 
 
 class TestLengthFunction:

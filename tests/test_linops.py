@@ -193,6 +193,37 @@ class TestNorms:
         assert spectral_norm(2 * u) == pytest.approx(2.0, abs=1e-12)
 
 
+class TestBatchedSpectralNorm:
+    def test_stack_matches_per_matrix(self):
+        rng = rng_from_seed(13)
+        for shape in ((30, 4, 4), (5, 6, 3, 3), (7, 2, 5)):
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            flat = stack.reshape(-1, *shape[-2:])
+            want = np.array([float(np.linalg.norm(m, 2)) for m in flat])
+            got = spectral_norm(stack)
+            assert got.shape == shape[:-2]
+            assert np.array_equal(got.reshape(-1), want)
+
+    def test_matrix_gives_float(self):
+        out = spectral_norm(2 * np.eye(3))
+        assert type(out) is float and out == 2.0
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert spectral_norm(np.zeros((4, 0, 2))).shape == (4,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = bad
+        with pytest.raises(DimensionError):
+            spectral_norm(stack)
+        with pytest.raises(DimensionError):
+            spectral_norm(stack[1])
+
+    def test_vector_rejected(self):
+        with pytest.raises(DimensionError):
+            spectral_norm(np.ones(3))
+
+
 class TestAlgebra:
     def test_pauli_commutator(self):
         assert spectral_norm(commutator(SIGMA_X, SIGMA_Z) + 2j * SIGMA_Y) < 1e-15
