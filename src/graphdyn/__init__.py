@@ -25,10 +25,8 @@ from .errors import (AcyclicityError, ContextError, DegeneracyError,
                      NotCPTPError, OrderError, PreconditionError,
                      StructureError)
 from .extend import (CoverFunction, FirstCoverExtension, NormalFormExtension,
-                     Refinement, SecondCoverExtension,
-                     continuity_modulus_check, cover_of_word,
-                     first_cover_extension, normal_form_extension, refine,
-                     second_cover_extension)
+                     SecondCoverExtension, continuity_modulus_check,
+                     cover_of_word, positive_intervals)
 from .linops import SuperOp
 from .reports import CheckReport
 from .rewrite import (EdgeContext, GroupElement, Letter,

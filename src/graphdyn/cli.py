@@ -261,7 +261,7 @@ def _network_defect_check(net, fam, tol):
 def _cptp_family_check(system, tol):
     channels = system["channels"]
     graph = system["graph"]
-    worst, arg, n = 0.0, None, 0
+    n = 0
     for e in graph.edges():
         ch = channels(e)
         n += 1
@@ -269,7 +269,7 @@ def _cptp_family_check(system, tol):
             ch.validate(tol)
         except GraphDynError:
             return CheckReport("cptp-family", False, float("inf"), tol, e, count=n)
-    return CheckReport("cptp-family", True, worst, tol, arg, count=n)
+    return CheckReport("cptp-family", True, 0.0, tol, count=n)
 
 
 def cmd_extend(args):
@@ -279,17 +279,17 @@ def cmd_extend(args):
     g = rewrite.normalize(ctx, _word_from(args, spec))
     fam = system["family"]
     if args.which == "normal":
-        value = extend.normal_form_extension(fam, g)
+        value = extend.NormalFormExtension(fam)(g)
         cover = None
     else:
         cover = extend.cover_of_word(system["graph"], g).as_segment_dicts()
         if args.which == "cover1":
-            value = extend.first_cover_extension(fam, g)
+            value = extend.FirstCoverExtension(fam)(g, verify=True)
         else:
             gens = system.get("generators")
             if gens is None:
                 raise InputError("cover2 extension needs a generator family")
-            _, value = extend.second_cover_extension(gens, g)
+            value = extend.SecondCoverExtension(gens)(g)
     _emit(args, {
         "schema": SCHEMA,
         "command": "extend",
@@ -473,13 +473,7 @@ def cmd_verify(args):
         checks.append(CheckReport("kraus-dilations", True, 0.0, args.tol,
                                   count=args.samples))
 
-    body = _report_body("verify", args, checks)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        print(json.dumps(body, indent=2, sort_keys=True))
+    _emit(args, _report_body("verify", args, checks))
     return EXIT_OK if summarize(checks) else EXIT_VERIFICATION
 
 

@@ -460,16 +460,12 @@ class ShiftDilation:
         return tuple(a) + tuple(b)
 
     def compression_matrix(self, x):
-        """The matrix of payload -> compress(shift(x, embed(payload)))."""
-        if self.flavor == "banach":
-            # the identity payload carries every basis column at once
-            return self.compress(self.shift(x, self.embed(eye(self.dim))))
-        n = self.dim**2
-        out = np.empty((n, n), dtype=complex)
-        for idx, e in enumerate(eye(n)):
-            payload = linops.unvec(e, self.dim)
-            out[:, idx] = linops.vec(self.compress(self.shift(x, self.embed(payload))))
-        return out
+        """The matrix of payload -> compress(shift(x, embed(payload))).
+
+        Shifting moves the embedded payload to tag x and compressing applies
+        the value there, so the matrix is the value at x itself: p -> value(x) p
+        (banach) or vec(p) -> value(x) vec(p) (cstar)."""
+        return self.value(x)
 
     def check_embedding(self, samples):
         """Sampled structure of the embedding map r.
@@ -556,8 +552,7 @@ class DilatedSystem:
                 defect = max(self.dilation.verify_element(g, s)
                              for s in linops.matrix_units(self.dilation.dim))
                 direct = max(
-                    trace_norm(self.extension_channel(g).apply(s)
-                               - channels(e).apply(s))
+                    trace_norm(self.extension(g).apply(s) - channels(e).apply(s))
                     for s in linops.matrix_units(self.dilation.dim))
                 defect = max(defect, direct)
                 if defect > worst:
@@ -569,12 +564,6 @@ class DilatedSystem:
         worst, arg = _worst(defects, edges)
         return CheckReport("compression-identity", worst <= tol, worst, tol,
                            arg, count=len(edges))
-
-    def extension_channel(self, g):
-        assignment = getattr(self.dilation, "assignment", None)
-        if assignment is None:
-            raise StructureError("not a channel-family dilation")
-        return assignment(g)
 
     def _continuity_report(self, rng, xis):
         graph = self.system["graph"]

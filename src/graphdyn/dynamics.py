@@ -119,13 +119,6 @@ class _Family:
             return np.empty((0, self.dim, self.dim), dtype=complex)
         return np.stack([self(e) for e in rows])[order]
 
-    def sample_edges(self, rng=None, count=None):
-        edges = list(self.graph.edges())
-        if rng is None or count is None or count >= len(edges):
-            return edges
-        idx = rng.choice(len(edges), size=count, replace=False)
-        return [edges[i] for i in idx]
-
 
 class OperatorFamily(_Family):
     """Edge-indexed family of dim x dim matrices (the evolution operators)."""
@@ -377,37 +370,22 @@ def lipschitz_check(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10)
 
 # -- integrated generator families --------------------------------------------
 
-def integrate_generators(a_of_tau, s, t, tol=1e-10, max_panels=4096):
-    """Composite-Simpson integral of the generator curve over [s, t].
-
-    Panels double until two successive estimates agree to ``tol``; suppliers
-    of closed forms should bypass this and provide the antiderivative
-    directly.
+def integrate_generators(a_of_tau, s, t, tol=1e-10):
+    """Adaptive integral of the generator curve over [s, t] to absolute
+    tolerance ``tol``; suppliers of closed forms should bypass this and
+    provide the antiderivative directly.
     """
     if t < s:
         raise OrderError(f"integration bounds out of order: t={t} < s={s}")
     if t == s:
         probe = np.asarray(a_of_tau(s), dtype=complex)
         return np.zeros_like(probe)
+    from scipy import integrate  # local import: slow, and no CLI command needs it
 
-    def simpson(panels):
-        xs = np.linspace(s, t, 2 * panels + 1)
-        h = (t - s) / (2 * panels)
-        total = np.asarray(a_of_tau(xs[0]), dtype=complex).copy()
-        for i, x in enumerate(xs[1:-1], 1):
-            total += (4.0 if i % 2 else 2.0) * np.asarray(a_of_tau(x), dtype=complex)
-        total += np.asarray(a_of_tau(xs[-1]), dtype=complex)
-        return (h / 3.0) * total
-
-    prev = simpson(4)
-    panels = 8
-    while panels <= max_panels:
-        cur = simpson(panels)
-        if spectral_norm(cur - prev) < tol:
-            return cur
-        prev = cur
-        panels *= 2
-    return prev
+    value, _ = integrate.quad_vec(
+        lambda tau: np.asarray(a_of_tau(tau), dtype=complex), s, t,
+        epsabs=tol, epsrel=0)
+    return value
 
 
 def descending_grid(t_max, points):

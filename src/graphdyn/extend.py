@@ -46,13 +46,6 @@ class CoverFunction:
                 return c
         return 0
 
-    def positive_support_indices(self):
-        out = set()
-        for (l, r, c) in self.segments:
-            if c > 0:
-                out.update(range(l, r))
-        return out
-
     def __add__(self, other):
         if other.graph is not self.graph and other.graph.nodes != self.graph.nodes:
             raise StructureError("covers live on different grids")
@@ -107,51 +100,17 @@ def cover_of_word(graph, w):
     return CoverFunction(graph, _canonical_segments(values))
 
 
-@dataclass(frozen=True)
-class Refinement:
-    """A cover rewritten as coefficients over consecutive breakpoint intervals.
-
-    breakpoints are strictly increasing node indices; coeffs[i] is the cover
-    value on [breakpoints[i], breakpoints[i+1]) and zeros are retained.
-    """
-
-    graph: LinearOrderGraph
-    breakpoints: tuple
-    coeffs: tuple
-
-    def intervals(self):
-        nodes = self.graph.nodes
-        for i, c in enumerate(self.coeffs):
-            yield (nodes[self.breakpoints[i]], nodes[self.breakpoints[i + 1]], c)
-
-    def reproduces(self, cov):
-        """Pointwise equality with a cover over the whole grid."""
-        m = len(self.graph.nodes)
-        for x in range(m):
-            val = 0
-            for i, c in enumerate(self.coeffs):
-                if self.breakpoints[i] <= x < self.breakpoints[i + 1]:
-                    val = c
-                    break
-            if val != cov.value_at(x):
-                return False
-        return True
-
-
-def refine(cov, extra_nodes=()):
-    """Refinement whose breakpoints include all segment endpoints plus the
-    given extra nodes; reproduces the cover pointwise."""
+def positive_intervals(cov, extra_nodes=()):
+    """The (left, right) node pairs of consecutive breakpoints on which the
+    cover is positive; the breakpoints are the segment ends plus the extra
+    nodes."""
     graph = cov.graph
-    points = set()
-    for (l, r, _) in cov.segments:
-        points.update((l, r))
-    for u in extra_nodes:
-        points.add(graph.index(u))
-    bps = tuple(sorted(points))
-    if len(bps) < 2:
-        return Refinement(graph, bps, ())
-    coeffs = tuple(cov.value_at(bps[i]) for i in range(len(bps) - 1))
-    return Refinement(graph, bps, coeffs)
+    points = {i for (l, r, _) in cov.segments for i in (l, r)}
+    points.update(graph.index(u) for u in extra_nodes)
+    bps = sorted(points)
+    nodes = graph.nodes
+    return [(nodes[l], nodes[r]) for l, r in zip(bps, bps[1:])
+            if cov.value_at(l) > 0]
 
 
 # -- the three extensions ------------------------------------------------------
@@ -207,11 +166,9 @@ class FirstCoverExtension:
                 )
 
     def evaluate(self, g, extra=()):
-        cov = cover_of_word(self.fam.graph, g)
         out = linops.eye(self.dim)
-        for (left, right, c) in refine(cov, extra).intervals():
-            if c > 0:
-                out = out @ self.fam((left, right))
+        for edge in positive_intervals(cover_of_word(self.fam.graph, g), extra):
+            out = out @ self.fam(edge)
         return out
 
     def __call__(self, g, extra=(), verify=False):
@@ -258,38 +215,13 @@ class SecondCoverExtension:
                     )
 
     def generator_of(self, g, extra=()):
-        cov = cover_of_word(self.gen.graph, g)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (left, right, c) in refine(cov, extra).intervals():
-            if c > 0:
-                out = out + self.gen((left, right))
+        for edge in positive_intervals(cover_of_word(self.gen.graph, g), extra):
+            out = out + self.gen(edge)
         return out
 
     def __call__(self, g, extra=()):
         return linops.expm(self.generator_of(g, extra))
-
-
-def normal_form_extension(fam, g):
-    return _handle(fam, NormalFormExtension)(g)
-
-
-def first_cover_extension(fam, g, extra=(), verify=True):
-    return _handle(fam, FirstCoverExtension)(g, extra, verify=verify)
-
-
-def second_cover_extension(gen, g, extra=()):
-    handle = _handle(gen, SecondCoverExtension)
-    a = handle.generator_of(g, extra)
-    return a, linops.expm(a)
-
-
-def _handle(fam, cls):
-    cache = fam.__dict__.setdefault("_extension_handles", {})
-    handle = cache.get(cls.kind)
-    if handle is None:
-        handle = cls(fam)
-        cache[cls.kind] = handle
-    return handle
 
 
 # -- continuity modulus ---------------------------------------------------------

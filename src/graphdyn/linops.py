@@ -152,11 +152,6 @@ def is_psd(a, tol=DEFAULT_TOL):
     return float(np.linalg.eigvalsh(hermitian_part(a)).min()) >= -tol
 
 
-def is_unitary(a, tol=DEFAULT_TOL):
-    a = _square(a)
-    return spectral_norm(a @ dagger(a) - eye(a.shape[0])) <= tol
-
-
 # -- column-stacking vectorization (fixed globally) --------------------------
 
 def vec(x):
@@ -237,10 +232,6 @@ class SuperOp:
     @classmethod
     def zero(cls, dim):
         return cls(dim, np.zeros((dim**2, dim**2), dtype=complex))
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, eye(dim**2))
 
     @classmethod
     def left_multiplication(cls, a):

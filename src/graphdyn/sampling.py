@@ -53,10 +53,3 @@ def random_kraus_ops(rng, d, k=None):
     s_inv_half = v @ np.diag(w**-0.5) @ linops.dagger(v)
     return [a @ s_inv_half for a in raw]
 
-
-def random_psd(rng, d, trace=None):
-    b = random_matrix(rng, d)
-    p = b @ linops.dagger(b)
-    if trace is not None:
-        p = p * (trace / np.trace(p).real)
-    return p

@@ -170,7 +170,7 @@ class TestExtend:
         value = linops.matrix_from_literal(body["value"])
         assert value.shape == (2, 2)
 
-    def test_normal_form_extension(self, capsys, network_spec):
+    def test_which_normal(self, capsys, network_spec):
         code, out, _ = run(capsys, "extend", "--input", network_spec,
                            "--word", '[["u", "v"], ["v", "w"]]',
                            "--which", "normal")

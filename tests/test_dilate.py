@@ -415,6 +415,9 @@ class TestShiftDilation:
             x = rewrite.random_element(ctx, rng, 3)
             columns = [dil.compress(dil.shift(x, dil.embed(e))) for e in np.eye(3)]
             assert np.array_equal(dil.compression_matrix(x), np.stack(columns, axis=1))
+            # the identity payload carries every column at once
+            assert np.array_equal(dil.compression_matrix(x),
+                                  dil.compress(dil.shift(x, dil.embed(np.eye(3)))))
 
     def test_right_shift_law(self):
         rng, fam, dil, ctx = self.banach_setup()
@@ -452,11 +455,10 @@ class TestShiftDilation:
 
 
 class TestShiftDilationCstar:
-    def setup_cstar(self, seed=19):
+    def setup_cstar(self, seed=19, h=np.diag([1.0, -0.3]).astype(complex)):
         # unitary-conjugation channel family: positive unital superoperators
         rng = rng_from_seed(seed)
         graph = descending_grid(1.0, 5)
-        h = np.diag([1.0, -0.3]).astype(complex)
 
         def value(e):
             t, s = e
@@ -473,6 +475,16 @@ class TestShiftDilationCstar:
         for e in [(1.0, 0.75), (0.5, 0.25)]:
             g = embed_edge(ctx, e)
             assert spectral_norm(dil.compression_matrix(g) - fam(e)) < 1e-10
+
+    def test_compression_matrix_matches_column_loop(self):
+        # oracle: one formal round trip per basis payload, column by column;
+        # a non-diagonal Hamiltonian makes the superoperators non-symmetric
+        rng, fam, dil, ctx = self.setup_cstar(h=SIGMA_X + 0.3 * SIGMA_Z)
+        for _ in range(10):
+            x = rewrite.random_element(ctx, rng, 3)
+            columns = [linops.vec(dil.compress(dil.shift(
+                x, dil.embed(linops.unvec(e, 2))))) for e in np.eye(4)]
+            assert np.array_equal(dil.compression_matrix(x), np.stack(columns, axis=1))
 
     def test_products_multiply_pointwise(self):
         rng, fam, dil, ctx = self.setup_cstar()

@@ -397,6 +397,18 @@ class TestIntegrateGenerators:
         with pytest.raises(OrderError):
             integrate_generators(lambda tau: np.eye(2), 1.0, 0.0)
 
+    def test_equal_bounds_give_zero(self):
+        x = random_matrix(rng_from_seed(6), 2)
+        assert np.array_equal(integrate_generators(lambda tau: x, 0.5, 0.5),
+                              np.zeros((2, 2), dtype=complex))
+
+    def test_tolerance_met_on_nonsmooth_profile(self):
+        # sqrt has an unbounded derivative at 0, so a fixed rule needs many
+        # panels; the adaptive rule must still reach the absolute tolerance
+        x = random_matrix(rng_from_seed(7), 2)
+        out = integrate_generators(lambda tau: np.sqrt(tau) * x, 0.0, 1.0)
+        assert spectral_norm(out - (2.0 / 3.0) * x) < 1e-10
+
 
 class TestInterpolationFamily:
     def test_coefficients_exact(self):

@@ -6,11 +6,9 @@ from graphdyn.dynamics import (GeneratorFamily, LinearOrderGraph,
                                OperatorFamily, descending_grid,
                                example_indivisible, proportional_length)
 from graphdyn.errors import PreconditionError, StructureError
-from graphdyn.extend import (FirstCoverExtension,
-                             NormalFormExtension, SecondCoverExtension,
-                             continuity_modulus_check, cover_of_word,
-                             first_cover_extension, normal_form_extension,
-                             refine, second_cover_extension)
+from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
+                             SecondCoverExtension, continuity_modulus_check,
+                             cover_of_word, positive_intervals)
 from graphdyn.linops import SIGMA_X, SIGMA_Z, SuperOp, spectral_norm
 from graphdyn.rewrite import embed_edge, gmul, identity, word
 from graphdyn.sampling import random_dissipative, rng_from_seed
@@ -96,23 +94,43 @@ class TestCoverOfWord:
 
 
 class TestRefine:
+    """positive_intervals: the positive part of a cover, cut at the segment
+    ends and at the extra nodes."""
+
+    def assert_refines(self, line, w, extra):
+        cov = cover_of_word(line, w)
+        values = pointwise_cover_oracle(line, w)
+        breakpoints = {line.index(u) for u in extra}
+        breakpoints.update(i for i, v in enumerate(values)
+                           if v != (values[i - 1] if i else 0))
+        covered = []
+        for (left, right) in positive_intervals(cov, extra):
+            lo, hi = line.index(left), line.index(right)
+            assert lo < hi and {lo, hi} <= breakpoints
+            assert not breakpoints & set(range(lo + 1, hi))
+            # inside one constant segment of the cover
+            assert values[lo] > 0 and set(values[lo:hi]) == {values[lo]}
+            covered.extend(range(lo, hi))
+        # the union is the positive support, each node once
+        assert covered == [i for i, v in enumerate(values) if v > 0]
+
     def test_zero_cover_with_extras(self, line):
         cov = cover_of_word(line, ())
-        ref = refine(cov, [1, 4])
-        assert all(c == 0 for c in ref.coeffs)
-        assert ref.reproduces(cov)
+        assert positive_intervals(cov, [1, 4]) == []
+        self.assert_refines(line, (), [1, 4])
 
     def test_interior_point_splits(self, line):
         cov = cover_of_word(line, word([(1, 4)]))
-        ref = refine(cov, [2])
-        assert ref.breakpoints == (1, 2, 4)
-        assert ref.coeffs == (1, 1)
-        assert ref.reproduces(cov)
+        assert positive_intervals(cov) == [(1, 4)]
+        assert positive_intervals(cov, [2]) == [(1, 2), (2, 4)]
+        self.assert_refines(line, word([(1, 4)]), [2])
 
     def test_overlap_scenario(self, line):
-        cov = cover_of_word(line, word([(0, 3), (2, 5)]))
-        ref = refine(cov, [1, 4])
-        assert ref.reproduces(cov)
+        w = word([(0, 3), (2, 5)])
+        cov = cover_of_word(line, w)
+        assert positive_intervals(cov, [1, 4]) == [(0, 1), (1, 2), (2, 3),
+                                                   (3, 4), (4, 5)]
+        self.assert_refines(line, w, [1, 4])
 
     def test_random_refinements_reproduce(self, line):
         rng = rng_from_seed(3)
@@ -121,9 +139,8 @@ class TestRefine:
             n = int(rng.integers(0, 5))
             w = word((nodes[rng.integers(0, 6)], nodes[rng.integers(0, 6)])
                      for _ in range(n))
-            cov = cover_of_word(line, w)
             extra = [nodes[i] for i in rng.integers(0, 6, size=3)]
-            assert refine(cov, extra).reproduces(cov)
+            self.assert_refines(line, w, extra)
 
 
 def divisible_family(seed=4, dim=3, points=9):
@@ -136,14 +153,14 @@ def divisible_family(seed=4, dim=3, points=9):
 class TestNormalFormExtension:
     def test_identity_element(self, line):
         fam = OperatorFamily(line, 2, lambda e: np.eye(2))
-        assert np.array_equal(normal_form_extension(fam, identity()), np.eye(2))
+        assert np.array_equal(NormalFormExtension(fam)(identity()), np.eye(2))
 
     def test_single_edge(self):
         gens, fam = divisible_family()
         ctx = fam.graph.context()
         e = (1.0, 0.5)
         assert np.array_equal(
-            normal_form_extension(fam, embed_edge(ctx, e)), fam(e))
+            NormalFormExtension(fam)(embed_edge(ctx, e)), fam(e))
 
     def test_reversed_edge_contributes_identity(self):
         gens, fam = divisible_family()
@@ -152,20 +169,21 @@ class TestNormalFormExtension:
         # (0.0, 0.25) is a reversed pair on the descending grid: no edge
         assert not fam.graph.has_edge(0.0, 0.25)
         want = fam((1.0, 0.5)) @ np.eye(fam.dim)
-        assert np.array_equal(normal_form_extension(fam, g), want)
+        assert np.array_equal(NormalFormExtension(fam)(g), want)
 
     def test_letterwise_product_oracle(self):
         gens, fam = divisible_family()
         graph = fam.graph
         ctx = graph.context()
         rng = rng_from_seed(5)
+        ext = NormalFormExtension(fam)
         for _ in range(20):
             g = rewrite.random_element(ctx, rng, 4)
             want = np.eye(fam.dim, dtype=complex)
             for (t, h) in g.letters:
                 want = want @ (fam((t, h)) if graph.has_edge(t, h)
                                else np.eye(fam.dim))
-            assert np.array_equal(normal_form_extension(fam, g), want)
+            assert np.array_equal(ext(g), want)
 
     def test_identity_axiom_enforced(self, line):
         fam = OperatorFamily(line, 2, lambda e: 2 * np.eye(2))
@@ -179,12 +197,12 @@ class TestFirstCoverExtension:
         gens, fam = divisible_family()
         ctx = fam.graph.context()
         e = (0.75, 0.25)
-        assert spectral_norm(first_cover_extension(fam, embed_edge(ctx, e))
+        assert spectral_norm(FirstCoverExtension(fam)(embed_edge(ctx, e), verify=True)
                              - fam(e)) < 1e-12
 
     def test_identity_element(self):
         gens, fam = divisible_family()
-        assert np.array_equal(first_cover_extension(fam, identity()),
+        assert np.array_equal(FirstCoverExtension(fam)(identity(), verify=True),
                               np.eye(fam.dim))
 
     def test_overlap_collapses_by_divisibility(self):
@@ -192,7 +210,7 @@ class TestFirstCoverExtension:
         ctx = fam.graph.context()
         # (t1, t3)(t2, t4) on the descending grid with t1 > t2 > t3 > t4
         g = gmul(embed_edge(ctx, (1.0, 0.5)), embed_edge(ctx, (0.75, 0.25)))
-        out = first_cover_extension(fam, g)
+        out = FirstCoverExtension(fam)(g, verify=True)
         assert spectral_norm(out - fam((1.0, 0.25))) < 1e-12
         # oracle: the raw three-interval product
         direct = fam((1.0, 0.75)) @ fam((0.75, 0.5)) @ fam((0.5, 0.25))
@@ -203,23 +221,25 @@ class TestFirstCoverExtension:
         graph = fam.graph
         ctx = graph.context()
         rng = rng_from_seed(6)
+        ext = FirstCoverExtension(fam)
         for _ in range(30):
             g = rewrite.random_element(ctx, rng, 4)
-            base = first_cover_extension(fam, g, verify=False)
+            base = ext(g)
             extra = [graph.nodes[i]
                      for i in rng.integers(0, len(graph.nodes), size=3)]
-            other = first_cover_extension(fam, g, extra=extra, verify=False)
+            other = ext(g, extra=extra)
             assert spectral_norm(base - other) < 1e-12
 
     def test_cyclic_invariance(self):
         gens, fam = divisible_family()
         ctx = fam.graph.context()
         rng = rng_from_seed(7)
+        ext = FirstCoverExtension(fam)
         for _ in range(30):
             g = rewrite.random_element(ctx, rng, 3)
             h = rewrite.random_element(ctx, rng, 3)
-            lhs = first_cover_extension(fam, gmul(g, h), verify=False)
-            rhs = first_cover_extension(fam, gmul(h, g), verify=False)
+            lhs = ext(gmul(g, h))
+            rhs = ext(gmul(h, g))
             assert spectral_norm(lhs - rhs) < 1e-12
 
     def test_indivisible_input_rejected(self):
@@ -232,10 +252,10 @@ class TestFirstCoverExtension:
     def test_agrees_with_normal_form_on_letters(self):
         gens, fam = divisible_family()
         ctx = fam.graph.context()
+        cover, normal = FirstCoverExtension(fam), NormalFormExtension(fam)
         for e in [(1.0, 0.5), (0.75, 0.75), (0.375, 0.125)]:
             g = embed_edge(ctx, e)
-            assert spectral_norm(first_cover_extension(fam, g)
-                                 - normal_form_extension(fam, g)) < 1e-12
+            assert spectral_norm(cover(g, verify=True) - normal(g)) < 1e-12
 
     def test_noncommuting_divisible_family(self, noncommuting_divisible):
         # exposes any ordering mistake in the interval product: the family
@@ -247,11 +267,11 @@ class TestFirstCoverExtension:
         assert dynamics.check_divisibility(fam, tol=1e-12).passed
         assert dynamics.check_geometric_growth(fam, ell).passed
         nodes = graph.nodes
+        ext = FirstCoverExtension(fam)
         g = embed_edge(ctx, (nodes[0], nodes[4]))
-        out = first_cover_extension(fam, g, extra=[nodes[1], nodes[3]])
+        out = ext(g, extra=[nodes[1], nodes[3]], verify=True)
         assert spectral_norm(out - fam((nodes[0], nodes[4]))) < 1e-12
         rng = rng_from_seed(101)
-        ext = FirstCoverExtension(fam)
         for _ in range(40):
             x = rewrite.random_element(ctx, rng, 4)
             extra = [nodes[i] for i in rng.integers(0, len(nodes), size=3)]
@@ -265,60 +285,62 @@ class TestSecondCoverExtension:
     def interp(self):
         return example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 9)
 
-    def test_single_edge(self, interp):
+    @pytest.fixture
+    def ext(self, interp):
+        return SecondCoverExtension(interp)
+
+    def test_single_edge(self, interp, ext):
         ctx = interp.graph.context()
         e = (0.875, 0.375)
-        a, phi = second_cover_extension(interp, embed_edge(ctx, e))
+        g = embed_edge(ctx, e)
+        a, phi = ext.generator_of(g), ext(g)
         assert np.array_equal(a, interp(e))
         assert spectral_norm(phi - linops.expm(interp(e))) < 1e-13
 
-    def test_identity_element(self, interp):
-        a, phi = second_cover_extension(interp, identity())
+    def test_identity_element(self, interp, ext):
+        a, phi = ext.generator_of(identity()), ext(identity())
         assert np.array_equal(a, np.zeros_like(a))
         assert np.array_equal(phi, np.eye(interp.dim))
 
-    def test_overlap_sums_by_additivity(self, interp):
+    def test_overlap_sums_by_additivity(self, interp, ext):
         ctx = interp.graph.context()
         g = gmul(embed_edge(ctx, (1.0, 0.5)), embed_edge(ctx, (0.75, 0.25)))
-        a, phi = second_cover_extension(interp, g)
+        a = ext.generator_of(g)
         assert spectral_norm(a - interp((1.0, 0.25))) < 1e-12
 
-    def test_contraction_invariant(self, interp):
+    def test_contraction_invariant(self, interp, ext):
         ctx = interp.graph.context()
         rng = rng_from_seed(8)
         for _ in range(30):
             g = rewrite.random_element(ctx, rng, 4)
-            _, phi = second_cover_extension(interp, g)
-            assert spectral_norm(phi) <= 1 + 1e-10
+            assert spectral_norm(ext(g)) <= 1 + 1e-10
 
-    def test_refinement_independence(self, interp):
+    def test_refinement_independence(self, interp, ext):
         ctx = interp.graph.context()
-        handle = SecondCoverExtension(interp)
         rng = rng_from_seed(9)
         for _ in range(30):
             g = rewrite.random_element(ctx, rng, 4)
             extra = [interp.graph.nodes[i]
                      for i in rng.integers(0, 9, size=3)]
-            assert spectral_norm(handle.generator_of(g)
-                                 - handle.generator_of(g, extra)) < 1e-12
+            assert spectral_norm(ext.generator_of(g)
+                                 - ext.generator_of(g, extra)) < 1e-12
 
-    def test_cyclic_invariance(self, interp):
+    def test_cyclic_invariance(self, interp, ext):
         ctx = interp.graph.context()
         rng = rng_from_seed(10)
         for _ in range(20):
             g = rewrite.random_element(ctx, rng, 3)
             h = rewrite.random_element(ctx, rng, 3)
-            _, lhs = second_cover_extension(interp, gmul(g, h))
-            _, rhs = second_cover_extension(interp, gmul(h, g))
+            lhs = ext(gmul(g, h))
+            rhs = ext(gmul(h, g))
             assert spectral_norm(lhs - rhs) < 1e-12
 
-    def test_agrees_with_normal_form_on_letters(self, interp):
-        fam = interp.exponential(1.0)
+    def test_agrees_with_normal_form_on_letters(self, interp, ext):
+        normal = NormalFormExtension(interp.exponential(1.0))
         ctx = interp.graph.context()
         for e in [(1.0, 0.875), (0.5, 0.5)]:
             g = embed_edge(ctx, e)
-            _, phi = second_cover_extension(interp, g)
-            assert spectral_norm(phi - normal_form_extension(fam, g)) < 1e-12
+            assert spectral_norm(ext(g) - normal(g)) < 1e-12
 
     def test_non_additive_rejected(self):
         x = np.array([[0, 1], [0, 0]], dtype=complex)

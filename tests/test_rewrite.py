@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdyn import rewrite
 from graphdyn.errors import ContextError
@@ -17,6 +19,17 @@ def abc():
 @pytest.fixture
 def line4():
     return complete_context([0, 1, 2, 3])
+
+
+class RestrictedAlphabet:
+    """An alphabet without the letters that rejoin overlapping fusions."""
+
+    def __init__(self, pairs=(("a", "b"), ("b", "c"), ("c", "d"),
+                              ("a", "c"), ("b", "d"))):
+        self.pairs = list(pairs)
+
+    def closure_pairs(self):
+        return self.pairs
 
 
 def bfs_normal_forms(ctx, w):
@@ -196,6 +209,39 @@ class TestRuleAxioms:
         rep = check_rule_axioms(EdgeContext(nodes, edges))
         assert rep.passed
 
+    def test_three_clique_counts(self, abc):
+        rep = check_rule_axioms(abc)
+        assert rep.passed and rep.count == 99
+        assert rep.details == {"identity_instances": 18,
+                               "associativity_instances": 81}
+
+    def test_detects_broken_confluence(self):
+        # (a,b)(b,c)(c,d) ends in (a,c)(c,d) and in (a,b)(b,d)
+        rep = check_rule_axioms(RestrictedAlphabet())
+        assert not rep.passed
+        assert rep.max_defect == 1.0
+        assert ("associativity", ("a", "b", "c", "d")) in rep.offenders
+
+    def test_agrees_with_bruteforce_on_every_3_node_alphabet(self, abc):
+        # overlaps have at most three letters, so confluence up to length 3
+        # decides the same question; 31 of the 512 sub-alphabets fail
+        pairs = abc.closure_pairs()
+        failed = 0
+        for mask in range(1 << len(pairs)):
+            alphabet = RestrictedAlphabet(
+                p for i, p in enumerate(pairs) if mask >> i & 1)
+            passed = check_rule_axioms(alphabet).passed
+            assert passed == check_confluence_bruteforce(alphabet, 3).passed
+            failed += not passed
+        assert failed == 31
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.sampled_from(complete_context([0, 1, 2, 3]).closure_pairs())))
+    def test_agrees_with_bruteforce_on_4_node_alphabets(self, pairs):
+        alphabet = RestrictedAlphabet(sorted(pairs))
+        assert check_rule_axioms(alphabet).passed == \
+            check_confluence_bruteforce(alphabet, 3).passed
+
 
 class TestConfluence:
     def test_three_node_clique_small(self, abc):
@@ -230,11 +276,6 @@ class TestConfluence:
         # overlapping fusions: (a,b)(b,c)(c,d) reduces to the two distinct
         # irreducible words (a,c)(c,d) and (a,b)(b,d).  The certifier must
         # report this, proving it can actually fail.
-        class RestrictedAlphabet:
-            def closure_pairs(self):
-                return [("a", "b"), ("b", "c"), ("c", "d"),
-                        ("a", "c"), ("b", "d")]
-
         rep = check_confluence_bruteforce(RestrictedAlphabet(), 3)
         assert not rep.passed
         assert rep.max_defect > 0
