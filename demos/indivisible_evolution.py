@@ -36,7 +36,7 @@ print("\n== dilation through the generator-sum pipeline ==")
 c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
          for h in (SIGMA_X, SIGMA_Z))
 system = {"graph": gens.graph, "family": fam, "generators": gens,
-          "alpha": 1.0, "ell": proportional_length(c0)}
+          "ell": proportional_length(c0)}
 dilated = dilate_exponential(system)
 for rep in dilated.verify(rng=np.random.default_rng(0)):
     print(f"{rep.name:32s} pass={rep.passed}  defect={rep.max_defect:.2e}")

@@ -341,8 +341,9 @@ def cmd_demo(args):
     return EXIT_OK
 
 
-def _demo_indivisible():
-    spec = {
+def _indivisible_spec():
+    """The two-Hamiltonian interpolation (sigma_x, sigma_z) on a 9-point grid."""
+    return {
         "graph": {"order": list(np.linspace(1.0, 0.0, 9))},
         "dim": 4,
         "family": {
@@ -354,6 +355,10 @@ def _demo_indivisible():
             "alpha": 1.0,
         },
     }
+
+
+def _demo_indivisible():
+    spec = _indivisible_spec()
     gens = dynamics.example_indivisible(linops.SIGMA_X, linops.SIGMA_Z, 1.0, 9)
     rows = []
     for alpha in np.geomspace(0.01, 10.0, 25):
@@ -450,13 +455,7 @@ def cmd_verify(args):
 
     checks.append(_group_law_check(ctx3, rng, args.samples * 10))
 
-    gens = dynamics.example_indivisible(linops.SIGMA_X, linops.SIGMA_Z, 1.0, 9)
-    c0 = max(linops.spectral_norm(1j * linops.SuperOp.commutator_with(h).matrix)
-             for h in (linops.SIGMA_X, linops.SIGMA_Z))
-    system = {"graph": gens.graph, "family": gens.exponential(1.0),
-              "generators": gens, "alpha": 1.0,
-              "ell": dynamics.proportional_length(c0)}
-    dilated = dilate.dilate_exponential(system)
+    dilated = dilate.dilate_exponential(dynamics.build_system(_indivisible_spec()))
     for rep in dilated.verify(rng=rng, tol=args.tol):
         rep.name = "pipeline-C-" + rep.name
         checks.append(rep)

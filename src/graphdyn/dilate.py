@@ -74,14 +74,15 @@ class Channel:
                 sum(dagger(k) @ k for k in self.kraus) - eye(d))
             if norm_defect > tol:
                 raise NotCPTPError(f"Kraus normalization defect {norm_defect:.3e}")
-            rec = max(spectral_norm(self._apply_kraus(s) - self._apply_choi(s))
-                      for s in linops.matrix_units(d))
+            units = linops.matrix_units(d)
+            rec = spectral_norm(self._apply_kraus(units)
+                                - self._apply_choi(units)).max()
             if rec > tol:
                 raise NotCPTPError(f"Kraus/Choi mismatch {rec:.3e}")
 
     def _apply_choi(self, s):
         d = self.dim
-        return np.einsum("aibj,ij->ab", self.choi.reshape(d, d, d, d),
+        return np.einsum("aibj,...ij->...ab", self.choi.reshape(d, d, d, d),
                          np.asarray(s, dtype=complex))
 
     def _apply_kraus(self, s):
@@ -89,6 +90,7 @@ class Channel:
         return sum(k @ s @ dagger(k) for k in self.kraus)
 
     def apply(self, s):
+        """The channel at ``s``: a d x d matrix or a (..., d, d) stack."""
         if self.kraus is not None:
             return self._apply_kraus(s)
         return self._apply_choi(s)
@@ -179,7 +181,8 @@ def isometric_partition(ch, tol=1e-12):
 
 def _reduced_action(u, psi, s):
     """``Tr_env(V s V*)`` with ``V = u (1 (x) psi)``: the reduced action on
-    ``s (x) |psi><psi|`` of a unitary ``u`` on system (x) environment.
+    ``s (x) |psi><psi|`` of a unitary ``u`` on system (x) environment, for a
+    d x d matrix or a (..., d, d) stack ``s``.
 
     The isometry V has only dim(system) columns, so this costs O(n d^2) for
     ``n = dim u``; the n x n product state is never formed.
@@ -187,7 +190,9 @@ def _reduced_action(u, psi, s):
     env = psi.size
     d = u.shape[0] // env
     v = (u.reshape(-1, d, env) @ psi).reshape(d, env, d)
-    return (v @ np.asarray(s, dtype=complex)).reshape(d, -1) @ dagger(v.reshape(d, -1))
+    s = np.asarray(s, dtype=complex)
+    vs = (v @ s[..., None, :, :]).reshape(s.shape[:-2] + (d, -1))
+    return vs @ dagger(v.reshape(d, -1))
 
 
 @dataclass
@@ -208,13 +213,13 @@ class KrausDilation:
     def verify(self, ch, tol=1e-10):
         u = self.unitary
         n = u.shape[0]
+        units = linops.matrix_units(self.dim)
         defects = {
             "unitary": spectral_norm(u @ dagger(u) - eye(n)),
             "self_adjoint": spectral_norm(u - dagger(u)),
             "squares_to_identity": spectral_norm(u @ u - eye(n)),
-            "reconstruction": max(
-                trace_norm(self.reconstructed(s) - ch.apply(s))
-                for s in linops.matrix_units(self.dim)),
+            "reconstruction": float(trace_norm(
+                self.reconstructed(units) - ch.apply(units)).max()),
         }
         worst = max(defects.values())
         return CheckReport("reflection-dilation", worst <= tol, worst, tol,
@@ -288,9 +293,6 @@ class FormalVector:
     def map(self, fn):
         return FormalVector.of(fn(tag, payload) for tag, payload in self.terms)
 
-    def __add__(self, other):
-        return FormalVector.of(self.terms + other.terms)
-
     def distance(self, other):
         tags = {t for t, _ in self.terms} | {t for t, _ in other.terms}
         a = dict(self.terms)
@@ -327,9 +329,9 @@ class VedDilation:
             xi = np.zeros(self.dim)
             xi[0] = 1.0
         self.xi = np.asarray(xi, dtype=complex)
+        units = linops.matrix_units(self.dim)
         ident = assignment(rewrite.identity())
-        defect = max(spectral_norm(ident.apply(s) - s)
-                     for s in linops.matrix_units(self.dim))
+        defect = spectral_norm(ident.apply(units) - units).max()
         if defect > tol:
             raise InputError(
                 f"assignment at the group identity deviates from the identity "
@@ -362,9 +364,10 @@ class VedDilation:
 
     def verify_element(self, x, s, tol=1e-10):
         """Trace-norm defect between the dilated action at ``x`` and the
-        assigned channel.  The product state sits at the group-identity tag,
-        and U(x) moves it to tag x with payload u(x) (s (x) |psi><psi|) u(x)*,
-        so the reduced action of u(x) is the dilated channel at x."""
+        assigned channel, at a d x d matrix or per matrix of a stack ``s``.
+        The product state sits at the group-identity tag, and U(x) moves it
+        to tag x with payload u(x) (s (x) |psi><psi|) u(x)*, so the reduced
+        action of u(x) is the dilated channel at x."""
         reduced = _reduced_action(self.unitary_of(x), self.base_state.vector, s)
         return trace_norm(reduced - self.assignment(x).apply(s))
 
@@ -547,14 +550,12 @@ class DilatedSystem:
         worst, arg = 0.0, None
         if self.label == "A-cptp":
             channels = self.system["channels"]
+            units = linops.matrix_units(self.dilation.dim)
             for e in edges:
                 g = self.edge_element(e)
-                defect = max(self.dilation.verify_element(g, s)
-                             for s in linops.matrix_units(self.dilation.dim))
-                direct = max(
-                    trace_norm(self.extension(g).apply(s) - channels(e).apply(s))
-                    for s in linops.matrix_units(self.dilation.dim))
-                defect = max(defect, direct)
+                defect = max(self.dilation.verify_element(g, units).max(),
+                             trace_norm(self.extension(g).apply(units)
+                                        - channels(e).apply(units)).max())
                 if defect > worst:
                     worst, arg = defect, e
             return CheckReport("dilation-reconstruction", worst <= tol, worst,
@@ -603,52 +604,48 @@ def _payload_dim(fam_dim, flavor):
     return d
 
 
+def _shift_pipeline(label, system, ext, flavor):
+    """Shift-dilate the group family ``ext`` and wrap it for verification."""
+    dil = ShiftDilation(ext, _payload_dim(ext.dim, flavor), flavor=flavor)
+    return DilatedSystem(label, system, ext, dil, system["graph"].context())
+
+
+def _require_growth(fam, ell, what):
+    """Raise the geometric-growth precondition unless |fam| stays under ``ell``."""
+    if ell is None:
+        return
+    growth = check_geometric_growth(fam, ell)
+    if not growth.passed:
+        raise PreconditionError(
+            "geometric-growth",
+            f"{what} bound fails by {growth.max_defect:.3e} at {growth.argmax}")
+
+
 def dilate_discrete(system, flavor="banach", tol=1e-10):
     """Discrete pipeline: normal-form extension + shift dilation.  Needs the
     identity axiom only; the input family may be indivisible."""
-    fam = system["family"]
-    ext = NormalFormExtension(fam, tol=tol)
-    dil = ShiftDilation(ext, _payload_dim(fam.dim, flavor), flavor=flavor)
-    ctx = system["graph"].context()
-    return DilatedSystem("A", system, ext, dil, ctx)
+    return _shift_pipeline("A", system, NormalFormExtension(system["family"], tol=tol),
+                           flavor)
 
 
 def dilate_divisible(system, flavor="banach", tol=1e-9):
     """Continuous pipeline for divisible families with geometric growth:
     interval-product extension + shift dilation."""
     fam = system["family"]
-    ell = system.get("ell")
-    if ell is not None:
-        growth = check_geometric_growth(fam, ell)
-        if not growth.passed:
-            raise PreconditionError(
-                "geometric-growth",
-                f"growth bound fails by {growth.max_defect:.3e} at {growth.argmax}")
-    ext = FirstCoverExtension(fam, tol=tol)
-    dil = ShiftDilation(ext, _payload_dim(fam.dim, flavor), flavor=flavor)
-    return DilatedSystem("B", system, ext, dil, system["graph"].context())
+    _require_growth(fam, system.get("ell"), "growth")
+    return _shift_pipeline("B", system, FirstCoverExtension(fam, tol=tol), flavor)
 
 
 def dilate_exponential(system, flavor="banach", tol=1e-9):
     """Continuous pipeline for exponential families with additive dissipative
-    generators of geometric growth: generator-sum extension + shift dilation."""
+    generators of geometric growth: generator-sum extension + shift dilation.
+    The generators are used as given: ``system["family"]`` is their
+    exponential, as :func:`dynamics.build_system` builds it."""
     gens = system.get("generators")
     if not isinstance(gens, GeneratorFamily):
         raise PreconditionError("generators", "pipeline C needs a generator family")
-    alpha = float(system.get("alpha", 1.0))
-    scaled = GeneratorFamily(gens.graph, gens.dim, lambda e: alpha * gens(e),
-                             dissipative_flag=gens.dissipative_flag)
-    ell = system.get("ell")
-    if ell is not None:
-        growth = check_geometric_growth(scaled, ell)
-        if not growth.passed:
-            raise PreconditionError(
-                "geometric-growth",
-                f"generator growth bound fails by {growth.max_defect:.3e} "
-                f"at {growth.argmax}")
-    ext = SecondCoverExtension(scaled, tol=tol)
-    dil = ShiftDilation(ext, _payload_dim(gens.dim, flavor), flavor=flavor)
-    return DilatedSystem("C", system, ext, dil, gens.graph.context())
+    _require_growth(gens, system.get("ell"), "generator growth")
+    return _shift_pipeline("C", system, SecondCoverExtension(gens, tol=tol), flavor)
 
 
 def dilate_cptp(system, kraus_slots=None, tol=1e-10):

@@ -84,11 +84,10 @@ class CompleteGraph:
 class _Family:
     """Shared machinery: a deterministic edge evaluator with a memo cache."""
 
-    def __init__(self, graph, dim, eval_fn, name=""):
+    def __init__(self, graph, dim, eval_fn):
         self.graph = graph
         self.dim = int(dim)
         self._eval = eval_fn
-        self.name = name
         self._cache = {}
 
     def _check_edge(self, edge):
@@ -123,10 +122,6 @@ class _Family:
 class OperatorFamily(_Family):
     """Edge-indexed family of dim x dim matrices (the evolution operators)."""
 
-    def __init__(self, graph, dim, eval_fn, contraction_flag=False, name=""):
-        super().__init__(graph, dim, eval_fn, name)
-        self.contraction_flag = contraction_flag
-
     def check_contractions(self, edges=None, tol=1e-10):
         edges = list(self.graph.edges()) if edges is None else edges
         excess = _blockwise(edges, lambda es: spectral_norm(self.stack(es)) - 1.0)
@@ -139,17 +134,13 @@ class GeneratorFamily(_Family):
     """Edge-indexed family of generators; the induced evolution operators
     are ``expm(alpha * A(edge))``."""
 
-    def __init__(self, graph, dim, eval_fn, dissipative_flag=False, name=""):
-        super().__init__(graph, dim, eval_fn, name)
+    def __init__(self, graph, dim, eval_fn, dissipative_flag=False):
+        super().__init__(graph, dim, eval_fn)
         self.dissipative_flag = dissipative_flag
 
-    def exponential(self, alpha=1.0, name=None):
-        return OperatorFamily(
-            self.graph, self.dim,
-            lambda e: linops.expm(alpha * self(e)),
-            contraction_flag=self.dissipative_flag,
-            name=name or (self.name + "-exp"),
-        )
+    def exponential(self, alpha=1.0):
+        return OperatorFamily(self.graph, self.dim,
+                              lambda e: linops.expm(alpha * self(e)))
 
     def check_dissipative(self, edges=None, tol=1e-10):
         edges = list(self.graph.edges()) if edges is None else edges
@@ -426,8 +417,7 @@ def example_indivisible(h1, h2, t_max=1.0, grid_points=9, tol=1e-12):
         c1, c2 = interpolated_commutator_coefficients(t, s, t_max)
         return c1 * psi1 + c2 * psi2
 
-    return GeneratorFamily(graph, d * d, gen, dissipative_flag=True,
-                           name="two-hamiltonian-interpolation")
+    return GeneratorFamily(graph, d * d, gen, dissipative_flag=True)
 
 
 def commuting_evolution(rate, t_max=1.0, grid_points=9):
@@ -435,11 +425,9 @@ def commuting_evolution(rate, t_max=1.0, grid_points=9):
     descending grid; ``rate`` should be dissipative for contractions."""
     rate = np.asarray(rate, dtype=complex)
     graph = descending_grid(t_max, grid_points)
-    gen = GeneratorFamily(graph, rate.shape[0],
-                          lambda e: (e[0] - e[1]) * rate,
-                          dissipative_flag=linops.is_dissipative_hilbert(rate),
-                          name="memoryless")
-    return gen
+    return GeneratorFamily(graph, rate.shape[0],
+                           lambda e: (e[0] - e[1]) * rate,
+                           dissipative_flag=linops.is_dissipative_hilbert(rate))
 
 
 # -- Lindblad-form generators ---------------------------------------------------
@@ -596,7 +584,7 @@ def network_family(net):
             columns[v] = _path_sums_into(net, v)
         return columns[v][u]
 
-    return OperatorFamily(graph, net.dim, phi, name="network-path-sum")
+    return OperatorFamily(graph, net.dim, phi)
 
 
 def network_defect(net, u, v, w):
@@ -615,20 +603,14 @@ def network_defect(net, u, v, w):
 
 # -- JSON system specs ------------------------------------------------------------
 
-def graph_from_spec(spec):
-    """Graph spec with an "order" list -> LinearOrderGraph; otherwise an
-    EdgeContext-backed plain graph is not orderable and only suits the
-    discrete machinery."""
-    if "order" in spec:
-        return LinearOrderGraph(spec["order"])
-    return rewrite.context_from_spec(spec)
-
-
 def build_system(spec):
     """Parse a system spec into (graph, family-or-generators, extras).
 
     {"graph": {...}, "dim": d, "family": {"kind": ..., ...}} with kinds
     "explicit", "exponential", "network", "indivisible-example", "cptp".
+    Generator kinds store the ``alpha``-scaled generators under
+    "generators" and their exponential under "family", so checks and
+    pipelines read one scaled family.
     """
     try:
         fam_spec = dict(spec["family"])
@@ -649,24 +631,25 @@ def _edge_matrix_table(entries):
     return table
 
 
-def _build_explicit(spec, fam_spec):
-    graph = LinearOrderGraph(spec["graph"]["order"])
-    dim = int(spec["dim"])
-    table = _edge_matrix_table(fam_spec["values"])
-    eye = linops.eye(dim)
-
-    def phi(edge):
+def _edge_lookup(table, loop_value, what):
+    """Edge -> table entry; loops missing from the table get ``loop_value``."""
+    def lookup(edge):
         if edge[0] == edge[1] and edge not in table:
-            return eye
+            return loop_value
         try:
             return table[edge]
         except KeyError:
-            raise GraphError(f"no value supplied for edge {edge!r}") from None
+            raise GraphError(f"no {what} for edge {edge!r}") from None
+    return lookup
 
-    fam = OperatorFamily(graph, dim, phi,
-                         contraction_flag=bool(fam_spec.get("contractions", False)))
-    return {"graph": graph, "family": fam, "kind": "explicit",
-            "ell": _parse_ell(fam_spec)}
+
+def _build_explicit(spec, fam_spec):
+    graph = LinearOrderGraph(spec["graph"]["order"])
+    dim = int(spec["dim"])
+    phi = _edge_lookup(_edge_matrix_table(fam_spec["values"]), linops.eye(dim),
+                       "value supplied")
+    return {"graph": graph, "family": OperatorFamily(graph, dim, phi),
+            "kind": "explicit", "ell": _parse_ell(fam_spec)}
 
 
 def _build_exponential(spec, fam_spec):
@@ -677,23 +660,14 @@ def _build_exponential(spec, fam_spec):
         gen_fn = lambda e: (e[0] - e[1]) * rate
         dissip = linops.is_dissipative_hilbert(rate)
     else:
-        table = _edge_matrix_table(fam_spec["generators"])
-        zero = np.zeros((dim, dim), dtype=complex)
-
-        def gen_fn(edge):
-            if edge[0] == edge[1] and edge not in table:
-                return zero
-            try:
-                return table[edge]
-            except KeyError:
-                raise GraphError(f"no generator for edge {edge!r}") from None
-
+        gen_fn = _edge_lookup(_edge_matrix_table(fam_spec["generators"]),
+                              np.zeros((dim, dim), dtype=complex), "generator")
         dissip = bool(fam_spec.get("dissipative", False))
-    gens = GeneratorFamily(graph, dim, gen_fn, dissipative_flag=dissip)
     alpha = float(fam_spec.get("alpha", 1.0))
-    return {"graph": graph, "family": gens.exponential(alpha),
-            "generators": gens, "alpha": alpha, "kind": "exponential",
-            "ell": _parse_ell(fam_spec)}
+    gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e),
+                           dissipative_flag=dissip)
+    return {"graph": graph, "family": gens.exponential(), "generators": gens,
+            "kind": "exponential", "ell": _parse_ell(fam_spec)}
 
 
 def _build_network(spec, fam_spec):
@@ -713,12 +687,14 @@ def _build_indivisible(spec, fam_spec):
     t_max = float(fam_spec.get("t_max", 1.0))
     points = int(fam_spec.get("grid_points", 9))
     alpha = float(fam_spec.get("alpha", 1.0))
-    gens = example_indivisible(h1, h2, t_max, points)
+    raw = example_indivisible(h1, h2, t_max, points)
+    # scaled from the raw evaluator, so unscaled values are never cached
+    gens = GeneratorFamily(raw.graph, raw.dim, lambda e: alpha * raw._eval(e),
+                           dissipative_flag=raw.dissipative_flag)
     c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
              for h in (h1, h2)) / t_max
-    return {"graph": gens.graph, "family": gens.exponential(alpha),
-            "generators": gens, "alpha": alpha, "kind": "indivisible-example",
-            "ell": proportional_length(alpha * c0)}
+    return {"graph": gens.graph, "family": gens.exponential(), "generators": gens,
+            "kind": "indivisible-example", "ell": proportional_length(alpha * c0)}
 
 
 def _build_cptp(spec, fam_spec):
@@ -729,19 +705,9 @@ def _build_cptp(spec, fam_spec):
     channels = {}
     for item in fam_spec["channels"]:
         channels[tuple(item["edge"])] = dilate.channel_from_spec(item["channel"])
-    ident = dilate.Channel.identity(dim)
-
-    def get_channel(edge):
-        if edge[0] == edge[1] and edge not in channels:
-            return ident
-        try:
-            return channels[edge]
-        except KeyError:
-            raise GraphError(f"no channel for edge {edge!r}") from None
-
+    get_channel = _edge_lookup(channels, dilate.Channel.identity(dim), "channel")
     fam = OperatorFamily(graph, dim * dim,
-                         lambda e: get_channel(e).superop().matrix,
-                         name="cptp-superop")
+                         lambda e: get_channel(e).superop().matrix)
     return {"graph": graph, "family": fam, "channels": get_channel,
             "dim": dim, "kind": "cptp"}
 

@@ -80,25 +80,31 @@ def exp_derivative(x, y, t=0.0):
     return scipy.linalg.expm_frechet(x + t * y, y, compute_expm=False)
 
 
-def spectral_norm(a):
-    """Largest singular value.  A stack of shape (..., m, n) gives one norm
-    per matrix as an array; a single matrix gives a float."""
+def _singular_values(a):
+    """Singular values of a matrix, or of each matrix of a (..., m, n) stack;
+    an empty matrix has the single singular value 0."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise DimensionError("matrix has non-finite entries")
     if a.shape[-1] == 0 or a.shape[-2] == 0:
-        norms = np.zeros(a.shape[:-2])
-    else:
-        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
-    return float(norms) if a.ndim == 2 else norms
+        return np.zeros(a.shape[:-2] + (1,))
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def spectral_norm(a):
+    """Largest singular value.  A stack of shape (..., m, n) gives one norm
+    per matrix as an array; a single matrix gives a float."""
+    norms = _singular_values(a)[..., 0]
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def trace_norm(a):
-    """Sum of singular values."""
-    a = _square(a)
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    """Sum of singular values, per matrix of a stack as for
+    :func:`spectral_norm`."""
+    norms = _singular_values(a).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def commutator(a, b):
@@ -208,20 +214,6 @@ class SuperOp:
         if x.shape != (self.dim, self.dim):
             raise DimensionError(f"expected {self.dim}x{self.dim} input, got {x.shape}")
         return unvec(self.matrix @ vec(x), self.dim)
-
-    def __call__(self, x):
-        return self.apply(x)
-
-    def __add__(self, other):
-        return SuperOp(self.dim, self.matrix + _coerce_super(other, self.dim))
-
-    def __sub__(self, other):
-        return SuperOp(self.dim, self.matrix - _coerce_super(other, self.dim))
-
-    def __mul__(self, scalar):
-        return SuperOp(self.dim, scalar * self.matrix)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         return SuperOp(self.dim, self.matrix @ _coerce_super(other, self.dim))

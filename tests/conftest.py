@@ -31,5 +31,5 @@ def noncommuting_divisible():
         return float(np.expm1(sum(spectral_norm(step_logs[k])
                                   for k in range(i, j))))
 
-    fam = OperatorFamily(graph, dim, phi, contraction_flag=True)
+    fam = OperatorFamily(graph, dim, phi)
     return fam, dynamics.LengthFunction(ell, "superadditive")

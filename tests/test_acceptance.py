@@ -220,7 +220,7 @@ def _demo_systems(rng):
           "ell": proportional_length(spectral_norm(rate))}),
         ("C", dilate_exponential,
          {"graph": interp.graph, "family": interp.exponential(1.0),
-          "generators": interp, "alpha": 1.0,
+          "generators": interp,
           "ell": proportional_length(c0)}),
     ]
 
@@ -347,7 +347,7 @@ def test_criterion_11_one_parameter_factorization():
              for h in (SIGMA_X, SIGMA_Z))
     ds = dilate_exponential({"graph": interp.graph,
                              "family": interp.exponential(1.0),
-                             "generators": interp, "alpha": 1.0,
+                             "generators": interp,
                              "ell": proportional_length(c0)})
     reports = {r.name: r for r in one_param_factorization(ds, 0.0, rng=rng)}
     ok = ok and reports["factorization-group-level"].passed

@@ -155,6 +155,80 @@ class TestCheck:
         assert by_name["network-defect-formula"]["passed"]
 
 
+def _explicit_spec(values):
+    return {"graph": {"order": [0, 1, 2]}, "dim": 2,
+            "family": {"kind": "explicit",
+                       "values": [{"edge": e, "matrix": linops.matrix_to_literal(m)}
+                                  for e, m in values.items()]}}
+
+
+# an additive generator table with dissipative values on the grid 0 < 1 < 2
+_GEN_A = np.diag([-0.1, -0.3]).astype(complex)
+_GEN_B = np.array([[-0.2, 0.1], [-0.1, -0.2]], dtype=complex)
+
+
+def _generator_table_spec(edges):
+    values = {(0, 1): _GEN_A, (1, 2): _GEN_B, (0, 2): _GEN_A + _GEN_B}
+    return {"graph": {"order": [0, 1, 2]}, "dim": 2,
+            "family": {"kind": "exponential", "dissipative": True,
+                       "generators": [{"edge": list(e),
+                                       "matrix": linops.matrix_to_literal(values[e])}
+                                      for e in edges],
+                       "ell": {"kind": "proportional", "scale": 0.5}}}
+
+
+def _cptp_two_edge_spec():
+    from graphdyn.dilate import Channel, channel_to_spec
+    ident = channel_to_spec(Channel.identity(2))
+    return {"graph": {"order": [0, 1, 2]}, "dim": 2,
+            "family": {"kind": "cptp",
+                       "channels": [{"edge": [0, 1], "channel": ident},
+                                    {"edge": [1, 2], "channel": ident}]}}
+
+
+class TestSpecForms:
+    def test_explicit_loops_default_to_identity(self, capsys, tmp_path):
+        step = 0.5 * np.eye(2)
+        spec = write_json(tmp_path / "explicit.json", _explicit_spec(
+            {(0, 1): step, (1, 2): step, (0, 2): step @ step, (1, 1): 2 * np.eye(2)}))
+        code, out, _ = run(capsys, "check", "--input", spec, "--samples", "10")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        # loops 0 and 2 are missing from the table and get the identity;
+        # the supplied loop (1, 1) is the only identity-axiom offender
+        ident = by_name["identity-axiom"]
+        assert not ident["passed"]
+        assert ident["argmax"] == 1
+        assert ident["max_defect"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("make_spec, message", [
+        (lambda: _explicit_spec({(0, 1): np.eye(2), (1, 2): np.eye(2)}),
+         "no value supplied for edge (0, 2)"),
+        (lambda: _generator_table_spec([(0, 1), (1, 2)]),
+         "no generator for edge (0, 2)"),
+        (_cptp_two_edge_spec, "no channel for edge (0, 2)"),
+    ], ids=["explicit", "exponential", "cptp"])
+    def test_missing_edge_exits_2(self, capsys, tmp_path, make_spec, message):
+        spec = write_json(tmp_path / "spec.json", make_spec())
+        code, _, err = run(capsys, "check", "--input", spec)
+        assert code == 2
+        assert message in err
+
+    def test_exponential_generator_table(self, capsys, tmp_path):
+        spec = write_json(tmp_path / "generators.json",
+                          _generator_table_spec([(0, 1), (1, 2), (0, 2)]))
+        code, out, _ = run(capsys, "check", "--input", spec, "--samples", "10")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("additivity-axiom", "dissipative", "geometric-growth"):
+            assert by_name[name]["passed"], name
+        # A and B do not commute, so the exponential family is indivisible
+        assert not by_name["divisibility-axiom"]["passed"]
+        code, out, _ = run(capsys, "dilate", "--input", spec, "--pipeline", "C")
+        assert code == 0
+        assert json.loads(out)["passed"]
+
+
 class TestExtend:
     def test_cover_dump(self, capsys, divisible_spec):
         word = [[1.0, 0.5], [0.75, 0.25]]
@@ -184,6 +258,21 @@ class TestDilate:
         code, out, _ = run(capsys, "dilate", "--input", indivisible_spec,
                            "--pipeline", "C")
         assert code == 0
+        assert json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_check_and_pipeline_c_agree_on_scaled_growth(self, capsys, tmp_path,
+                                                         alpha):
+        run(capsys, "demo", "indivisible-2.4", "--output", str(tmp_path))
+        demo = json.loads((tmp_path / "indivisible-2_4.json").read_text())
+        demo["system"]["family"]["alpha"] = alpha
+        spec = write_json(tmp_path / "scaled.json", demo)
+        code, out, _ = run(capsys, "check", "--input", spec)
+        assert code == 0
+        growth = {c["name"]: c for c in json.loads(out)["checks"]}["geometric-growth"]
+        assert growth["passed"]
+        code, out, err = run(capsys, "dilate", "--input", spec, "--pipeline", "C")
+        assert code == 0, err
         assert json.loads(out)["passed"]
 
     def test_pipeline_b_rejects_indivisible(self, capsys, indivisible_spec):

@@ -93,10 +93,15 @@ class TestChannelForms:
         assert np.array_equal(Channel.from_superop(sop).choi, ch.choi)
         again = Channel.from_kraus(kraus_from_choi(ch).kraus)
         assert np.abs(again.choi - ch.choi).max() <= 1e-12
-        for s in [*linops.matrix_units(d), random_matrix(rng, d)]:
+        samples = [*linops.matrix_units(d), random_matrix(rng, d)]
+        for s in samples:
             want = ch._apply_kraus(s)
             assert spectral_norm(sop.apply(s) - want) <= 1e-12
             assert spectral_norm(ch._apply_choi(s) - want) <= 1e-12
+        # a (n, d, d) stack goes through both forms as one call
+        want = np.stack([ch._apply_kraus(s) for s in samples])
+        assert np.abs(ch._apply_kraus(np.stack(samples)) - want).max() <= 1e-14
+        assert np.abs(ch._apply_choi(np.stack(samples)) - want).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(seeded_dims)
@@ -198,6 +203,11 @@ class TestKrausII:
             assert kd.env_dim == d * (len(ch.kraus) + 1)
             rep = kd.verify(ch, tol=1e-10)
             assert rep.passed, rep.details
+            units = linops.matrix_units(d)
+            stacked = kd.reconstructed(units)
+            assert stacked.shape == (d * d, d, d)
+            for s, got in zip(units, stacked):
+                assert np.abs(got - kd.reconstructed(s)).max() <= 1e-14
 
     def test_reflection_identities(self):
         rng = rng_from_seed(8)
@@ -365,10 +375,12 @@ class TestVedDilation:
                            "family": None}).dilation
         samples = [*linops.matrix_units(2), random_matrix(rng, 2)]
         for g in elements_up_to(graph.context(), 2):
-            for s in samples:
+            stacked = dil.verify_element(g, np.stack(samples))
+            for s, in_stack in zip(samples, stacked):
                 closed = dil.verify_element(g, s)
                 assert closed <= 1e-10
                 assert abs(closed - formal_verify_element(dil, g, s)) <= 1e-12
+                assert abs(in_stack - closed) <= 1e-14
 
     def test_wrong_reflection_detected(self):
         rng = rng_from_seed(31)

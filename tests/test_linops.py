@@ -203,25 +203,36 @@ class TestBatchedSpectralNorm:
             got = spectral_norm(stack)
             assert got.shape == shape[:-2]
             assert np.array_equal(got.reshape(-1), want)
+            nuclear = trace_norm(stack)
+            assert nuclear.shape == shape[:-2]
+            assert np.allclose(nuclear.reshape(-1),
+                               [np.linalg.norm(m, "nuc") for m in flat],
+                               rtol=1e-14, atol=0)
 
     def test_matrix_gives_float(self):
         out = spectral_norm(2 * np.eye(3))
         assert type(out) is float and out == 2.0
         assert spectral_norm(np.zeros((0, 0))) == 0.0
         assert spectral_norm(np.zeros((4, 0, 2))).shape == (4,)
+        out = trace_norm(np.diag([1.0, -2.0, 0.5]))
+        assert type(out) is float and out == 3.5
+        assert trace_norm(np.zeros((0, 0))) == 0.0
+        assert np.array_equal(trace_norm(np.zeros((4, 0, 2))), np.zeros(4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):
         stack = np.zeros((3, 2, 2), dtype=complex)
         stack[1, 0, 1] = bad
-        with pytest.raises(DimensionError):
-            spectral_norm(stack)
-        with pytest.raises(DimensionError):
-            spectral_norm(stack[1])
+        for norm in (spectral_norm, trace_norm):
+            with pytest.raises(DimensionError):
+                norm(stack)
+            with pytest.raises(DimensionError):
+                norm(stack[1])
 
     def test_vector_rejected(self):
-        with pytest.raises(DimensionError):
-            spectral_norm(np.ones(3))
+        for norm in (spectral_norm, trace_norm):
+            with pytest.raises(DimensionError):
+                norm(np.ones(3))
 
 
 class TestAlgebra:
