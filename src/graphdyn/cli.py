@@ -158,13 +158,9 @@ def cmd_normalize(args):
     nf = rewrite.normalize(ctx, w)
     trace = []
     if args.trace:
-        cur = w
-        while not rewrite.is_irreducible(cur):
-            # key=repr keeps the pick stable under string-hash randomization
-            cur = min(rewrite.reduce_once_all(ctx, cur), key=repr)
-            trace.append(rewrite.word_to_literal(cur))
-        if trace:
-            trace.pop()  # the endpoint is already reported as the normal form
+        # the endpoint is already reported as the normal form
+        trace = [rewrite.word_to_literal(cur)
+                 for cur in rewrite.reduction_trace(ctx, w)[:-1]]
     _emit(args, {
         "schema": SCHEMA,
         "command": "normalize",

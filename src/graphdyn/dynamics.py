@@ -134,10 +134,6 @@ class GeneratorFamily(_Family):
     """Edge-indexed family of generators; the induced evolution operators
     are ``expm(alpha * A(edge))``."""
 
-    def __init__(self, graph, dim, eval_fn, dissipative_flag=False):
-        super().__init__(graph, dim, eval_fn)
-        self.dissipative_flag = dissipative_flag
-
     def exponential(self, alpha=1.0):
         return OperatorFamily(self.graph, self.dim,
                               lambda e: linops.expm(alpha * self(e)))
@@ -417,7 +413,7 @@ def example_indivisible(h1, h2, t_max=1.0, grid_points=9, tol=1e-12):
         c1, c2 = interpolated_commutator_coefficients(t, s, t_max)
         return c1 * psi1 + c2 * psi2
 
-    return GeneratorFamily(graph, d * d, gen, dissipative_flag=True)
+    return GeneratorFamily(graph, d * d, gen)
 
 
 def commuting_evolution(rate, t_max=1.0, grid_points=9):
@@ -425,9 +421,7 @@ def commuting_evolution(rate, t_max=1.0, grid_points=9):
     descending grid; ``rate`` should be dissipative for contractions."""
     rate = np.asarray(rate, dtype=complex)
     graph = descending_grid(t_max, grid_points)
-    return GeneratorFamily(graph, rate.shape[0],
-                           lambda e: (e[0] - e[1]) * rate,
-                           dissipative_flag=linops.is_dissipative_hilbert(rate))
+    return GeneratorFamily(graph, rate.shape[0], lambda e: (e[0] - e[1]) * rate)
 
 
 # -- Lindblad-form generators ---------------------------------------------------
@@ -658,14 +652,11 @@ def _build_exponential(spec, fam_spec):
     if "rate" in fam_spec:
         rate = linops.matrix_from_literal(fam_spec["rate"])
         gen_fn = lambda e: (e[0] - e[1]) * rate
-        dissip = linops.is_dissipative_hilbert(rate)
     else:
         gen_fn = _edge_lookup(_edge_matrix_table(fam_spec["generators"]),
                               np.zeros((dim, dim), dtype=complex), "generator")
-        dissip = bool(fam_spec.get("dissipative", False))
     alpha = float(fam_spec.get("alpha", 1.0))
-    gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e),
-                           dissipative_flag=dissip)
+    gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e))
     return {"graph": graph, "family": gens.exponential(), "generators": gens,
             "kind": "exponential", "ell": _parse_ell(fam_spec)}
 
@@ -689,8 +680,7 @@ def _build_indivisible(spec, fam_spec):
     alpha = float(fam_spec.get("alpha", 1.0))
     raw = example_indivisible(h1, h2, t_max, points)
     # scaled from the raw evaluator, so unscaled values are never cached
-    gens = GeneratorFamily(raw.graph, raw.dim, lambda e: alpha * raw._eval(e),
-                           dissipative_flag=raw.dissipative_flag)
+    gens = GeneratorFamily(raw.graph, raw.dim, lambda e: alpha * raw._eval(e))
     c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
              for h in (h1, h2)) / t_max
     return {"graph": gens.graph, "family": gens.exponential(), "generators": gens,

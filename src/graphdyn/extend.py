@@ -205,14 +205,13 @@ class SecondCoverExtension:
                     f"additivity defect {rep.max_defect:.3e} at {rep.argmax} "
                     f"exceeds {tol:.1e}",
                 )
-            if gen.dissipative_flag:
-                rep = gen.check_dissipative(tol=self.tol)
-                if not rep.passed:
-                    raise PreconditionError(
-                        "dissipativity",
-                        f"generator at {rep.argmax} is not dissipative "
-                        f"({rep.max_defect:.3e})",
-                    )
+            rep = gen.check_dissipative(tol=self.tol)
+            if not rep.passed:
+                raise PreconditionError(
+                    "dissipativity",
+                    f"generator at {rep.argmax} is not dissipative "
+                    f"({rep.max_defect:.3e})",
+                )
 
     def generator_of(self, g, extra=()):
         out = np.zeros((self.dim, self.dim), dtype=complex)

@@ -119,6 +119,14 @@ class GroupElement:
         return not self.letters
 
 
+def _trusted(letters):
+    """A group element from a word that is irreducible by construction,
+    without the ``is_irreducible`` rescan of the public constructor."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "letters", letters)
+    return g
+
+
 def identity():
     return GroupElement(())
 
@@ -176,17 +184,140 @@ def normalize(ctx, w):
     independently on small instances.
     """
     ctx.check_word(w)
-    return GroupElement(_stack_reduce(w))
+    return _trusted(_stack_reduce(w))
+
+
+def reduction_trace(ctx, w):
+    """The words after each step of the reduction of ``w`` that ``normalize
+    --trace`` reports; the last one is the normal form.
+
+    Each step takes the one-step reduct with the smallest ``repr``, the pick
+    of ``min(_reducts(w), key=repr)``.  The word is checked against ``ctx``
+    once, since reducts of a valid word are valid.  Reducts agree on every
+    letter before their rewrite position, so one scan over the rewrite
+    positions compares each reduct with the best so far from the earlier of
+    their two positions on, one letter repr at a time: a step costs O(n).
+    Where equal node keys print differently (``1`` and ``1.0``), two equal
+    reducts can print differently and the set of reducts keeps only the
+    first, so such words take ``min(_reducts(w), key=repr)`` itself.
+    """
+    ctx.check_word(w)
+    steps = []
+    if not _equal_keys_print_alike(w):
+        while not is_irreducible(w):
+            w = min(_reducts(w), key=repr)
+            steps.append(w)
+        return steps
+    cur = list(w)
+    reprs = [repr(letter) for letter in cur]
+    memo = {}
+    while True:
+        pick = _smallest_reduct(cur, reprs, memo)
+        if pick is None:
+            return steps
+        p, fused, text = pick
+        if fused is None:
+            del cur[p], reprs[p]
+        else:
+            cur[p:p + 2] = [fused]
+            reprs[p:p + 2] = [text]
+        steps.append(tuple(cur))
+
+
+def _equal_keys_print_alike(w):
+    seen = {}
+    for letter in w:
+        for key in letter:
+            text = repr(key)
+            if seen.setdefault(key, text) != text:
+                return False
+    return True
+
+
+def _smallest_reduct(cur, reprs, memo):
+    """The reduct of ``cur`` with the smallest repr, as (rewrite position,
+    fused letter or None for a deleted loop, repr of the reduct's letter at
+    that position); None if ``cur`` is irreducible.  ``reprs`` holds the
+    letters' reprs, ``memo`` caches the reprs of fused letters (equal
+    letters print alike, since the caller checked that equal keys do).
+
+    Of two reducts that print alike the later is kept: then a comparison
+    never walks past the letter after the best reduct's position.
+    """
+    n = len(cur)
+    best = None
+    for p in range(n):
+        t, h = cur[p]
+        cands = []
+        if t == h:
+            cands.append((p, None, reprs[p + 1] if p + 1 < n else None))
+        if p + 1 < n and h == cur[p + 1].tail:
+            fused = Letter(t, cur[p + 1].head)
+            text = memo.get(fused)
+            if text is None:
+                text = memo[fused] = repr(fused)
+            cands.append((p, fused, text))
+        for cand in cands:
+            if best is None or _compare_reducts(cur, reprs, best, cand) >= 0:
+                best = cand
+    return best
+
+
+def _compare_reducts(cur, reprs, a, b):
+    """Sign of ``repr(reduct a) - repr(reduct b)`` (as strings) for reducts
+    given as in :func:`_smallest_reduct`, with ``a`` not after ``b``."""
+    i, j = a[0], b[0]
+    for k in range(i, min(j, len(cur) - 2) + 1):
+        x = a[2] if k == i else reprs[k + 1]
+        y = reprs[k] if k < j else b[2]
+        if x != y:
+            if x.startswith(y) or y.startswith(x):
+                # a letter repr that is a prefix of the other's: the text
+                # after it decides, so compare the whole words
+                x, y = repr(_rewrite(cur, a)), repr(_rewrite(cur, b))
+            return (x > y) - (x < y)
+    return 0
+
+
+def _rewrite(cur, reduct):
+    p, fused, _ = reduct
+    return tuple(cur[:p]) + ((fused,) if fused is not None else ()) + \
+        tuple(cur[p + 1 + (fused is not None):])
 
 
 def gmul(g, h):
-    """Group product (context-free: rule applicability only needs node equality)."""
-    return GroupElement(_stack_reduce(g.letters + h.letters))
+    """Group product (context-free: rule applicability only needs node equality).
+
+    Both factors are irreducible, so the stack pass of ``_stack_reduce``
+    over ``g + h`` changes nothing before the seam: each letter of ``h``
+    fuses with the end of ``g`` or not, and while the result is a loop it
+    cancels and the next letter meets a shorter ``g``.  The first letter
+    that survives is followed by the rest of ``h`` unchanged (a fused
+    letter cannot fuse again, since ``g`` is irreducible).  The cost is
+    linear in the cancelled letters plus one tuple concatenation.  The
+    product is checked to be irreducible at the seam, the only place where
+    it can fail to be.
+    """
+    a, b = g.letters, h.letters
+    i = len(a)
+    for j, (t, hd) in enumerate(b):
+        if i and a[i - 1].head == t:
+            i -= 1
+            t = a[i].tail
+        if not t == hd:
+            out = a[:i] + (Letter(t, hd),) + b[j + 1:]
+            break
+    else:
+        out = a[:i]
+    seam = out[max(i - 1, 0):i + 2]
+    if not is_irreducible(seam):
+        raise ValueError(f"product is not a normal form at the seam {seam!r}")
+    return _trusted(out)
 
 
 def ginv(g):
     """Group inverse: reverse the word and swap each letter's endpoints."""
-    return GroupElement(tuple(Letter(h, t) for t, h in reversed(g.letters)))
+    return _trusted(tuple(Letter(h, t) for t, h in reversed(g.letters)))
 
 
 def embed_edge(ctx, edge):
@@ -202,7 +333,7 @@ def random_element(ctx, rng, max_len=5):
     pairs = ctx.closure_pairs()
     n = int(rng.integers(0, max_len + 1))
     idx = rng.integers(0, len(pairs), size=n)
-    return GroupElement(_stack_reduce([pairs[i] for i in idx]))
+    return _trusted(_stack_reduce([pairs[i] for i in idx]))
 
 
 # -- exhaustive small-scale verification --------------------------------------
@@ -296,8 +427,10 @@ def check_confluence_bruteforce(ctx, max_len):
     Since reducts are strictly shorter, induction over word length shows this
     local condition makes every maximal reduction sequence end at nf(w);
     irreducible words are additionally checked to be their own normal forms.
-    The levels are swept with vectorized integer word codes so that alphabets
-    of size ~16 remain tractable up to length 6.
+    The normal forms come from the push table of :func:`_push_table`, and
+    each level is swept as reshaped views of its word codes, one numpy
+    comparison per loop letter and per fusable pair at each position, so
+    that alphabets of size ~16 remain tractable up to length 6.
     """
     letters = [Letter(u, v) for (u, v) in ctx.closure_pairs()]
     k = len(letters)
@@ -305,108 +438,51 @@ def check_confluence_bruteforce(ctx, max_len):
         return CheckReport(name="confluence", passed=True, count=0,
                            details={"alphabet": k, "max_len": max_len})
 
-    isloop = np.array([lt.tail == lt.head for lt in letters], dtype=bool)
-    code_of = {lt: i for i, lt in enumerate(letters)}
-    fuse = np.full((k, k), -1, dtype=np.int64)
-    for a, la in enumerate(letters):
-        for b, lb in enumerate(letters):
-            if la.head == lb.tail:
-                # closed relations always contain the fused letter; a
-                # restricted alphabet simply lacks the rule (and typically
-                # loses confluence, which this checker then reports)
-                fuse[a, b] = code_of.get(Letter(la.tail, lb.head), -1)
+    isloop, fuse = _rule_tables(letters)
+    push_tab, irr_len = _push_table(isloop, fuse, max_len)[:2]
 
-    # normal forms interned as tuples of letter codes
-    irr_ids = {(): 0}
-    irr_words = [()]
-
-    def push(word_codes, c):
-        # append letter c to an irreducible word, cascading fusions
-        w = list(word_codes)
-        cur = c
-        while True:
-            if isloop[cur]:
-                return tuple(w)
-            if w:
-                f = fuse[w[-1], cur]
-                if f >= 0:
-                    cur = f
-                    w.pop()
-                    continue
-            w.append(cur)
-            return tuple(w)
-
-    push_memo = {}
-
-    def push_id(irr_id, c):
-        key = (irr_id, c)
-        out = push_memo.get(key)
-        if out is None:
-            nf = push(irr_words[irr_id], c)
-            out = irr_ids.get(nf)
-            if out is None:
-                out = len(irr_words)
-                irr_ids[nf] = out
-                irr_words.append(nf)
-            push_memo[key] = out
-        return out
-
+    loops = np.flatnonzero(isloop)
+    fusions = [(a, b, fuse[a, b]) for a, b in zip(*np.nonzero(fuse[:k] >= 0))]
     violations = 0
     first_offenders = []
     total_words = 0
-    chunk = 1 << 21
-
-    def decode(code, n):
-        digits = []
-        for _ in range(n):
-            digits.append(int(code % k))
-            code //= k
-        return tuple(reversed(digits))
-
-    nf_prev = np.array([0], dtype=np.int64)  # level 0: the empty word
+    nf_prev = np.zeros(1, dtype=np.int64)  # level 0: the empty word
     for n in range(1, max_len + 1):
         size = k**n
         total_words += size
-        # push table for every normal-form id occurring at the previous level
-        max_id = int(nf_prev.max())
-        push_tab = np.empty((max_id + 1, k), dtype=np.int64)
-        for pid in np.unique(nf_prev):
-            for c in range(k):
-                push_tab[pid, c] = push_id(int(pid), c)
-        nf_cur = np.empty(size, dtype=np.int64)
-        irr_len = np.array([len(w) for w in irr_words], dtype=np.int64)
-        for lo in range(0, size, chunk):
-            codes = np.arange(lo, min(lo + chunk, size), dtype=np.int64)
-            nf_c = push_tab[nf_prev[codes // k], codes % k]
-            nf_cur[lo:lo + len(codes)] = nf_c
-            reducible = np.zeros(len(codes), dtype=bool)
-            bad = np.zeros(len(codes), dtype=bool)
-            for i in range(n):
-                p_hi, p_lo = k ** (n - i), k ** (n - 1 - i)
-                digit = (codes // p_lo) % k
-                mask = isloop[digit]
-                if mask.any():
-                    reducible |= mask
-                    red = (codes // p_hi) * p_lo + codes % p_lo
-                    bad |= mask & (nf_prev[red] != nf_c)
-                if i + 1 < n:
-                    q = k ** (n - 2 - i)
-                    d2 = (codes // q) % k
-                    f = fuse[digit, d2]
-                    mask = f >= 0
-                    if mask.any():
-                        reducible |= mask
-                        red = ((codes // p_hi) * k + f) * q + codes % q
-                        bad |= mask & (nf_prev[red] != nf_c)
-            # irreducible words must be their own normal forms
-            bad |= (~reducible) & (irr_len[nf_c] != n)
-            nbad = int(bad.sum())
-            if nbad:
-                violations += nbad
-                for code in codes[bad][:3]:
-                    first_offenders.append(
-                        [tuple(letters[c]) for c in decode(int(code), n)]
-                    )
+        # a word's code is its digits in base k, first letter most
+        # significant: the code of w c is code(w) * k + c
+        nf_cur = push_tab[nf_prev].reshape(size)
+        reducible = np.zeros(size, dtype=bool)
+        bad = np.zeros(size, dtype=bool)
+        for i in range(n):
+            # words as (letters before i, letter i, letters after i); deleting
+            # letter i leaves the level n - 1 word (before, after)
+            view = (k**i, k, k ** (n - 1 - i))
+            nf_i, red_i, bad_i = (arr.reshape(view) for arr in (nf_cur, reducible, bad))
+            nf_del = nf_prev.reshape(view[0], view[2])
+            for c in loops:
+                red_i[:, c] = True
+                bad_i[:, c] |= nf_i[:, c] != nf_del
+            if i + 1 < n:
+                # letters i, i + 1 fused into f: the level n - 1 word (before, f, after)
+                view = (k**i, k, k, k ** (n - 2 - i))
+                nf_i, red_i, bad_i = (arr.reshape(view) for arr in (nf_cur, reducible, bad))
+                nf_fused = nf_prev.reshape(view[0], k, view[3])
+                for a, b, f in fusions:
+                    red_i[:, a, b] = True
+                    bad_i[:, a, b] |= nf_i[:, a, b] != nf_fused[:, f]
+        # irreducible words must be their own normal forms
+        irreducible = np.flatnonzero(~reducible)
+        bad[irreducible] |= irr_len[nf_cur[irreducible]] != n
+        codes = np.flatnonzero(bad)
+        violations += len(codes)
+        # offenders: the first three of each block of 2^21 codes
+        for lo in np.flatnonzero(np.diff(codes >> 21, prepend=-1)):
+            for code in codes[lo:lo + 3]:
+                if code >> 21 == codes[lo] >> 21:
+                    first_offenders.append([tuple(letters[c])
+                                            for c in np.unravel_index(code, (k,) * n)])
         nf_prev = nf_cur
     return CheckReport(
         name="confluence",
@@ -416,18 +492,78 @@ def check_confluence_bruteforce(ctx, max_len):
         count=total_words,
         offenders=first_offenders[:10],
         details={"alphabet": k, "max_len": max_len,
-                 "normal_forms_seen": len(irr_words)},
+                 "normal_forms_seen": len(irr_len)},
     )
+
+
+def _rule_tables(letters):
+    """The rules over an alphabet: whether each letter is a loop, and the
+    index of the letter that each pair fuses into, -1 if none.  Row
+    ``len(letters)`` stands for the empty word's missing last letter, so
+    nothing fuses with it."""
+    k = len(letters)
+    isloop = np.array([lt.tail == lt.head for lt in letters], dtype=bool)
+    code_of = {lt: i for i, lt in enumerate(letters)}
+    fuse = np.full((k + 1, k), -1, dtype=np.int64)
+    for a, la in enumerate(letters):
+        for b, lb in enumerate(letters):
+            if la.head == lb.tail:
+                # closed relations always contain the fused letter; a
+                # restricted alphabet simply lacks the rule (and typically
+                # loses confluence, which the confluence check then reports)
+                fuse[a, b] = code_of.get(Letter(la.tail, lb.head), -1)
+    return isloop, fuse
+
+
+def _push_table(isloop, fuse, max_len):
+    """The stack normal forms of every word of length <= ``max_len`` as a
+    trie, and the table of their pushes by each letter.
+
+    A form is an id with a parent (the form without its last letter) and a
+    last letter; ids run by length, the empty word is id 0.  ``push[w, c]``
+    is the normal form of ``w`` followed by letter ``c``: ``w`` itself if
+    ``c`` is a loop, the push of ``w``'s parent by the fused letter if
+    ``w``'s last letter fuses with ``c``, and a new child of ``w``
+    otherwise.  Rows are built level by level for the forms shorter than
+    ``max_len``.  Returns (push, length, parent, last).
+    """
+    k = len(isloop)
+    parent = np.zeros(1, dtype=np.int64)
+    last = np.full(1, k, dtype=np.int64)
+    length = np.zeros(1, dtype=np.int64)
+    push = np.empty((0, k), dtype=np.int64)
+    for n in range(1, max_len + 1):
+        ids = np.arange(len(push), len(length))  # the forms of length n - 1
+        rows = np.repeat(ids[:, None], k, axis=1)
+        fused = fuse[last[ids]]
+        fusing = (fused >= 0) & ~isloop
+        rows[fusing] = push[np.broadcast_to(parent[ids, None], fused.shape)[fusing],
+                            fused[fusing]]
+        r, c = np.nonzero(~isloop & ~fusing)
+        rows[r, c] = len(length) + np.arange(len(r))
+        parent = np.concatenate([parent, ids[r]])
+        last = np.concatenate([last, c])
+        length = np.concatenate([length, np.full(len(r), n, dtype=np.int64)])
+        push = np.concatenate([push, rows])
+    return push, length, parent, last
 
 
 # -- JSON wire formats ---------------------------------------------------------
 
+_SCALAR_KEYS = (str, int, float, type(None))  # JSON scalars (bool is an int)
+
+
 def word_from_literal(lit):
-    """Parse a word literal: array of [tail, head] pairs."""
-    try:
-        return word((p[0], p[1]) for p in lit)
-    except (TypeError, IndexError) as exc:
-        raise InputError(f"malformed word literal: {exc}") from exc
+    """Parse a word literal: an array of letters, each an array
+    ``[tail, head]`` of exactly two scalar node keys."""
+    if not isinstance(lit, list):
+        raise InputError(f"malformed word literal: {lit!r} is not an array of letters")
+    for i, letter in enumerate(lit):
+        if not (isinstance(letter, list) and len(letter) == 2
+                and all(isinstance(key, _SCALAR_KEYS) for key in letter)):
+            raise InputError(f"malformed word literal: letter {i} is {letter!r}, "
+                             "not [tail, head] with two scalar node keys")
+    return word(lit)
 
 
 def word_to_literal(w):

@@ -112,6 +112,24 @@ class TestNormalize:
         assert "error" in err
 
 
+class TestWordLiterals:
+    @pytest.mark.parametrize("argv, index", [
+        (("normalize", "--word", '["ab"]'), 0),
+        (("normalize", "--word", '[["a", "b"], ["b", "c", "a"]]', "--trace"), 1),
+        (("group", "inv", "--word", '[[["a"], "b"]]'), 0),
+        (("group", "mul", "--words", '[[["a", "b"]], [["a", "b", "c"]]]'), 0),
+    ], ids=["string-letter", "three-entry-trace", "array-key", "mul-three-entry"])
+    def test_malformed_letter_exits_2(self, capsys, line_graph_spec, argv, index):
+        argv = argv[:2] + ("--input", line_graph_spec) + argv[2:] \
+            if argv[0] == "group" else argv[:1] + ("--input", line_graph_spec) + argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: malformed word literal: ")
+        assert f"letter {index} " in err
+        assert "Traceback" not in err
+
+
 class TestGroup:
     def test_mul(self, capsys, line_graph_spec):
         words = [[["a", "b"]], [["b", "c"]]]
@@ -170,7 +188,7 @@ _GEN_B = np.array([[-0.2, 0.1], [-0.1, -0.2]], dtype=complex)
 def _generator_table_spec(edges):
     values = {(0, 1): _GEN_A, (1, 2): _GEN_B, (0, 2): _GEN_A + _GEN_B}
     return {"graph": {"order": [0, 1, 2]}, "dim": 2,
-            "family": {"kind": "exponential", "dissipative": True,
+            "family": {"kind": "exponential",
                        "generators": [{"edge": list(e),
                                        "matrix": linops.matrix_to_literal(values[e])}
                                       for e in edges],
@@ -227,6 +245,29 @@ class TestSpecForms:
         code, out, _ = run(capsys, "dilate", "--input", spec, "--pipeline", "C")
         assert code == 0
         assert json.loads(out)["passed"]
+
+
+    @pytest.mark.parametrize("field", [{}, {"dissipative": True}, {"dissipative": False}],
+                             ids=["no-field", "true", "false"])
+    def test_pipeline_c_checks_dissipativity(self, capsys, tmp_path, field):
+        # A(0,1) = diag(0.3, -0.2) has a positive Hermitian part; pipeline C
+        # rejects it as non-dissipative whatever the spec says about it
+        spec = _generator_table_spec([(0, 1), (1, 2), (0, 2)])
+        gen = np.diag([0.3, -0.2]).astype(complex)
+        table = {(0, 1): gen, (1, 2): _GEN_B, (0, 2): gen + _GEN_B}
+        spec["family"]["generators"] = [
+            {"edge": list(e), "matrix": linops.matrix_to_literal(m)}
+            for e, m in table.items()]
+        spec["family"].update(field)
+        path = write_json(tmp_path / "spec.json", spec)
+        code, out, _ = run(capsys, "check", "--input", path, "--samples", "10")
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert not by_name["dissipative"]["passed"]
+        assert by_name["additivity-axiom"]["passed"]
+        assert by_name["geometric-growth"]["passed"]
+        code, _, err = run(capsys, "dilate", "--input", path, "--pipeline", "C")
+        assert code == 3
+        assert err.startswith("precondition failure [dissipativity]: generator at (0, 1)")
 
 
 class TestExtend:

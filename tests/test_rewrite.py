@@ -1,3 +1,6 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,3 +310,321 @@ class TestWireFormats:
         from graphdyn.errors import InputError
         with pytest.raises(InputError):
             rewrite.context_from_spec({"edges": []})
+
+
+# -- linear-time paths against their plain oracles ----------------------------------
+
+def min_repr_trace(w):
+    """Oracle: the reducts with the smallest repr, one step at a time."""
+    steps = []
+    while not is_irreducible(w):
+        w = min(rewrite._reducts(w), key=repr)
+        steps.append(w)
+    return steps
+
+
+class Key:
+    """A node key that prints as its name, so reprs can be made to nest."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return isinstance(other, Key) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return self.name
+
+
+# keys of every JSON scalar type plus tuples; 1/10/100, 2.5/2.55 and
+# 'a'/'ab' have reprs that are prefixes of one another, and 1/1.0/True
+# compare equal while printing differently
+NODE_KEYS = st.one_of(
+    st.sampled_from([0, 1, 10, 100, -1]),
+    st.sampled_from([1.0, 2.5, 2.55, -0.0, 0.0]),
+    st.sampled_from(["a", "ab", "b", "", "a b"]),
+    st.sampled_from([(1,), (1, 2), ("a",), (10,)]),
+    st.sampled_from([True, None]),
+)
+
+
+@st.composite
+def keyed_words(draw, keys=NODE_KEYS, max_len=9):
+    pool = draw(st.lists(keys, min_size=1, max_size=4))
+    pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    return complete_context(pool), word(draw(st.lists(pairs, max_size=max_len)))
+
+
+class TestReductionTrace:
+    @settings(max_examples=400, deadline=None)
+    @given(keyed_words())
+    def test_pick_is_min_repr(self, case):
+        ctx, w = case
+        steps = rewrite.reduction_trace(ctx, w)
+        oracle = min_repr_trace(w)
+        assert [repr(s) for s in steps] == [repr(s) for s in oracle]
+        assert steps == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(keyed_words(keys=st.sampled_from([1, 10, 100, 1.5, 15, 150.0]), max_len=12))
+    def test_prefix_reprs(self, case):
+        ctx, w = case
+        assert rewrite.reduction_trace(ctx, w) == min_repr_trace(w)
+
+    def test_ends_at_the_normal_form(self, line4):
+        rng = rng_from_seed(4)
+        pairs = line4.closure_pairs()
+        for _ in range(100):
+            w = word(pairs[i] for i in rng.integers(0, len(pairs), size=20))
+            steps = rewrite.reduction_trace(line4, w)
+            assert [len(s) for s in steps] == list(range(len(w) - 1, len(w) - 1 - len(steps), -1))
+            assert (steps[-1] if steps else w) == normalize(line4, w).letters
+
+    def test_irreducible_word_has_empty_trace(self, abc):
+        assert rewrite.reduction_trace(abc, word([("a", "b"), ("c", "a")])) == []
+
+    def test_one_letter_reducts(self, abc):
+        # reducts of length one print as "(Letter(...),)"
+        w = word([("b", "b"), ("a", "c")])
+        assert rewrite.reduction_trace(abc, w) == min_repr_trace(w) == [word([("a", "c")])]
+        w = word([("a", "b"), ("b", "a")])
+        assert rewrite.reduction_trace(abc, w) == [word([("a", "a")]), ()]
+
+    def test_loop_deletion_equals_adjacent_fusion(self, abc):
+        # deleting (b,b) and fusing it with a neighbour give one word
+        w = word([("a", "b"), ("b", "b"), ("b", "c"), ("a", "b")])
+        assert rewrite.reduction_trace(abc, w) == min_repr_trace(w)
+
+    def test_equal_keys_that_print_differently(self):
+        # 1 == 1.0: the loop deletion and the fusion next to it are one
+        # reduct in the oracle's set, printed as the one added first
+        ctx = complete_context([0, 1, 2])
+        for w in (word([(0, 1), (1.0, 1.0)]), word([(1.0, 1.0), (1, 2)]),
+                  word([(0, 1.0), (1, 1), (1.0, 2)])):
+            assert [repr(s) for s in rewrite.reduction_trace(ctx, w)] == \
+                [repr(s) for s in min_repr_trace(w)]
+
+    def test_letter_repr_prefix_of_another(self):
+        # "Letter(tail=a, head=b)" is a prefix of "Letter(tail=a, head=b)!)":
+        # the text after it decides, and "!" sorts before ", " and ")"
+        a, b, c = Key("a"), Key("b"), Key("b)!")
+        ctx = complete_context([a, b, c])
+        w = word([(a, c), (c, b), (b, b)])
+        assert rewrite.reduction_trace(ctx, w) == min_repr_trace(w) == \
+            [word([(a, c), (c, b)]), word([(a, b)])]
+        for w in (word([(a, a), (a, b), (c, a), (a, c)]),
+                  word([(b, a), (a, c), (c, b), (c, c), (c, b)]),
+                  word([(c, c), (c, a), (a, b), (b, b), (a, c), (c, b)])):
+            steps = rewrite.reduction_trace(ctx, w)
+            assert [repr(s) for s in steps] == [repr(s) for s in min_repr_trace(w)]
+
+    def test_long_loop_runs(self, abc):
+        w = word([("a", "a")] * 40 + [("a", "b")] + [("b", "b")] * 40)
+        assert rewrite.reduction_trace(abc, w) == min_repr_trace(w)
+
+    def test_checks_the_context(self, abc):
+        with pytest.raises(ContextError):
+            rewrite.reduction_trace(abc, word([("a", "b"), ("b", "z")]))
+
+
+@st.composite
+def element_pairs(draw):
+    """Two normal forms over the 4-node clique; ``h`` often starts with the
+    inverse of a suffix of ``g``, so the seam cancels deeply."""
+    ctx = complete_context([0, 1, 2, 3])
+    pairs = st.sampled_from(ctx.closure_pairs())
+    g = normalize(ctx, word(draw(st.lists(pairs, max_size=12))))
+    cut = draw(st.integers(0, len(g)))
+    suffix = rewrite.GroupElement(g.letters[cut:])
+    rest = normalize(ctx, word(draw(st.lists(pairs, max_size=6))))
+    h = draw(st.sampled_from([rest, gmul(ginv(suffix), rest)]))
+    return g, h
+
+
+class TestSeamProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(element_pairs())
+    def test_matches_full_stack_pass(self, gh):
+        g, h = gh
+        assert gmul(g, h) == rewrite.GroupElement(
+            rewrite._stack_reduce(g.letters + h.letters))
+
+    def test_full_cancellation(self, line4):
+        rng = rng_from_seed(6)
+        for _ in range(50):
+            g = rewrite.random_element(line4, rng, 8)
+            assert gmul(g, ginv(g)).is_identity()
+            assert gmul(ginv(g), g).is_identity()
+
+    def test_public_constructor_rejects_reducible_words(self):
+        for letters in ([("a", "a")], [("a", "b"), ("b", "c")],
+                        [("c", "a"), ("a", "b"), ("b", "b")]):
+            with pytest.raises(ValueError, match="not a normal form"):
+                rewrite.GroupElement(word(letters))
+
+    def test_seam_check_raises_on_unvalidated_factor(self):
+        # g's last letter fuses with h's first, and the fused letter then
+        # meets the loop g was built with: the product is not a normal form
+        g = rewrite._trusted(word([(2, 2), (0, 1)]))
+        h = rewrite.GroupElement(word([(1, 3)]))
+        with pytest.raises(ValueError, match="seam"):
+            gmul(g, h)
+        # a loop left at the seam after full cancellation
+        g = rewrite._trusted(word([(0, 1), (3, 3), (1, 2)]))
+        with pytest.raises(ValueError, match="seam"):
+            gmul(g, rewrite.GroupElement(word([(2, 1)])))
+
+
+class TestTrustedConstructor:
+    @settings(max_examples=100, deadline=None)
+    @given(element_pairs(), st.integers(0, 2**32 - 1))
+    def test_every_output_is_irreducible(self, gh, seed):
+        built = []
+        real = rewrite._trusted
+
+        def checked(letters):
+            built.append(letters)
+            return real(letters)
+
+        ctx = complete_context([0, 1, 2, 3])
+        g, h = gh
+        with mock.patch.object(rewrite, "_trusted", checked):
+            gmul(g, h)
+            gmul(h, g)
+            ginv(g)
+            normalize(ctx, g.letters + h.letters)
+            rewrite.random_element(ctx, rng_from_seed(seed), 8)
+        assert len(built) == 5
+        assert all(isinstance(w, tuple) and is_irreducible(w) for w in built)
+
+
+def push_table_oracle(isloop, fuse, max_len):
+    """The push table as the per-word loop computed it: push every letter
+    onto every normal form shorter than ``max_len``, cascading fusions."""
+    def push(w, c):
+        w = list(w)
+        while True:
+            if isloop[c]:
+                return tuple(w)
+            if w and fuse[w[-1], c] >= 0:
+                c = fuse[w.pop(), c]
+                continue
+            return tuple(w + [c])
+
+    table, rowed, level = {}, set(), {()}
+    for _ in range(max_len):
+        rowed |= level
+        for w in level:
+            for c in range(len(isloop)):
+                table[w, c] = push(w, c)
+        level = set(table.values()) - rowed
+    return table, rowed, {()} | set(table.values())
+
+
+class TestPushTable:
+    @staticmethod
+    def assert_matches_oracle(pairs, max_len):
+        isloop, fuse = rewrite._rule_tables(word(pairs))
+        push, length, parent, last = rewrite._push_table(isloop, fuse, max_len)
+        words = [()]
+        for i in range(1, len(length)):
+            words.append(words[parent[i]] + (int(last[i]),))
+        assert [len(w) for w in words] == length.tolist()
+        table, rowed, forms = push_table_oracle(isloop, fuse, max_len)
+        assert set(words) == forms and len(words) == len(forms)
+        rows = {words[i]: push[i] for i in range(len(push))}
+        assert set(rows) == rowed
+        for (w, c), out in table.items():
+            assert words[rows[w][c]] == out
+
+    def test_full_alphabets(self):
+        for ctx, max_len in ((complete_context(["a", "b", "c"]), 4),
+                             (complete_context([0, 1, 2, 3]), 3),
+                             (EdgeContext("abcd", [("a", "b"), ("c", "d")]), 4)):
+            self.assert_matches_oracle(ctx.closure_pairs(), max_len)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.sampled_from(complete_context([0, 1, 2, 3]).closure_pairs()),
+                   min_size=1),
+           st.integers(1, 4))
+    def test_restricted_alphabets(self, pairs, max_len):
+        self.assert_matches_oracle(sorted(pairs), max_len)
+
+    def test_broken_confluence_reports_unchanged(self):
+        # the reports of the restricted alphabet as the per-word push loop
+        # produced them
+        rep = check_confluence_bruteforce(RestrictedAlphabet(), 3).as_dict()
+        assert rep["count"] == 155 and rep["max_defect"] == 1.0
+        assert rep["offenders"] == [[["a", "b"], ["b", "c"], ["c", "d"]]]
+        assert rep["details"]["normal_forms_seen"] == 135
+        rep = check_confluence_bruteforce(RestrictedAlphabet(), 4).as_dict()
+        assert rep["count"] == 780 and rep["max_defect"] == 11.0
+        assert rep["offenders"] == [
+            [["a", "b"], ["b", "c"], ["c", "d"]],
+            [["a", "b"], ["a", "b"], ["b", "c"], ["c", "d"]],
+            [["a", "b"], ["b", "c"], ["c", "d"], ["a", "b"]],
+            [["a", "b"], ["b", "c"], ["c", "d"], ["b", "c"]],
+        ]
+        assert rep["details"]["normal_forms_seen"] == 624
+        rep = check_confluence_bruteforce(complete_context([0, 1, 2, 3]), 4)
+        assert rep.passed and rep.count == 69904
+        assert rep.details["normal_forms_seen"] == 9841
+
+    def test_offenders_per_block_of_codes(self):
+        # 143 letters without (0, 11): level 3 has 2,924,207 words, more than
+        # one block of 2^21 codes, and each block gives its first three
+        # offenders.  Every offender starts with some (0, m); the first,
+        # (0, 1) at index 102, straddles the first block boundary, and the
+        # letter order leaves one offender in the first block.
+        full = [(u, v) for u in range(12) for v in range(12) if (u, v) != (0, 11)]
+        filler = [(1, 2)] + [p for p in full if p[0] > 1][:101]
+        pairs = filler + [(0, 1)] + [p for p in full if p not in filler and p != (0, 1)]
+        rep = check_confluence_bruteforce(RestrictedAlphabet(pairs), 3)
+        assert rep.max_defect == 90.0
+        assert rep.details["normal_forms_seen"] == 1907314
+        assert rep.as_dict()["offenders"] == [
+            [[0, 1], [1, 2], [2, 11]],
+            [[0, 1], [1, 3], [3, 11]], [[0, 1], [1, 4], [4, 11]], [[0, 1], [1, 5], [5, 11]]]
+
+    def test_normal_forms_must_fix_irreducible_words(self, line4):
+        # a push table that sends every word to the empty word agrees with
+        # every reduct, so only the irreducible-word check can catch it
+        def degenerate(isloop, fuse, max_len):
+            push, length, parent, last = real(isloop, fuse, max_len)
+            return np.zeros_like(push), length, parent, last
+
+        real = rewrite._push_table
+        with mock.patch.object(rewrite, "_push_table", degenerate):
+            rep = check_confluence_bruteforce(line4, 2)
+        assert not rep.passed
+        # the 12 letters that are not loops, and the 12 * 9 irreducible pairs
+        assert rep.max_defect == 12 + 12 * 9
+
+
+class TestWordLiterals:
+    @pytest.mark.parametrize("lit, index", [
+        (["ab"], 0),
+        ([["a", "b"], "bc"], 1),
+        ([[0, 1, 2]], 0),
+        ([[0]], 0),
+        ([["a", ["b"]]], 0),
+        ([["a", {"b": 1}]], 0),
+        ([("a", "b")], 0),
+    ])
+    def test_rejects_malformed_letters(self, lit, index):
+        from graphdyn.errors import InputError
+        with pytest.raises(InputError, match=f"letter {index} "):
+            rewrite.word_from_literal(lit)
+
+    @pytest.mark.parametrize("lit", ["ab", {"a": "b"}, 3, None])
+    def test_rejects_non_arrays(self, lit):
+        from graphdyn.errors import InputError
+        with pytest.raises(InputError, match="not an array of letters"):
+            rewrite.word_from_literal(lit)
+
+    def test_accepts_scalar_keys(self):
+        lit = [["a", 1], [2.5, None], [True, "x"]]
+        assert rewrite.word_to_literal(rewrite.word_from_literal(lit)) == lit
