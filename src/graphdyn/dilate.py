@@ -386,6 +386,9 @@ class ShiftDilation:
     Flavors: "banach" (payloads are vectors, values act by matrix product)
     and "cstar" (payloads are square matrices, values act as superoperators,
     and elements can be multiplied pointwise as formal products).
+
+    ``phi_bar`` maps a group element to its value; if it has a
+    ``stack(elements)`` method, a batch of values comes from one call of it.
     """
 
     def __init__(self, phi_bar, dim, flavor="banach", tol=1e-10):
@@ -396,30 +399,71 @@ class ShiftDilation:
         self.tol = tol
         self._phi = phi_bar
         self._values = {}
+        n = self.dim if flavor == "banach" else self.dim**2
+        self._shape = (n, n)
 
     def value(self, g):
         val = self._values.get(g)
         if val is None:
-            val = np.asarray(self._phi(g), dtype=complex)
-            if self.flavor == "banach":
-                if val.shape != (self.dim, self.dim):
-                    raise InputError(f"family value has shape {val.shape}")
-                if spectral_norm(val) > 1.0 + self.tol:
-                    raise PreconditionError(
-                        "contraction",
-                        f"family value at {g!r} has norm {spectral_norm(val):.6f}")
-            else:
-                if val.shape != (self.dim**2, self.dim**2):
-                    raise InputError(f"superoperator value has shape {val.shape}")
-                unital = spectral_norm(
-                    linops.unvec(val @ linops.vec(eye(self.dim)), self.dim)
-                    - eye(self.dim))
-                if unital > self.tol:
-                    raise PreconditionError(
-                        "unitality",
-                        f"family value at {g!r} has unitality defect {unital:.3e}")
-            val = self._values.setdefault(g, val)
+            self._fill([g])
+            val = self._values[g]
         return val
+
+    def values(self, gs):
+        """The values at the elements ``gs`` as one stack.  The uncached ones
+        are evaluated as one batch and checked with one batched norm; the
+        first failing element in input order raises."""
+        gs = list(gs)
+        self._fill(list(dict.fromkeys(g for g in gs if g not in self._values)))
+        if not gs:
+            return np.empty((0,) + self._shape, dtype=complex)
+        return np.stack([self.value(g) for g in gs])
+
+    def _fill(self, gs):
+        """Evaluate, check and cache the distinct uncached elements ``gs``."""
+        if not gs:
+            return
+        try:
+            vals = self._evaluate(gs)
+        except Exception:
+            if len(gs) > 1:
+                # one by one, an element before the bad one may fail its
+                # check first: single-element batches keep that order
+                for g in gs:
+                    self._fill([g])
+            raise
+        self._check(gs, vals)
+        self._values.update(zip(gs, vals))
+
+    def _evaluate(self, gs):
+        batch = getattr(self._phi, "stack", None)
+        if batch is None:
+            vals = [np.asarray(self._phi(g), dtype=complex) for g in gs]
+        else:
+            vals = batch(gs)
+        for val in vals:
+            if val.shape != self._shape:
+                what = "family" if self.flavor == "banach" else "superoperator"
+                raise InputError(f"{what} value has shape {val.shape}")
+        return np.asarray(vals, dtype=complex)
+
+    def _check(self, gs, vals):
+        """Raise for the first value of the stack that is not a contraction
+        (banach) or not unital (cstar)."""
+        if self.flavor == "banach":
+            axiom, fmt = "contraction", "norm {:.6f}"
+            defects, bound = spectral_norm(vals), 1.0 + self.tol
+        else:
+            d = self.dim
+            # order="F" unvecs every row: ones[n, i, j] = (vals[n] @ vec(1))[i + d j]
+            ones = (vals @ linops.vec(eye(d))).reshape(-1, d, d, order="F")
+            axiom, fmt = "unitality", "unitality defect {:.3e}"
+            defects, bound = spectral_norm(ones - eye(d)), self.tol
+        bad = np.flatnonzero(defects > bound)
+        if bad.size:
+            i = bad[0]
+            raise PreconditionError(
+                axiom, f"family value at {gs[i]!r} has " + fmt.format(defects[i]))
 
     def _act(self, g, payload):
         val = self.value(g)
@@ -561,7 +605,7 @@ class DilatedSystem:
             return CheckReport("dilation-reconstruction", worst <= tol, worst,
                                tol, arg, count=len(edges))
         defects = _blockwise(edges, lambda es: spectral_norm(
-            np.stack([self.edge_operator(e) for e in es]) - fam.stack(es)))
+            self.dilation.values([self.edge_element(e) for e in es]) - fam.stack(es)))
         worst, arg = _worst(defects, edges)
         return CheckReport("compression-identity", worst <= tol, worst, tol,
                            arg, count=len(edges))

@@ -133,12 +133,20 @@ class NormalFormExtension:
             if not rep.passed:
                 raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
 
+    def _edges(self, g):
+        return [(t, h) for t, h in g.letters if self.fam.graph.has_edge(t, h)]
+
     def __call__(self, g):
         out = linops.eye(self.dim)
-        for letter in g.letters:
-            if self.fam.graph.has_edge(letter.tail, letter.head):
-                out = out @ self.fam((letter.tail, letter.head))
+        for edge in self._edges(g):
+            out = out @ self.fam(edge)
         return out
+
+    def stack(self, gs):
+        """The values at the elements ``gs``; the family is evaluated at all
+        their letters in one batch."""
+        self.fam.stack([e for g in gs for e in self._edges(g)])
+        return np.stack([self(g) for g in gs])
 
 
 class FirstCoverExtension:
@@ -221,6 +229,10 @@ class SecondCoverExtension:
 
     def __call__(self, g, extra=()):
         return linops.expm(self.generator_of(g, extra))
+
+    def stack(self, gs):
+        """The values at the elements ``gs``: one stacked exponential."""
+        return linops.expm(np.stack([self.generator_of(g) for g in gs]))
 
 
 # -- continuity modulus ---------------------------------------------------------

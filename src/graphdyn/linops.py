@@ -65,9 +65,24 @@ def partial_trace_first(m, d1, d2):
     return np.einsum("aiaj->ij", m.reshape(d1, d2, d1, d2))
 
 
+def _finite_stack(a):
+    """Coerce to a complex matrix or (..., m, n) stack with finite entries."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2:
+        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise DimensionError("matrix has non-finite entries")
+    return a
+
+
 def expm(a):
-    """Matrix exponential (scaling-and-squaring with Pade approximants)."""
-    return scipy.linalg.expm(_square(a))
+    """Matrix exponential (scaling-and-squaring with Pade approximants) of a
+    matrix, or of each matrix of a (..., n, n) stack.  scipy exponentiates a
+    stack matrix by matrix, so each result is bitwise the single-matrix one."""
+    m = _finite_stack(a)
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return scipy.linalg.expm(m)
 
 
 def exp_derivative(x, y, t=0.0):
@@ -83,11 +98,7 @@ def exp_derivative(x, y, t=0.0):
 def _singular_values(a):
     """Singular values of a matrix, or of each matrix of a (..., m, n) stack;
     an empty matrix has the single singular value 0."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2:
-        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise DimensionError("matrix has non-finite entries")
+    a = _finite_stack(a)
     if a.shape[-1] == 0 or a.shape[-2] == 0:
         return np.zeros(a.shape[:-2] + (1,))
     return np.linalg.svd(a, compute_uv=False)

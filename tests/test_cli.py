@@ -316,6 +316,24 @@ class TestDilate:
         assert code == 0, err
         assert json.loads(out)["passed"]
 
+    @pytest.mark.parametrize("missing", [None, [2, 3]], ids=["all-edges", "later-edge-missing"])
+    def test_pipeline_a_names_first_non_contraction(self, capsys, tmp_path, missing):
+        # the third non-loop edge (0, 3) has norm 1.2 and the fifth, (1, 3),
+        # norm 1.5; every other is 0.5 * 1.  The first in edge order is named,
+        # and a later edge with no value must not mask it
+        nonloop = [[i, j] for i in range(4) for j in range(i + 1, 4)]
+        bad = {2: [[0.0, 1.2], [0.3, 0.0]], 4: [[1.5, 0.0], [0.0, 0.0]]}
+        values = [{"edge": e, "matrix": linops.matrix_to_literal(
+                      bad.get(k, 0.5 * np.eye(2)))}
+                  for k, e in enumerate(nonloop) if e != missing]
+        spec = write_json(tmp_path / "explicit.json", {
+            "graph": {"order": [0, 1, 2, 3]}, "dim": 2,
+            "family": {"kind": "explicit", "values": values}})
+        code, out, err = run(capsys, "dilate", "--input", spec, "--pipeline", "A")
+        assert code == 3 and out == ""
+        assert err == ("precondition failure [contraction]: family value at "
+                       "GroupElement(letters=(Letter(tail=0, head=3),)) has norm 1.200000\n")
+
     def test_pipeline_b_rejects_indivisible(self, capsys, indivisible_spec):
         code, _, err = run(capsys, "dilate", "--input", indivisible_spec,
                            "--pipeline", "B")

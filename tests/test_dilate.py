@@ -14,7 +14,8 @@ from graphdyn.dilate import (Channel, FormalVector, ShiftDilation,
 from graphdyn.dynamics import (CompleteGraph, LinearOrderGraph,
                                OperatorFamily, descending_grid,
                                example_indivisible, proportional_length)
-from graphdyn.errors import InputError, NotCPTPError, PreconditionError
+from graphdyn.errors import (GraphError, InputError, NotCPTPError,
+                             PreconditionError)
 from graphdyn.linops import (SIGMA_X, SIGMA_Z, SuperOp, dagger, spectral_norm,
                              trace_norm)
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
@@ -524,6 +525,74 @@ class TestShiftDilationCstar:
             dil.value(embed_edge(ctx, e))
         samples = [random_matrix(rng, 2) for _ in range(5)]
         assert dil.check_embedding(samples).passed
+
+
+def shift_setup(which, seed):
+    """A fresh (extension, payload dim, flavor) over a 5-point grid: each
+    extension kind, and a conjugation family for the cstar flavor."""
+    from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
+                                 SecondCoverExtension)
+    rng = rng_from_seed(seed)
+    gens = dynamics.commuting_evolution(random_dissipative(rng, 3), 1.0, 5)
+    if which == "normal":
+        return NormalFormExtension(gens.exponential(1.0)), 3, "banach"
+    if which == "cover1":
+        return FirstCoverExtension(gens.exponential(1.0)), 3, "banach"
+    if which == "cover2":
+        return SecondCoverExtension(gens), 3, "banach"
+    h = random_matrix(rng, 2)
+    h = h + dagger(h)
+    fam = OperatorFamily(gens.graph, 4, lambda e: SuperOp.conjugation_by(
+        linops.expm(1j * (e[0] - e[1]) * h)).matrix)
+    return FirstCoverExtension(fam), 2, "cstar"
+
+
+class TestBatchedShiftValues:
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.sampled_from(["normal", "cover1", "cover2", "cstar"]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_values_match_value_loop(self, which, seed, data):
+        ext, dim, flavor = shift_setup(which, seed)
+        dil = ShiftDilation(ext, dim, flavor=flavor)
+        oracle_ext = shift_setup(which, seed)[0]
+        oracle = ShiftDilation(oracle_ext, dim, flavor=flavor)
+        ctx = ext.fam.graph.context()
+        rng = rng_from_seed(seed)
+        pool = [rewrite.random_element(ctx, rng, 3) for _ in range(8)]
+        gs = [pool[i] for i in data.draw(st.lists(st.integers(0, 7), max_size=20))]
+        for i in data.draw(st.lists(st.integers(0, 7), max_size=3)):
+            dil.value(pool[i])  # partly cached
+        got = dil.values(gs)
+        assert got.shape == (len(gs),) + dil._shape
+        if gs:
+            assert np.array_equal(got, np.stack([oracle.value(g) for g in gs]))
+            assert np.array_equal(got, np.stack([oracle_ext(g) for g in gs]))
+
+    def test_first_non_unital_element_in_order_raises(self):
+        graph = LinearOrderGraph([0, 1, 2, 3])
+        nonloop = [e for e in graph.edges() if e[0] != e[1]]
+        # the third and fifth non-loop edges are not unital; the third is named
+        scale = {nonloop[2]: 0.9, nonloop[4]: 0.8}
+
+        def value(e):
+            u = linops.expm(1j * (e[1] - e[0]) * SIGMA_X)
+            return scale.get(e, 1.0) * SuperOp.conjugation_by(u).matrix
+
+        for bad in (None, (2, 3)):
+            # a later edge with no value must not mask the first failure
+            def fam_value(e, bad=bad):
+                if e == bad:
+                    raise GraphError(f"no value supplied for edge {e!r}")
+                return value(e)
+
+            fam = OperatorFamily(graph, 4, fam_value)
+            ds = dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
+            with pytest.raises(PreconditionError) as exc:
+                ds.verify()
+            assert exc.value.axiom == "unitality"
+            assert str(exc.value) == (
+                "family value at GroupElement(letters=(Letter(tail=0, head=3),)) "
+                "has unitality defect 1.000e-01")
 
 
 class TestPipelines:

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
 from graphdyn.errors import (AcyclicityError, DegeneracyError, GraphError,
                              InputError, OrderError)
 from graphdyn.linops import SIGMA_X, SIGMA_Y, SIGMA_Z, SuperOp, spectral_norm
+from graphdyn.reports import CheckReport
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_kraus_ops, random_matrix, rng_from_seed)
 
@@ -292,6 +294,53 @@ class TestBatchedCheckers:
         assert rep.max_defect == divisibility_defect(bumped, t[0], t[1], t[2])
 
 
+class TestBatchedFamilies:
+    """A stack fills every missing edge with one batch evaluation; the values
+    must be bitwise the per-edge ones however blocks and the cache split."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=families["kind"], points=st.integers(2, 9), seed=families["seed"],
+           block=families["block"], data=st.data())
+    def test_stack_matches_per_edge_calls(self, kind, points, seed, block, data):
+        gens = random_generators(kind, points, seed)
+        alpha = 1.0 + seed % 3
+        fam = gens.exponential(alpha)
+        oracle = random_generators(kind, points, seed).exponential(alpha)
+        edges = list(fam.graph.edges())
+        drawn = data.draw(st.lists(st.sampled_from(edges), max_size=60))
+        for e in data.draw(st.lists(st.sampled_from(edges), max_size=6)):
+            fam(e)  # partly cached before the blocks run
+        with mock.patch.object(dynamics, "_BLOCK", block):
+            fam.check_contractions(drawn)
+        want = np.stack([oracle(e) for e in drawn]) if drawn else \
+            np.empty((0, fam.dim, fam.dim))
+        assert np.array_equal(fam.stack(drawn), want)
+        for e in set(drawn):
+            # a batch of one is the single-matrix exponential of the raw generator
+            assert np.array_equal(oracle(e), scipy.linalg.expm(alpha * gens._eval(e)))
+
+    def test_first_bad_edge_in_order_raises(self):
+        spec = {"graph": {"order": [0, 1, 2]}, "dim": 2,
+                "family": {"kind": "exponential", "generators": [
+                    {"edge": [0, 1], "matrix": linops.matrix_to_literal(-np.eye(2))}]}}
+        for edges, message in [([(0, 1), (0, 2), (2, 0)], "no generator for edge (0, 2)"),
+                               ([(0, 1), (2, 0), (0, 2)], "(2, 0) is not an edge")]:
+            fam = dynamics.build_system(spec)["family"]
+            with pytest.raises(GraphError) as loop:
+                for e in edges:
+                    fam(e)
+            fam = dynamics.build_system(spec)["family"]
+            with pytest.raises(GraphError) as batch:
+                fam.stack(edges)
+            assert message in str(batch.value) and str(batch.value) == str(loop.value)
+
+    def test_evaluator_shape_checked_per_edge(self):
+        graph = LinearOrderGraph([0, 1, 2])
+        fam = OperatorFamily(graph, 2, lambda e: np.eye(3 if e[0] == 1 else 2))
+        with pytest.raises(GraphError, match=r"shape \(3, 3\).*at edge \(1, 1\)"):
+            fam.stack(list(graph.edges()))
+
+
 class TestTripleSampling:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_unrank_is_a_bijection_onto_the_enumeration(self, m):
@@ -340,6 +389,29 @@ class TestLengthFunction:
             LengthFunction(lambda e: 0.0, "bogus")
 
 
+def lipschitz_loop(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10):
+    """Oracle: the one-pair-at-a-time loop that ``lipschitz_check`` batches."""
+    g = fam.graph
+    worst, arg, offenders = -np.inf, None, []
+    for (e, e2) in pairs:
+        (u, v), (u2, v2) = e, e2
+        m = g.meet(u, u2)
+        big = g.join(v, v2)
+        lhs = spectral_norm(fam(e) - fam(e2))
+        corners = [(m, u), (v, big), (m, u2), (v2, big)]
+        if gen is not None:
+            bound = sum(spectral_norm(gen(c)) for c in corners)
+        else:
+            bound = bound_const * sum(ell(c) for c in corners)
+        excess = lhs - bound
+        if excess > tol:
+            offenders.append(((e, e2), excess))
+        if excess > worst:
+            worst, arg = excess, (e, e2)
+    return CheckReport("lipschitz-bound", not offenders, max(worst, 0.0), tol,
+                       arg, count=len(pairs), offenders=offenders[:10])
+
+
 class TestLipschitz:
     def test_divisible_family_bound(self):
         rng = rng_from_seed(2)
@@ -361,6 +433,29 @@ class TestLipschitz:
                               ell=proportional_length(spectral_norm(a)),
                               bound_const=1.0)
         assert rep.passed and rep.max_defect == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=families["kind"], points=st.integers(2, 9), seed=families["seed"],
+           use_gen=st.booleans(), const=st.sampled_from([0.0, 0.05, 1.0]),
+           data=st.data())
+    def test_matches_pair_loop(self, kind, points, seed, use_gen, const, data):
+        # const 0 makes every pair of distinct values an offender, so the
+        # cap of 10 and the offender order are exercised
+        def setup():
+            gens = random_generators(kind, points, seed)
+            if use_gen:
+                scaled = GeneratorFamily(gens.graph, gens.dim,
+                                         lambda e: const * gens._eval(e))
+                return gens.exponential(1.0), {"gen": scaled}
+            return gens.exponential(1.0), {"ell": proportional_length(1.0),
+                                           "bound_const": const}
+        fam, kwargs = setup()
+        edges = list(fam.graph.edges())
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(edges),
+                                             st.sampled_from(edges)), max_size=30))
+        rep = lipschitz_check(fam, pairs, **kwargs)
+        oracle_fam, oracle_kwargs = setup()
+        assert rep == lipschitz_loop(oracle_fam, pairs, **oracle_kwargs)
 
     def test_generator_norm_bound(self, interp):
         fam = interp.exponential(1.0)

@@ -142,6 +142,58 @@ class TestExpm:
             expm(np.zeros((2, 3)))
 
 
+# scipy uses scaling and squaring only above this 1-norm (theta_13 of
+# Al-Mohy & Higham 2009); below it a Pade approximant is used directly
+THETA_13 = 5.37
+
+
+def one_norms(stack):
+    return np.abs(stack).sum(axis=-2).max(axis=-1)
+
+
+class TestStackedExpm:
+    """The golden report bodies rely on a stacked expm being bitwise the
+    per-matrix one: a family fills all missing edges with one stacked call."""
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    @pytest.mark.parametrize("scale,squaring", [(0.01, False), (0.3, False), (30.0, True)])
+    def test_stack_is_bitwise_the_matrix_loop(self, n, scale, squaring):
+        rng = rng_from_seed(70 + n)
+        stack = scale * (rng.standard_normal((40, n, n))
+                         + 1j * rng.standard_normal((40, n, n)))
+        norms = one_norms(stack)
+        assert (norms.min() > THETA_13) if squaring else (norms.max() < THETA_13)
+        assert np.array_equal(expm(stack), np.stack([expm(a) for a in stack]))
+
+    def test_leading_axes_and_mixed_scales(self):
+        rng = rng_from_seed(75)
+        stack = rng.standard_normal((3, 4, 4, 4)) + 1j * rng.standard_normal((3, 4, 4, 4))
+        stack *= np.array([0.01, 1.0, 30.0])[:, None, None, None]
+        out = expm(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(out[idx], expm(stack[idx]))
+
+    def test_empty_stack(self):
+        assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_anywhere_in_a_stack(self, bad):
+        stack = np.zeros((5, 3, 3), dtype=complex)
+        stack[4, 2, 1] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            expm(stack)
+
+    def test_non_square_last_axes(self):
+        with pytest.raises(DimensionError, match="square"):
+            expm(np.zeros((4, 2, 3)))
+
+    @pytest.mark.parametrize("a", [np.zeros(3), 1.0], ids=["vector", "scalar"])
+    def test_fewer_than_two_axes(self, a):
+        with pytest.raises(DimensionError, match="ndim"):
+            expm(a)
+
+
 class TestExpDerivative:
     def test_zero_direction(self):
         rng = rng_from_seed(9)
