@@ -94,7 +94,7 @@ class _Family:
         self.graph = graph
         self.dim = int(dim)
         self._eval = eval_fn
-        self._evaluate = self._evaluate_each if stack_fn is None else stack_fn
+        self._stack_fn = stack_fn
         self._cache = {}
 
     def _check_edge(self, edge):
@@ -102,7 +102,9 @@ class _Family:
         if not self.graph.has_edge(u, v):
             raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
 
-    def _evaluate_each(self, edges):
+    def _evaluate(self, edges):
+        if self._stack_fn is not None:
+            return self._stack_fn(edges)
         out = np.empty((len(edges), self.dim, self.dim), dtype=complex)
         for i, edge in enumerate(edges):
             self._check_edge(edge)

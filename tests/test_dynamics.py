@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -333,6 +335,21 @@ class TestBatchedFamilies:
             with pytest.raises(GraphError) as batch:
                 fam.stack(edges)
             assert message in str(batch.value) and str(batch.value) == str(loop.value)
+
+    def test_freed_without_the_cycle_collector(self):
+        # a reference cycle through a family would keep its cached values
+        # alive until the collector runs, which raises peak memory
+        gc.disable()
+        try:
+            for make in (lambda: random_generators("exponential", 5, 0),
+                         lambda: random_generators("indivisible", 5, 0).exponential(2.0)):
+                fam = make()
+                fam.stack(list(fam.graph.edges()))
+                ref = weakref.ref(fam)
+                del fam
+                assert ref() is None
+        finally:
+            gc.enable()
 
     def test_evaluator_shape_checked_per_edge(self):
         graph = LinearOrderGraph([0, 1, 2])
