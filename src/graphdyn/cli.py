@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dilate, dynamics, extend, linops, rewrite
 from .errors import GraphDynError, InputError, PreconditionError
-from .reports import CheckReport, summarize
+from .reports import CheckReport, dumps, summarize
 from .sampling import rng_from_seed
 
 SCHEMA = "graphdyn-report/1"
@@ -119,7 +119,7 @@ def _load(args):
 
 
 def _emit(args, body):
-    text = json.dumps(body, indent=2, sort_keys=True)
+    text = dumps(body)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -156,11 +156,9 @@ def cmd_normalize(args):
     ctx = rewrite.context_from_spec(spec["graph"])
     w = _word_from(args, spec)
     nf = rewrite.normalize(ctx, w)
-    trace = []
-    if args.trace:
-        # the endpoint is already reported as the normal form
-        trace = [rewrite.word_to_literal(cur)
-                 for cur in rewrite.reduction_trace(ctx, w)[:-1]]
+    # the endpoint is already reported as the normal form; the words are
+    # tuples of letters, which dumps writes as the literals' arrays
+    trace = rewrite.reduction_trace(ctx, w)[:-1] if args.trace else []
     _emit(args, {
         "schema": SCHEMA,
         "command": "normalize",
@@ -325,9 +323,8 @@ def cmd_demo(args):
     else:
         spec, rows, header, expected = _demo_lindblad(args.seed)
     with open(base + ".json", "w") as fh:
-        json.dump({"schema": SCHEMA, "system": spec, "expected": expected},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps({"schema": SCHEMA, "system": spec, "expected": expected})
+                 + "\n")
     with open(base + "_sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

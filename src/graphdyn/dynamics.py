@@ -307,12 +307,21 @@ def _triple_check(name, fam, defect, tol, rng, count):
     """Report on ``defect(phi(u,v), phi(v,w), phi(u,w))``, which maps three
     (N, d, d) value stacks to N norms, over the ordered triples."""
     nodes = fam.graph.nodes
+    m = len(nodes)
     idx = _ordered_triples(fam.graph, rng, count)
 
     def block_defects(rows):
-        i, j, k = rows.T.tolist()
-        edges = [(nodes[a], nodes[b]) for a, b in zip(i + j + i, j + k + k)]
-        return defect(*np.split(fam.stack(edges), 3))
+        # edge codes a*m + b of (u,v), (v,w), (u,w); the distinct edges are
+        # stacked in first-occurrence order, so the first bad edge still raises
+        i, j, k = rows.T
+        codes = np.concatenate([i, j, i]) * m + np.concatenate([j, k, k])
+        uniq, first, inverse = np.unique(codes, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        edges = [(nodes[c // m], nodes[c % m]) for c in uniq[order].tolist()]
+        return defect(*np.split(fam.stack(edges)[rank[inverse]], 3))
 
     worst, at = _worst(_blockwise(idx, block_defects), idx)
     arg = None if at is None else tuple(nodes[t] for t in at)

@@ -1,9 +1,10 @@
-"""Uniform result records for the numerical checkers.
+"""Uniform result records for the numerical checkers, and their JSON text.
 
 Every checker in this package returns a ``CheckReport`` so the CLI can emit
-one stable JSON schema for all of them.
+one stable JSON schema for all of them; :func:`dumps` writes it.
 """
 
+import json
 from dataclasses import dataclass, field
 
 
@@ -51,3 +52,79 @@ def _jsonable(obj):
 def summarize(reports):
     """Aggregate pass flag over a list of reports."""
     return all(r.passed for r in reports)
+
+
+# Containers nested deeper than this are written by json itself, so that a
+# circular body raises json's ValueError, not a RecursionError here.
+_MAX_DEPTH = 64
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def dumps(obj):
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, faster.
+
+    With ``indent`` set, json runs its pure-Python encoder; this one joins
+    strings per container instead.  A reduction trace repeats most letters of
+    the step before it, so the text of each list of strings is kept for the
+    call, per indentation.  Only lists of exact ``str`` are kept: ``1``,
+    ``1.0`` and ``True`` (or ``0.0`` and ``-0.0``) are equal keys with
+    different texts."""
+    return _encode(obj, "\n", {}, 0)
+
+
+def _scalar(o):
+    """json's text of a scalar, checked in json's order, or None."""
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _encode(o, indent, memo, depth):
+    """The text of ``o`` whose structural newlines are followed by ``indent``
+    (a newline and the spaces of its level)."""
+    if depth < _MAX_DEPTH:
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            key = (indent, *o)
+            try:
+                text = memo.get(key)
+            except TypeError:  # an unhashable item, so not a list of strings
+                text = key = None
+            if text is None:
+                inner = indent + "  "
+                text = "".join(("[", inner, ("," + inner).join(
+                    [_encode(x, inner, memo, depth + 1) for x in o]), indent, "]"))
+                if key is not None and all(type(x) is str for x in o):
+                    memo[key] = text
+            return text
+        if isinstance(o, dict) and all(isinstance(k, str) for k in o):
+            if not o:
+                return "{}"
+            inner = indent + "  "
+            return "".join(("{", inner, ("," + inner).join(
+                [_escape(k) + ": " + _encode(v, inner, memo, depth + 1)
+                 for k, v in sorted(o.items())]), indent, "}"))
+    text = _scalar(o)
+    if text is not None:
+        return text
+    # Non-str keys, unknown types and deep nesting.  With ensure_ascii every
+    # raw newline in json's text is structural, so the replace indents it.
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", indent)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphdyn import cli, linops
+from graphdyn import cli, linops, rewrite
 from graphdyn.linops import SIGMA_X, SIGMA_Z
 
 
@@ -103,6 +103,31 @@ class TestNormalize:
         body = json.loads(out)
         assert body["normal_form"] == word
         assert body["trace"] == []
+
+    def test_traced_report_with_mixed_node_keys(self, tmp_path):
+        # 1, 1.0 and True (and 0.0, -0.0) are equal node keys that json
+        # writes differently; trace words are written without literal copies
+        graph = {"nodes": [0.0, 1, 2, "a"], "edges": [[0.0, 1], [1, 2], [2, "a"]]}
+        spec = write_json(tmp_path / "mixed.json", {"graph": graph})
+        lit = [[0.0, 1], [1, -0.0], [1, 2], [2, "a"], [True, 2.0], [2, "a"],
+               ["a", 1.0]]
+        out = tmp_path / "report.json"
+        assert cli.main(["normalize", "--input", spec, "--word", json.dumps(lit),
+                         "--trace", "--output", str(out)]) == 0
+        ctx = rewrite.context_from_spec(graph)
+        w = rewrite.word_from_literal(lit)
+        nf = rewrite.normalize(ctx, w)
+        body = {
+            "schema": cli.SCHEMA,
+            "command": "normalize",
+            "input_word": rewrite.word_to_literal(w),
+            "normal_form": rewrite.word_to_literal(nf.letters),
+            "is_identity": nf.is_identity(),
+            "trace": [rewrite.word_to_literal(cur)
+                      for cur in rewrite.reduction_trace(ctx, w)[:-1]],
+        }
+        assert len(body["trace"]) == 5
+        assert out.read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     def test_malformed_spec_exits_2(self, capsys, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"graph": {"edges": []}})
@@ -381,6 +406,12 @@ class TestDemo:
         assert code == 0
         body = json.loads((tmp_path / "lindblad.json").read_text())
         assert body["expected"]["schwarz_conditions_pass"]
+
+    @pytest.mark.parametrize("name", ["indivisible-2.4", "network-2.5", "lindblad"])
+    def test_demo_file_is_json_dump_text(self, capsys, tmp_path, name):
+        assert cli.main(["demo", name, "--output", str(tmp_path)]) == 0
+        text = (tmp_path / (name.replace(".", "_") + ".json")).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_unknown_name_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

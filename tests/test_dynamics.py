@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from unittest import mock
 
@@ -228,6 +229,28 @@ class TestBatchedCheckers:
         triples = drawn_triples(gens.graph, seed, count)
         want = loop_worst((t, additivity_defect(gens, *t)) for t in triples)
         assert (rep.max_defect, rep.argmax, rep.count) == (*want, len(triples))
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.integers(2, 7), block=families["block"], data=st.data())
+    def test_triple_check_raises_for_first_bad_edge(self, points, block, data):
+        # a block reads (u,v) of every triple, then (v,w), then (u,w); the
+        # first edge in that order whose value is bad names the error
+        graph = LinearOrderGraph(list(range(points)))
+        edges = sorted(graph.edges())
+        bad = data.draw(st.sets(st.sampled_from(edges), min_size=1))
+        fam = OperatorFamily(graph, 2, lambda e: np.eye(3 if e in bad else 2))
+        first = None
+        triples = enumerated_triples(graph)
+        for start in range(0, len(triples), block):
+            rows = triples[start:start + block]
+            order = ([(u, v) for u, v, _ in rows] + [(v, w) for _, v, w in rows]
+                     + [(u, w) for u, _, w in rows])
+            first = next((e for e in order if e in bad), None)
+            if first is not None:
+                break
+        with mock.patch.object(dynamics, "_BLOCK", block), \
+                pytest.raises(GraphError, match=re.escape(f"at edge {first!r}")):
+            check_divisibility(fam)
 
     @settings(max_examples=30, deadline=None)
     @given(kind=families["kind"], points=families["points"], seed=families["seed"],
