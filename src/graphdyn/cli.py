@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dilate, dynamics, extend, linops, rewrite
 from .errors import GraphDynError, InputError, PreconditionError
-from .reports import CheckReport, dumps, summarize
+from .reports import CheckReport, defect_report, dumps, summarize
 from .sampling import rng_from_seed
 
 SCHEMA = "graphdyn-report/1"
@@ -246,10 +246,8 @@ def _network_defect_check(net, fam, tol):
             diffs = [(zero if avoiding is None or u == v else avoiding[u])
                      - (fam((u, w)) - fam((u, v)) @ fam((v, w))) for u in nodes]
             defects[:, b, c] = linops.spectral_norm(np.stack(diffs))
-    triples = list(itertools.product(nodes, repeat=3))
-    worst, arg = dynamics._worst(defects.reshape(-1), triples)
-    return CheckReport("network-defect-formula", worst <= tol, worst, tol, arg,
-                       count=len(triples))
+    return defect_report("network-defect-formula", defects.reshape(-1),
+                         list(itertools.product(nodes, repeat=3)), tol)
 
 
 def _cptp_family_check(system, tol):

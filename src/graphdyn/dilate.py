@@ -15,13 +15,12 @@ import numpy as np
 
 from . import linops, rewrite
 from .dynamics import (GeneratorFamily, LinearOrderGraph, _blockwise,
-                       _node_triples, _ordered_triples, _worst,
-                       check_geometric_growth)
+                       _node_triples, _ordered_triples, check_geometric_growth)
 from .errors import InputError, NotCPTPError, PreconditionError, StructureError
 from .extend import (FirstCoverExtension, NormalFormExtension,
                      SecondCoverExtension, continuity_modulus_check)
 from .linops import dagger, eye, spectral_norm, trace_norm
-from .reports import CheckReport
+from .reports import CheckReport, bad_keys_report, defect_report
 
 
 # -- channels -------------------------------------------------------------------
@@ -320,15 +319,13 @@ class VedDilation:
     satisfies the representation law exactly at the tag level.
     """
 
-    def __init__(self, assignment, dim, kraus_slots=None, xi=None, tol=1e-10):
+    def __init__(self, assignment, dim, tol=1e-10):
         self.assignment = assignment
         self.dim = int(dim)
-        self.k = self.dim**2 if kraus_slots is None else int(kraus_slots)
+        self.k = self.dim**2
         self.env_dim = self.dim * (self.k + 1)
-        if xi is None:
-            xi = np.zeros(self.dim)
-            xi[0] = 1.0
-        self.xi = np.asarray(xi, dtype=complex)
+        self.xi = np.zeros(self.dim, dtype=complex)
+        self.xi[0] = 1.0
         units = linops.matrix_units(self.dim)
         ident = assignment(rewrite.identity())
         defect = spectral_norm(ident.apply(units) - units).max()
@@ -567,18 +564,14 @@ class DilatedSystem:
         nodes = graph.nodes
         bad = [u for u in nodes
                if not self.edge_element((u, u)).is_identity()]
-        reports.append(CheckReport("group-identity-axiom", not bad,
-                                   float(len(bad)), 0.0, offenders=bad[:10],
-                                   count=len(nodes)))
+        reports.append(bad_keys_report("group-identity-axiom", bad, len(nodes)))
         triples = _node_triples(nodes, _ordered_triples(graph, rng, 200))
         bad = []
         for (u, v, w) in triples:
             lhs = rewrite.gmul(self.edge_element((u, v)), self.edge_element((v, w)))
             if lhs != self.edge_element((u, w)):
                 bad.append((u, v, w))
-        reports.append(CheckReport("group-divisibility-axiom", not bad,
-                                   float(len(bad)), 0.0, offenders=bad[:10],
-                                   count=len(triples)))
+        reports.append(bad_keys_report("group-divisibility-axiom", bad, len(triples)))
         reports.append(self._compression_report(tol, max_edges))
         if self.label in ("B", "C") and self.system.get("ell") is not None:
             reports.append(self._continuity_report(rng, xis))
@@ -591,24 +584,19 @@ class DilatedSystem:
         edges = list(graph.edges())
         if max_edges is not None and len(edges) > max_edges:
             edges = edges[:max_edges]
-        worst, arg = 0.0, None
         if self.label == "A-cptp":
             channels = self.system["channels"]
             units = linops.matrix_units(self.dilation.dim)
+            defects = []
             for e in edges:
                 g = self.edge_element(e)
-                defect = max(self.dilation.verify_element(g, units).max(),
-                             trace_norm(self.extension(g).apply(units)
-                                        - channels(e).apply(units)).max())
-                if defect > worst:
-                    worst, arg = defect, e
-            return CheckReport("dilation-reconstruction", worst <= tol, worst,
-                               tol, arg, count=len(edges))
+                defects.append(max(self.dilation.verify_element(g, units).max(),
+                                   trace_norm(self.extension(g).apply(units)
+                                              - channels(e).apply(units)).max()))
+            return defect_report("dilation-reconstruction", defects, edges, tol)
         defects = _blockwise(edges, lambda es: spectral_norm(
             self.dilation.values([self.edge_element(e) for e in es]) - fam.stack(es)))
-        worst, arg = _worst(defects, edges)
-        return CheckReport("compression-identity", worst <= tol, worst, tol,
-                           arg, count=len(edges))
+        return defect_report("compression-identity", defects, edges, tol)
 
     def _continuity_report(self, rng, xis):
         graph = self.system["graph"]
@@ -617,9 +605,12 @@ class DilatedSystem:
         expected = "second-cover" if self.label == "C" else "first-cover"
         if ext.kind != expected:
             raise StructureError("extension/pipeline mismatch")
+        worst = CheckReport("continuity-modulus", True, 0.0, 0.0)
+        nodes = graph.nodes
+        if len(nodes) < 2:  # no edge (u, v) with u before v to probe
+            return worst
         rng = rng or np.random.default_rng(0)
         ctx = self.context
-        nodes = graph.nodes
         n = self.extension.fam.dim
         if xis is None:
             xis = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -627,7 +618,6 @@ class DilatedSystem:
         pairs = [(rewrite.random_element(ctx, rng, 3),
                   rewrite.random_element(ctx, rng, 3)) for _ in range(5)]
         idx = rng.integers(0, len(nodes) - 1, size=4)
-        worst = CheckReport("continuity-modulus", True, 0.0, 0.0)
         for i in idx:
             e = (nodes[i], nodes[i + 1])
             e2 = (nodes[max(i - 1, 0)], nodes[min(i + 2, len(nodes) - 1)])
@@ -692,7 +682,7 @@ def dilate_exponential(system, flavor="banach", tol=1e-9):
     return _shift_pipeline("C", system, SecondCoverExtension(gens, tol=tol), flavor)
 
 
-def dilate_cptp(system, kraus_slots=None, tol=1e-10):
+def dilate_cptp(system, tol=1e-10):
     """CPTP variant of the discrete pipeline: compose channels along normal
     forms, then dilate the family through one unitary representation."""
     channels = system["channels"]
@@ -711,7 +701,7 @@ def dilate_cptp(system, kraus_slots=None, tol=1e-10):
             cache[g] = ch
         return ch
 
-    dil = VedDilation(assignment, dim, kraus_slots=kraus_slots)
+    dil = VedDilation(assignment, dim)
     ext = assignment
     return DilatedSystem("A-cptp", system, ext, dil, graph.context())
 
@@ -757,12 +747,10 @@ def one_param_factorization(dilsys, t0, rng=None, tol=1e-12, sg_tol=1e-10):
         rhs = rewrite.gmul(g_of(t), rewrite.ginv(g_of(s)))
         if lhs != rhs:
             bad.append((t, s))
-    group_rep = CheckReport("factorization-group-level", not bad,
-                            float(len(bad)), 0.0, offenders=bad[:10],
-                            count=len(pairs))
+    group_rep = bad_keys_report("factorization-group-level", bad, len(pairs))
 
     dil = dilsys.dilation
-    worst_op, arg_op = 0.0, None
+    op_defects = []
     sample_pairs = pairs if len(pairs) <= 24 else \
         [pairs[i] for i in rng.choice(len(pairs), size=24, replace=False)]
     for (t, s) in sample_pairs:
@@ -775,13 +763,11 @@ def one_param_factorization(dilsys, t0, rng=None, tol=1e-12, sg_tol=1e-10):
         v = dil.shift(tag, v)
         direct = dil.shift(rewrite.embed_edge(ctx, (t, s)), v)
         factored = dil.shift(g_of(t), dil.shift(rewrite.ginv(g_of(s)), v))
-        d = _formal_distance(direct, factored)
-        if d > worst_op:
-            worst_op, arg_op = d, (t, s)
-    op_rep = CheckReport("factorization-operator-level", worst_op <= tol,
-                         worst_op, tol, arg_op, count=len(sample_pairs))
+        op_defects.append(_formal_distance(direct, factored))
+    op_rep = defect_report("factorization-operator-level", op_defects,
+                           sample_pairs, tol)
 
-    sg_max, sg_arg, sg_count = 0.0, None, 0
+    sg_keys, sg_defects = [], []
     numeric = all(isinstance(u, (int, float, np.floating)) for u in graph.nodes)
     if numeric:
         for t in graph.nodes:
@@ -789,16 +775,13 @@ def one_param_factorization(dilsys, t0, rng=None, tol=1e-12, sg_tol=1e-10):
                 total = t + s
                 if not graph.has_node(total) or t == t0 or s == t0:
                     continue
-                sg_count += 1
                 lhs = dilsys.dilation.compression_matrix(g_of(t)) \
                     @ dilsys.dilation.compression_matrix(g_of(s))
                 rhs = dilsys.dilation.compression_matrix(g_of(total))
-                d = spectral_norm(lhs - rhs)
-                if d > sg_max:
-                    sg_max, sg_arg = d, (t, s)
-    sg_rep = CheckReport("one-parameter-semigroup-law", sg_max <= sg_tol,
-                         sg_max, sg_tol, sg_arg, count=sg_count,
-                         details={"holds": sg_max <= sg_tol})
+                sg_keys.append((t, s))
+                sg_defects.append(spectral_norm(lhs - rhs))
+    sg_rep = defect_report("one-parameter-semigroup-law", sg_defects, sg_keys, sg_tol)
+    sg_rep.details["holds"] = sg_rep.passed
     return [group_rep, op_rep, sg_rep]
 
 

@@ -11,7 +11,7 @@ from . import linops, rewrite
 from .errors import (AcyclicityError, DegeneracyError, GraphError, InputError,
                      OrderError)
 from .linops import SuperOp, spectral_norm
-from .reports import CheckReport
+from .reports import CheckReport, defect_report
 
 
 class LinearOrderGraph:
@@ -143,9 +143,7 @@ class OperatorFamily(_Family):
     def check_contractions(self, edges=None, tol=1e-10):
         edges = list(self.graph.edges()) if edges is None else edges
         excess = _blockwise(edges, lambda es: spectral_norm(self.stack(es)) - 1.0)
-        worst, arg = _worst(excess, edges)
-        return CheckReport("contractions", worst <= tol, worst, tol, arg,
-                           count=len(edges))
+        return defect_report("contractions", excess, edges, tol)
 
 
 class GeneratorFamily(_Family):
@@ -164,9 +162,8 @@ class GeneratorFamily(_Family):
             herm = 0.5 * (vals + np.conj(vals).swapaxes(-1, -2))
             return np.linalg.eigvalsh(herm).max(axis=-1)
 
-        worst, arg = _worst(_blockwise(edges, top_eigenvalues), edges)
-        return CheckReport("dissipative", worst <= tol, worst, tol, arg,
-                           count=len(edges))
+        return defect_report("dissipative", _blockwise(edges, top_eigenvalues),
+                             edges, tol)
 
 
 @dataclass
@@ -189,26 +186,22 @@ class LengthFunction:
     def check(self, graph, triples=None, tol=1e-12):
         """Verify vanishing on loops plus the kind's inequality on triples."""
         nodes = graph.nodes
-        worst, arg = 0.0, None
-        for u in nodes:
-            d = abs(self((u, u)))
-            if d > worst:
-                worst, arg = d, (u, u, u)
         if triples is None:
             triples = _node_triples(nodes, _ordered_triples(graph))
+        keys = [(u, u, u) for u in nodes] + list(triples)
+        defects = [abs(self((u, u))) for u in nodes]
         for (u, v, w) in triples:
             split = self((u, v)) + self((v, w))
             whole = self((u, w))
+            # max(x, 0.0), not max(0.0, x): a NaN difference stays NaN
             if self.kind == "additive":
-                d = abs(whole - split)
+                defects.append(abs(whole - split))
             elif self.kind == "superadditive":
-                d = max(0.0, split - whole)
+                defects.append(max(split - whole, 0.0))
             else:
-                d = max(0.0, whole - split)
-            if d > worst:
-                worst, arg = d, (u, v, w)
-        return CheckReport(f"length-{self.kind}", worst <= tol, worst, tol, arg,
-                           count=len(triples))
+                defects.append(max(whole - split, 0.0))
+        return defect_report(f"length-{self.kind}", defects, keys, tol,
+                             count=len(triples))
 
 
 def proportional_length(scale):
@@ -231,29 +224,12 @@ def _blockwise(keys, defect):
     return out
 
 
-def _worst(defects, keys):
-    """(max_defect, argmax) over parallel ``defects`` and ``keys``: the first
-    strict maximum wins, and (0.0, None) when no defect is positive."""
-    if len(defects) == 0:
-        return 0.0, None
-    i = int(np.argmax(defects))
-    if not defects[i] > 0:
-        return 0.0, None
-    return float(defects[i]), keys[i]
-
-
-def _offenders(defects, keys, tol):
-    return [(keys[i], float(defects[i])) for i in np.flatnonzero(defects > tol)[:10]]
-
-
 def check_identity_axiom(fam, tol=1e-10, nodes=None):
     nodes = fam.graph.nodes if nodes is None else nodes
     eye = linops.eye(fam.dim)
     defects = _blockwise(nodes, lambda us: spectral_norm(
         fam.stack([(u, u) for u in us]) - eye))
-    worst, arg = _worst(defects, nodes)
-    return CheckReport("identity-axiom", worst <= tol, worst, tol, arg,
-                       count=len(nodes), offenders=_offenders(defects, nodes, tol))
+    return defect_report("identity-axiom", defects, nodes, tol, offenders=True)
 
 
 def divisibility_defect(fam, u, v, w):
@@ -323,9 +299,10 @@ def _triple_check(name, fam, defect, tol, rng, count):
         edges = [(nodes[c // m], nodes[c % m]) for c in uniq[order].tolist()]
         return defect(*np.split(fam.stack(edges)[rank[inverse]], 3))
 
-    worst, at = _worst(_blockwise(idx, block_defects), idx)
-    arg = None if at is None else tuple(nodes[t] for t in at)
-    return CheckReport(name, worst <= tol, worst, tol, arg, count=len(idx))
+    rep = defect_report(name, _blockwise(idx, block_defects), idx, tol)
+    if rep.argmax is not None:  # a row of node indices
+        rep.argmax = tuple(nodes[t] for t in rep.argmax)
+    return rep
 
 
 def check_divisibility(fam, tol=1e-9, rng=None, count=None):
@@ -346,9 +323,7 @@ def check_geometric_growth(fam, ell, edges=None, tol=1e-12):
     shift = 0 if isinstance(fam, GeneratorFamily) else linops.eye(fam.dim)
     excess = _blockwise(edges, lambda es: spectral_norm(fam.stack(es) - shift)
                         - np.array([ell(e) for e in es], dtype=float))
-    worst, arg = _worst(excess, edges)
-    return CheckReport("geometric-growth", worst <= tol, worst, tol, arg,
-                       count=len(edges), offenders=_offenders(excess, edges, tol))
+    return defect_report("geometric-growth", excess, edges, tol, offenders=True)
 
 
 def lipschitz_check(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10):
@@ -376,15 +351,8 @@ def lipschitz_check(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10)
     t = terms.reshape(-1, 4)
     # the four corner terms added left to right, as the builtin sum does
     excess = lhs - const * (((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3])
-    # the first strict maximum above -inf wins; NaN never does
-    ranked = np.where(np.isnan(excess), -np.inf, excess)
-    i = int(np.argmax(ranked)) if pairs else 0
-    worst, arg = -np.inf, None
-    if pairs and ranked[i] > -np.inf:
-        worst, arg = float(excess[i]), pairs[i]
-    offenders = [(pairs[k], float(excess[k])) for k in np.flatnonzero(excess > tol)]
-    return CheckReport("lipschitz-bound", not offenders, max(worst, 0.0), tol,
-                       arg, count=len(pairs), offenders=offenders[:10])
+    return defect_report("lipschitz-bound", excess, pairs, tol, floor=-np.inf,
+                         offenders=True)
 
 
 # -- integrated generator families --------------------------------------------
@@ -711,6 +679,15 @@ def _build_indivisible(spec, fam_spec):
     points = int(fam_spec.get("grid_points", 9))
     alpha = float(fam_spec.get("alpha", 1.0))
     raw = example_indivisible(h1, h2, t_max, points)
+    # the grid and dimension are built, not read: a spec that names others
+    # would be checked on a system it does not describe
+    graph = spec.get("graph", {})
+    if "order" in graph and tuple(graph["order"]) != raw.graph.nodes:
+        raise InputError(f"graph.order does not match the {points}-point grid "
+                         f"from t_max={t_max} down to 0")
+    if "dim" in spec and spec["dim"] != raw.dim:
+        raise InputError(f"dim {spec['dim']!r} does not match d^2 = {raw.dim} "
+                         "of h1 and h2")
     # scaled from the raw evaluator, so unscaled values are never cached
     gens = GeneratorFamily(raw.graph, raw.dim, lambda e: alpha * raw._eval(e))
     c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
@@ -739,7 +716,11 @@ def _parse_ell(fam_spec):
     if spec is None:
         return None
     if spec.get("kind") == "proportional":
-        return proportional_length(float(spec["scale"]))
+        scale = spec["scale"]
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
+                or not 0.0 <= scale < np.inf:
+            raise InputError(f"ell.scale must be a finite number >= 0, got {scale!r}")
+        return proportional_length(float(scale))
     raise InputError(f"unknown length-function spec {spec!r}")
 
 

@@ -24,7 +24,7 @@ from .dynamics import GeneratorFamily, LinearOrderGraph, check_additivity, \
     check_divisibility, check_identity_axiom
 from .errors import PreconditionError, StructureError
 from .linops import spectral_norm
-from .reports import CheckReport
+from .reports import defect_report
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,12 @@ class NormalFormExtension:
 
     kind = "normal-form"
 
-    def __init__(self, fam, tol=1e-10, check=True):
+    def __init__(self, fam, tol=1e-10):
         self.fam = fam
         self.dim = fam.dim
-        if check:
-            rep = check_identity_axiom(fam, tol)
-            if not rep.passed:
-                raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
+        rep = check_identity_axiom(fam, tol)
+        if not rep.passed:
+            raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
 
     def _edges(self, g):
         return [(t, h) for t, h in g.letters if self.fam.graph.has_edge(t, h)]
@@ -155,23 +154,22 @@ class FirstCoverExtension:
 
     kind = "first-cover"
 
-    def __init__(self, fam, tol=1e-9, check=True, rng=None, sample=None):
+    def __init__(self, fam, tol=1e-9):
         if not isinstance(fam.graph, LinearOrderGraph):
             raise StructureError("cover extensions need a linearly ordered graph")
         self.fam = fam
         self.dim = fam.dim
         self.tol = tol
-        if check:
-            rep = check_identity_axiom(fam, tol)
-            if not rep.passed:
-                raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
-            rep = check_divisibility(fam, tol, rng=rng, count=sample)
-            if not rep.passed:
-                raise PreconditionError(
-                    "divisibility",
-                    f"divisibility defect {rep.max_defect:.3e} at {rep.argmax} "
-                    f"exceeds {tol:.1e}; the interval product would be ill-defined",
-                )
+        rep = check_identity_axiom(fam, tol)
+        if not rep.passed:
+            raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
+        rep = check_divisibility(fam, tol)
+        if not rep.passed:
+            raise PreconditionError(
+                "divisibility",
+                f"divisibility defect {rep.max_defect:.3e} at {rep.argmax} "
+                f"exceeds {tol:.1e}; the interval product would be ill-defined",
+            )
 
     def evaluate(self, g, extra=()):
         out = linops.eye(self.dim)
@@ -196,7 +194,7 @@ class SecondCoverExtension:
 
     kind = "second-cover"
 
-    def __init__(self, gen, tol=1e-9, check=True, rng=None, sample=None):
+    def __init__(self, gen, tol=1e-9):
         if not isinstance(gen, GeneratorFamily):
             raise StructureError("the generator-sum extension needs a GeneratorFamily")
         if not isinstance(gen.graph, LinearOrderGraph):
@@ -205,21 +203,20 @@ class SecondCoverExtension:
         self.fam = gen
         self.dim = gen.dim
         self.tol = tol
-        if check:
-            rep = check_additivity(gen, tol, rng=rng, count=sample)
-            if not rep.passed:
-                raise PreconditionError(
-                    "additivity",
-                    f"additivity defect {rep.max_defect:.3e} at {rep.argmax} "
-                    f"exceeds {tol:.1e}",
-                )
-            rep = gen.check_dissipative(tol=self.tol)
-            if not rep.passed:
-                raise PreconditionError(
-                    "dissipativity",
-                    f"generator at {rep.argmax} is not dissipative "
-                    f"({rep.max_defect:.3e})",
-                )
+        rep = check_additivity(gen, tol)
+        if not rep.passed:
+            raise PreconditionError(
+                "additivity",
+                f"additivity defect {rep.max_defect:.3e} at {rep.argmax} "
+                f"exceeds {tol:.1e}",
+            )
+        rep = gen.check_dissipative(tol=self.tol)
+        if not rep.passed:
+            raise PreconditionError(
+                "dissipativity",
+                f"generator at {rep.argmax} is not dissipative "
+                f"({rep.max_defect:.3e})",
+            )
 
     def generator_of(self, g, extra=()):
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -262,8 +259,7 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis, tol=1e-10):
         raise StructureError("continuity bounds exist for the cover extensions only")
     ge = rewrite.embed_edge(ctx, e)
     ge_prime = rewrite.embed_edge(ctx, e_prime)
-    worst, arg, offenders = -np.inf, None, []
-    n = 0
+    keys, excess = [], []
     for (g, h) in gh_pairs:
         left = rewrite.gmul(rewrite.gmul(g, ge_prime), h)
         right = rewrite.gmul(rewrite.gmul(g, ge), h)
@@ -271,13 +267,10 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis, tol=1e-10):
         for xi in xis:
             xi = np.asarray(xi, dtype=complex)
             xi = xi / np.linalg.norm(xi)
-            excess = float(np.linalg.norm(delta @ xi)) - bound
-            n += 1
-            if excess > tol:
-                offenders.append(((g.letters, h.letters), excess))
-            if excess > worst:
-                worst, arg = excess, (g.letters, h.letters)
-    return CheckReport("continuity-modulus", not offenders, max(worst, 0.0),
-                       tol, arg, count=n, offenders=offenders[:10],
-                       details={"bound": bound, "signed_excess": worst,
-                                "edge": list(e), "edge_prime": list(e_prime)})
+            keys.append((g.letters, h.letters))
+            excess.append(float(np.linalg.norm(delta @ xi)) - bound)
+    signed = float(np.max(excess, initial=-np.inf))
+    return defect_report(
+        "continuity-modulus", excess, keys, tol, floor=-np.inf, offenders=True,
+        details={"bound": bound, "signed_excess": signed,
+                 "edge": list(e), "edge_prime": list(e_prime)})

@@ -7,6 +7,8 @@ one stable JSON schema for all of them; :func:`dumps` writes it.
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CheckReport:
@@ -47,6 +49,40 @@ def _jsonable(obj):
     if hasattr(obj, "tolist"):  # numpy array
         return _jsonable(obj.tolist())
     return str(obj)
+
+
+def defect_report(name, defects, keys, tol, *, floor=0.0, offenders=False,
+                  count=None, details=None):
+    """The report on per-key ``defects``: it passes when every defect is at
+    most ``tol``, so a NaN defect fails.
+
+    The witness (``argmax``) is the key of the first NaN or else of the first
+    largest defect above ``floor``, and ``max_defect`` is that defect clipped
+    below at 0; with no such defect they are ``0.0`` and ``None``.  A signed
+    check passes ``floor=-inf`` to name the key closest to failing even when
+    every key passes.  ``offenders`` lists the first ten failing
+    ``(key, defect)`` pairs; ``count`` defaults to the number of defects."""
+    defects = np.asarray(defects, dtype=float)
+    failing = ~(defects <= tol)
+    worst, arg = 0.0, None
+    if defects.size:
+        i = int(np.argmax(defects))  # the first NaN, if there is one
+        if not defects[i] <= floor:
+            # max returns its first argument unless the second is larger,
+            # so a NaN stays NaN
+            worst, arg = max(float(defects[i]), 0.0), keys[i]
+    return CheckReport(
+        name, not failing.any(), worst, tol, arg,
+        count=defects.size if count is None else count,
+        offenders=[(keys[i], float(defects[i]))
+                   for i in np.flatnonzero(failing)[:10]] if offenders else [],
+        details=details or {})
+
+
+def bad_keys_report(name, bad, count, details=None):
+    """The report of an exact check that lists its failing keys ``bad``."""
+    return CheckReport(name, not bad, float(len(bad)), 0.0, count=count,
+                       offenders=bad[:10], details=details or {})
 
 
 def summarize(reports):

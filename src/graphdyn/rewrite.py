@@ -18,7 +18,7 @@ from typing import Hashable, NamedTuple
 import numpy as np
 
 from .errors import ContextError, InputError
-from .reports import CheckReport
+from .reports import CheckReport, bad_keys_report
 
 
 class Letter(NamedTuple):
@@ -405,18 +405,10 @@ def check_rule_axioms(ctx):
     offenders = [o for o in overlaps
                  if len(_irreducible_ends(word(zip(o[1], o[1][1:])), alphabet)) != 1]
     n_identity = sum(kind == "identity" for kind, _ in overlaps)
-    return CheckReport(
-        name="rule-axioms",
-        passed=not offenders,
-        max_defect=float(len(offenders)),
-        tolerance=0.0,
-        count=len(overlaps),
-        offenders=offenders[:10],
-        details={
-            "identity_instances": n_identity,
-            "associativity_instances": len(overlaps) - n_identity,
-        },
-    )
+    return bad_keys_report("rule-axioms", offenders, len(overlaps), details={
+        "identity_instances": n_identity,
+        "associativity_instances": len(overlaps) - n_identity,
+    })
 
 
 def check_confluence_bruteforce(ctx, max_len):

@@ -295,6 +295,36 @@ class TestSpecForms:
         assert err.startswith("precondition failure [dissipativity]: generator at (0, 1)")
 
 
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "B"),
+                                      ("dilate", "--pipeline", "C")],
+                             ids=["check", "dilate-B", "dilate-C"])
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -0.5, "2.0", True],
+                             ids=["nan", "inf", "negative", "string", "bool"])
+    def test_bad_ell_scale_exits_2(self, capsys, tmp_path, divisible_spec, argv, scale):
+        spec = json.loads(open(divisible_spec).read())
+        spec["family"]["ell"]["scale"] = scale
+        path = write_json(tmp_path / "bad.json", spec)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ell.scale must be a finite number >= 0")
+
+    @pytest.mark.parametrize("field, message", [
+        ({"graph": {"order": [5.0, 3.0, 1.0]}}, "graph.order does not match"),
+        ({"dim": 7}, "dim 7 does not match d^2 = 4"),
+    ], ids=["order", "dim"])
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "C")],
+                             ids=["check", "dilate-C"])
+    def test_indivisible_example_must_match_its_grid(self, capsys, tmp_path,
+                                                     indivisible_spec, field, message,
+                                                     argv):
+        spec = json.loads(open(indivisible_spec).read())
+        spec.update(field)
+        path = write_json(tmp_path / "bad.json", spec)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 class TestExtend:
     def test_cover_dump(self, capsys, divisible_spec):
         word = [[1.0, 0.5], [0.75, 0.25]]
@@ -358,6 +388,19 @@ class TestDilate:
         assert code == 3 and out == ""
         assert err == ("precondition failure [contraction]: family value at "
                        "GroupElement(letters=(Letter(tail=0, head=3),)) has norm 1.200000\n")
+
+    @pytest.mark.parametrize("pipeline", ["B", "C"])
+    def test_one_node_order_has_nothing_to_probe(self, capsys, tmp_path, pipeline):
+        spec = write_json(tmp_path / "one.json", {
+            "graph": {"order": [1.0]}, "dim": 2,
+            "family": {"kind": "exponential",
+                       "rate": linops.matrix_to_literal(1j * SIGMA_Z),
+                       "ell": {"kind": "proportional", "scale": 2.0}}})
+        code, out, err = run(capsys, "dilate", "--input", spec, "--pipeline", pipeline)
+        assert code == 0 and "Traceback" not in err
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["continuity-modulus"]["passed"]
+        assert checks["continuity-modulus"]["count"] == 0
 
     def test_pipeline_b_rejects_indivisible(self, capsys, indivisible_spec):
         code, _, err = run(capsys, "dilate", "--input", indivisible_spec,

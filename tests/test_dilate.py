@@ -754,6 +754,20 @@ class TestOneParamFactorization:
         sg = by_name["one-parameter-semigroup-law"]
         assert not sg.passed and sg.max_defect > 1e-3
 
+    @pytest.mark.parametrize("memoryless", [True, False])
+    def test_holds_detail_is_the_semigroup_verdict(self, memoryless):
+        if memoryless:
+            gens = dynamics.commuting_evolution(
+                random_dissipative(rng_from_seed(24), 2), 1.0, 5)
+        else:
+            gens = example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 5)
+        ds = dilate_exponential({"graph": gens.graph, "family": gens.exponential(1.0),
+                                 "generators": gens})
+        sg = {r.name: r for r in one_param_factorization(ds, 0.0)}[
+            "one-parameter-semigroup-law"]
+        assert sg.passed is memoryless
+        assert sg.details == {"holds": memoryless}
+
 
 class TestChannelSpecs:
     def test_round_trip_kraus(self):

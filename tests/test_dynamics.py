@@ -24,7 +24,7 @@ from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
 from graphdyn.errors import (AcyclicityError, DegeneracyError, GraphError,
                              InputError, OrderError)
 from graphdyn.linops import SIGMA_X, SIGMA_Y, SIGMA_Z, SuperOp, spectral_norm
-from graphdyn.reports import CheckReport
+from graphdyn.reports import CheckReport, defect_report
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_kraus_ops, random_matrix, rng_from_seed)
 
@@ -160,6 +160,13 @@ class TestGeometricGrowth:
         ell = proportional_length(spectral_norm(a))
         assert check_geometric_growth(fam, ell).passed
         assert check_identity_axiom(fam, tol=1e-12).passed
+
+    def test_nan_bound_fails(self, interp):
+        # NaN compares false with everything, so a bound of NaN once passed
+        rep = check_geometric_growth(interp, proportional_length(float("nan")))
+        assert not rep.passed
+        assert np.isnan(rep.max_defect) and rep.argmax == interp.graph.nodes[:1] * 2
+        assert len(rep.offenders) == 10
 
 
 # -- batched checkers against the scalar loops they replace ----------------------
@@ -298,9 +305,14 @@ class TestBatchedCheckers:
         for rep in (check_divisibility(fam), check_identity_axiom(fam),
                     check_geometric_growth(fam, LengthFunction(lambda e: 0.0))):
             assert rep.passed and rep.max_defect == 0.0 and rep.argmax is None
-        assert dynamics._worst(np.zeros(4), "abcd") == (0.0, None)
-        assert dynamics._worst(np.array([0.0, 2.0, 1.0, 2.0]), "abcd") == (2.0, "b")
-        assert dynamics._worst(np.empty(0), "") == (0.0, None)
+
+        def worst(defects, keys):
+            rep = defect_report("defects", defects, keys, 0.0)
+            return rep.max_defect, rep.argmax
+
+        assert worst(np.zeros(4), "abcd") == (0.0, None)
+        assert worst(np.array([0.0, 2.0, 1.0, 2.0]), "abcd") == (2.0, "b")
+        assert worst(np.empty(0), "") == (0.0, None)
 
     def test_perturbed_edge_is_the_argmax(self):
         # strict contractions: the bump at (t0, t2) shows at full size only in
@@ -428,6 +440,16 @@ class TestLengthFunction:
         with pytest.raises(InputError):
             LengthFunction(lambda e: 0.0, "bogus")
 
+    @pytest.mark.parametrize("kind", ["additive", "superadditive", "subadditive"])
+    def test_nan_length_fails(self, grid, kind):
+        rep = LengthFunction(lambda e: float("nan"), kind).check(grid)
+        assert not rep.passed
+        assert np.isnan(rep.max_defect) and rep.argmax == (grid.nodes[0],) * 3
+        # only the non-loop triples see NaN from a finite-on-loops length
+        rep = LengthFunction(lambda e: 0.0 if e[0] == e[1] else float("nan"),
+                             kind).check(grid)
+        assert not rep.passed and np.isnan(rep.max_defect)
+
 
 def lipschitz_loop(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10):
     """Oracle: the one-pair-at-a-time loop that ``lipschitz_check`` batches."""
@@ -496,6 +518,18 @@ class TestLipschitz:
         rep = lipschitz_check(fam, pairs, **kwargs)
         oracle_fam, oracle_kwargs = setup()
         assert rep == lipschitz_loop(oracle_fam, pairs, **oracle_kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"ell": proportional_length(float("nan")), "bound_const": 1.0},
+        {"ell": proportional_length(1.0), "bound_const": float("nan")},
+    ], ids=["nan-length", "nan-constant"])
+    def test_nan_bound_fails(self, interp, kwargs):
+        fam = interp.exponential(1.0)
+        pairs = [((1.0, 0.5), (0.875, 0.625)), ((1.0, 0.0), (0.75, 0.25))]
+        rep = lipschitz_check(fam, pairs, **kwargs)
+        assert not rep.passed
+        assert np.isnan(rep.max_defect) and rep.argmax == pairs[0]
+        assert [p for p, _ in rep.offenders] == pairs
 
     def test_generator_norm_bound(self, interp):
         fam = interp.exponential(1.0)

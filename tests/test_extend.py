@@ -352,6 +352,30 @@ class TestSecondCoverExtension:
 
 
 class TestContinuityModulus:
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_nan_bound_fails(self, which):
+        gens, fam = divisible_family()
+        ext = FirstCoverExtension(fam) if which == "first" else SecondCoverExtension(gens)
+        ell = proportional_length(float("nan"))
+        e = (1.0, 0.5)
+        rep = continuity_modulus_check(ext, ell, e, (0.875, 0.625),
+                                       [(identity(), identity())], [np.ones(fam.dim)])
+        assert not rep.passed
+        assert np.isnan(rep.max_defect) and np.isnan(rep.details["signed_excess"])
+        assert rep.argmax == ((), ()) and len(rep.offenders) == 1
+
+    def test_nan_after_finite_excess_fails(self):
+        # a NaN probe vector after a finite one: NaN must win the reduction,
+        # wherever it comes in the probe order
+        gens, fam = divisible_family()
+        ext = FirstCoverExtension(fam)
+        with np.errstate(invalid="ignore"):  # normalizing the NaN vector
+            rep = continuity_modulus_check(
+                ext, proportional_length(4.0), (1.0, 0.5), (0.875, 0.625),
+                [(identity(), identity())], [np.ones(fam.dim), np.full(fam.dim, np.nan)])
+        assert not rep.passed and rep.count == 2
+        assert np.isnan(rep.max_defect) and np.isnan(rep.details["signed_excess"])
+
     def test_equal_edges_zero(self):
         gens, fam = divisible_family()
         ext = FirstCoverExtension(fam)

@@ -1,4 +1,5 @@
-"""Word-algebra report bodies against the benchmark's golden hashes.
+"""Word-algebra and grid-sweep report bodies against the benchmark's golden
+hashes.
 
 The benchmark only counts bodies that differ from ``bench/golden``; this test
 fails on them.  It reads the benchmark's workload builder and golden data and
@@ -34,12 +35,11 @@ workloads = _bench_module("workloads")
 golden = _bench_module("golden")
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_word_algebra_bodies_match_golden(tmp_path, monkeypatch, seed):
-    recorded = golden.load("word-algebra")
+def _assert_bodies_match_golden(workload, seed, tmp_path, monkeypatch):
+    recorded = golden.load(workload)
     bodies = recorded["bodies"][str(seed)]
     monkeypatch.chdir(tmp_path)
-    _, commands = workloads.build("word-algebra", seed, str(tmp_path))
+    _, commands = workloads.build(workload, seed, str(tmp_path))
     checked = []
     for cmd in commands:
         if cmd.slot in ULP_DRIFT:
@@ -51,3 +51,13 @@ def test_word_algebra_bodies_match_golden(tmp_path, monkeypatch, seed):
         assert golden.digest(raw) == bodies[cmd.slot], cmd.slot
         checked.append(cmd.slot)
     assert len(checked) == len(commands) - len(ULP_DRIFT) == 22
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_word_algebra_bodies_match_golden(tmp_path, monkeypatch, seed):
+    _assert_bodies_match_golden("word-algebra", seed, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_sweep_bodies_match_golden(tmp_path, monkeypatch, seed):
+    _assert_bodies_match_golden("grid-sweep", seed, tmp_path, monkeypatch)
