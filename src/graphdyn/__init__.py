@@ -9,9 +9,9 @@ on finitely supported carrier spaces.
 
 from . import dilate, dynamics, extend, linops, rewrite, sampling
 from .dilate import (Channel, DilatedSystem, FormalVector, KrausDilation,
-                     PureState, ShiftDilation, VedDilation, dilate_cptp,
-                     dilate_discrete, dilate_divisible, dilate_exponential,
-                     isometric_partition, kraus_from_choi, kraus_ii_dilation,
+                     ShiftDilation, VedDilation, dilate_cptp, dilate_discrete,
+                     dilate_divisible, dilate_exponential, isometric_partition,
+                     kraus_from_choi, kraus_ii_dilation,
                      one_param_factorization)
 from .dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
                        LinearOrderGraph, OperatorFamily, additivity_defect,

@@ -10,6 +10,7 @@ failure.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -30,10 +31,12 @@ EXIT_VERIFICATION = 4
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name at call time: the parser is built once, and a
+        # command rebound after that (by a tracing wrapper, say) is the one
+        # that must run
+        return globals()[args.func](args)
     except PreconditionError as exc:
         print(f"precondition failure [{exc.axiom}]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -43,7 +46,9 @@ def main(argv=None):
         return EXIT_INPUT
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="graphdyn",
         description="dynamical systems on graphs: rewriting, checking, dilating",
@@ -55,47 +60,47 @@ def build_parser():
     p.add_argument("--word", help="word literal [[tail,head],...] (overrides input)")
     p.add_argument("--trace", action="store_true",
                    help="print one witnessing reduction sequence")
-    p.set_defaults(func=cmd_normalize)
+    p.set_defaults(func="cmd_normalize")
 
     p = sub.add_parser("group", help="edge-group arithmetic")
     gsub = p.add_subparsers(required=True)
     pm = gsub.add_parser("mul", help="product of words")
     _common(pm)
     pm.add_argument("--words", help="JSON array of word literals")
-    pm.set_defaults(func=cmd_group_mul)
+    pm.set_defaults(func="cmd_group_mul")
     pi = gsub.add_parser("inv", help="inverse of a word")
     _common(pi)
     pi.add_argument("--word", help="word literal")
-    pi.set_defaults(func=cmd_group_inv)
+    pi.set_defaults(func="cmd_group_inv")
 
     p = sub.add_parser("check", help="axiom report for a system spec")
     _common(p)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func="cmd_check")
 
     p = sub.add_parser("extend", help="evaluate a group extension of a family")
     _common(p)
     p.add_argument("--word", help="word literal")
     p.add_argument("--which", choices=["normal", "cover1", "cover2"],
                    default="normal")
-    p.set_defaults(func=cmd_extend)
+    p.set_defaults(func="cmd_extend")
 
     p = sub.add_parser("dilate", help="run a dilation pipeline and verify it")
     _common(p)
     p.add_argument("--pipeline", choices=["A", "B", "C", "A-cptp"], required=True)
-    p.set_defaults(func=cmd_dilate)
+    p.set_defaults(func="cmd_dilate")
 
     p = sub.add_parser("demo", help="write a built-in example system + sweep CSV")
     p.add_argument("name", choices=["indivisible-2.4", "network-2.5", "lindblad"])
     p.add_argument("--output", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_demo)
+    p.set_defaults(func="cmd_demo")
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--output")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
     return parser
 
 

@@ -9,13 +9,14 @@ are finitely supported tag/payload lists with lazy evaluation, so every
 identity that is pointwise can be checked exactly or numerically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops, rewrite
 from .dynamics import (GeneratorFamily, LinearOrderGraph, _blockwise,
-                       _node_triples, _ordered_triples, check_geometric_growth)
+                       _node_triples, _ordered_triples, _spec_number,
+                       check_geometric_growth)
 from .errors import InputError, NotCPTPError, PreconditionError, StructureError
 from .extend import (FirstCoverExtension, NormalFormExtension,
                      SecondCoverExtension, continuity_modulus_check)
@@ -24,22 +25,6 @@ from .reports import CheckReport, bad_keys_report, defect_report
 
 
 # -- channels -------------------------------------------------------------------
-
-class PureState:
-    """Unit vector together with its rank-1 projector."""
-
-    def __init__(self, vector, tol=1e-10):
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > tol:
-            raise InputError(f"state vector has norm {nrm}, expected 1")
-        self.vector = v
-        self.dim = v.size
-
-    @property
-    def matrix(self):
-        return np.outer(self.vector, np.conj(self.vector))
-
 
 class Channel:
     """A CPTP map, stored as a Choi matrix plus an optional Kraus list.
@@ -153,21 +138,37 @@ def kraus_from_choi(ch, tol=1e-12):
     return Channel(ch.dim, ch.choi, kraus=ks)
 
 
+def _kraus_isometry(ch, pad_to=None):
+    """The coupling isometry of a channel as a (d, k, d) array ``w`` with
+    ``w[a, i, c] = K_i[a, c]``: reshaped to (d k, d) it maps xi to the stack of
+    the K_i xi tagged by i.  The Kraus operators come from the Choi matrix when
+    the channel has none, and ``pad_to`` zero-pads them to that many."""
+    if ch.kraus is None:
+        ch = kraus_from_choi(ch)
+    d, k = ch.dim, len(ch.kraus)
+    if pad_to is None:
+        pad_to = k
+    elif pad_to < k:
+        raise InputError(f"{k} Kraus operators do not fit in {pad_to} "
+                         "environment slots")
+    w = np.zeros((d, pad_to, d), dtype=complex)
+    w[:, :k] = np.stack(ch.kraus, axis=1)
+    return w
+
+
 def isometric_partition(ch, tol=1e-12):
     """Canonical isometry v and the isometric partition {v_i} over the
     channel's Kraus list: v maps xi to the stack of K_i xi tagged by i, and
     v_i embeds xi into slot i.  The identities v*v = 1, v_j* v_i = delta 1,
     sum v_i v_i* = 1 and K_i* = v* v_i are all verified before returning.
     """
-    if ch.kraus is None:
-        ch = kraus_from_choi(ch)
-    ks = ch.kraus
-    d, k = ch.dim, len(ks)
-    v = np.transpose(np.stack(ks, axis=0), (1, 0, 2)).reshape(d * k, d)
+    w = _kraus_isometry(ch)
+    d, k = w.shape[:2]
+    v = w.reshape(d * k, d)
     parts = [linops.tensor(eye(d), eye(k)[:, [i]]) for i in range(k)]
     checks = [spectral_norm(dagger(v) @ v - eye(d))]
     for i, vi in enumerate(parts):
-        checks.append(spectral_norm(dagger(v) @ vi - dagger(ks[i])))
+        checks.append(spectral_norm(dagger(v) @ vi - dagger(w[:, i])))
         for j, vj in enumerate(parts):
             target = eye(d) if i == j else np.zeros((d, d))
             checks.append(spectral_norm(dagger(vj) @ vi - target))
@@ -178,17 +179,16 @@ def isometric_partition(ch, tol=1e-12):
     return v, parts
 
 
-def _reduced_action(u, psi, s):
-    """``Tr_env(V s V*)`` with ``V = u (1 (x) psi)``: the reduced action on
-    ``s (x) |psi><psi|`` of a unitary ``u`` on system (x) environment, for a
+def _reduced_action(u, env, s):
+    """``Tr_env(V s V*)`` with ``V = u (1 (x) e_0)``: the reduced action on
+    ``s (x) |e_0><e_0|`` of a unitary ``u`` on system (x) environment, for a
     d x d matrix or a (..., d, d) stack ``s``.
 
-    The isometry V has only dim(system) columns, so this costs O(n d^2) for
-    ``n = dim u``; the n x n product state is never formed.
+    V is the first environment column of u, d columns in all, so this costs
+    O(n d^2) for ``n = dim u``; the n x n product state is never formed.
     """
-    env = psi.size
     d = u.shape[0] // env
-    v = (u.reshape(-1, d, env) @ psi).reshape(d, env, d)
+    v = np.ascontiguousarray(u.reshape(d, env, d, env)[..., 0])
     s = np.asarray(s, dtype=complex)
     vs = (v @ s[..., None, :, :]).reshape(s.shape[:-2] + (d, -1))
     return vs @ dagger(v.reshape(d, -1))
@@ -197,17 +197,16 @@ def _reduced_action(u, psi, s):
 @dataclass
 class KrausDilation:
     """Unitary (reflection) dilation of a single channel: the environment is
-    the system space direct-summed with system (x) C^k, the state is a pure
-    state in the first summand, and tracing the environment out of the
-    conjugated product state reproduces the channel."""
+    the system space direct-summed with system (x) C^k, its state is e_0 (in
+    the first summand), and tracing the environment out of the conjugated
+    product state reproduces the channel."""
 
     dim: int
     env_dim: int
     unitary: np.ndarray
-    state: PureState
 
     def reconstructed(self, s):
-        return _reduced_action(self.unitary, self.state.vector, s)
+        return _reduced_action(self.unitary, self.env_dim, s)
 
     def verify(self, ch, tol=1e-10):
         u = self.unitary
@@ -220,51 +219,32 @@ class KrausDilation:
             "reconstruction": float(trace_norm(
                 self.reconstructed(units) - ch.apply(units)).max()),
         }
-        worst = max(defects.values())
-        return CheckReport("reflection-dilation", worst <= tol, worst, tol,
-                           details=defects)
+        return defect_report("reflection-dilation", list(defects.values()),
+                             list(defects), tol, details=defects)
 
 
-def kraus_ii_dilation(ch, xi=None, pad_to=None):
+def kraus_ii_dilation(ch, pad_to=None):
     """Reflection dilation of a channel with environment H + H (x) C^k.
 
-    The coupling isometry stacks ``K_i (x) slot_i``; the block operator
-    [[0, D*], [D, 1 - D D*]] is then a self-adjoint unitary.  ``xi`` is the
-    system-space unit vector whose embedding into the first environment
-    summand serves as the pure environment state.  ``pad_to`` zero-pads the
-    Kraus list so families of channels can share one environment.
+    The coupling isometry ``D = sum_i K_i (x) 1 (x) slot_i`` maps H (x) H into
+    H (x) (H (x) C^k); over the two environment summands the block operator
+    [[0, D*], [D, 1 - D D*]] is then a self-adjoint unitary.  The environment
+    state is e_0.  ``pad_to`` zero-pads the Kraus list so families of channels
+    can share one environment.
     """
-    if ch.kraus is None:
-        ch = kraus_from_choi(ch)
-    d = ch.dim
-    ks = list(ch.kraus)
-    if pad_to is not None:
-        if pad_to < len(ks):
-            raise InputError(f"cannot pad {len(ks)} Kraus operators to {pad_to}")
-        ks = ks + [np.zeros((d, d), dtype=complex)] * (pad_to - len(ks))
-    k = len(ks)
-    if xi is None:
-        xi = np.zeros(d)
-        xi[0] = 1.0
-    xi = np.asarray(xi, dtype=complex)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-10 or xi.size != d:
-        raise InputError("xi must be a unit vector in the system space")
-
+    w = _kraus_isometry(ch, pad_to)
+    d, k = w.shape[:2]
     env = d + d * k
-    # D : system (x) system -> system (x) (system (x) C^k)
-    dmat = sum(linops.tensor(ki, linops.tensor(eye(d), eye(k)[:, [i]]))
-               for i, ki in enumerate(ks))
-    iota1 = np.zeros((env, d), dtype=complex)
-    iota1[:d, :] = eye(d)
-    iota2 = np.zeros((env, d * k), dtype=complex)
-    iota2[d:, :] = eye(d * k)
-    emb1 = linops.tensor(eye(d), iota1)      # system (x) system -> system (x) env
-    emb2 = linops.tensor(eye(d), iota2)
-    u0 = (emb1 @ dagger(dmat) @ dagger(emb2)
-          + emb2 @ dmat @ dagger(emb1)
-          + emb2 @ (eye(d * d * k) - dmat @ dagger(dmat)) @ dagger(emb2))
-    state = PureState(iota1 @ xi)
-    return KrausDilation(d, env, u0, state)
+    # dmat[a, b, i, c, b'] = K_i[a, c] if b = b', else 0
+    dmat = np.zeros((d, d, k, d, d), dtype=complex)
+    for b in range(d):
+        dmat[:, b, :, :, b] = w
+    dmat = dmat.reshape(d * d * k, d * d)
+    u = np.zeros((d, env, d, env), dtype=complex)
+    u[:, :d, :, d:] = dagger(dmat).reshape(d, d, d, d * k)
+    u[:, d:, :, :d] = dmat.reshape(d, d * k, d, d)
+    u[:, d:, :, d:] = (eye(d * d * k) - dmat @ dagger(dmat)).reshape(d, d * k, d, d * k)
+    return KrausDilation(d, env, u.reshape(d * env, d * env))
 
 
 # -- unitary representation dilation of a channel family ------------------------
@@ -324,8 +304,6 @@ class VedDilation:
         self.dim = int(dim)
         self.k = self.dim**2
         self.env_dim = self.dim * (self.k + 1)
-        self.xi = np.zeros(self.dim, dtype=complex)
-        self.xi[0] = 1.0
         units = linops.matrix_units(self.dim)
         ident = assignment(rewrite.identity())
         defect = spectral_norm(ident.apply(units) - units).max()
@@ -333,22 +311,15 @@ class VedDilation:
             raise InputError(
                 f"assignment at the group identity deviates from the identity "
                 f"channel by {defect:.3e}")
-        iota1 = np.zeros((self.env_dim, self.dim), dtype=complex)
-        iota1[:self.dim, :] = eye(self.dim)
-        self.base_state = PureState(iota1 @ self.xi)
         self._unitaries = {rewrite.identity(): eye(self.dim * self.env_dim)}
 
     def unitary_of(self, x):
         u = self._unitaries.get(x)
         if u is None:
-            ch = self.assignment(x)
-            if ch.kraus is None:
-                ch = kraus_from_choi(ch)
-            if len(ch.kraus) > self.k:
-                raise InputError(
-                    f"channel at {x!r} has {len(ch.kraus)} Kraus operators; "
-                    f"the shared environment allows {self.k}")
-            u = kraus_ii_dilation(ch, self.xi, pad_to=self.k).unitary
+            try:
+                u = kraus_ii_dilation(self.assignment(x), pad_to=self.k).unitary
+            except InputError as exc:
+                raise InputError(f"channel at {x!r}: {exc}") from None
             u = self._unitaries.setdefault(x, u)
         return u
 
@@ -363,9 +334,9 @@ class VedDilation:
         """Trace-norm defect between the dilated action at ``x`` and the
         assigned channel, at a d x d matrix or per matrix of a stack ``s``.
         The product state sits at the group-identity tag, and U(x) moves it
-        to tag x with payload u(x) (s (x) |psi><psi|) u(x)*, so the reduced
+        to tag x with payload u(x) (s (x) |e_0><e_0|) u(x)*, so the reduced
         action of u(x) is the dilated channel at x."""
-        reduced = _reduced_action(self.unitary_of(x), self.base_state.vector, s)
+        reduced = _reduced_action(self.unitary_of(x), self.env_dim, s)
         return trace_norm(reduced - self.assignment(x).apply(s))
 
 
@@ -518,26 +489,24 @@ class ShiftDilation:
         the payload untouched), so j r = 1 is checked.  Cstar flavor: r is
         checked to be unital and positivity-preserving on the samples.
         """
-        worst = 0.0
         if self.flavor == "banach":
-            for payload in samples:
-                out = self.compress(self.embed(payload))
-                worst = max(worst, float(np.linalg.norm(out - payload)))
+            keys = list(range(len(samples)))
+            defects = [np.linalg.norm(self.compress(self.embed(p)) - p)
+                       for p in samples]
             name = "embedding-section"
         else:
             unit = self.compress(self.embed(eye(self.dim)))
-            worst = spectral_norm(unit - eye(self.dim))
-            for payload in samples:
+            keys, defects = ["unit"], [spectral_norm(unit - eye(self.dim))]
+            for n, payload in enumerate(samples):
                 p = np.asarray(payload, dtype=complex)
                 p = p @ dagger(p)  # positive sample
                 for g in list(self._values.keys())[:8] or [rewrite.identity()]:
                     val = self.evaluate(self.embed(p), g)
                     lam = float(np.linalg.eigvalsh(linops.hermitian_part(val)).min())
-                    worst = max(worst, -min(lam, 0.0),
-                                spectral_norm(val - dagger(val)))
+                    keys += [(n, g, "positive"), (n, g, "self-adjoint")]
+                    defects += [-min(lam, 0.0), spectral_norm(val - dagger(val))]
             name = "embedding-positive-unital"
-        return CheckReport(name, worst <= 10 * self.tol, worst, 10 * self.tol,
-                           count=len(samples))
+        return defect_report(name, defects, keys, 10 * self.tol, count=len(samples))
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -549,7 +518,6 @@ class DilatedSystem:
     extension: object
     dilation: object
     context: object
-    reports: list = field(default_factory=list)
 
     def edge_element(self, e):
         return rewrite.embed_edge(self.context, e)
@@ -558,7 +526,7 @@ class DilatedSystem:
         """Compression of the dilated representation at an edge."""
         return self.dilation.compression_matrix(self.edge_element(e))
 
-    def verify(self, rng=None, tol=1e-10, max_edges=None, xis=None):
+    def verify(self, rng=None, tol=1e-10, max_edges=None):
         reports = []
         graph = self.system["graph"]
         nodes = graph.nodes
@@ -574,8 +542,7 @@ class DilatedSystem:
         reports.append(bad_keys_report("group-divisibility-axiom", bad, len(triples)))
         reports.append(self._compression_report(tol, max_edges))
         if self.label in ("B", "C") and self.system.get("ell") is not None:
-            reports.append(self._continuity_report(rng, xis))
-        self.reports = reports
+            reports.append(self._continuity_report(rng))
         return reports
 
     def _compression_report(self, tol, max_edges):
@@ -598,7 +565,7 @@ class DilatedSystem:
             self.dilation.values([self.edge_element(e) for e in es]) - fam.stack(es)))
         return defect_report("compression-identity", defects, edges, tol)
 
-    def _continuity_report(self, rng, xis):
+    def _continuity_report(self, rng):
         graph = self.system["graph"]
         ell = self.system["ell"]
         ext = self.extension
@@ -612,9 +579,8 @@ class DilatedSystem:
         rng = rng or np.random.default_rng(0)
         ctx = self.context
         n = self.extension.fam.dim
-        if xis is None:
-            xis = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                   for _ in range(3)]
+        xis = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+               for _ in range(3)]
         pairs = [(rewrite.random_element(ctx, rng, 3),
                   rewrite.random_element(ctx, rng, 3)) for _ in range(5)]
         idx = rng.integers(0, len(nodes) - 1, size=4)
@@ -796,7 +762,7 @@ def _formal_distance(a, b):
 def channel_from_spec(spec):
     """{"dim": d, "repr": "choi"|"kraus", "data": matrix literal(s)}."""
     try:
-        d = int(spec["dim"])
+        d = _spec_number(spec, "dim", integer=True)
         repr_kind = spec["repr"]
         data = spec["data"]
     except (KeyError, TypeError) as exc:

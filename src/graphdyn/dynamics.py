@@ -3,6 +3,7 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -637,9 +638,26 @@ def _edge_lookup(table, loop_value, what):
     return lookup
 
 
+def _spec_number(spec, key, default=None, integer=False):
+    """Spec field ``key`` (``default`` when absent, if given): a positive int,
+    or with ``integer`` false any finite number, returned as a float.
+    Neither is a bool."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if isinstance(value, bool):
+        ok = False
+    elif integer:
+        ok = isinstance(value, int) and value >= 1
+    else:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if not ok:
+        what = "a positive integer" if integer else "a finite number"
+        raise InputError(f"{key} must be {what}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _build_explicit(spec, fam_spec):
     graph = LinearOrderGraph(spec["graph"]["order"])
-    dim = int(spec["dim"])
+    dim = _spec_number(spec, "dim", integer=True)
     phi = _edge_lookup(_edge_matrix_table(fam_spec["values"]), linops.eye(dim),
                        "value supplied")
     return {"graph": graph, "family": OperatorFamily(graph, dim, phi),
@@ -648,14 +666,14 @@ def _build_explicit(spec, fam_spec):
 
 def _build_exponential(spec, fam_spec):
     graph = LinearOrderGraph(spec["graph"]["order"])
-    dim = int(spec["dim"])
+    dim = _spec_number(spec, "dim", integer=True)
     if "rate" in fam_spec:
         rate = linops.matrix_from_literal(fam_spec["rate"])
         gen_fn = lambda e: (e[0] - e[1]) * rate
     else:
         gen_fn = _edge_lookup(_edge_matrix_table(fam_spec["generators"]),
                               np.zeros((dim, dim), dtype=complex), "generator")
-    alpha = float(fam_spec.get("alpha", 1.0))
+    alpha = _spec_number(fam_spec, "alpha", 1.0)
     gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e))
     return {"graph": graph, "family": gens.exponential(), "generators": gens,
             "kind": "exponential", "ell": _parse_ell(fam_spec)}
@@ -663,7 +681,7 @@ def _build_exponential(spec, fam_spec):
 
 def _build_network(spec, fam_spec):
     gspec = spec["graph"]
-    dim = int(spec["dim"])
+    dim = _spec_number(spec, "dim", integer=True)
     weights = {tuple(item["edge"]): linops.matrix_from_literal(item["matrix"])
                for item in fam_spec["weights"]}
     net = DagNetwork(gspec["nodes"], [tuple(e) for e in gspec["edges"]],
@@ -675,9 +693,9 @@ def _build_network(spec, fam_spec):
 def _build_indivisible(spec, fam_spec):
     h1 = linops.matrix_from_literal(fam_spec["h1"])
     h2 = linops.matrix_from_literal(fam_spec["h2"])
-    t_max = float(fam_spec.get("t_max", 1.0))
-    points = int(fam_spec.get("grid_points", 9))
-    alpha = float(fam_spec.get("alpha", 1.0))
+    t_max = _spec_number(fam_spec, "t_max", 1.0)
+    points = _spec_number(fam_spec, "grid_points", 9, integer=True)
+    alpha = _spec_number(fam_spec, "alpha", 1.0)
     raw = example_indivisible(h1, h2, t_max, points)
     # the grid and dimension are built, not read: a spec that names others
     # would be checked on a system it does not describe
@@ -700,7 +718,7 @@ def _build_cptp(spec, fam_spec):
     from . import dilate  # local import: dilate depends on this module
 
     graph = LinearOrderGraph(spec["graph"]["order"])
-    dim = int(spec["dim"])
+    dim = _spec_number(spec, "dim", integer=True)
     channels = {}
     for item in fam_spec["channels"]:
         channels[tuple(item["edge"])] = dilate.channel_from_spec(item["channel"])
@@ -718,7 +736,7 @@ def _parse_ell(fam_spec):
     if spec.get("kind") == "proportional":
         scale = spec["scale"]
         if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
-                or not 0.0 <= scale < np.inf:
+                or not 0.0 <= scale <= sys.float_info.max:
             raise InputError(f"ell.scale must be a finite number >= 0, got {scale!r}")
         return proportional_length(float(scale))
     raise InputError(f"unknown length-function spec {spec!r}")

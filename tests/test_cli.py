@@ -325,6 +325,68 @@ class TestSpecForms:
         assert message in err
 
 
+_BAD_INTEGERS = [("x", "string"), (True, "bool"), (None, "null"), (2.0, "float"),
+                 (0, "zero"), (-1, "negative")]
+_BAD_NUMBERS = [("x", "string"), (False, "bool"), (None, "null"),
+                (float("nan"), "nan"), (float("inf"), "inf"), (10**400, "huge")]
+_NUMERIC_FIELDS = (
+    [("divisible_spec", ("dim",), v, "dim must be a positive integer", i)
+     for v, i in _BAD_INTEGERS]
+    + [("divisible_spec", ("family", "alpha"), v, "alpha must be a finite number", i)
+       for v, i in _BAD_NUMBERS]
+    + [("indivisible_spec", ("family", "grid_points"), v,
+        "grid_points must be a positive integer", i) for v, i in _BAD_INTEGERS]
+    + [("indivisible_spec", ("family", key), v, f"{key} must be a finite number", i)
+       for key in ("t_max", "alpha") for v, i in _BAD_NUMBERS])
+
+
+class TestNumericSpecFields:
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "B"),
+                                      ("dilate", "--pipeline", "C")],
+                             ids=["check", "dilate-B", "dilate-C"])
+    @pytest.mark.parametrize(
+        "fixture, path, value, message", [case[:4] for case in _NUMERIC_FIELDS],
+        ids=[f"{case[0].split('_')[0]}-{case[1][-1]}-{case[4]}" for case in _NUMERIC_FIELDS])
+    def test_bad_field_exits_2(self, capsys, tmp_path, request, argv, fixture, path,
+                               value, message):
+        spec = json.loads(open(request.getfixturevalue(fixture)).read())
+        target = spec
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))  # NaN and Infinity, as json writes them
+        code, out, err = run(capsys, *argv, "--input", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: " + message + ", got ")
+        assert "Traceback" not in err
+
+    def test_huge_integer_ell_scale_exits_2(self, capsys, tmp_path, divisible_spec):
+        spec = json.loads(open(divisible_spec).read())
+        spec["family"]["ell"]["scale"] = 10**400  # no float holds it
+        code, out, err = run(capsys, "check", "--input", write_json(tmp_path / "b.json", spec))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ell.scale must be a finite number >= 0")
+
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "A-cptp")],
+                             ids=["check", "dilate-A-cptp"])
+    @pytest.mark.parametrize("where", ["system", "channel"])
+    def test_bad_cptp_dim_exits_2(self, capsys, tmp_path, cptp_spec, argv, where):
+        spec = json.loads(open(cptp_spec).read())
+        target = spec if where == "system" else spec["family"]["channels"][1]["channel"]
+        target["dim"] = "2"
+        code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "b.json", spec))
+        assert (code, out) == (2, "")
+        assert "dim must be a positive integer, got '2'" in err
+
+    def test_integral_numbers_are_accepted(self, capsys, tmp_path, indivisible_spec):
+        spec = json.loads(open(indivisible_spec).read())
+        spec["family"].update(t_max=1, alpha=1)
+        code, out, _ = run(capsys, "check", "--input", write_json(tmp_path / "i.json", spec))
+        reference = run(capsys, "check", "--input", indivisible_spec)
+        assert (code, out) == reference[:2]
+
+
 class TestExtend:
     def test_cover_dump(self, capsys, divisible_spec):
         word = [[1.0, 0.5], [0.75, 0.25]]
@@ -487,3 +549,50 @@ class TestVerifyAndDeterminism:
                              "--output", str(p)])
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path,
+                                                        line_graph_spec):
+        import os
+        import subprocess
+        import sys
+        word = '[["a", "b"], ["b", "c"], ["c", "c"]]'
+        calls = [
+            ("normalize", "--input", line_graph_spec, "--word", word, "--trace"),
+            ("normalize", "--input", line_graph_spec, "--word", word),
+            ("verify", "--samples", "2", "--seed", "3"),
+            ("group", "inv", "--input", line_graph_spec, "--word", word),
+            ("verify", "--samples", "1"),
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        # no flag of one call carries over into the next
+        assert json.loads(in_process[0][1])["trace"]
+        assert json.loads(in_process[1][1])["trace"] == []
+        assert json.loads(in_process[2][1])["seed"] == 3
+        assert json.loads(in_process[4][1])["seed"] == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, (code, out, err) in zip(calls, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "graphdyn.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_a_command_rebound_after_the_build_is_the_one_run(self, capsys,
+                                                              line_graph_spec,
+                                                              monkeypatch):
+        cli.build_parser()
+        seen = []
+        original = cli.cmd_group_inv
+
+        def wrapper(args):
+            seen.append(args.word)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_group_inv", wrapper)
+        code, _, _ = run(capsys, "group", "inv", "--input", line_graph_spec,
+                         "--word", '[["a", "b"]]')
+        assert (code, seen) == (0, ['[["a", "b"]]'])

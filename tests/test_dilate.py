@@ -20,8 +20,7 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Z, SuperOp, dagger, spectral_norm,
                              trace_norm)
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
-                               random_matrix, random_unit_vector,
-                               random_unitary, rng_from_seed)
+                               random_matrix, random_unitary, rng_from_seed)
 
 
 def matrix_units(d):
@@ -189,6 +188,33 @@ class TestIsometricPartition:
         assert spectral_norm(total - np.eye(d * k)) < 1e-12
 
 
+def kron_reflection_unitary(ch, pad_to=None):
+    """Oracle for ``kraus_ii_dilation(ch, pad_to).unitary``: the coupling
+    ``D = sum_i K_i (x) 1 (x) slot_i`` as a sum of Kronecker products, and
+    the blocks [[0, D*], [D, 1 - D D*]] placed by the embeddings of the two
+    environment summands, in three dense products."""
+    if ch.kraus is None:
+        ch = kraus_from_choi(ch)
+    d = ch.dim
+    ks = list(ch.kraus)
+    if pad_to is not None:
+        ks = ks + [np.zeros((d, d), dtype=complex)] * (pad_to - len(ks))
+    k = len(ks)
+    env = d + d * k
+    eye = linops.eye
+    dmat = sum(linops.tensor(ki, linops.tensor(eye(d), eye(k)[:, [i]]))
+               for i, ki in enumerate(ks))
+    iota1 = np.zeros((env, d), dtype=complex)
+    iota1[:d, :] = eye(d)
+    iota2 = np.zeros((env, d * k), dtype=complex)
+    iota2[d:, :] = eye(d * k)
+    emb1 = linops.tensor(eye(d), iota1)
+    emb2 = linops.tensor(eye(d), iota2)
+    return (emb1 @ dagger(dmat) @ dagger(emb2)
+            + emb2 @ dmat @ dagger(emb1)
+            + emb2 @ (eye(d * d * k) - dmat @ dagger(dmat)) @ dagger(emb2))
+
+
 class TestKrausII:
     def test_identity_channel(self):
         ch = kraus_from_choi(Channel.identity(2))
@@ -218,19 +244,61 @@ class TestKrausII:
         assert spectral_norm(u @ u - np.eye(n)) < 1e-12
         assert spectral_norm(u - dagger(u)) < 1e-12
 
-    def test_custom_state_vector(self):
-        rng = rng_from_seed(9)
-        ch = kraus_from_choi(Channel.random(rng, 2))
-        xi = random_unit_vector(rng, 2)
-        kd = kraus_ii_dilation(ch, xi)
-        assert kd.verify(ch).passed
-
     def test_zero_padding_keeps_reconstruction(self):
         rng = rng_from_seed(10)
         ch = kraus_from_choi(Channel.random(rng, 2))
         kd = kraus_ii_dilation(ch, pad_to=7)
         assert kd.env_dim == 2 * (7 + 1)
         assert kd.verify(ch).passed
+
+    @pytest.mark.parametrize("d, rank", [(d, rank) for d in (2, 3, 4)
+                                         for rank in range(1, d * d + 1)])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_equals_kron_oracle(self, d, rank, data, seed):
+        pad_to = data.draw(st.one_of(st.none(), st.integers(rank, d * d + 2)),
+                           label="pad_to")
+        ch = Channel.from_kraus(random_kraus_ops(rng_from_seed(seed), d, rank))
+        kd = kraus_ii_dilation(ch, pad_to=pad_to)
+        assert np.array_equal(kd.unitary, kron_reflection_unitary(ch, pad_to))
+        assert kd.env_dim == d * (1 + (rank if pad_to is None else pad_to))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reduced_action_equals_product_with_e0(self, d):
+        rng = rng_from_seed(40 + d)
+        ch = kraus_from_choi(Channel.random(rng, d))
+        kd = kraus_ii_dilation(ch, pad_to=d * d)
+        u, env = kd.unitary, kd.env_dim
+        e0 = np.zeros(env, dtype=complex)
+        e0[0] = 1.0
+        v = (u.reshape(-1, d, env) @ e0).reshape(d, env, d)
+        s = np.concatenate([linops.matrix_units(d), [random_matrix(rng, d)]])
+        old = (v @ s[:, None]).reshape(len(s), d, -1) @ dagger(v.reshape(d, -1))
+        assert np.array_equal(kd.reconstructed(s), old)
+
+    def test_too_many_kraus_operators_for_the_padding(self):
+        rng = rng_from_seed(43)
+        ch = Channel.from_kraus(random_kraus_ops(rng, 2, 3))
+        with pytest.raises(InputError, match="3 Kraus operators"):
+            kraus_ii_dilation(ch, pad_to=2)
+
+    def test_perturbed_unitary_fails_and_names_its_witness(self):
+        rng = rng_from_seed(44)
+        ch = kraus_from_choi(Channel.random(rng, 2))
+        kd = kraus_ii_dilation(ch)
+        rep = kd.verify(ch)
+        assert rep.passed and rep.count == 4
+        assert set(rep.details) == {"unitary", "self_adjoint",
+                                    "squares_to_identity", "reconstruction"}
+        u = kd.unitary.copy()
+        u[0, 1] += 1e-6
+        bad = dilate.KrausDilation(kd.dim, kd.env_dim, u).verify(ch)
+        assert not bad.passed
+        assert bad.argmax == max(bad.details, key=bad.details.get)
+        assert bad.max_defect == bad.details[bad.argmax] > bad.tolerance
+        # a reflection of another channel fails on reconstruction alone
+        other = kraus_ii_dilation(Channel.random(rng, 2)).verify(ch)
+        assert not other.passed and other.argmax == "reconstruction"
 
 
 def three_node_channel_family(rng, indivisible=True):
@@ -252,7 +320,7 @@ def formal_verify_element(dil, x, s):
     """Oracle for ``VedDilation.verify_element``: builds U(x) m U(x)* column
     by column from FormalVector round trips through the group identity."""
     p = dil.dim * dil.env_dim
-    m = linops.tensor(s, dil.base_state.matrix)
+    m = linops.tensor(s, np.diag(np.eye(dil.env_dim)[0]))
     cols = np.empty((p, p), dtype=complex)
     for j, e_j in enumerate(np.eye(p, dtype=complex)):
         (tag, back), = dil.apply(ginv(x), FormalVector.of([(x, e_j)])).terms
@@ -275,6 +343,17 @@ def elements_up_to(ctx, length):
 
 
 class TestVedDilation:
+    def test_too_many_kraus_operators_names_the_element(self):
+        rng = rng_from_seed(45)
+        graph, get, _ = three_node_channel_family(rng)
+        wide = Channel.from_kraus(random_kraus_ops(rng, 2, 5))
+        ident = Channel.identity(2)
+        dil = VedDilation(lambda g: ident if g.is_identity() else wide, 2)
+        x = embed_edge(graph.context(), (0, 1))
+        with pytest.raises(InputError, match="5 Kraus operators") as exc:
+            dil.unitary_of(x)
+        assert repr(x) in str(exc.value)
+
     def test_identity_element_acts_trivially(self):
         rng = rng_from_seed(11)
         graph, get, _ = three_node_channel_family(rng)
@@ -465,6 +544,16 @@ class TestShiftDilation:
         with pytest.raises(PreconditionError) as exc:
             dil.compression_matrix(embed_edge(graph.context(), (1.0, 0.5)))
         assert exc.value.axiom == "contraction"
+
+    def test_nan_payload_fails_the_section_check(self):
+        rng, fam, dil, ctx = self.banach_setup()
+        ok = dil.check_embedding([np.ones(3)])
+        assert ok.passed and ok.argmax is None
+        rep = dil.check_embedding([np.ones(3), np.full(3, np.nan)])
+        assert not rep.passed
+        assert np.isnan(rep.max_defect) and rep.argmax == 1
+        assert (rep.name, rep.count, rep.tolerance) == \
+            (ok.name, 2, ok.tolerance) == ("embedding-section", 2, 10 * dil.tol)
 
 
 class TestShiftDilationCstar:
