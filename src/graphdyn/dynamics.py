@@ -694,6 +694,8 @@ def _build_indivisible(spec, fam_spec):
     h1 = linops.matrix_from_literal(fam_spec["h1"])
     h2 = linops.matrix_from_literal(fam_spec["h2"])
     t_max = _spec_number(fam_spec, "t_max", 1.0)
+    if t_max <= 0:
+        raise InputError(f"t_max must be a finite number > 0, got {t_max!r}")
     points = _spec_number(fam_spec, "grid_points", 9, integer=True)
     alpha = _spec_number(fam_spec, "alpha", 1.0)
     raw = example_indivisible(h1, h2, t_max, points)

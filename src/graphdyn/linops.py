@@ -7,7 +7,6 @@ of its inputs.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InputError
 
@@ -82,6 +81,7 @@ def expm(a):
     m = _finite_stack(a)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    import scipy.linalg  # local import: slow, and most CLI commands never need it
     return scipy.linalg.expm(m)
 
 
@@ -92,6 +92,7 @@ def exp_derivative(x, y, t=0.0):
     y = as_matrix(y)
     if y.shape != x.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {y.shape}")
+    import scipy.linalg
     return scipy.linalg.expm_frechet(x + t * y, y, compute_expm=False)
 
 

@@ -337,7 +337,9 @@ _NUMERIC_FIELDS = (
     + [("indivisible_spec", ("family", "grid_points"), v,
         "grid_points must be a positive integer", i) for v, i in _BAD_INTEGERS]
     + [("indivisible_spec", ("family", key), v, f"{key} must be a finite number", i)
-       for key in ("t_max", "alpha") for v, i in _BAD_NUMBERS])
+       for key in ("t_max", "alpha") for v, i in _BAD_NUMBERS]
+    + [("indivisible_spec", ("family", "t_max"), v, "t_max must be a finite number > 0", i)
+       for v, i in [(0.0, "zero"), (-1.0, "negative")]])
 
 
 class TestNumericSpecFields:
@@ -596,3 +598,38 @@ class TestParserPerProcess:
         code, _, _ = run(capsys, "group", "inv", "--input", line_graph_spec,
                          "--word", '[["a", "b"]]')
         assert (code, seen) == (0, ['[["a", "b"]]'])
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+from graphdyn import cli
+seen = [[0, "scipy" in sys.modules, "scipy.linalg" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([code, "scipy" in sys.modules, "scipy.linalg" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    def test_commands_that_never_exponentiate_leave_scipy_unloaded(
+            self, line_graph_spec, cptp_spec, divisible_spec):
+        import os
+        import subprocess
+        import sys
+        word = '[["a", "b"], ["b", "c"], ["c", "c"]]'
+        calls = [
+            ["normalize", "--input", line_graph_spec, "--word", word, "--trace"],
+            ["group", "mul", "--input", line_graph_spec, "--words", f"[{word}, {word}]"],
+            ["group", "inv", "--input", line_graph_spec, "--word", word],
+            ["dilate", "--input", cptp_spec, "--pipeline", "A-cptp"],
+            ["check", "--input", divisible_spec],  # control: check exponentiates
+        ]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        fresh = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(calls)],
+                               capture_output=True, text=True, check=True,
+                               env=dict(os.environ, PYTHONPATH=src))
+        seen = json.loads(fresh.stdout)
+        # the import, then each command: exit code, scipy loaded, scipy.linalg loaded
+        assert seen == [[0, False, False]] * 5 + [[0, True, True]]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphdyn import linops
 from graphdyn.errors import DimensionError
@@ -228,6 +229,14 @@ class TestExpDerivative:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             exp_derivative(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("n, t, scale", [(2, 0.0, 1.0), (3, 0.4, 1.0),
+                                             (4, -1.3, 0.01), (5, 0.7, 20.0)])
+    def test_bitwise_the_scipy_frechet_kernel(self, n, t, scale):
+        rng = rng_from_seed(20 + n)
+        x, y = scale * random_matrix(rng, n), scale * random_matrix(rng, n)
+        want = scipy.linalg.expm_frechet(x + t * y, y, compute_expm=False)
+        assert np.array_equal(exp_derivative(x, y, t), want)
 
 
 class TestNorms:
