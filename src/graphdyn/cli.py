@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import dilate, dynamics, extend, linops, rewrite
-from .errors import GraphDynError, InputError, PreconditionError
+from .errors import GraphDynError, InputError, PreconditionError, reading
 from .reports import CheckReport, defect_report, dumps, summarize
 from .sampling import rng_from_seed
 
@@ -40,8 +40,7 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition failure [{exc.axiom}]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InputError, GraphDynError, json.JSONDecodeError, OSError,
-            KeyError, TypeError) as exc:
+    except (GraphDynError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -112,6 +111,7 @@ def _common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+@reading("spec")
 def _load(args):
     if not args.input:
         raise InputError("--input is required for this command")
@@ -145,20 +145,21 @@ def _report_body(command, args, checks, extra=None):
     return body
 
 
-def _word_from(args, spec, key="word"):
-    lit = getattr(args, key.replace("-", "_"), None)
-    if lit is not None:
-        return rewrite.word_from_literal(json.loads(lit))
-    if spec is not None and key in spec:
-        return rewrite.word_from_literal(spec[key])
-    raise InputError(f"no {key} given (flag or spec field)")
+@reading("spec")
+def _word_from(args, spec):
+    if args.word is not None:
+        return rewrite.word_from_literal(json.loads(args.word))
+    if "word" in spec:
+        return rewrite.word_from_literal(spec["word"])
+    raise InputError("no word given (flag or spec field)")
 
 
 # -- commands ---------------------------------------------------------------------
 
 def cmd_normalize(args):
     spec = _load(args)
-    ctx = rewrite.context_from_spec(spec["graph"])
+    with reading("spec"):
+        ctx = rewrite.context_from_spec(spec["graph"])
     w = _word_from(args, spec)
     nf = rewrite.normalize(ctx, w)
     # the endpoint is already reported as the normal form; the words are
@@ -177,15 +178,13 @@ def cmd_normalize(args):
 
 def cmd_group_mul(args):
     spec = _load(args)
-    ctx = rewrite.context_from_spec(spec["graph"])
-    if args.words is not None:
-        word_lits = json.loads(args.words)
-    else:
-        word_lits = spec["words"]
+    with reading("spec"):
+        ctx = rewrite.context_from_spec(spec["graph"])
+        words = [rewrite.word_from_literal(lit) for lit in
+                 (json.loads(args.words) if args.words is not None else spec["words"])]
     product = rewrite.identity()
-    for lit in word_lits:
-        product = rewrite.gmul(product,
-                               rewrite.normalize(ctx, rewrite.word_from_literal(lit)))
+    for w in words:
+        product = rewrite.gmul(product, rewrite.normalize(ctx, w))
     _emit(args, {
         "schema": SCHEMA,
         "command": "group mul",
@@ -197,7 +196,8 @@ def cmd_group_mul(args):
 
 def cmd_group_inv(args):
     spec = _load(args)
-    ctx = rewrite.context_from_spec(spec["graph"])
+    with reading("spec"):
+        ctx = rewrite.context_from_spec(spec["graph"])
     g = rewrite.normalize(ctx, _word_from(args, spec))
     _emit(args, {
         "schema": SCHEMA,

@@ -17,7 +17,8 @@ from . import linops, rewrite
 from .dynamics import (GeneratorFamily, LinearOrderGraph, _blockwise,
                        _node_triples, _ordered_triples, _spec_number,
                        check_geometric_growth)
-from .errors import InputError, NotCPTPError, PreconditionError, StructureError
+from .errors import (InputError, NotCPTPError, PreconditionError,
+                     StructureError, reading)
 from .extend import (FirstCoverExtension, NormalFormExtension,
                      SecondCoverExtension, continuity_modulus_check)
 from .linops import dagger, eye, spectral_norm, trace_norm
@@ -37,14 +38,13 @@ class Channel:
     :func:`kraus_from_choi`.
     """
 
-    def __init__(self, dim, choi, kraus=None, tol=1e-10, validate=True):
+    def __init__(self, dim, choi, kraus=None, tol=1e-10):
         self.dim = int(dim)
         self.choi = linops.as_matrix(choi)
         self.kraus = None if kraus is None else [linops.as_matrix(k) for k in kraus]
         if self.choi.shape != (self.dim**2, self.dim**2):
             raise NotCPTPError(f"Choi matrix has shape {self.choi.shape}")
-        if validate:
-            self.validate(tol)
+        self.validate(tol)
 
     def validate(self, tol=1e-10):
         d = self.dim
@@ -501,9 +501,12 @@ class ShiftDilation:
                 p = np.asarray(payload, dtype=complex)
                 p = p @ dagger(p)  # positive sample
                 for g in list(self._values.keys())[:8] or [rewrite.identity()]:
+                    keys += [(n, g, "positive"), (n, g, "self-adjoint")]
+                    if not np.isfinite(p).all():  # fails, with the sample as witness
+                        defects += [np.nan, np.nan]
+                        continue
                     val = self.evaluate(self.embed(p), g)
                     lam = float(np.linalg.eigvalsh(linops.hermitian_part(val)).min())
-                    keys += [(n, g, "positive"), (n, g, "self-adjoint")]
                     defects += [-min(lam, 0.0), spectral_norm(val - dagger(val))]
             name = "embedding-positive-unital"
         return defect_report(name, defects, keys, 10 * self.tol, count=len(samples))
@@ -759,14 +762,11 @@ def _formal_distance(a, b):
 
 # -- JSON channel specs ------------------------------------------------------------
 
+@reading("channel spec")
 def channel_from_spec(spec):
     """{"dim": d, "repr": "choi"|"kraus", "data": matrix literal(s)}."""
-    try:
-        d = _spec_number(spec, "dim", integer=True)
-        repr_kind = spec["repr"]
-        data = spec["data"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed channel spec: {exc}") from exc
+    d = _spec_number(spec, "dim", integer=True)
+    repr_kind, data = spec["repr"], spec["data"]
     if repr_kind == "choi":
         return Channel(d, linops.matrix_from_literal(data))
     if repr_kind == "kraus":

@@ -3,14 +3,13 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops, rewrite
 from .errors import (AcyclicityError, DegeneracyError, GraphError, InputError,
-                     OrderError)
+                     OrderError, is_number, reading)
 from .linops import SuperOp, spectral_norm
 from .reports import CheckReport, defect_report
 
@@ -57,7 +56,8 @@ class LinearOrderGraph:
                 yield (u, v)
 
     def context(self):
-        return rewrite.EdgeContext(self.nodes, list(self.edges()))
+        # the closure of the edges is one component
+        return rewrite.complete_context(self.nodes)
 
 
 class CompleteGraph:
@@ -79,7 +79,8 @@ class CompleteGraph:
                 yield (u, v)
 
     def context(self):
-        return rewrite.EdgeContext(self.nodes, list(self.edges()))
+        # the closure of the edges is one component
+        return rewrite.complete_context(self.nodes)
 
 
 class _Family:
@@ -533,24 +534,6 @@ class DagNetwork:
         return self.weights[(u, v)]
 
 
-def enumerate_walks(net, u, v, cap=10_000):
-    """All directed walks from u to v, as node sequences (oracle-sized nets)."""
-    out = []
-
-    def go(prefix):
-        if len(out) > cap:
-            raise GraphError(f"more than {cap} walks; network too large")
-        cur = prefix[-1]
-        if cur == v:
-            out.append(tuple(prefix))
-        for nxt in net.successors(cur):
-            go(prefix + [nxt])
-
-    if net is not None and u in net._succ and v in net._succ:
-        go([u])
-    return out
-
-
 def _path_sums_into(net, target, avoid=None):
     """Ordered weight-product sums over the walks from every node to
     ``target`` that skip the node ``avoid``, by one reverse-topological sweep
@@ -598,6 +581,7 @@ def network_defect(net, u, v, w):
 
 # -- JSON system specs ------------------------------------------------------------
 
+@reading("system spec")
 def build_system(spec):
     """Parse a system spec into (graph, family-or-generators, extras).
 
@@ -607,23 +591,16 @@ def build_system(spec):
     "generators" and their exponential under "family", so checks and
     pipelines read one scaled family.
     """
-    try:
-        fam_spec = dict(spec["family"])
-        kind = fam_spec.pop("kind")
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed system spec: {exc}") from exc
-    builder = _SYSTEM_BUILDERS.get(kind)
+    fam_spec = spec["family"]
+    builder = _SYSTEM_BUILDERS.get(fam_spec["kind"])
     if builder is None:
-        raise InputError(f"unknown family kind {kind!r}")
+        raise InputError(f"unknown family kind {fam_spec['kind']!r}")
     return builder(spec, fam_spec)
 
 
-def _edge_matrix_table(entries):
-    table = {}
-    for item in entries:
-        edge = tuple(item["edge"])
-        table[edge] = linops.matrix_from_literal(item["matrix"])
-    return table
+def _edge_table(entries, field="matrix", parse=linops.matrix_from_literal):
+    """{edge: parsed value} from ``[{"edge": [t, h], field: ...}, ...]``."""
+    return {tuple(item["edge"]): parse(item[field]) for item in entries}
 
 
 def _edge_lookup(table, loop_value, what):
@@ -638,53 +615,62 @@ def _edge_lookup(table, loop_value, what):
     return lookup
 
 
-def _spec_number(spec, key, default=None, integer=False):
+def _spec_number(spec, key, default=None, integer=False, minimum=None, name=None):
     """Spec field ``key`` (``default`` when absent, if given): a positive int,
-    or with ``integer`` false any finite number, returned as a float.
-    Neither is a bool."""
+    or with ``integer`` false any finite number not below ``minimum``,
+    returned as a float.  Neither is a bool.  Errors call the field ``name``
+    (default ``key``)."""
     value = spec[key] if default is None else spec.get(key, default)
-    if isinstance(value, bool):
-        ok = False
-    elif integer:
-        ok = isinstance(value, int) and value >= 1
+    if integer:
+        minimum, what = 1, "a positive integer"
     else:
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if not ok:
-        what = "a positive integer" if integer else "a finite number"
-        raise InputError(f"{key} must be {what}, got {value!r}")
+        what = "a finite number" + ("" if minimum is None else f" >= {minimum}")
+    if not is_number(value) or (integer and not isinstance(value, int)) \
+            or (minimum is not None and value < minimum):
+        raise InputError(f"{name or key} must be {what}, got {value!r}")
     return value if integer else float(value)
 
 
+def _numeric_nodes(graph, field):
+    """Raise unless every node key is a number: ``field`` subtracts them."""
+    for u in graph.nodes:
+        if not is_number(u):
+            raise InputError(f"{field} needs numeric graph.order keys, got {u!r}")
+
+
+def _order_and_dim(spec):
+    """The linear order ``graph.order`` and the positive integer ``dim``."""
+    return LinearOrderGraph(spec["graph"]["order"]), _spec_number(spec, "dim", integer=True)
+
+
 def _build_explicit(spec, fam_spec):
-    graph = LinearOrderGraph(spec["graph"]["order"])
-    dim = _spec_number(spec, "dim", integer=True)
-    phi = _edge_lookup(_edge_matrix_table(fam_spec["values"]), linops.eye(dim),
+    graph, dim = _order_and_dim(spec)
+    phi = _edge_lookup(_edge_table(fam_spec["values"]), linops.eye(dim),
                        "value supplied")
     return {"graph": graph, "family": OperatorFamily(graph, dim, phi),
-            "kind": "explicit", "ell": _parse_ell(fam_spec)}
+            "kind": "explicit", "ell": _parse_ell(fam_spec, graph)}
 
 
 def _build_exponential(spec, fam_spec):
-    graph = LinearOrderGraph(spec["graph"]["order"])
-    dim = _spec_number(spec, "dim", integer=True)
+    graph, dim = _order_and_dim(spec)
     if "rate" in fam_spec:
         rate = linops.matrix_from_literal(fam_spec["rate"])
+        _numeric_nodes(graph, "rate")
         gen_fn = lambda e: (e[0] - e[1]) * rate
     else:
-        gen_fn = _edge_lookup(_edge_matrix_table(fam_spec["generators"]),
+        gen_fn = _edge_lookup(_edge_table(fam_spec["generators"]),
                               np.zeros((dim, dim), dtype=complex), "generator")
     alpha = _spec_number(fam_spec, "alpha", 1.0)
     gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e))
     return {"graph": graph, "family": gens.exponential(), "generators": gens,
-            "kind": "exponential", "ell": _parse_ell(fam_spec)}
+            "kind": "exponential", "ell": _parse_ell(fam_spec, graph)}
 
 
 def _build_network(spec, fam_spec):
     gspec = spec["graph"]
     dim = _spec_number(spec, "dim", integer=True)
-    weights = {tuple(item["edge"]): linops.matrix_from_literal(item["matrix"])
-               for item in fam_spec["weights"]}
-    net = DagNetwork(gspec["nodes"], [tuple(e) for e in gspec["edges"]],
+    weights = _edge_table(fam_spec["weights"])
+    net = DagNetwork(gspec["nodes"], [(e[0], e[1]) for e in gspec["edges"]],
                      weights, dim)
     fam = network_family(net)
     return {"graph": fam.graph, "family": fam, "network": net, "kind": "network"}
@@ -702,7 +688,7 @@ def _build_indivisible(spec, fam_spec):
     # the grid and dimension are built, not read: a spec that names others
     # would be checked on a system it does not describe
     graph = spec.get("graph", {})
-    if "order" in graph and tuple(graph["order"]) != raw.graph.nodes:
+    if "order" in graph and tuple(graph["order"]) != tuple(map(float, raw.graph.nodes)):
         raise InputError(f"graph.order does not match the {points}-point grid "
                          f"from t_max={t_max} down to 0")
     if "dim" in spec and spec["dim"] != raw.dim:
@@ -719,11 +705,8 @@ def _build_indivisible(spec, fam_spec):
 def _build_cptp(spec, fam_spec):
     from . import dilate  # local import: dilate depends on this module
 
-    graph = LinearOrderGraph(spec["graph"]["order"])
-    dim = _spec_number(spec, "dim", integer=True)
-    channels = {}
-    for item in fam_spec["channels"]:
-        channels[tuple(item["edge"])] = dilate.channel_from_spec(item["channel"])
+    graph, dim = _order_and_dim(spec)
+    channels = _edge_table(fam_spec["channels"], "channel", dilate.channel_from_spec)
     get_channel = _edge_lookup(channels, dilate.Channel.identity(dim), "channel")
     fam = OperatorFamily(graph, dim * dim,
                          lambda e: get_channel(e).superop().matrix)
@@ -731,17 +714,15 @@ def _build_cptp(spec, fam_spec):
             "dim": dim, "kind": "cptp"}
 
 
-def _parse_ell(fam_spec):
+def _parse_ell(fam_spec, graph):
     spec = fam_spec.get("ell")
     if spec is None:
         return None
-    if spec.get("kind") == "proportional":
-        scale = spec["scale"]
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
-                or not 0.0 <= scale <= sys.float_info.max:
-            raise InputError(f"ell.scale must be a finite number >= 0, got {scale!r}")
-        return proportional_length(float(scale))
-    raise InputError(f"unknown length-function spec {spec!r}")
+    if not (isinstance(spec, dict) and spec.get("kind") == "proportional"):
+        raise InputError(f'ell must be {{"kind": "proportional", "scale": c}}, got {spec!r}')
+    scale = _spec_number(spec, "scale", minimum=0, name="ell.scale")
+    _numeric_nodes(graph, "ell")
+    return proportional_length(scale)
 
 
 _SYSTEM_BUILDERS = {

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON parse boundary."""
+
+import contextlib
+import sys
 
 
 class GraphDynError(Exception):
@@ -47,3 +50,21 @@ class PreconditionError(GraphDynError, RuntimeError):
     def __init__(self, axiom, message):
         super().__init__(message)
         self.axiom = axiom
+
+
+@contextlib.contextmanager
+def reading(what):
+    """The parse boundary, as a context manager or a decorator: a KeyError,
+    TypeError, IndexError or AttributeError raised while reading loaded JSON
+    becomes an InputError that names ``what``.  Any other exception, a
+    GraphDynError included, passes unchanged, so a bug stays a traceback."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
+
+
+def is_number(value):
+    """A JSON number a float holds: an int or float, finite, never a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)

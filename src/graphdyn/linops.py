@@ -8,7 +8,7 @@ of its inputs.
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, is_number, reading
 
 DEFAULT_TOL = 1e-10
 
@@ -299,14 +299,17 @@ def matrix_to_literal(a):
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
+def _literal_scalar(z):
+    """``[re, im]``, two finite numbers, as a complex number."""
+    if not (is_number(z[0]) and is_number(z[1])):
+        raise InputError(f"matrix literal scalar {z!r} is not [re, im] of finite numbers")
+    return complex(float(z[0]), float(z[1]))
+
+
+@reading("matrix literal")
 def matrix_from_literal(lit):
     """Parse the nested-array literal; shape is inferred from nesting."""
-    try:
-        rows = []
-        for row in lit:
-            rows.append([complex(float(z[0]), float(z[1])) for z in row])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InputError(f"malformed matrix literal: {exc}") from exc
+    rows = [[_literal_scalar(z) for z in row] for row in lit]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise InputError("matrix literal rows have inconsistent lengths")
     return np.array(rows, dtype=complex)

@@ -17,7 +17,7 @@ from typing import Hashable, NamedTuple
 
 import numpy as np
 
-from .errors import ContextError, InputError
+from .errors import ContextError, InputError, reading
 from .reports import CheckReport, bad_keys_report
 
 
@@ -35,28 +35,27 @@ def word(pairs):
 
 
 class EdgeContext:
-    """A node set with its edge relation and the relation's equivalence closure.
+    """A node set and the equivalence closure of an edge relation on it.
 
     Membership in the closure is decided by union-find components, fully
-    built at construction; instances are immutable afterwards.
+    built at construction; instances are immutable afterwards.  The edges
+    themselves are not kept: contexts with the same components act alike.
     """
 
     def __init__(self, nodes, edges):
         self.nodes = tuple(dict.fromkeys(nodes))
-        node_set = set(self.nodes)
-        self.edges = set()
         parent = {u: u for u in self.nodes}
 
         def find(u):
-            while parent[u] != u:
+            # by identity: a key unequal to itself (NaN) is its own root
+            while parent[u] is not u:
                 parent[u] = parent[parent[u]]
                 u = parent[u]
             return u
 
         for (t, h) in edges:
-            if t not in node_set or h not in node_set:
+            if t not in parent or h not in parent:
                 raise ContextError(f"edge ({t!r}, {h!r}) uses unknown nodes")
-            self.edges.add((t, h))
             parent[find(t)] = find(h)
         self._root = {u: find(u) for u in self.nodes}
         self._closure = None
@@ -64,14 +63,11 @@ class EdgeContext:
     def has_node(self, u):
         return u in self._root
 
-    def has_edge(self, u, v):
-        return (u, v) in self.edges
-
     def related(self, u, v):
         """Membership in the equivalence closure of the edge set."""
         if u == v:
             return self.has_node(u)
-        return self.has_node(u) and self.has_node(v) and self._root[u] == self._root[v]
+        return self.has_node(u) and self.has_node(v) and self._root[u] is self._root[v]
 
     def check_letter(self, letter):
         if not self.related(letter.tail, letter.head):
@@ -96,10 +92,7 @@ class EdgeContext:
 def complete_context(nodes):
     """Context whose closure relates every pair (single component)."""
     nodes = tuple(dict.fromkeys(nodes))
-    if len(nodes) <= 1:
-        return EdgeContext(nodes, [])
-    anchor = nodes[0]
-    return EdgeContext(nodes, [(anchor, u) for u in nodes[1:]])
+    return EdgeContext(nodes, [(nodes[0], u) for u in nodes[1:]])
 
 
 @dataclass(frozen=True)
@@ -562,11 +555,8 @@ def word_to_literal(w):
     return [[letter.tail, letter.head] for letter in w]
 
 
+@reading("graph spec")
 def context_from_spec(spec):
     """Parse a graph spec: {"nodes": [...], "edges": [[t, h], ...]}."""
-    try:
-        nodes = list(spec["nodes"])
-        edges = [(e[0], e[1]) for e in spec.get("edges", [])]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"malformed graph spec: {exc}") from exc
-    return EdgeContext(nodes, edges)
+    return EdgeContext(list(spec["nodes"]),
+                       [(e[0], e[1]) for e in spec.get("edges", [])])

@@ -119,8 +119,8 @@ class TestChannelForms:
             Channel.from_superop(SuperOp(d, transpose_superop(d)))
 
     def test_compose_revalidates(self):
-        t = Channel(2, linops.superop_to_choi(transpose_superop(2), 2),
-                    validate=False)
+        t = Channel.identity(2)
+        t.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
         with pytest.raises(NotCPTPError):
             Channel.identity(2).compose(t)
 
@@ -614,6 +614,19 @@ class TestShiftDilationCstar:
             dil.value(embed_edge(ctx, e))
         samples = [random_matrix(rng, 2) for _ in range(5)]
         assert dil.check_embedding(samples).passed
+
+    def test_nan_payload_fails_the_positive_unital_check(self):
+        rng, fam, dil, ctx = self.setup_cstar()
+        ok = dil.check_embedding([random_matrix(rng, 2)])
+        assert ok.passed
+        bad = random_matrix(rng, 2)
+        bad[1, 0] = np.nan
+        rep = dil.check_embedding([random_matrix(rng, 2), bad])
+        assert not rep.passed
+        assert np.isnan(rep.max_defect)
+        assert rep.argmax == (1, rewrite.identity(), "positive")
+        assert (rep.name, rep.count, rep.tolerance) == \
+            (ok.name, 2, ok.tolerance) == ("embedding-positive-unital", 2, 10 * dil.tol)
 
 
 def shift_setup(which, seed):

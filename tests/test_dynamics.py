@@ -9,14 +9,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdyn import dynamics, linops
+from graphdyn import dynamics, linops, rewrite
 from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
                                LinearOrderGraph, OperatorFamily,
                                additivity_defect, check_additivity,
                                check_divisibility, check_geometric_growth,
                                check_identity_axiom, check_schwarz_generator,
                                descending_grid, dissipation_map,
-                               divisibility_defect, enumerate_walks,
+                               divisibility_defect,
                                example_indivisible, integrate_generators,
                                lindblad_generator, lipschitz_check,
                                network_defect, network_family,
@@ -55,6 +55,15 @@ class TestGraphs:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(GraphError):
             LinearOrderGraph([0, 1, 1])
+
+    @pytest.mark.parametrize("graph", [
+        LinearOrderGraph([1.0, 0.5, 0.25, 0.0]), LinearOrderGraph(["b", 2, None]),
+        LinearOrderGraph([7]), dynamics.CompleteGraph(["u", "v", "z", "w"]),
+        dynamics.CompleteGraph([3, "x", 3, 0.5])],
+        ids=["grid", "mixed-keys", "one-node", "complete", "complete-repeats"])
+    def test_context_closure_is_that_of_every_edge(self, graph):
+        every_edge = rewrite.EdgeContext(graph.nodes, list(graph.edges()))
+        assert graph.context().closure_pairs() == every_edge.closure_pairs()
 
     def test_family_rejects_non_edges(self, grid):
         fam = OperatorFamily(grid, 2, lambda e: np.eye(2))
@@ -671,6 +680,21 @@ class TestSchwarzChecker:
         assert rep.details["unital_defect"] < 1e-12
         # report reflects the actual condition evaluation
         assert isinstance(rep.passed, bool)
+
+
+def enumerate_walks(net, u, v):
+    """All directed walks from u to v, as node sequences: the brute-force
+    oracle for the path sums of small networks."""
+    out = []
+
+    def go(prefix):
+        if prefix[-1] == v:
+            out.append(tuple(prefix))
+        for nxt in net.successors(prefix[-1]):
+            go(prefix + [nxt])
+
+    go([u])
+    return out
 
 
 class TestNetworks:

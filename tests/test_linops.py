@@ -411,3 +411,12 @@ class TestMatrixLiteral:
         from graphdyn.errors import InputError
         with pytest.raises(InputError):
             linops.matrix_from_literal([[1, 2], [3]])
+
+    @pytest.mark.parametrize("scalar", [["1.5", 0], [0, True], [float("nan"), 0],
+                                        [0, float("inf")], [10**400, 0], [1], 1.5, None],
+                             ids=["string", "bool", "nan", "inf", "huge", "short",
+                                  "number", "null"])
+    def test_scalar_must_be_two_finite_numbers(self, scalar):
+        from graphdyn.errors import InputError
+        with pytest.raises(InputError, match="matrix literal"):
+            linops.matrix_from_literal([[[1.0, 0.0], scalar]])

@@ -1,0 +1,146 @@
+"""The parse boundary: a malformed spec exits 2 with ``input error:``.
+
+Specs of every family kind and graph-plus-word specs are mutated one key or
+value at a time and run through ``cli.main`` in-process.  A run may pass or
+fail a check (0, 3, 4) or reject its input (2); any exception that escapes
+``main`` is a bug the boundary let through or relabelled.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from graphdyn import cli
+from graphdyn.dilate import Channel, channel_to_spec
+from graphdyn.linops import SIGMA_X, SIGMA_Z
+from graphdyn.linops import matrix_to_literal as _lit
+
+
+def _edge_values(edges, value):
+    return [{"edge": list(e), "matrix": _lit(value)} for e in edges]
+
+
+_EDGES = [(0, 1), (1, 2), (0, 2)]
+_ELL = {"kind": "proportional", "scale": 2.0}
+# the identity, and amplitude damping with two Kraus operators
+_CHANNELS = [channel_to_spec(Channel.identity(2)), channel_to_spec(Channel.from_kraus(
+    [np.array([[1, 0], [0, 0.6]]), np.array([[0, 0.8], [0, 0]])]))]
+
+# small bases: every dim, grid and node count is at most 4, so a run is cheap
+BASES = {
+    "explicit": {
+        "graph": {"order": [0, 1, 2]}, "dim": 2, "word": [[0, 1], [1, 2]],
+        "family": {"kind": "explicit",
+                   "values": _edge_values(_EDGES[:2], 0.5 * np.eye(2))
+                   + _edge_values(_EDGES[2:], 0.25 * np.eye(2)), "ell": _ELL},
+    },
+    "exponential": {
+        "graph": {"order": [1.0, 0.5, 0.0]}, "dim": 2, "word": [[1.0, 0.5]],
+        "family": {"kind": "exponential", "rate": _lit(-0.2 * np.eye(2)),
+                   "alpha": 1.0, "ell": _ELL},
+    },
+    "indivisible-example": {
+        "graph": {"order": [1.0, 0.5, 0.0]}, "dim": 4, "word": [[1.0, 0.0]],
+        "family": {"kind": "indivisible-example", "h1": _lit(SIGMA_X),
+                   "h2": _lit(SIGMA_Z), "t_max": 1.0, "grid_points": 3, "alpha": 1.0},
+    },
+    "network": {
+        "graph": {"nodes": ["u", "v", "w"], "edges": [["u", "v"], ["v", "w"]]},
+        "dim": 2, "word": [["u", "w"]],
+        "family": {"kind": "network",
+                   "weights": _edge_values([("u", "v"), ("v", "w")], 0.3 * np.eye(2))},
+    },
+    "cptp": {
+        "graph": {"order": [0, 1, 2]}, "dim": 2, "word": [[0, 2]],
+        "family": {"kind": "cptp",
+                   "channels": [{"edge": list(e), "channel": _CHANNELS[e == (1, 2)]}
+                                for e in _EDGES]},
+    },
+    "words": {
+        "graph": {"nodes": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]},
+        "word": [["a", "b"], ["b", "c"]],
+        "words": [[["a", "b"]], [["b", "c"], ["c", "a"]]],
+    },
+}
+
+_SYSTEM_COMMANDS = [("check",), ("extend",), ("extend", "--which", "cover1"),
+                    ("extend", "--which", "cover2")] + [
+    ("dilate", "--pipeline", p) for p in ("A", "B", "C", "A-cptp")]
+COMMANDS = dict.fromkeys(BASES, _SYSTEM_COMMANDS)
+COMMANDS["words"] = [("normalize",), ("normalize", "--trace"), ("group", "mul"),
+                     ("group", "inv")]
+
+_DELETE = object()
+# no size in the pool exceeds 3, so no dim or grid_points allocates
+POOL = [_DELETE, None, True, False, 0, -1, 3, 1.5, float("nan"), "x", [], {},
+        [1, 2, 3], [[1, 0]], [[[1, 0]]], {"kind": "proportional"}]
+
+
+def _paths(node, prefix=()):
+    """Every key path into nested dicts and lists, outermost first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def mutate(spec, path, value):
+    spec = copy.deepcopy(spec)
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return spec
+
+
+@st.composite
+def mutated_runs(draw):
+    base = draw(st.sampled_from(sorted(BASES)))
+    path = draw(st.sampled_from(list(_paths(BASES[base]))))
+    spec = mutate(BASES[base], path, draw(st.sampled_from(POOL)))
+    return spec, draw(st.sampled_from(COMMANDS[base])), None
+
+
+def run_in_process(spec, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)  # NaN as json writes it
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--input", path, "--samples", "3"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(mutated_runs())
+@example((mutate(BASES["exponential"], ("family", "ell"), "x"), ("check",), "ell"))
+@example((mutate(BASES["indivisible-example"], ("graph", "order", 0), [1, 2, 3]),
+          ("check",), "graph.order"))
+@example((mutate(BASES["exponential"], ("graph", "order"), ["a", "b"]),
+          ("check",), "graph.order"))
+def test_mutated_specs_exit_cleanly(case):
+    spec, command, field = case
+    code, out, err = run_in_process(spec, command)
+    assert code in (0, 2, 3, 4), (spec, command, code, err)
+    if code == 2:
+        assert out == "" and err.startswith("input error: "), (spec, command, err)
+    if field is not None:
+        assert code == 2 and field in err, (spec, command, err)
+
+
+def test_every_base_passes():
+    for base in BASES:
+        command = ("normalize",) if base == "words" else ("check",)
+        assert run_in_process(BASES[base], command)[0] == 0, base

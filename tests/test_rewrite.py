@@ -311,6 +311,14 @@ class TestWireFormats:
         with pytest.raises(InputError):
             rewrite.context_from_spec({"edges": []})
 
+    def test_nan_node_key(self):
+        # NaN is unequal to itself; the closure is built by identity
+        nan = float("nan")
+        ctx = rewrite.context_from_spec({"nodes": ["a", nan, "b"], "edges": [["a", nan]]})
+        assert ctx.related("a", nan) and ctx.related(nan, nan)
+        assert not ctx.related(nan, "b")
+        assert len(ctx.closure_pairs()) == 5
+
 
 # -- linear-time paths against their plain oracles ----------------------------------
 
