@@ -4,7 +4,8 @@
 Words over edge letters reduce by two rules: a loop letter (u, u) deletes,
 and an adjacent pair (u, v)(v, w) fuses into (u, w).  Every word has a unique
 irreducible normal form, which makes the quotient a group.  This script walks
-through reductions by hand and then certifies confluence exhaustively.
+through reductions by hand, replays a reduction trace to its normal form, and
+then certifies confluence exhaustively.
 """
 
 import numpy as np
@@ -28,6 +29,23 @@ for pairs in ([("a", "a")],
               [("a", "b"), ("b", "b"), ("b", "c"), ("c", "a")]):
     nf = normalize(ctx, word(pairs))
     print(f"{pairs} -> {[tuple(l) for l in nf.letters] or '1'}")
+
+print("\n== a reduction trace, replayed ==")
+# each step names one rule application on the word left by the steps before
+w = word([("a", "b"), ("b", "b"), ("b", "c"), ("c", "a"), ("a", "b")])
+cur = list(w)
+print(f"start:     {[tuple(l) for l in cur]}")
+for step in rewrite.reduction_trace(ctx, w):
+    i = step["at"]
+    if step["rule"] == "loop":
+        assert cur[i].tail == cur[i].head
+        del cur[i]
+    else:
+        assert cur[i].head == cur[i + 1].tail
+        cur[i:i + 2] = [rewrite.Letter(cur[i].tail, cur[i + 1].head)]
+    print(f"{step['rule']} at {i}: {[tuple(l) for l in cur]}")
+assert tuple(cur) == normalize(ctx, w).letters
+print("the replay ends at the normal form")
 
 print("\n== group arithmetic ==")
 g = embed_edge(ctx, ("a", "b"))

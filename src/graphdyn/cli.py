@@ -162,9 +162,7 @@ def cmd_normalize(args):
         ctx = rewrite.context_from_spec(spec["graph"])
     w = _word_from(args, spec)
     nf = rewrite.normalize(ctx, w)
-    # the endpoint is already reported as the normal form; the words are
-    # tuples of letters, which dumps writes as the literals' arrays
-    trace = rewrite.reduction_trace(ctx, w)[:-1] if args.trace else []
+    trace = rewrite.reduction_trace(ctx, w) if args.trace else []
     _emit(args, {
         "schema": SCHEMA,
         "command": "normalize",

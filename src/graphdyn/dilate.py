@@ -770,7 +770,12 @@ def channel_from_spec(spec):
     if repr_kind == "choi":
         return Channel(d, linops.matrix_from_literal(data))
     if repr_kind == "kraus":
-        return Channel.from_kraus([linops.matrix_from_literal(k) for k in data])
+        ks = [linops.matrix_from_literal(k) for k in data]
+        for i, k in enumerate(ks):
+            if k.shape != (d, d):
+                raise InputError(f"channel dim is {d}, but Kraus operator {i} "
+                                 f"has shape {k.shape}")
+        return Channel.from_kraus(ks)
     raise InputError(f"unknown channel repr {repr_kind!r}")
 
 

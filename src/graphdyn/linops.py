@@ -279,6 +279,9 @@ class SuperOp:
         d = ks[0].shape[0]
         m = np.zeros((d * d, d * d), dtype=complex)
         for k in ks:
+            if k.shape != ks[0].shape:
+                raise DimensionError(f"Kraus operators of shapes {ks[0].shape} "
+                                     f"and {k.shape}")
             m += tensor(np.conj(k), k)
         return cls(d, m)
 

@@ -101,9 +101,9 @@ def dumps(obj):
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, faster.
 
     With ``indent`` set, json runs its pure-Python encoder; this one joins
-    strings per container instead.  A reduction trace repeats most letters of
-    the step before it, so the text of each list of strings is kept for the
-    call, per indentation.  Only lists of exact ``str`` are kept: ``1``,
+    strings per container instead.  Word literals and normal forms repeat
+    their letters, so the text of each list of strings is kept for the call,
+    per indentation.  Only lists of exact ``str`` are kept: ``1``,
     ``1.0`` and ``True`` (or ``0.0`` and ``-0.0``) are equal keys with
     different texts."""
     return _encode(obj, "\n", {}, 0)

@@ -154,14 +154,23 @@ def _reducts(w, alphabet=None):
     return out
 
 
-def _stack_reduce(letters):
-    """Left-to-right stack pass: push, fuse coalescent tops, drop loops."""
+def _stack_reduce(letters, steps=None):
+    """Left-to-right stack pass: push, fuse coalescent tops, drop loops.
+
+    Given a list ``steps``, each rule application is appended to it as
+    ``{"at": i, "rule": "loop"|"fuse"}`` on the word as it stands: the
+    stack, then the letter being read (at ``len(out)``), then the rest.
+    """
     out = []
     for t, h in letters:
         while True:
             if t == h:
+                if steps is not None:
+                    steps.append({"at": len(out), "rule": "loop"})
                 break  # loop letter: drop
             if out and out[-1][1] == t:
+                if steps is not None:
+                    steps.append({"at": len(out) - 1, "rule": "fuse"})
                 t = out.pop()[0]  # fuse with the stack top, then re-check
                 continue
             out.append((t, h))
@@ -181,101 +190,16 @@ def normalize(ctx, w):
 
 
 def reduction_trace(ctx, w):
-    """The words after each step of the reduction of ``w`` that ``normalize
-    --trace`` reports; the last one is the normal form.
-
-    Each step takes the one-step reduct with the smallest ``repr``, the pick
-    of ``min(_reducts(w), key=repr)``.  The word is checked against ``ctx``
-    once, since reducts of a valid word are valid.  Reducts agree on every
-    letter before their rewrite position, so one scan over the rewrite
-    positions compares each reduct with the best so far from the earlier of
-    their two positions on, one letter repr at a time: a step costs O(n).
-    Where equal node keys print differently (``1`` and ``1.0``), two equal
-    reducts can print differently and the set of reducts keeps only the
-    first, so such words take ``min(_reducts(w), key=repr)`` itself.
+    """The rule applications of the stack pass that :func:`normalize` runs on
+    ``w``, in order, as ``{"at": i, "rule": r}``.  Each acts on the word left
+    by the steps before it: ``"loop"`` deletes the loop letter at ``i``,
+    ``"fuse"`` replaces letters ``i`` and ``i + 1`` by their fusion.  Every
+    step removes one letter, and the last word is the normal form.
     """
     ctx.check_word(w)
     steps = []
-    if not _equal_keys_print_alike(w):
-        while not is_irreducible(w):
-            w = min(_reducts(w), key=repr)
-            steps.append(w)
-        return steps
-    cur = list(w)
-    reprs = [repr(letter) for letter in cur]
-    memo = {}
-    while True:
-        pick = _smallest_reduct(cur, reprs, memo)
-        if pick is None:
-            return steps
-        p, fused, text = pick
-        if fused is None:
-            del cur[p], reprs[p]
-        else:
-            cur[p:p + 2] = [fused]
-            reprs[p:p + 2] = [text]
-        steps.append(tuple(cur))
-
-
-def _equal_keys_print_alike(w):
-    seen = {}
-    for letter in w:
-        for key in letter:
-            text = repr(key)
-            if seen.setdefault(key, text) != text:
-                return False
-    return True
-
-
-def _smallest_reduct(cur, reprs, memo):
-    """The reduct of ``cur`` with the smallest repr, as (rewrite position,
-    fused letter or None for a deleted loop, repr of the reduct's letter at
-    that position); None if ``cur`` is irreducible.  ``reprs`` holds the
-    letters' reprs, ``memo`` caches the reprs of fused letters (equal
-    letters print alike, since the caller checked that equal keys do).
-
-    Of two reducts that print alike the later is kept: then a comparison
-    never walks past the letter after the best reduct's position.
-    """
-    n = len(cur)
-    best = None
-    for p in range(n):
-        t, h = cur[p]
-        cands = []
-        if t == h:
-            cands.append((p, None, reprs[p + 1] if p + 1 < n else None))
-        if p + 1 < n and h == cur[p + 1].tail:
-            fused = Letter(t, cur[p + 1].head)
-            text = memo.get(fused)
-            if text is None:
-                text = memo[fused] = repr(fused)
-            cands.append((p, fused, text))
-        for cand in cands:
-            if best is None or _compare_reducts(cur, reprs, best, cand) >= 0:
-                best = cand
-    return best
-
-
-def _compare_reducts(cur, reprs, a, b):
-    """Sign of ``repr(reduct a) - repr(reduct b)`` (as strings) for reducts
-    given as in :func:`_smallest_reduct`, with ``a`` not after ``b``."""
-    i, j = a[0], b[0]
-    for k in range(i, min(j, len(cur) - 2) + 1):
-        x = a[2] if k == i else reprs[k + 1]
-        y = reprs[k] if k < j else b[2]
-        if x != y:
-            if x.startswith(y) or y.startswith(x):
-                # a letter repr that is a prefix of the other's: the text
-                # after it decides, so compare the whole words
-                x, y = repr(_rewrite(cur, a)), repr(_rewrite(cur, b))
-            return (x > y) - (x < y)
-    return 0
-
-
-def _rewrite(cur, reduct):
-    p, fused, _ = reduct
-    return tuple(cur[:p]) + ((fused,) if fused is not None else ()) + \
-        tuple(cur[p + 1 + (fused is not None):])
+    _stack_reduce(w, steps)
+    return steps
 
 
 def gmul(g, h):

@@ -94,7 +94,7 @@ class TestNormalize:
         assert code == 0
         body = json.loads(out)
         assert body["normal_form"] == []
-        assert len(body["trace"]) == 3  # one step per deleted letter
+        assert len(body["trace"]) == 4  # one step per deleted letter
 
     def test_irreducible_word(self, capsys, line_graph_spec):
         word = [["a", "b"], ["c", "a"]]
@@ -106,7 +106,7 @@ class TestNormalize:
 
     def test_traced_report_with_mixed_node_keys(self, tmp_path):
         # 1, 1.0 and True (and 0.0, -0.0) are equal node keys that json
-        # writes differently; trace words are written without literal copies
+        # writes differently; the words keep the texts of the input's keys
         graph = {"nodes": [0.0, 1, 2, "a"], "edges": [[0.0, 1], [1, 2], [2, "a"]]}
         spec = write_json(tmp_path / "mixed.json", {"graph": graph})
         lit = [[0.0, 1], [1, -0.0], [1, 2], [2, "a"], [True, 2.0], [2, "a"],
@@ -123,10 +123,9 @@ class TestNormalize:
             "input_word": rewrite.word_to_literal(w),
             "normal_form": rewrite.word_to_literal(nf.letters),
             "is_identity": nf.is_identity(),
-            "trace": [rewrite.word_to_literal(cur)
-                      for cur in rewrite.reduction_trace(ctx, w)[:-1]],
+            "trace": rewrite.reduction_trace(ctx, w),
         }
-        assert len(body["trace"]) == 5
+        assert len(body["trace"]) == len(w) - len(nf) == 6
         assert out.read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     def test_malformed_spec_exits_2(self, capsys, tmp_path):
@@ -380,6 +379,22 @@ class TestNumericSpecFields:
         code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "b.json", spec))
         assert (code, out) == (2, "")
         assert "dim must be a positive integer, got '2'" in err
+
+    @pytest.mark.parametrize("dim, data, message", [
+        (3, None, "channel dim is 3, but Kraus operator 0 has shape (2, 2)"),
+        (2, [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]],
+         "channel dim is 2, but Kraus operator 1 has shape (1, 1)"),
+    ], ids=["dim-3-of-2x2", "2x2-and-1x1"])
+    def test_kraus_shapes_must_match_dim(self, capsys, tmp_path, cptp_spec, dim, data,
+                                         message):
+        spec = json.loads(open(cptp_spec).read())
+        channel = spec["family"]["channels"][1]["channel"]
+        channel["dim"] = dim
+        if data is not None:
+            channel["data"] = data
+        code, out, err = run(capsys, "check", "--input", write_json(tmp_path / "b.json", spec))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
 
     def test_integral_numbers_are_accepted(self, capsys, tmp_path, indivisible_spec):
         spec = json.loads(open(indivisible_spec).read())

@@ -890,3 +890,10 @@ class TestChannelSpecs:
     def test_malformed(self):
         with pytest.raises(InputError):
             dilate.channel_from_spec({"dim": 2, "repr": "bogus", "data": []})
+
+    def test_kraus_operators_must_be_dim_by_dim(self):
+        spec = dilate.channel_to_spec(Channel.identity(2))
+        spec["dim"] = 3
+        with pytest.raises(InputError,
+                           match=r"dim is 3, but Kraus operator 0 has shape \(2, 2\)"):
+            dilate.channel_from_spec(spec)

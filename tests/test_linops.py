@@ -399,6 +399,10 @@ class TestVectorization:
         assert np.allclose(SuperOp.anticommutator_with(a).apply(x),
                            anticommutator(a, x))
 
+    def test_kraus_operators_of_different_sizes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 2\) and \(1, 1\)"):
+            SuperOp.from_kraus([np.eye(2) / 2, np.eye(1)])
+
 
 class TestMatrixLiteral:
     def test_round_trip(self):
