@@ -41,28 +41,31 @@ class Channel:
     def __init__(self, dim, choi, kraus=None, tol=1e-10):
         self.dim = int(dim)
         self.choi = linops.as_matrix(choi)
-        self.kraus = None if kraus is None else [linops.as_matrix(k) for k in kraus]
+        self.kraus = None if kraus is None else linops.as_matrix(kraus, stack=True)
         if self.choi.shape != (self.dim**2, self.dim**2):
             raise NotCPTPError(f"Choi matrix has shape {self.choi.shape}")
         self.validate(tol)
 
     def validate(self, tol=1e-10):
+        """Raise NotCPTPError unless the Choi matrix is PSD and trace preserving
+        and the Kraus list, if any, is normalized and gives the same map; the
+        d x d defects are the norms of one stack."""
         d = self.dim
         if not linops.is_psd(self.choi, tol):
             raise NotCPTPError("Choi matrix is not positive semidefinite")
-        tp = spectral_norm(linops.partial_trace_first(self.choi, d, d) - eye(d))
-        if tp > tol:
-            raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
+        defects = [linops.partial_trace_first(self.choi, d, d) - eye(d)]
         if self.kraus is not None:
-            norm_defect = spectral_norm(
-                sum(dagger(k) @ k for k in self.kraus) - eye(d))
-            if norm_defect > tol:
-                raise NotCPTPError(f"Kraus normalization defect {norm_defect:.3e}")
             units = linops.matrix_units(d)
-            rec = spectral_norm(self._apply_kraus(units)
-                                - self._apply_choi(units)).max()
-            if rec > tol:
-                raise NotCPTPError(f"Kraus/Choi mismatch {rec:.3e}")
+            defects += [(dagger(self.kraus) @ self.kraus).sum(axis=0) - eye(d),
+                        *(self._apply_kraus(units) - self._apply_choi(units))]
+        norms = spectral_norm(np.stack(defects))
+        if norms[0] > tol:
+            raise NotCPTPError(f"trace-preservation defect {norms[0]:.3e}")
+        if self.kraus is not None:
+            if norms[1] > tol:
+                raise NotCPTPError(f"Kraus normalization defect {norms[1]:.3e}")
+            if norms[2:].max() > tol:
+                raise NotCPTPError(f"Kraus/Choi mismatch {norms[2:].max():.3e}")
 
     def _apply_choi(self, s):
         d = self.dim
@@ -71,7 +74,9 @@ class Channel:
 
     def _apply_kraus(self, s):
         s = np.asarray(s, dtype=complex)
-        return sum(k @ s @ dagger(k) for k in self.kraus)
+        # every K_i s K_i* as one stacked product, added in list order
+        ks = self.kraus.reshape((len(self.kraus),) + (1,) * (s.ndim - 2) + s.shape[-2:])
+        return sum(ks @ s @ dagger(ks))
 
     def apply(self, s):
         """The channel at ``s``: a d x d matrix or a (..., d, d) stack."""
@@ -123,19 +128,15 @@ def kraus_from_choi(ch, tol=1e-12):
     """Kraus list from the Choi eigendecomposition.
 
     Eigenvalues above ``tol`` relative to the largest one are kept; the count
-    never exceeds dim^2, and reconstruction plus normalization are rechecked
-    by the returned channel's validator.
+    never exceeds dim^2.  The returned channel's validator checks the Choi
+    matrix and the Kraus list, so a Choi matrix changed in place since ``ch``
+    was built fails there.
     """
     d = ch.dim
-    if not linops.is_psd(ch.choi, 1e-10):
-        raise NotCPTPError("Choi matrix is not PSD; cannot extract Kraus operators")
     w, v = np.linalg.eigh(linops.hermitian_part(ch.choi))
-    cutoff = tol * max(w.max(), 1.0)
-    ks = []
-    for lam, col in zip(w, v.T):
-        if lam > cutoff:
-            ks.append(np.sqrt(lam) * col.reshape(d, d))
-    return Channel(ch.dim, ch.choi, kraus=ks)
+    keep = w > tol * max(w.max(), 1.0)
+    ks = (np.sqrt(w[keep])[:, None] * v.T[keep]).reshape(-1, d, d)
+    return Channel(d, ch.choi, kraus=ks)
 
 
 def _kraus_isometry(ch, pad_to=None):
@@ -152,7 +153,7 @@ def _kraus_isometry(ch, pad_to=None):
         raise InputError(f"{k} Kraus operators do not fit in {pad_to} "
                          "environment slots")
     w = np.zeros((d, pad_to, d), dtype=complex)
-    w[:, :k] = np.stack(ch.kraus, axis=1)
+    w[:, :k] = ch.kraus.transpose(1, 0, 2)
     return w
 
 
@@ -212,13 +213,12 @@ class KrausDilation:
         u = self.unitary
         n = u.shape[0]
         units = linops.matrix_units(self.dim)
-        defects = {
-            "unitary": spectral_norm(u @ dagger(u) - eye(n)),
-            "self_adjoint": spectral_norm(u - dagger(u)),
-            "squares_to_identity": spectral_norm(u @ u - eye(n)),
-            "reconstruction": float(trace_norm(
-                self.reconstructed(units) - ch.apply(units)).max()),
-        }
+        norms = spectral_norm(np.stack([u @ dagger(u) - eye(n), u - dagger(u),
+                                        u @ u - eye(n)]))
+        defects = dict(zip(("unitary", "self_adjoint", "squares_to_identity"),
+                           norms.tolist()))
+        defects["reconstruction"] = float(trace_norm(
+            self.reconstructed(units) - ch.apply(units)).max())
         return defect_report("reflection-dilation", list(defects.values()),
                              list(defects), tol, details=defects)
 
@@ -332,12 +332,16 @@ class VedDilation:
 
     def verify_element(self, x, s, tol=1e-10):
         """Trace-norm defect between the dilated action at ``x`` and the
-        assigned channel, at a d x d matrix or per matrix of a stack ``s``.
+        assigned channel, at a d x d matrix or per matrix of a stack ``s``."""
+        return trace_norm(self._element_defect(x, s))
+
+    def _element_defect(self, x, s):
+        """The dilated action at ``x`` minus the assigned channel, at ``s``.
         The product state sits at the group-identity tag, and U(x) moves it
         to tag x with payload u(x) (s (x) |e_0><e_0|) u(x)*, so the reduced
         action of u(x) is the dilated channel at x."""
         reduced = _reduced_action(self.unitary_of(x), self.env_dim, s)
-        return trace_norm(reduced - self.assignment(x).apply(s))
+        return reduced - self.assignment(x).apply(s)
 
 
 # -- shift dilation of contraction families on groups ---------------------------
@@ -555,15 +559,19 @@ class DilatedSystem:
         if max_edges is not None and len(edges) > max_edges:
             edges = edges[:max_edges]
         if self.label == "A-cptp":
+            # per edge, the dilated and the composed channel against the
+            # edge's own, at every matrix unit: one trace-norm stack
             channels = self.system["channels"]
-            units = linops.matrix_units(self.dilation.dim)
-            defects = []
+            d = self.dilation.dim
+            units = linops.matrix_units(d)
+            diffs = []
             for e in edges:
                 g = self.edge_element(e)
-                defects.append(max(self.dilation.verify_element(g, units).max(),
-                                   trace_norm(self.extension(g).apply(units)
-                                              - channels(e).apply(units)).max()))
-            return defect_report("dilation-reconstruction", defects, edges, tol)
+                diffs += [self.dilation._element_defect(g, units),
+                          self.extension(g).apply(units) - channels(e).apply(units)]
+            diffs = np.reshape(diffs, (len(edges), 2 * d * d, d, d))
+            return defect_report("dilation-reconstruction",
+                                 trace_norm(diffs).max(axis=1), edges, tol)
         defects = _blockwise(edges, lambda es: spectral_norm(
             self.dilation.values([self.edge_element(e) for e in es]) - fam.stack(es)))
         return defect_report("compression-identity", defects, edges, tol)
@@ -657,7 +665,7 @@ def dilate_cptp(system, tol=1e-10):
     channels = system["channels"]
     dim = system["dim"]
     graph = system["graph"]
-    ident = Channel.identity(dim)
+    ident = system.get("identity") or Channel.identity(dim)
     cache = {}
 
     def assignment(g):

@@ -13,19 +13,21 @@ from .errors import DimensionError, InputError, is_number, reading
 DEFAULT_TOL = 1e-10
 
 
-def as_matrix(a):
-    """Coerce to a finite 2-d complex array."""
+def as_matrix(a, stack=False):
+    """Coerce to a 2-d complex array, or with ``stack`` to a matrix or a
+    (..., m, n) stack, with finite entries.  One ``isfinite`` pass checks the
+    real and the imaginary parts."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise DimensionError("matrix has non-finite entries")
     return m
 
 
-def _square(a):
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+def _square(a, stack=False):
+    m = as_matrix(a, stack)
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -35,12 +37,22 @@ def eye(d):
 
 
 def dagger(a):
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    a = np.conj(np.asarray(a))
+    return a.swapaxes(-1, -2) if a.ndim > 1 else a
+
+
+def _kron(a, b):
+    """Kronecker product of checked (..., m, n) stacks, one broadcast product:
+    entry for entry the products np.kron forms."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
 
 
 def tensor(a, b):
     """Kronecker product; the first factor is the slow index."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    return _kron(as_matrix(a), as_matrix(b))
 
 
 def tensor_vec(x, y):
@@ -64,23 +76,11 @@ def partial_trace_first(m, d1, d2):
     return np.einsum("aiaj->ij", m.reshape(d1, d2, d1, d2))
 
 
-def _finite_stack(a):
-    """Coerce to a complex matrix or (..., m, n) stack with finite entries."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2:
-        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise DimensionError("matrix has non-finite entries")
-    return a
-
-
 def expm(a):
     """Matrix exponential (scaling-and-squaring with Pade approximants) of a
     matrix, or of each matrix of a (..., n, n) stack.  scipy exponentiates a
     stack matrix by matrix, so each result is bitwise the single-matrix one."""
-    m = _finite_stack(a)
-    if m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(a, stack=True)
     import scipy.linalg  # local import: slow, and most CLI commands never need it
     return scipy.linalg.expm(m)
 
@@ -97,9 +97,8 @@ def exp_derivative(x, y, t=0.0):
 
 
 def _singular_values(a):
-    """Singular values of a matrix, or of each matrix of a (..., m, n) stack;
-    an empty matrix has the single singular value 0."""
-    a = _finite_stack(a)
+    """Singular values of a checked matrix, or of each matrix of a (..., m, n)
+    stack; an empty matrix has the single singular value 0."""
     if a.shape[-1] == 0 or a.shape[-2] == 0:
         return np.zeros(a.shape[:-2] + (1,))
     return np.linalg.svd(a, compute_uv=False)
@@ -108,14 +107,14 @@ def _singular_values(a):
 def spectral_norm(a):
     """Largest singular value.  A stack of shape (..., m, n) gives one norm
     per matrix as an array; a single matrix gives a float."""
-    norms = _singular_values(a)[..., 0]
+    norms = _singular_values(as_matrix(a, stack=True))[..., 0]
     return float(norms) if norms.ndim == 0 else norms
 
 
 def trace_norm(a):
     """Sum of singular values, per matrix of a stack as for
     :func:`spectral_norm`."""
-    norms = _singular_values(a).sum(axis=-1)
+    norms = _singular_values(as_matrix(a, stack=True)).sum(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -142,13 +141,14 @@ def adjoint_action(u, s):
 
 
 def hermitian_part(a):
-    a = _square(a)
+    """(a + a*) / 2, of a matrix or of each matrix of a stack."""
+    a = _square(a, stack=True)
     return 0.5 * (a + dagger(a))
 
 
 def is_hermitian(a, tol=DEFAULT_TOL):
     a = _square(a)
-    return spectral_norm(a - dagger(a)) <= tol
+    return bool(_singular_values(a - dagger(a))[0] <= tol)
 
 
 def is_dissipative_hilbert(a, tol=DEFAULT_TOL):
@@ -165,9 +165,9 @@ def is_dissipative_hilbert(a, tol=DEFAULT_TOL):
 def is_psd(a, tol=DEFAULT_TOL):
     """True iff ``a`` is Hermitian within ``tol`` and has min eigenvalue >= -tol."""
     a = _square(a)
-    if not is_hermitian(a, tol):
+    if not _singular_values(a - dagger(a))[0] <= tol:
         return False
-    return float(np.linalg.eigvalsh(hermitian_part(a)).min()) >= -tol
+    return float(np.linalg.eigvalsh(0.5 * (a + dagger(a))).min()) >= -tol
 
 
 # -- column-stacking vectorization (fixed globally) --------------------------
@@ -222,10 +222,14 @@ class SuperOp:
         self.matrix = m
 
     def apply(self, x):
-        x = _square(x)
-        if x.shape != (self.dim, self.dim):
-            raise DimensionError(f"expected {self.dim}x{self.dim} input, got {x.shape}")
-        return unvec(self.matrix @ vec(x), self.dim)
+        """The map at a d x d matrix, or at each matrix of a (..., d, d)
+        stack; a stack is one matrix-vector product per matrix."""
+        x, d = _square(x, stack=True), self.dim
+        if x.shape[-2:] != (d, d):
+            raise DimensionError(f"expected {d}x{d} input, got {x.shape}")
+        # vec(x) is x^T flattened row-major: a (d^2, 1) column per matrix
+        cols = x.swapaxes(-1, -2).reshape(x.shape[:-2] + (d * d, 1))
+        return (self.matrix @ cols).reshape(x.shape).swapaxes(-1, -2)
 
     def __matmul__(self, other):
         return SuperOp(self.dim, self.matrix @ _coerce_super(other, self.dim))
@@ -242,47 +246,54 @@ class SuperOp:
         """X -> a X."""
         a = _square(a)
         d = a.shape[0]
-        return cls(d, tensor(eye(d), a))
+        return cls(d, _kron(eye(d), a))
 
     @classmethod
     def right_multiplication(cls, a):
         """X -> X a."""
         a = _square(a)
         d = a.shape[0]
-        return cls(d, tensor(a.T, eye(d)))
+        return cls(d, _kron(a.T, eye(d)))
 
     @classmethod
     def commutator_with(cls, a):
         """X -> [a, X]."""
         a = _square(a)
         d = a.shape[0]
-        return cls(d, tensor(eye(d), a) - tensor(a.T, eye(d)))
+        return cls(d, _kron(eye(d), a) - _kron(a.T, eye(d)))
 
     @classmethod
     def anticommutator_with(cls, a):
         """X -> {a, X}."""
         a = _square(a)
         d = a.shape[0]
-        return cls(d, tensor(eye(d), a) + tensor(a.T, eye(d)))
+        return cls(d, _kron(eye(d), a) + _kron(a.T, eye(d)))
 
     @classmethod
     def conjugation_by(cls, u):
         """X -> u X u*."""
         u = _square(u)
         d = u.shape[0]
-        return cls(d, tensor(np.conj(u), u))
+        return cls(d, _kron(np.conj(u), u))
 
     @classmethod
     def from_kraus(cls, kraus_ops):
-        """X -> sum_i K_i X K_i*."""
-        ks = [_square(k) for k in kraus_ops]
-        d = ks[0].shape[0]
-        m = np.zeros((d * d, d * d), dtype=complex)
+        """X -> sum_i K_i X K_i*.  Every conj(K_i) (x) K_i comes from one
+        broadcast product; they are added in list order, starting from zeros."""
+        ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
+        if not ks:
+            raise DimensionError("a kraus channel needs at least one operator")
         for k in ks:
             if k.shape != ks[0].shape:
                 raise DimensionError(f"Kraus operators of shapes {ks[0].shape} "
                                      f"and {k.shape}")
-            m += tensor(np.conj(k), k)
+        if ks[0].ndim != 2:
+            raise DimensionError(f"expected a matrix, got ndim={ks[0].ndim}")
+        ks = _square(np.stack(ks), stack=True)
+        d = ks.shape[-1]
+        m = np.zeros((d * d, d * d), dtype=complex)
+        for term in _kron(np.conj(ks), ks):
+            m += term
         return cls(d, m)
 
 

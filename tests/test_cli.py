@@ -384,7 +384,8 @@ class TestNumericSpecFields:
         (3, None, "channel dim is 3, but Kraus operator 0 has shape (2, 2)"),
         (2, [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]],
          "channel dim is 2, but Kraus operator 1 has shape (1, 1)"),
-    ], ids=["dim-3-of-2x2", "2x2-and-1x1"])
+        (2, [], "a kraus channel needs at least one operator"),
+    ], ids=["dim-3-of-2x2", "2x2-and-1x1", "no-operators"])
     def test_kraus_shapes_must_match_dim(self, capsys, tmp_path, cptp_spec, dim, data,
                                          message):
         spec = json.loads(open(cptp_spec).read())

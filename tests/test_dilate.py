@@ -54,13 +54,13 @@ class TestChannel:
 
     def test_trace_preserving_validated(self):
         bad_kraus = [0.5 * np.eye(2)]
-        with pytest.raises(NotCPTPError):
+        with pytest.raises(NotCPTPError, match="trace-preservation defect 7.500e-01"):
             Channel.from_kraus(bad_kraus)
 
     def test_non_psd_choi_rejected(self):
         choi = np.eye(4, dtype=complex)
         choi[0, 0] = -1.0
-        with pytest.raises(NotCPTPError):
+        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
             Channel(2, choi)
 
     def test_composition(self):
@@ -123,6 +123,45 @@ class TestChannelForms:
         t.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
         with pytest.raises(NotCPTPError):
             Channel.identity(2).compose(t)
+
+
+def identity_choi(d):
+    return Channel.identity(d).choi.copy()
+
+
+class TestEveryChannelCheckFails:
+    """Each check of ``Channel.validate`` has an input that only it rejects
+    (with ``TestChannel``'s non-PSD and trace-preservation cases), so a check
+    that is dropped or skipped fails its case here."""
+
+    def test_non_hermitian_choi(self):
+        choi = identity_choi(2)
+        choi[0, 1], choi[1, 0] = 0.25, -0.25  # its Hermitian part stays PSD
+        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
+            Channel(2, choi)
+
+    def test_kraus_normalization_defect(self):
+        # the Choi matrix is the identity channel's; the Kraus list is not normalized
+        with pytest.raises(NotCPTPError, match="Kraus normalization defect 7.500e-01"):
+            Channel(2, identity_choi(2), kraus=[0.5 * np.eye(2)])
+
+    def test_kraus_choi_mismatch(self):
+        # normalized and trace preserving, but another map than the Choi matrix's
+        with pytest.raises(NotCPTPError, match="Kraus/Choi mismatch"):
+            Channel(2, identity_choi(2), kraus=[SIGMA_X])
+
+    @pytest.mark.parametrize("make", [Channel.identity,
+                                      lambda d: Channel.random(rng_from_seed(9), d)],
+                             ids=["identity", "random"])
+    def test_kraus_from_choi_after_in_place_corruption(self, make):
+        # both channels passed every check when they were built
+        not_cp, not_tp = make(2), make(2)
+        not_cp.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
+        not_tp.choi *= 1.5
+        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
+            kraus_from_choi(not_cp)
+        with pytest.raises(NotCPTPError, match="trace-preservation defect"):
+            kraus_from_choi(not_tp)
 
 
 class TestKrausFromChoi:

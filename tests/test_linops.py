@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdyn import linops
 from graphdyn.errors import DimensionError
@@ -402,6 +404,79 @@ class TestVectorization:
     def test_kraus_operators_of_different_sizes(self):
         with pytest.raises(DimensionError, match=r"\(2, 2\) and \(1, 1\)"):
             SuperOp.from_kraus([np.eye(2) / 2, np.eye(1)])
+
+    def test_empty_kraus_list(self):
+        with pytest.raises(DimensionError, match="needs at least one operator"):
+            SuperOp.from_kraus([])
+
+
+def kron_loop_from_kraus(kraus_ops):
+    """The superoperator of a Kraus list as one np.kron per operator, added
+    in list order onto zeros: the oracle of the stacked SuperOp.from_kraus."""
+    d = kraus_ops[0].shape[0]
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for k in kraus_ops:
+        m += np.kron(np.conj(k), k)
+    return m
+
+
+# d = 1..3 and Kraus ranks 1..d^2, with a seed for the entries
+kraus_shapes = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d * d), st.integers(0, 2**32 - 1)))
+
+
+class TestStackedKernelsAreBitwise:
+    """Channel checks and bodies use stacked kernels; each must give the bits
+    of the per-matrix computation it replaced."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kraus_shapes)
+    def test_from_kraus_is_the_kron_loop(self, shape):
+        d, rank, seed = shape
+        rng = rng_from_seed(seed)
+        ks = [random_matrix(rng, d) for _ in range(rank)]
+        if seed % 2:
+            # real operators give products with imaginary part -0.0: the
+            # sum must keep the loop's signs of zero too
+            ks = [k.real.astype(complex) for k in ks]
+        got = SuperOp.from_kraus(ks)
+        assert got.dim == d
+        # equal bit patterns, so equal signs of zero too
+        assert np.array_equal(got.matrix.view(np.int64),
+                              kron_loop_from_kraus(ks).view(np.int64))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kraus_shapes)
+    def test_stacked_norms_are_the_matrix_loop(self, shape):
+        d, rank, seed = shape
+        rng = rng_from_seed(seed)
+        stack = np.stack([random_matrix(rng, d) for _ in range(rank)])
+        assert np.array_equal(spectral_norm(stack),
+                              [spectral_norm(m) for m in stack])
+        assert np.array_equal(trace_norm(stack), [trace_norm(m) for m in stack])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kraus_shapes)
+    def test_stacked_apply_is_the_matrix_loop(self, shape):
+        d, rank, seed = shape
+        rng = rng_from_seed(seed)
+        sop = SuperOp(d, random_matrix(rng, d * d))
+        stack = np.stack([random_matrix(rng, d) for _ in range(rank)])
+        want = np.stack([linops.unvec(sop.matrix @ linops.vec(m), d) for m in stack])
+        assert np.array_equal(sop.apply(stack), want)
+        assert np.array_equal(sop.apply(stack[0]), want[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", [1, 1j], ids=["real", "imag"])
+    def test_as_matrix_rejects_non_finite_parts(self, bad, part):
+        m = np.zeros((2, 3), dtype=complex)
+        m[1, 2] = bad * part if part == 1 else complex(0.0, bad)
+        with pytest.raises(DimensionError, match="non-finite"):
+            linops.as_matrix(m)
+        with pytest.raises(DimensionError, match="non-finite"):
+            linops.as_matrix(np.stack([np.zeros((2, 3)), m]), stack=True)
+        with pytest.raises(DimensionError, match="ndim=3"):
+            linops.as_matrix(np.zeros((2, 2, 3)))
 
 
 class TestMatrixLiteral:
