@@ -74,6 +74,9 @@ def build_parser():
 
     p = sub.add_parser("check", help="axiom report for a system spec")
     _common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func="cmd_check")
 
     p = sub.add_parser("extend", help="evaluate a group extension of a family")
@@ -85,6 +88,8 @@ def build_parser():
 
     p = sub.add_parser("dilate", help="run a dilation pipeline and verify it")
     _common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pipeline", choices=["A", "B", "C", "A-cptp"], required=True)
     p.set_defaults(func="cmd_dilate")
 
@@ -106,9 +111,6 @@ def build_parser():
 def _common(p):
     p.add_argument("--input", help="path to a JSON spec")
     p.add_argument("--output", help="path for the JSON report")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
 
 
 @reading("spec")

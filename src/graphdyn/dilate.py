@@ -330,7 +330,7 @@ class VedDilation:
             return new_tag, self.unitary_of(new_tag) @ dagger(self.unitary_of(tag)) @ payload
         return v.map(term)
 
-    def verify_element(self, x, s, tol=1e-10):
+    def verify_element(self, x, s):
         """Trace-norm defect between the dilated action at ``x`` and the
         assigned channel, at a d x d matrix or per matrix of a stack ``s``."""
         return trace_norm(self._element_defect(x, s))
@@ -533,7 +533,7 @@ class DilatedSystem:
         """Compression of the dilated representation at an edge."""
         return self.dilation.compression_matrix(self.edge_element(e))
 
-    def verify(self, rng=None, tol=1e-10, max_edges=None):
+    def verify(self, rng=None, tol=1e-10):
         reports = []
         graph = self.system["graph"]
         nodes = graph.nodes
@@ -547,17 +547,14 @@ class DilatedSystem:
             if lhs != self.edge_element((u, w)):
                 bad.append((u, v, w))
         reports.append(bad_keys_report("group-divisibility-axiom", bad, len(triples)))
-        reports.append(self._compression_report(tol, max_edges))
+        reports.append(self._compression_report(tol))
         if self.label in ("B", "C") and self.system.get("ell") is not None:
             reports.append(self._continuity_report(rng))
         return reports
 
-    def _compression_report(self, tol, max_edges):
-        graph = self.system["graph"]
+    def _compression_report(self, tol):
         fam = self.system["family"]
-        edges = list(graph.edges())
-        if max_edges is not None and len(edges) > max_edges:
-            edges = edges[:max_edges]
+        edges = list(self.system["graph"].edges())
         if self.label == "A-cptp":
             # per edge, the dilated and the composed channel against the
             # edge's own, at every matrix unit: one trace-norm stack
@@ -659,7 +656,7 @@ def dilate_exponential(system, flavor="banach", tol=1e-9):
     return _shift_pipeline("C", system, SecondCoverExtension(gens, tol=tol), flavor)
 
 
-def dilate_cptp(system, tol=1e-10):
+def dilate_cptp(system):
     """CPTP variant of the discrete pipeline: compose channels along normal
     forms, then dilate the family through one unitary representation."""
     channels = system["channels"]

@@ -50,9 +50,9 @@ class LinearOrderGraph:
     def join(self, u, v):
         return v if self.leq(u, v) else u
 
-    def edges(self, include_diagonal=True):
+    def edges(self):
         for i, u in enumerate(self.nodes):
-            for v in self.nodes[i if include_diagonal else i + 1:]:
+            for v in self.nodes[i:]:
                 yield (u, v)
 
     def context(self):
@@ -156,8 +156,8 @@ class GeneratorFamily(_Family):
         return OperatorFamily(self.graph, self.dim, stack_fn=lambda es: linops.expm(
             alpha * self.stack(es)))
 
-    def check_dissipative(self, edges=None, tol=1e-10):
-        edges = list(self.graph.edges()) if edges is None else edges
+    def check_dissipative(self, tol=1e-10):
+        edges = list(self.graph.edges())
 
         def top_eigenvalues(es):
             vals = self.stack(es)
@@ -185,11 +185,10 @@ class LengthFunction:
             raise OrderError(f"length function negative at {edge!r}")
         return val
 
-    def check(self, graph, triples=None, tol=1e-12):
+    def check(self, graph, tol=1e-12):
         """Verify vanishing on loops plus the kind's inequality on triples."""
         nodes = graph.nodes
-        if triples is None:
-            triples = _node_triples(nodes, _ordered_triples(graph))
+        triples = _node_triples(nodes, _ordered_triples(graph))
         keys = [(u, u, u) for u in nodes] + list(triples)
         defects = [abs(self((u, u))) for u in nodes]
         for (u, v, w) in triples:
@@ -226,8 +225,8 @@ def _blockwise(keys, defect):
     return out
 
 
-def check_identity_axiom(fam, tol=1e-10, nodes=None):
-    nodes = fam.graph.nodes if nodes is None else nodes
+def check_identity_axiom(fam, tol=1e-10):
+    nodes = fam.graph.nodes
     eye = linops.eye(fam.dim)
     defects = _blockwise(nodes, lambda us: spectral_norm(
         fam.stack([(u, u) for u in us]) - eye))
@@ -319,9 +318,9 @@ def check_additivity(gen, tol=1e-9, rng=None, count=None):
                          tol, rng, count)
 
 
-def check_geometric_growth(fam, ell, edges=None, tol=1e-12):
+def check_geometric_growth(fam, ell, tol=1e-12):
     """Operator families: |phi(e) - 1| <= l(e).  Generator families: |A(e)| <= l(e)."""
-    edges = list(fam.graph.edges()) if edges is None else edges
+    edges = list(fam.graph.edges())
     shift = 0 if isinstance(fam, GeneratorFamily) else linops.eye(fam.dim)
     excess = _blockwise(edges, lambda es: spectral_norm(fam.stack(es) - shift)
                         - np.array([ell(e) for e in es], dtype=float))

@@ -827,17 +827,17 @@ class TestBatchedVerify:
         bumps = {e: rng.uniform(0.0, 1e-3) * (e[0] != e[1]) for e in fam.graph.edges()}
         bumped = OperatorFamily(fam.graph, 3, lambda e: fam(e) + bumps[e] * np.eye(3))
         ds.system = {"graph": fam.graph, "family": bumped}
-        for max_edges, block in ((None, 4), (None, 512), (7, 512), (0, 512)):
+        edges = list(fam.graph.edges())
+        for block in (4, 512):
             with mock.patch.object(dynamics, "_BLOCK", block):
-                rep = ds._compression_report(1e-10, max_edges)
-            edges = list(fam.graph.edges())[:max_edges]
+                rep = ds._compression_report(1e-10)
             worst, arg = 0.0, None
             for e in edges:
                 d = spectral_norm(ds.edge_operator(e) - bumped(e))
                 if d > worst:
                     worst, arg = d, e
             assert (rep.max_defect, rep.argmax, rep.count) == (worst, arg, len(edges))
-            assert rep.passed == (not edges)
+            assert not rep.passed
 
     def test_verify_samples_at_most_200_triples(self):
         for points, sampled in ((9, 165), (17, 200)):

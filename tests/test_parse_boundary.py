@@ -70,7 +70,8 @@ BASES = {
     },
 }
 
-_SYSTEM_COMMANDS = [("check",), ("extend",), ("extend", "--which", "cover1"),
+CHECK = ("check", "--samples", "3")
+_SYSTEM_COMMANDS = [CHECK, ("extend",), ("extend", "--which", "cover1"),
                     ("extend", "--which", "cover2")] + [
     ("dilate", "--pipeline", p) for p in ("A", "B", "C", "A-cptp")]
 COMMANDS = dict.fromkeys(BASES, _SYSTEM_COMMANDS)
@@ -119,17 +120,17 @@ def run_in_process(spec, command):
             json.dump(spec, fh)  # NaN as json writes it
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([*command, "--input", path, "--samples", "3"])
+            code = cli.main([*command, "--input", path])
     return code, out.getvalue(), err.getvalue()
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(mutated_runs())
-@example((mutate(BASES["exponential"], ("family", "ell"), "x"), ("check",), "ell"))
+@example((mutate(BASES["exponential"], ("family", "ell"), "x"), CHECK, "ell"))
 @example((mutate(BASES["indivisible-example"], ("graph", "order", 0), [1, 2, 3]),
-          ("check",), "graph.order"))
+          CHECK, "graph.order"))
 @example((mutate(BASES["exponential"], ("graph", "order"), ["a", "b"]),
-          ("check",), "graph.order"))
+          CHECK, "graph.order"))
 def test_mutated_specs_exit_cleanly(case):
     spec, command, field = case
     code, out, err = run_in_process(spec, command)
@@ -142,5 +143,5 @@ def test_mutated_specs_exit_cleanly(case):
 
 def test_every_base_passes():
     for base in BASES:
-        command = ("normalize",) if base == "words" else ("check",)
+        command = ("normalize",) if base == "words" else CHECK
         assert run_in_process(BASES[base], command)[0] == 0, base
