@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -74,9 +75,9 @@ def build_parser():
 
     p = sub.add_parser("check", help="axiom report for a system spec")
     _common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    p.add_argument("--samples", type=_count, default=25)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func="cmd_check")
 
     p = sub.add_parser("extend", help="evaluate a group extension of a family")
@@ -88,22 +89,22 @@ def build_parser():
 
     p = sub.add_parser("dilate", help="run a dilation pipeline and verify it")
     _common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--pipeline", choices=["A", "B", "C", "A-cptp"], required=True)
     p.set_defaults(func="cmd_dilate")
 
     p = sub.add_parser("demo", help="write a built-in example system + sweep CSV")
     p.add_argument("name", choices=["indivisible-2.4", "network-2.5", "lindblad"])
     p.add_argument("--output", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func="cmd_demo")
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--output")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    p.add_argument("--samples", type=_count, default=25)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func="cmd_verify")
     return parser
 
@@ -111,6 +112,24 @@ def build_parser():
 def _common(p):
     p.add_argument("--input", help="path to a JSON spec")
     p.add_argument("--output", help="path for the JSON report")
+
+
+def _count(text):
+    """A non-negative integer: ``--seed`` and ``--samples``."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text):
+    """A finite number >= 0: ``--tol``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 @reading("spec")

@@ -501,10 +501,13 @@ class ShiftDilation:
         else:
             unit = self.compress(self.embed(eye(self.dim)))
             keys, defects = ["unit"], [spectral_norm(unit - eye(self.dim))]
+            # the first 8 cached elements in a canonical order: the cache's own
+            # order is the order in which earlier calls happened to fill it
+            points = sorted(self._values, key=lambda g: (len(g.letters), repr(g.letters)))
             for n, payload in enumerate(samples):
                 p = np.asarray(payload, dtype=complex)
                 p = p @ dagger(p)  # positive sample
-                for g in list(self._values.keys())[:8] or [rewrite.identity()]:
+                for g in points[:8] or [rewrite.identity()]:
                     keys += [(n, g, "positive"), (n, g, "self-adjoint")]
                     if not np.isfinite(p).all():  # fails, with the sample as witness
                         defects += [np.nan, np.nan]

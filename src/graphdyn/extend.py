@@ -46,13 +46,6 @@ class CoverFunction:
                 return c
         return 0
 
-    def __add__(self, other):
-        if other.graph is not self.graph and other.graph.nodes != self.graph.nodes:
-            raise StructureError("covers live on different grids")
-        m = len(self.graph.nodes)
-        values = [self.value_at(i) + other.value_at(i) for i in range(m)]
-        return CoverFunction(self.graph, _canonical_segments(values))
-
     def as_segment_dicts(self):
         """JSON-facing dump: endpoints as node keys."""
         nodes = self.graph.nodes

@@ -542,6 +542,46 @@ class TestDemo:
         assert exc.value.code == 2  # argparse rejects the choice
 
 
+class TestNumericFlags:
+    # --seed and --samples are non-negative integers, --tol a finite number >= 0
+    @pytest.mark.parametrize("argv, flag", [
+        (("check", "--input", "SPEC", "--seed", "-1"), "--seed"),
+        (("dilate", "--input", "SPEC", "--pipeline", "A", "--seed", "-1"), "--seed"),
+        (("demo", "lindblad", "--output", "OUT", "--seed", "-1"), "--seed"),
+        (("verify", "--seed", "-1"), "--seed"),
+        (("check", "--input", "SPEC", "--samples", "-1"), "--samples"),
+        (("verify", "--samples", "-1"), "--samples"),
+        (("check", "--input", "SPEC", "--tol", "nan"), "--tol"),
+    ], ids=["check-seed", "dilate-seed", "demo-seed", "verify-seed", "check-samples",
+            "verify-samples", "check-tol"])
+    def test_bad_value_exits_2(self, capsys, tmp_path, indivisible_spec, argv, flag):
+        argv = [{"SPEC": indivisible_spec, "OUT": str(tmp_path)}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "indivisible.json"]
+
+    @pytest.mark.parametrize("argv, name, count", [
+        (("check", "--samples", "0"), "divisibility-axiom", 0),
+        (("check", "--tol", "0"), "identity-axiom", 9),
+    ])
+    def test_zero_is_accepted(self, capsys, indivisible_spec, argv, name, count):
+        code, out, _ = run(capsys, *argv, "--input", indivisible_spec)
+        assert code == 0
+        check = {c["name"]: c for c in json.loads(out)["checks"]}[name]
+        assert check["count"] == count
+        if argv[1] == "--tol":
+            assert check["tolerance"] == 0.0
+
+    def test_verify_accepts_zero_samples(self, capsys):
+        code, out, _ = run(capsys, "verify", "--samples", "0")
+        assert code == 0
+        counts = {c["name"]: c["count"] for c in json.loads(out)["checks"]}
+        assert counts["group-laws"] == counts["kraus-dilations"] == 0
+
+
 class TestVerifyAndDeterminism:
     def test_verify_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

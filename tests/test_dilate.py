@@ -667,6 +667,32 @@ class TestShiftDilationCstar:
         assert (rep.name, rep.count, rep.tolerance) == \
             (ok.name, 2, ok.tolerance) == ("embedding-positive-unital", 2, 10 * dil.tol)
 
+    def test_embedding_points_do_not_depend_on_fill_order(self):
+        # X -> a X + (1 - a) tr(X) 1/2 is unital for every a and not positive
+        # for a < -1, so each of the 10 edge elements has its own defect; the
+        # largest is at the last edge, which only the reversed fill puts first
+        graph = descending_grid(1.0, 5)
+        edges = [(u, v) for u, v in graph.edges() if u != v]
+        coeff = {e: -1.1 - 0.1 * i for i, e in enumerate(edges)}
+        one = linops.vec(np.eye(2))
+
+        def value(e):
+            a = coeff.get(e, 1.0)
+            return a * np.eye(4) + (1 - a) / 2 * np.outer(one, one)
+
+        from graphdyn.extend import NormalFormExtension
+        ctx = graph.context()
+        elements = [embed_edge(ctx, e) for e in edges]
+        samples = [random_matrix(rng_from_seed(5), 2)]
+        reports = []
+        for order in (elements, elements[::-1]):
+            ext = NormalFormExtension(OperatorFamily(graph, 4, value))
+            dil = ShiftDilation(ext, 2, flavor="cstar")
+            dil.values(order)
+            reports.append(dil.check_embedding(samples).as_dict())
+        assert reports[0] == reports[1]
+        assert not reports[0]["passed"]
+
 
 def shift_setup(which, seed):
     """A fresh (extension, payload dim, flavor) over a 5-point grid: each

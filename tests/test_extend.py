@@ -84,7 +84,9 @@ class TestCoverOfWord:
             w2 = word((nodes[rng.integers(0, 6)], nodes[rng.integers(0, 6)])
                       for _ in range(int(rng.integers(0, 4))))
             lhs = cover_of_word(line, w1 + w2)
-            assert lhs == cover_of_word(line, w1) + cover_of_word(line, w2)
+            c1, c2 = cover_of_word(line, w1), cover_of_word(line, w2)
+            assert [lhs.value_at(i) for i in range(len(nodes))] == \
+                [c1.value_at(i) + c2.value_at(i) for i in range(len(nodes))]
             assert lhs == cover_of_word(line, w2 + w1)
 
     def test_needs_linear_order(self):

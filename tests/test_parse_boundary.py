@@ -1,7 +1,9 @@
-"""The parse boundary: a malformed spec exits 2 with ``input error:``.
+"""The parse boundary: a malformed spec exits 2 with ``input error:``, and a
+malformed flag value exits 2 through argparse.
 
 Specs of every family kind and graph-plus-word specs are mutated one key or
-value at a time and run through ``cli.main`` in-process.  A run may pass or
+value at a time, and each command's flags are set to odd values one at a
+time; every run goes through ``cli.main`` in-process.  A run may pass or
 fail a check (0, 3, 4) or reject its input (2); any exception that escapes
 ``main`` is a bug the boundary let through or relabelled.
 """
@@ -145,3 +147,63 @@ def test_every_base_passes():
     for base in BASES:
         command = ("normalize",) if base == "words" else CHECK
         assert run_in_process(BASES[base], command)[0] == 0, base
+
+
+# each command: a run that passes, and the flags that take a value.  Spec
+# paths are relative to the run's scratch directory
+ARGV = {
+    "normalize": (("normalize", "--input", "words.json"), ("--input", "--output", "--word")),
+    "group mul": (("group", "mul", "--input", "words.json"),
+                  ("--input", "--output", "--words")),
+    "group inv": (("group", "inv", "--input", "words.json"),
+                  ("--input", "--output", "--word")),
+    "check": ((*CHECK, "--input", "system.json"),
+              ("--input", "--output", "--tol", "--samples", "--seed")),
+    "extend": (("extend", "--input", "system.json"),
+               ("--input", "--output", "--word", "--which")),
+    "dilate": (("dilate", "--pipeline", "A", "--input", "system.json"),
+               ("--input", "--output", "--tol", "--seed", "--pipeline")),
+    "demo": (("demo", "lindblad"), ("--output", "--seed")),
+    "verify": (("verify", "--samples", "3"), ("--output", "--tol", "--samples", "--seed")),
+}
+# no valid value exceeds 3, so no run samples or loops more than the base run
+VALUES = ["-1", "0", "3", "nan", "inf", "-inf", "x", "1e400"]
+NUMERIC = ("--tol", "--samples", "--seed")
+
+
+@st.composite
+def flag_runs(draw):
+    base, flags = ARGV[draw(st.sampled_from(sorted(ARGV)))]
+    return base, draw(st.sampled_from(flags)), draw(st.sampled_from(VALUES))
+
+
+def run_argv(argv):
+    """Exit code and stderr of ``argv`` run in a scratch directory holding
+    ``words.json`` and ``system.json``; argparse's exit counts as a code."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, base in (("words.json", "words"), ("system.json", "exponential")):
+            with open(name, "w") as fh:
+                json.dump(BASES[base], fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    return code, err.getvalue()
+
+
+def test_every_argv_base_passes():
+    for base, _ in ARGV.values():
+        assert run_argv(base) == (0, ""), base
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(flag_runs())
+def test_flag_values_exit_cleanly(case):
+    base, flag, value = case
+    code, err = run_argv([*base, flag, value])
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, (base, flag, value, code, err)
+    if flag in NUMERIC:
+        # --seed and --samples take non-negative integers, --tol finite numbers >= 0
+        assert (code == 2) == (value not in ("0", "3")), (base, flag, value, err)
