@@ -180,16 +180,21 @@ def flag_runs(draw):
 def run_argv(argv):
     """Exit code and stderr of ``argv`` run in a scratch directory holding
     ``words.json`` and ``system.json``; argparse's exit counts as a code."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, base in (("words.json", "words"), ("system.json", "exponential")):
-            with open(name, "w") as fh:
-                json.dump(BASES[base], fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, base in (("words.json", "words"), ("system.json", "exponential")):
+                with open(name, "w") as fh:
+                    json.dump(BASES[base], fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
     return code, err.getvalue()
 
 
