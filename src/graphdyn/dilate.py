@@ -405,6 +405,7 @@ class ShiftDilation:
                     self._fill([g])
             raise
         self._check(gs, vals)
+        vals.flags.writeable = False  # a caller's in-place write raises
         self._values.update(zip(gs, vals))
 
     def _evaluate(self, gs):
@@ -572,8 +573,8 @@ class DilatedSystem:
             diffs = np.reshape(diffs, (len(edges), 2 * d * d, d, d))
             return defect_report("dilation-reconstruction",
                                  trace_norm(diffs).max(axis=1), edges, tol)
-        defects = _blockwise(edges, lambda es: spectral_norm(
-            self.dilation.values([self.edge_element(e) for e in es]) - fam.stack(es)))
+        defects = _blockwise(edges, lambda es: linops.screened_norms(
+            self.dilation.values([self.edge_element(e) for e in es]) - fam.stack(es), tol))
         return defect_report("compression-identity", defects, edges, tol)
 
     def _continuity_report(self, rng):

@@ -111,6 +111,36 @@ def spectral_norm(a):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def screened_norms(a, tol, shift=0.0, offenders=False):
+    """``spectral_norm(a) - shift`` for an (N, m, n) stack, exact only where
+    it can decide a :func:`graphdyn.reports.defect_report` on ``tol``.  The
+    bound ``|A|_2 <= |A* A|_F^(1/2)`` (Golub & Van Loan §2.3) sends to the
+    SVD the matrix of the largest bound; then every matrix whose bound is not
+    below the largest value (ties and NaN too) unless it is at most
+    ``min(tol, 0)``; and with ``offenders`` every one not ``<= tol``.  The
+    rest get ``-inf``: not a witness, not failing, so no field moves."""
+    a = as_matrix(a, stack=True)
+    if not a.size:
+        return spectral_norm(a) - shift
+    shift = np.broadcast_to(shift, a.shape[:1])
+    # each matrix scaled exactly, by a power of two, to parts below 1
+    exp = np.frexp(np.maximum(abs(a.real), abs(a.imag)).max(axis=(1, 2)))[1]
+    x = np.ldexp(a.real, -exp[:, None, None]) + 1j * np.ldexp(a.imag, -exp[:, None, None])
+    gram = np.linalg.norm(dagger(x) @ x, axis=(1, 2))  # Frobenius, per matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf - inf
+        # margin far over bound and SVD rounding (Higham ch. 6); both round once
+        hi = np.ldexp(np.sqrt(gram) * (1 + 1e-10), exp) - shift
+    exact = ~(hi <= tol) if offenders else np.zeros(len(a), dtype=bool)
+    exact[np.argmax(hi)] = True
+    out = np.full(len(a), -np.inf)
+    out[exact] = spectral_norm(a[exact]) - shift[exact]
+    # one pass: the largest value only grows past the bounds left below it
+    late = ~exact & ~(hi < out.max()) & ~(hi <= min(tol, 0.0))
+    if late.any():
+        out[late] = spectral_norm(a[late]) - shift[late]
+    return out
+
+
 def trace_norm(a):
     """Sum of singular values, per matrix of a stack as for
     :func:`spectral_norm`."""

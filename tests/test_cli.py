@@ -536,6 +536,19 @@ class TestDemo:
         text = (tmp_path / (name.replace(".", "_") + ".json")).read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("name", ["indivisible-2.4", "network-2.5"])
+    def test_seed_of_a_seedless_demo_exits_2(self, capsys, tmp_path, name):
+        code, _, err = run(capsys, "demo", name, "--output", str(tmp_path), "--seed", "0")
+        assert code == 2 and "only the lindblad demo takes a seed" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lindblad_seed_defaults_to_0(self, capsys, tmp_path):
+        for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+            out = tmp_path / (seed[-1] if seed else "default")
+            assert run(capsys, "demo", "lindblad", "--output", str(out), *seed)[0] == 0
+        text = {p.name: (p / "lindblad.json").read_text() for p in tmp_path.iterdir()}
+        assert text["default"] == text["0"] != text["5"]
+
     def test_unknown_name_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["demo", "bogus", "--output", str(tmp_path)])

@@ -573,6 +573,18 @@ class TestShiftDilation:
             rhs = dil.shift(gmul(x, y), v)
             assert lhs.distance(rhs) == 0.0
 
+    def test_a_cached_value_cannot_be_written(self):
+        rng, fam, dil, ctx = self.banach_setup()
+        g = embed_edge(ctx, (1.0, 0.5))
+        val = dil.value(g)
+        before = val.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            val[0, 0] = 7.0
+        assert np.array_equal(dil.value(g), before)
+        stack = dil.values([g, g])
+        stack[:] = 0  # a stack is the caller's own copy
+        assert np.array_equal(dil.value(g), before)
+
     def test_non_contraction_rejected(self):
         graph = descending_grid(1.0, 3)
         fam = OperatorFamily(graph, 2, lambda e: np.eye(2)

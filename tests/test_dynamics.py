@@ -395,11 +395,50 @@ class TestBatchedFamilies:
         finally:
             gc.enable()
 
+    def test_a_cached_value_cannot_be_written(self):
+        fam = random_generators("exponential", 4, 0).exponential(1.0)
+        edges = list(fam.graph.edges())
+        val = fam(edges[1])
+        before = val.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            val[0, 0] = 7.0
+        stack = fam.stack(edges)  # grows the value array past the cached row
+        stack[:] = 0  # a stack is the caller's own copy
+        assert np.array_equal(fam(edges[1]), before)
+        assert np.array_equal(fam.stack([edges[1]])[0], before)
+
     def test_evaluator_shape_checked_per_edge(self):
         graph = LinearOrderGraph([0, 1, 2])
         fam = OperatorFamily(graph, 2, lambda e: np.eye(3 if e[0] == 1 else 2))
         with pytest.raises(GraphError, match=r"shape \(3, 3\).*at edge \(1, 1\)"):
             fam.stack(list(graph.edges()))
+
+
+class TestExactSvdBudget:
+    """Exhaustive divisibility and additivity checks of a divisible family
+    send only the matrices that decide their reports to the SVD."""
+
+    def test_exhaustive_checks_stay_within_budget(self):
+        rng = rng_from_seed(44)
+        gens = dynamics.commuting_evolution(random_dissipative(rng, 4), 1.0, 33)
+        fam = gens.exponential(1.0)
+        seen = []
+        real = linops._singular_values
+        with mock.patch.object(linops, "_singular_values",
+                               side_effect=lambda a: seen.append(len(a)) or real(a)):
+            reps = [check_divisibility(fam), check_additivity(gens)]
+        # 2 x 6545 triples; unscreened, every one of them is an SVD
+        assert all(r.passed and r.count == 6545 for r in reps)
+        assert sum(seen) <= 100, seen
+        t = fam.graph.nodes
+        bumped = OperatorFamily(fam.graph, 4, lambda e: fam(e) + 1e-3 * np.eye(4)
+                                if e == (t[3], t[20]) else fam(e))
+        rep = check_divisibility(bumped)
+        triples = [(t[i], t[j], t[k]) for i in range(33) for j in range(i, 33)
+                   for k in range(j, 33)]
+        worst = max(triples, key=lambda x: divisibility_defect(bumped, *x))  # the first
+        assert not rep.passed and rep.argmax == worst and worst[::2] == (t[3], t[20])
+        assert rep.max_defect == divisibility_defect(bumped, *worst)
 
 
 class TestTripleSampling:

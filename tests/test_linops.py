@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, SuperOp,
                              exp_derivative, expm, is_dissipative_hilbert,
                              is_psd, partial_trace_second, spectral_norm,
                              tensor, trace_norm)
+from graphdyn.reports import defect_report, dumps
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_matrix, random_unit_vector,
                                random_unitary, rng_from_seed)
@@ -499,3 +502,107 @@ class TestMatrixLiteral:
         from graphdyn.errors import InputError
         with pytest.raises(InputError, match="matrix literal"):
             linops.matrix_from_literal([[[1.0, 0.0], scalar]])
+
+
+@st.composite
+def screen_cases(draw):
+    """A stack with exact ties, zero and rank-one matrices and entries whose
+    squares underflow or overflow; a shift with NaN and inf entries; and a
+    tolerance of 0 or next to one of the exact values."""
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    n, rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    base = 10.0 ** draw(st.sampled_from([0, 0, -5, -160, -200, -318, 155, 200, 300]))
+    mats = []
+    for _ in range(n):
+        # the bound over the norm is 1 for rank one and r^(1/4) for a scaled
+        # identity, so the largest bound need not be the largest norm
+        kind = draw(st.sampled_from(["dense", "rank-one", "identity", "zero", "tie"]))
+        scale = base * draw(st.sampled_from([1.0, 1.0, 0.7, 1.2, 1e-3, 1e3]))
+        if kind == "tie" and mats:
+            mats.append(mats[draw(st.integers(0, len(mats) - 1))])
+        elif kind == "zero":
+            mats.append(np.zeros((rows, cols), dtype=complex))
+        elif kind == "identity":
+            mats.append(scale * np.eye(rows, cols, dtype=complex))
+        else:  # norm about ``scale``, as the identity's
+            m = np.outer(random_matrix(rng, rows)[:, 0], random_matrix(rng, cols)[0]) \
+                if kind == "rank-one" else random_matrix(rng, max(rows, cols))[:rows, :cols]
+            mats.append(scale * (m / spectral_norm(m)))
+    stack = np.stack(mats)
+    norms = spectral_norm(stack)
+    shift = 0.0
+    if draw(st.booleans()):
+        pick = {"zero": 0.0, "norm": 1.0, "half": 0.5, "above": 1.001, "nan": np.nan,
+                "inf": np.inf, "-inf": -np.inf}
+        shift = np.array([pick[draw(st.sampled_from(list(pick)))] for _ in range(n)])
+        scaled = np.isin(shift, (0.5, 1.0, 1.001))  # a multiple of the matrix's norm
+        shift[scaled] *= norms[scaled]
+        shift[rng.random(n) < 0.3] = shift[0]  # ties in the shifted values too
+    values = norms - shift
+    at = values[draw(st.integers(0, n - 1))]
+    at = at if np.isfinite(at) else 0.0
+    tol = draw(st.sampled_from([0.0, 1e-9, -1e-3, at, np.nextafter(at, -np.inf),
+                                np.nextafter(at, np.inf)]))
+    return stack, shift, float(tol), draw(st.booleans())
+
+
+class TestScreenedNorms:
+    """A screened stack gives a report equal in every field, and in every bit
+    of ``max_defect``, to the report on its exact norms."""
+
+    @staticmethod
+    def reports(stack, shift, tol, offenders):
+        keys = [f"k{i}" for i in range(len(stack))]
+        return [dumps(defect_report("r", defects, keys, tol, offenders=offenders).as_dict())
+                for defects in (spectral_norm(stack) - shift,
+                                linops.screened_norms(stack, tol, shift, offenders))]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(screen_cases())
+    def test_report_is_the_exact_one(self, case):
+        plain, screened = self.reports(*case)
+        assert screened == plain
+
+    @pytest.mark.parametrize("offenders", [False, True])
+    def test_rank_one_tolerance_just_below_its_norm(self, offenders):
+        # |A|_2 = |A|_F for rank one, so without the margin the bound can sit
+        # an ulp below the computed norm and the key would pass unscreened
+        rng = rng_from_seed(5)
+        mats = [np.outer(random_matrix(rng, 3)[:, 0], random_matrix(rng, 3)[0])
+                for _ in range(40)]
+        stack = np.stack(mats + [10 * mats[0]])
+        for norm in spectral_norm(stack)[:-1]:
+            tol = float(np.nextafter(norm, -np.inf))
+            plain, screened = self.reports(stack, 0.0, tol, offenders)
+            assert screened == plain
+
+    def test_tie_at_a_bound_below_the_witness_bound(self):
+        # near 2^60 the values round to multiples of 256: key 0 (rank one) has
+        # bound and value 2^60 + 256, key 1 (an identity) has the larger bound
+        # but the same value, so key 0 is the witness only if its tie is exact
+        stack = np.stack([300 * np.outer(np.eye(4)[0], np.eye(4)[0]), 300 * np.eye(4)])
+        for offenders in (False, True):
+            plain, screened = self.reports(stack, -2.0**60, 1e-9, offenders)
+            assert screened == plain and '"argmax": "k0"' in plain
+
+    def test_negative_tol_can_fail_a_key_with_a_negative_bound(self):
+        # key 1's bound is below 0 but above tol, and its value fails
+        stack = np.stack([np.eye(4), np.outer(np.eye(4)[0], np.eye(4)[0])], dtype=complex)
+        plain, screened = self.reports(stack, np.array([1.405, 1.001]), -0.01, False)
+        assert screened == plain and '"passed": false' in plain
+
+    # subnormal and huge entries too: a bound that overflows or comes out NaN
+    # sends every matrix to the SVD
+    @pytest.mark.parametrize("scale, tol", [(1e-15, 1e-9), (1e-318, 1e-9), (1e290, 1e300)])
+    def test_only_deciding_matrices_reach_the_svd(self, scale, tol):
+        rng = rng_from_seed(6)
+        stack = scale * (rng.standard_normal((500, 4, 4))
+                         + 1j * rng.standard_normal((500, 4, 4)))
+        stack[123] *= 1e3
+        seen = []
+        real = linops._singular_values
+        with mock.patch.object(linops, "_singular_values",
+                               side_effect=lambda a: seen.append(len(a)) or real(a)):
+            got = linops.screened_norms(stack, tol, offenders=True)
+        assert sum(seen) == 1 and got[123] == spectral_norm(stack[123])
+        assert np.array_equal(linops.screened_norms(stack[:0], 1e-9), np.empty(0))
