@@ -16,12 +16,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import dilate, dynamics, extend, linops, rewrite
+# numpy and the numeric layers are imported inside the commands that use
+# them, so that the word commands (normalize, group) start without them
+from . import rewrite
 from .errors import GraphDynError, InputError, PreconditionError, reading
 from .reports import CheckReport, defect_report, dumps, summarize
-from .sampling import rng_from_seed
 
 SCHEMA = "graphdyn-report/1"
 
@@ -227,9 +226,10 @@ def cmd_group_inv(args):
 
 
 def cmd_check(args):
+    from . import dynamics, sampling
     spec = _load(args)
     system = dynamics.build_system(spec)
-    rng = rng_from_seed(args.seed)
+    rng = sampling.rng_from_seed(args.seed)
     checks = list(_system_checks(system, args.tol, args.samples, rng))
     # defects are measurements here, not failures: the axiom outcomes live in
     # the report's "passed" fields
@@ -239,6 +239,7 @@ def cmd_check(args):
 
 
 def _system_checks(system, tol, samples, rng):
+    from . import dynamics
     fam = system["family"]
     if system["kind"] == "cptp":
         yield _cptp_family_check(system, tol)
@@ -261,6 +262,8 @@ def _system_checks(system, tol, samples, rng):
 def _network_defect_check(net, fam, tol):
     """phi(u,w) - phi(u,v) phi(v,w) against the v-avoiding path sum, over all
     node triples; one path-sum sweep per (v, w) serves every u."""
+    import numpy as np
+    from . import dynamics, linops
     nodes = net.nodes
     zero = np.zeros((net.dim, net.dim), dtype=complex)
     defects = np.empty((len(nodes),) * 3)
@@ -288,6 +291,7 @@ def _cptp_family_check(system, tol):
 
 
 def cmd_extend(args):
+    from . import dynamics, extend, linops
     spec = _load(args)
     system = dynamics.build_system(spec)
     ctx = system["graph"].context()
@@ -317,9 +321,10 @@ def cmd_extend(args):
 
 
 def cmd_dilate(args):
+    from . import dilate, dynamics, sampling
     spec = _load(args)
     system = dynamics.build_system(spec)
-    rng = rng_from_seed(args.seed)
+    rng = sampling.rng_from_seed(args.seed)
     if args.pipeline == "A-cptp" and system["kind"] != "cptp":
         raise InputError("pipeline A-cptp needs a cptp system spec")
     dilated = dilate.PIPELINES[args.pipeline](system)
@@ -359,6 +364,8 @@ def cmd_demo(args):
 
 def _indivisible_spec():
     """The two-Hamiltonian interpolation (sigma_x, sigma_z) on a 9-point grid."""
+    import numpy as np
+    from . import linops
     return {
         "graph": {"order": list(np.linspace(1.0, 0.0, 9))},
         "dim": 4,
@@ -374,6 +381,8 @@ def _indivisible_spec():
 
 
 def _demo_indivisible():
+    import numpy as np
+    from . import dynamics, linops
     spec = _indivisible_spec()
     gens = dynamics.example_indivisible(linops.SIGMA_X, linops.SIGMA_Z, 1.0, 9)
     rows = []
@@ -396,6 +405,8 @@ def _demo_indivisible():
 
 
 def _demo_network():
+    import numpy as np
+    from . import dynamics, linops
     w = 0.3
     lit = linops.matrix_to_literal(w * np.eye(2))
     edges = [["u", "v"], ["v", "w"], ["u", "z"], ["z", "w"]]
@@ -425,7 +436,9 @@ def _demo_network():
 
 
 def _demo_lindblad(seed):
-    rng = rng_from_seed(seed)
+    import numpy as np
+    from . import dynamics, linops, sampling
+    rng = sampling.rng_from_seed(seed)
     h = linops.SIGMA_Z
     kraus = [np.array([[0, 0.6], [0, 0]]), np.array([[0.8, 0], [0, 1.0]])]
     psi = linops.SuperOp.from_kraus([np.sqrt(0.5) * k for k in kraus])
@@ -455,7 +468,8 @@ def _demo_lindblad(seed):
 # -- built-in verification suite ----------------------------------------------------
 
 def cmd_verify(args):
-    rng = rng_from_seed(args.seed)
+    from . import dilate, dynamics, sampling
+    rng = sampling.rng_from_seed(args.seed)
     checks = []
 
     ctx3 = rewrite.complete_context(["a", "b", "c"])

@@ -7,8 +7,6 @@ one stable JSON schema for all of them; :func:`dumps` writes it.
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass
 class CheckReport:
@@ -62,6 +60,7 @@ def defect_report(name, defects, keys, tol, *, floor=0.0, offenders=False,
     check passes ``floor=-inf`` to name the key closest to failing even when
     every key passes.  ``offenders`` lists the first ten failing
     ``(key, defect)`` pairs; ``count`` defaults to the number of defects."""
+    import numpy as np
     defects = np.asarray(defects, dtype=float)
     failing = ~(defects <= tol)
     worst, arg = 0.0, None

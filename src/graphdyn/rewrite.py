@@ -15,8 +15,6 @@ stamps must quantize them before building a context.
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
-import numpy as np
-
 from .errors import ContextError, InputError, reading
 from .reports import CheckReport, bad_keys_report
 
@@ -341,6 +339,7 @@ def check_confluence_bruteforce(ctx, max_len):
     comparison per loop letter and per fusable pair at each position, so
     that alphabets of size ~16 remain tractable up to length 6.
     """
+    import numpy as np
     letters = [Letter(u, v) for (u, v) in ctx.closure_pairs()]
     k = len(letters)
     if k == 0 or max_len == 0:
@@ -410,6 +409,7 @@ def _rule_tables(letters):
     index of the letter that each pair fuses into, -1 if none.  Row
     ``len(letters)`` stands for the empty word's missing last letter, so
     nothing fuses with it."""
+    import numpy as np
     k = len(letters)
     isloop = np.array([lt.tail == lt.head for lt in letters], dtype=bool)
     code_of = {lt: i for i, lt in enumerate(letters)}
@@ -436,6 +436,7 @@ def _push_table(isloop, fuse, max_len):
     otherwise.  Rows are built level by level for the forms shorter than
     ``max_len``.  Returns (push, length, parent, last).
     """
+    import numpy as np
     k = len(isloop)
     parent = np.zeros(1, dtype=np.int64)
     last = np.full(1, k, dtype=np.int64)

@@ -672,11 +672,13 @@ class TestParserPerProcess:
 _COLD_START = """
 import contextlib, io, json, sys
 from graphdyn import cli
-seen = [[0, "scipy" in sys.modules, "scipy.linalg" in sys.modules]]
+WATCHED = ("numpy", "scipy", "scipy.linalg", "graphdyn.dilate", "graphdyn.dynamics",
+           "graphdyn.extend", "graphdyn.linops")
+seen = [[0, [m for m in WATCHED if m in sys.modules]]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    seen.append([code, "scipy" in sys.modules, "scipy.linalg" in sys.modules])
+    seen.append([code, [m for m in WATCHED if m in sys.modules]])
 print(json.dumps(seen))
 """
 
@@ -688,17 +690,29 @@ class TestColdStart:
         import subprocess
         import sys
         word = '[["a", "b"], ["b", "c"], ["c", "c"]]'
-        calls = [
+        words = [
             ["normalize", "--input", line_graph_spec, "--word", word, "--trace"],
             ["group", "mul", "--input", line_graph_spec, "--words", f"[{word}, {word}]"],
             ["group", "inv", "--input", line_graph_spec, "--word", word],
             ["dilate", "--input", cptp_spec, "--pipeline", "A-cptp"],
-            ["check", "--input", divisible_spec],  # control: check exponentiates
         ]
+        check = [["check", "--input", divisible_spec]]  # control: check exponentiates
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        fresh = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(calls)],
-                               capture_output=True, text=True, check=True,
-                               env=dict(os.environ, PYTHONPATH=src))
-        seen = json.loads(fresh.stdout)
-        # the import, then each command: exit code, scipy loaded, scipy.linalg loaded
-        assert seen == [[0, False, False]] * 5 + [[0, True, True]]
+
+        def modules_after_each(calls):
+            """Exit code and watched modules loaded after the import, then
+            after each call, in one fresh interpreter."""
+            fresh = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(calls)],
+                                   capture_output=True, text=True, check=True,
+                                   env=dict(os.environ, PYTHONPATH=src))
+            return json.loads(fresh.stdout)
+
+        layers = ["graphdyn.dilate", "graphdyn.dynamics", "graphdyn.extend",
+                  "graphdyn.linops"]
+        # after the import and each word command nothing is loaded; A-cptp
+        # loads numpy and the layers but not scipy
+        assert modules_after_each(words) == [[0, []]] * 4 + [[0, ["numpy", *layers]]]
+        # check needs neither dilate nor extend
+        assert modules_after_each(check) == [
+            [0, []], [0, ["numpy", "scipy", "scipy.linalg", "graphdyn.dynamics",
+                          "graphdyn.linops"]]]

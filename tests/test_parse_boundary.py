@@ -1,9 +1,9 @@
 """The parse boundary: a malformed spec exits 2 with ``input error:``, and a
 malformed flag value exits 2 through argparse.
 
-Specs of every family kind and graph-plus-word specs are mutated one key or
-value at a time, and each command's flags are set to odd values one at a
-time; every run goes through ``cli.main`` in-process.  A run may pass or
+Specs of every family kind and graph-plus-word specs are mutated one or two
+keys or values at a time, and each command's flags are set to odd values one
+at a time; every run goes through ``cli.main`` in-process.  A run may pass or
 fail a check (0, 3, 4) or reject its input (2); any exception that escapes
 ``main`` is a bug the boundary let through or relabelled.
 """
@@ -81,8 +81,8 @@ COMMANDS["words"] = [("normalize",), ("normalize", "--trace"), ("group", "mul"),
                      ("group", "inv")]
 
 _DELETE = object()
-# no size in the pool exceeds 3, so no dim or grid_points allocates
-POOL = [_DELETE, None, True, False, 0, -1, 3, 1.5, float("nan"), "x", [], {},
+# no size in the pool exceeds 9, so no dim or grid_points allocates much
+POOL = [_DELETE, None, True, False, 0, -1, 3, 4, 9, 1.5, float("nan"), "x", [], {},
         [1, 2, 3], [[1, 0]], [[[1, 0]]], {"kind": "proportional"}]
 
 
@@ -109,9 +109,13 @@ def mutate(spec, path, value):
 
 @st.composite
 def mutated_runs(draw):
+    """A base spec with one or two (path, value) mutations, the second one
+    drawn from the paths of the once-mutated spec."""
     base = draw(st.sampled_from(sorted(BASES)))
-    path = draw(st.sampled_from(list(_paths(BASES[base]))))
-    spec = mutate(BASES[base], path, draw(st.sampled_from(POOL)))
+    spec = BASES[base]
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(spec))))
+        spec = mutate(spec, path, draw(st.sampled_from(POOL)))
     return spec, draw(st.sampled_from(COMMANDS[base])), None
 
 
