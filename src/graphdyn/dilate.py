@@ -5,8 +5,8 @@ end-to-end pipelines (discrete / divisible-continuous / generator-continuous)
 plus the CPTP variant of the discrete one.
 
 Group-indexed carrier spaces are never materialized: vectors over the group
-are finitely supported tag/payload lists with lazy evaluation, so every
-identity that is pointwise can be checked exactly or numerically.
+are finitely supported tag/payload lists, so the representation laws hold
+exactly at the tag level.
 """
 
 from dataclasses import dataclass
@@ -38,13 +38,13 @@ class Channel:
     :func:`kraus_from_choi`.
     """
 
-    def __init__(self, dim, choi, kraus=None, tol=1e-10):
+    def __init__(self, dim, choi, kraus=None):
         self.dim = int(dim)
         self.choi = linops.as_matrix(choi)
         self.kraus = None if kraus is None else linops.as_matrix(kraus, stack=True)
         if self.choi.shape != (self.dim**2, self.dim**2):
             raise NotCPTPError(f"Choi matrix has shape {self.choi.shape}")
-        self.validate(tol)
+        self.validate()
 
     def validate(self, tol=1e-10):
         """Raise NotCPTPError unless the Choi matrix is PSD and trace preserving
@@ -89,23 +89,18 @@ class Channel:
         return linops.SuperOp(self.dim, linops.choi_to_superop(self.choi, self.dim))
 
     @classmethod
-    def from_kraus(cls, kraus_ops, tol=1e-10):
+    def from_kraus(cls, kraus_ops):
         ks = list(kraus_ops)
         sop = linops.SuperOp.from_kraus(ks)
-        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim),
-                   kraus=ks, tol=tol)
+        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim), kraus=ks)
 
     @classmethod
-    def from_superop(cls, sop, tol=1e-10):
-        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim), tol=tol)
+    def from_superop(cls, sop):
+        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim))
 
     @classmethod
     def identity(cls, d):
         return cls.from_kraus([eye(d)])
-
-    @classmethod
-    def from_unitary(cls, u):
-        return cls.from_kraus([np.asarray(u, dtype=complex)])
 
     @classmethod
     def depolarizing(cls, d):
@@ -113,28 +108,28 @@ class Channel:
         return cls.from_kraus(d**-0.5 * linops.matrix_units(d))
 
     @classmethod
-    def random(cls, rng, d, k=None):
+    def random(cls, rng, d):
         from .sampling import random_kraus_ops
-        return cls.from_kraus(random_kraus_ops(rng, d, k))
+        return cls.from_kraus(random_kraus_ops(rng, d))
 
-    def compose(self, other, tol=1e-10):
+    def compose(self, other):
         """Composition self after other (apply ``other`` first)."""
         if self.dim != other.dim:
             raise InputError("channel dimensions differ")
-        return Channel.from_superop(self.superop() @ other.superop(), tol=tol)
+        return Channel.from_superop(self.superop() @ other.superop())
 
 
-def kraus_from_choi(ch, tol=1e-12):
+def kraus_from_choi(ch):
     """Kraus list from the Choi eigendecomposition.
 
-    Eigenvalues above ``tol`` relative to the largest one are kept; the count
+    Eigenvalues above 1e-12 relative to the largest one are kept; the count
     never exceeds dim^2.  The returned channel's validator checks the Choi
     matrix and the Kraus list, so a Choi matrix changed in place since ``ch``
     was built fails there.
     """
     d = ch.dim
     w, v = np.linalg.eigh(linops.hermitian_part(ch.choi))
-    keep = w > tol * max(w.max(), 1.0)
+    keep = w > 1e-12 * max(w.max(), 1.0)
     ks = (np.sqrt(w[keep])[:, None] * v.T[keep]).reshape(-1, d, d)
     return Channel(d, ch.choi, kraus=ks)
 
@@ -157,7 +152,7 @@ def _kraus_isometry(ch, pad_to=None):
     return w
 
 
-def isometric_partition(ch, tol=1e-12):
+def isometric_partition(ch):
     """Canonical isometry v and the isometric partition {v_i} over the
     channel's Kraus list: v maps xi to the stack of K_i xi tagged by i, and
     v_i embeds xi into slot i.  The identities v*v = 1, v_j* v_i = delta 1,
@@ -175,7 +170,7 @@ def isometric_partition(ch, tol=1e-12):
             checks.append(spectral_norm(dagger(vj) @ vi - target))
     checks.append(spectral_norm(sum(vi @ dagger(vi) for vi in parts) - eye(d * k)))
     worst = max(checks)
-    if worst > tol:
+    if worst > 1e-12:
         raise NotCPTPError(f"isometric partition identities fail by {worst:.3e}")
     return v, parts
 
@@ -299,7 +294,7 @@ class VedDilation:
     satisfies the representation law exactly at the tag level.
     """
 
-    def __init__(self, assignment, dim, tol=1e-10):
+    def __init__(self, assignment, dim):
         self.assignment = assignment
         self.dim = int(dim)
         self.k = self.dim**2
@@ -307,7 +302,7 @@ class VedDilation:
         units = linops.matrix_units(self.dim)
         ident = assignment(rewrite.identity())
         defect = spectral_norm(ident.apply(units) - units).max()
-        if defect > tol:
+        if defect > 1e-10:
             raise InputError(
                 f"assignment at the group identity deviates from the identity "
                 f"channel by {defect:.3e}")
@@ -350,25 +345,25 @@ class ShiftDilation:
     """Right-shift dilation of a contraction family indexed by a group.
 
     Vectors of the dilation space are finitely supported (tag, payload)
-    lists; ``evaluate(v, g)`` applies the family at shifted tags and sums.
-    The maps are: r embeds a payload at the identity tag, U(x) left-shifts
-    tags, j evaluates at the identity.  Then j U(x) r reproduces the family
-    and U is a representation, exactly at the tag level.
+    lists.  The maps are: r embeds a payload at the identity tag, U(x)
+    left-shifts tags, j sums the payloads acted on by the values at their
+    tags.  Then U is a representation, exactly at the tag level, and
+    j U(x) r is the value at x, which :meth:`compression_matrix` returns.
 
-    Flavors: "banach" (payloads are vectors, values act by matrix product)
-    and "cstar" (payloads are square matrices, values act as superoperators,
-    and elements can be multiplied pointwise as formal products).
+    Flavors: "banach" (payloads are vectors, values act by matrix product,
+    and must be contractions) and "cstar" (payloads are square matrices,
+    values are superoperators on their column-stacked vectorizations, and
+    must be unital).
 
     ``phi_bar`` maps a group element to its value; if it has a
     ``stack(elements)`` method, a batch of values comes from one call of it.
     """
 
-    def __init__(self, phi_bar, dim, flavor="banach", tol=1e-10):
+    def __init__(self, phi_bar, dim, flavor="banach"):
         if flavor not in ("banach", "cstar"):
             raise InputError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.dim = int(dim)  # payload dimension: vector length or matrix size
-        self.tol = tol
         self._phi = phi_bar
         self._values = {}
         n = self.dim if flavor == "banach" else self.dim**2
@@ -425,99 +420,34 @@ class ShiftDilation:
         (banach) or not unital (cstar)."""
         if self.flavor == "banach":
             axiom, fmt = "contraction", "norm {:.6f}"
-            defects, bound = spectral_norm(vals), 1.0 + self.tol
+            defects, bound = spectral_norm(vals), 1.0 + 1e-10
         else:
             d = self.dim
             # order="F" unvecs every row: ones[n, i, j] = (vals[n] @ vec(1))[i + d j]
             ones = (vals @ linops.vec(eye(d))).reshape(-1, d, d, order="F")
             axiom, fmt = "unitality", "unitality defect {:.3e}"
-            defects, bound = spectral_norm(ones - eye(d)), self.tol
+            defects, bound = spectral_norm(ones - eye(d)), 1e-10
         bad = np.flatnonzero(defects > bound)
         if bad.size:
             i = bad[0]
             raise PreconditionError(
                 axiom, f"family value at {gs[i]!r} has " + fmt.format(defects[i]))
 
-    def _act(self, g, payload):
-        val = self.value(g)
-        if self.flavor == "banach":
-            return val @ payload
-        return linops.unvec(val @ linops.vec(payload), self.dim)
+    @staticmethod
+    def embed(payload):
+        return FormalVector.of([(rewrite.identity(), payload)])
 
-    # Banach flavor: FormalVector; cstar flavor: tuple of FormalVector factors.
-
-    def embed(self, payload):
-        v = FormalVector.of([(rewrite.identity(), payload)])
-        return (v,) if self.flavor == "cstar" else v
-
-    def shift(self, x, v):
-        if isinstance(v, tuple):
-            return tuple(self.shift(x, f) for f in v)
+    @staticmethod
+    def shift(x, v):
         return v.map(lambda tag, payload: (rewrite.gmul(x, tag), payload))
 
-    def evaluate(self, v, g):
-        if isinstance(v, tuple):
-            out = eye(self.dim)
-            for factor in v:
-                out = out @ self.evaluate(factor, g)
-            return out
-        total = None
-        for tag, payload in v.terms:
-            term = self._act(rewrite.gmul(g, tag), payload)
-            total = term if total is None else total + term
-        if total is None:
-            shape = (self.dim, self.dim) if self.flavor == "cstar" else (self.dim,)
-            total = np.zeros(shape, dtype=complex)
-        return total
-
-    def compress(self, v):
-        return self.evaluate(v, rewrite.identity())
-
-    def multiply(self, a, b):
-        """Pointwise product of formal elements (cstar flavor only)."""
-        if self.flavor != "cstar":
-            raise StructureError("formal products exist in the cstar flavor only")
-        return tuple(a) + tuple(b)
-
     def compression_matrix(self, x):
-        """The matrix of payload -> compress(shift(x, embed(payload))).
+        """The matrix of the compression j U(x) r.
 
-        Shifting moves the embedded payload to tag x and compressing applies
-        the value there, so the matrix is the value at x itself: p -> value(x) p
+        Shifting moves the embedded payload to tag x and j applies the value
+        there, so the matrix is the value at x itself: p -> value(x) p
         (banach) or vec(p) -> value(x) vec(p) (cstar)."""
         return self.value(x)
-
-    def check_embedding(self, samples):
-        """Sampled structure of the embedding map r.
-
-        Banach flavor: r is isometric on payloads by construction (tags carry
-        the payload untouched), so j r = 1 is checked.  Cstar flavor: r is
-        checked to be unital and positivity-preserving on the samples.
-        """
-        if self.flavor == "banach":
-            keys = list(range(len(samples)))
-            defects = [np.linalg.norm(self.compress(self.embed(p)) - p)
-                       for p in samples]
-            name = "embedding-section"
-        else:
-            unit = self.compress(self.embed(eye(self.dim)))
-            keys, defects = ["unit"], [spectral_norm(unit - eye(self.dim))]
-            # the first 8 cached elements in a canonical order: the cache's own
-            # order is the order in which earlier calls happened to fill it
-            points = sorted(self._values, key=lambda g: (len(g.letters), repr(g.letters)))
-            for n, payload in enumerate(samples):
-                p = np.asarray(payload, dtype=complex)
-                p = p @ dagger(p)  # positive sample
-                for g in points[:8] or [rewrite.identity()]:
-                    keys += [(n, g, "positive"), (n, g, "self-adjoint")]
-                    if not np.isfinite(p).all():  # fails, with the sample as witness
-                        defects += [np.nan, np.nan]
-                        continue
-                    val = self.evaluate(self.embed(p), g)
-                    lam = float(np.linalg.eigvalsh(linops.hermitian_part(val)).min())
-                    defects += [-min(lam, 0.0), spectral_norm(val - dagger(val))]
-            name = "embedding-positive-unital"
-        return defect_report(name, defects, keys, 10 * self.tol, count=len(samples))
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -633,22 +563,21 @@ def _require_growth(fam, ell, what):
             f"{what} bound fails by {growth.max_defect:.3e} at {growth.argmax}")
 
 
-def dilate_discrete(system, flavor="banach", tol=1e-10):
+def dilate_discrete(system, flavor="banach"):
     """Discrete pipeline: normal-form extension + shift dilation.  Needs the
     identity axiom only; the input family may be indivisible."""
-    return _shift_pipeline("A", system, NormalFormExtension(system["family"], tol=tol),
-                           flavor)
+    return _shift_pipeline("A", system, NormalFormExtension(system["family"]), flavor)
 
 
-def dilate_divisible(system, flavor="banach", tol=1e-9):
+def dilate_divisible(system, flavor="banach"):
     """Continuous pipeline for divisible families with geometric growth:
     interval-product extension + shift dilation."""
     fam = system["family"]
     _require_growth(fam, system.get("ell"), "growth")
-    return _shift_pipeline("B", system, FirstCoverExtension(fam, tol=tol), flavor)
+    return _shift_pipeline("B", system, FirstCoverExtension(fam), flavor)
 
 
-def dilate_exponential(system, flavor="banach", tol=1e-9):
+def dilate_exponential(system, flavor="banach"):
     """Continuous pipeline for exponential families with additive dissipative
     generators of geometric growth: generator-sum extension + shift dilation.
     The generators are used as given: ``system["family"]`` is their
@@ -657,7 +586,7 @@ def dilate_exponential(system, flavor="banach", tol=1e-9):
     if not isinstance(gens, GeneratorFamily):
         raise PreconditionError("generators", "pipeline C needs a generator family")
     _require_growth(gens, system.get("ell"), "generator growth")
-    return _shift_pipeline("C", system, SecondCoverExtension(gens, tol=tol), flavor)
+    return _shift_pipeline("C", system, SecondCoverExtension(gens), flavor)
 
 
 def dilate_cptp(system):
@@ -694,7 +623,7 @@ PIPELINES = {
 
 # -- one-parameter factorization --------------------------------------------------
 
-def one_param_factorization(dilsys, t0, rng=None, tol=1e-12, sg_tol=1e-10):
+def one_param_factorization(dilsys, t0, rng=None):
     """Factor the dilated two-parameter family through a one-parameter family
     anchored at ``t0``: U(t) is the dilation at the element of edge (t, t0)
     (inverted when the edge points the other way).
@@ -741,9 +670,9 @@ def one_param_factorization(dilsys, t0, rng=None, tol=1e-12, sg_tol=1e-10):
         v = dil.shift(tag, v)
         direct = dil.shift(rewrite.embed_edge(ctx, (t, s)), v)
         factored = dil.shift(g_of(t), dil.shift(rewrite.ginv(g_of(s)), v))
-        op_defects.append(_formal_distance(direct, factored))
+        op_defects.append(direct.distance(factored))
     op_rep = defect_report("factorization-operator-level", op_defects,
-                           sample_pairs, tol)
+                           sample_pairs, 1e-12)
 
     sg_keys, sg_defects = [], []
     numeric = all(isinstance(u, (int, float, np.floating)) for u in graph.nodes)
@@ -758,15 +687,9 @@ def one_param_factorization(dilsys, t0, rng=None, tol=1e-12, sg_tol=1e-10):
                 rhs = dilsys.dilation.compression_matrix(g_of(total))
                 sg_keys.append((t, s))
                 sg_defects.append(spectral_norm(lhs - rhs))
-    sg_rep = defect_report("one-parameter-semigroup-law", sg_defects, sg_keys, sg_tol)
+    sg_rep = defect_report("one-parameter-semigroup-law", sg_defects, sg_keys, 1e-10)
     sg_rep.details["holds"] = sg_rep.passed
     return [group_rep, op_rep, sg_rep]
-
-
-def _formal_distance(a, b):
-    if isinstance(a, tuple):
-        return max(x.distance(y) for x, y in zip(a, b))
-    return a.distance(b)
 
 
 # -- JSON channel specs ------------------------------------------------------------
@@ -786,11 +709,3 @@ def channel_from_spec(spec):
                                  f"has shape {k.shape}")
         return Channel.from_kraus(ks)
     raise InputError(f"unknown channel repr {repr_kind!r}")
-
-
-def channel_to_spec(ch):
-    if ch.kraus is not None:
-        return {"dim": ch.dim, "repr": "kraus",
-                "data": [linops.matrix_to_literal(k) for k in ch.kraus]}
-    return {"dim": ch.dim, "repr": "choi",
-            "data": linops.matrix_to_literal(ch.choi)}

@@ -149,11 +149,6 @@ class _Family:
 class OperatorFamily(_Family):
     """Edge-indexed family of dim x dim matrices (the evolution operators)."""
 
-    def check_contractions(self, edges=None, tol=1e-10):
-        edges = list(self.graph.edges()) if edges is None else edges
-        excess = _blockwise(edges, lambda es: spectral_norm(self.stack(es)) - 1.0)
-        return defect_report("contractions", excess, edges, tol)
-
 
 class GeneratorFamily(_Family):
     """Edge-indexed family of generators; the induced evolution operators
@@ -192,25 +187,6 @@ class LengthFunction:
             raise OrderError(f"length function negative at {edge!r}")
         return val
 
-    def check(self, graph, tol=1e-12):
-        """Verify vanishing on loops plus the kind's inequality on triples."""
-        nodes = graph.nodes
-        triples = _node_triples(nodes, _ordered_triples(graph))
-        keys = [(u, u, u) for u in nodes] + list(triples)
-        defects = [abs(self((u, u))) for u in nodes]
-        for (u, v, w) in triples:
-            split = self((u, v)) + self((v, w))
-            whole = self((u, w))
-            # max(x, 0.0), not max(0.0, x): a NaN difference stays NaN
-            if self.kind == "additive":
-                defects.append(abs(whole - split))
-            elif self.kind == "superadditive":
-                defects.append(max(split - whole, 0.0))
-            else:
-                defects.append(max(whole - split, 0.0))
-        return defect_report(f"length-{self.kind}", defects, keys, tol,
-                             count=len(triples))
-
 
 def proportional_length(scale):
     """l(u, v) = scale * |v - u| for numeric node keys (additive)."""
@@ -246,14 +222,6 @@ def divisibility_defect(fam, u, v, w):
         if not fam.graph.has_edge(*e):
             raise GraphError(f"missing edge {e!r}")
     return spectral_norm(fam((u, w)) - fam((u, v)) @ fam((v, w)))
-
-
-def additivity_defect(gen, u, v, w):
-    """Norm of A(u,w) - A(u,v) - A(v,w)."""
-    for e in ((u, v), (v, w), (u, w)):
-        if not gen.graph.has_edge(*e):
-            raise GraphError(f"missing edge {e!r}")
-    return spectral_norm(gen((u, w)) - gen((u, v)) - gen((v, w)))
 
 
 def _unrank_triples(m, ranks):
@@ -325,64 +293,21 @@ def check_additivity(gen, tol=1e-9, rng=None, count=None):
                          tol, rng, count)
 
 
-def check_geometric_growth(fam, ell, tol=1e-12):
+# The tolerance of the geometric-growth check; ``check --tol`` does not reach it.
+GROWTH_TOL = 1e-12
+
+
+def check_geometric_growth(fam, ell):
     """Operator families: |phi(e) - 1| <= l(e).  Generator families: |A(e)| <= l(e)."""
     edges = list(fam.graph.edges())
     shift = 0 if isinstance(fam, GeneratorFamily) else linops.eye(fam.dim)
     excess = _blockwise(edges, lambda es: linops.screened_norms(
-        fam.stack(es) - shift, tol, np.array([ell(e) for e in es], dtype=float),
+        fam.stack(es) - shift, GROWTH_TOL, np.array([ell(e) for e in es], dtype=float),
         offenders=True))
-    return defect_report("geometric-growth", excess, edges, tol, offenders=True)
+    return defect_report("geometric-growth", excess, edges, GROWTH_TOL, offenders=True)
 
 
-def lipschitz_check(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10):
-    """Four-term modulus bound on |phi(u,v) - phi(u',v')| for edge pairs.
-
-    With ``gen`` given, the bound is the sum of the four generator norms
-    |A(m,u)| + |A(v,M)| + |A(m,u')| + |A(v',M)| where m/M are the meet/join
-    of the tails/heads.  Otherwise it is ``bound_const`` times the same four
-    terms of ``ell``.
-    """
-    if gen is None and (ell is None or bound_const is None):
-        raise InputError("need either gen or (ell and bound_const)")
-    g = fam.graph
-    pairs = [(e, e2) for e, e2 in pairs]
-    corners = []
-    for (u, v), (u2, v2) in pairs:
-        m = g.meet(u, u2)
-        big = g.join(v, v2)
-        corners += [(m, u), (v, big), (m, u2), (v2, big)]
-    lhs = spectral_norm(fam.stack([e for e, _ in pairs]) - fam.stack([e2 for _, e2 in pairs]))
-    if gen is not None:
-        terms, const = spectral_norm(gen.stack(corners)), 1.0
-    else:
-        terms, const = np.array([ell(c) for c in corners], dtype=float), bound_const
-    t = terms.reshape(-1, 4)
-    # the four corner terms added left to right, as the builtin sum does
-    excess = lhs - const * (((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3])
-    return defect_report("lipschitz-bound", excess, pairs, tol, floor=-np.inf,
-                         offenders=True)
-
-
-# -- integrated generator families --------------------------------------------
-
-def integrate_generators(a_of_tau, s, t, tol=1e-10):
-    """Adaptive integral of the generator curve over [s, t] to absolute
-    tolerance ``tol``; suppliers of closed forms should bypass this and
-    provide the antiderivative directly.
-    """
-    if t < s:
-        raise OrderError(f"integration bounds out of order: t={t} < s={s}")
-    if t == s:
-        probe = np.asarray(a_of_tau(s), dtype=complex)
-        return np.zeros_like(probe)
-    from scipy import integrate  # local import: slow, and no CLI command needs it
-
-    value, _ = integrate.quad_vec(
-        lambda tau: np.asarray(a_of_tau(tau), dtype=complex), s, t,
-        epsabs=tol, epsrel=0)
-    return value
-
+# -- example families -------------------------------------------------------------
 
 def descending_grid(t_max, points):
     """Time grid listed from t_max down to 0: edges are (later, earlier)."""
@@ -399,18 +324,18 @@ def interpolated_commutator_coefficients(t, s, t_max):
     return scale * lam, scale * (1.0 - lam)
 
 
-def example_indivisible(h1, h2, t_max=1.0, grid_points=9, tol=1e-12):
+def example_indivisible(h1, h2, t_max=1.0, grid_points=9):
     """Generator family interpolating two non-commuting Hamiltonian
     directions over a descending time grid; divisibility of its exponential
     family fails whenever [h1, h2] does not commute with everything.
     """
     h1 = np.asarray(h1, dtype=complex)
     h2 = np.asarray(h2, dtype=complex)
-    if not linops.is_hermitian(h1, tol) or not linops.is_hermitian(h2, tol):
+    if not linops.is_hermitian(h1, 1e-12) or not linops.is_hermitian(h2, 1e-12):
         raise InputError("h1 and h2 must be Hermitian")
     hat = linops.commutator(h1, h2)
     # tr[h1,h2] = 0, so [h1,h2] is central iff it vanishes
-    if spectral_norm(hat) <= tol:
+    if spectral_norm(hat) <= 1e-12:
         raise DegeneracyError("[h1, h2] is central; the family would be divisible")
     d = h1.shape[0]
     psi1 = 1j * SuperOp.commutator_with(h1).matrix
@@ -459,7 +384,14 @@ def dissipation_map(l, a, b):
     return l.apply(bd @ a) - (dagger(l.apply(b)) @ a + bd @ l.apply(a))
 
 
-def check_schwarz_generator(l, samples, tol=1e-10, alphas=(0.1, 1.0, 10.0)):
+# The tolerance of the three generator conditions (ten times it bounds the
+# contraction excess) and the step sizes alpha at which expm(alpha * L) is
+# sampled by check_schwarz_generator.
+SCHWARZ_TOL = 1e-10
+SCHWARZ_ALPHAS = (0.1, 1.0, 10.0)
+
+
+def check_schwarz_generator(l, samples):
     """Certify the three generator conditions and, on success, sampled
     contraction of the induced maps.
 
@@ -469,7 +401,7 @@ def check_schwarz_generator(l, samples, tol=1e-10, alphas=(0.1, 1.0, 10.0)):
     Each condition is one stacked call over the units or the samples.
     """
     d = l.dim
-    details = {"alphas": list(alphas), "samples": len(samples)}
+    details = {"alphas": list(SCHWARZ_ALPHAS), "samples": len(samples)}
     unital_defect = spectral_norm(l.apply(linops.eye(d)))
     units = linops.matrix_units(d)
     sa_defect = max(0.0, *spectral_norm(l.apply(dagger(units))
@@ -478,19 +410,19 @@ def check_schwarz_generator(l, samples, tol=1e-10, alphas=(0.1, 1.0, 10.0)):
     m = dissipation_map(l, a, a)
     vals = np.linalg.eigvalsh(linops.hermitian_part(m)).min(axis=-1)
     psd_defect = max(0.0, *(-vals).tolist(), *spectral_norm(m - dagger(m)).tolist())
-    conditions_ok = max(unital_defect, sa_defect, psd_defect) <= tol
+    conditions_ok = max(unital_defect, sa_defect, psd_defect) <= SCHWARZ_TOL
     details.update(unital_defect=unital_defect, self_adjoint_defect=sa_defect,
                    dissipation_psd_defect=psd_defect)
     contraction_defect = 0.0
     if conditions_ok:
         norms = spectral_norm(a)
-        for alpha in alphas:
+        for alpha in SCHWARZ_ALPHAS:
             excess = spectral_norm(l.expm(alpha).apply(a)) - norms
             contraction_defect = max(contraction_defect, *excess.tolist())
         details["contraction_defect"] = contraction_defect
     worst = max(unital_defect, sa_defect, psd_defect, contraction_defect)
     return CheckReport("schwarz-generator", conditions_ok and
-                       contraction_defect <= 10 * tol, worst, tol,
+                       contraction_defect <= 10 * SCHWARZ_TOL, worst, SCHWARZ_TOL,
                        details=details, count=len(samples))
 
 

@@ -108,6 +108,11 @@ def positive_intervals(cov, extra_nodes=()):
 
 # -- the three extensions ------------------------------------------------------
 
+# The precondition tolerances: the identity axiom of the normal-form
+# extension, and every precondition of the two cover extensions.
+NORMAL_FORM_TOL = 1e-10
+COVER_TOL = 1e-9
+
 
 class NormalFormExtension:
     """Letter-by-letter product along normal forms.
@@ -118,10 +123,10 @@ class NormalFormExtension:
 
     kind = "normal-form"
 
-    def __init__(self, fam, tol=1e-10):
+    def __init__(self, fam):
         self.fam = fam
         self.dim = fam.dim
-        rep = check_identity_axiom(fam, tol)
+        rep = check_identity_axiom(fam, NORMAL_FORM_TOL)
         if not rep.passed:
             raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
 
@@ -147,21 +152,20 @@ class FirstCoverExtension:
 
     kind = "first-cover"
 
-    def __init__(self, fam, tol=1e-9):
+    def __init__(self, fam):
         if not isinstance(fam.graph, LinearOrderGraph):
             raise StructureError("cover extensions need a linearly ordered graph")
         self.fam = fam
         self.dim = fam.dim
-        self.tol = tol
-        rep = check_identity_axiom(fam, tol)
+        rep = check_identity_axiom(fam, COVER_TOL)
         if not rep.passed:
             raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
-        rep = check_divisibility(fam, tol)
+        rep = check_divisibility(fam, COVER_TOL)
         if not rep.passed:
             raise PreconditionError(
                 "divisibility",
                 f"divisibility defect {rep.max_defect:.3e} at {rep.argmax} "
-                f"exceeds {tol:.1e}; the interval product would be ill-defined",
+                f"exceeds {COVER_TOL:.1e}; the interval product would be ill-defined",
             )
 
     def evaluate(self, g, extra=()):
@@ -174,7 +178,7 @@ class FirstCoverExtension:
         out = self.evaluate(g, extra)
         if verify:
             finest = self.evaluate(g, self.fam.graph.nodes)
-            if spectral_norm(out - finest) > 1e-12 + 10 * len(self.fam.graph.nodes) * self.tol:
+            if spectral_norm(out - finest) > 1e-12 + 10 * len(self.fam.graph.nodes) * COVER_TOL:
                 raise PreconditionError(
                     "divisibility", "refinement changed the interval product")
         return out
@@ -187,7 +191,7 @@ class SecondCoverExtension:
 
     kind = "second-cover"
 
-    def __init__(self, gen, tol=1e-9):
+    def __init__(self, gen):
         if not isinstance(gen, GeneratorFamily):
             raise StructureError("the generator-sum extension needs a GeneratorFamily")
         if not isinstance(gen.graph, LinearOrderGraph):
@@ -195,15 +199,14 @@ class SecondCoverExtension:
         self.gen = gen
         self.fam = gen
         self.dim = gen.dim
-        self.tol = tol
-        rep = check_additivity(gen, tol)
+        rep = check_additivity(gen, COVER_TOL)
         if not rep.passed:
             raise PreconditionError(
                 "additivity",
                 f"additivity defect {rep.max_defect:.3e} at {rep.argmax} "
-                f"exceeds {tol:.1e}",
+                f"exceeds {COVER_TOL:.1e}",
             )
-        rep = gen.check_dissipative(tol=self.tol)
+        rep = gen.check_dissipative(tol=COVER_TOL)
         if not rep.passed:
             raise PreconditionError(
                 "dissipativity",
@@ -227,7 +230,7 @@ class SecondCoverExtension:
 
 # -- continuity modulus ---------------------------------------------------------
 
-def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis, tol=1e-10):
+def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis):
     """Two-sided translate modulus against the analytic bound.
 
     For every sampled pair (g, h) and unit vector xi the difference
@@ -264,6 +267,6 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis, tol=1e-10):
             excess.append(float(np.linalg.norm(delta @ xi)) - bound)
     signed = float(np.max(excess, initial=-np.inf))
     return defect_report(
-        "continuity-modulus", excess, keys, tol, floor=-np.inf, offenders=True,
+        "continuity-modulus", excess, keys, 1e-10, floor=-np.inf, offenders=True,
         details={"bound": bound, "signed_excess": signed,
                  "edge": list(e), "edge_prime": list(e_prime)})

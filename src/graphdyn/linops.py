@@ -55,19 +55,6 @@ def tensor(a, b):
     return _kron(as_matrix(a), as_matrix(b))
 
 
-def tensor_vec(x, y):
-    """Kronecker product of vectors, same index convention as :func:`tensor`."""
-    return np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-
-
-def partial_trace_second(m, d1, d2):
-    """Trace out the second tensor factor of an operator on C^d1 (x) C^d2."""
-    m = as_matrix(m)
-    if m.shape != (d1 * d2, d1 * d2):
-        raise DimensionError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
-    return np.einsum("aibi->ab", m.reshape(d1, d2, d1, d2))
-
-
 def partial_trace_first(m, d1, d2):
     """Trace out the first tensor factor of an operator on C^d1 (x) C^d2."""
     m = as_matrix(m)
@@ -155,21 +142,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def anticommutator(a, b):
-    a, b = _square(a), _square(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a @ b + b @ a
-
-
-def adjoint_action(u, s):
-    """Conjugation ``s -> u s u*``."""
-    u, s = _square(u), _square(s)
-    if u.shape != s.shape:
-        raise DimensionError(f"shape mismatch: {u.shape} vs {s.shape}")
-    return u @ s @ dagger(u)
-
-
 def hermitian_part(a):
     """(a + a*) / 2, of a matrix or of each matrix of a stack."""
     a = _square(a, stack=True)
@@ -179,17 +151,6 @@ def hermitian_part(a):
 def is_hermitian(a, tol=DEFAULT_TOL):
     a = _square(a)
     return bool(_singular_values(a - dagger(a))[0] <= tol)
-
-
-def is_dissipative_hilbert(a, tol=DEFAULT_TOL):
-    """True iff the Hermitian part of ``a`` is negative semidefinite.
-
-    This is the Hilbert-space criterion for generating a contraction
-    semigroup: when it holds, ``spectral_norm(expm(alpha*a)) <= 1`` for all
-    alpha > 0.
-    """
-    h = hermitian_part(a)
-    return float(np.linalg.eigvalsh(h).max()) <= tol
 
 
 def is_psd(a, tol=DEFAULT_TOL):
@@ -270,20 +231,6 @@ class SuperOp:
     @classmethod
     def zero(cls, dim):
         return cls(dim, np.zeros((dim**2, dim**2), dtype=complex))
-
-    @classmethod
-    def left_multiplication(cls, a):
-        """X -> a X."""
-        a = _square(a)
-        d = a.shape[0]
-        return cls(d, _kron(eye(d), a))
-
-    @classmethod
-    def right_multiplication(cls, a):
-        """X -> X a."""
-        a = _square(a)
-        d = a.shape[0]
-        return cls(d, _kron(a.T, eye(d)))
 
     @classmethod
     def commutator_with(cls, a):

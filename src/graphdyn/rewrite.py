@@ -103,9 +103,6 @@ class GroupElement:
         if not is_irreducible(self.letters):
             raise ValueError(f"word {self.letters!r} is not a normal form")
 
-    def __len__(self):
-        return len(self.letters)
-
     def is_identity(self):
         return not self.letters
 
@@ -252,30 +249,6 @@ def random_element(ctx, rng, max_len=5):
 
 
 # -- exhaustive small-scale verification --------------------------------------
-
-def reduction_closure(ctx, w):
-    """Breadth-first closure of all reduction sequences from ``w``.
-
-    Returns (set of reachable words, set of irreducible endpoints).  Only
-    intended for short words; grows quickly with word length.
-    """
-    ctx.check_word(w)
-    seen = {w}
-    frontier = [w]
-    endpoints = set()
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            reducts = reduce_once_all(ctx, cur)
-            if not reducts:
-                endpoints.add(cur)
-            for r in reducts:
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return seen, endpoints
-
 
 def _irreducible_ends(w, alphabet):
     """Irreducible ends of every maximal reduction of ``w``, where a fusion

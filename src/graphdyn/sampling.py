@@ -23,18 +23,6 @@ def random_hermitian(rng, d, scale=1.0):
     return 0.5 * (a + linops.dagger(a))
 
 
-def random_unitary(rng, d):
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(random_matrix(rng, d))
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
-
-
-def random_unit_vector(rng, d):
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def random_dissipative(rng, d, scale=1.0):
     """iH - N with H Hermitian and N positive semidefinite: the Hermitian
     part is -N <= 0, so this generates a contraction semigroup."""

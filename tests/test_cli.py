@@ -63,8 +63,9 @@ def network_spec(tmp_path):
 
 @pytest.fixture
 def cptp_spec(tmp_path):
-    from graphdyn.dilate import Channel, channel_to_spec, kraus_from_choi
+    from graphdyn.dilate import Channel, kraus_from_choi
     from graphdyn.sampling import rng_from_seed
+    from oracles import channel_to_spec
     rng = rng_from_seed(0)
     chans = [channel_to_spec(kraus_from_choi(Channel.random(rng, 2)))
              for _ in range(3)]
@@ -125,7 +126,7 @@ class TestNormalize:
             "is_identity": nf.is_identity(),
             "trace": rewrite.reduction_trace(ctx, w),
         }
-        assert len(body["trace"]) == len(w) - len(nf) == 6
+        assert len(body["trace"]) == len(w) - len(nf.letters) == 6
         assert out.read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     def test_malformed_spec_exits_2(self, capsys, tmp_path):
@@ -220,7 +221,8 @@ def _generator_table_spec(edges):
 
 
 def _cptp_two_edge_spec():
-    from graphdyn.dilate import Channel, channel_to_spec
+    from graphdyn.dilate import Channel
+    from oracles import channel_to_spec
     ident = channel_to_spec(Channel.identity(2))
     return {"graph": {"order": [0, 1, 2]}, "dim": 2,
             "family": {"kind": "cptp",

@@ -20,7 +20,8 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Z, SuperOp, dagger, spectral_norm,
                              trace_norm)
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
-                               random_matrix, random_unitary, rng_from_seed)
+                               random_matrix, rng_from_seed)
+from oracles import channel_to_spec, compress, evaluate, random_unitary
 
 
 def matrix_units(d):
@@ -48,7 +49,7 @@ class TestChannel:
     def test_unitary_conjugation(self):
         rng = rng_from_seed(2)
         u = random_unitary(rng, 3)
-        ch = Channel.from_unitary(u)
+        ch = Channel.from_kraus([u])
         s = random_matrix(rng, 3)
         assert np.allclose(ch.apply(s), u @ s @ dagger(u))
 
@@ -176,7 +177,7 @@ class TestKrausFromChoi:
     def test_unitary_conjugation_single_kraus(self):
         rng = rng_from_seed(4)
         u = random_unitary(rng, 3)
-        ch = kraus_from_choi(Channel.from_unitary(u))
+        ch = kraus_from_choi(Channel.from_kraus([u]))
         assert len(ch.kraus) == 1
         k = ch.kraus[0]
         phase = k[0, 0] / u[0, 0]
@@ -366,7 +367,8 @@ def formal_verify_element(dil, x, s):
         assert tag == identity()
         (tag, cols[:, j]), = dil.apply(x, FormalVector.of([(identity(), m @ back)])).terms
         assert tag == x
-    reduced = linops.partial_trace_second(cols, dil.dim, dil.env_dim)
+    # trace out the environment, the second tensor factor
+    reduced = np.einsum("aibi->ab", cols.reshape((dil.dim, dil.env_dim) * 2))
     return trace_norm(reduced - dil.assignment(x).apply(s))
 
 
@@ -424,7 +426,7 @@ class TestVedDilation:
         rng = rng_from_seed(13)
         # one unitary channel (1 Kraus op), one full-rank channel (4)
         graph = LinearOrderGraph([0, 1, 2])
-        chans = {(0, 1): Channel.from_unitary(random_unitary(rng, 2)),
+        chans = {(0, 1): Channel.from_kraus([random_unitary(rng, 2)]),
                  (1, 2): Channel.random(rng, 2),
                  (0, 2): Channel.random(rng, 2)}
         ident = Channel.identity(2)
@@ -532,7 +534,7 @@ class TestShiftDilation:
         rng, fam, dil, ctx = self.banach_setup()
         for _ in range(10):
             xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert np.allclose(dil.compress(dil.embed(xi)), xi)
+            assert np.allclose(compress(dil, dil.embed(xi)), xi)
 
     def test_compression_reproduces_family(self):
         rng, fam, dil, ctx = self.banach_setup()
@@ -544,11 +546,11 @@ class TestShiftDilation:
         rng, fam, dil, ctx = self.banach_setup()
         for _ in range(10):
             x = rewrite.random_element(ctx, rng, 3)
-            columns = [dil.compress(dil.shift(x, dil.embed(e))) for e in np.eye(3)]
+            columns = [compress(dil, dil.shift(x, dil.embed(e))) for e in np.eye(3)]
             assert np.array_equal(dil.compression_matrix(x), np.stack(columns, axis=1))
             # the identity payload carries every column at once
             assert np.array_equal(dil.compression_matrix(x),
-                                  dil.compress(dil.shift(x, dil.embed(np.eye(3)))))
+                                  compress(dil, dil.shift(x, dil.embed(np.eye(3)))))
 
     def test_right_shift_law(self):
         rng, fam, dil, ctx = self.banach_setup()
@@ -559,8 +561,8 @@ class TestShiftDilation:
             v = FormalVector.of(
                 [(t, rng.standard_normal(3) + 1j * rng.standard_normal(3))
                  for t in tags])
-            lhs = dil.evaluate(dil.shift(x, v), y)
-            rhs = dil.evaluate(v, gmul(y, x))
+            lhs = evaluate(dil, dil.shift(x, v), y)
+            rhs = evaluate(dil, v, gmul(y, x))
             assert np.array_equal(lhs, rhs)
 
     def test_representation_exact_on_tags(self):
@@ -596,16 +598,6 @@ class TestShiftDilation:
             dil.compression_matrix(embed_edge(graph.context(), (1.0, 0.5)))
         assert exc.value.axiom == "contraction"
 
-    def test_nan_payload_fails_the_section_check(self):
-        rng, fam, dil, ctx = self.banach_setup()
-        ok = dil.check_embedding([np.ones(3)])
-        assert ok.passed and ok.argmax is None
-        rep = dil.check_embedding([np.ones(3), np.full(3, np.nan)])
-        assert not rep.passed
-        assert np.isnan(rep.max_defect) and rep.argmax == 1
-        assert (rep.name, rep.count, rep.tolerance) == \
-            (ok.name, 2, ok.tolerance) == ("embedding-section", 2, 10 * dil.tol)
-
 
 class TestShiftDilationCstar:
     def setup_cstar(self, seed=19, h=np.diag([1.0, -0.3]).astype(complex)):
@@ -635,75 +627,9 @@ class TestShiftDilationCstar:
         rng, fam, dil, ctx = self.setup_cstar(h=SIGMA_X + 0.3 * SIGMA_Z)
         for _ in range(10):
             x = rewrite.random_element(ctx, rng, 3)
-            columns = [linops.vec(dil.compress(dil.shift(
+            columns = [linops.vec(compress(dil, dil.shift(
                 x, dil.embed(linops.unvec(e, 2))))) for e in np.eye(4)]
             assert np.array_equal(dil.compression_matrix(x), np.stack(columns, axis=1))
-
-    def test_products_multiply_pointwise(self):
-        rng, fam, dil, ctx = self.setup_cstar()
-        a = dil.embed(random_matrix(rng, 2))
-        b = dil.embed(random_matrix(rng, 2))
-        prod = dil.multiply(a, b)
-        for _ in range(5):
-            g = rewrite.random_element(ctx, rng, 3)
-            lhs = dil.evaluate(prod, g)
-            rhs = dil.evaluate(a, g) @ dil.evaluate(b, g)
-            assert np.allclose(lhs, rhs)
-
-    def test_point_evaluation_homomorphism(self):
-        rng, fam, dil, ctx = self.setup_cstar()
-        a = dil.embed(random_matrix(rng, 2))
-        b = dil.embed(random_matrix(rng, 2))
-        lhs = dil.compress(dil.multiply(a, b))
-        rhs = dil.compress(a) @ dil.compress(b)
-        assert np.allclose(lhs, rhs)
-
-    def test_embedding_positive_unital(self):
-        rng, fam, dil, ctx = self.setup_cstar()
-        # pre-warm some group points so positivity is checked off the identity
-        for e in [(1.0, 0.5), (0.75, 0.0)]:
-            dil.value(embed_edge(ctx, e))
-        samples = [random_matrix(rng, 2) for _ in range(5)]
-        assert dil.check_embedding(samples).passed
-
-    def test_nan_payload_fails_the_positive_unital_check(self):
-        rng, fam, dil, ctx = self.setup_cstar()
-        ok = dil.check_embedding([random_matrix(rng, 2)])
-        assert ok.passed
-        bad = random_matrix(rng, 2)
-        bad[1, 0] = np.nan
-        rep = dil.check_embedding([random_matrix(rng, 2), bad])
-        assert not rep.passed
-        assert np.isnan(rep.max_defect)
-        assert rep.argmax == (1, rewrite.identity(), "positive")
-        assert (rep.name, rep.count, rep.tolerance) == \
-            (ok.name, 2, ok.tolerance) == ("embedding-positive-unital", 2, 10 * dil.tol)
-
-    def test_embedding_points_do_not_depend_on_fill_order(self):
-        # X -> a X + (1 - a) tr(X) 1/2 is unital for every a and not positive
-        # for a < -1, so each of the 10 edge elements has its own defect; the
-        # largest is at the last edge, which only the reversed fill puts first
-        graph = descending_grid(1.0, 5)
-        edges = [(u, v) for u, v in graph.edges() if u != v]
-        coeff = {e: -1.1 - 0.1 * i for i, e in enumerate(edges)}
-        one = linops.vec(np.eye(2))
-
-        def value(e):
-            a = coeff.get(e, 1.0)
-            return a * np.eye(4) + (1 - a) / 2 * np.outer(one, one)
-
-        from graphdyn.extend import NormalFormExtension
-        ctx = graph.context()
-        elements = [embed_edge(ctx, e) for e in edges]
-        samples = [random_matrix(rng_from_seed(5), 2)]
-        reports = []
-        for order in (elements, elements[::-1]):
-            ext = NormalFormExtension(OperatorFamily(graph, 4, value))
-            dil = ShiftDilation(ext, 2, flavor="cstar")
-            dil.values(order)
-            reports.append(dil.check_embedding(samples).as_dict())
-        assert reports[0] == reports[1]
-        assert not reports[0]["passed"]
 
 
 def shift_setup(which, seed):
@@ -952,7 +878,7 @@ class TestChannelSpecs:
     def test_round_trip_kraus(self):
         rng = rng_from_seed(26)
         ch = kraus_from_choi(Channel.random(rng, 2))
-        spec = dilate.channel_to_spec(ch)
+        spec = channel_to_spec(ch)
         back = dilate.channel_from_spec(spec)
         for s in matrix_units(2):
             assert spectral_norm(back.apply(s) - ch.apply(s)) < 1e-12
@@ -960,7 +886,7 @@ class TestChannelSpecs:
     def test_round_trip_choi(self):
         rng = rng_from_seed(27)
         ch = Channel.random(rng, 2)
-        spec = dilate.channel_to_spec(Channel(2, ch.choi))
+        spec = channel_to_spec(Channel(2, ch.choi))
         back = dilate.channel_from_spec(spec)
         assert spectral_norm(back.choi - ch.choi) < 1e-12
 
@@ -969,7 +895,7 @@ class TestChannelSpecs:
             dilate.channel_from_spec({"dim": 2, "repr": "bogus", "data": []})
 
     def test_kraus_operators_must_be_dim_by_dim(self):
-        spec = dilate.channel_to_spec(Channel.identity(2))
+        spec = channel_to_spec(Channel.identity(2))
         spec["dim"] = 3
         with pytest.raises(InputError,
                            match=r"dim is 3, but Kraus operator 0 has shape \(2, 2\)"):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,21 +13,20 @@ from hypothesis import strategies as st
 from graphdyn import dynamics, linops, rewrite
 from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
                                LinearOrderGraph, OperatorFamily,
-                               additivity_defect, check_additivity,
-                               check_divisibility, check_geometric_growth,
-                               check_identity_axiom, check_schwarz_generator,
-                               descending_grid, dissipation_map,
-                               divisibility_defect,
-                               example_indivisible, integrate_generators,
-                               lindblad_generator, lipschitz_check,
+                               check_additivity, check_divisibility,
+                               check_geometric_growth, check_identity_axiom,
+                               check_schwarz_generator, descending_grid,
+                               dissipation_map, divisibility_defect,
+                               example_indivisible, lindblad_generator,
                                network_defect, network_family,
                                proportional_length)
 from graphdyn.errors import (AcyclicityError, DegeneracyError, GraphError,
-                             InputError, OrderError)
+                             InputError)
 from graphdyn.linops import SIGMA_X, SIGMA_Y, SIGMA_Z, SuperOp, spectral_norm
-from graphdyn.reports import CheckReport, defect_report
+from graphdyn.reports import defect_report
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_kraus_ops, random_matrix, rng_from_seed)
+from oracles import additivity_defect
 
 
 @pytest.fixture
@@ -119,7 +119,7 @@ class TestAdditivity:
 
         def a_of(edge):
             t, s = edge
-            return integrate_generators(curve, s, t)
+            return scipy.integrate.quad_vec(curve, s, t, epsabs=1e-10, epsrel=0)[0]
 
         gens = GeneratorFamily(descending_grid(1.0, 5), 2, a_of)
         assert additivity_defect(gens, 1.0, 0.5, 0.0) < 1e-9
@@ -288,9 +288,6 @@ class TestBatchedCheckers:
             keyed = [(e, lhs(e) - ell(e)) for e in edges]
             assert (rep.max_defect, rep.argmax, rep.count, rep.offenders) == \
                 (*loop_worst(keyed), len(edges), loop_offenders(keyed, tol))
-        rep = fam.check_contractions()
-        assert (rep.max_defect, rep.argmax) == \
-            loop_worst((e, spectral_norm(fam(e)) - 1.0) for e in edges)
         # plus a drift whose Hermitian part has eigenvalues of both signs
         noise = random_matrix(rng_from_seed(seed), gens.dim)
         rough = GeneratorFamily(gens.graph, gens.dim,
@@ -357,7 +354,7 @@ class TestBatchedFamilies:
         for e in data.draw(st.lists(st.sampled_from(edges), max_size=6)):
             fam(e)  # partly cached before the blocks run
         with mock.patch.object(dynamics, "_BLOCK", block):
-            fam.check_contractions(drawn)
+            dynamics._blockwise(drawn, lambda es: spectral_norm(fam.stack(es)))
         want = np.stack([oracle(e) for e in drawn]) if drawn else \
             np.empty((0, fam.dim, fam.dim))
         assert np.array_equal(fam.stack(drawn), want)
@@ -472,133 +469,12 @@ class TestTripleSampling:
 
 
 class TestLengthFunction:
-    def test_kinds_validated(self, grid):
-        ell = proportional_length(2.0)
-        assert ell.check(grid).passed
-
-    def test_superadditive_violation_detected(self, grid):
-        bad = LengthFunction(lambda e: abs(e[1] - e[0]) ** 0.5, "superadditive")
-        assert not bad.check(grid).passed  # sqrt is subadditive
-
-    def test_subadditive(self, grid):
-        ell = LengthFunction(lambda e: abs(e[1] - e[0]) ** 0.5, "subadditive")
-        assert ell.check(grid).passed
-
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             LengthFunction(lambda e: 0.0, "bogus")
 
-    @pytest.mark.parametrize("kind", ["additive", "superadditive", "subadditive"])
-    def test_nan_length_fails(self, grid, kind):
-        rep = LengthFunction(lambda e: float("nan"), kind).check(grid)
-        assert not rep.passed
-        assert np.isnan(rep.max_defect) and rep.argmax == (grid.nodes[0],) * 3
-        # only the non-loop triples see NaN from a finite-on-loops length
-        rep = LengthFunction(lambda e: 0.0 if e[0] == e[1] else float("nan"),
-                             kind).check(grid)
-        assert not rep.passed and np.isnan(rep.max_defect)
-
-
-def lipschitz_loop(fam, pairs, ell=None, bound_const=None, gen=None, tol=1e-10):
-    """Oracle: the one-pair-at-a-time loop that ``lipschitz_check`` batches."""
-    g = fam.graph
-    worst, arg, offenders = -np.inf, None, []
-    for (e, e2) in pairs:
-        (u, v), (u2, v2) = e, e2
-        m = g.meet(u, u2)
-        big = g.join(v, v2)
-        lhs = spectral_norm(fam(e) - fam(e2))
-        corners = [(m, u), (v, big), (m, u2), (v2, big)]
-        if gen is not None:
-            bound = sum(spectral_norm(gen(c)) for c in corners)
-        else:
-            bound = bound_const * sum(ell(c) for c in corners)
-        excess = lhs - bound
-        if excess > tol:
-            offenders.append(((e, e2), excess))
-        if excess > worst:
-            worst, arg = excess, (e, e2)
-    return CheckReport("lipschitz-bound", not offenders, max(worst, 0.0), tol,
-                       arg, count=len(pairs), offenders=offenders[:10])
-
-
-class TestLipschitz:
-    def test_divisible_family_bound(self):
-        rng = rng_from_seed(2)
-        a = random_dissipative(rng, 3)
-        gens = dynamics.commuting_evolution(a, 1.0, 9)
-        fam = gens.exponential(1.0)
-        ell = proportional_length(spectral_norm(a))
-        pairs = [(((1.0, 0.5)), ((0.875, 0.625))),
-                 (((0.75, 0.25)), ((0.625, 0.375)))]
-        rep = lipschitz_check(fam, pairs, ell=ell, bound_const=1.0)
-        assert rep.passed
-
-    def test_coincident_edges(self):
-        rng = rng_from_seed(3)
-        a = random_dissipative(rng, 2)
-        gens = dynamics.commuting_evolution(a, 1.0, 5)
-        fam = gens.exponential(1.0)
-        rep = lipschitz_check(fam, [((1.0, 0.5), (1.0, 0.5))],
-                              ell=proportional_length(spectral_norm(a)),
-                              bound_const=1.0)
-        assert rep.passed and rep.max_defect == 0.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(kind=families["kind"], points=st.integers(2, 9), seed=families["seed"],
-           use_gen=st.booleans(), const=st.sampled_from([0.0, 0.05, 1.0]),
-           data=st.data())
-    def test_matches_pair_loop(self, kind, points, seed, use_gen, const, data):
-        # const 0 makes every pair of distinct values an offender, so the
-        # cap of 10 and the offender order are exercised
-        def setup():
-            gens = random_generators(kind, points, seed)
-            if use_gen:
-                scaled = GeneratorFamily(gens.graph, gens.dim,
-                                         lambda e: const * gens._eval(e))
-                return gens.exponential(1.0), {"gen": scaled}
-            return gens.exponential(1.0), {"ell": proportional_length(1.0),
-                                           "bound_const": const}
-        fam, kwargs = setup()
-        edges = list(fam.graph.edges())
-        pairs = data.draw(st.lists(st.tuples(st.sampled_from(edges),
-                                             st.sampled_from(edges)), max_size=30))
-        rep = lipschitz_check(fam, pairs, **kwargs)
-        oracle_fam, oracle_kwargs = setup()
-        assert rep == lipschitz_loop(oracle_fam, pairs, **oracle_kwargs)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"ell": proportional_length(float("nan")), "bound_const": 1.0},
-        {"ell": proportional_length(1.0), "bound_const": float("nan")},
-    ], ids=["nan-length", "nan-constant"])
-    def test_nan_bound_fails(self, interp, kwargs):
-        fam = interp.exponential(1.0)
-        pairs = [((1.0, 0.5), (0.875, 0.625)), ((1.0, 0.0), (0.75, 0.25))]
-        rep = lipschitz_check(fam, pairs, **kwargs)
-        assert not rep.passed
-        assert np.isnan(rep.max_defect) and rep.argmax == pairs[0]
-        assert [p for p, _ in rep.offenders] == pairs
-
-    def test_generator_norm_bound(self, interp):
-        fam = interp.exponential(1.0)
-        pairs = [((1.0, 0.5), (0.875, 0.625)),
-                 ((1.0, 0.0), (0.75, 0.25)),
-                 ((0.5, 0.25), (0.625, 0.125))]
-        rep = lipschitz_check(fam, pairs, gen=interp)
-        assert rep.passed
-
 
 class TestIntegrateGenerators:
-    def test_constant(self):
-        x = random_matrix(rng_from_seed(4), 2)
-        out = integrate_generators(lambda tau: x, 0.25, 0.75)
-        assert spectral_norm(out - 0.5 * x) < 1e-12
-
-    def test_linear_profile(self):
-        x = random_matrix(rng_from_seed(5), 2)
-        out = integrate_generators(lambda tau: tau * x, 0.2, 0.9)
-        assert spectral_norm(out - ((0.9**2 - 0.2**2) / 2) * x) < 1e-10
-
     def test_interpolation_closed_form(self):
         # quadrature oracle for the closed-form two-Hamiltonian family
         t_max = 1.0
@@ -606,25 +482,9 @@ class TestIntegrateGenerators:
         p2 = superop_commutator(SIGMA_Z)
         curve = lambda tau: (tau / t_max**2) * p1 + ((t_max - tau) / t_max**2) * p2
         t, s = 0.9, 0.3
-        quad = integrate_generators(curve, s, t)
+        quad = scipy.integrate.quad_vec(curve, s, t, epsabs=1e-10, epsrel=0)[0]
         c1, c2 = dynamics.interpolated_commutator_coefficients(t, s, t_max)
         assert spectral_norm(quad - (c1 * p1 + c2 * p2)) < 1e-10
-
-    def test_order_error(self):
-        with pytest.raises(OrderError):
-            integrate_generators(lambda tau: np.eye(2), 1.0, 0.0)
-
-    def test_equal_bounds_give_zero(self):
-        x = random_matrix(rng_from_seed(6), 2)
-        assert np.array_equal(integrate_generators(lambda tau: x, 0.5, 0.5),
-                              np.zeros((2, 2), dtype=complex))
-
-    def test_tolerance_met_on_nonsmooth_profile(self):
-        # sqrt has an unbounded derivative at 0, so a fixed rule needs many
-        # panels; the adaptive rule must still reach the absolute tolerance
-        x = random_matrix(rng_from_seed(7), 2)
-        out = integrate_generators(lambda tau: np.sqrt(tau) * x, 0.0, 1.0)
-        assert spectral_norm(out - (2.0 / 3.0) * x) < 1e-10
 
 
 class TestInterpolationFamily:
@@ -653,7 +513,7 @@ class TestInterpolationFamily:
         p1 = superop_commutator(SIGMA_X)
         p2 = superop_commutator(SIGMA_Z)
         curve = lambda tau: tau * p1 + (1.0 - tau) * p2
-        quad = integrate_generators(curve, 0.25, 0.875)
+        quad = scipy.integrate.quad_vec(curve, 0.25, 0.875, epsabs=1e-10, epsrel=0)[0]
         assert spectral_norm(quad - interp((0.875, 0.25))) < 1e-10
 
 

@@ -20,9 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdyn import cli
-from graphdyn.dilate import Channel, channel_to_spec
+from graphdyn.dilate import Channel
 from graphdyn.linops import SIGMA_X, SIGMA_Z
 from graphdyn.linops import matrix_to_literal as _lit
+from oracles import channel_to_spec
 
 
 def _edge_values(edges, value):

@@ -1,5 +1,6 @@
 """Every setting does something: each CLI command takes only the flags it
-reads, and no library function has a parameter that its body never reads."""
+reads, no library function has a parameter that its body never reads, and
+the number of library parameters with a default is pinned."""
 
 import argparse
 import ast
@@ -87,3 +88,28 @@ class VedDilation:
 """
     assert set(unread_parameters(source)) == {
         "dilate_cptp(tol)", "<lambda>(s)", "verify_element(tol)", "defect(tol)"}
+
+
+def defaulted_parameters(source):
+    """The number of parameters that have a default value in ``source``."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_defaulted_parameters_are_pinned():
+    # a default is a setting: one added with no caller that sets it belongs
+    # at its use site as a constant, and one that callers set moves this count
+    assert sum(defaulted_parameters(p.read_text()) for p in SRC.glob("*.py")) == 64
+
+
+def test_defaulted_parameters_are_counted():
+    source = """
+def f(a, b=1, *, c, d=2):
+    return lambda x=0: (a, b, c, d, x)
+
+class C:
+    def g(self, e=None):
+        return e
+"""
+    assert defaulted_parameters(source) == 4
