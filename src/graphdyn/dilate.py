@@ -86,17 +86,13 @@ class Channel:
 
     def superop(self):
         """The channel as a column-stacking superoperator matrix."""
-        return linops.SuperOp(self.dim, linops.choi_to_superop(self.choi, self.dim))
+        return linops.choi_to_superop(self.choi, self.dim)
 
     @classmethod
     def from_kraus(cls, kraus_ops):
         ks = list(kraus_ops)
         sop = linops.SuperOp.from_kraus(ks)
         return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim), kraus=ks)
-
-    @classmethod
-    def from_superop(cls, sop):
-        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim))
 
     @classmethod
     def identity(cls, d):
@@ -113,10 +109,12 @@ class Channel:
         return cls.from_kraus(random_kraus_ops(rng, d))
 
     def compose(self, other):
-        """Composition self after other (apply ``other`` first)."""
+        """Composition self after other (apply ``other`` first): the product
+        of the superoperator matrices, reshuffled once into a Choi matrix."""
         if self.dim != other.dim:
             raise InputError("channel dimensions differ")
-        return Channel.from_superop(self.superop() @ other.superop())
+        d = self.dim
+        return Channel(d, linops.superop_to_choi(self.superop() @ other.superop(), d))
 
 
 def kraus_from_choi(ch):
@@ -355,8 +353,8 @@ class ShiftDilation:
     values are superoperators on their column-stacked vectorizations, and
     must be unital).
 
-    ``phi_bar`` maps a group element to its value; if it has a
-    ``stack(elements)`` method, a batch of values comes from one call of it.
+    ``phi_bar`` is an extension: its ``stack(elements)`` gives the values at
+    a batch of group elements in one call.
     """
 
     def __init__(self, phi_bar, dim, flavor="banach"):
@@ -404,16 +402,10 @@ class ShiftDilation:
         self._values.update(zip(gs, vals))
 
     def _evaluate(self, gs):
-        batch = getattr(self._phi, "stack", None)
-        if batch is None:
-            vals = [np.asarray(self._phi(g), dtype=complex) for g in gs]
-        else:
-            vals = batch(gs)
-        for val in vals:
-            if val.shape != self._shape:
-                what = "family" if self.flavor == "banach" else "superoperator"
-                raise InputError(f"{what} value has shape {val.shape}")
-        return np.asarray(vals, dtype=complex)
+        vals = np.asarray(self._phi.stack(gs), dtype=complex)
+        if vals.shape != (len(gs),) + self._shape:
+            raise InputError(f"value stack has shape {vals.shape}")
+        return vals
 
     def _check(self, gs, vals):
         """Raise for the first value of the stack that is not a contraction
@@ -462,10 +454,6 @@ class DilatedSystem:
 
     def edge_element(self, e):
         return rewrite.embed_edge(self.context, e)
-
-    def edge_operator(self, e):
-        """Compression of the dilated representation at an edge."""
-        return self.dilation.compression_matrix(self.edge_element(e))
 
     def verify(self, rng=None, tol=1e-10):
         reports = []

@@ -172,14 +172,9 @@ class GeneratorFamily(_Family):
 
 @dataclass
 class LengthFunction:
-    """Edge length bound; ``kind`` is one of additive/superadditive/subadditive."""
+    """Edge length bound: a nonnegative number per edge."""
 
     eval_fn: object
-    kind: str = "superadditive"
-
-    def __post_init__(self):
-        if self.kind not in ("additive", "superadditive", "subadditive"):
-            raise InputError(f"unknown length-function kind {self.kind!r}")
 
     def __call__(self, edge):
         val = float(self.eval_fn(edge))
@@ -190,7 +185,7 @@ class LengthFunction:
 
 def proportional_length(scale):
     """l(u, v) = scale * |v - u| for numeric node keys (additive)."""
-    return LengthFunction(lambda e: scale * abs(e[1] - e[0]), "additive")
+    return LengthFunction(lambda e: scale * abs(e[1] - e[0]))
 
 
 # -- axiom checkers ------------------------------------------------------------
@@ -313,7 +308,8 @@ def descending_grid(t_max, points):
     """Time grid listed from t_max down to 0: edges are (later, earlier)."""
     if points < 2:
         raise InputError("need at least two grid points")
-    return LinearOrderGraph(tuple(np.linspace(t_max, 0.0, points)))
+    # plain floats: they print, hash and compare like JSON-parsed node keys
+    return LinearOrderGraph(tuple(np.linspace(t_max, 0.0, points).tolist()))
 
 
 def interpolated_commutator_coefficients(t, s, t_max):
@@ -623,7 +619,7 @@ def _build_indivisible(spec, fam_spec):
     # the grid and dimension are built, not read: a spec that names others
     # would be checked on a system it does not describe
     graph = spec.get("graph", {})
-    if "order" in graph and tuple(graph["order"]) != tuple(map(float, raw.graph.nodes)):
+    if "order" in graph and tuple(graph["order"]) != raw.graph.nodes:
         raise InputError(f"graph.order does not match the {points}-point grid "
                          f"from t_max={t_max} down to 0")
     if "dim" in spec and spec["dim"] != raw.dim:
@@ -634,7 +630,7 @@ def _build_indivisible(spec, fam_spec):
     c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
              for h in (h1, h2)) / t_max
     return {"graph": gens.graph, "family": gens.exponential(), "generators": gens,
-            "kind": "indivisible-example", "ell": proportional_length(alpha * c0)}
+            "kind": "indivisible-example", "ell": proportional_length(abs(alpha) * c0)}
 
 
 def _build_cptp(spec, fam_spec):
@@ -646,7 +642,7 @@ def _build_cptp(spec, fam_spec):
     ident = dilate.Channel.identity(dim)
     get_channel = _edge_lookup(channels, ident, "channel")
     fam = OperatorFamily(graph, dim * dim,
-                         lambda e: get_channel(e).superop().matrix)
+                         lambda e: get_channel(e).superop())
     return {"graph": graph, "family": fam, "channels": get_channel,
             "dim": dim, "kind": "cptp", "identity": ident}
 

@@ -174,6 +174,10 @@ class FirstCoverExtension:
             out = out @ self.fam(edge)
         return out
 
+    def stack(self, gs):
+        """The values at the elements ``gs``, one interval product each."""
+        return np.stack([self.evaluate(g) for g in gs])
+
     def __call__(self, g, extra=(), verify=False):
         out = self.evaluate(g, extra)
         if verify:
@@ -196,7 +200,6 @@ class SecondCoverExtension:
             raise StructureError("the generator-sum extension needs a GeneratorFamily")
         if not isinstance(gen.graph, LinearOrderGraph):
             raise StructureError("cover extensions need a linearly ordered graph")
-        self.gen = gen
         self.fam = gen
         self.dim = gen.dim
         rep = check_additivity(gen, COVER_TOL)
@@ -216,8 +219,8 @@ class SecondCoverExtension:
 
     def generator_of(self, g, extra=()):
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for edge in positive_intervals(cover_of_word(self.gen.graph, g), extra):
-            out = out + self.gen(edge)
+        for edge in positive_intervals(cover_of_word(self.fam.graph, g), extra):
+            out = out + self.fam(edge)
         return out
 
     def __call__(self, g, extra=()):

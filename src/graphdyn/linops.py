@@ -222,9 +222,6 @@ class SuperOp:
         cols = x.swapaxes(-1, -2).reshape(x.shape[:-2] + (d * d, 1))
         return (self.matrix @ cols).reshape(x.shape).swapaxes(-1, -2)
 
-    def __matmul__(self, other):
-        return SuperOp(self.dim, self.matrix @ _coerce_super(other, self.dim))
-
     def expm(self, alpha=1.0):
         return SuperOp(self.dim, expm(alpha * self.matrix))
 
@@ -272,14 +269,6 @@ class SuperOp:
         for term in _kron(np.conj(ks), ks):
             m += term
         return cls(d, m)
-
-
-def _coerce_super(other, dim):
-    if isinstance(other, SuperOp):
-        if other.dim != dim:
-            raise DimensionError("superoperator dimensions differ")
-        return other.matrix
-    return as_matrix(other)
 
 
 # -- JSON matrix literals (shared with the CLI configs) ----------------------

@@ -32,4 +32,4 @@ def noncommuting_divisible():
                                   for k in range(i, j))))
 
     fam = OperatorFamily(graph, dim, phi)
-    return fam, dynamics.LengthFunction(ell, "superadditive")
+    return fam, dynamics.LengthFunction(ell)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ class TestSpecForms:
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -0.5, "2.0", True],
                              ids=["nan", "inf", "negative", "string", "bool"])
     def test_bad_ell_scale_exits_2(self, capsys, tmp_path, divisible_spec, argv, scale):
-        spec = json.loads(open(divisible_spec).read())
+        spec = json.loads(pathlib.Path(divisible_spec).read_text())
         spec["family"]["ell"]["scale"] = scale
         path = write_json(tmp_path / "bad.json", spec)
         code, out, err = run(capsys, *argv, "--input", path)
@@ -318,7 +319,7 @@ class TestSpecForms:
     def test_indivisible_example_must_match_its_grid(self, capsys, tmp_path,
                                                      indivisible_spec, field, message,
                                                      argv):
-        spec = json.loads(open(indivisible_spec).read())
+        spec = json.loads(pathlib.Path(indivisible_spec).read_text())
         spec.update(field)
         path = write_json(tmp_path / "bad.json", spec)
         code, out, err = run(capsys, *argv, "--input", path)
@@ -352,7 +353,7 @@ class TestNumericSpecFields:
         ids=[f"{case[0].split('_')[0]}-{case[1][-1]}-{case[4]}" for case in _NUMERIC_FIELDS])
     def test_bad_field_exits_2(self, capsys, tmp_path, request, argv, fixture, path,
                                value, message):
-        spec = json.loads(open(request.getfixturevalue(fixture)).read())
+        spec = json.loads(pathlib.Path(request.getfixturevalue(fixture)).read_text())
         target = spec
         for key in path[:-1]:
             target = target[key]
@@ -365,7 +366,7 @@ class TestNumericSpecFields:
         assert "Traceback" not in err
 
     def test_huge_integer_ell_scale_exits_2(self, capsys, tmp_path, divisible_spec):
-        spec = json.loads(open(divisible_spec).read())
+        spec = json.loads(pathlib.Path(divisible_spec).read_text())
         spec["family"]["ell"]["scale"] = 10**400  # no float holds it
         code, out, err = run(capsys, "check", "--input", write_json(tmp_path / "b.json", spec))
         assert (code, out) == (2, "")
@@ -375,7 +376,7 @@ class TestNumericSpecFields:
                              ids=["check", "dilate-A-cptp"])
     @pytest.mark.parametrize("where", ["system", "channel"])
     def test_bad_cptp_dim_exits_2(self, capsys, tmp_path, cptp_spec, argv, where):
-        spec = json.loads(open(cptp_spec).read())
+        spec = json.loads(pathlib.Path(cptp_spec).read_text())
         target = spec if where == "system" else spec["family"]["channels"][1]["channel"]
         target["dim"] = "2"
         code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "b.json", spec))
@@ -390,7 +391,7 @@ class TestNumericSpecFields:
     ], ids=["dim-3-of-2x2", "2x2-and-1x1", "no-operators"])
     def test_kraus_shapes_must_match_dim(self, capsys, tmp_path, cptp_spec, dim, data,
                                          message):
-        spec = json.loads(open(cptp_spec).read())
+        spec = json.loads(pathlib.Path(cptp_spec).read_text())
         channel = spec["family"]["channels"][1]["channel"]
         channel["dim"] = dim
         if data is not None:
@@ -400,11 +401,27 @@ class TestNumericSpecFields:
         assert err == f"input error: {message}\n"
 
     def test_integral_numbers_are_accepted(self, capsys, tmp_path, indivisible_spec):
-        spec = json.loads(open(indivisible_spec).read())
+        spec = json.loads(pathlib.Path(indivisible_spec).read_text())
         spec["family"].update(t_max=1, alpha=1)
         code, out, _ = run(capsys, "check", "--input", write_json(tmp_path / "i.json", spec))
         reference = run(capsys, "check", "--input", indivisible_spec)
         assert (code, out) == reference[:2]
+
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "C")],
+                             ids=["check", "dilate-C"])
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5])
+    def test_negative_alpha_is_accepted(self, capsys, tmp_path, indivisible_spec, argv,
+                                        alpha):
+        # the generators are alpha times skew-Hermitian superoperators, so
+        # their growth bound scales with |alpha|
+        spec = json.loads(pathlib.Path(indivisible_spec).read_text())
+        spec["graph"]["order"] = [1.0, 0.75, 0.5, 0.25, 0.0]
+        spec["family"].update(grid_points=5, alpha=alpha)
+        code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "i.json", spec))
+        assert (code, err) == (0, "")
+        if argv == ("check",):
+            passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+            assert passed["geometric-growth"] and passed["dissipative"]
 
 
 class TestExtend:

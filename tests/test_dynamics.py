@@ -146,7 +146,7 @@ class TestGeometricGrowth:
 
     def test_identity_with_zero_length(self, grid):
         fam = OperatorFamily(grid, 2, lambda e: np.eye(2))
-        ell = LengthFunction(lambda e: 0.0, "additive")
+        ell = LengthFunction(lambda e: 0.0)
         assert check_geometric_growth(fam, ell).passed
 
     def test_expanding_family_fails(self):
@@ -466,12 +466,6 @@ class TestTripleSampling:
             lex = (sum((m - a) * (m - a + 1) // 2 for a in range(i))
                    + sum(m - b for b in range(i, j)) + k - j)
             assert lex == rank
-
-
-class TestLengthFunction:
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            LengthFunction(lambda e: 0.0, "bogus")
 
 
 class TestIntegrateGenerators:

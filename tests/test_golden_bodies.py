@@ -7,6 +7,7 @@ changes nothing under ``bench/``.  The channel-family hashes in
 those bodies are pinned by ``channel_family_bodies.json`` here instead.  The
 word-algebra hashes of the traced ``normalize`` slots predate the trace of
 stack-pass steps; ``word_algebra_traced_bodies.json`` pins those 9 slots.
+A command that exits 3 writes no body; its one stderr line is pinned here.
 """
 
 import contextlib
@@ -25,6 +26,17 @@ BENCH = os.path.join(os.path.dirname(TESTS), "bench")
 # Its max_defect has differed from the golden body in the last ulps since the
 # channel representation moved to Choi matrices; its verdict still matches.
 ULP_DRIFT = {"cptp3-d2-dilate-A-cptp"}
+
+_DIVISIBILITY = ("precondition failure [divisibility]: divisibility defect {} at "
+                 "(1.0, 0.5, 0.0) exceeds 1.0e-09; the interval product would be "
+                 "ill-defined\n")
+# the stderr of the grid-sweep slots that exit 3, by seed
+GRID_SWEEP_EXIT_3 = {
+    0: {"g17-ind-dilate-B": _DIVISIBILITY.format("9.029e-02"),
+        "g33-ind-dilate-B": _DIVISIBILITY.format("7.947e-01")},
+    1: {"g17-ind-dilate-B": _DIVISIBILITY.format("6.194e-02"),
+        "g33-ind-dilate-B": _DIVISIBILITY.format("7.642e-02")},
+}
 
 
 def _bench_module(name):
@@ -45,16 +57,17 @@ def _assert_bodies_match_golden(workload, seed, tmp_path, monkeypatch, bodies=No
     bodies = bodies or recorded["bodies"][str(seed)]
     monkeypatch.chdir(tmp_path)
     _, commands = workloads.build(workload, seed, str(tmp_path))
-    checked = []
+    checked = {}  # slot -> (exit code, stderr)
     for cmd in commands:
         if cmd.slot in skip:
             continue
-        with contextlib.redirect_stdout(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(list(cmd.argv))
         raw, report = golden.read_body(cmd.output)
         assert golden.verdict(code, report) == recorded["verdicts"][cmd.slot], cmd.slot
         assert golden.digest(raw) == bodies[cmd.slot], cmd.slot
-        checked.append(cmd.slot)
+        checked[cmd.slot] = code, err.getvalue()
     return checked
 
 
@@ -76,6 +89,8 @@ def test_word_algebra_bodies_match_golden(tmp_path, monkeypatch, seed):
 def test_grid_sweep_bodies_match_golden(tmp_path, monkeypatch, seed):
     checked = _assert_bodies_match_golden("grid-sweep", seed, tmp_path, monkeypatch)
     assert len(checked) == 22
+    assert {slot: err for slot, (code, err) in checked.items()
+            if code == cli.EXIT_PRECONDITION} == GRID_SWEEP_EXIT_3[seed]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

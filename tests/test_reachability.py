@@ -35,7 +35,6 @@ DEMOS = pathlib.Path(__file__).parents[1] / "demos"
 
 # "module.qualname" -> why it stays although the walk never calls it
 UNREACHED = {
-    "dilate.DilatedSystem.edge_operator": "acceptance criterion 8",
     "dynamics.commuting_evolution": "acceptance criteria 6, 7, 8 and 11",
     "linops.exp_derivative": "acceptance criterion 4",
     "linops.unvec": "cstar flavor, library only",
