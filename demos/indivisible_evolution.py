@@ -15,7 +15,7 @@ from graphdyn import dynamics
 from graphdyn.dilate import dilate_exponential, one_param_factorization
 from graphdyn.dynamics import (divisibility_defect, example_indivisible,
                                proportional_length)
-from graphdyn.linops import SIGMA_X, SIGMA_Z, SuperOp, spectral_norm
+from graphdyn.linops import SIGMA_X, SIGMA_Z, commutator_superop, spectral_norm
 
 gens = example_indivisible(SIGMA_X, SIGMA_Z, t_max=1.0, grid_points=9)
 fam = gens.exponential(1.0)
@@ -33,7 +33,7 @@ for alpha in (0.1, 0.5, 1.0, 2.0):
     print(f"alpha = {alpha:3}: defect at (1, 1/2, 0) = {d:.6f}")
 
 print("\n== dilation through the generator-sum pipeline ==")
-c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
+c0 = max(spectral_norm(1j * commutator_superop(h))
          for h in (SIGMA_X, SIGMA_Z))
 system = {"graph": gens.graph, "family": fam, "generators": gens,
           "ell": proportional_length(c0)}

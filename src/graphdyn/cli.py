@@ -131,12 +131,21 @@ def _tolerance(text):
     return value
 
 
+def _decode(text, what):
+    """``json.loads``, with an input nested past the interpreter's recursion
+    limit as an input error: the decoder recurses once per level."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError(f"{what} is nested too deeply to decode") from None
+
+
 @reading("spec")
 def _load(args):
     if not args.input:
         raise InputError("--input is required for this command")
     with open(args.input) as fh:
-        spec = json.load(fh)
+        spec = _decode(fh.read(), "--input")
     # demo files wrap the system spec under a "system" key
     if isinstance(spec, dict) and "system" in spec and "family" not in spec:
         return spec["system"]
@@ -168,7 +177,7 @@ def _report_body(command, args, checks, extra=None):
 @reading("spec")
 def _word_from(args, spec):
     if args.word is not None:
-        return rewrite.word_from_literal(json.loads(args.word))
+        return rewrite.word_from_literal(_decode(args.word, "--word"))
     if "word" in spec:
         return rewrite.word_from_literal(spec["word"])
     raise InputError("no word given (flag or spec field)")
@@ -199,7 +208,8 @@ def cmd_group_mul(args):
     with reading("spec"):
         ctx = rewrite.context_from_spec(spec["graph"])
         words = [rewrite.word_from_literal(lit) for lit in
-                 (json.loads(args.words) if args.words is not None else spec["words"])]
+                 (_decode(args.words, "--words") if args.words is not None
+                  else spec["words"])]
     product = rewrite.identity()
     for w in words:
         product = rewrite.gmul(product, rewrite.normalize(ctx, w))
@@ -394,7 +404,7 @@ def _demo_indivisible():
     hat = linops.commutator(linops.SIGMA_X, linops.SIGMA_Z)
     comm_defect = linops.spectral_norm(
         linops.commutator(gens((1.0, 0.5)), gens((0.5, 0.0)))
-        + 0.125 * linops.SuperOp.commutator_with(hat).matrix)
+        + 0.125 * linops.commutator_superop(hat))
     expected = {
         "generator_coefficients_at_(1,0.5)": [c1, c2],
         "half_interval_commutator_identity_defect": comm_defect,
@@ -441,7 +451,7 @@ def _demo_lindblad(seed):
     rng = sampling.rng_from_seed(seed)
     h = linops.SIGMA_Z
     kraus = [np.array([[0, 0.6], [0, 0]]), np.array([[0.8, 0], [0, 1.0]])]
-    psi = linops.SuperOp.from_kraus([np.sqrt(0.5) * k for k in kraus])
+    psi = linops.kraus_superop([np.sqrt(0.5) * k for k in kraus])
     gen = dynamics.lindblad_generator(h, psi)
     samples = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                for _ in range(10)]
@@ -450,7 +460,8 @@ def _demo_lindblad(seed):
     samples = np.stack(samples)
     norms = linops.spectral_norm(samples)
     for alpha in np.geomspace(0.01, 10.0, 25):
-        excess = linops.spectral_norm(gen.expm(float(alpha)).apply(samples)) - norms
+        phi = linops.expm(float(alpha) * gen)
+        excess = linops.spectral_norm(linops.superop_apply(phi, samples)) - norms
         rows.append([float(alpha), float(excess.max())])
     spec = {
         "dim": 2,

@@ -34,8 +34,8 @@ class Channel:
     over matrix units, output factor first.  Complete positivity = the Choi
     matrix is PSD; trace preservation = its partial trace over the output
     factor is the identity.  The superoperator form is the index reshuffle
-    :func:`linops.choi_to_superop`; Kraus forms come from
-    :func:`kraus_from_choi`.
+    :func:`linops.choi_to_superop`, and :meth:`apply` applies it; Kraus forms
+    come from :func:`kraus_from_choi`.
     """
 
     def __init__(self, dim, choi, kraus=None):
@@ -57,7 +57,7 @@ class Channel:
         if self.kraus is not None:
             units = linops.matrix_units(d)
             defects += [(dagger(self.kraus) @ self.kraus).sum(axis=0) - eye(d),
-                        *(self._apply_kraus(units) - self._apply_choi(units))]
+                        *(self._apply_kraus(units) - self.apply(units))]
         norms = spectral_norm(np.stack(defects))
         if norms[0] > tol:
             raise NotCPTPError(f"trace-preservation defect {norms[0]:.3e}")
@@ -67,12 +67,9 @@ class Channel:
             if norms[2:].max() > tol:
                 raise NotCPTPError(f"Kraus/Choi mismatch {norms[2:].max():.3e}")
 
-    def _apply_choi(self, s):
-        d = self.dim
-        return np.einsum("aibj,...ij->...ab", self.choi.reshape(d, d, d, d),
-                         np.asarray(s, dtype=complex))
-
     def _apply_kraus(self, s):
+        """The Kraus sum at ``s``: the side of the Kraus/Choi mismatch check
+        that does not read the Choi matrix."""
         s = np.asarray(s, dtype=complex)
         # every K_i s K_i* as one stacked product, added in list order
         ks = self.kraus.reshape((len(self.kraus),) + (1,) * (s.ndim - 2) + s.shape[-2:])
@@ -80,9 +77,7 @@ class Channel:
 
     def apply(self, s):
         """The channel at ``s``: a d x d matrix or a (..., d, d) stack."""
-        if self.kraus is not None:
-            return self._apply_kraus(s)
-        return self._apply_choi(s)
+        return linops.superop_apply(self.superop(), s)
 
     def superop(self):
         """The channel as a column-stacking superoperator matrix."""
@@ -91,8 +86,8 @@ class Channel:
     @classmethod
     def from_kraus(cls, kraus_ops):
         ks = list(kraus_ops)
-        sop = linops.SuperOp.from_kraus(ks)
-        return cls(sop.dim, linops.superop_to_choi(sop.matrix, sop.dim), kraus=ks)
+        m, d = linops.kraus_superop(ks), len(ks[0])
+        return cls(d, linops.superop_to_choi(m, d), kraus=ks)
 
     @classmethod
     def identity(cls, d):
@@ -415,8 +410,7 @@ class ShiftDilation:
             defects, bound = spectral_norm(vals), 1.0 + 1e-10
         else:
             d = self.dim
-            # order="F" unvecs every row: ones[n, i, j] = (vals[n] @ vec(1))[i + d j]
-            ones = (vals @ linops.vec(eye(d))).reshape(-1, d, d, order="F")
+            ones = linops.superop_apply(vals, eye(d))
             axiom, fmt = "unitality", "unitality defect {:.3e}"
             defects, bound = spectral_norm(ones - eye(d)), 1e-10
         bad = np.flatnonzero(defects > bound)
@@ -438,7 +432,7 @@ class ShiftDilation:
 
         Shifting moves the embedded payload to tag x and j applies the value
         there, so the matrix is the value at x itself: p -> value(x) p
-        (banach) or vec(p) -> value(x) vec(p) (cstar)."""
+        (banach) or p -> superop_apply(value(x), p) (cstar)."""
         return self.value(x)
 
 
@@ -652,7 +646,7 @@ def one_param_factorization(dilsys, t0, rng=None):
         n = dil.dim if dil.flavor == "banach" else dil.dim**2
         payload = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if dil.flavor == "cstar":
-            payload = linops.unvec(payload, dil.dim)
+            payload = payload.reshape(dil.dim, dil.dim, order="F")
         v = dil.embed(payload)
         tag = rewrite.random_element(ctx, rng, 2)
         v = dil.shift(tag, v)

@@ -3,6 +3,7 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from . import linops, rewrite
 from .errors import (AcyclicityError, DegeneracyError, GraphError, InputError,
                      OrderError, is_number, reading)
-from .linops import SuperOp, dagger, spectral_norm
+from .linops import commutator_superop, dagger, spectral_norm, superop_apply
 from .reports import CheckReport, defect_report
 
 
@@ -334,8 +335,8 @@ def example_indivisible(h1, h2, t_max=1.0, grid_points=9):
     if spectral_norm(hat) <= 1e-12:
         raise DegeneracyError("[h1, h2] is central; the family would be divisible")
     d = h1.shape[0]
-    psi1 = 1j * SuperOp.commutator_with(h1).matrix
-    psi2 = 1j * SuperOp.commutator_with(h2).matrix
+    psi1 = 1j * commutator_superop(h1)
+    psi2 = 1j * commutator_superop(h2)
     graph = descending_grid(t_max, grid_points)
 
     def gen(edge):
@@ -358,18 +359,18 @@ def commuting_evolution(rate, t_max=1.0, grid_points=9):
 
 def lindblad_generator(h, psi):
     """Generator i[h, .] + Psi - (1/2){Psi(1), .} for Hermitian h and a
-    completely positive map Psi (as a SuperOp)."""
+    completely positive map Psi, both maps as superoperator matrices."""
     h = np.asarray(h, dtype=complex)
     if not linops.is_hermitian(h):
         raise InputError("Hamiltonian part must be Hermitian")
     d = h.shape[0]
-    if psi.dim != d:
+    psi = linops.as_matrix(psi)
+    if psi.shape != (d * d, d * d):
         raise InputError("dimension mismatch between h and Psi")
-    psi_of_one = psi.apply(linops.eye(d))
-    m = (1j * SuperOp.commutator_with(h).matrix
-         + psi.matrix
-         - 0.5 * SuperOp.anticommutator_with(psi_of_one).matrix)
-    return SuperOp(d, m)
+    psi_of_one = superop_apply(psi, linops.eye(d))
+    return (1j * commutator_superop(h)
+            + psi
+            - 0.5 * linops.anticommutator_superop(psi_of_one))
 
 
 def dissipation_map(l, a, b):
@@ -377,7 +378,8 @@ def dissipation_map(l, a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     bd = dagger(b)
-    return l.apply(bd @ a) - (dagger(l.apply(b)) @ a + bd @ l.apply(a))
+    return superop_apply(l, bd @ a) - (dagger(superop_apply(l, b)) @ a
+                                       + bd @ superop_apply(l, a))
 
 
 # The tolerance of the three generator conditions (ten times it bounds the
@@ -396,12 +398,12 @@ def check_schwarz_generator(l, samples):
     expm(alpha * L) are checked to not expand operator norms on the samples.
     Each condition is one stacked call over the units or the samples.
     """
-    d = l.dim
+    d = math.isqrt(len(l))
     details = {"alphas": list(SCHWARZ_ALPHAS), "samples": len(samples)}
-    unital_defect = spectral_norm(l.apply(linops.eye(d)))
+    unital_defect = spectral_norm(superop_apply(l, linops.eye(d)))
     units = linops.matrix_units(d)
-    sa_defect = max(0.0, *spectral_norm(l.apply(dagger(units))
-                                        - dagger(l.apply(units))).tolist())
+    sa_defect = max(0.0, *spectral_norm(superop_apply(l, dagger(units))
+                                        - dagger(superop_apply(l, units))).tolist())
     a = np.asarray(list(samples) or np.zeros((0, d, d)), dtype=complex)
     m = dissipation_map(l, a, a)
     vals = np.linalg.eigvalsh(linops.hermitian_part(m)).min(axis=-1)
@@ -413,7 +415,7 @@ def check_schwarz_generator(l, samples):
     if conditions_ok:
         norms = spectral_norm(a)
         for alpha in SCHWARZ_ALPHAS:
-            excess = spectral_norm(l.expm(alpha).apply(a)) - norms
+            excess = spectral_norm(superop_apply(linops.expm(alpha * l), a)) - norms
             contraction_defect = max(contraction_defect, *excess.tolist())
         details["contraction_defect"] = contraction_defect
     worst = max(unital_defect, sa_defect, psd_defect, contraction_defect)
@@ -627,7 +629,7 @@ def _build_indivisible(spec, fam_spec):
                          "of h1 and h2")
     # scaled from the raw evaluator, so unscaled values are never cached
     gens = GeneratorFamily(raw.graph, raw.dim, lambda e: alpha * raw._eval(e))
-    c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
+    c0 = max(spectral_norm(1j * commutator_superop(h))
              for h in (h1, h2)) / t_max
     return {"graph": gens.graph, "family": gens.exponential(), "generators": gens,
             "kind": "indivisible-example", "ell": proportional_length(abs(alpha) * c0)}

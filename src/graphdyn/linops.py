@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernel.
 
-All matrices are ``numpy`` arrays of ``complex128``.  Superoperators act on
-column-stacked vectorizations; that convention is fixed here once and is
-asserted by a round-trip test.  Everything in this module is a pure function
-of its inputs.
+All matrices are ``numpy`` arrays of ``complex128``.  A superoperator, a
+linear map on d x d matrices, is always its d^2 x d^2 matrix on
+column-stacked inputs; :func:`superop_apply` is the one way to apply it, and
+``tests/test_linops.py`` states the convention with ``order="F"`` reshapes.
+Everything in this module is a pure function of its inputs.
 """
 
 import numpy as np
@@ -161,19 +162,64 @@ def is_psd(a, tol=DEFAULT_TOL):
     return float(np.linalg.eigvalsh(0.5 * (a + dagger(a))).min()) >= -tol
 
 
-# -- column-stacking vectorization (fixed globally) --------------------------
+# -- superoperators: d^2 x d^2 column-stacking matrices (fixed globally) ------
+#
+# A linear map on d x d matrices is the d^2 x d^2 matrix M with
+# M @ x.reshape(-1, order="F") == f(x).reshape(-1, order="F"): entry
+# x[i, j] sits at index i + j d of the column-stacked x.
 
-def vec(x):
-    """Column-stacking vectorization of a d x d matrix."""
-    return _square(x).reshape(-1, order="F")
+def superop_apply(m, x):
+    """The map with column-stacking matrix ``m`` at ``x``.  Either side may be
+    a stack, (..., d^2, d^2) or (..., d, d); the stacks broadcast, and each
+    result is one matrix-vector product."""
+    m, x = _square(m, stack=True), _square(x, stack=True)
+    d = x.shape[-1]
+    if m.shape[-1] != d * d:
+        raise DimensionError(f"superoperator of shape {m.shape[-2:]} at {d}x{d} input")
+    # the column-stacked x is x^T flattened row-major: a (d^2, 1) column per matrix
+    cols = x.swapaxes(-1, -2).reshape(x.shape[:-2] + (d * d, 1))
+    out = m @ cols
+    return out.reshape(out.shape[:-2] + (d, d)).swapaxes(-1, -2)
 
 
-def unvec(v, d):
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=complex)
-    if v.size != d * d:
-        raise DimensionError(f"expected a vector of length {d * d}, got {v.size}")
-    return v.reshape(d, d, order="F")
+def commutator_superop(a):
+    """X -> [a, X]."""
+    a = _square(a)
+    d = a.shape[0]
+    return _kron(eye(d), a) - _kron(a.T, eye(d))
+
+
+def anticommutator_superop(a):
+    """X -> {a, X}."""
+    a = _square(a)
+    d = a.shape[0]
+    return _kron(eye(d), a) + _kron(a.T, eye(d))
+
+
+def conjugation_superop(u):
+    """X -> u X u*."""
+    u = _square(u)
+    return _kron(np.conj(u), u)
+
+
+def kraus_superop(kraus_ops):
+    """X -> sum_i K_i X K_i*.  Every conj(K_i) (x) K_i comes from one
+    broadcast product; they are added in list order, starting from zeros."""
+    ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
+    if not ks:
+        raise DimensionError("a kraus channel needs at least one operator")
+    for k in ks:
+        if k.shape != ks[0].shape:
+            raise DimensionError(f"Kraus operators of shapes {ks[0].shape} "
+                                 f"and {k.shape}")
+    if ks[0].ndim != 2:
+        raise DimensionError(f"expected a matrix, got ndim={ks[0].ndim}")
+    ks = _square(np.stack(ks), stack=True)
+    d = ks.shape[-1]
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for term in _kron(np.conj(ks), ks):
+        m += term
+    return m
 
 
 def matrix_units(d):
@@ -193,82 +239,6 @@ def choi_to_superop(choi, d):
 def superop_to_choi(m, d):
     """Inverse of :func:`choi_to_superop`."""
     return as_matrix(m).reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
-
-
-class SuperOp:
-    """Linear map on d x d matrices, stored as a d^2 x d^2 matrix.
-
-    The matrix acts on column-stacked vectorizations: ``apply(X)`` is
-    ``unvec(matrix @ vec(X))``.
-    """
-
-    def __init__(self, dim, matrix):
-        self.dim = int(dim)
-        m = as_matrix(matrix)
-        if m.shape != (self.dim**2, self.dim**2):
-            raise DimensionError(
-                f"superoperator on dim {self.dim} needs shape "
-                f"{(self.dim**2, self.dim**2)}, got {m.shape}"
-            )
-        self.matrix = m
-
-    def apply(self, x):
-        """The map at a d x d matrix, or at each matrix of a (..., d, d)
-        stack; a stack is one matrix-vector product per matrix."""
-        x, d = _square(x, stack=True), self.dim
-        if x.shape[-2:] != (d, d):
-            raise DimensionError(f"expected {d}x{d} input, got {x.shape}")
-        # vec(x) is x^T flattened row-major: a (d^2, 1) column per matrix
-        cols = x.swapaxes(-1, -2).reshape(x.shape[:-2] + (d * d, 1))
-        return (self.matrix @ cols).reshape(x.shape).swapaxes(-1, -2)
-
-    def expm(self, alpha=1.0):
-        return SuperOp(self.dim, expm(alpha * self.matrix))
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, np.zeros((dim**2, dim**2), dtype=complex))
-
-    @classmethod
-    def commutator_with(cls, a):
-        """X -> [a, X]."""
-        a = _square(a)
-        d = a.shape[0]
-        return cls(d, _kron(eye(d), a) - _kron(a.T, eye(d)))
-
-    @classmethod
-    def anticommutator_with(cls, a):
-        """X -> {a, X}."""
-        a = _square(a)
-        d = a.shape[0]
-        return cls(d, _kron(eye(d), a) + _kron(a.T, eye(d)))
-
-    @classmethod
-    def conjugation_by(cls, u):
-        """X -> u X u*."""
-        u = _square(u)
-        d = u.shape[0]
-        return cls(d, _kron(np.conj(u), u))
-
-    @classmethod
-    def from_kraus(cls, kraus_ops):
-        """X -> sum_i K_i X K_i*.  Every conj(K_i) (x) K_i comes from one
-        broadcast product; they are added in list order, starting from zeros."""
-        ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
-        if not ks:
-            raise DimensionError("a kraus channel needs at least one operator")
-        for k in ks:
-            if k.shape != ks[0].shape:
-                raise DimensionError(f"Kraus operators of shapes {ks[0].shape} "
-                                     f"and {k.shape}")
-        if ks[0].ndim != 2:
-            raise DimensionError(f"expected a matrix, got ndim={ks[0].ndim}")
-        ks = _square(np.stack(ks), stack=True)
-        d = ks.shape[-1]
-        m = np.zeros((d * d, d * d), dtype=complex)
-        for term in _kron(np.conj(ks), ks):
-            m += term
-        return cls(d, m)
 
 
 # -- JSON matrix literals (shared with the CLI configs) ----------------------

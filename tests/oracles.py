@@ -16,11 +16,11 @@ from graphdyn.sampling import random_matrix
 
 def act(dil, g, payload):
     """The value of ``dil`` at ``g`` applied to one payload: a matrix
-    product (banach) or a superoperator on the vectorized payload (cstar)."""
+    product (banach) or a superoperator applied to the payload (cstar)."""
     val = dil.value(g)
     if dil.flavor == "banach":
         return val @ payload
-    return linops.unvec(val @ linops.vec(payload), dil.dim)
+    return linops.superop_apply(val, payload)
 
 
 def evaluate(dil, v, g):

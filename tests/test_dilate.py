@@ -16,7 +16,8 @@ from graphdyn.dynamics import (CompleteGraph, LinearOrderGraph,
                                example_indivisible, proportional_length)
 from graphdyn.errors import (GraphError, InputError, NotCPTPError,
                              PreconditionError)
-from graphdyn.linops import (SIGMA_X, SIGMA_Z, SuperOp, dagger, spectral_norm,
+from graphdyn.linops import (SIGMA_X, SIGMA_Z, commutator_superop,
+                             conjugation_superop, dagger, spectral_norm,
                              trace_norm)
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
@@ -39,12 +40,14 @@ class TestChannel:
         assert np.allclose(ch.apply(s), s)
 
     def test_choi_convention_round_trip(self):
-        # the Choi matrix must reproduce the superoperator action on units
+        # the superoperator action on E_ij is the (i, j) block of the Choi
+        # matrix: choi[(a, i), (b, j)] = Phi(E_ij)[a, b]
         rng = rng_from_seed(1)
         ch = Channel.random(rng, 2)
-        sop = SuperOp(2, ch.superop())
-        for s in matrix_units(2):
-            assert spectral_norm(ch.apply(s) - sop.apply(s)) < 1e-12
+        blocks = ch.choi.reshape(2, 2, 2, 2)
+        for n, s in enumerate(matrix_units(2)):
+            i, j = divmod(n, 2)
+            assert spectral_norm(ch.apply(s) - blocks[:, i, :, j]) < 1e-12
 
     def test_unitary_conjugation(self):
         rng = rng_from_seed(2)
@@ -78,8 +81,8 @@ seeded_dims = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
 def transpose_superop(d):
     """Column-stacking matrix of X -> X^T: positive and trace preserving, but
     not completely positive."""
-    return np.stack([linops.vec(linops.unvec(e, d).T) for e in np.eye(d * d)],
-                    axis=1)
+    return np.stack([e.reshape(d, d, order="F").T.reshape(-1, order="F")
+                     for e in np.eye(d * d)], axis=1)
 
 
 class TestChannelForms:
@@ -89,19 +92,16 @@ class TestChannelForms:
         d, seed = dim_seed
         rng = rng_from_seed(seed)
         ch = Channel.from_kraus(random_kraus_ops(rng, d, min(rank, d * d)))
-        sop = SuperOp(d, ch.superop())
-        assert np.array_equal(linops.superop_to_choi(sop.matrix, d), ch.choi)
+        assert np.array_equal(linops.superop_to_choi(ch.superop(), d), ch.choi)
         again = Channel.from_kraus(kraus_from_choi(ch).kraus)
         assert np.abs(again.choi - ch.choi).max() <= 1e-12
         samples = [*linops.matrix_units(d), random_matrix(rng, d)]
         for s in samples:
-            want = ch._apply_kraus(s)
-            assert spectral_norm(sop.apply(s) - want) <= 1e-12
-            assert spectral_norm(ch._apply_choi(s) - want) <= 1e-12
+            assert spectral_norm(ch.apply(s) - ch._apply_kraus(s)) <= 1e-12
         # a (n, d, d) stack goes through both forms as one call
         want = np.stack([ch._apply_kraus(s) for s in samples])
         assert np.abs(ch._apply_kraus(np.stack(samples)) - want).max() <= 1e-14
-        assert np.abs(ch._apply_choi(np.stack(samples)) - want).max() <= 1e-12
+        assert np.abs(ch.apply(np.stack(samples)) - want).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(seeded_dims)
@@ -607,7 +607,7 @@ class TestShiftDilationCstar:
         def value(e):
             t, s = e
             u = linops.expm(1j * (t - s) * h)
-            return SuperOp.conjugation_by(u).matrix
+            return conjugation_superop(u)
 
         fam = OperatorFamily(graph, 4, value)
         from graphdyn.extend import FirstCoverExtension
@@ -626,8 +626,8 @@ class TestShiftDilationCstar:
         rng, fam, dil, ctx = self.setup_cstar(h=SIGMA_X + 0.3 * SIGMA_Z)
         for _ in range(10):
             x = rewrite.random_element(ctx, rng, 3)
-            columns = [linops.vec(compress(dil, dil.shift(
-                x, dil.embed(linops.unvec(e, 2))))) for e in np.eye(4)]
+            columns = [compress(dil, dil.shift(x, dil.embed(
+                e.reshape(2, 2, order="F")))).reshape(-1, order="F") for e in np.eye(4)]
             assert np.array_equal(dil.compression_matrix(x), np.stack(columns, axis=1))
 
 
@@ -646,8 +646,8 @@ def shift_setup(which, seed):
         return SecondCoverExtension(gens), 3, "banach"
     h = random_matrix(rng, 2)
     h = h + dagger(h)
-    fam = OperatorFamily(gens.graph, 4, lambda e: SuperOp.conjugation_by(
-        linops.expm(1j * (e[0] - e[1]) * h)).matrix)
+    fam = OperatorFamily(gens.graph, 4, lambda e: conjugation_superop(
+        linops.expm(1j * (e[0] - e[1]) * h)))
     return FirstCoverExtension(fam), 2, "cstar"
 
 
@@ -680,7 +680,7 @@ class TestBatchedShiftValues:
 
         def value(e):
             u = linops.expm(1j * (e[1] - e[0]) * SIGMA_X)
-            return scale.get(e, 1.0) * SuperOp.conjugation_by(u).matrix
+            return scale.get(e, 1.0) * conjugation_superop(u)
 
         for bad in (None, (2, 3)):
             # a later edge with no value must not mask the first failure
@@ -741,7 +741,7 @@ class TestPipelines:
     def test_pipeline_c_on_interpolation(self):
         rng = rng_from_seed(22)
         gens = example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 9)
-        c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
+        c0 = max(spectral_norm(1j * commutator_superop(h))
                  for h in (SIGMA_X, SIGMA_Z))
         system = {"graph": gens.graph, "family": gens.exponential(1.0),
                   "generators": gens, "alpha": 1.0,
@@ -766,8 +766,8 @@ class TestPipelines:
         h = np.diag([0.7, -0.2]).astype(complex)
         fam = OperatorFamily(
             graph, 4,
-            lambda e: SuperOp.conjugation_by(
-                linops.expm(1j * (e[0] - e[1]) * h)).matrix)
+            lambda e: conjugation_superop(
+                linops.expm(1j * (e[0] - e[1]) * h)))
         ds = dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
         reports = ds.verify(rng=rng)
         assert all(r.passed for r in reports)
@@ -846,7 +846,7 @@ class TestOneParamFactorization:
     def test_interpolation_family_fails_semigroup_law(self):
         rng = rng_from_seed(25)
         gens = example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 9)
-        c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
+        c0 = max(spectral_norm(1j * commutator_superop(h))
                  for h in (SIGMA_X, SIGMA_Z))
         system = {"graph": gens.graph, "family": gens.exponential(1.0),
                   "generators": gens, "alpha": 1.0,

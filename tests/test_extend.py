@@ -9,7 +9,7 @@ from graphdyn.errors import PreconditionError, StructureError
 from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
                              SecondCoverExtension, continuity_modulus_check,
                              cover_of_word, positive_intervals)
-from graphdyn.linops import SIGMA_X, SIGMA_Z, SuperOp, spectral_norm
+from graphdyn.linops import SIGMA_X, SIGMA_Z, commutator_superop, spectral_norm
 from graphdyn.rewrite import embed_edge, gmul, identity, word
 from graphdyn.sampling import random_dissipative, rng_from_seed
 
@@ -405,7 +405,7 @@ class TestContinuityModulus:
     def test_second_extension_bound(self):
         rng = rng_from_seed(13)
         interp = example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 9)
-        c0 = max(spectral_norm(1j * SuperOp.commutator_with(h).matrix)
+        c0 = max(spectral_norm(1j * commutator_superop(h))
                  for h in (SIGMA_X, SIGMA_Z))
         ell = proportional_length(c0)
         ext = SecondCoverExtension(interp)

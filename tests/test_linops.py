@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from graphdyn import linops
 from graphdyn.dynamics import GeneratorFamily, LinearOrderGraph
 from graphdyn.errors import DimensionError
-from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, SuperOp, commutator,
-                             dagger, exp_derivative, expm, is_psd,
-                             partial_trace_first, spectral_norm, tensor,
-                             trace_norm)
+from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, anticommutator_superop,
+                             commutator, commutator_superop,
+                             conjugation_superop, dagger, exp_derivative, expm,
+                             is_psd, kraus_superop, partial_trace_first,
+                             spectral_norm, superop_apply, tensor, trace_norm)
 from graphdyn.reports import defect_report, dumps
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_matrix, rng_from_seed)
@@ -310,18 +311,18 @@ class TestAlgebra:
     def test_anticommutator_symmetric(self):
         rng = rng_from_seed(13)
         a = random_matrix(rng, 3)
-        assert np.allclose(SuperOp.anticommutator_with(a).apply(a), 2 * a @ a)
+        assert np.allclose(superop_apply(anticommutator_superop(a), a), 2 * a @ a)
 
     def test_adjoint_identity(self):
         rng = rng_from_seed(14)
         s = random_matrix(rng, 3)
-        assert np.array_equal(SuperOp.conjugation_by(np.eye(3)).apply(s), s)
+        assert np.array_equal(superop_apply(conjugation_superop(np.eye(3)), s), s)
 
     def test_adjoint_preserves_trace_and_spectrum(self):
         rng = rng_from_seed(15)
         u = random_unitary(rng, 4)
         s = random_hermitian(rng, 4)
-        out = SuperOp.conjugation_by(u).apply(s)
+        out = superop_apply(conjugation_superop(u), s)
         assert abs(np.trace(out) - np.trace(s)) < 1e-12
         assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(s),
                            atol=1e-12)
@@ -382,51 +383,79 @@ class TestPerturbationBound:
                 <= spectral_norm(y) + 1e-10
 
 
+def column_stack(x):
+    """Column-stacking: entry x[i, j] at index i + j d."""
+    return x.reshape(-1, order="F")
+
+
+def bits(a):
+    """The bit patterns of a complex array, so signs of zero count too."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestVectorization:
     def test_round_trip(self):
+        # the identity superoperator stacks and unstacks x unchanged
         rng = rng_from_seed(20)
         x = random_matrix(rng, 3)
-        assert np.array_equal(linops.unvec(linops.vec(x), 3), x)
+        assert np.array_equal(bits(superop_apply(np.eye(9), x)), bits(x))
 
     def test_column_stacking(self):
+        # a superoperator matrix acts on column-stacked inputs, where x[i, j]
+        # sits at index i + j d: the matrix unit at (0, 1) moves x[1, 0],
+        # index 1, to entry (0, 0); row-stacking would move x[0, 1]
         x = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert np.array_equal(linops.vec(x), [1, 3, 2, 4])
+        assert np.array_equal(column_stack(x), [1, 3, 2, 4])
+        m = np.zeros((4, 4))
+        m[0, 1] = 1
+        assert np.array_equal(superop_apply(m, x), [[3, 0], [0, 0]])
+
+    def test_apply_is_the_column_stacked_product(self):
+        rng = rng_from_seed(24)
+        m = random_matrix(rng, 9)
+        x = random_matrix(rng, 3)
+        want = (m @ column_stack(x)).reshape(3, 3, order="F")
+        assert np.allclose(superop_apply(m, x), want, rtol=0, atol=1e-14)
 
     def test_left_right_multiplication(self):
         # {a, .} and [a, .] are X -> a X + X a and X -> a X - X a
         rng = rng_from_seed(21)
         a = random_matrix(rng, 3)
         x = random_matrix(rng, 3)
-        anti = SuperOp.anticommutator_with(a).matrix
-        comm = SuperOp.commutator_with(a).matrix
-        assert np.allclose(SuperOp(3, (anti + comm) / 2).apply(x), a @ x)
-        assert np.allclose(SuperOp(3, (anti - comm) / 2).apply(x), x @ a)
+        anti = anticommutator_superop(a)
+        comm = commutator_superop(a)
+        assert np.allclose(superop_apply((anti + comm) / 2, x), a @ x)
+        assert np.allclose(superop_apply((anti - comm) / 2, x), x @ a)
 
     def test_conjugation_matches_adjoint_action(self):
         rng = rng_from_seed(22)
         u = random_unitary(rng, 3)
         x = random_matrix(rng, 3)
-        assert np.allclose(SuperOp.conjugation_by(u).apply(x), u @ x @ dagger(u))
+        assert np.allclose(superop_apply(conjugation_superop(u), x), u @ x @ dagger(u))
 
     def test_commutator_superop(self):
         rng = rng_from_seed(23)
         a = random_matrix(rng, 3)
         x = random_matrix(rng, 3)
-        assert np.allclose(SuperOp.commutator_with(a).apply(x), commutator(a, x))
-        assert np.allclose(SuperOp.anticommutator_with(a).apply(x), a @ x + x @ a)
+        assert np.allclose(superop_apply(commutator_superop(a), x), commutator(a, x))
+        assert np.allclose(superop_apply(anticommutator_superop(a), x), a @ x + x @ a)
 
     def test_kraus_operators_of_different_sizes(self):
         with pytest.raises(DimensionError, match=r"\(2, 2\) and \(1, 1\)"):
-            SuperOp.from_kraus([np.eye(2) / 2, np.eye(1)])
+            kraus_superop([np.eye(2) / 2, np.eye(1)])
 
     def test_empty_kraus_list(self):
         with pytest.raises(DimensionError, match="needs at least one operator"):
-            SuperOp.from_kraus([])
+            kraus_superop([])
+
+    def test_input_of_the_wrong_size(self):
+        with pytest.raises(DimensionError, match=r"shape \(4, 4\) at 3x3 input"):
+            superop_apply(np.eye(4), np.eye(3))
 
 
 def kron_loop_from_kraus(kraus_ops):
     """The superoperator of a Kraus list as one np.kron per operator, added
-    in list order onto zeros: the oracle of the stacked SuperOp.from_kraus."""
+    in list order onto zeros: the oracle of the stacked kraus_superop."""
     d = kraus_ops[0].shape[0]
     m = np.zeros((d * d, d * d), dtype=complex)
     for k in kraus_ops:
@@ -453,10 +482,10 @@ class TestStackedKernelsAreBitwise:
             # real operators give products with imaginary part -0.0: the
             # sum must keep the loop's signs of zero too
             ks = [k.real.astype(complex) for k in ks]
-        got = SuperOp.from_kraus(ks)
-        assert got.dim == d
+        got = kraus_superop(ks)
+        assert got.shape == (d * d, d * d)
         # equal bit patterns, so equal signs of zero too
-        assert np.array_equal(got.matrix.view(np.int64),
+        assert np.array_equal(got.view(np.int64),
                               kron_loop_from_kraus(ks).view(np.int64))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -474,11 +503,21 @@ class TestStackedKernelsAreBitwise:
     def test_stacked_apply_is_the_matrix_loop(self, shape):
         d, rank, seed = shape
         rng = rng_from_seed(seed)
-        sop = SuperOp(d, random_matrix(rng, d * d))
+        sop = random_matrix(rng, d * d)
         stack = np.stack([random_matrix(rng, d) for _ in range(rank)])
-        want = np.stack([linops.unvec(sop.matrix @ linops.vec(m), d) for m in stack])
-        assert np.array_equal(sop.apply(stack), want)
-        assert np.array_equal(sop.apply(stack[0]), want[0])
+        want = np.stack([superop_apply(sop, m) for m in stack])
+        assert np.array_equal(bits(superop_apply(sop, stack)), bits(want))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kraus_shapes)
+    def test_stack_of_superoperators_at_one_matrix_is_the_loop(self, shape):
+        # as the cstar unitality check applies every family value at 1
+        d, rank, seed = shape
+        rng = rng_from_seed(seed)
+        sops = np.stack([random_matrix(rng, d * d) for _ in range(rank)])
+        for x in (np.eye(d, dtype=complex), random_matrix(rng, d)):
+            want = np.stack([superop_apply(m, x) for m in sops])
+            assert np.array_equal(bits(superop_apply(sops, x)), bits(want))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("part", [1, 1j], ids=["real", "imag"])

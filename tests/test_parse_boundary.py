@@ -16,6 +16,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -217,3 +218,26 @@ def test_flag_values_exit_cleanly(case):
     if flag in NUMERIC:
         # --seed and --samples take non-negative integers, --tol finite numbers >= 0
         assert (code == 2) == (value not in ("0", "3")), (base, flag, value, err)
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+# far past the interpreter's recursion limit, which the JSON decoder counts
+# one level per array; DEEP in argv is a spec file of 100,000 levels
+@pytest.mark.parametrize("argv", [
+    ("normalize", "--input", "DEEP"),
+    ("check", "--input", "DEEP"),
+    ("normalize", "--input", "words.json", "--word", nested(5000)),
+    ("group", "inv", "--input", "words.json", "--word", nested(5000)),
+    ("group", "mul", "--input", "words.json", "--words", nested(5000)),
+], ids=["normalize-input", "check-input", "normalize-word", "group-inv-word",
+        "group-mul-words"])
+def test_deeply_nested_json_is_an_input_error(argv, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(nested(100_000))
+    code, err = run_argv([str(deep) if a == "DEEP" else a for a in argv])
+    assert code == 2, err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert "nested too deeply" in err

@@ -37,8 +37,6 @@ DEMOS = pathlib.Path(__file__).parents[1] / "demos"
 UNREACHED = {
     "dynamics.commuting_evolution": "acceptance criteria 6, 7, 8 and 11",
     "linops.exp_derivative": "acceptance criterion 4",
-    "linops.unvec": "cstar flavor, library only",
-    "linops.vec": "cstar flavor, library only",
     "sampling.random_dissipative": "acceptance criteria 3, 6, 7, 8 and 11",
     "sampling.random_hermitian": "random_dissipative",
 }
