@@ -398,7 +398,8 @@ def check_schwarz_generator(l, samples):
     expm(alpha * L) are checked to not expand operator norms on the samples.
     Each condition is one stacked call over the units or the samples.
     """
-    d = math.isqrt(len(l))
+    l = linops.as_matrix(l)
+    d = math.isqrt(l.shape[0])
     details = {"alphas": list(SCHWARZ_ALPHAS), "samples": len(samples)}
     unital_defect = spectral_norm(superop_apply(l, linops.eye(d)))
     units = linops.matrix_units(d)

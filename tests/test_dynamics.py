@@ -20,8 +20,8 @@ from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
                                example_indivisible, lindblad_generator,
                                network_defect, network_family,
                                proportional_length)
-from graphdyn.errors import (AcyclicityError, DegeneracyError, GraphError,
-                             InputError)
+from graphdyn.errors import (AcyclicityError, DegeneracyError, DimensionError,
+                             GraphError, InputError)
 from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, commutator_superop,
                              conjugation_superop, kraus_superop, spectral_norm,
                              superop_apply)
@@ -559,6 +559,20 @@ class TestSchwarzChecker:
         rng = rng_from_seed(9)
         samples = [random_matrix(rng, 2) for _ in range(5)]
         assert check_schwarz_generator(np.zeros((4, 4)), samples).passed
+
+    def test_nested_lists_give_the_array_report(self):
+        rng = rng_from_seed(11)
+        gen = lindblad_generator(SIGMA_X, kraus_superop(random_kraus_ops(rng, 2, 2)))
+        samples = [random_matrix(rng, 2) for _ in range(5)]
+        want = check_schwarz_generator(gen, samples)
+        got = check_schwarz_generator(gen.tolist(), samples)
+        assert got.as_dict() == want.as_dict()
+
+    def test_non_finite_generator_is_a_dimension_error(self):
+        gen = np.zeros((4, 4), dtype=complex)
+        gen[1, 2] = np.nan
+        with pytest.raises(DimensionError, match="non-finite"):
+            check_schwarz_generator(gen, [np.eye(2)])
 
     def test_transposition_generator_checked_honestly(self):
         # generator built from the transposition map (positive but not a
