@@ -2,7 +2,7 @@
 """One unitary representation for a whole channel family.
 
 Channels sitting on the edges of a graph compose along normal forms into a
-channel per group element.  Each element gets a reflection dilation on a
+channel per group element: the product of their superoperators.  Each element gets a reflection dilation on a
 shared environment, and a single unitary representation on finitely
 supported group-indexed vectors reproduces every assigned channel through
 the partial trace - without assuming the family composes edge to edge.
@@ -12,7 +12,7 @@ import numpy as np
 
 from graphdyn import rewrite
 from graphdyn.dilate import Channel, FormalVector, dilate_cptp
-from graphdyn.dynamics import LinearOrderGraph
+from graphdyn.dynamics import LinearOrderGraph, OperatorFamily
 from graphdyn.linops import trace_norm
 from graphdyn.rewrite import embed_edge, gmul
 
@@ -24,7 +24,9 @@ channels = {(0, 1): Channel.random(rng, 2),
 ident = Channel.identity(2)
 assign = lambda e: channels.get(tuple(e), ident)
 
-system = {"graph": graph, "channels": assign, "dim": 2, "family": None}
+# pipeline A-cptp extends the channels' superoperators along normal forms
+family = OperatorFamily(graph, 4, lambda e: assign(e).superop())
+system = {"graph": graph, "channels": assign, "dim": 2, "family": family}
 dilated = dilate_cptp(system)
 dil = dilated.dilation
 ctx = graph.context()

@@ -641,13 +641,15 @@ def _build_cptp(spec, fam_spec):
 
     graph, dim = _order_and_dim(spec)
     channels = _edge_table(fam_spec["channels"], "channel", dilate.channel_from_spec)
-    # one identity channel for loops and for dilate_cptp's products
-    ident = dilate.Channel.identity(dim)
-    get_channel = _edge_lookup(channels, ident, "channel")
+    for edge, ch in channels.items():
+        if ch.dim != dim:
+            raise InputError(f"channel at edge {edge!r} has dim {ch.dim}, "
+                             f"but the system dim is {dim}")
+    get_channel = _edge_lookup(channels, dilate.Channel.identity(dim), "channel")
     fam = OperatorFamily(graph, dim * dim,
                          lambda e: get_channel(e).superop())
     return {"graph": graph, "family": fam, "channels": get_channel,
-            "dim": dim, "kind": "cptp", "identity": ident}
+            "dim": dim, "kind": "cptp"}
 
 
 def _parse_ell(fam_spec, graph):

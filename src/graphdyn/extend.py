@@ -121,8 +121,6 @@ class NormalFormExtension:
     letters of the closed relation contribute the identity.
     """
 
-    kind = "normal-form"
-
     def __init__(self, fam):
         self.fam = fam
         self.dim = fam.dim
@@ -150,8 +148,6 @@ class FirstCoverExtension:
     """Ordered product of family values over the positive intervals of the
     cover; well-defined because divisibility collapses refinements."""
 
-    kind = "first-cover"
-
     def __init__(self, fam):
         if not isinstance(fam.graph, LinearOrderGraph):
             raise StructureError("cover extensions need a linearly ordered graph")
@@ -167,6 +163,11 @@ class FirstCoverExtension:
                 f"divisibility defect {rep.max_defect:.3e} at {rep.argmax} "
                 f"exceeds {COVER_TOL:.1e}; the interval product would be ill-defined",
             )
+
+    @staticmethod
+    def corner_bound(lengths):
+        """The continuity bound from the four corner lengths: expm1 of each."""
+        return float(sum(np.expm1(x) for x in lengths))
 
     def evaluate(self, g, extra=()):
         out = linops.eye(self.dim)
@@ -193,8 +194,6 @@ class SecondCoverExtension:
     exponentiate; additivity makes the sum refinement-independent and
     positive combinations of dissipative generators stay dissipative."""
 
-    kind = "second-cover"
-
     def __init__(self, gen):
         if not isinstance(gen, GeneratorFamily):
             raise StructureError("the generator-sum extension needs a GeneratorFamily")
@@ -216,6 +215,11 @@ class SecondCoverExtension:
                 f"generator at {rep.argmax} is not dissipative "
                 f"({rep.max_defect:.3e})",
             )
+
+    @staticmethod
+    def corner_bound(lengths):
+        """The continuity bound from the four corner lengths: their sum."""
+        return float(sum(lengths))
 
     def generator_of(self, g, extra=()):
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -239,9 +243,10 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis):
     For every sampled pair (g, h) and unit vector xi the difference
     ``(ext(g * edge' * h) - ext(g * edge * h)) xi`` must stay below the
     four-corner bound: with m/M the meet/join of the two tails/heads, the
-    corner lengths are l(m,u'), l(v',M), l(v,M), l(m,u); the interval-product
-    extension pays expm1 of each corner, the generator-sum extension pays
-    the corner lengths themselves.
+    corner lengths are l(m,u'), l(v',M), l(v,M), l(m,u), and the cover
+    extension's ``corner_bound`` turns them into the bound: the
+    interval-product extension pays expm1 of each corner, the generator-sum
+    extension pays the corner lengths themselves.
     """
     graph = ext.fam.graph
     ctx = graph.context()
@@ -249,13 +254,7 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis):
     m = graph.meet(u0, u1)
     big = graph.join(v0, v1)
     corners = [(m, u1), (v1, big), (v0, big), (m, u0)]
-    lengths = [ell(c) for c in corners]
-    if ext.kind == "first-cover":
-        bound = float(sum(np.expm1(x) for x in lengths))
-    elif ext.kind == "second-cover":
-        bound = float(sum(lengths))
-    else:
-        raise StructureError("continuity bounds exist for the cover extensions only")
+    bound = ext.corner_bound([ell(c) for c in corners])
     ge = rewrite.embed_edge(ctx, e)
     ge_prime = rewrite.embed_edge(ctx, e_prime)
     keys, excess = [], []

@@ -3,11 +3,13 @@
 Each one is the direct, unbatched form of something the library computes
 another way: the formal tag/payload evaluation of a shift dilation, the
 additivity defect of one triple, a Haar-random unitary and a channel spec.
+``cptp_system`` builds by hand the system dict that a cptp spec parses to.
 """
 
 import numpy as np
 
 from graphdyn import linops, rewrite
+from graphdyn.dynamics import OperatorFamily
 from graphdyn.errors import GraphError
 from graphdyn.sampling import random_matrix
 
@@ -65,3 +67,11 @@ def channel_to_spec(ch):
                 "data": [linops.matrix_to_literal(k) for k in ch.kraus]}
     return {"dim": ch.dim, "repr": "choi",
             "data": linops.matrix_to_literal(ch.choi)}
+
+
+def cptp_system(graph, channels, dim=2):
+    """The system dict that ``dynamics.build_system`` makes of a cptp spec,
+    for channels given as a function of the edge: the channels beside their
+    superoperator family, which pipeline A-cptp extends."""
+    return {"graph": graph, "channels": channels, "dim": dim, "kind": "cptp",
+            "family": OperatorFamily(graph, dim * dim, lambda e: channels(e).superop())}

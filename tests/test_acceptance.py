@@ -25,6 +25,7 @@ from graphdyn.rewrite import (EdgeContext, check_confluence_bruteforce,
                               complete_context, embed_edge, ginv, gmul,
                               identity)
 from graphdyn.sampling import random_dissipative, random_matrix, rng_from_seed
+from oracles import cptp_system
 
 # recorded at first run: divisibility defect of the two-Hamiltonian
 # interpolation family (h1 = sigma_x, h2 = sigma_z, t_max = 1, alpha = 1)
@@ -284,8 +285,7 @@ def test_criterion_10_ved_suite():
              (0, 2): Channel.random(rng, 2)}
     ident = Channel.identity(2)
     get = lambda e: chans.get(tuple(e), ident)
-    ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                      "family": None})
+    ds = dilate_cptp(cptp_system(graph, get))
     dil = ds.dilation
     ctx = graph.context()
     ok = True

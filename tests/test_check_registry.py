@@ -17,6 +17,7 @@ import pytest
 from graphdyn import cli, dilate, dynamics, extend, linops, rewrite
 from graphdyn.dynamics import GeneratorFamily, LinearOrderGraph, OperatorFamily
 from graphdyn.sampling import rng_from_seed
+from oracles import cptp_system
 from test_rewrite import RestrictedAlphabet
 
 SRC = pathlib.Path(cli.__file__).parent
@@ -172,9 +173,7 @@ def _dilation_reconstruction():
     rng = rng_from_seed(0)
     graph = LinearOrderGraph([0, 1])
     ch = dilate.Channel.random(rng, 2)
-    system = {"graph": graph, "dim": 2, "kind": "cptp",
-              "channels": lambda e: ch if e[0] != e[1] else dilate.Channel.identity(2)}
-    system["family"] = OperatorFamily(graph, 4, lambda e: system["channels"](e).superop())
+    system = cptp_system(graph, lambda e: ch if e[0] != e[1] else dilate.Channel.identity(2))
     reports = dilate.dilate_cptp(system).verify(rng=rng, tol=0.0)
     return next(r for r in reports if r.name == "dilation-reconstruction")
 

@@ -388,7 +388,11 @@ class TestNumericSpecFields:
         (2, [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]],
          "channel dim is 2, but Kraus operator 1 has shape (1, 1)"),
         (2, [], "a kraus channel needs at least one operator"),
-    ], ids=["dim-3-of-2x2", "2x2-and-1x1", "no-operators"])
+        # a channel that validates on its own, on another space than the
+        # system's
+        (3, [linops.matrix_to_literal(np.eye(3))],
+         "channel at edge (1, 2) has dim 3, but the system dim is 2"),
+    ], ids=["dim-3-of-2x2", "2x2-and-1x1", "no-operators", "dim-3-in-dim-2-system"])
     def test_kraus_shapes_must_match_dim(self, capsys, tmp_path, cptp_spec, dim, data,
                                          message):
         spec = json.loads(pathlib.Path(cptp_spec).read_text())
@@ -524,6 +528,22 @@ class TestDilate:
                            "--pipeline", "A-cptp")
         assert code == 0
         assert json.loads(out)["passed"]
+
+    def test_pipeline_a_cptp_checks_the_identity_axiom(self, capsys, tmp_path, cptp_spec):
+        # a loop carrying sigma_x breaks the identity axiom: A-cptp refuses the
+        # family as pipeline A does, before any dilation is built
+        from graphdyn.dilate import Channel
+        from oracles import channel_to_spec
+        spec = json.loads(pathlib.Path(cptp_spec).read_text())
+        spec["family"]["channels"].append(
+            {"edge": [0, 0], "channel": channel_to_spec(Channel.from_kraus([SIGMA_X]))})
+        path = write_json(tmp_path / "loop.json", spec)
+        results = [run(capsys, "dilate", "--input", path, "--pipeline", pipeline)
+                   for pipeline in ("A-cptp", "A")]
+        code, out, err = results[0]
+        assert (code, out) == (3, "")
+        assert err.startswith("precondition failure [identity]: identity axiom fails")
+        assert results[1] == results[0]
 
 
 class TestDemo:

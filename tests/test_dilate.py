@@ -22,7 +22,8 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Z, commutator_superop,
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
                                random_matrix, rng_from_seed)
-from oracles import channel_to_spec, compress, evaluate, random_unitary
+from oracles import (channel_to_spec, compress, cptp_system, evaluate,
+                     random_unitary)
 
 
 def matrix_units(d):
@@ -67,13 +68,6 @@ class TestChannel:
         with pytest.raises(NotCPTPError, match="not positive semidefinite"):
             Channel(2, choi)
 
-    def test_composition(self):
-        rng = rng_from_seed(3)
-        a = Channel.random(rng, 2)
-        b = Channel.random(rng, 2)
-        s = random_matrix(rng, 2)
-        assert np.allclose(a.compose(b).apply(s), a.apply(b.apply(s)))
-
 
 seeded_dims = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
 
@@ -106,12 +100,20 @@ class TestChannelForms:
     @settings(max_examples=30, deadline=None)
     @given(seeded_dims)
     def test_compose_matches_sequential_apply(self, dim_seed):
+        # the two letters of (1, 2)(0, 1) do not fuse, so the channel that
+        # pipeline A-cptp assigns to it is the product of the two edges'
         d, seed = dim_seed
         rng = rng_from_seed(seed)
-        a, b = Channel.random(rng, d), Channel.random(rng, d)
-        ab = a.compose(b)
+        graph = LinearOrderGraph([0, 1, 2])
+        a, b, ident = Channel.random(rng, d), Channel.random(rng, d), Channel.identity(d)
+        chans = {(0, 1): b, (1, 2): a}
+        ds = dilate_cptp(cptp_system(graph, lambda e: chans.get(tuple(e), ident), d))
+        ctx = graph.context()
+        ab = gmul(embed_edge(ctx, (1, 2)), embed_edge(ctx, (0, 1)))
+        assert len(ab.letters) == 2
         for s in [*linops.matrix_units(d), random_matrix(rng, d)]:
-            assert spectral_norm(ab.apply(s) - a.apply(b.apply(s))) <= 1e-12
+            assert spectral_norm(ds.dilation.assignment(ab).apply(s)
+                                 - a.apply(b.apply(s))) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_transpose_map_rejected(self, d):
@@ -119,10 +121,15 @@ class TestChannelForms:
             Channel(d, linops.superop_to_choi(transpose_superop(d), d))
 
     def test_compose_revalidates(self):
-        t = Channel.identity(2)
+        # an edge channel changed in place after it validated reaches
+        # pipeline A-cptp through the superoperator family, and the channel
+        # read from the extension at that edge fails its validation
+        t, ident = Channel.identity(2), Channel.identity(2)
         t.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
+        graph = LinearOrderGraph([0, 1])
+        ds = dilate_cptp(cptp_system(graph, lambda e: t if e[0] != e[1] else ident))
         with pytest.raises(NotCPTPError):
-            Channel.identity(2).compose(t)
+            ds.verify(rng=rng_from_seed(0))
 
 
 def identity_choi(d):
@@ -340,13 +347,10 @@ class TestKrausII:
         assert not other.passed and other.argmax == "reconstruction"
 
 
-def three_node_channel_family(rng, indivisible=True):
+def three_node_channel_family(rng):
     graph = LinearOrderGraph([0, 1, 2])
-    chans = {(0, 1): Channel.random(rng, 2), (1, 2): Channel.random(rng, 2)}
-    if indivisible:
-        chans[(0, 2)] = Channel.random(rng, 2)
-    else:
-        chans[(0, 2)] = chans[(0, 1)].compose(chans[(1, 2)])
+    chans = {(0, 1): Channel.random(rng, 2), (1, 2): Channel.random(rng, 2),
+             (0, 2): Channel.random(rng, 2)}
     ident = Channel.identity(2)
 
     def get(e):
@@ -397,8 +401,7 @@ class TestVedDilation:
     def test_identity_element_acts_trivially(self):
         rng = rng_from_seed(11)
         graph, get, _ = three_node_channel_family(rng)
-        system = {"graph": graph, "channels": get, "dim": 2, "family": None}
-        ds = dilate_cptp(system)
+        ds = dilate_cptp(cptp_system(graph, get))
         v = FormalVector.of([(identity(), np.arange(ds.dilation.dim
                                                     * ds.dilation.env_dim))])
         out = ds.dilation.apply(identity(), v)
@@ -407,8 +410,7 @@ class TestVedDilation:
     def test_single_edge_reconstruction(self):
         rng = rng_from_seed(12)
         graph, get, _ = three_node_channel_family(rng)
-        system = {"graph": graph, "channels": get, "dim": 2, "family": None}
-        ds = dilate_cptp(system)
+        ds = dilate_cptp(cptp_system(graph, get))
         ctx = graph.context()
         for s in matrix_units(2):
             assert ds.dilation.verify_element(embed_edge(ctx, (0, 1)), s) < 1e-10
@@ -416,8 +418,7 @@ class TestVedDilation:
     def test_verify_at_identity_element(self):
         rng = rng_from_seed(29)
         graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                          "family": None})
+        ds = dilate_cptp(cptp_system(graph, get))
         s = random_matrix(rng, 2)
         assert ds.dilation.verify_element(identity(), s) < 1e-14
 
@@ -430,8 +431,7 @@ class TestVedDilation:
                  (0, 2): Channel.random(rng, 2)}
         ident = Channel.identity(2)
         get = lambda e: chans.get(tuple(e), ident)
-        ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                          "family": None})
+        ds = dilate_cptp(cptp_system(graph, get))
         ctx = graph.context()
         shapes = {ds.dilation.unitary_of(embed_edge(ctx, e)).shape
                   for e in [(0, 1), (1, 2), (0, 2)]}
@@ -440,8 +440,7 @@ class TestVedDilation:
     def test_representation_law(self):
         rng = rng_from_seed(14)
         graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                          "family": None})
+        ds = dilate_cptp(cptp_system(graph, get))
         dil = ds.dilation
         ctx = graph.context()
         p = dil.dim * dil.env_dim
@@ -458,8 +457,7 @@ class TestVedDilation:
     def test_unitarity_on_terms(self):
         rng = rng_from_seed(15)
         graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                          "family": None})
+        ds = dilate_cptp(cptp_system(graph, get))
         dil = ds.dilation
         ctx = graph.context()
         p = dil.dim * dil.env_dim
@@ -472,9 +470,8 @@ class TestVedDilation:
 
     def test_indivisibility_preserved(self):
         rng = rng_from_seed(16)
-        graph, get, chans = three_node_channel_family(rng, indivisible=True)
-        ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                          "family": None})
+        graph, get, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, get))
         ctx = graph.context()
         g = embed_edge(ctx, (0, 1))
         h = embed_edge(ctx, (1, 2))
@@ -491,8 +488,7 @@ class TestVedDilation:
     def test_closed_form_matches_formal_oracle(self):
         rng = rng_from_seed(30)
         graph, get, _ = three_node_channel_family(rng)
-        dil = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                           "family": None}).dilation
+        dil = dilate_cptp(cptp_system(graph, get)).dilation
         samples = [*linops.matrix_units(2), random_matrix(rng, 2)]
         for g in elements_up_to(graph.context(), 2):
             stacked = dil.verify_element(g, np.stack(samples))
@@ -505,8 +501,7 @@ class TestVedDilation:
     def test_wrong_reflection_detected(self):
         rng = rng_from_seed(31)
         graph, get, _ = three_node_channel_family(rng)
-        dil = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                           "family": None}).dilation
+        dil = dilate_cptp(cptp_system(graph, get)).dilation
         ctx = graph.context()
         x, y = embed_edge(ctx, (0, 1)), embed_edge(ctx, (1, 2))
         dil._unitaries[x] = dil.unitary_of(y)
@@ -754,8 +749,7 @@ class TestPipelines:
     def test_pipeline_a_cptp(self):
         rng = rng_from_seed(23)
         graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp({"graph": graph, "channels": get, "dim": 2,
-                          "family": None})
+        ds = dilate_cptp(cptp_system(graph, get))
         reports = ds.verify(rng=rng)
         assert all(r.passed for r in reports)
 
