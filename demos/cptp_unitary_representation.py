@@ -4,7 +4,7 @@
 Channels sitting on the edges of a graph compose along normal forms into a
 channel per group element: the product of their superoperators.  Each element gets a reflection dilation on a
 shared environment, and a single unitary representation on finitely
-supported group-indexed vectors reproduces every assigned channel through
+supported group-indexed vectors reproduces the channel of every element through
 the partial trace - without assuming the family composes edge to edge.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 from graphdyn import rewrite
 from graphdyn.dilate import Channel, FormalVector, dilate_cptp
 from graphdyn.dynamics import LinearOrderGraph, OperatorFamily
-from graphdyn.linops import trace_norm
+from graphdyn.linops import eye, superop_apply, trace_norm
 from graphdyn.rewrite import embed_edge, gmul
 
 rng = np.random.default_rng(12)
@@ -21,12 +21,11 @@ graph = LinearOrderGraph([0, 1, 2])
 channels = {(0, 1): Channel.random(rng, 2),
             (1, 2): Channel.random(rng, 2),
             (0, 2): Channel.random(rng, 2)}
-ident = Channel.identity(2)
-assign = lambda e: channels.get(tuple(e), ident)
 
-# pipeline A-cptp extends the channels' superoperators along normal forms
-family = OperatorFamily(graph, 4, lambda e: assign(e).superop())
-system = {"graph": graph, "channels": assign, "dim": 2, "family": family}
+# pipeline A-cptp extends the channels' superoperators along normal forms;
+# the loops carry the identity map
+family = OperatorFamily(graph, 4, lambda e: channels[e].superop() if e in channels else eye(4))
+system = {"graph": graph, "dim": 2, "family": family}
 dilated = dilate_cptp(system)
 dil = dilated.dilation
 ctx = graph.context()
@@ -50,7 +49,7 @@ print(f"U(x)U(y) vs U(xy) on a random vector: {two.distance(one):.2e}")
 print("\n== indivisibility is preserved, not repaired ==")
 gh = gmul(x, y)  # the word (0,1)(1,2) rewrites to the single letter (0,2)
 print("x*y =", [tuple(l) for l in gh.letters])
-dilated_val = dil.assignment(gh).apply(s)
+dilated_val = superop_apply(dilated.extension(gh), s)
 composed = channels[(0, 1)].apply(channels[(1, 2)].apply(s))
 family_gap = trace_norm(channels[(0, 2)].apply(s) - composed)
 print(f"family's own defect |phi(0,2) - phi(0,1) phi(1,2)| = {family_gap:.6f}")

@@ -18,7 +18,7 @@ from graphdyn.linops import dagger, spectral_norm, trace_norm
 rng = np.random.default_rng(7)
 
 print("== a random qutrit channel ==")
-ch = kraus_from_choi(Channel.random(rng, 3))
+ch = kraus_from_choi(Channel.random(rng, 3).choi, 3)
 print("Choi eigenvalues:", np.round(np.linalg.eigvalsh(ch.choi), 4))
 print("Kraus rank:", len(ch.kraus))
 norm_defect = spectral_norm(sum(dagger(k) @ k for k in ch.kraus) - np.eye(3))
@@ -47,6 +47,6 @@ for i in range(3):
 print(f"reconstruction defect over all matrix units: {worst:.2e}")
 
 print("\n== the flat channel, for comparison ==")
-dep = kraus_from_choi(Channel.depolarizing(2))
+dep = kraus_from_choi(Channel.depolarizing(2).choi, 2)
 print("depolarizing qubit Choi spectrum:",
       np.round(np.linalg.eigvalsh(dep.choi), 6), "- rank 4, flat")

@@ -46,26 +46,25 @@ class Channel:
             raise NotCPTPError(f"Choi matrix has shape {self.choi.shape}")
         self.validate()
 
-    def validate(self, tol=1e-10):
-        """Raise NotCPTPError unless the Choi matrix is PSD and trace preserving
-        and the Kraus list, if any, is normalized and gives the same map; the
-        d x d defects are the norms of one stack."""
-        d = self.dim
-        if not linops.is_psd(self.choi, tol):
+    def validate(self):
+        """Raise NotCPTPError unless the Choi matrix passes :func:`cptp_defects`
+        (PSD, then trace preservation) and the Kraus list, if any, is normalized
+        and gives the same map, all to ``linops.DEFAULT_TOL``."""
+        tol = linops.DEFAULT_TOL
+        herm, negative, tp = cptp_defects(self.choi, self.dim)
+        if max(herm, negative) > tol:
             raise NotCPTPError("Choi matrix is not positive semidefinite")
-        defects = [linops.partial_trace_first(self.choi, d, d) - eye(d)]
+        if tp > tol:
+            raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
         if self.kraus is not None:
-            units = linops.matrix_units(d)
-            defects += [(dagger(self.kraus) @ self.kraus).sum(axis=0) - eye(d),
-                        *(self._apply_kraus(units) - self.apply(units))]
-        norms = spectral_norm(np.stack(defects))
-        if norms[0] > tol:
-            raise NotCPTPError(f"trace-preservation defect {norms[0]:.3e}")
-        if self.kraus is not None:
-            if norms[1] > tol:
-                raise NotCPTPError(f"Kraus normalization defect {norms[1]:.3e}")
-            if norms[2:].max() > tol:
-                raise NotCPTPError(f"Kraus/Choi mismatch {norms[2:].max():.3e}")
+            units = linops.matrix_units(self.dim)
+            norms = spectral_norm(np.stack([  # one stack of d x d defects
+                (dagger(self.kraus) @ self.kraus).sum(axis=0) - eye(self.dim),
+                *(self._apply_kraus(units) - self.apply(units))]))
+            if norms[0] > tol:
+                raise NotCPTPError(f"Kraus normalization defect {norms[0]:.3e}")
+            if norms[1:].max() > tol:
+                raise NotCPTPError(f"Kraus/Choi mismatch {norms[1:].max():.3e}")
 
     def _apply_kraus(self, s):
         """The Kraus sum at ``s``: the side of the Kraus/Choi mismatch check
@@ -90,10 +89,6 @@ class Channel:
         return cls(d, linops.superop_to_choi(m, d), kraus=ks)
 
     @classmethod
-    def identity(cls, d):
-        return cls.from_kraus([eye(d)])
-
-    @classmethod
     def depolarizing(cls, d):
         """s -> tr(s) 1/d."""
         return cls.from_kraus(d**-0.5 * linops.matrix_units(d))
@@ -104,19 +99,25 @@ class Channel:
         return cls.from_kraus(random_kraus_ops(rng, d))
 
 
-def kraus_from_choi(ch):
-    """Kraus list from the Choi eigendecomposition.
+def cptp_defects(choi, d):
+    """The CPTP defects of a Choi matrix, or of each matrix of a stack, along
+    a last axis of three: the Hermiticity defect ``|C - C*|``, the negative of
+    the least eigenvalue of ``(C + C*)/2`` and the trace-preservation defect
+    ``|Tr_out C - 1|``.  The map is CPTP to ``tol`` if all are at most ``tol``."""
+    return np.stack([spectral_norm(choi - dagger(choi)),
+                     -np.linalg.eigvalsh(linops.hermitian_part(choi)).min(axis=-1),
+                     spectral_norm(linops.partial_trace_first(choi, d, d) - eye(d))],
+                    axis=-1)
 
-    Eigenvalues above 1e-12 relative to the largest one are kept; the count
-    never exceeds dim^2.  The returned channel's validator checks the Choi
-    matrix and the Kraus list, so a Choi matrix changed in place since ``ch``
-    was built fails there.
-    """
-    d = ch.dim
-    w, v = np.linalg.eigh(linops.hermitian_part(ch.choi))
+
+def kraus_from_choi(choi, d):
+    """The validated channel with Choi matrix ``choi`` on d x d matrices and
+    the Kraus list of its eigendecomposition: eigenvalues above 1e-12 relative
+    to the largest one are kept, so there are at most d^2 operators."""
+    w, v = np.linalg.eigh(linops.hermitian_part(choi))
     keep = w > 1e-12 * max(w.max(), 1.0)
     ks = (np.sqrt(w[keep])[:, None] * v.T[keep]).reshape(-1, d, d)
-    return Channel(d, ch.choi, kraus=ks)
+    return Channel(d, choi, kraus=ks)
 
 
 def _kraus_isometry(ch, pad_to=None):
@@ -125,7 +126,7 @@ def _kraus_isometry(ch, pad_to=None):
     the K_i xi tagged by i.  The Kraus operators come from the Choi matrix when
     the channel has none, and ``pad_to`` zero-pads them to that many."""
     if ch.kraus is None:
-        ch = kraus_from_choi(ch)
+        ch = kraus_from_choi(ch.choi, ch.dim)
     d, k = ch.dim, len(ch.kraus)
     if pad_to is None:
         pad_to = k
@@ -272,35 +273,28 @@ class FormalVector:
 class VedDilation:
     """Unitary representation dilating a group-indexed CPTP family.
 
-    Each element gets a reflection dilation on one shared environment (Kraus
-    lists zero-padded to a common length); the representation acts on
+    ``ext`` maps a group element to the superoperator of its channel, the
+    identity matrix at the identity element, as :class:`NormalFormExtension`
+    does.  Each other element gets a reflection dilation, read from one
+    validated channel, on one shared environment of d^2 Kraus slots; the
+    representation acts on
     finitely supported vectors over the group by
     ``(tag, payload) -> (x * tag, u(x * tag) u(tag)* payload)``, which
     satisfies the representation law exactly at the tag level.
     """
 
-    def __init__(self, assignment, dim):
-        self.assignment = assignment
+    def __init__(self, ext, dim):
+        self.ext = ext
         self.dim = int(dim)
         self.k = self.dim**2
         self.env_dim = self.dim * (self.k + 1)
-        units = linops.matrix_units(self.dim)
-        ident = assignment(rewrite.identity())
-        defect = spectral_norm(ident.apply(units) - units).max()
-        if defect > 1e-10:
-            raise InputError(
-                f"assignment at the group identity deviates from the identity "
-                f"channel by {defect:.3e}")
         self._unitaries = {rewrite.identity(): eye(self.dim * self.env_dim)}
 
     def unitary_of(self, x):
         u = self._unitaries.get(x)
         if u is None:
-            try:
-                u = kraus_ii_dilation(self.assignment(x), pad_to=self.k).unitary
-            except InputError as exc:
-                raise InputError(f"channel at {x!r}: {exc}") from None
-            u = self._unitaries.setdefault(x, u)
+            ch = kraus_from_choi(linops.superop_to_choi(self.ext(x), self.dim), self.dim)
+            u = self._unitaries.setdefault(x, kraus_ii_dilation(ch, pad_to=self.k).unitary)
         return u
 
     def apply(self, x, v):
@@ -312,16 +306,16 @@ class VedDilation:
 
     def verify_element(self, x, s):
         """Trace-norm defect between the dilated action at ``x`` and the
-        assigned channel, at a d x d matrix or per matrix of a stack ``s``."""
+        extension's channel, at a d x d matrix or per matrix of a stack ``s``."""
         return trace_norm(self._element_defect(x, s))
 
     def _element_defect(self, x, s):
-        """The dilated action at ``x`` minus the assigned channel, at ``s``.
+        """The dilated action at ``x`` minus the extension's channel, at ``s``.
         The product state sits at the group-identity tag, and U(x) moves it
         to tag x with payload u(x) (s (x) |e_0><e_0|) u(x)*, so the reduced
         action of u(x) is the dilated channel at x."""
         reduced = _reduced_action(self.unitary_of(x), self.env_dim, s)
-        return reduced - self.assignment(x).apply(s)
+        return reduced - linops.superop_apply(self.ext(x), s)
 
 
 # -- shift dilation of contraction families on groups ---------------------------
@@ -560,19 +554,9 @@ def dilate_exponential(system, flavor="banach"):
 
 def dilate_cptp(system):
     """CPTP variant of the discrete pipeline: the normal-form extension of the
-    family's superoperators, read as one channel per group element, is dilated
-    through one unitary representation."""
-    dim = system["dim"]
+    family's superoperators is dilated through one unitary representation."""
     ext = NormalFormExtension(system["family"])
-    channels = {}
-
-    def assignment(g):
-        ch = channels.get(g)
-        if ch is None:
-            ch = channels[g] = Channel(dim, linops.superop_to_choi(ext(g), dim))
-        return ch
-
-    return DilatedSystem("A-cptp", system, ext, VedDilation(assignment, dim),
+    return DilatedSystem("A-cptp", system, ext, VedDilation(ext, system["dim"]),
                          system["graph"].context())
 
 

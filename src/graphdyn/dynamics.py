@@ -291,6 +291,9 @@ def check_additivity(gen, tol=1e-9, rng=None, count=None):
 
 # The tolerance of the geometric-growth check; ``check --tol`` does not reach it.
 GROWTH_TOL = 1e-12
+# The least tolerance of ``check``'s divisibility and additivity reports, which
+# compare products of computed exponentials; a lower ``check --tol`` cannot.
+TRIPLE_TOL_FLOOR = 1e-9
 
 
 def check_geometric_growth(fam, ell):
@@ -645,11 +648,11 @@ def _build_cptp(spec, fam_spec):
         if ch.dim != dim:
             raise InputError(f"channel at edge {edge!r} has dim {ch.dim}, "
                              f"but the system dim is {dim}")
-    get_channel = _edge_lookup(channels, dilate.Channel.identity(dim), "channel")
+    # only the superoperators are kept; a loop defaults to the identity map
+    superops = {edge: ch.superop() for edge, ch in channels.items()}
     fam = OperatorFamily(graph, dim * dim,
-                         lambda e: get_channel(e).superop())
-    return {"graph": graph, "family": fam, "channels": get_channel,
-            "dim": dim, "kind": "cptp"}
+                         _edge_lookup(superops, linops.eye(dim * dim), "channel"))
+    return {"graph": graph, "family": fam, "dim": dim, "kind": "cptp"}
 
 
 def _parse_ell(fam_spec, graph):

@@ -57,11 +57,12 @@ def tensor(a, b):
 
 
 def partial_trace_first(m, d1, d2):
-    """Trace out the first tensor factor of an operator on C^d1 (x) C^d2."""
-    m = as_matrix(m)
-    if m.shape != (d1 * d2, d1 * d2):
+    """Trace out the first tensor factor of an operator on C^d1 (x) C^d2, or
+    of each operator of a (..., d1 d2, d1 d2) stack."""
+    m = as_matrix(m, stack=True)
+    if m.shape[-2:] != (d1 * d2, d1 * d2):
         raise DimensionError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
-    return np.einsum("aiaj->ij", m.reshape(d1, d2, d1, d2))
+    return np.einsum("...aiaj->...ij", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def expm(a):
@@ -231,14 +232,23 @@ def matrix_units(d):
 # Choi convention: ``choi = sum_ij Phi(E_ij) (x) E_ij`` (output factor first),
 # so choi[(a, i), (b, j)] = Phi(E_ij)[a, b] = superop[a + b d, i + j d].
 
+def _reshuffle(m, d, axes):
+    """Permute the four d-indices of a d^2 x d^2 matrix or of each of a stack."""
+    m = as_matrix(m, stack=True)
+    n = m.ndim - 2
+    return m.reshape(m.shape[:n] + (d,) * 4).transpose(
+        *range(n), *(n + a for a in axes)).reshape(m.shape[:n] + (d * d, d * d))
+
+
 def choi_to_superop(choi, d):
-    """Column-stacking superoperator matrix of the map with this Choi matrix."""
-    return as_matrix(choi).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    """Column-stacking superoperator matrix of the map with this Choi matrix,
+    or of each map of a stack."""
+    return _reshuffle(choi, d, (2, 0, 3, 1))
 
 
 def superop_to_choi(m, d):
     """Inverse of :func:`choi_to_superop`."""
-    return as_matrix(m).reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    return _reshuffle(m, d, (1, 3, 0, 2))
 
 
 # -- JSON matrix literals (shared with the CLI configs) ----------------------

@@ -3,13 +3,14 @@
 Each one is the direct, unbatched form of something the library computes
 another way: the formal tag/payload evaluation of a shift dilation, the
 additivity defect of one triple, a Haar-random unitary and a channel spec.
-``cptp_system`` builds by hand the system dict that a cptp spec parses to.
+``cptp_system`` parses the cptp spec of a dict of channels, and
+``identity_channel`` is the channel the parser puts on a loop.
 """
 
 import numpy as np
 
-from graphdyn import linops, rewrite
-from graphdyn.dynamics import OperatorFamily
+from graphdyn import dynamics, linops, rewrite
+from graphdyn.dilate import Channel
 from graphdyn.errors import GraphError
 from graphdyn.sampling import random_matrix
 
@@ -69,9 +70,18 @@ def channel_to_spec(ch):
             "data": linops.matrix_to_literal(ch.choi)}
 
 
-def cptp_system(graph, channels, dim=2):
-    """The system dict that ``dynamics.build_system`` makes of a cptp spec,
-    for channels given as a function of the edge: the channels beside their
-    superoperator family, which pipeline A-cptp extends."""
-    return {"graph": graph, "channels": channels, "dim": dim, "kind": "cptp",
-            "family": OperatorFamily(graph, dim * dim, lambda e: channels(e).superop())}
+def identity_channel(d):
+    """The identity channel on d x d matrices, with its one Kraus operator."""
+    return Channel.from_kraus([np.eye(d)])
+
+
+def cptp_system(graph, channels):
+    """The system that ``dynamics.build_system`` parses from the cptp spec of
+    ``channels``, a dict from edges of the linear order ``graph`` to channels
+    of one dimension; loops left out carry the identity map.  Each channel
+    goes through :func:`channel_to_spec`, whose matrix literals round-trip
+    exactly."""
+    entries = [{"edge": list(e), "channel": channel_to_spec(ch)} for e, ch in channels.items()]
+    return dynamics.build_system({
+        "graph": {"order": list(graph.nodes)}, "dim": next(iter(channels.values())).dim,
+        "family": dict(kind="cptp", channels=entries)})

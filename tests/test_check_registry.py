@@ -17,7 +17,7 @@ import pytest
 from graphdyn import cli, dilate, dynamics, extend, linops, rewrite
 from graphdyn.dynamics import GeneratorFamily, LinearOrderGraph, OperatorFamily
 from graphdyn.sampling import rng_from_seed
-from oracles import cptp_system
+from oracles import cptp_system, identity_channel
 from test_rewrite import RestrictedAlphabet
 
 SRC = pathlib.Path(cli.__file__).parent
@@ -157,14 +157,13 @@ def _cptp_family():
     # an amplitude-damping channel; at tolerance 0 its rounding defects fail
     ch = dilate.Channel.from_kraus([np.array([[1, 0], [0, 0.6]]),
                                     np.array([[0, 0.8], [0, 0]])])
-    graph = LinearOrderGraph([0, 1])
-    return cli._cptp_family_check({"graph": graph, "channels": lambda e: ch}, 0.0)
+    return cli._cptp_family_check(cptp_system(LinearOrderGraph([0, 1]), {(0, 1): ch}), 0.0)
 
 
 def _reflection_dilation():
     # the dilation of the identity channel, checked against a unitary one
     ch = dilate.Channel.from_kraus([linops.SIGMA_X])
-    return dilate.kraus_ii_dilation(dilate.Channel.identity(2)).verify(ch)
+    return dilate.kraus_ii_dilation(identity_channel(2)).verify(ch)
 
 
 def _dilation_reconstruction():
@@ -173,7 +172,7 @@ def _dilation_reconstruction():
     rng = rng_from_seed(0)
     graph = LinearOrderGraph([0, 1])
     ch = dilate.Channel.random(rng, 2)
-    system = cptp_system(graph, lambda e: ch if e[0] != e[1] else dilate.Channel.identity(2))
+    system = cptp_system(graph, {(0, 1): ch})
     reports = dilate.dilate_cptp(system).verify(rng=rng, tol=0.0)
     return next(r for r in reports if r.name == "dilation-reconstruction")
 

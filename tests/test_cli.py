@@ -68,7 +68,7 @@ def cptp_spec(tmp_path):
     from graphdyn.sampling import rng_from_seed
     from oracles import channel_to_spec
     rng = rng_from_seed(0)
-    chans = [channel_to_spec(kraus_from_choi(Channel.random(rng, 2)))
+    chans = [channel_to_spec(kraus_from_choi(Channel.random(rng, 2).choi, 2))
              for _ in range(3)]
     return write_json(tmp_path / "cptp.json", {
         "graph": {"order": [0, 1, 2]},
@@ -198,6 +198,33 @@ class TestCheck:
         by_name = {c["name"]: c for c in body["checks"]}
         assert by_name["network-defect-formula"]["passed"]
 
+    def test_cptp_family_fails_at_tolerance_0(self, capsys, cptp_spec):
+        # the random channels' CPTP defects are rounding, above 0: the report
+        # names the worst edge with its finite defect and counts every edge
+        from graphdyn.dynamics import LinearOrderGraph
+        edges = [list(e) for e in LinearOrderGraph([0, 1, 2]).edges()]
+        code, out, _ = run(capsys, "check", "--input", cptp_spec, "--tol", "0")
+        assert code == 0
+        (rep,) = json.loads(out)["checks"]
+        assert rep["name"] == "cptp-family" and not rep["passed"]
+        assert 0 < rep["max_defect"] < 1e-12
+        assert rep["argmax"] in edges and rep["count"] == len(edges)
+
+    def test_tol_does_not_reach_the_triple_and_growth_bounds(self, capsys, divisible_spec):
+        from graphdyn.dynamics import GROWTH_TOL, TRIPLE_TOL_FLOOR
+        code, out, _ = run(capsys, "check", "--input", divisible_spec, "--tol", "0")
+        assert code == 0
+        tolerance = {c["name"]: c["tolerance"] for c in json.loads(out)["checks"]}
+        assert tolerance == {"identity-axiom": 0.0, "divisibility-axiom": 1e-9,
+                             "additivity-axiom": 1e-9, "dissipative": 0.0,
+                             "geometric-growth": 1e-12}
+        assert (TRIPLE_TOL_FLOOR, GROWTH_TOL) == (1e-9, 1e-12)
+        with pytest.raises(SystemExit):
+            cli.main(["check", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert (f"divisibility and additivity use at least {TRIPLE_TOL_FLOOR:.0e}, "
+                f"and geometric growth always {GROWTH_TOL:.0e}") in help_text
+
 
 def _explicit_spec(values):
     return {"graph": {"order": [0, 1, 2]}, "dim": 2,
@@ -222,9 +249,8 @@ def _generator_table_spec(edges):
 
 
 def _cptp_two_edge_spec():
-    from graphdyn.dilate import Channel
-    from oracles import channel_to_spec
-    ident = channel_to_spec(Channel.identity(2))
+    from oracles import channel_to_spec, identity_channel
+    ident = channel_to_spec(identity_channel(2))
     return {"graph": {"order": [0, 1, 2]}, "dim": 2,
             "family": {"kind": "cptp",
                        "channels": [{"edge": [0, 1], "channel": ident},
@@ -528,6 +554,19 @@ class TestDilate:
                            "--pipeline", "A-cptp")
         assert code == 0
         assert json.loads(out)["passed"]
+
+    def test_one_validated_channel_per_dilated_element(self, capsys, monkeypatch,
+                                                       cptp_spec):
+        # the 3 parsed channels, then one channel for each non-identity edge
+        # element, (0, 1), (1, 2) and (0, 2): the one whose Kraus list the
+        # reflection dilation reads
+        from graphdyn.dilate import Channel
+        validate, calls = Channel.validate, []
+        monkeypatch.setattr(Channel, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        code, _, _ = run(capsys, "dilate", "--input", cptp_spec, "--pipeline", "A-cptp")
+        assert code == 0
+        assert len(calls) == 3 + 3
 
     def test_pipeline_a_cptp_checks_the_identity_axiom(self, capsys, tmp_path, cptp_spec):
         # a loop carrying sigma_x breaks the identity axiom: A-cptp refuses the

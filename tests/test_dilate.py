@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphdyn import dilate, dynamics, linops, rewrite
 from graphdyn.dilate import (Channel, FormalVector, ShiftDilation,
-                             VedDilation, dilate_cptp, dilate_discrete,
+                             dilate_cptp, dilate_discrete,
                              dilate_divisible, dilate_exponential,
                              isometric_partition, kraus_from_choi,
                              kraus_ii_dilation, one_param_factorization)
@@ -23,7 +23,7 @@ from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
                                random_matrix, rng_from_seed)
 from oracles import (channel_to_spec, compress, cptp_system, evaluate,
-                     random_unitary)
+                     identity_channel, random_unitary)
 
 
 def matrix_units(d):
@@ -36,7 +36,7 @@ def matrix_units(d):
 
 class TestChannel:
     def test_identity_channel(self):
-        ch = Channel.identity(3)
+        ch = identity_channel(3)
         s = random_matrix(rng_from_seed(0), 3)
         assert np.allclose(ch.apply(s), s)
 
@@ -87,7 +87,7 @@ class TestChannelForms:
         rng = rng_from_seed(seed)
         ch = Channel.from_kraus(random_kraus_ops(rng, d, min(rank, d * d)))
         assert np.array_equal(linops.superop_to_choi(ch.superop(), d), ch.choi)
-        again = Channel.from_kraus(kraus_from_choi(ch).kraus)
+        again = Channel.from_kraus(kraus_from_choi(ch.choi, ch.dim).kraus)
         assert np.abs(again.choi - ch.choi).max() <= 1e-12
         samples = [*linops.matrix_units(d), random_matrix(rng, d)]
         for s in samples:
@@ -105,14 +105,14 @@ class TestChannelForms:
         d, seed = dim_seed
         rng = rng_from_seed(seed)
         graph = LinearOrderGraph([0, 1, 2])
-        a, b, ident = Channel.random(rng, d), Channel.random(rng, d), Channel.identity(d)
-        chans = {(0, 1): b, (1, 2): a}
-        ds = dilate_cptp(cptp_system(graph, lambda e: chans.get(tuple(e), ident), d))
+        a, b = Channel.random(rng, d), Channel.random(rng, d)
+        ds = dilate_cptp(cptp_system(graph, {(0, 1): b, (1, 2): a,
+                                             (0, 2): identity_channel(d)}))
         ctx = graph.context()
         ab = gmul(embed_edge(ctx, (1, 2)), embed_edge(ctx, (0, 1)))
         assert len(ab.letters) == 2
         for s in [*linops.matrix_units(d), random_matrix(rng, d)]:
-            assert spectral_norm(ds.dilation.assignment(ab).apply(s)
+            assert spectral_norm(linops.superop_apply(ds.extension(ab), s)
                                  - a.apply(b.apply(s))) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -121,19 +121,19 @@ class TestChannelForms:
             Channel(d, linops.superop_to_choi(transpose_superop(d), d))
 
     def test_compose_revalidates(self):
-        # an edge channel changed in place after it validated reaches
-        # pipeline A-cptp through the superoperator family, and the channel
-        # read from the extension at that edge fails its validation
-        t, ident = Channel.identity(2), Channel.identity(2)
-        t.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
+        # a superoperator family that no parsed spec gives: the transpose map
+        # on edge (0, 1); the channel built for the dilation at that edge
+        # fails its validation
         graph = LinearOrderGraph([0, 1])
-        ds = dilate_cptp(cptp_system(graph, lambda e: t if e[0] != e[1] else ident))
-        with pytest.raises(NotCPTPError):
+        fam = OperatorFamily(graph, 4, lambda e: transpose_superop(2) if e[0] != e[1]
+                             else np.eye(4))
+        ds = dilate_cptp({"graph": graph, "family": fam, "dim": 2, "kind": "cptp"})
+        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
             ds.verify(rng=rng_from_seed(0))
 
 
 def identity_choi(d):
-    return Channel.identity(d).choi.copy()
+    return identity_channel(d).choi.copy()
 
 
 class TestEveryChannelCheckFails:
@@ -157,7 +157,7 @@ class TestEveryChannelCheckFails:
         with pytest.raises(NotCPTPError, match="Kraus/Choi mismatch"):
             Channel(2, identity_choi(2), kraus=[SIGMA_X])
 
-    @pytest.mark.parametrize("make", [Channel.identity,
+    @pytest.mark.parametrize("make", [identity_channel,
                                       lambda d: Channel.random(rng_from_seed(9), d)],
                              ids=["identity", "random"])
     def test_kraus_from_choi_after_in_place_corruption(self, make):
@@ -166,14 +166,30 @@ class TestEveryChannelCheckFails:
         not_cp.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
         not_tp.choi *= 1.5
         with pytest.raises(NotCPTPError, match="not positive semidefinite"):
-            kraus_from_choi(not_cp)
+            kraus_from_choi(not_cp.choi, not_cp.dim)
         with pytest.raises(NotCPTPError, match="trace-preservation defect"):
-            kraus_from_choi(not_tp)
+            kraus_from_choi(not_tp.choi, not_tp.dim)
+
+
+class TestCptpDefects:
+    def test_each_defect_reads_its_own_failure(self):
+        good = identity_choi(2)
+        non_hermitian = good.copy()
+        non_hermitian[0, 1], non_hermitian[1, 0] = 0.25, -0.25
+        swap = linops.superop_to_choi(transpose_superop(2), 2)  # eigenvalue -1
+        stack = np.stack([good, non_hermitian, swap, 1.5 * good])
+        got = dilate.cptp_defects(stack, 2)
+        assert got.shape == (4, 3)
+        assert np.array_equal(got, [dilate.cptp_defects(c, 2) for c in stack])
+        assert np.abs(got[0]).max() <= 1e-15
+        assert got[1, 0] == pytest.approx(0.5)
+        assert got[2, 1] == pytest.approx(1.0) and got[2, 2] == 0.0
+        assert got[3, 2] == pytest.approx(0.5) and got[3, 0] == 0.0
 
 
 class TestKrausFromChoi:
     def test_identity_rank_one(self):
-        ch = kraus_from_choi(Channel.identity(2))
+        ch = kraus_from_choi(identity_choi(2), 2)
         assert len(ch.kraus) == 1
         k = ch.kraus[0]
         # single Kraus operator proportional to the identity by a phase
@@ -183,7 +199,7 @@ class TestKrausFromChoi:
     def test_unitary_conjugation_single_kraus(self):
         rng = rng_from_seed(4)
         u = random_unitary(rng, 3)
-        ch = kraus_from_choi(Channel.from_kraus([u]))
+        ch = kraus_from_choi(Channel.from_kraus([u]).choi, 3)
         assert len(ch.kraus) == 1
         k = ch.kraus[0]
         phase = k[0, 0] / u[0, 0]
@@ -195,14 +211,14 @@ class TestKrausFromChoi:
         w = np.linalg.eigvalsh(ch.choi)
         # trace of the Choi matrix is the dimension; rank 4, flat spectrum
         assert np.allclose(w, 0.5)
-        extracted = kraus_from_choi(ch)
+        extracted = kraus_from_choi(ch.choi, ch.dim)
         assert len(extracted.kraus) == 4
 
     def test_reconstruction_random(self):
         rng = rng_from_seed(5)
         for d in (2, 3, 4):
             ch = Channel.random(rng, d)
-            out = kraus_from_choi(ch)
+            out = kraus_from_choi(ch.choi, ch.dim)
             assert len(out.kraus) <= d * d
             norm_defect = spectral_norm(
                 sum(dagger(k) @ k for k in out.kraus) - np.eye(d))
@@ -213,19 +229,19 @@ class TestKrausFromChoi:
 
 class TestIsometricPartition:
     def test_identity_channel(self):
-        ch = kraus_from_choi(Channel.identity(2))
+        ch = kraus_from_choi(identity_choi(2), 2)
         v, parts = isometric_partition(ch)
         assert len(parts) == 1
         # the canonical embedding up to the Kraus phase
         assert spectral_norm(dagger(v) @ parts[0] - dagger(ch.kraus[0])) < 1e-12
 
     def test_depolarizing(self):
-        v, parts = isometric_partition(kraus_from_choi(Channel.depolarizing(2)))
+        v, parts = isometric_partition(kraus_from_choi(Channel.depolarizing(2).choi, 2))
         assert len(parts) == 4  # identities verified inside
 
     def test_random_cptp(self):
         rng = rng_from_seed(6)
-        ch = kraus_from_choi(Channel.random(rng, 3))
+        ch = kraus_from_choi(Channel.random(rng, 3).choi, 3)
         v, parts = isometric_partition(ch)
         d, k = 3, len(parts)
         assert v.shape == (d * k, d)
@@ -240,7 +256,7 @@ def kron_reflection_unitary(ch, pad_to=None):
     the blocks [[0, D*], [D, 1 - D D*]] placed by the embeddings of the two
     environment summands, in three dense products."""
     if ch.kraus is None:
-        ch = kraus_from_choi(ch)
+        ch = kraus_from_choi(ch.choi, ch.dim)
     d = ch.dim
     ks = list(ch.kraus)
     if pad_to is not None:
@@ -263,7 +279,7 @@ def kron_reflection_unitary(ch, pad_to=None):
 
 class TestKrausII:
     def test_identity_channel(self):
-        ch = kraus_from_choi(Channel.identity(2))
+        ch = kraus_from_choi(identity_choi(2), 2)
         kd = kraus_ii_dilation(ch)
         rep = kd.verify(ch, tol=1e-12)
         assert rep.passed
@@ -271,7 +287,7 @@ class TestKrausII:
     def test_random_channels(self):
         rng = rng_from_seed(7)
         for d in (2, 3, 4):
-            ch = kraus_from_choi(Channel.random(rng, d))
+            ch = kraus_from_choi(Channel.random(rng, d).choi, d)
             kd = kraus_ii_dilation(ch)
             assert kd.env_dim == d * (len(ch.kraus) + 1)
             rep = kd.verify(ch, tol=1e-10)
@@ -284,7 +300,7 @@ class TestKrausII:
 
     def test_reflection_identities(self):
         rng = rng_from_seed(8)
-        ch = kraus_from_choi(Channel.random(rng, 2))
+        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
         u = kraus_ii_dilation(ch).unitary
         n = u.shape[0]
         assert spectral_norm(u @ u - np.eye(n)) < 1e-12
@@ -292,7 +308,7 @@ class TestKrausII:
 
     def test_zero_padding_keeps_reconstruction(self):
         rng = rng_from_seed(10)
-        ch = kraus_from_choi(Channel.random(rng, 2))
+        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
         kd = kraus_ii_dilation(ch, pad_to=7)
         assert kd.env_dim == 2 * (7 + 1)
         assert kd.verify(ch).passed
@@ -312,7 +328,7 @@ class TestKrausII:
     @pytest.mark.parametrize("d", [2, 3])
     def test_reduced_action_equals_product_with_e0(self, d):
         rng = rng_from_seed(40 + d)
-        ch = kraus_from_choi(Channel.random(rng, d))
+        ch = kraus_from_choi(Channel.random(rng, d).choi, d)
         kd = kraus_ii_dilation(ch, pad_to=d * d)
         u, env = kd.unitary, kd.env_dim
         e0 = np.zeros(env, dtype=complex)
@@ -330,7 +346,7 @@ class TestKrausII:
 
     def test_perturbed_unitary_fails_and_names_its_witness(self):
         rng = rng_from_seed(44)
-        ch = kraus_from_choi(Channel.random(rng, 2))
+        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
         kd = kraus_ii_dilation(ch)
         rep = kd.verify(ch)
         assert rep.passed and rep.count == 4
@@ -351,12 +367,7 @@ def three_node_channel_family(rng):
     graph = LinearOrderGraph([0, 1, 2])
     chans = {(0, 1): Channel.random(rng, 2), (1, 2): Channel.random(rng, 2),
              (0, 2): Channel.random(rng, 2)}
-    ident = Channel.identity(2)
-
-    def get(e):
-        return chans.get(tuple(e), ident)
-
-    return graph, get, chans
+    return graph, chans
 
 
 def formal_verify_element(dil, x, s):
@@ -372,7 +383,7 @@ def formal_verify_element(dil, x, s):
         assert tag == x
     # trace out the environment, the second tensor factor
     reduced = np.einsum("aibi->ab", cols.reshape((dil.dim, dil.env_dim) * 2))
-    return trace_norm(reduced - dil.assignment(x).apply(s))
+    return trace_norm(reduced - linops.superop_apply(dil.ext(x), s))
 
 
 def elements_up_to(ctx, length):
@@ -387,21 +398,10 @@ def elements_up_to(ctx, length):
 
 
 class TestVedDilation:
-    def test_too_many_kraus_operators_names_the_element(self):
-        rng = rng_from_seed(45)
-        graph, get, _ = three_node_channel_family(rng)
-        wide = Channel.from_kraus(random_kraus_ops(rng, 2, 5))
-        ident = Channel.identity(2)
-        dil = VedDilation(lambda g: ident if g.is_identity() else wide, 2)
-        x = embed_edge(graph.context(), (0, 1))
-        with pytest.raises(InputError, match="5 Kraus operators") as exc:
-            dil.unitary_of(x)
-        assert repr(x) in str(exc.value)
-
     def test_identity_element_acts_trivially(self):
         rng = rng_from_seed(11)
-        graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp(cptp_system(graph, get))
+        graph, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, chans))
         v = FormalVector.of([(identity(), np.arange(ds.dilation.dim
                                                     * ds.dilation.env_dim))])
         out = ds.dilation.apply(identity(), v)
@@ -409,16 +409,16 @@ class TestVedDilation:
 
     def test_single_edge_reconstruction(self):
         rng = rng_from_seed(12)
-        graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp(cptp_system(graph, get))
+        graph, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, chans))
         ctx = graph.context()
         for s in matrix_units(2):
             assert ds.dilation.verify_element(embed_edge(ctx, (0, 1)), s) < 1e-10
 
     def test_verify_at_identity_element(self):
         rng = rng_from_seed(29)
-        graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp(cptp_system(graph, get))
+        graph, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, chans))
         s = random_matrix(rng, 2)
         assert ds.dilation.verify_element(identity(), s) < 1e-14
 
@@ -429,9 +429,7 @@ class TestVedDilation:
         chans = {(0, 1): Channel.from_kraus([random_unitary(rng, 2)]),
                  (1, 2): Channel.random(rng, 2),
                  (0, 2): Channel.random(rng, 2)}
-        ident = Channel.identity(2)
-        get = lambda e: chans.get(tuple(e), ident)
-        ds = dilate_cptp(cptp_system(graph, get))
+        ds = dilate_cptp(cptp_system(graph, chans))
         ctx = graph.context()
         shapes = {ds.dilation.unitary_of(embed_edge(ctx, e)).shape
                   for e in [(0, 1), (1, 2), (0, 2)]}
@@ -439,8 +437,8 @@ class TestVedDilation:
 
     def test_representation_law(self):
         rng = rng_from_seed(14)
-        graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp(cptp_system(graph, get))
+        graph, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, chans))
         dil = ds.dilation
         ctx = graph.context()
         p = dil.dim * dil.env_dim
@@ -456,8 +454,8 @@ class TestVedDilation:
 
     def test_unitarity_on_terms(self):
         rng = rng_from_seed(15)
-        graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp(cptp_system(graph, get))
+        graph, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, chans))
         dil = ds.dilation
         ctx = graph.context()
         p = dil.dim * dil.env_dim
@@ -470,15 +468,15 @@ class TestVedDilation:
 
     def test_indivisibility_preserved(self):
         rng = rng_from_seed(16)
-        graph, get, chans = three_node_channel_family(rng)
-        ds = dilate_cptp(cptp_system(graph, get))
+        graph, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, chans))
         ctx = graph.context()
         g = embed_edge(ctx, (0, 1))
         h = embed_edge(ctx, (1, 2))
         gh = gmul(g, h)  # rewrites to the single letter (0, 2)
         assert gh == embed_edge(ctx, (0, 2))
         s = random_matrix(rng, 2)
-        dilated = ds.dilation.assignment(gh).apply(s)
+        dilated = linops.superop_apply(ds.extension(gh), s)
         composed = chans[(0, 1)].apply(chans[(1, 2)].apply(s))
         family_defect = trace_norm(chans[(0, 2)].apply(s) - composed)
         assert trace_norm(dilated - composed) == pytest.approx(family_defect,
@@ -487,8 +485,8 @@ class TestVedDilation:
 
     def test_closed_form_matches_formal_oracle(self):
         rng = rng_from_seed(30)
-        graph, get, _ = three_node_channel_family(rng)
-        dil = dilate_cptp(cptp_system(graph, get)).dilation
+        graph, chans = three_node_channel_family(rng)
+        dil = dilate_cptp(cptp_system(graph, chans)).dilation
         samples = [*linops.matrix_units(2), random_matrix(rng, 2)]
         for g in elements_up_to(graph.context(), 2):
             stacked = dil.verify_element(g, np.stack(samples))
@@ -500,18 +498,12 @@ class TestVedDilation:
 
     def test_wrong_reflection_detected(self):
         rng = rng_from_seed(31)
-        graph, get, _ = three_node_channel_family(rng)
-        dil = dilate_cptp(cptp_system(graph, get)).dilation
+        graph, chans = three_node_channel_family(rng)
+        dil = dilate_cptp(cptp_system(graph, chans)).dilation
         ctx = graph.context()
         x, y = embed_edge(ctx, (0, 1)), embed_edge(ctx, (1, 2))
         dil._unitaries[x] = dil.unitary_of(y)
         assert max(dil.verify_element(x, s) for s in linops.matrix_units(2)) > 1e-10
-
-    def test_identity_assignment_enforced(self):
-        rng = rng_from_seed(17)
-        not_identity = Channel.random(rng, 2)
-        with pytest.raises(InputError):
-            VedDilation(lambda g: not_identity, 2)
 
 
 class TestShiftDilation:
@@ -748,8 +740,8 @@ class TestPipelines:
 
     def test_pipeline_a_cptp(self):
         rng = rng_from_seed(23)
-        graph, get, _ = three_node_channel_family(rng)
-        ds = dilate_cptp(cptp_system(graph, get))
+        graph, chans = three_node_channel_family(rng)
+        ds = dilate_cptp(cptp_system(graph, chans))
         reports = ds.verify(rng=rng)
         assert all(r.passed for r in reports)
 
@@ -871,7 +863,7 @@ class TestOneParamFactorization:
 class TestChannelSpecs:
     def test_round_trip_kraus(self):
         rng = rng_from_seed(26)
-        ch = kraus_from_choi(Channel.random(rng, 2))
+        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
         spec = channel_to_spec(ch)
         back = dilate.channel_from_spec(spec)
         for s in matrix_units(2):
@@ -889,7 +881,7 @@ class TestChannelSpecs:
             dilate.channel_from_spec({"dim": 2, "repr": "bogus", "data": []})
 
     def test_kraus_operators_must_be_dim_by_dim(self):
-        spec = channel_to_spec(Channel.identity(2))
+        spec = channel_to_spec(identity_channel(2))
         spec["dim"] = 3
         with pytest.raises(InputError,
                            match=r"dim is 3, but Kraus operator 0 has shape \(2, 2\)"):

@@ -522,6 +522,24 @@ class TestStackedKernelsAreBitwise:
                              for m in sops])
             assert np.array_equal(bits(superop_apply(sops, x)), bits(want))
 
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(kraus_shapes)
+    def test_reshuffles_and_partial_trace_of_a_stack_are_the_loop(self, shape):
+        # the cptp-family check reads the Choi matrices of a whole family
+        d, rank, seed = shape
+        rng = rng_from_seed(seed)
+        stack = np.stack([[random_matrix(rng, d * d) for _ in range(rank)]] * 2)
+        for fn in (linops.superop_to_choi, linops.choi_to_superop):
+            got = fn(stack, d)
+            assert got.shape == stack.shape
+            assert np.array_equal(bits(got), bits(np.stack(
+                [[fn(m, d) for m in row] for row in stack])))
+        assert np.array_equal(linops.choi_to_superop(linops.superop_to_choi(stack, d), d),
+                              stack)
+        traced = partial_trace_first(stack, d, d)
+        assert np.array_equal(bits(traced), bits(np.stack(
+            [[partial_trace_first(m, d, d) for m in row] for row in stack])))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("part", [1, 1j], ids=["real", "imag"])
     def test_as_matrix_rejects_non_finite_parts(self, bad, part):

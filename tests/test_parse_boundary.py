@@ -24,7 +24,7 @@ from graphdyn import cli
 from graphdyn.dilate import Channel
 from graphdyn.linops import SIGMA_X, SIGMA_Z
 from graphdyn.linops import matrix_to_literal as _lit
-from oracles import channel_to_spec
+from oracles import channel_to_spec, identity_channel
 
 
 def _edge_values(edges, value):
@@ -34,7 +34,7 @@ def _edge_values(edges, value):
 _EDGES = [(0, 1), (1, 2), (0, 2)]
 _ELL = {"kind": "proportional", "scale": 2.0}
 # the identity, and amplitude damping with two Kraus operators
-_CHANNELS = [channel_to_spec(Channel.identity(2)), channel_to_spec(Channel.from_kraus(
+_CHANNELS = [channel_to_spec(identity_channel(2)), channel_to_spec(Channel.from_kraus(
     [np.array([[1, 0], [0, 0.6]]), np.array([[0, 0.8], [0, 0]])]))]
 
 # small bases: every dim, grid and node count is at most 4, so a run is cheap
