@@ -11,14 +11,13 @@ state, reproduces the channel.
 
 import numpy as np
 
-from graphdyn.dilate import (Channel, isometric_partition, kraus_from_choi,
-                             kraus_ii_dilation)
-from graphdyn.linops import dagger, spectral_norm, trace_norm
+from graphdyn.dilate import Channel, isometric_partition, kraus_ii_dilation
+from graphdyn.linops import dagger, matrix_units, spectral_norm, trace_norm
 
 rng = np.random.default_rng(7)
 
 print("== a random qutrit channel ==")
-ch = kraus_from_choi(Channel.random(rng, 3).choi, 3)
+ch = Channel.random(rng, 3)
 print("Choi eigenvalues:", np.round(np.linalg.eigvalsh(ch.choi), 4))
 print("Kraus rank:", len(ch.kraus))
 norm_defect = spectral_norm(sum(dagger(k) @ k for k in ch.kraus) - np.eye(3))
@@ -38,15 +37,11 @@ print(f"|u u* - 1|  = {spectral_norm(u @ dagger(u) - np.eye(n)):.2e}")
 print(f"|u - u*|    = {spectral_norm(u - dagger(u)):.2e}")
 print(f"|u^2 - 1|   = {spectral_norm(u @ u - np.eye(n)):.2e}")
 
-worst = 0.0
-for i in range(3):
-    for j in range(3):
-        s = np.zeros((3, 3), dtype=complex)
-        s[i, j] = 1.0
-        worst = max(worst, trace_norm(kd.reconstructed(s) - ch.apply(s)))
+units = matrix_units(3)
+worst = trace_norm(kd.reconstructed(units) - ch.apply(units)).max()
 print(f"reconstruction defect over all matrix units: {worst:.2e}")
 
 print("\n== the flat channel, for comparison ==")
-dep = kraus_from_choi(Channel.depolarizing(2).choi, 2)
+dep = Channel.depolarizing(2)
 print("depolarizing qubit Choi spectrum:",
       np.round(np.linalg.eigvalsh(dep.choi), 6), "- rank 4, flat")

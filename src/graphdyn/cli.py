@@ -393,7 +393,7 @@ def _demo_indivisible():
     import numpy as np
     from . import dynamics, linops
     spec = _indivisible_spec()
-    gens = dynamics.example_indivisible(linops.SIGMA_X, linops.SIGMA_Z, 1.0, 9)
+    gens = dynamics.build_system(spec)["generators"]
     rows = []
     for alpha in np.geomspace(0.01, 10.0, 25):
         fam = gens.exponential(float(alpha))
@@ -416,8 +416,7 @@ def _demo_indivisible():
 def _demo_network():
     import numpy as np
     from . import dynamics, linops
-    w = 0.3
-    lit = linops.matrix_to_literal(w * np.eye(2))
+    lit = linops.matrix_to_literal(0.3 * np.eye(2))
     edges = [["u", "v"], ["v", "w"], ["u", "z"], ["z", "w"]]
     spec = {
         "graph": {"nodes": ["u", "v", "z", "w"], "edges": edges},
@@ -425,10 +424,8 @@ def _demo_network():
         "family": {"kind": "network",
                    "weights": [{"edge": e, "matrix": lit} for e in edges]},
     }
-    net = dynamics.DagNetwork(
-        ["u", "v", "z", "w"], [tuple(e) for e in edges],
-        {tuple(e): w * np.eye(2) for e in edges}, 2)
-    fam = dynamics.network_family(net)
+    system = dynamics.build_system(spec)
+    net, fam = system["network"], system["family"]
     rows = []
     for u in net.nodes:
         for v in net.nodes:
@@ -502,7 +499,7 @@ def cmd_verify(args):
 
     d = 2
     for _ in range(args.samples):
-        ch = dilate.kraus_from_choi(dilate.Channel.random(rng, d).choi, d)
+        ch = dilate.Channel.random(rng, d)
         kd = dilate.kraus_ii_dilation(ch)
         rep = kd.verify(ch, tol=args.tol)
         if not rep.passed:

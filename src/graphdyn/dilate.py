@@ -28,51 +28,41 @@ from .reports import CheckReport, bad_keys_report, defect_report
 # -- channels -------------------------------------------------------------------
 
 class Channel:
-    """A CPTP map, stored as a Choi matrix plus an optional Kraus list.
+    """A CPTP map, stored as its Choi matrix.
 
     Choi convention (fixed globally): ``choi = sum_ij Phi(E_ij) (x) E_ij``
     over matrix units, output factor first.  Complete positivity = the Choi
     matrix is PSD; trace preservation = its partial trace over the output
     factor is the identity.  The superoperator form is the index reshuffle
-    :func:`linops.choi_to_superop`, and :meth:`apply` applies it; Kraus forms
-    come from :func:`kraus_from_choi`.
+    :func:`linops.choi_to_superop`, and :meth:`apply` applies it; the Kraus
+    form :attr:`kraus` is read off the Choi matrix.
     """
 
-    def __init__(self, dim, choi, kraus=None):
+    def __init__(self, dim, choi):
         self.dim = int(dim)
         self.choi = linops.as_matrix(choi)
-        self.kraus = None if kraus is None else linops.as_matrix(kraus, stack=True)
         if self.choi.shape != (self.dim**2, self.dim**2):
             raise NotCPTPError(f"Choi matrix has shape {self.choi.shape}")
         self.validate()
 
     def validate(self):
         """Raise NotCPTPError unless the Choi matrix passes :func:`cptp_defects`
-        (PSD, then trace preservation) and the Kraus list, if any, is normalized
-        and gives the same map, all to ``linops.DEFAULT_TOL``."""
+        (PSD, then trace preservation) to ``linops.DEFAULT_TOL``."""
         tol = linops.DEFAULT_TOL
         herm, negative, tp = cptp_defects(self.choi, self.dim)
         if max(herm, negative) > tol:
             raise NotCPTPError("Choi matrix is not positive semidefinite")
         if tp > tol:
             raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
-        if self.kraus is not None:
-            units = linops.matrix_units(self.dim)
-            norms = spectral_norm(np.stack([  # one stack of d x d defects
-                (dagger(self.kraus) @ self.kraus).sum(axis=0) - eye(self.dim),
-                *(self._apply_kraus(units) - self.apply(units))]))
-            if norms[0] > tol:
-                raise NotCPTPError(f"Kraus normalization defect {norms[0]:.3e}")
-            if norms[1:].max() > tol:
-                raise NotCPTPError(f"Kraus/Choi mismatch {norms[1:].max():.3e}")
 
-    def _apply_kraus(self, s):
-        """The Kraus sum at ``s``: the side of the Kraus/Choi mismatch check
-        that does not read the Choi matrix."""
-        s = np.asarray(s, dtype=complex)
-        # every K_i s K_i* as one stacked product, added in list order
-        ks = self.kraus.reshape((len(self.kraus),) + (1,) * (s.ndim - 2) + s.shape[-2:])
-        return sum(ks @ s @ dagger(ks))
+    @property
+    def kraus(self):
+        """The Kraus list of the Choi matrix's eigendecomposition, as a
+        (k, d, d) stack: eigenvalues above 1e-12 relative to the largest one
+        are kept, so there are at most d^2 operators."""
+        w, v = np.linalg.eigh(linops.hermitian_part(self.choi))
+        keep = w > 1e-12 * max(w.max(), 1.0)
+        return (np.sqrt(w[keep])[:, None] * v.T[keep]).reshape(-1, self.dim, self.dim)
 
     def apply(self, s):
         """The channel at ``s``: a d x d matrix or a (..., d, d) stack."""
@@ -86,7 +76,7 @@ class Channel:
     def from_kraus(cls, kraus_ops):
         ks = list(kraus_ops)
         m, d = linops.kraus_superop(ks), len(ks[0])
-        return cls(d, linops.superop_to_choi(m, d), kraus=ks)
+        return cls(d, linops.superop_to_choi(m, d))
 
     @classmethod
     def depolarizing(cls, d):
@@ -110,31 +100,20 @@ def cptp_defects(choi, d):
                     axis=-1)
 
 
-def kraus_from_choi(choi, d):
-    """The validated channel with Choi matrix ``choi`` on d x d matrices and
-    the Kraus list of its eigendecomposition: eigenvalues above 1e-12 relative
-    to the largest one are kept, so there are at most d^2 operators."""
-    w, v = np.linalg.eigh(linops.hermitian_part(choi))
-    keep = w > 1e-12 * max(w.max(), 1.0)
-    ks = (np.sqrt(w[keep])[:, None] * v.T[keep]).reshape(-1, d, d)
-    return Channel(d, choi, kraus=ks)
-
-
 def _kraus_isometry(ch, pad_to=None):
     """The coupling isometry of a channel as a (d, k, d) array ``w`` with
     ``w[a, i, c] = K_i[a, c]``: reshaped to (d k, d) it maps xi to the stack of
-    the K_i xi tagged by i.  The Kraus operators come from the Choi matrix when
-    the channel has none, and ``pad_to`` zero-pads them to that many."""
-    if ch.kraus is None:
-        ch = kraus_from_choi(ch.choi, ch.dim)
-    d, k = ch.dim, len(ch.kraus)
+    the K_i xi tagged by i.  ``pad_to`` zero-pads the Kraus list to that many
+    operators."""
+    ks = ch.kraus
+    d, k = ch.dim, len(ks)
     if pad_to is None:
         pad_to = k
     elif pad_to < k:
         raise InputError(f"{k} Kraus operators do not fit in {pad_to} "
                          "environment slots")
     w = np.zeros((d, pad_to, d), dtype=complex)
-    w[:, :k] = ch.kraus.transpose(1, 0, 2)
+    w[:, :k] = ks.transpose(1, 0, 2)
     return w
 
 
@@ -293,7 +272,7 @@ class VedDilation:
     def unitary_of(self, x):
         u = self._unitaries.get(x)
         if u is None:
-            ch = kraus_from_choi(linops.superop_to_choi(self.ext(x), self.dim), self.dim)
+            ch = Channel(self.dim, linops.superop_to_choi(self.ext(x), self.dim))
             u = self._unitaries.setdefault(x, kraus_ii_dilation(ch, pad_to=self.k).unitary)
         return u
 

@@ -446,9 +446,13 @@ class DagNetwork:
                 raise GraphError(f"weight at {e!r} has wrong shape")
         self._succ = {u: [] for u in self.nodes}
         indeg = {u: 0 for u in self.nodes}
+        seen = set()
         for (t, h) in self.edges:
             if t not in indeg or h not in indeg:
                 raise GraphError(f"edge ({t!r}, {h!r}) uses unknown nodes")
+            if (t, h) in seen:  # a second copy would count each walk twice
+                raise GraphError(f"edge ({t!r}, {h!r}) is listed twice")
+            seen.add((t, h))
             self._succ[t].append(h)
             indeg[h] += 1
         # Kahn's algorithm: a leftover node means a directed cycle
@@ -535,9 +539,19 @@ def build_system(spec):
     return builder(spec, fam_spec)
 
 
-def _edge_table(entries, field="matrix", parse=linops.matrix_from_literal):
-    """{edge: parsed value} from ``[{"edge": [t, h], field: ...}, ...]``."""
-    return {tuple(item["edge"]): parse(item[field]) for item in entries}
+def _edge_table(entries, has_edge, field="matrix", parse=linops.matrix_from_literal):
+    """{edge: parsed value} from ``[{"edge": [t, h], field: ...}, ...]``.  An
+    edge that ``has_edge(t, h)`` rejects, or one listed twice, is an input
+    error: neither can be dropped or overwritten unseen."""
+    table = {}
+    for item in entries:
+        edge = tuple(item["edge"])
+        if len(edge) != 2 or not has_edge(*edge):
+            raise InputError(f"edge {edge!r} is not an edge of the graph")
+        if edge in table:
+            raise InputError(f"edge {edge!r} is listed twice")
+        table[edge] = parse(item[field])
+    return table
 
 
 def _edge_lookup(table, loop_value, what):
@@ -582,7 +596,7 @@ def _order_and_dim(spec):
 
 def _build_explicit(spec, fam_spec):
     graph, dim = _order_and_dim(spec)
-    phi = _edge_lookup(_edge_table(fam_spec["values"]), linops.eye(dim),
+    phi = _edge_lookup(_edge_table(fam_spec["values"], graph.has_edge), linops.eye(dim),
                        "value supplied")
     return {"graph": graph, "family": OperatorFamily(graph, dim, phi),
             "kind": "explicit", "ell": _parse_ell(fam_spec, graph)}
@@ -595,7 +609,7 @@ def _build_exponential(spec, fam_spec):
         _numeric_nodes(graph, "rate")
         gen_fn = lambda e: (e[0] - e[1]) * rate
     else:
-        gen_fn = _edge_lookup(_edge_table(fam_spec["generators"]),
+        gen_fn = _edge_lookup(_edge_table(fam_spec["generators"], graph.has_edge),
                               np.zeros((dim, dim), dtype=complex), "generator")
     alpha = _spec_number(fam_spec, "alpha", 1.0)
     gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e))
@@ -606,9 +620,10 @@ def _build_exponential(spec, fam_spec):
 def _build_network(spec, fam_spec):
     gspec = spec["graph"]
     dim = _spec_number(spec, "dim", integer=True)
-    weights = _edge_table(fam_spec["weights"])
-    net = DagNetwork(gspec["nodes"], [(e[0], e[1]) for e in gspec["edges"]],
-                     weights, dim)
+    edges = [(e[0], e[1]) for e in gspec["edges"]]
+    edge_set = set(edges)
+    weights = _edge_table(fam_spec["weights"], lambda t, h: (t, h) in edge_set)
+    net = DagNetwork(gspec["nodes"], edges, weights, dim)
     fam = network_family(net)
     return {"graph": fam.graph, "family": fam, "network": net, "kind": "network"}
 
@@ -643,7 +658,8 @@ def _build_cptp(spec, fam_spec):
     from . import dilate  # local import: dilate depends on this module
 
     graph, dim = _order_and_dim(spec)
-    channels = _edge_table(fam_spec["channels"], "channel", dilate.channel_from_spec)
+    channels = _edge_table(fam_spec["channels"], graph.has_edge, "channel",
+                           dilate.channel_from_spec)
     for edge, ch in channels.items():
         if ch.dim != dim:
             raise InputError(f"channel at edge {edge!r} has dim {ch.dim}, "

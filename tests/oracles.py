@@ -2,7 +2,8 @@
 
 Each one is the direct, unbatched form of something the library computes
 another way: the formal tag/payload evaluation of a shift dilation, the
-additivity defect of one triple, a Haar-random unitary and a channel spec.
+additivity defect of one triple, the Kraus sum of a channel, a Haar-random
+unitary and channel specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
 """
@@ -61,17 +62,31 @@ def random_unitary(rng, d):
     return q * phases
 
 
+def kraus_apply(ks, s):
+    """The Kraus sum ``sum_i K_i s K_i*`` at a d x d matrix or a (..., d, d)
+    stack ``s``: the channel without its Choi matrix."""
+    s = np.asarray(s, dtype=complex)
+    ks = np.asarray(ks, dtype=complex)
+    # every K_i s K_i* as one stacked product, added in list order
+    ks = ks.reshape((len(ks),) + (1,) * (s.ndim - 2) + s.shape[-2:])
+    return sum(ks @ s @ linops.dagger(ks))
+
+
 def channel_to_spec(ch):
-    """The JSON channel spec that ``dilate.channel_from_spec`` reads back."""
-    if ch.kraus is not None:
-        return {"dim": ch.dim, "repr": "kraus",
-                "data": [linops.matrix_to_literal(k) for k in ch.kraus]}
+    """The JSON channel spec that ``dilate.channel_from_spec`` reads back: its
+    Choi matrix, whose literal round-trips bit for bit."""
     return {"dim": ch.dim, "repr": "choi",
             "data": linops.matrix_to_literal(ch.choi)}
 
 
+def kraus_spec(ks):
+    """The ``"kraus"`` JSON channel spec of the operators ``ks``."""
+    return {"dim": len(ks[0]), "repr": "kraus",
+            "data": [linops.matrix_to_literal(k) for k in ks]}
+
+
 def identity_channel(d):
-    """The identity channel on d x d matrices, with its one Kraus operator."""
+    """The identity channel on d x d matrices."""
     return Channel.from_kraus([np.eye(d)])
 
 

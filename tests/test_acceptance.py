@@ -12,8 +12,8 @@ import numpy as np
 from graphdyn import dynamics, linops, rewrite
 from graphdyn.dilate import (Channel, FormalVector, dilate_cptp,
                              dilate_discrete, dilate_divisible,
-                             dilate_exponential, kraus_from_choi,
-                             kraus_ii_dilation, one_param_factorization)
+                             dilate_exponential, kraus_ii_dilation,
+                             one_param_factorization)
 from graphdyn.dynamics import (LinearOrderGraph, descending_grid,
                                divisibility_defect, example_indivisible,
                                proportional_length)
@@ -25,7 +25,7 @@ from graphdyn.rewrite import (EdgeContext, check_confluence_bruteforce,
                               complete_context, embed_edge, ginv, gmul,
                               identity)
 from graphdyn.sampling import random_dissipative, random_matrix, rng_from_seed
-from oracles import cptp_system
+from oracles import cptp_system, kraus_apply
 
 # recorded at first run: divisibility defect of the two-Hamiltonian
 # interpolation family (h1 = sigma_x, h2 = sigma_z, t_max = 1, alpha = 1)
@@ -258,10 +258,11 @@ def test_criterion_9_kraus_suite():
     for d in (2, 3, 4):
         eye = np.eye(d)
         for _ in range(50):
-            ch = kraus_from_choi(Channel.random(rng, d).choi, d)
+            ch = Channel.random(rng, d)
+            ks = ch.kraus
             norm_defect = spectral_norm(
-                sum(dagger(k) @ k for k in ch.kraus) - eye)
-            rec = max(spectral_norm(ch._apply_kraus(s) - ch.apply(s))
+                sum(dagger(k) @ k for k in ks) - eye)
+            rec = max(spectral_norm(kraus_apply(ks, s) - ch.apply(s))
                       for s in linops.matrix_units(d))
             ok = ok and norm_defect <= 1e-10 and rec <= 1e-10
             kd = kraus_ii_dilation(ch)

@@ -64,12 +64,11 @@ def network_spec(tmp_path):
 
 @pytest.fixture
 def cptp_spec(tmp_path):
-    from graphdyn.dilate import Channel, kraus_from_choi
+    from graphdyn.dilate import Channel
     from graphdyn.sampling import rng_from_seed
-    from oracles import channel_to_spec
+    from oracles import kraus_spec
     rng = rng_from_seed(0)
-    chans = [channel_to_spec(kraus_from_choi(Channel.random(rng, 2).choi, 2))
-             for _ in range(3)]
+    chans = [kraus_spec(Channel.random(rng, 2).kraus) for _ in range(3)]
     return write_json(tmp_path / "cptp.json", {
         "graph": {"order": [0, 1, 2]},
         "dim": 2,
@@ -257,6 +256,42 @@ def _cptp_two_edge_spec():
                                     {"edge": [1, 2], "channel": ident}]}}
 
 
+def _network_table_spec():
+    w = linops.matrix_to_literal(0.3 * np.eye(2))
+    edges = [["u", "v"], ["v", "w"]]
+    return {"graph": {"nodes": ["u", "v", "w"], "edges": edges}, "dim": 2,
+            "family": {"kind": "network",
+                       "weights": [{"edge": e, "matrix": w} for e in edges]}}
+
+
+def _cptp_table_spec():
+    from graphdyn.dilate import Channel
+    from oracles import channel_to_spec
+    spec = _cptp_two_edge_spec()
+    spec["family"]["channels"].append(
+        {"edge": [0, 2], "channel": channel_to_spec(Channel.from_kraus([SIGMA_X]))})
+    return spec
+
+
+# each kind of spec with an edge table: a spec that lists every edge of its
+# graph once, the path to the table, and an edge that the graph lacks
+_EDGE_TABLES = {
+    "explicit": lambda: (_explicit_spec({e: 0.5 * np.eye(2) for e in
+                                         [(0, 1), (1, 2), (0, 2)]}),
+                         ("family", "values"), [2, 0]),
+    "exponential": lambda: (_generator_table_spec([(0, 1), (1, 2), (0, 2)]),
+                            ("family", "generators"), [5, 7]),
+    "cptp": lambda: (_cptp_table_spec(), ("family", "channels"), [2, 0]),
+    "network": lambda: (_network_table_spec(), ("family", "weights"), ["w", "u"]),
+}
+
+
+def _table(spec, path):
+    for key in path:
+        spec = spec[key]
+    return spec
+
+
 class TestSpecForms:
     def test_explicit_loops_default_to_identity(self, capsys, tmp_path):
         step = 0.5 * np.eye(2)
@@ -284,6 +319,37 @@ class TestSpecForms:
         code, _, err = run(capsys, "check", "--input", spec)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("kind", sorted(_EDGE_TABLES))
+    def test_an_edge_listed_twice_exits_2(self, capsys, tmp_path, kind):
+        # the second entry carries another value: read as a table, it would
+        # overwrite the first unseen
+        spec, table, _ = _EDGE_TABLES[kind]()
+        entries = _table(spec, table)
+        entries.append(dict(entries[-1], edge=entries[0]["edge"]))
+        code, out, err = run(capsys, "check", "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == f"input error: edge {tuple(entries[0]['edge'])!r} is listed twice\n"
+
+    @pytest.mark.parametrize("kind", sorted(_EDGE_TABLES))
+    def test_an_edge_outside_the_graph_exits_2(self, capsys, tmp_path, kind):
+        spec, table, outside = _EDGE_TABLES[kind]()
+        entries = _table(spec, table)
+        entries.append(dict(entries[0], edge=outside))
+        code, out, err = run(capsys, "check", "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == f"input error: edge {tuple(outside)!r} is not an edge of the graph\n"
+
+    @pytest.mark.parametrize("argv", [("check",), ("extend", "--word", '[["u", "v"]]')],
+                             ids=["check", "extend"])
+    def test_a_network_edge_listed_twice_exits_2(self, capsys, tmp_path, argv):
+        # listed twice, the edge would count each walk through it twice
+        spec, _, _ = _EDGE_TABLES["network"]()
+        spec["graph"]["edges"].append(["u", "v"])
+        path = write_json(tmp_path / "s.json", spec)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert (code, out) == (2, "")
+        assert err == "input error: edge ('u', 'v') is listed twice\n"
 
     def test_exponential_generator_table(self, capsys, tmp_path):
         spec = write_json(tmp_path / "generators.json",

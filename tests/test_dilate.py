@@ -9,8 +9,8 @@ from graphdyn import dilate, dynamics, linops, rewrite
 from graphdyn.dilate import (Channel, FormalVector, ShiftDilation,
                              dilate_cptp, dilate_discrete,
                              dilate_divisible, dilate_exponential,
-                             isometric_partition, kraus_from_choi,
-                             kraus_ii_dilation, one_param_factorization)
+                             isometric_partition, kraus_ii_dilation,
+                             one_param_factorization)
 from graphdyn.dynamics import (CompleteGraph, LinearOrderGraph,
                                OperatorFamily, descending_grid,
                                example_indivisible, proportional_length)
@@ -23,7 +23,7 @@ from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
                                random_matrix, rng_from_seed)
 from oracles import (channel_to_spec, compress, cptp_system, evaluate,
-                     identity_channel, random_unitary)
+                     identity_channel, kraus_apply, kraus_spec, random_unitary)
 
 
 def matrix_units(d):
@@ -85,16 +85,17 @@ class TestChannelForms:
     def test_kraus_choi_superop_round_trips(self, dim_seed, rank):
         d, seed = dim_seed
         rng = rng_from_seed(seed)
-        ch = Channel.from_kraus(random_kraus_ops(rng, d, min(rank, d * d)))
+        ks = random_kraus_ops(rng, d, min(rank, d * d))
+        ch = Channel.from_kraus(ks)
         assert np.array_equal(linops.superop_to_choi(ch.superop(), d), ch.choi)
-        again = Channel.from_kraus(kraus_from_choi(ch.choi, ch.dim).kraus)
+        again = Channel.from_kraus(ch.kraus)
         assert np.abs(again.choi - ch.choi).max() <= 1e-12
         samples = [*linops.matrix_units(d), random_matrix(rng, d)]
         for s in samples:
-            assert spectral_norm(ch.apply(s) - ch._apply_kraus(s)) <= 1e-12
+            assert spectral_norm(ch.apply(s) - kraus_apply(ks, s)) <= 1e-12
         # a (n, d, d) stack goes through both forms as one call
-        want = np.stack([ch._apply_kraus(s) for s in samples])
-        assert np.abs(ch._apply_kraus(np.stack(samples)) - want).max() <= 1e-14
+        want = np.stack([kraus_apply(ks, s) for s in samples])
+        assert np.abs(kraus_apply(ks, np.stack(samples)) - want).max() <= 1e-14
         assert np.abs(ch.apply(np.stack(samples)) - want).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -147,16 +148,6 @@ class TestEveryChannelCheckFails:
         with pytest.raises(NotCPTPError, match="not positive semidefinite"):
             Channel(2, choi)
 
-    def test_kraus_normalization_defect(self):
-        # the Choi matrix is the identity channel's; the Kraus list is not normalized
-        with pytest.raises(NotCPTPError, match="Kraus normalization defect 7.500e-01"):
-            Channel(2, identity_choi(2), kraus=[0.5 * np.eye(2)])
-
-    def test_kraus_choi_mismatch(self):
-        # normalized and trace preserving, but another map than the Choi matrix's
-        with pytest.raises(NotCPTPError, match="Kraus/Choi mismatch"):
-            Channel(2, identity_choi(2), kraus=[SIGMA_X])
-
     @pytest.mark.parametrize("make", [identity_channel,
                                       lambda d: Channel.random(rng_from_seed(9), d)],
                              ids=["identity", "random"])
@@ -166,9 +157,9 @@ class TestEveryChannelCheckFails:
         not_cp.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
         not_tp.choi *= 1.5
         with pytest.raises(NotCPTPError, match="not positive semidefinite"):
-            kraus_from_choi(not_cp.choi, not_cp.dim)
+            Channel(not_cp.dim, not_cp.choi)
         with pytest.raises(NotCPTPError, match="trace-preservation defect"):
-            kraus_from_choi(not_tp.choi, not_tp.dim)
+            Channel(not_tp.dim, not_tp.choi)
 
 
 class TestCptpDefects:
@@ -186,10 +177,29 @@ class TestCptpDefects:
         assert got[2, 1] == pytest.approx(1.0) and got[2, 2] == 0.0
         assert got[3, 2] == pytest.approx(0.5) and got[3, 0] == 0.0
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seeded_dims, st.integers(1, 16),
+           st.one_of(st.just(1.0), st.floats(0.25, 2.0)))
+    def test_a_kraus_lists_choi_matrix_reads_its_normalization(self, dim_seed, rank,
+                                                                scale):
+        # the Choi matrix that from_kraus builds from a Kraus list has
+        # Tr_out C = (sum K*K)^T, so its trace-preservation defect is the
+        # list's normalization defect, and it is Hermitian PSD to rounding:
+        # no check of the list itself can fail where cptp_defects passes
+        d, seed = dim_seed
+        ks = scale * np.stack(random_kraus_ops(rng_from_seed(seed), d, min(rank, d * d)))
+        choi = linops.superop_to_choi(linops.kraus_superop(ks), d)
+        herm, negative, tp = dilate.cptp_defects(choi, d)
+        normalization = spectral_norm((dagger(ks) @ ks).sum(axis=0) - np.eye(d))
+        assert abs(tp - normalization) <= 1e-14 * max(scale**2, 1.0)
+        assert herm <= 1e-14 * scale**2 and negative <= 1e-14 * scale**2
+
 
 class TestKrausFromChoi:
+    """``Channel.kraus``: the Kraus list read off the Choi matrix."""
+
     def test_identity_rank_one(self):
-        ch = kraus_from_choi(identity_choi(2), 2)
+        ch = Channel(2, identity_choi(2))
         assert len(ch.kraus) == 1
         k = ch.kraus[0]
         # single Kraus operator proportional to the identity by a phase
@@ -199,7 +209,7 @@ class TestKrausFromChoi:
     def test_unitary_conjugation_single_kraus(self):
         rng = rng_from_seed(4)
         u = random_unitary(rng, 3)
-        ch = kraus_from_choi(Channel.from_kraus([u]).choi, 3)
+        ch = Channel.from_kraus([u])
         assert len(ch.kraus) == 1
         k = ch.kraus[0]
         phase = k[0, 0] / u[0, 0]
@@ -211,37 +221,36 @@ class TestKrausFromChoi:
         w = np.linalg.eigvalsh(ch.choi)
         # trace of the Choi matrix is the dimension; rank 4, flat spectrum
         assert np.allclose(w, 0.5)
-        extracted = kraus_from_choi(ch.choi, ch.dim)
-        assert len(extracted.kraus) == 4
+        assert len(ch.kraus) == 4
 
     def test_reconstruction_random(self):
         rng = rng_from_seed(5)
         for d in (2, 3, 4):
             ch = Channel.random(rng, d)
-            out = kraus_from_choi(ch.choi, ch.dim)
-            assert len(out.kraus) <= d * d
+            ks = ch.kraus
+            assert len(ks) <= d * d
             norm_defect = spectral_norm(
-                sum(dagger(k) @ k for k in out.kraus) - np.eye(d))
+                sum(dagger(k) @ k for k in ks) - np.eye(d))
             assert norm_defect < 1e-10
             for s in matrix_units(d):
-                assert spectral_norm(out._apply_kraus(s) - ch.apply(s)) < 1e-10
+                assert spectral_norm(kraus_apply(ks, s) - ch.apply(s)) < 1e-10
 
 
 class TestIsometricPartition:
     def test_identity_channel(self):
-        ch = kraus_from_choi(identity_choi(2), 2)
+        ch = Channel(2, identity_choi(2))
         v, parts = isometric_partition(ch)
         assert len(parts) == 1
         # the canonical embedding up to the Kraus phase
         assert spectral_norm(dagger(v) @ parts[0] - dagger(ch.kraus[0])) < 1e-12
 
     def test_depolarizing(self):
-        v, parts = isometric_partition(kraus_from_choi(Channel.depolarizing(2).choi, 2))
+        v, parts = isometric_partition(Channel.depolarizing(2))
         assert len(parts) == 4  # identities verified inside
 
     def test_random_cptp(self):
         rng = rng_from_seed(6)
-        ch = kraus_from_choi(Channel.random(rng, 3).choi, 3)
+        ch = Channel.random(rng, 3)
         v, parts = isometric_partition(ch)
         d, k = 3, len(parts)
         assert v.shape == (d * k, d)
@@ -255,8 +264,6 @@ def kron_reflection_unitary(ch, pad_to=None):
     ``D = sum_i K_i (x) 1 (x) slot_i`` as a sum of Kronecker products, and
     the blocks [[0, D*], [D, 1 - D D*]] placed by the embeddings of the two
     environment summands, in three dense products."""
-    if ch.kraus is None:
-        ch = kraus_from_choi(ch.choi, ch.dim)
     d = ch.dim
     ks = list(ch.kraus)
     if pad_to is not None:
@@ -279,7 +286,7 @@ def kron_reflection_unitary(ch, pad_to=None):
 
 class TestKrausII:
     def test_identity_channel(self):
-        ch = kraus_from_choi(identity_choi(2), 2)
+        ch = Channel(2, identity_choi(2))
         kd = kraus_ii_dilation(ch)
         rep = kd.verify(ch, tol=1e-12)
         assert rep.passed
@@ -287,7 +294,7 @@ class TestKrausII:
     def test_random_channels(self):
         rng = rng_from_seed(7)
         for d in (2, 3, 4):
-            ch = kraus_from_choi(Channel.random(rng, d).choi, d)
+            ch = Channel.random(rng, d)
             kd = kraus_ii_dilation(ch)
             assert kd.env_dim == d * (len(ch.kraus) + 1)
             rep = kd.verify(ch, tol=1e-10)
@@ -300,7 +307,7 @@ class TestKrausII:
 
     def test_reflection_identities(self):
         rng = rng_from_seed(8)
-        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
+        ch = Channel.random(rng, 2)
         u = kraus_ii_dilation(ch).unitary
         n = u.shape[0]
         assert spectral_norm(u @ u - np.eye(n)) < 1e-12
@@ -308,7 +315,7 @@ class TestKrausII:
 
     def test_zero_padding_keeps_reconstruction(self):
         rng = rng_from_seed(10)
-        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
+        ch = Channel.random(rng, 2)
         kd = kraus_ii_dilation(ch, pad_to=7)
         assert kd.env_dim == 2 * (7 + 1)
         assert kd.verify(ch).passed
@@ -328,7 +335,7 @@ class TestKrausII:
     @pytest.mark.parametrize("d", [2, 3])
     def test_reduced_action_equals_product_with_e0(self, d):
         rng = rng_from_seed(40 + d)
-        ch = kraus_from_choi(Channel.random(rng, d).choi, d)
+        ch = Channel.random(rng, d)
         kd = kraus_ii_dilation(ch, pad_to=d * d)
         u, env = kd.unitary, kd.env_dim
         e0 = np.zeros(env, dtype=complex)
@@ -346,7 +353,7 @@ class TestKrausII:
 
     def test_perturbed_unitary_fails_and_names_its_witness(self):
         rng = rng_from_seed(44)
-        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
+        ch = Channel.random(rng, 2)
         kd = kraus_ii_dilation(ch)
         rep = kd.verify(ch)
         assert rep.passed and rep.count == 4
@@ -863,25 +870,23 @@ class TestOneParamFactorization:
 class TestChannelSpecs:
     def test_round_trip_kraus(self):
         rng = rng_from_seed(26)
-        ch = kraus_from_choi(Channel.random(rng, 2).choi, 2)
-        spec = channel_to_spec(ch)
-        back = dilate.channel_from_spec(spec)
+        ch = Channel.random(rng, 2)
+        back = dilate.channel_from_spec(kraus_spec(ch.kraus))
         for s in matrix_units(2):
             assert spectral_norm(back.apply(s) - ch.apply(s)) < 1e-12
 
     def test_round_trip_choi(self):
         rng = rng_from_seed(27)
         ch = Channel.random(rng, 2)
-        spec = channel_to_spec(Channel(2, ch.choi))
-        back = dilate.channel_from_spec(spec)
-        assert spectral_norm(back.choi - ch.choi) < 1e-12
+        back = dilate.channel_from_spec(channel_to_spec(ch))
+        assert np.array_equal(back.choi, ch.choi)
 
     def test_malformed(self):
         with pytest.raises(InputError):
             dilate.channel_from_spec({"dim": 2, "repr": "bogus", "data": []})
 
     def test_kraus_operators_must_be_dim_by_dim(self):
-        spec = channel_to_spec(identity_channel(2))
+        spec = kraus_spec([np.eye(2)])
         spec["dim"] = 3
         with pytest.raises(InputError,
                            match=r"dim is 3, but Kraus operator 0 has shape \(2, 2\)"):

@@ -21,10 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdyn import cli
-from graphdyn.dilate import Channel
 from graphdyn.linops import SIGMA_X, SIGMA_Z
 from graphdyn.linops import matrix_to_literal as _lit
-from oracles import channel_to_spec, identity_channel
+from oracles import kraus_spec
 
 
 def _edge_values(edges, value):
@@ -34,8 +33,8 @@ def _edge_values(edges, value):
 _EDGES = [(0, 1), (1, 2), (0, 2)]
 _ELL = {"kind": "proportional", "scale": 2.0}
 # the identity, and amplitude damping with two Kraus operators
-_CHANNELS = [channel_to_spec(identity_channel(2)), channel_to_spec(Channel.from_kraus(
-    [np.array([[1, 0], [0, 0.6]]), np.array([[0, 0.8], [0, 0]])]))]
+_CHANNELS = [kraus_spec([np.eye(2)]),
+             kraus_spec([np.array([[1, 0], [0, 0.6]]), np.array([[0, 0.8], [0, 0]])])]
 
 # small bases: every dim, grid and node count is at most 4, so a run is cheap
 BASES = {
