@@ -539,14 +539,15 @@ def build_system(spec):
     return builder(spec, fam_spec)
 
 
-def _edge_table(entries, has_edge, field="matrix", parse=linops.matrix_from_literal):
-    """{edge: parsed value} from ``[{"edge": [t, h], field: ...}, ...]``.  An
+def _edge_table(fam_spec, key, has_edge, field="matrix", parse=linops.matrix_from_literal):
+    """{edge: parsed value} from ``fam_spec[key]``, a list
+    ``[{"edge": [t, h], field: ...}, ...]``.  A malformed edge literal, an
     edge that ``has_edge(t, h)`` rejects, or one listed twice, is an input
-    error: neither can be dropped or overwritten unseen."""
+    error: none can be misread, dropped or overwritten unseen."""
     table = {}
-    for item in entries:
-        edge = tuple(item["edge"])
-        if len(edge) != 2 or not has_edge(*edge):
+    for i, item in enumerate(fam_spec[key]):
+        edge = rewrite.edge_from_literal(item["edge"], f"the edge of family.{key} entry {i}")
+        if not has_edge(*edge):
             raise InputError(f"edge {edge!r} is not an edge of the graph")
         if edge in table:
             raise InputError(f"edge {edge!r} is listed twice")
@@ -596,7 +597,7 @@ def _order_and_dim(spec):
 
 def _build_explicit(spec, fam_spec):
     graph, dim = _order_and_dim(spec)
-    phi = _edge_lookup(_edge_table(fam_spec["values"], graph.has_edge), linops.eye(dim),
+    phi = _edge_lookup(_edge_table(fam_spec, "values", graph.has_edge), linops.eye(dim),
                        "value supplied")
     return {"graph": graph, "family": OperatorFamily(graph, dim, phi),
             "kind": "explicit", "ell": _parse_ell(fam_spec, graph)}
@@ -609,7 +610,7 @@ def _build_exponential(spec, fam_spec):
         _numeric_nodes(graph, "rate")
         gen_fn = lambda e: (e[0] - e[1]) * rate
     else:
-        gen_fn = _edge_lookup(_edge_table(fam_spec["generators"], graph.has_edge),
+        gen_fn = _edge_lookup(_edge_table(fam_spec, "generators", graph.has_edge),
                               np.zeros((dim, dim), dtype=complex), "generator")
     alpha = _spec_number(fam_spec, "alpha", 1.0)
     gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e))
@@ -620,9 +621,10 @@ def _build_exponential(spec, fam_spec):
 def _build_network(spec, fam_spec):
     gspec = spec["graph"]
     dim = _spec_number(spec, "dim", integer=True)
-    edges = [(e[0], e[1]) for e in gspec["edges"]]
+    edges = [rewrite.edge_from_literal(e, f"graph.edges entry {i}")
+             for i, e in enumerate(gspec["edges"])]
     edge_set = set(edges)
-    weights = _edge_table(fam_spec["weights"], lambda t, h: (t, h) in edge_set)
+    weights = _edge_table(fam_spec, "weights", lambda t, h: (t, h) in edge_set)
     net = DagNetwork(gspec["nodes"], edges, weights, dim)
     fam = network_family(net)
     return {"graph": fam.graph, "family": fam, "network": net, "kind": "network"}
@@ -658,7 +660,7 @@ def _build_cptp(spec, fam_spec):
     from . import dilate  # local import: dilate depends on this module
 
     graph, dim = _order_and_dim(spec)
-    channels = _edge_table(fam_spec["channels"], graph.has_edge, "channel",
+    channels = _edge_table(fam_spec, "channels", graph.has_edge, "channel",
                            dilate.channel_from_spec)
     for edge, ch in channels.items():
         if ch.dim != dim:

@@ -246,7 +246,8 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis):
     corner lengths are l(m,u'), l(v',M), l(v,M), l(m,u), and the cover
     extension's ``corner_bound`` turns them into the bound: the
     interval-product extension pays expm1 of each corner, the generator-sum
-    extension pays the corner lengths themselves.
+    extension pays the corner lengths themselves.  The extension is read
+    once, through ``stack``, at every translate of both edges.
     """
     graph = ext.fam.graph
     ctx = graph.context()
@@ -257,11 +258,12 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis):
     bound = ext.corner_bound([ell(c) for c in corners])
     ge = rewrite.embed_edge(ctx, e)
     ge_prime = rewrite.embed_edge(ctx, e_prime)
+    lefts = [rewrite.gmul(rewrite.gmul(g, ge_prime), h) for g, h in gh_pairs]
+    rights = [rewrite.gmul(rewrite.gmul(g, ge), h) for g, h in gh_pairs]
+    values = ext.stack(lefts + rights) if gh_pairs else ()
     keys, excess = [], []
-    for (g, h) in gh_pairs:
-        left = rewrite.gmul(rewrite.gmul(g, ge_prime), h)
-        right = rewrite.gmul(rewrite.gmul(g, ge), h)
-        delta = ext(left) - ext(right)
+    for k, (g, h) in enumerate(gh_pairs):
+        delta = values[k] - values[len(lefts) + k]
         for xi in xis:
             xi = np.asarray(xi, dtype=complex)
             xi = xi / np.linalg.norm(xi)

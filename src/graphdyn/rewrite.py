@@ -436,14 +436,29 @@ def _push_table(isloop, fuse, max_len):
 _SCALAR_KEYS = (str, int, float, type(None))  # JSON scalars (bool is an int)
 
 
+def _is_pair(lit):
+    """An array of exactly two scalar node keys."""
+    return isinstance(lit, list) and len(lit) == 2 \
+        and all(isinstance(key, _SCALAR_KEYS) for key in lit)
+
+
+def edge_from_literal(lit, where):
+    """Parse an edge literal, an array ``[tail, head]`` of exactly two scalar
+    node keys, into a tuple; anything else is an input error naming the
+    entry ``where``."""
+    if not _is_pair(lit):
+        raise InputError(f"malformed edge literal: {where} is {lit!r}, "
+                         "not [tail, head] with two scalar node keys")
+    return tuple(lit)
+
+
 def word_from_literal(lit):
     """Parse a word literal: an array of letters, each an array
     ``[tail, head]`` of exactly two scalar node keys."""
     if not isinstance(lit, list):
         raise InputError(f"malformed word literal: {lit!r} is not an array of letters")
     for i, letter in enumerate(lit):
-        if not (isinstance(letter, list) and len(letter) == 2
-                and all(isinstance(key, _SCALAR_KEYS) for key in letter)):
+        if not _is_pair(letter):
             raise InputError(f"malformed word literal: letter {i} is {letter!r}, "
                              "not [tail, head] with two scalar node keys")
     return word(lit)
@@ -457,4 +472,5 @@ def word_to_literal(w):
 def context_from_spec(spec):
     """Parse a graph spec: {"nodes": [...], "edges": [[t, h], ...]}."""
     return EdgeContext(list(spec["nodes"]),
-                       [(e[0], e[1]) for e in spec.get("edges", [])])
+                       [edge_from_literal(e, f"graph.edges entry {i}")
+                        for i, e in enumerate(spec.get("edges", []))])

@@ -154,6 +154,21 @@ class TestWordLiterals:
         assert f"letter {index} " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", [["a", "b", "c"], ["a"], "ab"],
+                             ids=["three-entry", "one-entry", "string"])
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "--word", '[["a", "b"]]'), ("group", "inv", "--word", '[["a", "b"]]'),
+        ("group", "mul", "--words", '[[["a", "b"]]]')], ids=["normalize", "inv", "mul"])
+    def test_malformed_graph_edge_exits_2(self, capsys, tmp_path, argv, bad):
+        # read as its first two keys, ["a", "b", "c"] was the edge (a, b)
+        spec = write_json(tmp_path / "graph.json",
+                          {"graph": {"nodes": ["a", "b", "c"], "edges": [["b", "c"], bad]}})
+        split = 2 if argv[0] == "group" else 1
+        code, out, err = run(capsys, *argv[:split], "--input", spec, *argv[split:])
+        assert (code, out) == (2, "")
+        assert err == (f"input error: malformed edge literal: graph.edges entry 1 is "
+                       f"{bad!r}, not [tail, head] with two scalar node keys\n")
+
 
 class TestGroup:
     def test_mul(self, capsys, line_graph_spec):
@@ -350,6 +365,33 @@ class TestSpecForms:
         code, out, err = run(capsys, *argv, "--input", path)
         assert (code, out) == (2, "")
         assert err == "input error: edge ('u', 'v') is listed twice\n"
+
+    @pytest.mark.parametrize("bad", [["u", "v", "w"], ["u"], "uv"],
+                             ids=["three-entry", "one-entry", "string"])
+    @pytest.mark.parametrize("argv", [("check",), ("extend", "--word", '[["u", "w"]]')],
+                             ids=["check", "extend"])
+    def test_a_malformed_network_edge_exits_2(self, capsys, tmp_path, argv, bad):
+        # read as its first two keys, ["u", "v", "w"] was the edge (u, v)
+        spec, _, _ = _EDGE_TABLES["network"]()
+        spec["graph"]["edges"][0] = bad
+        path = write_json(tmp_path / "s.json", spec)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert (code, out) == (2, "")
+        assert err == (f"input error: malformed edge literal: graph.edges entry 0 is "
+                       f"{bad!r}, not [tail, head] with two scalar node keys\n")
+
+    @pytest.mark.parametrize("bad", [["u", "v", "w"], ["u"], "uv"],
+                             ids=["three-entry", "one-entry", "string"])
+    @pytest.mark.parametrize("kind", sorted(_EDGE_TABLES))
+    def test_a_malformed_table_edge_exits_2(self, capsys, tmp_path, kind, bad):
+        # read as a tuple, the string "uv" was the network edge (u, v)
+        spec, table, _ = _EDGE_TABLES[kind]()
+        entries = _table(spec, table)
+        entries[1] = dict(entries[1], edge=bad)
+        code, out, err = run(capsys, "check", "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == (f"input error: malformed edge literal: the edge of family.{table[-1]} "
+                       f"entry 1 is {bad!r}, not [tail, head] with two scalar node keys\n")
 
     def test_exponential_generator_table(self, capsys, tmp_path):
         spec = write_json(tmp_path / "generators.json",

@@ -440,6 +440,25 @@ class TestExactSvdBudget:
         assert rep.max_defect == divisibility_defect(bumped, *worst)
 
 
+class TestExpmBudget:
+    """An exponential family on a uniform grid has one generator per step
+    count, and each stacked ``expm`` sends scipy each distinct one once."""
+
+    def test_exhaustive_divisibility_stays_within_budget(self):
+        rng = rng_from_seed(45)
+        fam = dynamics.commuting_evolution(random_dissipative(rng, 4), 1.0, 33).exponential()
+        seen = []
+        real = scipy.linalg.expm
+        with mock.patch.object(scipy.linalg, "expm",
+                               side_effect=lambda a: seen.append(len(a)) or real(a)):
+            rep = check_divisibility(fam)
+        assert rep.passed and rep.count == 6545
+        # 561 edges in blocks of triples; unshared, every edge is an expm.
+        # The steps of the grid 1, 31/32, ..., 0 are exact, so an edge's
+        # generator is one of 33 (t - s) R, and each stack sends at most those
+        assert all(n <= 33 for n in seen) and sum(seen) <= 2 * 33, seen
+
+
 class TestTripleSampling:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_unrank_is_a_bijection_onto_the_enumeration(self, m):

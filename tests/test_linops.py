@@ -203,6 +203,59 @@ class TestStackedExpm:
             expm(a)
 
 
+def _sent_to_scipy(stack):
+    """``expm(stack)`` and the matrices scipy's expm received for it."""
+    sent = []
+    real = scipy.linalg.expm
+    with mock.patch.object(scipy.linalg, "expm",
+                           side_effect=lambda a: sent.extend(np.asarray(a).copy()) or real(a)):
+        out = expm(stack)
+    return out, sent
+
+
+class TestDeduplicatedExpm:
+    """A stack sends scipy each distinct matrix once and is still bitwise the
+    per-matrix loop."""
+
+    def _repeating(self, seed, distinct, shape):
+        rng = rng_from_seed(seed)
+        base = rng.standard_normal((distinct, 3, 3)) + 1j * rng.standard_normal((distinct, 3, 3))
+        base *= np.array([0.01, 1.0, 30.0] * distinct)[:distinct, None, None]
+        return base, base[rng.integers(0, distinct, size=shape)]
+
+    @pytest.mark.parametrize("shape", [(40,), (3, 13)], ids=["flat", "leading-axes"])
+    def test_repeats_are_bitwise_the_matrix_loop(self, shape):
+        _, stack = self._repeating(80, 5, shape)
+        out = expm(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(*shape):
+            assert np.array_equal(out[idx], scipy.linalg.expm(stack[idx]))
+
+    def test_scipy_receives_only_the_distinct_matrices(self):
+        base, stack = self._repeating(81, 6, (4, 10))
+        assert len({m.tobytes() for m in stack.reshape(-1, 3, 3)}) == 6
+        out, sent = _sent_to_scipy(stack)
+        assert len(sent) == 6
+        assert {m.tobytes() for m in sent} == {m.tobytes() for m in base}
+        assert np.array_equal(out, np.stack([[expm(a) for a in row] for row in stack]))
+
+    def test_signed_zeros_are_both_sent(self):
+        pos = np.array([[0.0, 0.5], [0.25, 0.0]], dtype=complex)
+        neg = pos.copy()
+        neg[0, 0] = -0.0
+        assert np.array_equal(pos, neg) and pos.tobytes() != neg.tobytes()
+        out, sent = _sent_to_scipy(np.stack([pos, neg, pos]))
+        assert len(sent) == 2
+        assert np.array_equal(out, np.stack([expm(pos), expm(neg), expm(pos)]))
+
+    def test_duplicate_rows_do_not_alias(self):
+        _, stack = self._repeating(82, 1, (3,))
+        out = expm(stack)
+        want = expm(stack[0])
+        out[0] += 1.0
+        assert np.array_equal(out[1], want) and np.array_equal(out[2], want)
+
+
 class TestExpDerivative:
     def test_zero_direction(self):
         rng = rng_from_seed(9)
