@@ -271,8 +271,14 @@ class VedDilation:
 
     def unitary_of(self, x):
         u = self._unitaries.get(x)
+        return self._dilate(x, self.ext(x)) if u is None else u
+
+    def _dilate(self, x, value):
+        """The unitary at ``x``, from the extension's superoperator ``value``
+        there; cached per element."""
+        u = self._unitaries.get(x)
         if u is None:
-            ch = Channel(self.dim, linops.superop_to_choi(self.ext(x), self.dim))
+            ch = Channel(self.dim, linops.superop_to_choi(value, self.dim))
             u = self._unitaries.setdefault(x, kraus_ii_dilation(ch, pad_to=self.k).unitary)
         return u
 
@@ -286,15 +292,15 @@ class VedDilation:
     def verify_element(self, x, s):
         """Trace-norm defect between the dilated action at ``x`` and the
         extension's channel, at a d x d matrix or per matrix of a stack ``s``."""
-        return trace_norm(self._element_defect(x, s))
+        return trace_norm(self._element_defect(x, s, self.ext(x)))
 
-    def _element_defect(self, x, s):
-        """The dilated action at ``x`` minus the extension's channel, at ``s``.
-        The product state sits at the group-identity tag, and U(x) moves it
-        to tag x with payload u(x) (s (x) |e_0><e_0|) u(x)*, so the reduced
-        action of u(x) is the dilated channel at x."""
-        reduced = _reduced_action(self.unitary_of(x), self.env_dim, s)
-        return reduced - linops.superop_apply(self.ext(x), s)
+    def _element_defect(self, x, s, value):
+        """The dilated action at ``x`` minus the extension's channel ``value``
+        there, at ``s``.  The product state sits at the group-identity tag,
+        and U(x) moves it to tag x with payload u(x) (s (x) |e_0><e_0|) u(x)*,
+        so the reduced action of u(x) is the dilated channel at x."""
+        reduced = _reduced_action(self._dilate(x, value), self.env_dim, s)
+        return reduced - linops.superop_apply(value, s)
 
 
 # -- shift dilation of contraction families on groups ---------------------------
@@ -442,10 +448,10 @@ class DilatedSystem:
             # unit: one trace-norm stack
             gs = [self.edge_element(e) for e in edges]
             units = linops.matrix_units(self.dilation.dim)
+            vals = self.extension.stack(gs)
             diffs = np.concatenate([
-                linops.superop_apply((self.extension.stack(gs) - fam.stack(edges))[:, None],
-                                     units),
-                [self.dilation._element_defect(g, units) for g in gs]], axis=1)
+                linops.superop_apply((vals - fam.stack(edges))[:, None], units),
+                [self.dilation._element_defect(g, units, v) for g, v in zip(gs, vals)]], axis=1)
             return defect_report("dilation-reconstruction",
                                  trace_norm(diffs).max(axis=1), edges, tol)
         defects = _blockwise(edges, lambda es: linops.screened_norms(

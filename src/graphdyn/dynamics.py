@@ -45,6 +45,18 @@ class LinearOrderGraph:
     def has_edge(self, u, v):
         return self.has_node(u) and self.has_node(v) and self.leq(u, v)
 
+    def edge_indices(self, edges):
+        """The node indices ``(i, j)`` of the pairs ``edges`` as two int
+        arrays; raise for the first pair, in input order, that is not an edge."""
+        get = self._index.get
+        i, j = np.array([(get(u, -1), get(v, -1)) for u, v in edges],
+                        dtype=np.intp).reshape(-1, 2).T
+        bad = np.flatnonzero((i < 0) | (j < i))  # an unknown head has j = -1 < i
+        if bad.size:
+            u, v = edges[bad[0]]
+            raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
+        return i, j
+
     def meet(self, u, v):
         return u if self.leq(u, v) else v
 
@@ -91,9 +103,9 @@ class _Family:
     edges at once passes ``stack_fn`` instead: it maps a list of distinct
     edges to their (len, dim, dim) value stack and raises for the first bad
     edge in order, as :meth:`stack` does.  Either way every missing value of
-    a call or a stack is filled by one call of the batch evaluator.  The
-    values sit in one array with an edge -> row index: a stack is one
-    gather, and a call returns a read-only view."""
+    a call or a stack is filled by one call of the batch evaluator, whose
+    shape is checked.  The values sit in one array with an edge -> row
+    index: a stack is one gather, and a call returns a read-only view."""
 
     def __init__(self, graph, dim, eval_fn=None, *, stack_fn=None):
         self.graph = graph
@@ -109,7 +121,12 @@ class _Family:
 
     def _evaluate(self, edges):
         if self._stack_fn is not None:
-            return self._stack_fn(edges)
+            out = self._stack_fn(edges)
+            if out.shape != (len(edges), self.dim, self.dim):
+                # named as the per-edge check names it: the batch's values share one shape
+                raise GraphError(f"evaluator returned shape {out.shape[1:]}, expected "
+                                 f"{(self.dim, self.dim)} at edge {edges[0]!r}")
+            return out
         out = np.empty((len(edges), self.dim, self.dim), dtype=complex)
         for i, edge in enumerate(edges):
             self._check_edge(edge)
@@ -156,8 +173,21 @@ class GeneratorFamily(_Family):
     are ``expm(alpha * A(edge))``."""
 
     def exponential(self, alpha=1.0):
-        return OperatorFamily(self.graph, self.dim, stack_fn=lambda es: linops.expm(
-            alpha * self.stack(es)))
+        """The operator family ``expm(alpha * A(edge))``.  It exponentiates
+        each distinct generator once, over all its batches: the results sit
+        in a memo keyed by the scaled generator's bytes, which lives as long
+        as the family."""
+        memo = {}
+
+        def stack(edges):
+            gens = alpha * self.stack(edges)
+            keys = [a.tobytes() for a in gens]
+            new = {k: a for k, a in zip(keys, gens) if k not in memo}
+            if new:
+                memo.update(zip(new, linops.expm(np.stack(list(new.values())))))
+            return np.array([memo[k] for k in keys]).reshape(gens.shape)
+
+        return OperatorFamily(self.graph, self.dim, stack_fn=stack)
 
     def check_dissipative(self, tol=1e-10):
         edges = list(self.graph.edges())
@@ -318,7 +348,8 @@ def descending_grid(t_max, points):
 
 def interpolated_commutator_coefficients(t, s, t_max):
     """Coefficients (c1, c2) of the integrated two-Hamiltonian interpolation:
-    the generator over [s, t] is c1 * K1 + c2 * K2 where Ki = i[h_i, .]."""
+    the generator over [s, t] is c1 * K1 + c2 * K2 where Ki = i[h_i, .].
+    Elementwise on arrays of ``t`` and ``s``."""
     lam = (t + s) / (2.0 * t_max)
     scale = (t - s) / t_max
     return scale * lam, scale * (1.0 - lam)
@@ -341,21 +372,39 @@ def example_indivisible(h1, h2, t_max=1.0, grid_points=9):
     psi1 = 1j * commutator_superop(h1)
     psi2 = 1j * commutator_superop(h2)
     graph = descending_grid(t_max, grid_points)
+    keys = np.array(graph.nodes)
 
-    def gen(edge):
-        t, s = edge  # descending grid: t >= s numerically
-        c1, c2 = interpolated_commutator_coefficients(t, s, t_max)
-        return c1 * psi1 + c2 * psi2
+    def gen(edges):
+        i, j = graph.edge_indices(edges)  # descending grid: t >= s numerically
+        c1, c2 = interpolated_commutator_coefficients(keys[i], keys[j], t_max)
+        return c1[:, None, None] * psi1 + c2[:, None, None] * psi2
 
-    return GeneratorFamily(graph, d * d, gen)
+    return GeneratorFamily(graph, d * d, stack_fn=gen)
+
+
+def _rate_generators(graph, rate):
+    """The generator family (t - s) * rate on a linear order with numeric
+    keys.  Each t - s is the Python difference of the two keys, so integer
+    keys stay exact, and it is converted as a scalar factor would be."""
+    def gen(edges):
+        graph.edge_indices(edges)  # raises for the first non-edge
+        steps = np.array([t - s for t, s in edges], dtype=float)
+        return steps[:, None, None] * rate
+
+    return GeneratorFamily(graph, rate.shape[0], stack_fn=gen)
 
 
 def commuting_evolution(rate, t_max=1.0, grid_points=9):
     """Memoryless divisible demo family phi(t, s) = expm((t - s) * rate) on a
     descending grid; ``rate`` should be dissipative for contractions."""
-    rate = np.asarray(rate, dtype=complex)
-    graph = descending_grid(t_max, grid_points)
-    return GeneratorFamily(graph, rate.shape[0], lambda e: (e[0] - e[1]) * rate)
+    return _rate_generators(descending_grid(t_max, grid_points),
+                           np.asarray(rate, dtype=complex))
+
+
+def _scaled(raw, alpha, dim):
+    """The generator family ``alpha * raw`` of dimension ``dim``, scaled from
+    the batch evaluator of ``raw``, so unscaled values are never cached."""
+    return GeneratorFamily(raw.graph, dim, stack_fn=lambda es: alpha * raw._evaluate(es))
 
 
 # -- Lindblad-form generators ---------------------------------------------------
@@ -608,12 +657,12 @@ def _build_exponential(spec, fam_spec):
     if "rate" in fam_spec:
         rate = linops.matrix_from_literal(fam_spec["rate"])
         _numeric_nodes(graph, "rate")
-        gen_fn = lambda e: (e[0] - e[1]) * rate
+        raw = _rate_generators(graph, rate)
     else:
-        gen_fn = _edge_lookup(_edge_table(fam_spec, "generators", graph.has_edge),
-                              np.zeros((dim, dim), dtype=complex), "generator")
-    alpha = _spec_number(fam_spec, "alpha", 1.0)
-    gens = GeneratorFamily(graph, dim, lambda e: alpha * gen_fn(e))
+        raw = GeneratorFamily(graph, dim, _edge_lookup(
+            _edge_table(fam_spec, "generators", graph.has_edge),
+            np.zeros((dim, dim), dtype=complex), "generator"))
+    gens = _scaled(raw, _spec_number(fam_spec, "alpha", 1.0), dim)
     return {"graph": graph, "family": gens.exponential(), "generators": gens,
             "kind": "exponential", "ell": _parse_ell(fam_spec, graph)}
 
@@ -648,8 +697,7 @@ def _build_indivisible(spec, fam_spec):
     if "dim" in spec and spec["dim"] != raw.dim:
         raise InputError(f"dim {spec['dim']!r} does not match d^2 = {raw.dim} "
                          "of h1 and h2")
-    # scaled from the raw evaluator, so unscaled values are never cached
-    gens = GeneratorFamily(raw.graph, raw.dim, lambda e: alpha * raw._eval(e))
+    gens = _scaled(raw, alpha, raw.dim)
     c0 = max(spectral_norm(1j * commutator_superop(h))
              for h in (h1, h2)) / t_max
     return {"graph": gens.graph, "family": gens.exponential(), "generators": gens,

@@ -233,11 +233,12 @@ def ginv(g):
 
 
 def embed_edge(ctx, edge):
-    """The group element of a single edge letter (loops map to the identity)."""
+    """The group element of a single edge letter (loops map to the identity).
+    A one-letter word that is not a loop is irreducible."""
     u, v = edge
     if not ctx.related(u, v):
         raise ContextError(f"edge ({u!r}, {v!r}) is not in the closed edge relation")
-    return GroupElement(() if u == v else (Letter(u, v),))
+    return _trusted(() if u == v else (Letter(u, v),))
 
 
 def random_element(ctx, rng, max_len=5):

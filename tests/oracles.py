@@ -2,15 +2,16 @@
 
 Each one is the direct, unbatched form of something the library computes
 another way: the formal tag/payload evaluation of a shift dilation, the
-additivity defect of one triple, the Kraus sum of a channel, a Haar-random
-unitary and channel specs.
+additivity defect of one triple, the closed-form generators at one edge, the
+extension products of one element, the dense cover pass, the Kraus sum of a
+channel, a Haar-random unitary and channel specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
 """
 
 import numpy as np
 
-from graphdyn import dynamics, linops, rewrite
+from graphdyn import dynamics, extend, linops, rewrite
 from graphdyn.dilate import Channel
 from graphdyn.errors import GraphError
 from graphdyn.sampling import random_matrix
@@ -53,6 +54,59 @@ def additivity_defect(gen, u, v, w):
         if not gen.graph.has_edge(*e):
             raise GraphError(f"missing edge {e!r}")
     return linops.spectral_norm(gen((u, w)) - gen((u, v)) - gen((v, w)))
+
+
+def rate_generator(rate, edge):
+    """``(t - s) * rate`` at the edge (t, s)."""
+    t, s = edge
+    return (t - s) * rate
+
+
+def interpolation_generator(h1, h2, t_max, edge):
+    """The generator of ``dynamics.example_indivisible`` at the edge (t, s):
+    ``c1 i[h1, .] + c2 i[h2, .]``."""
+    t, s = edge
+    c1, c2 = dynamics.interpolated_commutator_coefficients(t, s, t_max)
+    return c1 * (1j * linops.commutator_superop(h1)) + c2 * (1j * linops.commutator_superop(h2))
+
+
+def ordered_product(fam, edges):
+    """``fam`` at ``edges`` multiplied left to right, one edge at a time,
+    from the identity."""
+    out = linops.eye(fam.dim)
+    for edge in edges:
+        out = out @ fam(edge)
+    return out
+
+
+def normal_form_value(fam, g):
+    """The normal-form extension at ``g``: the product over its edge letters."""
+    return ordered_product(fam, [(t, h) for t, h in g.letters if fam.graph.has_edge(t, h)])
+
+
+def interval_value(fam, g, extra=()):
+    """The interval-product extension at ``g``: the product over the positive
+    intervals of its cover, cut also at the nodes ``extra``."""
+    return ordered_product(fam, extend.positive_intervals(
+        extend.cover_of_word(fam.graph, g), extra))
+
+
+def dense_cover_segments(graph, w):
+    """The cover segments of the word ``w`` by a pass over all m nodes: the
+    per-node sums of the letters' sweeps, merged into maximal constant
+    nonzero segments."""
+    diff = [0] * (len(graph.nodes) + 1)
+    for t, h in w:
+        diff[graph.index(t)] += 1
+        diff[graph.index(h)] -= 1
+    segments, start, cur, acc = [], None, 0, 0
+    for i, d in enumerate(diff):  # the sum is 0 again at index m
+        acc += d
+        if acc != cur:
+            if cur:
+                segments.append((start, i, cur))
+            start, cur = i, acc
+    return tuple(segments)
 
 
 def random_unitary(rng, d):

@@ -335,6 +335,18 @@ class TestSpecForms:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check",), ("dilate", "--pipeline", "C"), ("extend", "--word", "[[2, 0]]")],
+        ids=["check", "dilate", "extend"])
+    def test_a_rate_of_another_dimension_exits_2(self, capsys, tmp_path, argv):
+        # the rate family builds its values as one stack of the rate's shape
+        spec = {"graph": {"order": [2, 1, 0]}, "dim": 3, "family": {
+            "kind": "exponential", "rate": linops.matrix_to_literal(-np.eye(2))}}
+        code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == ("input error: evaluator returned shape (2, 2), expected (3, 3) "
+                       "at edge (2, 2)\n")
+
     @pytest.mark.parametrize("kind", sorted(_EDGE_TABLES))
     def test_an_edge_listed_twice_exits_2(self, capsys, tmp_path, kind):
         # the second entry carries another value: read as a table, it would
@@ -732,7 +744,10 @@ class TestDemo:
         for seed in ([], ["--seed", "0"], ["--seed", "5"]):
             out = tmp_path / (seed[-1] if seed else "default")
             assert run(capsys, "demo", "lindblad", "--output", str(out), *seed)[0] == 0
-        text = {p.name: (p / "lindblad.json").read_text() for p in tmp_path.iterdir()}
+        # the seed shows in the JSON only through rounding noise, which some
+        # BLAS kernels print as 0.0 for both seeds; the sweep table shows it
+        text = {p.name: ((p / "lindblad.json").read_text(),
+                         (p / "lindblad_sweep.csv").read_text()) for p in tmp_path.iterdir()}
         assert text["default"] == text["0"] != text["5"]
 
     def test_unknown_name_exits_2(self, capsys, tmp_path):

@@ -362,7 +362,7 @@ class TestBatchedFamilies:
         assert np.array_equal(fam.stack(drawn), want)
         for e in set(drawn):
             # a batch of one is the single-matrix exponential of the raw generator
-            assert np.array_equal(oracle(e), scipy.linalg.expm(alpha * gens._eval(e)))
+            assert np.array_equal(oracle(e), scipy.linalg.expm(alpha * gens(e)))
 
     def test_first_bad_edge_in_order_raises(self):
         spec = {"graph": {"order": [0, 1, 2]}, "dim": 2,
@@ -458,6 +458,21 @@ class TestExpmBudget:
         # generator is one of 33 (t - s) R, and each stack sends at most those
         assert all(n <= 33 for n in seen) and sum(seen) <= 2 * 33, seen
 
+    def test_each_generator_is_exponentiated_once_per_family(self):
+        rng = rng_from_seed(46)
+        gens = dynamics.commuting_evolution(random_dissipative(rng, 3), 1.0, 9)
+        fam = gens.exponential(0.5)
+        edges = list(fam.graph.edges())  # 45 edges, 9 step counts on the grid 1, 7/8, ..., 0
+        seen = []
+        real = scipy.linalg.expm
+        with mock.patch.object(scipy.linalg, "expm",
+                               side_effect=lambda a: seen.append(len(a)) or real(a)):
+            blocks = [fam.stack(block) for block in (edges[:5], edges[5:20], edges[20:])]
+            fam.stack(edges)
+        assert sum(seen) == 9, seen
+        want = linops.expm(0.5 * gens.stack(edges))
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
 
 class TestTripleSampling:
     @pytest.mark.parametrize("m", range(1, 13))
@@ -487,6 +502,44 @@ class TestTripleSampling:
             lex = (sum((m - a) * (m - a + 1) // 2 for a in range(i))
                    + sum(m - b for b in range(i, j)) + k - j)
             assert lex == rank
+
+
+class TestClosedFormFamilies:
+    """The interpolation and rate families evaluate a batch of edges at once."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: dynamics.commuting_evolution(-np.eye(2), 1.0, 3),
+        lambda: example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 3)], ids=["rate", "interpolation"])
+    def test_first_bad_edge_in_order_raises(self, build):
+        fam = build()
+        a, b, c = fam.graph.nodes
+        for edges, bad in [([(a, b), (c, a), ("x", c)], (c, a)),
+                           ([(a, a), ("x", c), (c, a)], ("x", c)),
+                           ([(b, "x"), (a, b)], (b, "x"))]:
+            with pytest.raises(GraphError) as batch:
+                build().stack(edges)
+            assert str(batch.value) == f"{bad!r} is not an edge of the graph"
+            with pytest.raises(GraphError) as loop:
+                for e in edges:
+                    fam(e)
+            assert str(batch.value) == str(loop.value)
+
+    def test_integer_keys_stay_exact(self):
+        # t - s is the keys' own difference: the floats of the keys would
+        # give 2**53 - 1 here
+        spec = {"graph": {"order": [2**53 + 1, 1, 0]}, "dim": 1,
+                "family": {"kind": "exponential", "rate": [[[-1.0, 0.0]]]}}
+        gens = dynamics.build_system(spec)["generators"]
+        assert gens.stack([(2**53 + 1, 1)])[0, 0, 0] == -2.0**53
+
+    def test_a_value_of_the_wrong_shape_raises(self):
+        spec = {"graph": {"order": [2, 1, 0]}, "dim": 3,
+                "family": {"kind": "exponential",
+                           "rate": linops.matrix_to_literal(-np.eye(2))}}
+        gens = dynamics.build_system(spec)["generators"]
+        with pytest.raises(GraphError, match=re.escape(
+                "evaluator returned shape (2, 2), expected (3, 3) at edge (1, 0)")):
+            gens.stack([(1, 0), (2, 0)])
 
 
 class TestIntegrateGenerators:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdyn import dynamics, linops, rewrite
 from graphdyn.dynamics import (GeneratorFamily, LinearOrderGraph,
@@ -12,6 +14,7 @@ from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
 from graphdyn.linops import SIGMA_X, SIGMA_Z, commutator_superop, spectral_norm
 from graphdyn.rewrite import embed_edge, gmul, identity, word
 from graphdyn.sampling import random_dissipative, rng_from_seed
+from oracles import dense_cover_segments
 
 
 @pytest.fixture
@@ -93,6 +96,16 @@ class TestCoverOfWord:
         ctx = rewrite.complete_context(["a", "b"])
         with pytest.raises(StructureError):
             cover_of_word(ctx, word([("a", "b")]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), points=st.sampled_from([9, 65]))
+    def test_segments_are_the_dense_pass(self, data, points):
+        # the sparse endpoint sweep against a pass over every node
+        graph = descending_grid(1.0, points)
+        index = st.integers(0, points - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=40))
+        w = word((graph.nodes[i], graph.nodes[j]) for i, j in pairs)
+        assert cover_of_word(graph, w).segments == dense_cover_segments(graph, w)
 
 
 class TestRefine:

@@ -175,6 +175,12 @@ class TestEmbedEdge:
     def test_single_letter(self, abc):
         assert embed_edge(abc, ("a", "b")).letters == word([("a", "b")])
 
+    def test_built_without_the_irreducibility_rescan(self, abc):
+        # a one-letter word that is not a loop is irreducible by construction
+        with mock.patch.object(rewrite, "is_irreducible", side_effect=AssertionError):
+            g, e = embed_edge(abc, ("a", "b")), embed_edge(abc, ("a", "a"))
+        assert g == rewrite.GroupElement(word([("a", "b")])) and e == identity()
+
     def test_injective_off_diagonal(self, abc):
         pairs = [(u, v) for (u, v) in abc.closure_pairs() if u != v]
         images = {embed_edge(abc, e) for e in pairs}

@@ -1,0 +1,135 @@
+"""Values on linear orders are evaluated as arrays, bit for bit the per-edge
+and per-element computations.
+
+The closed-form generator families (the interpolation example and the
+``(t - s) * rate`` kind) build a whole edge batch in one numpy expression,
+and both product extensions fold the products of a batch of elements
+together.  Each check compares bytes, so a signed zero or a last-bit
+difference fails.  The folds run one gemm per matrix, whichever OpenBLAS
+kernel is loaded; the last test runs the checks again on the Haswell kernel,
+the one OpenBLAS picks on an AVX2-only CPU.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphdyn import dynamics, linops, rewrite
+from graphdyn.dynamics import LinearOrderGraph, OperatorFamily
+from graphdyn.extend import FirstCoverExtension, NormalFormExtension
+from graphdyn.sampling import random_dissipative, random_hermitian, random_matrix, rng_from_seed
+import oracles
+
+seeds = st.integers(0, 2**16)
+
+
+def drawn_edges(data, graph):
+    """A list of edges of ``graph`` with repeats, in a drawn order."""
+    return data.draw(st.lists(st.sampled_from(list(graph.edges())), max_size=40))
+
+
+def assert_bitwise(got, values):
+    want = np.stack(values) if values else np.empty((0,) + got.shape[1:], dtype=complex)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStackedValuesAreBitwise:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, d=st.sampled_from([2, 3]), points=st.integers(2, 12),
+           t_max=st.sampled_from([1.0, 0.7, 2.5]), alpha=st.sampled_from([1.0, -0.5, 3.0]),
+           data=st.data())
+    def test_interpolation_stack_is_the_per_edge_formula(self, seed, d, points, t_max,
+                                                          alpha, data):
+        rng = rng_from_seed(seed)
+        h1, h2 = random_hermitian(rng, d), random_hermitian(rng, d)
+        gens = dynamics.build_system({"family": {
+            "kind": "indivisible-example", "h1": linops.matrix_to_literal(h1),
+            "h2": linops.matrix_to_literal(h2), "t_max": t_max, "grid_points": points,
+            "alpha": alpha}})["generators"]
+        edges = drawn_edges(data, gens.graph)
+        assert_bitwise(gens.stack(edges), [
+            alpha * oracles.interpolation_generator(h1, h2, t_max, e) for e in edges])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, d=st.integers(1, 4), alpha=st.sampled_from([1.0, -0.5, 3.0]),
+           keys=st.lists(st.one_of(st.integers(-2**60, 2**60),
+                                   st.floats(-1e6, 1e6, allow_nan=False)),
+                         min_size=1, max_size=8, unique=True),
+           data=st.data())
+    def test_rate_stack_is_the_per_edge_formula(self, seed, d, alpha, keys, data):
+        # integer keys, large ones and floats mixed
+        rng = rng_from_seed(seed)
+        rate = random_dissipative(rng, d)
+        spec = {"graph": {"order": keys}, "dim": d, "family": {
+            "kind": "exponential", "rate": linops.matrix_to_literal(rate), "alpha": alpha}}
+        gens = dynamics.build_system(spec)["generators"]
+        edges = drawn_edges(data, gens.graph)
+        assert_bitwise(gens.stack(edges), [
+            alpha * oracles.rate_generator(rate, e) for e in edges])
+        evolution = dynamics.commuting_evolution(rate, 1.0, len(keys) + 1)
+        edges = drawn_edges(data, evolution.graph)
+        assert_bitwise(evolution.stack(edges), [
+            oracles.rate_generator(rate, e) for e in edges])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, d=st.sampled_from([1, 2, 3, 4, 6, 9]), points=st.integers(2, 9),
+           max_len=st.integers(0, 8))
+    def test_normal_form_fold_is_the_per_element_loop(self, seed, d, points, max_len):
+        rng = rng_from_seed(seed)
+        graph = LinearOrderGraph(range(points))
+        values = {e: linops.eye(d) if e[0] == e[1] else random_matrix(rng, d, 0.7)
+                  for e in graph.edges()}
+        fam = OperatorFamily(graph, d, values.__getitem__)
+        ext = NormalFormExtension(fam)
+        ctx = graph.context()
+        gs = [rewrite.random_element(ctx, rng, max_len) for _ in range(12)]
+        gs.append(rewrite.identity())
+        assert_bitwise(ext.stack(gs), [oracles.normal_form_value(fam, g) for g in gs])
+        for g in gs[:3]:
+            assert_bitwise(ext(g)[None], [oracles.normal_form_value(fam, g)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, d=st.sampled_from([1, 2, 3, 5]), points=st.integers(2, 9),
+           max_len=st.integers(0, 8), data=st.data())
+    def test_interval_fold_is_the_per_element_loop(self, seed, d, points, max_len, data):
+        rng = rng_from_seed(seed)
+        fam = dynamics.commuting_evolution(random_dissipative(rng, d, 0.5), 1.0,
+                                           points).exponential()
+        ext = FirstCoverExtension(fam)
+        ctx = fam.graph.context()
+        gs = [rewrite.random_element(ctx, rng, max_len) for _ in range(12)]
+        gs.append(rewrite.identity())
+        assert_bitwise(ext.stack(gs), [oracles.interval_value(fam, g) for g in gs])
+        extra = data.draw(st.lists(st.sampled_from(fam.graph.nodes), max_size=points))
+        for g in gs[:3]:
+            assert_bitwise(ext.evaluate(g, extra)[None], [oracles.interval_value(fam, g, extra)])
+
+
+def _has_avx2():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any("avx2" in line.split() for line in fh if line.startswith("flags"))
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_avx2(), reason="the Haswell kernel needs AVX2")
+def test_bitwise_on_the_haswell_kernel():
+    # OpenBLAS reads its kernel choice at load time, so the checks run in a
+    # child process started with the variable set
+    here = pathlib.Path(__file__)
+    src = pathlib.Path(dynamics.__file__).parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::TestStackedValuesAreBitwise"],
+        cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+    assert "4 passed" in proc.stdout
