@@ -5,12 +5,13 @@ interpolation family, weighted acyclic networks, Lindblad-form generators).
 
 import math
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
 from . import linops, rewrite
-from .errors import (AcyclicityError, DegeneracyError, GraphError, InputError,
-                     OrderError, is_number, reading)
+from .errors import (AcyclicityError, DegeneracyError, DimensionError, GraphError,
+                     InputError, OrderError, is_number, reading)
 from .linops import commutator_superop, dagger, spectral_norm, superop_apply
 from .reports import CheckReport, defect_report
 
@@ -104,8 +105,10 @@ class _Family:
     edges to their (len, dim, dim) value stack and raises for the first bad
     edge in order, as :meth:`stack` does.  Either way every missing value of
     a call or a stack is filled by one call of the batch evaluator, whose
-    shape is checked.  The values sit in one array with an edge -> row
-    index: a stack is one gather, and a call returns a read-only view."""
+    shape is checked, and a value with a non-finite entry (an overflow, say)
+    is an error that names its edge.  The values sit in one array with an
+    edge -> row index: a stack is one gather, and a call returns a read-only
+    view."""
 
     def __init__(self, graph, dim, eval_fn=None, *, stack_fn=None):
         self.graph = graph
@@ -120,23 +123,28 @@ class _Family:
             raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
 
     def _evaluate(self, edges):
-        if self._stack_fn is not None:
-            out = self._stack_fn(edges)
-            if out.shape != (len(edges), self.dim, self.dim):
-                # named as the per-edge check names it: the batch's values share one shape
-                raise GraphError(f"evaluator returned shape {out.shape[1:]}, expected "
-                                 f"{(self.dim, self.dim)} at edge {edges[0]!r}")
-            return out
-        out = np.empty((len(edges), self.dim, self.dim), dtype=complex)
-        for i, edge in enumerate(edges):
-            self._check_edge(edge)
-            val = np.asarray(self._eval(edge), dtype=complex)
-            if val.shape != (self.dim, self.dim):
-                raise GraphError(
-                    f"evaluator returned shape {val.shape}, expected "
-                    f"{(self.dim, self.dim)} at edge {edge!r}"
-                )
-            out[i] = val
+        with np.errstate(over="ignore", invalid="ignore"):  # named below, by edge
+            if self._stack_fn is not None:
+                out = self._stack_fn(edges)
+                if out.shape != (len(edges), self.dim, self.dim):
+                    # named as the per-edge check names it: the batch's values share one shape
+                    raise GraphError(f"evaluator returned shape {out.shape[1:]}, expected "
+                                     f"{(self.dim, self.dim)} at edge {edges[0]!r}")
+            else:
+                out = np.empty((len(edges), self.dim, self.dim), dtype=complex)
+                for i, edge in enumerate(edges):
+                    self._check_edge(edge)
+                    val = np.asarray(self._eval(edge), dtype=complex)
+                    if val.shape != (self.dim, self.dim):
+                        raise GraphError(
+                            f"evaluator returned shape {val.shape}, expected "
+                            f"{(self.dim, self.dim)} at edge {edge!r}"
+                        )
+                    out[i] = val
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            raise DimensionError(f"value at edge {edges[np.argmin(finite)]!r} "
+                                 "has non-finite entries")
         return out
 
     def __call__(self, edge):
@@ -172,22 +180,29 @@ class GeneratorFamily(_Family):
     """Edge-indexed family of generators; the induced evolution operators
     are ``expm(alpha * A(edge))``."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._exps = {}  # matrix bytes -> its expm, as long as the family lives
+
+    def expm(self, mats):
+        """The exponential of each matrix of an (N, n, n) stack, as a fresh
+        array.  Results are kept in the family's memo, keyed by the matrix
+        bytes, and scipy gets the distinct new matrices in one call.  Equal
+        input bits give equal output bits, and scipy's stacked expm is
+        bitwise the per-matrix one, so every value is bitwise
+        ``linops.expm`` of its matrix.  ``-0.0`` and ``+0.0`` differ in their
+        bytes, so matrices that differ only there are both sent."""
+        keys = [a.tobytes() for a in mats]
+        new = {k: a for k, a in zip(keys, mats) if k not in self._exps}
+        if new:
+            self._exps.update(zip(new, linops.expm(np.stack(list(new.values())))))
+        return np.array([self._exps[k] for k in keys]).reshape(mats.shape)
+
     def exponential(self, alpha=1.0):
-        """The operator family ``expm(alpha * A(edge))``.  It exponentiates
-        each distinct generator once, over all its batches: the results sit
-        in a memo keyed by the scaled generator's bytes, which lives as long
-        as the family."""
-        memo = {}
-
-        def stack(edges):
-            gens = alpha * self.stack(edges)
-            keys = [a.tobytes() for a in gens]
-            new = {k: a for k, a in zip(keys, gens) if k not in memo}
-            if new:
-                memo.update(zip(new, linops.expm(np.stack(list(new.values())))))
-            return np.array([memo[k] for k in keys]).reshape(gens.shape)
-
-        return OperatorFamily(self.graph, self.dim, stack_fn=stack)
+        """The operator family ``expm(alpha * A(edge))``, exponentiated
+        through :meth:`expm`."""
+        return OperatorFamily(self.graph, self.dim,
+                              stack_fn=lambda edges: self.expm(alpha * self.stack(edges)))
 
     def check_dissipative(self, tol=1e-10):
         edges = list(self.graph.edges())
@@ -494,28 +509,20 @@ class DagNetwork:
             if self.weights[e].shape != (self.dim, self.dim):
                 raise GraphError(f"weight at {e!r} has wrong shape")
         self._succ = {u: [] for u in self.nodes}
-        indeg = {u: 0 for u in self.nodes}
+        sorter = TopologicalSorter({u: () for u in self.nodes})
         seen = set()
         for (t, h) in self.edges:
-            if t not in indeg or h not in indeg:
+            if t not in self._succ or h not in self._succ:
                 raise GraphError(f"edge ({t!r}, {h!r}) uses unknown nodes")
             if (t, h) in seen:  # a second copy would count each walk twice
                 raise GraphError(f"edge ({t!r}, {h!r}) is listed twice")
             seen.add((t, h))
             self._succ[t].append(h)
-            indeg[h] += 1
-        # Kahn's algorithm: a leftover node means a directed cycle
-        queue = [u for u in self.nodes if indeg[u] == 0]
-        self.order = []  # topological: every edge points forward
-        while queue:
-            u = queue.pop()
-            self.order.append(u)
-            for v in self._succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(self.order) != len(self.nodes):
-            raise AcyclicityError("the weighted graph has a directed cycle")
+            sorter.add(h, t)
+        try:
+            self.order = list(sorter.static_order())  # every edge points forward
+        except CycleError:
+            raise AcyclicityError("the weighted graph has a directed cycle") from None
 
     def successors(self, u):
         return self._succ[u]

@@ -239,11 +239,13 @@ class SecondCoverExtension:
         return out
 
     def __call__(self, g, extra=()):
-        return linops.expm(self.generator_of(g, extra))
+        return self.fam.expm(self.generator_of(g, extra)[None])[0]
 
     def stack(self, gs):
-        """The values at the elements ``gs``: one stacked exponential."""
-        return linops.expm(np.stack([self.generator_of(g) for g in gs]))
+        """The values at the elements ``gs``, exponentiated through the
+        generator family's memo: at an edge element the sum is the edge's
+        generator, so a value that ``exponential()`` computed is read back."""
+        return self.fam.expm(np.stack([self.generator_of(g) for g in gs]))
 
 
 # -- continuity modulus ---------------------------------------------------------

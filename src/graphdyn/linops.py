@@ -67,22 +67,10 @@ def partial_trace_first(m, d1, d2):
 
 def expm(a):
     """Matrix exponential (scaling-and-squaring with Pade approximants) of a
-    matrix, or of each matrix of a (..., n, n) stack.  A stack sends scipy one
-    call with each distinct matrix once, told apart by its bytes, and gathers
-    the results back into a fresh array, so no two rows alias.  The result is
-    bitwise the per-matrix loop: scipy exponentiates a stack matrix by matrix,
-    so each result is bitwise the single-matrix one, and equal input bits give
-    equal output bits.  ``-0.0`` and ``+0.0`` differ in their bytes, so
-    matrices that differ only there are both sent."""
+    matrix, or of each matrix of a (..., n, n) stack."""
     m = _square(a, stack=True)
     import scipy.linalg  # local import: slow, and most CLI commands never need it
-    if m.ndim == 2 or not m.size:
-        return scipy.linalg.expm(m)
-    n = m.shape[-1]
-    flat = np.ascontiguousarray(m.reshape(-1, n, n))
-    rows = flat.reshape(len(flat), -1).view(np.dtype((np.void, flat.itemsize * n * n)))
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return scipy.linalg.expm(flat[first])[inverse.ravel()].reshape(m.shape)
+    return scipy.linalg.expm(m)
 
 
 def exp_derivative(x, y, t=0.0):

@@ -347,6 +347,25 @@ class TestSpecForms:
         assert err == ("input error: evaluator returned shape (2, 2), expected (3, 3) "
                        "at edge (2, 2)\n")
 
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "A")],
+                             ids=["check", "dilate"])
+    @pytest.mark.parametrize("family,edge", [
+        ({"kind": "exponential", "alpha": 10,
+          "generators": [{"edge": [0, 1], "matrix": [[[-1e308, 0]]]}]}, (0, 1)),
+        ({"kind": "exponential", "rate": [[[-1e308, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+         (2.0, 0.0)),
+        ({"kind": "exponential", "generators": [{"edge": [0, 1], "matrix": [[[1000, 0]]]}]},
+         (0, 1)),
+    ], ids=["scaled-table", "rate", "exponential"])
+    def test_a_value_that_overflows_exits_2(self, capsys, tmp_path, argv, family, edge):
+        # every entry is finite; the generator, or its exponential, overflows
+        rate = "rate" in family
+        spec = {"graph": {"order": [2.0, 1.0, 0.0] if rate else [0, 1]},
+                "dim": 2 if rate else 1, "family": family}
+        code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == f"input error: value at edge {edge!r} has non-finite entries\n"
+
     @pytest.mark.parametrize("kind", sorted(_EDGE_TABLES))
     def test_an_edge_listed_twice_exits_2(self, capsys, tmp_path, kind):
         # the second entry carries another value: read as a table, it would

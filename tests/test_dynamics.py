@@ -773,9 +773,14 @@ class TestNetworks:
         assert spectral_norm(network_defect(net, 1, 0, n - 1) - tail) < 1e-10
 
     def test_cycle_rejected(self):
-        with pytest.raises(AcyclicityError):
+        with pytest.raises(AcyclicityError, match="^the weighted graph has a directed cycle$"):
             DagNetwork(["a", "b"], [("a", "b"), ("b", "a")],
                        {("a", "b"): np.eye(2), ("b", "a"): np.eye(2)}, 2)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(AcyclicityError, match="directed cycle"):
+            DagNetwork(["a", "b"], [("a", "b"), ("b", "b")],
+                       {("a", "b"): np.eye(2), ("b", "b"): np.eye(2)}, 2)
 
 
 class TestSystemSpecs:

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -356,6 +359,18 @@ class TestSecondCoverExtension:
         for e in [(1.0, 0.875), (0.5, 0.5)]:
             g = embed_edge(ctx, e)
             assert spectral_norm(ext(g) - normal(g)) < 1e-12
+
+    def test_edge_elements_read_the_exponential_familys_memo(self, interp, ext):
+        # at an edge element the generator sum is the edge's generator, which
+        # the exponential family has already sent to scipy
+        edges = [(u, v) for u, v in interp.graph.edges() if u != v]
+        want = interp.exponential().stack(edges)
+        ctx = interp.graph.context()
+        elements = [embed_edge(ctx, e) for e in edges]
+        with mock.patch.object(scipy.linalg, "expm", side_effect=AssertionError) as sent:
+            got = ext.stack(elements)
+        assert sent.call_count == 0
+        assert got.tobytes() == want.tobytes()
 
     def test_non_additive_rejected(self):
         x = np.array([[0, 1], [0, 0]], dtype=complex)

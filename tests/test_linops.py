@@ -203,19 +203,25 @@ class TestStackedExpm:
             expm(a)
 
 
-def _sent_to_scipy(stack):
-    """``expm(stack)`` and the matrices scipy's expm received for it."""
+def _sent_to_scipy(fam, stacks):
+    """``fam.expm`` of each stack in turn, and the matrices scipy's expm
+    received for them."""
     sent = []
     real = scipy.linalg.expm
     with mock.patch.object(scipy.linalg, "expm",
                            side_effect=lambda a: sent.extend(np.asarray(a).copy()) or real(a)):
-        out = expm(stack)
+        out = [fam.expm(stack) for stack in stacks]
     return out, sent
 
 
 class TestDeduplicatedExpm:
-    """A stack sends scipy each distinct matrix once and is still bitwise the
-    per-matrix loop."""
+    """A generator family's exponentials go through its memo: scipy gets each
+    distinct matrix once over all the family's calls, and every value is
+    still bitwise the per-matrix one."""
+
+    @staticmethod
+    def _family():
+        return GeneratorFamily(LinearOrderGraph([0]), 3, lambda e: np.zeros((3, 3)))
 
     def _repeating(self, seed, distinct, shape):
         rng = rng_from_seed(seed)
@@ -223,37 +229,46 @@ class TestDeduplicatedExpm:
         base *= np.array([0.01, 1.0, 30.0] * distinct)[:distinct, None, None]
         return base, base[rng.integers(0, distinct, size=shape)]
 
-    @pytest.mark.parametrize("shape", [(40,), (3, 13)], ids=["flat", "leading-axes"])
+    # flat: one stack of 40; leading-axes: three stacks of 13, read in turn
+    @pytest.mark.parametrize("shape", [(1, 40), (3, 13)], ids=["flat", "leading-axes"])
     def test_repeats_are_bitwise_the_matrix_loop(self, shape):
-        _, stack = self._repeating(80, 5, shape)
-        out = expm(stack)
-        assert out.shape == stack.shape
+        _, stacks = self._repeating(80, 5, shape)
+        fam = self._family()
+        out = np.stack([fam.expm(stack) for stack in stacks])
+        assert out.shape == stacks.shape
         for idx in np.ndindex(*shape):
-            assert np.array_equal(out[idx], scipy.linalg.expm(stack[idx]))
+            assert np.array_equal(out[idx], scipy.linalg.expm(stacks[idx]))
 
     def test_scipy_receives_only_the_distinct_matrices(self):
-        base, stack = self._repeating(81, 6, (4, 10))
-        assert len({m.tobytes() for m in stack.reshape(-1, 3, 3)}) == 6
-        out, sent = _sent_to_scipy(stack)
+        base, stacks = self._repeating(81, 6, (4, 10))
+        assert len({m.tobytes() for m in stacks.reshape(-1, 3, 3)}) == 6
+        fam = self._family()
+        out, sent = _sent_to_scipy(fam, stacks)
         assert len(sent) == 6
         assert {m.tobytes() for m in sent} == {m.tobytes() for m in base}
-        assert np.array_equal(out, np.stack([[expm(a) for a in row] for row in stack]))
+        assert np.array_equal(out, [[expm(a) for a in row] for row in stacks])
+        again, sent = _sent_to_scipy(fam, [stacks[0], base])
+        assert sent == []
+        assert np.array_equal(again[1], expm(base))
 
     def test_signed_zeros_are_both_sent(self):
         pos = np.array([[0.0, 0.5], [0.25, 0.0]], dtype=complex)
         neg = pos.copy()
         neg[0, 0] = -0.0
         assert np.array_equal(pos, neg) and pos.tobytes() != neg.tobytes()
-        out, sent = _sent_to_scipy(np.stack([pos, neg, pos]))
+        fam = GeneratorFamily(LinearOrderGraph([0]), 2, lambda e: np.zeros((2, 2)))
+        (out,), sent = _sent_to_scipy(fam, [np.stack([pos, neg, pos])])
         assert len(sent) == 2
         assert np.array_equal(out, np.stack([expm(pos), expm(neg), expm(pos)]))
 
     def test_duplicate_rows_do_not_alias(self):
         _, stack = self._repeating(82, 1, (3,))
-        out = expm(stack)
+        fam = self._family()
         want = expm(stack[0])
+        out = fam.expm(stack)
         out[0] += 1.0
         assert np.array_equal(out[1], want) and np.array_equal(out[2], want)
+        assert all(np.array_equal(a, want) for a in fam.expm(stack))
 
 
 class TestExpDerivative:
