@@ -11,7 +11,6 @@ failure.
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -20,7 +19,7 @@ import sys
 # them, so that the word commands (normalize, group) start without them
 from . import rewrite
 from .errors import GraphDynError, InputError, PreconditionError, reading
-from .reports import CheckReport, defect_report, dumps, summarize
+from .reports import CheckReport, dumps, summarize
 
 SCHEMA = "graphdyn-report/1"
 
@@ -255,7 +254,8 @@ def _system_checks(system, tol, samples, rng):
     from . import dynamics
     fam = system["family"]
     if system["kind"] == "cptp":
-        yield _cptp_family_check(system, tol)
+        from . import dilate
+        yield dilate.check_cptp_family(system, tol)
         return
     yield dynamics.check_identity_axiom(fam, tol)
     floor = max(tol, dynamics.TRIPLE_TOL_FLOOR)
@@ -270,33 +270,7 @@ def _system_checks(system, tol, samples, rng):
             gens if gens is not None else fam, ell)
     net = system.get("network")
     if net is not None:
-        yield _network_defect_check(net, fam, tol)
-
-
-def _network_defect_check(net, fam, tol):
-    """phi(u,w) - phi(u,v) phi(v,w) against the v-avoiding path sum, over all
-    node triples; one path-sum sweep per (v, w) serves every u."""
-    import numpy as np
-    from . import dynamics, linops
-    nodes = net.nodes
-    zero = np.zeros((net.dim, net.dim), dtype=complex)
-    defects = np.empty((len(nodes),) * 3)
-    for b, v in enumerate(nodes):
-        avoiding = {w: dynamics._path_sums_into(net, w, avoid=v) for w in nodes if w != v}
-        diffs = [(zero if w == v or u == v else avoiding[w][u])
-                 - (fam((u, w)) - fam((u, v)) @ fam((v, w))) for u in nodes for w in nodes]
-        defects[:, b] = linops.screened_norms(np.stack(diffs), tol).reshape(len(nodes), -1)
-    return defect_report("network-defect-formula", defects.reshape(-1),
-                         list(itertools.product(nodes, repeat=3)), tol)
-
-
-def _cptp_family_check(system, tol):
-    """Per edge, the largest of its channel's ``dilate.cptp_defects``."""
-    from . import dilate, linops
-    d, edges = system["dim"], list(system["graph"].edges())
-    chois = linops.superop_to_choi(system["family"].stack(edges), d)
-    return defect_report("cptp-family", dilate.cptp_defects(chois, d).max(axis=-1),
-                         edges, tol)
+        yield dynamics.check_network_defect(net, fam, tol)
 
 
 def cmd_extend(args):

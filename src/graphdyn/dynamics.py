@@ -3,6 +3,8 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
@@ -296,9 +298,22 @@ def _node_triples(nodes, idx):
     return [(nodes[i], nodes[j], nodes[k]) for i, j, k in idx.tolist()]
 
 
-def _triple_check(name, fam, defect, tol, rng, count):
-    """Report on ``defect(phi(u,v), phi(v,w), phi(u,w))``, which maps three
-    (N, d, d) value stacks to N norms, over the ordered triples."""
+def _difference_norms(diffs, tol):
+    """``linops.screened_norms`` of an (N, d, d) stack of differences, where a
+    difference with a non-finite entry, which finite values reach by
+    overflow, has the defect inf."""
+    finite = np.isfinite(diffs).all(axis=(1, 2))
+    if finite.all():
+        return linops.screened_norms(diffs, tol)
+    out = np.full(len(diffs), np.inf)
+    out[finite] = linops.screened_norms(diffs[finite], tol)
+    return out
+
+
+def _triple_check(name, fam, difference, tol, rng, count):
+    """Report on the spectral norm of ``difference(phi(u,v), phi(v,w),
+    phi(u,w))``, which maps three (N, d, d) value stacks to N matrices, over
+    the ordered triples, by :func:`_difference_norms`."""
     nodes = fam.graph.nodes
     m = len(nodes)
     idx = _ordered_triples(fam.graph, rng, count)
@@ -314,7 +329,9 @@ def _triple_check(name, fam, defect, tol, rng, count):
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         edges = [(nodes[c // m], nodes[c % m]) for c in uniq[order].tolist()]
-        return defect(*np.split(fam.stack(edges)[rank[inverse]], 3))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf defects
+            diffs = difference(*np.split(fam.stack(edges)[rank[inverse]], 3))
+        return _difference_norms(diffs, tol)
 
     rep = defect_report(name, _blockwise(idx, block_defects), idx, tol)
     if rep.argmax is not None:  # a row of node indices
@@ -323,14 +340,12 @@ def _triple_check(name, fam, defect, tol, rng, count):
 
 
 def check_divisibility(fam, tol=1e-9, rng=None, count=None):
-    return _triple_check("divisibility-axiom", fam,
-                         lambda uv, vw, uw: linops.screened_norms(uw - uv @ vw, tol),
+    return _triple_check("divisibility-axiom", fam, lambda uv, vw, uw: uw - uv @ vw,
                          tol, rng, count)
 
 
 def check_additivity(gen, tol=1e-9, rng=None, count=None):
-    return _triple_check("additivity-axiom", gen,
-                         lambda uv, vw, uw: linops.screened_norms(uw - uv - vw, tol),
+    return _triple_check("additivity-axiom", gen, lambda uv, vw, uw: uw - uv - vw,
                          tol, rng, count)
 
 
@@ -499,6 +514,7 @@ class DagNetwork:
 
     def __init__(self, nodes, edges, weights, dim):
         self.nodes = tuple(dict.fromkeys(nodes))
+        self.index = {u: i for i, u in enumerate(self.nodes)}  # rows of walk_sums
         self.edges = [tuple(e) for e in edges]
         self.dim = int(dim)
         self.weights = {tuple(e): np.asarray(w, dtype=complex)
@@ -531,18 +547,23 @@ class DagNetwork:
         return self.weights[(u, v)]
 
 
-def _path_sums_into(net, target, avoid=None):
-    """Ordered weight-product sums over the walks from every node to
-    ``target`` that skip the node ``avoid``, by one reverse-topological sweep
-    (iterative, so chain depth is not bounded by the recursion limit)."""
-    eye = linops.eye(net.dim)
-    sums = {}
+def walk_sums(net, avoid=None):
+    """The ordered weight-product sums over the directed walks between all
+    node pairs, as an (n, n, dim, dim) array indexed like ``net.nodes``; the
+    empty walk puts the identity on the diagonal.  With ``avoid``, the
+    position of a node, only the walks that never touch that node count.
+    One reverse-topological sweep carries every target: a node's row is
+    ``row + W(x, z) @ sums[z]`` over its successors in order, one stacked
+    product per edge, bit for bit the sweep for one target alone."""
+    n, index = len(net.nodes), net.index
+    sums = np.zeros((n, n, net.dim, net.dim), dtype=complex)
     for x in reversed(net.order):
-        total = eye.copy() if x == target else np.zeros((net.dim, net.dim), dtype=complex)
-        for z in net.successors(x):
-            if z != avoid:
-                total = total + net.weight(x, z) @ sums[z]
-        sums[x] = total
+        i = index[x]
+        if i != avoid:
+            sums[i, i] = linops.eye(net.dim)
+            for z in net.successors(x):
+                if index[z] != avoid:
+                    sums[i] += net.weight(x, z) @ sums[index[z]]
     return sums
 
 
@@ -550,16 +571,11 @@ def network_family(net):
     """Path-sum family on the complete graph over the network's nodes:
     phi(u, v) sums the ordered weight products over all directed walks.
     Loops contribute the empty product, so phi(u, u) = 1."""
-    graph = CompleteGraph(net.nodes)
-    columns = {}
-
-    def phi(edge):
-        u, v = edge
-        if v not in columns:
-            columns[v] = _path_sums_into(net, v)
-        return columns[v][u]
-
-    return OperatorFamily(graph, net.dim, phi)
+    # swept on the first read, inside the family's evaluator, which names
+    # the first edge whose value overflows
+    sums = functools.cache(lambda: walk_sums(net))
+    return OperatorFamily(CompleteGraph(net.nodes), net.dim,
+                          lambda e: sums()[net.index[e[0]], net.index[e[1]]])
 
 
 def network_defect(net, u, v, w):
@@ -569,11 +585,25 @@ def network_defect(net, u, v, w):
     through v factor through the pair product; the rest is the defect).
     """
     for x in (u, v, w):
-        if x not in net._succ:
+        if x not in net.index:
             raise GraphError(f"node {x!r} is not in the network")
-    if u == v or w == v:
-        return np.zeros((net.dim, net.dim), dtype=complex)
-    return _path_sums_into(net, w, avoid=v)[u]
+    return walk_sums(net, avoid=net.index[v])[net.index[u], net.index[w]]
+
+
+def check_network_defect(net, fam, tol):
+    """phi(u,w) - phi(u,v) phi(v,w) against the v-avoiding path sum, over all
+    node triples, by :func:`_difference_norms`; one family stack, and one
+    sweep per v serves every (u, w)."""
+    nodes, d = net.nodes, net.dim
+    n = len(nodes)
+    phi = fam.stack(list(itertools.product(nodes, repeat=2))).reshape(n, n, d, d)
+    defects = np.empty((n, n, n))
+    for b in range(n):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf defects
+            diffs = walk_sums(net, avoid=b) - (phi - phi[:, b, None] @ phi[b])
+        defects[:, b] = _difference_norms(diffs.reshape(-1, d, d), tol).reshape(n, n)
+    return defect_report("network-defect-formula", defects.reshape(-1),
+                         list(itertools.product(nodes, repeat=3)), tol)
 
 
 # -- JSON system specs ------------------------------------------------------------
@@ -648,7 +678,8 @@ def _numeric_nodes(graph, field):
 
 def _order_and_dim(spec):
     """The linear order ``graph.order`` and the positive integer ``dim``."""
-    return LinearOrderGraph(spec["graph"]["order"]), _spec_number(spec, "dim", integer=True)
+    order = rewrite.nodes_from_literal(spec["graph"]["order"], "graph.order")
+    return LinearOrderGraph(order), _spec_number(spec, "dim", integer=True)
 
 
 def _build_explicit(spec, fam_spec):
@@ -681,7 +712,8 @@ def _build_network(spec, fam_spec):
              for i, e in enumerate(gspec["edges"])]
     edge_set = set(edges)
     weights = _edge_table(fam_spec, "weights", lambda t, h: (t, h) in edge_set)
-    net = DagNetwork(gspec["nodes"], edges, weights, dim)
+    net = DagNetwork(rewrite.nodes_from_literal(gspec["nodes"], "graph.nodes"), edges,
+                     weights, dim)
     fam = network_family(net)
     return {"graph": fam.graph, "family": fam, "network": net, "kind": "network"}
 

@@ -453,6 +453,21 @@ def edge_from_literal(lit, where):
     return tuple(lit)
 
 
+
+def nodes_from_literal(lit, where):
+    """Parse a node list, an array of distinct scalar node keys, into a tuple;
+    anything else, or a key listed twice, is an input error naming the field
+    ``where``."""
+    if not (isinstance(lit, list) and all(isinstance(key, _SCALAR_KEYS) for key in lit)):
+        raise InputError(f"malformed node list: {where} is {lit!r}, "
+                         "not an array of scalar node keys")
+    seen = set()
+    for key in lit:
+        if key in seen:
+            raise InputError(f"malformed node list: {where} lists the node {key!r} twice")
+        seen.add(key)
+    return tuple(lit)
+
 def word_from_literal(lit):
     """Parse a word literal: an array of letters, each an array
     ``[tail, head]`` of exactly two scalar node keys."""
@@ -472,6 +487,6 @@ def word_to_literal(w):
 @reading("graph spec")
 def context_from_spec(spec):
     """Parse a graph spec: {"nodes": [...], "edges": [[t, h], ...]}."""
-    return EdgeContext(list(spec["nodes"]),
+    return EdgeContext(nodes_from_literal(spec["nodes"], "graph.nodes"),
                        [edge_from_literal(e, f"graph.edges entry {i}")
                         for i, e in enumerate(spec.get("edges", []))])

@@ -3,8 +3,9 @@
 Each one is the direct, unbatched form of something the library computes
 another way: the formal tag/payload evaluation of a shift dilation, the
 additivity defect of one triple, the closed-form generators at one edge, the
-extension products of one element, the dense cover pass, the Kraus sum of a
-channel, a Haar-random unitary and channel specs.
+extension products of one element, the dense cover pass, the walk sums into
+one target, the Kraus sum of a channel, a Haar-random unitary and channel
+specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
 """
@@ -108,6 +109,22 @@ def dense_cover_segments(graph, w):
             start, cur = i, acc
     return tuple(segments)
 
+
+
+def path_sums_into(net, target, avoid=None):
+    """Ordered weight-product sums over the walks from every node to
+    ``target`` that skip the node ``avoid``, as ``{node: sum}``, by one
+    reverse-topological sweep for this target alone: ``total + W(x, z) @
+    sums[z]`` over the successors ``z`` of each node ``x`` in order."""
+    eye = linops.eye(net.dim)
+    sums = {}
+    for x in reversed(net.order):
+        total = eye.copy() if x == target else np.zeros((net.dim, net.dim), dtype=complex)
+        for z in net.successors(x):
+            if z != avoid:
+                total = total + net.weight(x, z) @ sums[z]
+        sums[x] = total
+    return sums
 
 def random_unitary(rng, d):
     """Haar-distributed unitary via QR of a Ginibre matrix."""

@@ -150,14 +150,14 @@ def _network_defect_formula():
     net = dynamics.DagNetwork(nodes, edges, {e: 0.3 * np.eye(2) for e in edges}, 2)
     other = dynamics.DagNetwork(nodes, edges, {("u", "v"): 0.6 * np.eye(2),
                                                ("v", "w"): 0.3 * np.eye(2)}, 2)
-    return cli._network_defect_check(net, dynamics.network_family(other), 1e-10)
+    return dynamics.check_network_defect(net, dynamics.network_family(other), 1e-10)
 
 
 def _cptp_family():
     # an amplitude-damping channel; at tolerance 0 its rounding defects fail
     ch = dilate.Channel.from_kraus([np.array([[1, 0], [0, 0.6]]),
                                     np.array([[0, 0.8], [0, 0]])])
-    return cli._cptp_family_check(cptp_system(LinearOrderGraph([0, 1]), {(0, 1): ch}), 0.0)
+    return dilate.check_cptp_family(cptp_system(LinearOrderGraph([0, 1]), {(0, 1): ch}), 0.0)
 
 
 def _reflection_dilation():

@@ -1,10 +1,11 @@
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from graphdyn import cli, linops, rewrite
+from graphdyn import cli, dynamics, linops, rewrite
 from graphdyn.linops import SIGMA_X, SIGMA_Z
 
 
@@ -212,6 +213,17 @@ class TestCheck:
         by_name = {c["name"]: c for c in body["checks"]}
         assert by_name["network-defect-formula"]["passed"]
 
+    def test_network_check_sweeps_once_per_avoided_node(self, capsys, monkeypatch,
+                                                         network_spec):
+        # one walk-sum sweep for the family and one per avoided node: n + 1
+        # for the 4-node diamond, not one per (avoided node, target) pair
+        calls, sweep = [], dynamics.walk_sums
+        monkeypatch.setattr(dynamics, "walk_sums",
+                            lambda net, avoid=None: calls.append(avoid) or sweep(net, avoid))
+        code, _, _ = run(capsys, "check", "--input", network_spec)
+        assert code == 0
+        assert calls == [None, 0, 1, 2, 3]
+
     def test_cptp_family_fails_at_tolerance_0(self, capsys, cptp_spec):
         # the random channels' CPTP defects are rounding, above 0: the report
         # names the worst edge with its finite defect and counts every edge
@@ -365,6 +377,85 @@ class TestSpecForms:
         code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec))
         assert (code, out) == (2, "")
         assert err == f"input error: value at edge {edge!r} has non-finite entries\n"
+
+    def test_a_network_walk_sum_that_overflows_exits_2(self, capsys, tmp_path):
+        # every weight is finite, but the walk a -> b -> c weighs 1e400; the
+        # sums are formed inside the family's evaluator, which names the edge
+        edges = [["a", "b"], ["b", "c"]]
+        spec = {"graph": {"nodes": ["a", "b", "c"], "edges": edges}, "dim": 1,
+                "family": {"kind": "network", "weights": [
+                    {"edge": e, "matrix": [[[1e200, 0]]]} for e in edges]}}
+        code, out, err = run(capsys, "check", "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == "input error: value at edge ('a', 'c') has non-finite entries\n"
+
+    def test_a_network_defect_that_overflows_fails_at_its_triple(self, capsys, tmp_path):
+        # the walks b -> c -> d and b -> d cancel, so every family value is
+        # finite; the walk a -> b -> d that avoids c weighs -1e400
+        weights = {("a", "b"): 1e100, ("b", "c"): 1.0, ("c", "d"): 1e300, ("b", "d"): -1e300}
+        spec = write_json(tmp_path / "s.json", {
+            "graph": {"nodes": ["a", "b", "c", "d"], "edges": [list(e) for e in weights]},
+            "dim": 1, "family": {"kind": "network", "weights": [
+                {"edge": list(e), "matrix": [[[v, 0]]]} for e, v in weights.items()]}})
+        code, out, _ = run(capsys, "check", "--input", spec)
+        assert code == 0
+        rep = {c["name"]: c for c in json.loads(out)["checks"]}["network-defect-formula"]
+        assert (rep["passed"], rep["max_defect"], rep["argmax"]) == (False, math.inf,
+                                                                      ["a", "c", "d"])
+
+    def test_a_triple_product_that_overflows_fails_at_its_triple(self, capsys, tmp_path):
+        # every value is 1e200, so phi(0,1) phi(1,2) overflows: that triple has
+        # the divisibility defect inf
+        spec = write_json(tmp_path / "s.json", {
+            "graph": {"order": [0, 1, 2]}, "dim": 1,
+            "family": {"kind": "explicit", "values": [
+                {"edge": e, "matrix": [[[1e200, 0]]]} for e in ([0, 1], [1, 2], [0, 2])]}})
+        code, out, _ = run(capsys, "check", "--input", spec)
+        assert code == 0
+        div = {c["name"]: c for c in json.loads(out)["checks"]}["divisibility-axiom"]
+        assert (div["passed"], div["max_defect"], div["argmax"]) == (False, math.inf, [0, 1, 2])
+        code, out, err = run(capsys, "dilate", "--pipeline", "B", "--input", spec)
+        assert (code, out) == (3, "")
+        assert err == ("precondition failure [divisibility]: divisibility defect inf at "
+                       "(0, 1, 2) exceeds 1.0e-09; the interval product would be ill-defined\n")
+
+    def test_a_generator_sum_that_overflows_fails_at_its_triple(self, capsys, tmp_path):
+        # imaginary generators keep every exponential finite, but
+        # A(0,2) - A(0,1) - A(1,2) = -3e308 i overflows
+        table = {(0, 1): 1e308, (1, 2): 1e308, (0, 2): -1e308}
+        spec = write_json(tmp_path / "s.json", {
+            "graph": {"order": [0, 1, 2]}, "dim": 1,
+            "family": {"kind": "exponential", "generators": [
+                {"edge": list(e), "matrix": [[[0, v]]]} for e, v in table.items()]}})
+        code, out, _ = run(capsys, "check", "--input", spec)
+        assert code == 0
+        add = {c["name"]: c for c in json.loads(out)["checks"]}["additivity-axiom"]
+        assert (add["passed"], add["max_defect"], add["argmax"]) == (False, math.inf, [0, 1, 2])
+
+    @pytest.mark.parametrize("bad, message", [
+        ("abc", "is 'abc', not an array of scalar node keys"),
+        ({"a": 1, "b": 2}, "is {'a': 1, 'b': 2}, not an array of scalar node keys"),
+        (None, "lists the node {} twice"),
+    ], ids=["string", "object", "repeated"])
+    @pytest.mark.parametrize("field", ["order", "network", "group"])
+    def test_a_node_list_of_distinct_scalar_keys(self, capsys, tmp_path, field, bad, message):
+        # a string was read as its characters, an object as its keys, and a
+        # network or group node list dropped a repeated node
+        if field == "order":
+            spec, argv, key = _explicit_spec({}), ("check",), "order"
+        elif field == "network":
+            spec, argv, key = _network_table_spec(), ("check",), "nodes"
+        else:
+            spec, argv = {"graph": {"nodes": ["a", "b", "c"], "edges": [["a", "b"]]}}, \
+                ("normalize", "--word", "[]")
+            key = "nodes"
+        nodes = spec["graph"][key]
+        if bad is None:  # the middle node again
+            bad, message = nodes + [nodes[1]], message.format(repr(nodes[1]))
+        spec["graph"][key] = bad
+        code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == f"input error: malformed node list: graph.{key} {message}\n"
 
     @pytest.mark.parametrize("kind", sorted(_EDGE_TABLES))
     def test_an_edge_listed_twice_exits_2(self, capsys, tmp_path, kind):

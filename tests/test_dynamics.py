@@ -15,11 +15,10 @@ from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
                                LinearOrderGraph, OperatorFamily,
                                check_additivity, check_divisibility,
                                check_geometric_growth, check_identity_axiom,
-                               check_schwarz_generator, descending_grid,
-                               dissipation_map, divisibility_defect,
+                               check_network_defect, check_schwarz_generator,
+                               descending_grid, dissipation_map, divisibility_defect,
                                example_indivisible, lindblad_generator,
-                               network_defect, network_family,
-                               proportional_length)
+                               network_defect, network_family, proportional_length)
 from graphdyn.errors import (AcyclicityError, DegeneracyError, DimensionError,
                              GraphError, InputError)
 from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, commutator_superop,
@@ -771,6 +770,15 @@ class TestNetworks:
         # node 0 is not on any walk from 1, so avoiding it removes nothing
         tail = np.diag(np.exp(1j * thetas[1:].sum(axis=0)))
         assert spectral_norm(network_defect(net, 1, 0, n - 1) - tail) < 1e-10
+
+    def test_a_null_node_key_carries_its_walks(self):
+        # compared by key with the default "avoid nothing", None was skipped
+        edges = [("a", None), (None, "c")]
+        net = DagNetwork(["a", None, "c"], edges, {e: 0.5 * np.eye(1) for e in edges}, 1)
+        fam = network_family(net)
+        assert fam(("a", None)) == 0.5 and fam(("a", "c")) == 0.25
+        assert network_defect(net, "a", None, "c") == 0
+        assert check_network_defect(net, fam, 1e-12).passed
 
     def test_cycle_rejected(self):
         with pytest.raises(AcyclicityError, match="^the weighted graph has a directed cycle$"):

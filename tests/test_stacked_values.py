@@ -1,13 +1,14 @@
-"""Values on linear orders are evaluated as arrays, bit for bit the per-edge
-and per-element computations.
+"""Values on linear orders and walk sums on networks are evaluated as
+arrays, bit for bit the per-edge, per-element and per-target computations.
 
 The closed-form generator families (the interpolation example and the
 ``(t - s) * rate`` kind) build a whole edge batch in one numpy expression,
-and both product extensions fold the products of a batch of elements
-together.  Each check compares bytes, so a signed zero or a last-bit
-difference fails.  The folds run one gemm per matrix, whichever OpenBLAS
-kernel is loaded; the last test runs the checks again on the Haswell kernel,
-the one OpenBLAS picks on an AVX2-only CPU.
+both product extensions fold the products of a batch of elements together,
+and one walk-sum sweep carries every target of a network.  Each check
+compares bytes, so a signed zero or a last-bit difference fails.  The folds
+and the sweep run one gemm per matrix, whichever OpenBLAS kernel is loaded;
+the last test runs the checks again on the Haswell kernel, the one OpenBLAS
+picks on an AVX2-only CPU.
 """
 
 import os
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdyn import dynamics, linops, rewrite
-from graphdyn.dynamics import LinearOrderGraph, OperatorFamily
+from graphdyn.dynamics import DagNetwork, LinearOrderGraph, OperatorFamily
 from graphdyn.extend import FirstCoverExtension, NormalFormExtension
 from graphdyn.sampling import random_dissipative, random_hermitian, random_matrix, rng_from_seed
 import oracles
@@ -111,6 +112,28 @@ class TestStackedValuesAreBitwise:
             assert_bitwise(ext.evaluate(g, extra)[None], [oracles.interval_value(fam, g, extra)])
 
 
+
+class TestWalkSumsAreBitwise:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=st.integers(1, 8), d=st.integers(1, 3),
+           p=st.sampled_from([0.3, 0.6, 1.0]))
+    def test_walk_sums_are_the_per_target_sweeps(self, seed, n, d, p):
+        # a random DAG whose node keys are not in topological order and whose
+        # edges, and so each node's successors, come in a random order
+        rng = rng_from_seed(seed)
+        rank = rng.permutation(n).tolist()
+        edges = [(u, v) for u in range(n) for v in range(n)
+                 if rank[u] < rank[v] and rng.random() < p]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        net = DagNetwork(range(n), edges, {e: random_matrix(rng, d, 0.7) for e in edges}, d)
+        zero = np.zeros((d, d), dtype=complex)
+        for avoid in [None, *range(n)]:
+            into = {w: oracles.path_sums_into(net, w, avoid) for w in net.nodes}
+            # a walk that starts or ends at the avoided node touches it
+            assert_bitwise(dynamics.walk_sums(net, avoid).reshape(-1, d, d),
+                           [zero if avoid in (u, w) else into[w][u]
+                            for u in net.nodes for w in net.nodes])
+
 def _has_avx2():
     try:
         with open("/proc/cpuinfo") as fh:
@@ -129,7 +152,7 @@ def test_bitwise_on_the_haswell_kernel():
                PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{here}::TestStackedValuesAreBitwise"],
+         f"{here}::TestStackedValuesAreBitwise", f"{here}::TestWalkSumsAreBitwise"],
         cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
-    assert "4 passed" in proc.stdout
+    assert "5 passed" in proc.stdout
