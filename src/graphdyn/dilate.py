@@ -100,13 +100,13 @@ def cptp_defects(choi, d):
                     axis=-1)
 
 
-
 def check_cptp_family(system, tol):
     """Per edge of a cptp system, the largest of its channel's
     :func:`cptp_defects`."""
     d, edges = system["dim"], list(system["graph"].edges())
     chois = linops.superop_to_choi(system["family"].stack(edges), d)
     return defect_report("cptp-family", cptp_defects(chois, d).max(axis=-1), edges, tol)
+
 
 def _kraus_isometry(ch, pad_to=None):
     """The coupling isometry of a channel as a (d, k, d) array ``w`` with

@@ -3,7 +3,6 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -514,7 +513,7 @@ class DagNetwork:
 
     def __init__(self, nodes, edges, weights, dim):
         self.nodes = tuple(dict.fromkeys(nodes))
-        self.index = {u: i for i, u in enumerate(self.nodes)}  # rows of walk_sums
+        self.index = {u: i for i, u in enumerate(self.nodes)}  # positions in walk_sums
         self.edges = [tuple(e) for e in edges]
         self.dim = int(dim)
         self.weights = {tuple(e): np.asarray(w, dtype=complex)
@@ -547,20 +546,18 @@ class DagNetwork:
         return self.weights[(u, v)]
 
 
-def walk_sums(net, avoid=None):
-    """The ordered weight-product sums over the directed walks between all
-    node pairs, as an (n, n, dim, dim) array indexed like ``net.nodes``; the
-    empty walk puts the identity on the diagonal.  With ``avoid``, the
-    position of a node, only the walks that never touch that node count.
-    One reverse-topological sweep carries every target: a node's row is
-    ``row + W(x, z) @ sums[z]`` over its successors in order, one stacked
-    product per edge, bit for bit the sweep for one target alone."""
-    n, index = len(net.nodes), net.index
-    sums = np.zeros((n, n, net.dim, net.dim), dtype=complex)
+def walk_sums(net, targets, avoid=None):
+    """Ordered weight-product sums over the walks from every node into each
+    of ``targets`` (positions in ``net.nodes``) that skip position ``avoid``,
+    as an (n, len(targets), dim, dim) array, from one reverse-topological
+    sweep that adds ``W(x, z) @ sums[z]`` over x's successors in order:
+    one stacked product per edge, bitwise the one-target sweep."""
+    targets, index, eye = np.asarray(targets, dtype=np.intp), net.index, linops.eye(net.dim)
+    sums = np.zeros((len(net.nodes), len(targets), net.dim, net.dim), dtype=complex)
     for x in reversed(net.order):
         i = index[x]
         if i != avoid:
-            sums[i, i] = linops.eye(net.dim)
+            sums[i, targets == i] = eye
             for z in net.successors(x):
                 if index[z] != avoid:
                     sums[i] += net.weight(x, z) @ sums[index[z]]
@@ -571,11 +568,15 @@ def network_family(net):
     """Path-sum family on the complete graph over the network's nodes:
     phi(u, v) sums the ordered weight products over all directed walks.
     Loops contribute the empty product, so phi(u, u) = 1."""
-    # swept on the first read, inside the family's evaluator, which names
-    # the first edge whose value overflows
-    sums = functools.cache(lambda: walk_sums(net))
-    return OperatorFamily(CompleteGraph(net.nodes), net.dim,
-                          lambda e: sums()[net.index[e[0]], net.index[e[1]]])
+    def stack(edges):  # one sweep carries the batch's distinct heads
+        for u, v in edges:  # the first non-edge, in order, is the error
+            if u not in net.index or v not in net.index:
+                raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
+        pos = np.array([(net.index[u], net.index[v]) for u, v in edges], dtype=np.intp)
+        targets, cols = np.unique(pos[:, 1], return_inverse=True)
+        return walk_sums(net, targets)[pos[:, 0], cols]
+
+    return OperatorFamily(CompleteGraph(net.nodes), net.dim, stack_fn=stack)
 
 
 def network_defect(net, u, v, w):
@@ -587,20 +588,20 @@ def network_defect(net, u, v, w):
     for x in (u, v, w):
         if x not in net.index:
             raise GraphError(f"node {x!r} is not in the network")
-    return walk_sums(net, avoid=net.index[v])[net.index[u], net.index[w]]
+    if u == v or w == v:  # every such walk touches v
+        return np.zeros((net.dim, net.dim), dtype=complex)
+    return walk_sums(net, [net.index[w]], avoid=net.index[v])[net.index[u], 0]
 
 
 def check_network_defect(net, fam, tol):
-    """phi(u,w) - phi(u,v) phi(v,w) against the v-avoiding path sum, over all
-    node triples, by :func:`_difference_norms`; one family stack, and one
-    sweep per v serves every (u, w)."""
-    nodes, d = net.nodes, net.dim
-    n = len(nodes)
+    """phi(u,w) - phi(u,v) phi(v,w) against the v-avoiding path sum over all
+    node triples, by :func:`_difference_norms`; one sweep per v."""
+    nodes, n, d = net.nodes, len(net.nodes), net.dim
     phi = fam.stack(list(itertools.product(nodes, repeat=2))).reshape(n, n, d, d)
     defects = np.empty((n, n, n))
     for b in range(n):
         with np.errstate(over="ignore", invalid="ignore"):  # inf defects
-            diffs = walk_sums(net, avoid=b) - (phi - phi[:, b, None] @ phi[b])
+            diffs = walk_sums(net, range(n), avoid=b) - (phi - phi[:, b, None] @ phi[b])
         defects[:, b] = _difference_norms(diffs.reshape(-1, d, d), tol).reshape(n, n)
     return defect_report("network-defect-formula", defects.reshape(-1),
                          list(itertools.product(nodes, repeat=3)), tol)

@@ -453,7 +453,6 @@ def edge_from_literal(lit, where):
     return tuple(lit)
 
 
-
 def nodes_from_literal(lit, where):
     """Parse a node list, an array of distinct scalar node keys, into a tuple;
     anything else, or a key listed twice, is an input error naming the field
@@ -467,6 +466,7 @@ def nodes_from_literal(lit, where):
             raise InputError(f"malformed node list: {where} lists the node {key!r} twice")
         seen.add(key)
     return tuple(lit)
+
 
 def word_from_literal(lit):
     """Parse a word literal: an array of letters, each an array

@@ -110,7 +110,6 @@ def dense_cover_segments(graph, w):
     return tuple(segments)
 
 
-
 def path_sums_into(net, target, avoid=None):
     """Ordered weight-product sums over the walks from every node to
     ``target`` that skip the node ``avoid``, as ``{node: sum}``, by one
@@ -125,6 +124,7 @@ def path_sums_into(net, target, avoid=None):
                 total = total + net.weight(x, z) @ sums[z]
         sums[x] = total
     return sums
+
 
 def random_unitary(rng, d):
     """Haar-distributed unitary via QR of a Ginibre matrix."""

@@ -215,14 +215,29 @@ class TestCheck:
 
     def test_network_check_sweeps_once_per_avoided_node(self, capsys, monkeypatch,
                                                          network_spec):
-        # one walk-sum sweep for the family and one per avoided node: n + 1
-        # for the 4-node diamond, not one per (avoided node, target) pair
+        # one walk-sum sweep per avoided node, carrying every target, not one
+        # per (avoided node, target) pair; the family sweeps once per batch
+        # it reads (the identity, divisibility and defect checks), each
+        # carrying only the batch's heads
         calls, sweep = [], dynamics.walk_sums
-        monkeypatch.setattr(dynamics, "walk_sums",
-                            lambda net, avoid=None: calls.append(avoid) or sweep(net, avoid))
+        monkeypatch.setattr(dynamics, "walk_sums", lambda net, targets, avoid=None:
+                            calls.append((avoid, list(targets))) or sweep(net, targets, avoid))
         code, _, _ = run(capsys, "check", "--input", network_spec)
         assert code == 0
-        assert calls == [None, 0, 1, 2, 3]
+        assert [c for c in calls if c[0] is not None] == [(b, [0, 1, 2, 3]) for b in range(4)]
+        assert len(calls) <= 4 + 3
+
+    def test_a_network_value_sweeps_only_its_head(self, monkeypatch):
+        # a single read carries one target column, not the whole network
+        edges = [("a", "b"), ("b", "c")]
+        net = dynamics.DagNetwork(["a", "b", "c"], edges, {e: 0.5 * np.eye(1) for e in edges}, 1)
+        calls, sweep = [], dynamics.walk_sums
+        monkeypatch.setattr(dynamics, "walk_sums", lambda net, targets, avoid=None:
+                            calls.append((avoid, list(targets))) or sweep(net, targets, avoid))
+        assert dynamics.network_family(net)(("a", "c")) == 0.25
+        assert dynamics.network_defect(net, "a", "b", "c") == 0
+        assert dynamics.network_defect(net, "a", "c", "c") == 0  # no sweep: w is v
+        assert calls == [(None, [2]), (1, [2])]
 
     def test_cptp_family_fails_at_tolerance_0(self, capsys, cptp_spec):
         # the random channels' CPTP defects are rounding, above 0: the report

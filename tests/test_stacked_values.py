@@ -112,7 +112,6 @@ class TestStackedValuesAreBitwise:
             assert_bitwise(ext.evaluate(g, extra)[None], [oracles.interval_value(fam, g, extra)])
 
 
-
 class TestWalkSumsAreBitwise:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, n=st.integers(1, 8), d=st.integers(1, 3),
@@ -127,12 +126,15 @@ class TestWalkSumsAreBitwise:
         edges = [edges[i] for i in rng.permutation(len(edges))]
         net = DagNetwork(range(n), edges, {e: random_matrix(rng, d, 0.7) for e in edges}, d)
         zero = np.zeros((d, d), dtype=complex)
+        some = rng.permutation(n)[:rng.integers(0, n + 1)].tolist()  # in any order
         for avoid in [None, *range(n)]:
             into = {w: oracles.path_sums_into(net, w, avoid) for w in net.nodes}
-            # a walk that starts or ends at the avoided node touches it
-            assert_bitwise(dynamics.walk_sums(net, avoid).reshape(-1, d, d),
-                           [zero if avoid in (u, w) else into[w][u]
-                            for u in net.nodes for w in net.nodes])
+            for targets in (range(n), some):
+                # a walk that starts or ends at the avoided node touches it
+                assert_bitwise(dynamics.walk_sums(net, targets, avoid).reshape(-1, d, d),
+                               [zero if avoid in (u, w) else into[w][u]
+                                for u in net.nodes for w in targets])
+
 
 def _has_avx2():
     try:
