@@ -99,33 +99,66 @@ def spectral_norm(a):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _gram_roots(x):
+    """``|X* X|_F^(1/2)`` per matrix of an (N, m, n) stack: an upper bound of
+    ``|X|_2`` that is never above ``|X|_F`` (Golub & Van Loan §2.3)."""
+    return np.sqrt(np.linalg.norm(dagger(x) @ x, axis=(1, 2)))
+
+
 def screened_norms(a, tol, shift=0.0, offenders=False):
     """``spectral_norm(a) - shift`` for an (N, m, n) stack, exact only where
-    it can decide a :func:`graphdyn.reports.defect_report` on ``tol``.  The
-    bound ``|A|_2 <= |A* A|_F^(1/2)`` (Golub & Van Loan §2.3) sends to the
-    SVD the matrix of the largest bound; then every matrix whose bound is not
-    below the largest value (ties and NaN too) unless it is at most
-    ``min(tol, 0)``; and with ``offenders`` every one not ``<= tol``.  The
-    rest get ``-inf``: not a witness, not failing, so no field moves."""
+    it can decide a :func:`graphdyn.reports.defect_report` on ``tol``.
+
+    Two upper bounds screen the SVD (Golub & Van Loan §2.3).  The Frobenius
+    bound ``|A|_2 <= |A|_F`` of every matrix sends the matrix of the largest
+    bound to the SVD.  The Gram bound ``|A|_2 <= |A* A|_F^(1/2)`` is formed
+    only for the matrices the Frobenius bound leaves open: not below that
+    first exact value, not at most ``min(tol, 0)``, and with ``offenders``
+    not within ``tol``.  Of those, the SVD gets the matrix of the largest
+    bound; then every matrix whose bound is not below the largest value (ties
+    and NaN too) unless it is at most ``min(tol, 0)``; and with ``offenders``
+    every one not ``<= tol``.  The rest get ``-inf``: not a witness, not
+    failing, so no field moves.  Only the first exact value can be an SVD
+    that a screen on the Gram bound alone would not run."""
     a = as_matrix(a, stack=True)
     if not a.size:
         return spectral_norm(a) - shift
-    shift = np.broadcast_to(shift, a.shape[:1])
-    # each matrix scaled exactly, by a power of two, to parts below 1
-    exp = np.frexp(np.maximum(abs(a.real), abs(a.imag)).max(axis=(1, 2)))[1]
-    x = np.ldexp(a.real, -exp[:, None, None]) + 1j * np.ldexp(a.imag, -exp[:, None, None])
-    gram = np.linalg.norm(dagger(x) @ x, axis=(1, 2))  # Frobenius, per matrix
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf - inf
-        # margin far over bound and SVD rounding (Higham ch. 6); both round once
-        hi = np.ldexp(np.sqrt(gram) * (1 + 1e-10), exp) - shift
-    exact = ~(hi <= tol) if offenders else np.zeros(len(a), dtype=bool)
-    exact[np.argmax(hi)] = True
-    out = np.full(len(a), -np.inf)
-    out[exact] = spectral_norm(a[exact]) - shift[exact]
-    # one pass: the largest value only grows past the bounds left below it
-    late = ~exact & ~(hi < out.max()) & ~(hi <= min(tol, 0.0))
-    if late.any():
-        out[late] = spectral_norm(a[late]) - shift[late]
+    n = len(a)
+    shift = np.broadcast_to(shift, (n,))
+    parts = np.ascontiguousarray(a).view(float).reshape(n, -1)
+    # each matrix scaled exactly, by a power of two, to parts below 1; the
+    # largest part reduces down the columns of the transposed parts, because
+    # a reduction along a short last axis costs numpy a loop per matrix
+    exp = np.frexp(np.abs(parts.T, order="C").max(axis=0))[1]
+    x = np.ldexp(parts, -exp[:, None])
+
+    def bound(root, rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf - inf
+            # margin far over bound and SVD rounding (Higham ch. 6); both round once
+            return np.ldexp(root * (1 + 1e-10), exp[rows]) - shift[rows]
+
+    def norms(rows):
+        return spectral_norm(a[rows]) - shift[rows]
+
+    hi = bound(np.sqrt(np.einsum("ij,ij->i", x, x)), slice(None))  # Frobenius
+    floor = min(tol, 0.0)
+    out = np.full(n, -np.inf)
+    first = np.argmax(hi)
+    out[first] = norms([first])[0]
+    todo = (~(hi < out[first]) | offenders & ~(hi <= tol)) & ~(hi <= floor)
+    todo[first] = False
+    if todo.any():
+        hi[todo] = bound(_gram_roots(x[todo].view(complex).reshape((-1,) + a.shape[1:])),
+                         todo)
+        exact = todo & ~(hi <= tol) if offenders else np.zeros(n, dtype=bool)
+        k = np.argmax(np.where(todo, hi, -np.inf))
+        exact[k] |= not hi[k] < out[first]
+        if exact.any():
+            out[exact] = norms(exact)
+        # one pass: the largest value only grows past the bounds left below it
+        late = todo & ~exact & ~(hi < out.max()) & ~(hi <= floor)
+        if late.any():
+            out[late] = norms(late)
     return out
 
 

@@ -5,19 +5,29 @@ one stable JSON schema for all of them; :func:`dumps` writes it.
 """
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckReport:
-    name: str
-    passed: bool
-    max_defect: float = 0.0
-    tolerance: float = 0.0
-    argmax: object = None
-    count: int = 0
-    offenders: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    """One check's result; two reports are equal when their fields are.  A
+    plain class, because importing ``dataclasses`` loads ``inspect`` into
+    every word command."""
+
+    __slots__ = ("name", "passed", "max_defect", "tolerance", "argmax", "count",
+                 "offenders", "details")
+
+    def __init__(self, name, passed, max_defect=0.0, tolerance=0.0, argmax=None,
+                 count=0, offenders=None, details=None):
+        self.name, self.passed = name, passed
+        self.max_defect, self.tolerance, self.argmax = max_defect, tolerance, argmax
+        self.count = count
+        self.offenders = [] if offenders is None else offenders
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, k) for k in self.__slots__]
+                == [getattr(other, k) for k in self.__slots__])
 
     def as_dict(self):
         return {

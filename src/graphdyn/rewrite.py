@@ -12,7 +12,6 @@ Node keys compare exactly (no tolerances): callers with float-valued time
 stamps must quantize them before building a context.
 """
 
-from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 from .errors import ContextError, InputError, reading
@@ -93,15 +92,35 @@ def complete_context(nodes):
     return EdgeContext(nodes, [(nodes[0], u) for u in nodes[1:]])
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """An edge-group element, stored by its irreducible normal form."""
+    """An edge-group element, stored by its irreducible normal form.
 
-    letters: Word
+    Immutable: ``letters`` has no setter.  Equality, hash and repr are those
+    of a frozen dataclass with the one field ``letters``; a plain class,
+    because importing ``dataclasses`` loads ``inspect`` into every word
+    command."""
 
-    def __post_init__(self):
-        if not is_irreducible(self.letters):
-            raise ValueError(f"word {self.letters!r} is not a normal form")
+    __slots__ = ("_letters",)
+
+    def __init__(self, letters):
+        if not is_irreducible(letters):
+            raise ValueError(f"word {letters!r} is not a normal form")
+        self._letters = letters
+
+    @property
+    def letters(self):
+        return self._letters
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(letters={self._letters!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._letters == other._letters
+
+    def __hash__(self):
+        return hash((self._letters,))
 
     def is_identity(self):
         return not self.letters
@@ -111,7 +130,7 @@ def _trusted(letters):
     """A group element from a word that is irreducible by construction,
     without the ``is_irreducible`` rescan of the public constructor."""
     g = object.__new__(GroupElement)
-    object.__setattr__(g, "letters", letters)
+    g._letters = letters
     return g
 
 

@@ -999,7 +999,7 @@ _COLD_START = """
 import contextlib, io, json, sys
 from graphdyn import cli
 WATCHED = ("numpy", "scipy", "scipy.linalg", "graphdyn.dilate", "graphdyn.dynamics",
-           "graphdyn.extend", "graphdyn.linops")
+           "graphdyn.extend", "graphdyn.linops", "dataclasses", "inspect")
 seen = [[0, [m for m in WATCHED if m in sys.modules]]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1035,10 +1035,12 @@ class TestColdStart:
 
         layers = ["graphdyn.dilate", "graphdyn.dynamics", "graphdyn.extend",
                   "graphdyn.linops"]
-        # after the import and each word command nothing is loaded; A-cptp
-        # loads numpy and the layers but not scipy
-        assert modules_after_each(words) == [[0, []]] * 4 + [[0, ["numpy", *layers]]]
+        # after the import and each word command nothing is loaded, not even
+        # dataclasses and the inspect it imports; A-cptp loads numpy (which
+        # imports inspect) and the layers but not scipy
+        assert modules_after_each(words) == [[0, []]] * 4 + [
+            [0, ["numpy", *layers, "dataclasses", "inspect"]]]
         # check needs neither dilate nor extend
         assert modules_after_each(check) == [
             [0, []], [0, ["numpy", "scipy", "scipy.linalg", "graphdyn.dynamics",
-                          "graphdyn.linops"]]]
+                          "graphdyn.linops", "dataclasses", "inspect"]]]

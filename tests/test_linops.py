@@ -646,16 +646,21 @@ class TestMatrixLiteral:
 @st.composite
 def screen_cases(draw):
     """A stack with exact ties, zero and rank-one matrices and entries whose
-    squares underflow or overflow; a shift with NaN and inf entries; and a
-    tolerance of 0 or next to one of the exact values."""
+    squares underflow or overflow; scaled unitaries next to witnesses whose
+    norm lies between their two bounds; a shift with NaN and inf entries; and
+    a tolerance of 0 or next to one of the exact values."""
     rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
     n, rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     base = 10.0 ** draw(st.sampled_from([0, 0, -5, -160, -200, -318, 155, 200, 300]))
+    r = min(rows, cols)
     mats = []
     for _ in range(n):
-        # the bound over the norm is 1 for rank one and r^(1/4) for a scaled
-        # identity, so the largest bound need not be the largest norm
-        kind = draw(st.sampled_from(["dense", "rank-one", "identity", "zero", "tie"]))
+        # over the norm, the Frobenius bound is r^(1/2) and the Gram bound
+        # r^(1/4) for a scaled unitary or identity, and both are 1 for rank
+        # one, so the largest bound need not be the largest norm; a witness
+        # of norm r^(3/8) beats a unitary's Frobenius bound, not its Gram one
+        kind = draw(st.sampled_from(["dense", "rank-one", "identity", "unitary",
+                                     "between", "zero", "tie"]))
         scale = base * draw(st.sampled_from([1.0, 1.0, 0.7, 1.2, 1e-3, 1e3]))
         if kind == "tie" and mats:
             mats.append(mats[draw(st.integers(0, len(mats) - 1))])
@@ -663,10 +668,13 @@ def screen_cases(draw):
             mats.append(np.zeros((rows, cols), dtype=complex))
         elif kind == "identity":
             mats.append(scale * np.eye(rows, cols, dtype=complex))
-        else:  # norm about ``scale``, as the identity's
+        elif kind == "unitary":  # r orthonormal columns or rows
+            mats.append(scale * random_unitary(rng, max(rows, cols))[:rows, :cols])
+        else:  # norm about ``scale``, as the identity's, or r^(3/8) times it
             m = np.outer(random_matrix(rng, rows)[:, 0], random_matrix(rng, cols)[0]) \
                 if kind == "rank-one" else random_matrix(rng, max(rows, cols))[:rows, :cols]
-            mats.append(scale * (m / spectral_norm(m)))
+            mats.append(scale * (r ** 0.375 if kind == "between" else 1.0)
+                        * (m / spectral_norm(m)))
     stack = np.stack(mats)
     norms = spectral_norm(stack)
     shift = 0.0
@@ -745,3 +753,28 @@ class TestScreenedNorms:
             got = linops.screened_norms(stack, tol, offenders=True)
         assert sum(seen) == 1 and got[123] == spectral_norm(stack[123])
         assert np.array_equal(linops.screened_norms(stack[:0], 1e-9), np.empty(0))
+
+    @pytest.mark.parametrize("offenders", [False, True])
+    def test_gram_product_sees_only_what_the_frobenius_bound_leaves_open(self, offenders):
+        rng = rng_from_seed(25)
+        stack = 1e-15 * (rng.standard_normal((512, 4, 4))
+                         + 1j * rng.standard_normal((512, 4, 4)))
+        bounds = np.linalg.norm(stack, axis=(1, 2)) * (1 + 1e-10)
+        first = np.argmax(bounds)
+        left_open = np.flatnonzero(bounds >= spectral_norm(stack[first]))
+        grams, svds = [], []
+        real_gram, real_svd = linops._gram_roots, linops._singular_values
+        with mock.patch.object(linops, "_gram_roots",
+                               side_effect=lambda x: grams.append(x) or real_gram(x)), \
+                mock.patch.object(linops, "_singular_values",
+                                  side_effect=lambda a: svds.append(len(a)) or real_svd(a)):
+            got = linops.screened_norms(stack, 1e-9, offenders=offenders)
+        # the first exact maximum is not sent again; the rest of what is open
+        # is, once, scaled by a power of two
+        (gram,) = grams
+        assert 0 < len(gram) == len(left_open) - 1 < 20
+        rest = left_open[left_open != first]
+        scale = stack[rest].real[:, :1, :1] / gram.real[:, :1, :1]
+        assert np.array_equal(gram * scale, stack[rest]) and (np.frexp(scale)[0] == 0.5).all()
+        # a screen on the Gram bound alone sends the SVD this one matrix too
+        assert sum(svds) == 1 and got.max() == spectral_norm(stack).max()
