@@ -525,15 +525,15 @@ def dilate_discrete(system, flavor="banach"):
     return _shift_pipeline("A", system, NormalFormExtension(system["family"]), flavor)
 
 
-def dilate_divisible(system, flavor="banach"):
+def dilate_divisible(system):
     """Continuous pipeline for divisible families with geometric growth:
     interval-product extension + shift dilation."""
     fam = system["family"]
     _require_growth(fam, system.get("ell"), "growth")
-    return _shift_pipeline("B", system, FirstCoverExtension(fam), flavor)
+    return _shift_pipeline("B", system, FirstCoverExtension(fam), "banach")
 
 
-def dilate_exponential(system, flavor="banach"):
+def dilate_exponential(system):
     """Continuous pipeline for exponential families with additive dissipative
     generators of geometric growth: generator-sum extension + shift dilation.
     The generators are used as given: ``system["family"]`` is their
@@ -542,7 +542,7 @@ def dilate_exponential(system, flavor="banach"):
     if not isinstance(gens, GeneratorFamily):
         raise PreconditionError("generators", "pipeline C needs a generator family")
     _require_growth(gens, system.get("ell"), "generator growth")
-    return _shift_pipeline("C", system, SecondCoverExtension(gens), flavor)
+    return _shift_pipeline("C", system, SecondCoverExtension(gens), "banach")
 
 
 def dilate_cptp(system):
@@ -600,12 +600,10 @@ def one_param_factorization(dilsys, t0, rng=None):
     op_defects = []
     sample_pairs = pairs if len(pairs) <= 24 else \
         [pairs[i] for i in rng.choice(len(pairs), size=24, replace=False)]
+    n = dil._shape[0]
     for (t, s) in sample_pairs:
-        n = dil.dim if dil.flavor == "banach" else dil.dim**2
-        payload = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if dil.flavor == "cstar":
-            payload = payload.reshape(dil.dim, dil.dim, order="F")
-        v = dil.embed(payload)
+        # shift only moves the payload, so it need not have the value's shape
+        v = dil.embed(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         tag = rewrite.random_element(ctx, rng, 2)
         v = dil.shift(tag, v)
         direct = dil.shift(rewrite.embed_edge(ctx, (t, s)), v)

@@ -642,6 +642,16 @@ def _edge_table(fam_spec, key, has_edge, field="matrix", parse=linops.matrix_fro
     return table
 
 
+def _matrix_table(fam_spec, key, graph, dim):
+    """:func:`_edge_table` of the graph's edges, each value a ``dim`` x ``dim``
+    matrix; an entry of another shape is an input error that names it."""
+    table = _edge_table(fam_spec, key, graph.has_edge)
+    for i, m in enumerate(table.values()):
+        if m.shape != (dim, dim):
+            raise InputError(f"family.{key} entry {i} has shape {m.shape}, but dim is {dim}")
+    return table
+
+
 def _edge_lookup(table, loop_value, what):
     """Edge -> table entry; loops missing from the table get ``loop_value``."""
     def lookup(edge):
@@ -685,7 +695,7 @@ def _order_and_dim(spec):
 
 def _build_explicit(spec, fam_spec):
     graph, dim = _order_and_dim(spec)
-    phi = _edge_lookup(_edge_table(fam_spec, "values", graph.has_edge), linops.eye(dim),
+    phi = _edge_lookup(_matrix_table(fam_spec, "values", graph, dim), linops.eye(dim),
                        "value supplied")
     return {"graph": graph, "family": OperatorFamily(graph, dim, phi),
             "kind": "explicit", "ell": _parse_ell(fam_spec, graph)}
@@ -699,7 +709,7 @@ def _build_exponential(spec, fam_spec):
         raw = _rate_generators(graph, rate)
     else:
         raw = GeneratorFamily(graph, dim, _edge_lookup(
-            _edge_table(fam_spec, "generators", graph.has_edge),
+            _matrix_table(fam_spec, "generators", graph, dim),
             np.zeros((dim, dim), dtype=complex), "generator"))
     gens = _scaled(raw, _spec_number(fam_spec, "alpha", 1.0), dim)
     return {"graph": graph, "family": gens.exponential(), "generators": gens,

@@ -49,12 +49,8 @@ class CoverFunction:
     def as_segment_dicts(self):
         """JSON-facing dump: endpoints as node keys."""
         nodes = self.graph.nodes
-        return [{"left": _plain(nodes[l]), "right": _plain(nodes[r]), "coeff": int(c)}
+        return [{"left": nodes[l], "right": nodes[r], "coeff": int(c)}
                 for (l, r, c) in self.segments]
-
-
-def _plain(key):
-    return key.item() if hasattr(key, "item") else key
 
 
 def cover_of_word(graph, w):

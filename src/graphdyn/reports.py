@@ -8,9 +8,8 @@ import json
 
 
 class CheckReport:
-    """One check's result; two reports are equal when their fields are.  A
-    plain class, because importing ``dataclasses`` loads ``inspect`` into
-    every word command."""
+    """One check's result.  A plain class, because importing ``dataclasses``
+    loads ``inspect`` into every word command."""
 
     __slots__ = ("name", "passed", "max_defect", "tolerance", "argmax", "count",
                  "offenders", "details")
@@ -22,12 +21,6 @@ class CheckReport:
         self.count = count
         self.offenders = [] if offenders is None else offenders
         self.details = {} if details is None else details
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, k) for k in self.__slots__]
-                == [getattr(other, k) for k in self.__slots__])
 
     def as_dict(self):
         return {
@@ -43,24 +36,18 @@ class CheckReport:
 
 
 def _jsonable(obj):
-    """Best-effort conversion to JSON-serialisable primitives."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    """A report field as JSON: a JSON scalar of exactly its type as it is, a
+    list or tuple as a list.  Any other type, a numpy float say, is a
+    checker's bug, so it raises rather than be written as something else."""
+    if obj is None or type(obj) in (bool, int, float, str):
         return obj
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
+    if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalar
-        return _jsonable(obj.item())
-    if hasattr(obj, "tolist"):  # numpy array
-        return _jsonable(obj.tolist())
-    return str(obj)
+    raise TypeError(f"a report field is a {type(obj).__name__}, not a JSON scalar or list")
 
 
 def defect_report(name, defects, keys, tol, *, floor=0.0, offenders=False,
-                  count=None, details=None):
+                  details=None):
     """The report on per-key ``defects``: it passes when every defect is at
     most ``tol``, so a NaN defect fails.
 
@@ -69,7 +56,7 @@ def defect_report(name, defects, keys, tol, *, floor=0.0, offenders=False,
     below at 0; with no such defect they are ``0.0`` and ``None``.  A signed
     check passes ``floor=-inf`` to name the key closest to failing even when
     every key passes.  ``offenders`` lists the first ten failing
-    ``(key, defect)`` pairs; ``count`` defaults to the number of defects."""
+    ``(key, defect)`` pairs; ``count`` is the number of defects."""
     import numpy as np
     defects = np.asarray(defects, dtype=float)
     failing = ~(defects <= tol)
@@ -81,8 +68,7 @@ def defect_report(name, defects, keys, tol, *, floor=0.0, offenders=False,
             # so a NaN stays NaN
             worst, arg = max(float(defects[i]), 0.0), keys[i]
     return CheckReport(
-        name, not failing.any(), worst, tol, arg,
-        count=defects.size if count is None else count,
+        name, not failing.any(), worst, tol, arg, count=defects.size,
         offenders=[(keys[i], float(defects[i]))
                    for i in np.flatnonzero(failing)[:10]] if offenders else [],
         details=details or {})
@@ -92,11 +78,6 @@ def bad_keys_report(name, bad, count, details=None):
     """The report of an exact check that lists its failing keys ``bad``."""
     return CheckReport(name, not bad, float(len(bad)), 0.0, count=count,
                        offenders=bad[:10], details=details or {})
-
-
-def summarize(reports):
-    """Aggregate pass flag over a list of reports."""
-    return all(r.passed for r in reports)
 
 
 # Containers nested deeper than this are written by json itself, so that a

@@ -23,9 +23,6 @@ class Letter(NamedTuple):
     head: Hashable
 
 
-Word = tuple  # tuple of Letter
-
-
 def word(pairs):
     """Build a word from an iterable of (tail, head) pairs."""
     return tuple(Letter(t, h) for t, h in pairs)
@@ -95,10 +92,10 @@ def complete_context(nodes):
 class GroupElement:
     """An edge-group element, stored by its irreducible normal form.
 
-    Immutable: ``letters`` has no setter.  Equality, hash and repr are those
-    of a frozen dataclass with the one field ``letters``; a plain class,
-    because importing ``dataclasses`` loads ``inspect`` into every word
-    command."""
+    Immutable: ``letters`` has no setter.  Two elements are equal when their
+    letters are, and hash and repr are those of a frozen dataclass with the
+    one field ``letters``; a plain class, because importing ``dataclasses``
+    loads ``inspect`` into every word command."""
 
     __slots__ = ("_letters",)
 
@@ -115,9 +112,7 @@ class GroupElement:
         return f"{type(self).__qualname__}(letters={self._letters!r})"
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._letters == other._letters
+        return other.__class__ is self.__class__ and self._letters == other._letters
 
     def __hash__(self):
         return hash((self._letters,))

@@ -492,6 +492,20 @@ class TestSpecForms:
         assert (code, out) == (2, "")
         assert err == f"input error: edge {tuple(outside)!r} is not an edge of the graph\n"
 
+    @pytest.mark.parametrize("argv", [("check", "--samples", "0"),
+                                      ("dilate", "--pipeline", "A")],
+                             ids=["check", "dilate-A"])
+    @pytest.mark.parametrize("kind", ["explicit", "exponential"])
+    def test_a_table_matrix_of_another_shape_exits_2(self, capsys, tmp_path, kind, argv):
+        # no check reads the edge (0, 2) without samples: read lazily, the
+        # 3 x 3 value passed check and failed dilate
+        spec, table, _ = _EDGE_TABLES[kind]()
+        _table(spec, table)[2]["matrix"] = linops.matrix_to_literal(0.25 * np.eye(3))
+        code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec))
+        assert (code, out) == (2, "")
+        assert err == (f"input error: family.{table[-1]} entry 2 has shape (3, 3), "
+                       "but dim is 2\n")
+
     @pytest.mark.parametrize("argv", [("check",), ("extend", "--word", '[["u", "v"]]')],
                              ids=["check", "extend"])
     def test_a_network_edge_listed_twice_exits_2(self, capsys, tmp_path, argv):
@@ -596,6 +610,75 @@ class TestSpecForms:
         code, out, err = run(capsys, *argv, "--input", path)
         assert (code, out) == (2, "")
         assert message in err
+
+
+def _indivisible_family(**fields):
+    family = {"kind": "indivisible-example", "h1": linops.matrix_to_literal(SIGMA_X),
+              "h2": linops.matrix_to_literal(SIGMA_Z)}
+    return {"family": dict(family, **fields)}
+
+
+def _network_with(edit):
+    spec = _network_table_spec()
+    edit(spec["graph"]["edges"], spec["family"]["weights"])
+    return spec
+
+
+def _cptp_with_choi(data):
+    spec = _cptp_table_spec()
+    spec["family"]["channels"][1]["channel"] = {"dim": 2, "repr": "choi", "data": data}
+    return spec
+
+
+# a loop value of 0.9 fails the identity axiom; 2 and 4 grow faster than ell = 0
+_LOOP_09 = {(0, 0): 0.9 * np.eye(2), (0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): np.eye(2)}
+_GROWING = _explicit_spec({(0, 1): 2 * np.eye(2), (1, 2): 2 * np.eye(2),
+                           (0, 2): 4 * np.eye(2)})
+_GROWING["family"]["ell"] = {"kind": "proportional", "scale": 0}
+_3X3 = linops.matrix_to_literal(np.eye(3))
+
+# (argv without --input, spec or None, exit code, the whole of stderr)
+_EXITS = {
+    "check-without-input": (("check",), None, 2,
+                            "input error: --input is required for this command"),
+    "extend-without-word": (("extend",), _explicit_spec({}), 2,
+                            "input error: no word given (flag or spec field)"),
+    "cover2-of-explicit": (("extend", "--which", "cover2", "--word", "[[0, 1]]"),
+                           _explicit_spec({}), 2,
+                           "input error: cover2 extension needs a generator family"),
+    "B-loop-0.9": (("dilate", "--pipeline", "B"), _explicit_spec(_LOOP_09), 3,
+                   "precondition failure [identity]: identity axiom fails: 1.000e-01"),
+    "cover1-loop-0.9": (("extend", "--which", "cover1", "--word", "[[0, 1]]"),
+                        _explicit_spec(_LOOP_09), 3,
+                        "precondition failure [identity]: identity axiom fails: 1.000e-01"),
+    "B-ell-scale-0": (("dilate", "--pipeline", "B"), _GROWING, 3,
+                      "precondition failure [geometric-growth]: growth bound fails by "
+                      "3.000e+00 at (0, 2)"),
+    "grid-points-1": (("check",), _indivisible_family(grid_points=1), 2,
+                      "input error: need at least two grid points"),
+    "h1-2x2-h2-3x3": (("check",), _indivisible_family(h2=_3X3), 2,
+                      "input error: shape mismatch: (2, 2) vs (3, 3)"),
+    "network-edge-without-weight": (
+        ("check",), _network_with(lambda edges, weights: weights.pop()), 2,
+        "input error: edge ('v', 'w') has no weight"),
+    "network-weight-3x3": (
+        ("check",), _network_with(lambda edges, weights: weights[1].update(matrix=_3X3)),
+        2, "input error: weight at ('v', 'w') has wrong shape"),
+    "network-edge-to-unknown-node": (
+        ("check",), _network_with(lambda edges, weights: (
+            edges.append(["w", "x"]), weights.append(dict(weights[0], edge=["w", "x"])))),
+        2, "input error: edge ('w', 'x') uses unknown nodes"),
+    "choi-3x3-at-dim-2": (("check",), _cptp_with_choi(_3X3), 2,
+                          "input error: Choi matrix has shape (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXITS))
+def test_reachable_exit(capsys, tmp_path, case):
+    argv, spec, code, message = _EXITS[case]
+    if spec is not None:
+        argv += ("--input", write_json(tmp_path / "s.json", spec))
+    assert run(capsys, *argv) == (code, "", message + "\n")
 
 
 _BAD_INTEGERS = [("x", "string"), (True, "bool"), (None, "null"), (2.0, "float"),

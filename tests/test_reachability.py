@@ -37,7 +37,6 @@ DEMOS = pathlib.Path(__file__).parents[1] / "demos"
 UNREACHED = {
     "dynamics.commuting_evolution": "acceptance criteria 6, 7, 8 and 11",
     "linops.exp_derivative": "acceptance criterion 4",
-    "reports.CheckReport.__eq__": "reports compare by their fields, as the dataclass did",
     "rewrite.GroupElement.__repr__": "the exit-3 line of a failing dilate precondition "
                                      "names the group element by it",
     "sampling.random_dissipative": "acceptance criteria 3, 6, 7, 8 and 11",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdyn import reports
-from graphdyn.reports import bad_keys_report, defect_report, dumps
+from graphdyn.reports import CheckReport, bad_keys_report, defect_report, dumps
 
 
 def oracle(obj):
@@ -157,10 +157,22 @@ class TestDefectReport:
         assert defect_report("d", defects, keys, 2.5).offenders == []
 
     def test_count_and_details(self):
-        rep = defect_report("d", [0.0, 1.0], "ab", 0.0, count=7,
-                            details={"bound": 1.0})
-        assert (rep.count, rep.details) == (7, {"bound": 1.0})
+        rep = defect_report("d", [0.0, 1.0], "ab", 0.0, details={"bound": 1.0})
+        assert (rep.count, rep.details) == (2, {"bound": 1.0})
         assert defect_report("d", [0.0], "a", 0.0).details == {}
+
+
+class TestAsDict:
+    @pytest.mark.parametrize("field", ["argmax", "offenders", "details"])
+    @pytest.mark.parametrize("value", [np.float64(0.5), 1j, {"a": 1}, {"a"}],
+                             ids=["numpy-float", "complex", "dict", "set"])
+    def test_any_other_type_raises(self, field, value):
+        # a numpy float is a float to isinstance, but not a JSON scalar
+        rep = CheckReport("r", True, argmax=[value] if field == "argmax" else None,
+                          offenders=[("k", value)] if field == "offenders" else None,
+                          details={"x": value} if field == "details" else None)
+        with pytest.raises(TypeError, match=type(value).__name__):
+            rep.as_dict()
 
 
 class TestBadKeysReport:
