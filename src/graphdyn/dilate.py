@@ -9,6 +9,7 @@ are finitely supported tag/payload lists, so the representation laws hold
 exactly at the tag level.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,29 +41,20 @@ class Channel:
 
     def __init__(self, dim, choi):
         self.dim = int(dim)
-        self.choi = linops.as_matrix(choi)
-        if self.choi.shape != (self.dim**2, self.dim**2):
-            raise NotCPTPError(f"Choi matrix has shape {self.choi.shape}")
+        self.choi = _choi_matrix(self.dim, choi)
         self.validate()
 
     def validate(self):
-        """Raise NotCPTPError unless the Choi matrix passes :func:`cptp_defects`
-        (PSD, then trace preservation) to ``linops.DEFAULT_TOL``."""
-        tol = linops.DEFAULT_TOL
-        herm, negative, tp = cptp_defects(self.choi, self.dim)
-        if max(herm, negative) > tol:
-            raise NotCPTPError("Choi matrix is not positive semidefinite")
-        if tp > tol:
-            raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
+        """Raise NotCPTPError unless the Choi matrix passes
+        :func:`validate_chois`."""
+        validate_chois([self.choi])
 
     @property
     def kraus(self):
-        """The Kraus list of the Choi matrix's eigendecomposition, as a
-        (k, d, d) stack: eigenvalues above 1e-12 relative to the largest one
-        are kept, so there are at most d^2 operators."""
-        w, v = np.linalg.eigh(linops.hermitian_part(self.choi))
-        keep = w > 1e-12 * max(w.max(), 1.0)
-        return (np.sqrt(w[keep])[:, None] * v.T[keep]).reshape(-1, self.dim, self.dim)
+        """The Kraus list of :func:`kraus_stacks`, as a (k, d, d) stack of the
+        k <= d^2 operators it keeps."""
+        ks, counts = kraus_stacks(self.choi[None], self.dim)
+        return ks[0, :counts[0]]
 
     def apply(self, s):
         """The channel at ``s``: a d x d matrix or a (..., d, d) stack."""
@@ -89,6 +81,14 @@ class Channel:
         return cls.from_kraus(random_kraus_ops(rng, d))
 
 
+def _choi_matrix(dim, choi):
+    """``choi`` as a finite complex matrix of the shape (dim^2, dim^2)."""
+    choi = linops.as_matrix(choi)
+    if choi.shape != (dim**2, dim**2):
+        raise NotCPTPError(f"Choi matrix has shape {choi.shape}")
+    return choi
+
+
 def cptp_defects(choi, d):
     """The CPTP defects of a Choi matrix, or of each matrix of a stack, along
     a last axis of three: the Hermiticity defect ``|C - C*|``, the negative of
@@ -100,6 +100,35 @@ def cptp_defects(choi, d):
                     axis=-1)
 
 
+def validate_chois(chois):
+    """Raise NotCPTPError for the first Choi matrix of the list, in order,
+    whose :func:`cptp_defects` exceed ``linops.DEFAULT_TOL``: not PSD (either
+    of the first two), then not trace preserving.
+
+    The matrices of one size are checked as one stack.  A stack that raises
+    on its own is checked again one matrix at a time, in order, so the error
+    of the first matrix that fails is the one raised."""
+    tol = linops.DEFAULT_TOL
+    groups, rows = {}, [None] * len(chois)
+    for i, choi in enumerate(chois):
+        groups.setdefault(len(choi), []).append(i)
+    for n, idx in groups.items():
+        try:
+            defects = cptp_defects(np.array([chois[i] for i in idx]), math.isqrt(n))
+        except Exception:
+            if len(chois) > 1:
+                for choi in chois:
+                    validate_chois([choi])
+            raise
+        for i, row in zip(idx, defects.tolist()):
+            rows[i] = row
+    for herm, negative, tp in rows:
+        if max(herm, negative) > tol:
+            raise NotCPTPError("Choi matrix is not positive semidefinite")
+        if tp > tol:
+            raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
+
+
 def check_cptp_family(system, tol):
     """Per edge of a cptp system, the largest of its channel's
     :func:`cptp_defects`."""
@@ -108,21 +137,21 @@ def check_cptp_family(system, tol):
     return defect_report("cptp-family", cptp_defects(chois, d).max(axis=-1), edges, tol)
 
 
-def _kraus_isometry(ch, pad_to=None):
-    """The coupling isometry of a channel as a (d, k, d) array ``w`` with
-    ``w[a, i, c] = K_i[a, c]``: reshaped to (d k, d) it maps xi to the stack of
-    the K_i xi tagged by i.  ``pad_to`` zero-pads the Kraus list to that many
-    operators."""
-    ks = ch.kraus
-    d, k = ch.dim, len(ks)
-    if pad_to is None:
-        pad_to = k
-    elif pad_to < k:
-        raise InputError(f"{k} Kraus operators do not fit in {pad_to} "
-                         "environment slots")
-    w = np.zeros((d, pad_to, d), dtype=complex)
-    w[:, :k] = ks.transpose(1, 0, 2)
-    return w
+def kraus_stacks(chois, d):
+    """The Kraus lists of a (E, d^2, d^2) stack of Choi matrices, read off
+    one stacked eigendecomposition, as a (E, d^2, d, d) stack and the number
+    of operators of each list.
+
+    A list holds, in ascending order of eigenvalue, the eigenvectors of the
+    eigenvalues above 1e-12 relative to the largest one (and to 1), scaled by
+    their square roots and reshaped to d x d; its remaining slots are zero."""
+    w, v = np.linalg.eigh(linops.hermitian_part(chois))
+    keep = w > 1e-12 * np.maximum(w.max(axis=-1), 1.0)[:, None]
+    counts = keep.sum(axis=-1)
+    ks = np.zeros(w.shape + (d, d), dtype=complex)
+    ks[np.arange(d * d) < counts[:, None]] = (
+        np.sqrt(w[keep])[:, None] * v.swapaxes(-1, -2)[keep]).reshape(-1, d, d)
+    return ks, counts
 
 
 def isometric_partition(ch):
@@ -131,7 +160,7 @@ def isometric_partition(ch):
     v_i embeds xi into slot i.  The identities v*v = 1, v_j* v_i = delta 1,
     sum v_i v_i* = 1 and K_i* = v* v_i are all verified before returning.
     """
-    w = _kraus_isometry(ch)
+    w = ch.kraus.transpose(1, 0, 2)  # w[a, i, c] = K_i[a, c]
     d, k = w.shape[:2]
     v = w.reshape(d * k, d)
     parts = [linops.tensor(eye(d), eye(k)[:, [i]]) for i in range(k)]
@@ -148,19 +177,51 @@ def isometric_partition(ch):
     return v, parts
 
 
-def _reduced_action(u, env, s):
-    """``Tr_env(V s V*)`` with ``V = u (1 (x) e_0)``: the reduced action on
-    ``s (x) |e_0><e_0|`` of a unitary ``u`` on system (x) environment, for a
-    d x d matrix or a (..., d, d) stack ``s``.
+def _env_column(u, env):
+    """``V = u (1 (x) e_0)``, the first environment column of a unitary ``u``
+    on system (x) environment, as a (d, env, d) array: d columns in all."""
+    d = len(u) // env
+    return u.reshape(d, env, d, env)[..., 0]
 
-    V is the first environment column of u, d columns in all, so this costs
-    O(n d^2) for ``n = dim u``; the n x n product state is never formed.
+
+def _reduced_action(v, s):
+    """``Tr_env(V s V*)``: the reduced action on ``s (x) |e_0><e_0|`` of the
+    unitary with first environment column V, for each V of a contiguous
+    (E, d, env, d) stack ``v`` of :func:`_env_column` arrays, at a d x d matrix
+    or at each matrix of an (M, d, d) stack ``s``: an (E, d, d) or
+    (E, M, d, d) stack.
+
+    This costs O(n d^2) per unitary and matrix for ``n = d env``; the n x n
+    product state is never formed.
     """
-    d = u.shape[0] // env
-    v = np.ascontiguousarray(u.reshape(d, env, d, env)[..., 0])
+    d = v.shape[1]
     s = np.asarray(s, dtype=complex)
-    vs = (v @ s[..., None, :, :]).reshape(s.shape[:-2] + (d, -1))
-    return vs @ dagger(v.reshape(d, -1))
+    lead = (len(v),) + (1,) * (s.ndim - 2)
+    vs = v.reshape(lead + v.shape[1:]) @ s[..., None, :, :]
+    vs = vs.reshape(vs.shape[:-3] + (d, -1))
+    return vs @ dagger(v.reshape(lead + (d, -1)))
+
+
+def reflection_unitaries(ks):
+    """The reflection unitaries of an (E, k, d, d) stack of Kraus lists, as
+    an (E, n, n) stack for ``n = d (d + d k)``.
+
+    The coupling isometry ``D = sum_i K_i (x) 1 (x) slot_i`` maps H (x) H into
+    H (x) (H (x) C^k); over the two environment summands H and H (x) C^k the
+    block operator [[0, D*], [D, 1 - D D*]] is then a self-adjoint unitary."""
+    e, k, d = ks.shape[:3]
+    env = d + d * k
+    # dmat[., a, b, i, c, b'] = K_i[a, c] if b = b', else 0
+    dmat = np.zeros((e, d, d, k, d, d), dtype=complex)
+    for b in range(d):
+        dmat[:, :, b, :, :, b] = ks.transpose(0, 2, 1, 3)
+    dmat = dmat.reshape(e, d * d * k, d * d)
+    u = np.zeros((e, d, env, d, env), dtype=complex)
+    u[:, :, :d, :, d:] = dagger(dmat).reshape(e, d, d, d, d * k)
+    u[:, :, d:, :, :d] = dmat.reshape(e, d, d * k, d, d)
+    dd = dmat @ dagger(dmat)
+    u[:, :, d:, :, d:] = np.subtract(eye(d * d * k), dd, out=dd).reshape(e, d, d * k, d, d * k)
+    return u.reshape(e, d * env, d * env)
 
 
 @dataclass
@@ -175,7 +236,8 @@ class KrausDilation:
     unitary: np.ndarray
 
     def reconstructed(self, s):
-        return _reduced_action(self.unitary, self.env_dim, s)
+        v = _env_column(self.unitary, self.env_dim)
+        return _reduced_action(np.ascontiguousarray(v[None]), s)[0]
 
     def verify(self, ch, tol=1e-10):
         u = self.unitary
@@ -192,27 +254,21 @@ class KrausDilation:
 
 
 def kraus_ii_dilation(ch, pad_to=None):
-    """Reflection dilation of a channel with environment H + H (x) C^k.
-
-    The coupling isometry ``D = sum_i K_i (x) 1 (x) slot_i`` maps H (x) H into
-    H (x) (H (x) C^k); over the two environment summands the block operator
-    [[0, D*], [D, 1 - D D*]] is then a self-adjoint unitary.  The environment
-    state is e_0.  ``pad_to`` zero-pads the Kraus list so families of channels
-    can share one environment.
+    """Reflection dilation of a channel with environment H + H (x) C^k: the
+    :func:`reflection_unitaries` of its Kraus list, whose environment state
+    is e_0.  ``pad_to`` zero-pads the Kraus list to that many operators, so
+    families of channels can share one environment.
     """
-    w = _kraus_isometry(ch, pad_to)
-    d, k = w.shape[:2]
-    env = d + d * k
-    # dmat[a, b, i, c, b'] = K_i[a, c] if b = b', else 0
-    dmat = np.zeros((d, d, k, d, d), dtype=complex)
-    for b in range(d):
-        dmat[:, b, :, :, b] = w
-    dmat = dmat.reshape(d * d * k, d * d)
-    u = np.zeros((d, env, d, env), dtype=complex)
-    u[:, :d, :, d:] = dagger(dmat).reshape(d, d, d, d * k)
-    u[:, d:, :, :d] = dmat.reshape(d, d * k, d, d)
-    u[:, d:, :, d:] = (eye(d * d * k) - dmat @ dagger(dmat)).reshape(d, d * k, d, d * k)
-    return KrausDilation(d, env, u.reshape(d * env, d * env))
+    ks = ch.kraus
+    d, k = ch.dim, len(ks)
+    if pad_to is None:
+        pad_to = k
+    elif pad_to < k:
+        raise InputError(f"{k} Kraus operators do not fit in {pad_to} "
+                         "environment slots")
+    padded = np.zeros((1, pad_to, d, d), dtype=complex)
+    padded[0, :k] = ks
+    return KrausDilation(d, d + d * pad_to, reflection_unitaries(padded)[0])
 
 
 # -- unitary representation dilation of a channel family ------------------------
@@ -278,17 +334,33 @@ class VedDilation:
         self._unitaries = {rewrite.identity(): eye(self.dim * self.env_dim)}
 
     def unitary_of(self, x):
-        u = self._unitaries.get(x)
-        return self._dilate(x, self.ext(x)) if u is None else u
+        if x not in self._unitaries:
+            self._dilate([x], self.ext(x)[None])
+        return self._unitaries[x]
 
-    def _dilate(self, x, value):
-        """The unitary at ``x``, from the extension's superoperator ``value``
-        there; cached per element."""
-        u = self._unitaries.get(x)
-        if u is None:
-            ch = Channel(self.dim, linops.superop_to_choi(value, self.dim))
-            u = self._unitaries.setdefault(x, kraus_ii_dilation(ch, pad_to=self.k).unitary)
-        return u
+    def _dilate(self, xs, values):
+        """Cache the unitaries at the elements ``xs`` from the extension's
+        superoperators ``values`` there.  The distinct uncached elements are
+        validated, decomposed and dilated as one stack: the first one in order
+        that is not a channel raises.  A stack that raises is dilated again
+        one element at a time, in order, so the first element that fails
+        raises its own error."""
+        todo = {}
+        for x, value in zip(xs, values):
+            if x not in self._unitaries:
+                todo.setdefault(x, value)
+        if not todo:
+            return
+        try:
+            chois = linops.superop_to_choi(np.stack(list(todo.values())), self.dim)
+            validate_chois(chois)
+            us = reflection_unitaries(kraus_stacks(chois, self.dim)[0])
+        except Exception:
+            if len(todo) > 1:
+                for x, value in todo.items():
+                    self._dilate([x], value[None])
+            raise
+        self._unitaries.update(zip(todo, us))
 
     def apply(self, x, v):
         """The representation on finitely supported vectors."""
@@ -300,15 +372,21 @@ class VedDilation:
     def verify_element(self, x, s):
         """Trace-norm defect between the dilated action at ``x`` and the
         extension's channel, at a d x d matrix or per matrix of a stack ``s``."""
-        return trace_norm(self._element_defect(x, s, self.ext(x)))
+        return trace_norm(self._element_defects([x], s, self.ext(x)[None])[0])
 
-    def _element_defect(self, x, s, value):
-        """The dilated action at ``x`` minus the extension's channel ``value``
-        there, at ``s``.  The product state sits at the group-identity tag,
-        and U(x) moves it to tag x with payload u(x) (s (x) |e_0><e_0|) u(x)*,
-        so the reduced action of u(x) is the dilated channel at x."""
-        reduced = _reduced_action(self._dilate(x, value), self.env_dim, s)
-        return reduced - linops.superop_apply(value, s)
+    def _element_defects(self, xs, s, values):
+        """The dilated action at each element of ``xs`` minus the extension's
+        channel there, whose superoperators are ``values``, at ``s``: one
+        (d, d) or (M, d, d) block per element.  The product state sits at the
+        group-identity tag, and U(x) moves it to tag x with payload
+        u(x) (s (x) |e_0><e_0|) u(x)*, so the reduced action of u(x) is the
+        dilated channel at x."""
+        self._dilate(xs, values)
+        reduced = _reduced_action(np.stack([_env_column(self._unitaries[x], self.env_dim)
+                                            for x in xs]), s)
+        s = np.asarray(s, dtype=complex)
+        return reduced - linops.superop_apply(
+            values.reshape((len(values),) + (1,) * (s.ndim - 2) + values.shape[1:]), s)
 
 
 # -- shift dilation of contraction families on groups ---------------------------
@@ -459,7 +537,7 @@ class DilatedSystem:
             vals = self.extension.stack(gs)
             diffs = np.concatenate([
                 linops.superop_apply((vals - fam.stack(edges))[:, None], units),
-                [self.dilation._element_defect(g, units, v) for g, v in zip(gs, vals)]], axis=1)
+                self.dilation._element_defects(gs, units, vals)], axis=1)
             return defect_report("dilation-reconstruction",
                                  trace_norm(diffs).max(axis=1), edges, tol)
         defects = _blockwise(edges, lambda es: linops.screened_norms(
@@ -633,17 +711,18 @@ def one_param_factorization(dilsys, t0, rng=None):
 # -- JSON channel specs ------------------------------------------------------------
 
 @reading("channel spec")
-def channel_from_spec(spec):
-    """{"dim": d, "repr": "choi"|"kraus", "data": matrix literal(s)}."""
+def choi_from_spec(spec):
+    """{"dim": d, "repr": "choi"|"kraus", "data": matrix literal(s)}, read
+    as a finite (d^2, d^2) Choi matrix, not yet validated."""
     d = _spec_number(spec, "dim", integer=True)
     repr_kind, data = spec["repr"], spec["data"]
     if repr_kind == "choi":
-        return Channel(d, linops.matrix_from_literal(data))
+        return _choi_matrix(d, linops.matrix_from_literal(data))
     if repr_kind == "kraus":
         ks = [linops.matrix_from_literal(k) for k in data]
         for i, k in enumerate(ks):
             if k.shape != (d, d):
                 raise InputError(f"channel dim is {d}, but Kraus operator {i} "
                                  f"has shape {k.shape}")
-        return Channel.from_kraus(ks)
+        return _choi_matrix(d, linops.superop_to_choi(linops.kraus_superop(ks), d))
     raise InputError(f"unknown channel repr {repr_kind!r}")

@@ -626,26 +626,28 @@ def build_system(spec):
     return builder(spec, fam_spec)
 
 
-def _edge_table(fam_spec, key, has_edge, field="matrix", parse=linops.matrix_from_literal):
-    """{edge: parsed value} from ``fam_spec[key]``, a list
-    ``[{"edge": [t, h], field: ...}, ...]``.  A malformed edge literal, an
-    edge that ``has_edge(t, h)`` rejects, or one listed twice, is an input
-    error: none can be misread, dropped or overwritten unseen."""
-    table = {}
+def _edge_entries(fam_spec, key, has_edge, field="matrix", parse=linops.matrix_from_literal):
+    """The (edge, parsed value) pairs of ``fam_spec[key]``, a list
+    ``[{"edge": [t, h], field: ...}, ...]``, parsed one entry at a time.  A
+    malformed edge literal, an edge that ``has_edge(t, h)`` rejects, or one
+    listed twice, is an input error: none can be misread, dropped or
+    overwritten unseen."""
+    seen = set()
     for i, item in enumerate(fam_spec[key]):
         edge = rewrite.edge_from_literal(item["edge"], f"the edge of family.{key} entry {i}")
         if not has_edge(*edge):
             raise InputError(f"edge {edge!r} is not an edge of the graph")
-        if edge in table:
+        if edge in seen:
             raise InputError(f"edge {edge!r} is listed twice")
-        table[edge] = parse(item[field])
-    return table
+        seen.add(edge)
+        yield edge, parse(item[field])
 
 
 def _matrix_table(fam_spec, key, graph, dim):
-    """:func:`_edge_table` of the graph's edges, each value a ``dim`` x ``dim``
-    matrix; an entry of another shape is an input error that names it."""
-    table = _edge_table(fam_spec, key, graph.has_edge)
+    """:func:`_edge_entries` of the graph's edges as a dict, each value a
+    ``dim`` x ``dim`` matrix; an entry of another shape is an input error
+    that names it."""
+    table = dict(_edge_entries(fam_spec, key, graph.has_edge))
     for i, m in enumerate(table.values()):
         if m.shape != (dim, dim):
             raise InputError(f"family.{key} entry {i} has shape {m.shape}, but dim is {dim}")
@@ -722,7 +724,7 @@ def _build_network(spec, fam_spec):
     edges = [rewrite.edge_from_literal(e, f"graph.edges entry {i}")
              for i, e in enumerate(gspec["edges"])]
     edge_set = set(edges)
-    weights = _edge_table(fam_spec, "weights", lambda t, h: (t, h) in edge_set)
+    weights = dict(_edge_entries(fam_spec, "weights", lambda t, h: (t, h) in edge_set))
     net = DagNetwork(rewrite.nodes_from_literal(gspec["nodes"], "graph.nodes"), edges,
                      weights, dim)
     fam = network_family(net)
@@ -758,14 +760,24 @@ def _build_cptp(spec, fam_spec):
     from . import dilate  # local import: dilate depends on this module
 
     graph, dim = _order_and_dim(spec)
-    channels = _edge_table(fam_spec, "channels", graph.has_edge, "channel",
-                           dilate.channel_from_spec)
-    for edge, ch in channels.items():
-        if ch.dim != dim:
-            raise InputError(f"channel at edge {edge!r} has dim {ch.dim}, "
+    edges, chois = [], []
+    try:
+        for edge, choi in _edge_entries(fam_spec, "channels", graph.has_edge, "channel",
+                                        dilate.choi_from_spec):
+            edges.append(edge)
+            chois.append(choi)
+    except Exception:
+        # the entries before the bad one fail their validation first, as they
+        # do when each is validated as it is read
+        dilate.validate_chois(chois)
+        raise
+    dilate.validate_chois(chois)
+    for edge, choi in zip(edges, chois):
+        if len(choi) != dim * dim:
+            raise InputError(f"channel at edge {edge!r} has dim {math.isqrt(len(choi))}, "
                              f"but the system dim is {dim}")
     # only the superoperators are kept; a loop defaults to the identity map
-    superops = {edge: ch.superop() for edge, ch in channels.items()}
+    superops = dict(zip(edges, linops.choi_to_superop(np.stack(chois), dim))) if chois else {}
     fam = OperatorFamily(graph, dim * dim,
                          _edge_lookup(superops, linops.eye(dim * dim), "channel"))
     return {"graph": graph, "family": fam, "dim": dim, "kind": "cptp"}

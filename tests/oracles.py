@@ -4,7 +4,8 @@ Each one is the direct, unbatched form of something the library computes
 another way: the formal tag/payload evaluation of a shift dilation, the
 additivity defect of one triple, the closed-form generators at one edge, the
 extension products of one element, the dense cover pass, the walk sums into
-one target, the Kraus sum of a channel, a Haar-random unitary and channel
+one target, the validation, Kraus list, reflection unitary and reduced action
+of one channel, the Kraus sum of a channel, a Haar-random unitary and channel
 specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
@@ -12,9 +13,9 @@ specs.
 
 import numpy as np
 
-from graphdyn import dynamics, extend, linops, rewrite
+from graphdyn import dilate, dynamics, extend, linops, rewrite
 from graphdyn.dilate import Channel
-from graphdyn.errors import GraphError
+from graphdyn.errors import GraphError, NotCPTPError
 from graphdyn.sampling import random_matrix
 
 
@@ -126,6 +127,67 @@ def path_sums_into(net, target, avoid=None):
     return sums
 
 
+# -- one channel at a time: what the stacked channel kernels batch ------------------
+
+def validate_choi(choi, d):
+    """Raise NotCPTPError unless the Choi matrix's ``dilate.cptp_defects``
+    are at most ``linops.DEFAULT_TOL``: not PSD first, then not trace
+    preserving."""
+    tol = linops.DEFAULT_TOL
+    herm, negative, tp = dilate.cptp_defects(choi, d)
+    if max(herm, negative) > tol:
+        raise NotCPTPError("Choi matrix is not positive semidefinite")
+    if tp > tol:
+        raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
+
+
+def kraus_list(choi, d):
+    """The Kraus list of one Choi matrix's eigendecomposition, as a (k, d, d)
+    stack: the eigenvalues above 1e-12 relative to the largest one are kept."""
+    w, v = np.linalg.eigh(linops.hermitian_part(choi))
+    keep = w > 1e-12 * max(w.max(), 1.0)
+    return (np.sqrt(w[keep])[:, None] * v.T[keep]).reshape(-1, d, d)
+
+
+def reflection_unitary(ks, pad_to):
+    """The reflection unitary [[0, D*], [D, 1 - D D*]] of one Kraus list,
+    zero-padded to ``pad_to`` operators, built from its (d, pad_to, d)
+    coupling isometry ``w[a, i, c] = K_i[a, c]``."""
+    k, d = ks.shape[:2]
+    w = np.zeros((d, pad_to, d), dtype=complex)
+    w[:, :k] = ks.transpose(1, 0, 2)
+    env = d + d * pad_to
+    dmat = np.zeros((d, d, pad_to, d, d), dtype=complex)
+    for b in range(d):
+        dmat[:, b, :, :, b] = w
+    dmat = dmat.reshape(d * d * pad_to, d * d)
+    u = np.zeros((d, env, d, env), dtype=complex)
+    u[:, :d, :, d:] = linops.dagger(dmat).reshape(d, d, d, d * pad_to)
+    u[:, d:, :, :d] = dmat.reshape(d, d * pad_to, d, d)
+    u[:, d:, :, d:] = (linops.eye(d * d * pad_to)
+                       - dmat @ linops.dagger(dmat)).reshape(d, d * pad_to, d, d * pad_to)
+    return u.reshape(d * env, d * env)
+
+
+def reduced_action(u, env, s):
+    """``Tr_env(V s V*)`` for the first environment column V of one unitary
+    ``u``, at a d x d matrix or a (..., d, d) stack ``s``."""
+    d = u.shape[0] // env
+    v = np.ascontiguousarray(u.reshape(d, env, d, env)[..., 0])
+    s = np.asarray(s, dtype=complex)
+    vs = (v @ s[..., None, :, :]).reshape(s.shape[:-2] + (d, -1))
+    return vs @ linops.dagger(v.reshape(d, -1))
+
+
+def element_unitary(value, d):
+    """The unitary that pipeline A-cptp puts at a group element whose channel
+    has the superoperator ``value``: validated, decomposed and dilated on d^2
+    Kraus slots, one element alone."""
+    choi = linops.superop_to_choi(value, d)
+    validate_choi(choi, d)
+    return reflection_unitary(kraus_list(choi, d), d * d)
+
+
 def random_unitary(rng, d):
     """Haar-distributed unitary via QR of a Ginibre matrix."""
     q, r = np.linalg.qr(random_matrix(rng, d))
@@ -144,7 +206,7 @@ def kraus_apply(ks, s):
 
 
 def channel_to_spec(ch):
-    """The JSON channel spec that ``dilate.channel_from_spec`` reads back: its
+    """The JSON channel spec that ``dilate.choi_from_spec`` reads back: its
     Choi matrix, whose literal round-trips bit for bit."""
     return {"dim": ch.dim, "repr": "choi",
             "data": linops.matrix_to_literal(ch.choi)}

@@ -758,6 +758,36 @@ class TestNumericSpecFields:
         assert (code, out) == (2, "")
         assert err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "A-cptp")],
+                             ids=["check", "dilate-A-cptp"])
+    @pytest.mark.parametrize("first, second, message", [
+        ("not-cp", "malformed-literal", "Choi matrix is not positive semidefinite"),
+        ("dim-3", "not-tp", "trace-preservation defect 7.500e-01"),
+        ("not-tp", "not-cp", "trace-preservation defect 7.500e-01"),
+    ], ids=["not-cp-before-a-malformed-literal", "dim-3-in-dim-2-before-not-tp",
+            "not-tp-before-not-cp"])
+    def test_the_first_failing_channel_entry_wins(self, capsys, tmp_path, cptp_spec, argv,
+                                                  first, second, message):
+        # channels are validated as one stack, after every entry is read; the
+        # error is still the one of the first entry that fails, a failed
+        # validation before a later parse error, and a dim that is not the
+        # system's only after every entry is validated
+        from oracles import kraus_spec
+        transpose = np.eye(4)[[0, 2, 1, 3]]  # X -> X^T: its Choi matrix is the swap
+        entries = {
+            "not-cp": {"dim": 2, "repr": "choi", "data": linops.matrix_to_literal(transpose)},
+            "not-tp": kraus_spec([0.5 * np.eye(2)]),
+            "dim-3": kraus_spec([np.eye(3)]),
+            "malformed-literal": kraus_spec([np.eye(2)]),
+        }
+        entries["malformed-literal"]["data"][0][1][1] = [1, "x"]
+        spec = json.loads(pathlib.Path(cptp_spec).read_text())
+        channels = spec["family"]["channels"]
+        channels[0]["channel"], channels[1]["channel"] = entries[first], entries[second]
+        code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "b.json", spec))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
+
     def test_integral_numbers_are_accepted(self, capsys, tmp_path, indivisible_spec):
         spec = json.loads(pathlib.Path(indivisible_spec).read_text())
         spec["family"].update(t_max=1, alpha=1)
@@ -887,14 +917,19 @@ class TestDilate:
                                                        cptp_spec):
         # the 3 parsed channels, then one channel for each non-identity edge
         # element, (0, 1), (1, 2) and (0, 2): the one whose Kraus list the
-        # reflection dilation reads
-        from graphdyn.dilate import Channel
-        validate, calls = Channel.validate, []
-        monkeypatch.setattr(Channel, "validate",
-                            lambda self: calls.append(self) or validate(self))
+        # reflection dilation reads.  Validation runs on stacks, so the Choi
+        # matrices are counted where their defects are computed
+        from graphdyn import dilate
+        defects, counted = dilate.cptp_defects, []
+
+        def counting(choi, d):
+            counted.append(len(choi) if choi.ndim == 3 else 1)
+            return defects(choi, d)
+
+        monkeypatch.setattr(dilate, "cptp_defects", counting)
         code, _, _ = run(capsys, "dilate", "--input", cptp_spec, "--pipeline", "A-cptp")
         assert code == 0
-        assert len(calls) == 3 + 3
+        assert sum(counted) == 3 + 3
 
     def test_pipeline_a_cptp_checks_the_identity_axiom(self, capsys, tmp_path, cptp_spec):
         # a loop carrying sigma_x breaks the identity axiom: A-cptp refuses the

@@ -852,6 +852,18 @@ class TestOneParamFactorization:
         sg = by_name["one-parameter-semigroup-law"]
         assert not sg.passed and sg.max_defect > 1e-3
 
+    def test_anchor_at_the_first_node_inverts_the_edges(self):
+        # the demo's grid descends from 1.0, so no edge (t, 1.0) leaves a
+        # later node: each U(t) is the inverse of the element of (1.0, t)
+        from graphdyn import cli
+        ds = dilate_discrete(dynamics.build_system(cli._indivisible_spec()))
+        graph = ds.system["graph"]
+        assert graph.nodes[0] == 1.0
+        assert not any(graph.has_edge(t, 1.0) for t in graph.nodes[1:])
+        by_name = {r.name: r for r in one_param_factorization(ds, 1.0, rng=rng_from_seed(25))}
+        assert by_name["factorization-group-level"].passed
+        assert by_name["factorization-operator-level"].passed
+
     @pytest.mark.parametrize("memoryless", [True, False])
     def test_holds_detail_is_the_semigroup_verdict(self, memoryless):
         if memoryless:
@@ -871,23 +883,23 @@ class TestChannelSpecs:
     def test_round_trip_kraus(self):
         rng = rng_from_seed(26)
         ch = Channel.random(rng, 2)
-        back = dilate.channel_from_spec(kraus_spec(ch.kraus))
+        back = Channel(2, dilate.choi_from_spec(kraus_spec(ch.kraus)))
         for s in matrix_units(2):
             assert spectral_norm(back.apply(s) - ch.apply(s)) < 1e-12
 
     def test_round_trip_choi(self):
         rng = rng_from_seed(27)
         ch = Channel.random(rng, 2)
-        back = dilate.channel_from_spec(channel_to_spec(ch))
+        back = Channel(2, dilate.choi_from_spec(channel_to_spec(ch)))
         assert np.array_equal(back.choi, ch.choi)
 
     def test_malformed(self):
         with pytest.raises(InputError):
-            dilate.channel_from_spec({"dim": 2, "repr": "bogus", "data": []})
+            dilate.choi_from_spec({"dim": 2, "repr": "bogus", "data": []})
 
     def test_kraus_operators_must_be_dim_by_dim(self):
         spec = kraus_spec([np.eye(2)])
         spec["dim"] = 3
         with pytest.raises(InputError,
                            match=r"dim is 3, but Kraus operator 0 has shape \(2, 2\)"):
-            dilate.channel_from_spec(spec)
+            dilate.choi_from_spec(spec)

@@ -1,14 +1,16 @@
-"""Values on linear orders and walk sums on networks are evaluated as
-arrays, bit for bit the per-edge, per-element and per-target computations.
+"""Values on linear orders, walk sums on networks and the channel path are
+evaluated as arrays, bit for bit the per-edge, per-element, per-target and
+per-channel computations.
 
 The closed-form generator families (the interpolation example and the
 ``(t - s) * rate`` kind) build a whole edge batch in one numpy expression,
 both product extensions fold the products of a batch of elements together,
-and one walk-sum sweep carries every target of a network.  Each check
-compares bytes, so a signed zero or a last-bit difference fails.  The folds
-and the sweep run one gemm per matrix, whichever OpenBLAS kernel is loaded;
-the last test runs the checks again on the Haswell kernel, the one OpenBLAS
-picks on an AVX2-only CPU.
+one walk-sum sweep carries every target of a network, and a channel family
+is validated, decomposed and dilated as one stack.  Each check compares
+bytes, so a signed zero or a last-bit difference fails.  The folds, the
+sweep and the channel stacks run one LAPACK or gemm call per matrix,
+whichever OpenBLAS kernel is loaded; the last test runs the checks again on
+the Haswell kernel, the one OpenBLAS picks on an AVX2-only CPU.
 """
 
 import os
@@ -21,10 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdyn import dynamics, linops, rewrite
+from graphdyn import dilate, dynamics, linops, rewrite
 from graphdyn.dynamics import DagNetwork, LinearOrderGraph, OperatorFamily
+from graphdyn.errors import NotCPTPError
 from graphdyn.extend import FirstCoverExtension, NormalFormExtension
-from graphdyn.sampling import random_dissipative, random_hermitian, random_matrix, rng_from_seed
+from graphdyn.sampling import (random_dissipative, random_hermitian, random_kraus_ops,
+                               random_matrix, rng_from_seed)
 import oracles
 
 seeds = st.integers(0, 2**16)
@@ -136,6 +140,73 @@ class TestWalkSumsAreBitwise:
                                 for u in net.nodes for w in targets])
 
 
+class TestBatchedChannelKernels:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=seeds, d=st.sampled_from([2, 3]), data=st.data())
+    def test_channel_stacks_are_the_per_channel_path(self, seed, d, data):
+        # Kraus ranks below d^2 leave Choi eigenvalues at rounding level, so
+        # the kept operators are compacted to the front of the d^2 slots; a
+        # scale of 1.5 breaks trace preservation and one of -1 positivity
+        rng = rng_from_seed(seed)
+        ranks = data.draw(st.lists(st.integers(1, d * d), min_size=1, max_size=6),
+                          label="ranks")
+        scales = data.draw(st.lists(st.sampled_from([1.0, 1.0, 1.5, -1.0]),
+                                    min_size=len(ranks), max_size=len(ranks)), label="scales")
+        chois = [scale * linops.superop_to_choi(linops.kraus_superop(
+            random_kraus_ops(rng, d, rank)), d) for rank, scale in zip(ranks, scales)]
+        assert_bitwise(dilate.cptp_defects(np.stack(chois), d),
+                       [dilate.cptp_defects(c, d) for c in chois])
+        errors = []
+        for c in chois:
+            try:
+                oracles.validate_choi(c, d)
+            except NotCPTPError as exc:
+                errors.append(str(exc))
+        if errors:
+            with pytest.raises(NotCPTPError) as exc:
+                dilate.validate_chois(chois)
+            assert str(exc.value) == errors[0]
+        good = [c for c, scale in zip(chois, scales) if scale == 1.0]
+        if not good:
+            return
+        dilate.validate_chois(good)
+
+        # the Kraus stack, zero-padded to d^2 slots, and its unitaries
+        lists = [oracles.kraus_list(c, d) for c in good]
+        ks, counts = dilate.kraus_stacks(np.stack(good), d)
+        assert counts.tolist() == [len(k) for k in lists]
+        assert_bitwise(ks, [np.concatenate([k, np.zeros((d * d - len(k), d, d), complex)])
+                            for k in lists])
+        assert_bitwise(dilate.reflection_unitaries(ks),
+                       [oracles.reflection_unitary(k, d * d) for k in lists])
+
+        # pipeline A-cptp's pass over elements, with repeats and the identity
+        # (-1), at a stack of matrices and at one matrix
+        superops = linops.choi_to_superop(np.stack(good), d)
+        order = data.draw(st.lists(st.integers(-1, len(good) - 1), min_size=1, max_size=8),
+                          label="elements")
+        xs = [rewrite.identity() if i < 0 else i for i in order]
+        values = np.stack([linops.eye(d * d) if i < 0 else superops[i] for i in order])
+        env = d * (d * d + 1)
+        us = [linops.eye(d * env) if i < 0 else oracles.element_unitary(superops[i], d)
+              for i in order]
+        samples = np.concatenate([linops.matrix_units(d), [random_matrix(rng, d)]])
+        for s in (samples, samples[-1]):
+            dil = dilate.VedDilation(None, d)
+            assert_bitwise(dil._element_defects(xs, s, values), [
+                oracles.reduced_action(u, env, s) - linops.superop_apply(v, s)
+                for u, v in zip(us, values)])
+            assert_bitwise(np.stack([dil._unitaries[x] for x in xs]), us)
+
+        # the kernels at stack size one
+        ch = dilate.Channel(d, good[0])
+        assert_bitwise(ch.kraus[None], lists[:1])
+        kd = dilate.kraus_ii_dilation(ch, pad_to=d * d)
+        assert_bitwise(kd.unitary[None], [oracles.reflection_unitary(lists[0], d * d)])
+        assert_bitwise(kd.reconstructed(samples)[None],
+                       [oracles.reduced_action(kd.unitary, env, samples)])
+
+
 def _has_avx2():
     try:
         with open("/proc/cpuinfo") as fh:
@@ -154,7 +225,8 @@ def test_bitwise_on_the_haswell_kernel():
                PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{here}::TestStackedValuesAreBitwise", f"{here}::TestWalkSumsAreBitwise"],
+         f"{here}::TestStackedValuesAreBitwise", f"{here}::TestWalkSumsAreBitwise",
+         f"{here}::TestBatchedChannelKernels"],
         cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
-    assert "5 passed" in proc.stdout
+    assert "6 passed" in proc.stdout

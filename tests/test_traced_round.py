@@ -7,8 +7,10 @@ went in.  The snapshot covers the dicts bound in the package's module
 namespaces, so a module-level cache that a command fills (one identity
 channel per dimension, say) reads as a binding the tracer did not restore.
 
-The round runs in a fresh interpreter: in this one, caches that earlier
-tests filled would already hold their entries and hide the change.  The
+One round of grid-sweep and one of channel-family each run in a fresh
+interpreter: in this one, caches that earlier tests filled would already hold
+their entries and hide the change.  The tracer wraps some methods by name, so
+a round also fails when one of them is gone.  The
 bench modules are loaded from their files, as ``test_golden_bodies.py``
 loads them, with bytecode writing off so that nothing under ``bench/``
 changes.
@@ -28,7 +30,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 ROUND = r"""
 import contextlib, importlib.util, io, json, os, sys, tempfile
 
-bench, src = sys.argv[1:3]
+bench, src, workload = sys.argv[1:4]
 sys.path.insert(0, src)
 
 
@@ -44,9 +46,9 @@ spans, workloads, golden = load("spans"), load("workloads"), load("golden")
 import graphdyn.cli
 
 before = spans.namespace_snapshot()
-judge = golden.Judge(golden.load("grid-sweep"), 0)
+judge = golden.Judge(golden.load(workload), 0)
 with tempfile.TemporaryDirectory() as work:
-    _, commands = workloads.build("grid-sweep", 0, work)
+    _, commands = workloads.build(workload, 0, work)
     os.chdir(work)
     tracer = spans.Tracer()
     tracer.install()
@@ -68,12 +70,20 @@ print(json.dumps({"attempted": judge.attempted, "failed": judge.failed,
 """
 
 
-def test_traced_grid_sweep_round_is_correct():
+def traced_round(workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", ROUND, BENCH, SRC], env=env,
+    done = subprocess.run([sys.executable, "-c", ROUND, BENCH, SRC, workload], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["attempted"] > 0
     assert (result["failed"], result["mismatches"]) == (0, [])
     assert result["restored"]
+
+
+def test_traced_grid_sweep_round_is_correct():
+    traced_round("grid-sweep")
+
+
+def test_traced_channel_family_round_is_correct():
+    traced_round("channel-family")
