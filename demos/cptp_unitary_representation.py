@@ -24,7 +24,13 @@ channels = {(0, 1): Channel.random(rng, 2),
 
 # pipeline A-cptp extends the channels' superoperators along normal forms;
 # the loops carry the identity map
-family = OperatorFamily(graph, 4, lambda e: channels[e].superop() if e in channels else eye(4))
+def superops(edges):
+    graph.edge_indices(edges)  # raises for the first pair that is not an edge
+    return np.array([channels[e].superop() if e in channels else eye(4)
+                     for e in edges]).reshape(-1, 4, 4)
+
+
+family = OperatorFamily(graph, 4, superops)
 system = {"graph": graph, "dim": 2, "family": family}
 dilated = dilate_cptp(system)
 dil = dilated.dilation

@@ -618,7 +618,7 @@ def dilate_exponential(system):
     exponential, as :func:`dynamics.build_system` builds it."""
     gens = system.get("generators")
     if not isinstance(gens, GeneratorFamily):
-        raise PreconditionError("generators", "pipeline C needs a generator family")
+        raise InputError("pipeline C needs a generator family")
     _require_growth(gens, system.get("ell"), "generator growth")
     return _shift_pipeline("C", system, SecondCoverExtension(gens), "banach")
 

@@ -101,47 +101,27 @@ class CompleteGraph:
 class _Family:
     """Shared machinery: a deterministic edge evaluator with a memo cache.
 
-    ``eval_fn`` maps one edge to its value.  A family that evaluates many
-    edges at once passes ``stack_fn`` instead: it maps a list of distinct
-    edges to their (len, dim, dim) value stack and raises for the first bad
-    edge in order, as :meth:`stack` does.  Either way every missing value of
-    a call or a stack is filled by one call of the batch evaluator, whose
-    shape is checked, and a value with a non-finite entry (an overflow, say)
-    is an error that names its edge.  The values sit in one array with an
-    edge -> row index: a stack is one gather, and a call returns a read-only
-    view."""
+    ``stack_fn`` maps a list of distinct edges to their (len, dim, dim) value
+    stack and raises for the first bad edge in order, as :meth:`stack` does.
+    Every missing value of a call or a stack is filled by one call of it,
+    whose shape is checked, and a value with a non-finite entry (an
+    overflow, say) is an error that names its edge.  The values sit in one
+    array with an edge -> row index: a stack is one gather, and a call
+    returns a read-only view."""
 
-    def __init__(self, graph, dim, eval_fn=None, *, stack_fn=None):
+    def __init__(self, graph, dim, stack_fn):
         self.graph = graph
         self.dim = int(dim)
-        self._eval = eval_fn
         self._stack_fn = stack_fn
         self._rows, self._values = {}, np.empty((0, self.dim, self.dim), dtype=complex)
 
-    def _check_edge(self, edge):
-        u, v = edge
-        if not self.graph.has_edge(u, v):
-            raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
-
     def _evaluate(self, edges):
         with np.errstate(over="ignore", invalid="ignore"):  # named below, by edge
-            if self._stack_fn is not None:
-                out = self._stack_fn(edges)
-                if out.shape != (len(edges), self.dim, self.dim):
-                    # named as the per-edge check names it: the batch's values share one shape
-                    raise GraphError(f"evaluator returned shape {out.shape[1:]}, expected "
-                                     f"{(self.dim, self.dim)} at edge {edges[0]!r}")
-            else:
-                out = np.empty((len(edges), self.dim, self.dim), dtype=complex)
-                for i, edge in enumerate(edges):
-                    self._check_edge(edge)
-                    val = np.asarray(self._eval(edge), dtype=complex)
-                    if val.shape != (self.dim, self.dim):
-                        raise GraphError(
-                            f"evaluator returned shape {val.shape}, expected "
-                            f"{(self.dim, self.dim)} at edge {edge!r}"
-                        )
-                    out[i] = val
+            out = self._stack_fn(edges)
+        if out.shape != (len(edges), self.dim, self.dim):
+            # the batch's values share one shape
+            raise GraphError(f"evaluator returned shape {out.shape[1:]}, expected "
+                             f"{(self.dim, self.dim)} at edge {edges[0]!r}")
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
             raise DimensionError(f"value at edge {edges[np.argmin(finite)]!r} "
@@ -654,16 +634,22 @@ def _matrix_table(fam_spec, key, graph, dim):
     return table
 
 
-def _edge_lookup(table, loop_value, what):
-    """Edge -> table entry; loops missing from the table get ``loop_value``."""
-    def lookup(edge):
-        if edge[0] == edge[1] and edge not in table:
-            return loop_value
-        try:
-            return table[edge]
-        except KeyError:
-            raise GraphError(f"no {what} for edge {edge!r}") from None
-    return lookup
+def _table_evaluator(graph, dim, table, loop_value, what):
+    """The batch evaluator of an edge table on a linear order: ``table``
+    completed over the graph's edges at once, where a loop left out gets
+    ``loop_value`` and any other missing edge is an input error.  A batch
+    is one :meth:`LinearOrderGraph.edge_indices` call and one gather."""
+    values = []
+    for u, v in graph.edges():
+        if (u, v) not in table and u != v:
+            raise InputError(f"no {what} for edge {(u, v)!r}")
+        values.append(table.get((u, v), loop_value))
+    values, m = np.array(values, dtype=complex).reshape(-1, dim, dim), len(graph.nodes)
+
+    def stack(edges):
+        i, j = graph.edge_indices(edges)
+        return values[i * (2 * m - i - 1) // 2 + j]  # the row of (i, j) in graph.edges()
+    return stack
 
 
 def _spec_number(spec, key, default=None, integer=False, minimum=None, name=None):
@@ -697,8 +683,8 @@ def _order_and_dim(spec):
 
 def _build_explicit(spec, fam_spec):
     graph, dim = _order_and_dim(spec)
-    phi = _edge_lookup(_matrix_table(fam_spec, "values", graph, dim), linops.eye(dim),
-                       "value supplied")
+    phi = _table_evaluator(graph, dim, _matrix_table(fam_spec, "values", graph, dim),
+                           linops.eye(dim), "value supplied")
     return {"graph": graph, "family": OperatorFamily(graph, dim, phi),
             "kind": "explicit", "ell": _parse_ell(fam_spec, graph)}
 
@@ -710,8 +696,8 @@ def _build_exponential(spec, fam_spec):
         _numeric_nodes(graph, "rate")
         raw = _rate_generators(graph, rate)
     else:
-        raw = GeneratorFamily(graph, dim, _edge_lookup(
-            _matrix_table(fam_spec, "generators", graph, dim),
+        raw = GeneratorFamily(graph, dim, _table_evaluator(
+            graph, dim, _matrix_table(fam_spec, "generators", graph, dim),
             np.zeros((dim, dim), dtype=complex), "generator"))
     gens = _scaled(raw, _spec_number(fam_spec, "alpha", 1.0), dim)
     return {"graph": graph, "family": gens.exponential(), "generators": gens,
@@ -746,7 +732,7 @@ def _build_indivisible(spec, fam_spec):
     if "order" in graph and tuple(graph["order"]) != raw.graph.nodes:
         raise InputError(f"graph.order does not match the {points}-point grid "
                          f"from t_max={t_max} down to 0")
-    if "dim" in spec and spec["dim"] != raw.dim:
+    if "dim" in spec and _spec_number(spec, "dim", integer=True) != raw.dim:
         raise InputError(f"dim {spec['dim']!r} does not match d^2 = {raw.dim} "
                          "of h1 and h2")
     gens = _scaled(raw, alpha, raw.dim)
@@ -778,8 +764,8 @@ def _build_cptp(spec, fam_spec):
                              f"but the system dim is {dim}")
     # only the superoperators are kept; a loop defaults to the identity map
     superops = dict(zip(edges, linops.choi_to_superop(np.stack(chois), dim))) if chois else {}
-    fam = OperatorFamily(graph, dim * dim,
-                         _edge_lookup(superops, linops.eye(dim * dim), "channel"))
+    fam = OperatorFamily(graph, dim * dim, _table_evaluator(
+        graph, dim * dim, superops, linops.eye(dim * dim), "channel"))
     return {"graph": graph, "family": fam, "dim": dim, "kind": "cptp"}
 
 

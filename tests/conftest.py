@@ -5,6 +5,7 @@ from graphdyn import dynamics, linops
 from graphdyn.dynamics import OperatorFamily, descending_grid
 from graphdyn.linops import spectral_norm
 from graphdyn.sampling import random_dissipative, rng_from_seed
+from oracles import edgewise
 
 
 @pytest.fixture
@@ -31,5 +32,5 @@ def noncommuting_divisible():
         return float(np.expm1(sum(spectral_norm(step_logs[k])
                                   for k in range(i, j))))
 
-    fam = OperatorFamily(graph, dim, phi)
+    fam = edgewise(OperatorFamily, graph, dim, phi)
     return fam, dynamics.LengthFunction(ell)

@@ -2,11 +2,11 @@
 
 Each one is the direct, unbatched form of something the library computes
 another way: the formal tag/payload evaluation of a shift dilation, the
-additivity defect of one triple, the closed-form generators at one edge, the
-extension products of one element, the dense cover pass, the walk sums into
-one target, the validation, Kraus list, reflection unitary and reduced action
-of one channel, the Kraus sum of a channel, a Haar-random unitary and channel
-specs.
+additivity defect of one triple, a family evaluated one edge at a time, the
+closed-form generators at one edge, the extension products of one element,
+the dense cover pass, the walk sums into one target, the validation, Kraus
+list, reflection unitary and reduced action of one channel, the Kraus sum of
+a channel, a Haar-random unitary and channel specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
 """
@@ -49,6 +49,19 @@ def compress(dil, v):
 
 
 # -- families, sampling and specs -------------------------------------------------
+
+def edgewise(cls, graph, dim, value):
+    """The family ``cls`` on ``graph`` whose value at an edge is
+    ``value(edge)``, evaluated one edge at a time: the per-edge form of a
+    batch evaluator.  The first non-edge of a batch, in order, raises."""
+    def stack(edges):
+        for u, v in edges:
+            if not graph.has_edge(u, v):
+                raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
+        vals = [np.asarray(value(e), dtype=complex) for e in edges]
+        return np.stack(vals) if vals else np.empty((0, dim, dim), dtype=complex)
+    return cls(graph, dim, stack)
+
 
 def additivity_defect(gen, u, v, w):
     """Norm of A(u,w) - A(u,v) - A(v,w)."""

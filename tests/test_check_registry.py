@@ -17,7 +17,7 @@ import pytest
 from graphdyn import cli, dilate, dynamics, extend, linops, rewrite
 from graphdyn.dynamics import GeneratorFamily, LinearOrderGraph, OperatorFamily
 from graphdyn.sampling import rng_from_seed
-from oracles import cptp_system, identity_channel
+from oracles import cptp_system, edgewise, identity_channel
 from test_rewrite import RestrictedAlphabet
 
 SRC = pathlib.Path(cli.__file__).parent
@@ -102,29 +102,32 @@ def _scalars(graph, value, loop=1.0):
 
 def _identity_axiom():
     graph = LinearOrderGraph([0, 1])
-    return dynamics.check_identity_axiom(OperatorFamily(graph, 1, _scalars(graph, 1.0, 2.0)))
+    return dynamics.check_identity_axiom(
+        edgewise(OperatorFamily, graph, 1, _scalars(graph, 1.0, 2.0)))
 
 
 def _divisibility_axiom():
     # phi(0, 2) = 0.5, but phi(0, 1) phi(1, 2) = 0.25
     graph = LinearOrderGraph([0, 1, 2])
-    return dynamics.check_divisibility(OperatorFamily(graph, 1, _scalars(graph, 0.5)))
+    return dynamics.check_divisibility(
+        edgewise(OperatorFamily, graph, 1, _scalars(graph, 0.5)))
 
 
 def _additivity_axiom():
     # A(0, 2) = 1, but A(0, 1) + A(1, 2) = 2
     graph = LinearOrderGraph([0, 1, 2])
-    return dynamics.check_additivity(GeneratorFamily(graph, 1, _scalars(graph, 1.0, 0.0)))
+    return dynamics.check_additivity(
+        edgewise(GeneratorFamily, graph, 1, _scalars(graph, 1.0, 0.0)))
 
 
 def _dissipative():
     graph = LinearOrderGraph([0, 1])
-    return GeneratorFamily(graph, 1, _scalars(graph, 1.0, 0.0)).check_dissipative()
+    return edgewise(GeneratorFamily, graph, 1, _scalars(graph, 1.0, 0.0)).check_dissipative()
 
 
 def _geometric_growth():
     graph = dynamics.descending_grid(1.0, 3)
-    fam = OperatorFamily(graph, 1, _scalars(graph, 0.5))
+    fam = edgewise(OperatorFamily, graph, 1, _scalars(graph, 0.5))
     return dynamics.check_geometric_growth(fam, dynamics.proportional_length(0.0))
 
 

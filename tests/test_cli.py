@@ -357,10 +357,13 @@ class TestSpecForms:
         (_cptp_two_edge_spec, "no channel for edge (0, 2)"),
     ], ids=["explicit", "exponential", "cptp"])
     def test_missing_edge_exits_2(self, capsys, tmp_path, make_spec, message):
+        # the table is completed at parse: read lazily, the missing edge
+        # (0, 2) failed only a command that read it
         spec = write_json(tmp_path / "spec.json", make_spec())
-        code, _, err = run(capsys, "check", "--input", spec)
-        assert code == 2
-        assert message in err
+        for argv in [("check",), ("check", "--samples", "0"),
+                     ("extend", "--which", "normal", "--word", "[[0, 1]]"),
+                     ("dilate", "--pipeline", "A")]:
+            assert run(capsys, *argv, "--input", spec) == (2, "", f"input error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("check",), ("dilate", "--pipeline", "C"), ("extend", "--word", "[[2, 0]]")],
@@ -598,7 +601,8 @@ class TestSpecForms:
     @pytest.mark.parametrize("field, message", [
         ({"graph": {"order": [5.0, 3.0, 1.0]}}, "graph.order does not match"),
         ({"dim": 7}, "dim 7 does not match d^2 = 4"),
-    ], ids=["order", "dim"])
+        ({"dim": 4.0}, "dim must be a positive integer, got 4.0"),
+    ], ids=["order", "dim", "dim-float"])
     @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "C")],
                              ids=["check", "dilate-C"])
     def test_indivisible_example_must_match_its_grid(self, capsys, tmp_path,
@@ -636,16 +640,19 @@ _GROWING = _explicit_spec({(0, 1): 2 * np.eye(2), (1, 2): 2 * np.eye(2),
                            (0, 2): 4 * np.eye(2)})
 _GROWING["family"]["ell"] = {"kind": "proportional", "scale": 0}
 _3X3 = linops.matrix_to_literal(np.eye(3))
+_IDENTITIES = _explicit_spec({e: np.eye(2) for e in [(0, 1), (1, 2), (0, 2)]})
 
 # (argv without --input, spec or None, exit code, the whole of stderr)
 _EXITS = {
     "check-without-input": (("check",), None, 2,
                             "input error: --input is required for this command"),
-    "extend-without-word": (("extend",), _explicit_spec({}), 2,
+    "extend-without-word": (("extend",), _IDENTITIES, 2,
                             "input error: no word given (flag or spec field)"),
     "cover2-of-explicit": (("extend", "--which", "cover2", "--word", "[[0, 1]]"),
-                           _explicit_spec({}), 2,
+                           _IDENTITIES, 2,
                            "input error: cover2 extension needs a generator family"),
+    "C-of-explicit": (("dilate", "--pipeline", "C"), _IDENTITIES, 2,
+                      "input error: pipeline C needs a generator family"),
     "B-loop-0.9": (("dilate", "--pipeline", "B"), _explicit_spec(_LOOP_09), 3,
                    "precondition failure [identity]: identity axiom fails: 1.000e-01"),
     "cover1-loop-0.9": (("extend", "--which", "cover1", "--word", "[[0, 1]]"),
@@ -858,11 +865,16 @@ class TestDilate:
         assert code == 0, err
         assert json.loads(out)["passed"]
 
-    @pytest.mark.parametrize("missing", [None, [2, 3]], ids=["all-edges", "later-edge-missing"])
-    def test_pipeline_a_names_first_non_contraction(self, capsys, tmp_path, missing):
+    @pytest.mark.parametrize("missing, code, message", [
+        (None, 3, "precondition failure [contraction]: family value at "
+                  "GroupElement(letters=(Letter(tail=0, head=3),)) has norm 1.200000"),
+        ([2, 3], 2, "input error: no value supplied for edge (2, 3)"),
+    ], ids=["all-edges", "later-edge-missing"])
+    def test_pipeline_a_names_first_non_contraction(self, capsys, tmp_path, missing, code,
+                                                    message):
         # the third non-loop edge (0, 3) has norm 1.2 and the fifth, (1, 3),
-        # norm 1.5; every other is 0.5 * 1.  The first in edge order is named,
-        # and a later edge with no value must not mask it
+        # norm 1.5; every other is 0.5 * 1.  The first in edge order is named;
+        # a table that misses an edge is rejected at parse, before any of them
         nonloop = [[i, j] for i in range(4) for j in range(i + 1, 4)]
         bad = {2: [[0.0, 1.2], [0.3, 0.0]], 4: [[1.5, 0.0], [0.0, 0.0]]}
         values = [{"edge": e, "matrix": linops.matrix_to_literal(
@@ -871,10 +883,8 @@ class TestDilate:
         spec = write_json(tmp_path / "explicit.json", {
             "graph": {"order": [0, 1, 2, 3]}, "dim": 2,
             "family": {"kind": "explicit", "values": values}})
-        code, out, err = run(capsys, "dilate", "--input", spec, "--pipeline", "A")
-        assert code == 3 and out == ""
-        assert err == ("precondition failure [contraction]: family value at "
-                       "GroupElement(letters=(Letter(tail=0, head=3),)) has norm 1.200000\n")
+        assert run(capsys, "dilate", "--input", spec, "--pipeline", "A") == \
+            (code, "", message + "\n")
 
     @pytest.mark.parametrize("pipeline", ["B", "C"])
     def test_one_node_order_has_nothing_to_probe(self, capsys, tmp_path, pipeline):

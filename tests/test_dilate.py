@@ -22,7 +22,7 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Z, commutator_superop,
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
                                random_matrix, rng_from_seed)
-from oracles import (channel_to_spec, compress, cptp_system, evaluate,
+from oracles import (channel_to_spec, compress, cptp_system, edgewise, evaluate,
                      identity_channel, kraus_apply, kraus_spec, random_unitary)
 
 
@@ -126,8 +126,8 @@ class TestChannelForms:
         # on edge (0, 1); the channel built for the dilation at that edge
         # fails its validation
         graph = LinearOrderGraph([0, 1])
-        fam = OperatorFamily(graph, 4, lambda e: transpose_superop(2) if e[0] != e[1]
-                             else np.eye(4))
+        fam = edgewise(OperatorFamily, graph, 4,
+                       lambda e: transpose_superop(2) if e[0] != e[1] else np.eye(4))
         ds = dilate_cptp({"graph": graph, "family": fam, "dim": 2, "kind": "cptp"})
         with pytest.raises(NotCPTPError, match="not positive semidefinite"):
             ds.verify(rng=rng_from_seed(0))
@@ -582,8 +582,8 @@ class TestShiftDilation:
 
     def test_non_contraction_rejected(self):
         graph = descending_grid(1.0, 3)
-        fam = OperatorFamily(graph, 2, lambda e: np.eye(2)
-                             * (1.0 if e[0] == e[1] else 2.0))
+        fam = edgewise(OperatorFamily, graph, 2,
+                       lambda e: np.eye(2) * (1.0 if e[0] == e[1] else 2.0))
         from graphdyn.extend import NormalFormExtension
         ext = NormalFormExtension(fam)
         dil = ShiftDilation(ext, 2, flavor="banach")
@@ -603,7 +603,7 @@ class TestShiftDilationCstar:
             u = linops.expm(1j * (t - s) * h)
             return conjugation_superop(u)
 
-        fam = OperatorFamily(graph, 4, value)
+        fam = edgewise(OperatorFamily, graph, 4, value)
         from graphdyn.extend import FirstCoverExtension
         ext = FirstCoverExtension(fam)
         return rng, fam, ShiftDilation(ext, 2, flavor="cstar"), graph.context()
@@ -640,7 +640,7 @@ def shift_setup(which, seed):
         return SecondCoverExtension(gens), 3, "banach"
     h = random_matrix(rng, 2)
     h = h + dagger(h)
-    fam = OperatorFamily(gens.graph, 4, lambda e: conjugation_superop(
+    fam = edgewise(OperatorFamily, gens.graph, 4, lambda e: conjugation_superop(
         linops.expm(1j * (e[0] - e[1]) * h)))
     return FirstCoverExtension(fam), 2, "cstar"
 
@@ -683,7 +683,7 @@ class TestBatchedShiftValues:
                     raise GraphError(f"no value supplied for edge {e!r}")
                 return value(e)
 
-            fam = OperatorFamily(graph, 4, fam_value)
+            fam = edgewise(OperatorFamily, graph, 4, fam_value)
             ds = dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
             with pytest.raises(PreconditionError) as exc:
                 ds.verify()
@@ -757,8 +757,8 @@ class TestPipelines:
         rng = rng_from_seed(28)
         graph = descending_grid(1.0, 5)
         h = np.diag([0.7, -0.2]).astype(complex)
-        fam = OperatorFamily(
-            graph, 4,
+        fam = edgewise(
+            OperatorFamily, graph, 4,
             lambda e: conjugation_superop(
                 linops.expm(1j * (e[0] - e[1]) * h)))
         ds = dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
@@ -767,7 +767,7 @@ class TestPipelines:
 
     def test_cstar_flavor_needs_square_dimension(self):
         graph = descending_grid(1.0, 3)
-        fam = OperatorFamily(graph, 3, lambda e: np.eye(3))
+        fam = edgewise(OperatorFamily, graph, 3, lambda e: np.eye(3))
         with pytest.raises(InputError):
             dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
 
@@ -781,7 +781,8 @@ class TestBatchedVerify:
         fam = gens.exponential(1.0)
         ds = dilate_divisible({"graph": fam.graph, "family": fam})
         bumps = {e: rng.uniform(0.0, 1e-3) * (e[0] != e[1]) for e in fam.graph.edges()}
-        bumped = OperatorFamily(fam.graph, 3, lambda e: fam(e) + bumps[e] * np.eye(3))
+        bumped = edgewise(OperatorFamily, fam.graph, 3,
+                          lambda e: fam(e) + bumps[e] * np.eye(3))
         ds.system = {"graph": fam.graph, "family": bumped}
         edges = list(fam.graph.edges())
         for block in (4, 512):
@@ -798,7 +799,8 @@ class TestBatchedVerify:
 
     def test_verify_samples_at_most_200_triples(self):
         for points, sampled in ((9, 165), (17, 200)):
-            fam = OperatorFamily(descending_grid(1.0, points), 2, lambda e: np.eye(2))
+            fam = edgewise(OperatorFamily, descending_grid(1.0, points), 2,
+                           lambda e: np.eye(2))
             ds = dilate_discrete({"graph": fam.graph, "family": fam})
             for rng, count in ((rng_from_seed(0), sampled),
                                (None, points * (points + 1) * (points + 2) // 6)):

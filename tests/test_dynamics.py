@@ -27,7 +27,7 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, commutator_superop,
 from graphdyn.reports import defect_report
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_kraus_ops, random_matrix, rng_from_seed)
-from oracles import additivity_defect
+from oracles import additivity_defect, edgewise
 
 
 @pytest.fixture
@@ -67,14 +67,14 @@ class TestGraphs:
         assert graph.context().closure_pairs() == every_edge.closure_pairs()
 
     def test_family_rejects_non_edges(self, grid):
-        fam = OperatorFamily(grid, 2, lambda e: np.eye(2))
+        fam = edgewise(OperatorFamily, grid, 2, lambda e: np.eye(2))
         with pytest.raises(GraphError):
             fam((0.5, 1.0))
 
 
 class TestIdentityAxiom:
     def test_constant_identity(self, grid):
-        fam = OperatorFamily(grid, 2, lambda e: np.eye(2))
+        fam = edgewise(OperatorFamily, grid, 2, lambda e: np.eye(2))
         assert check_identity_axiom(fam).passed
 
     def test_exponential_of_additive(self, interp):
@@ -83,7 +83,7 @@ class TestIdentityAxiom:
         assert check_identity_axiom(fam).passed
 
     def test_doubled_identity_fails(self, grid):
-        fam = OperatorFamily(grid, 2, lambda e: 2 * np.eye(2))
+        fam = edgewise(OperatorFamily, grid, 2, lambda e: 2 * np.eye(2))
         rep = check_identity_axiom(fam)
         assert not rep.passed
         assert rep.max_defect == pytest.approx(1.0)
@@ -122,7 +122,7 @@ class TestAdditivity:
             t, s = edge
             return scipy.integrate.quad_vec(curve, s, t, epsabs=1e-10, epsrel=0)[0]
 
-        gens = GeneratorFamily(descending_grid(1.0, 5), 2, a_of)
+        gens = edgewise(GeneratorFamily, descending_grid(1.0, 5), 2, a_of)
         assert additivity_defect(gens, 1.0, 0.5, 0.0) < 1e-9
 
     def test_trivial_triple(self, interp):
@@ -130,8 +130,8 @@ class TestAdditivity:
 
     def test_quadratic_profile_fails(self):
         x = np.array([[0, 1], [0, 0]], dtype=complex)
-        gens = GeneratorFamily(descending_grid(1.0, 5), 2,
-                               lambda e: (e[0] - e[1]) ** 2 * x)
+        gens = edgewise(GeneratorFamily, descending_grid(1.0, 5), 2,
+                        lambda e: (e[0] - e[1]) ** 2 * x)
         # (t-r)^2 != (t-s)^2 + (s-r)^2 whenever both gaps are positive
         assert additivity_defect(gens, 1.0, 0.5, 0.0) > 0.1
 
@@ -146,13 +146,14 @@ class TestGeometricGrowth:
         assert check_geometric_growth(fam, ell).passed
 
     def test_identity_with_zero_length(self, grid):
-        fam = OperatorFamily(grid, 2, lambda e: np.eye(2))
+        fam = edgewise(OperatorFamily, grid, 2, lambda e: np.eye(2))
         ell = LengthFunction(lambda e: 0.0)
         assert check_geometric_growth(fam, ell).passed
 
     def test_expanding_family_fails(self):
         graph = LinearOrderGraph([0.0, 1.0, 2.0, 4.0])
-        fam = OperatorFamily(graph, 2, lambda e: np.exp(e[1] - e[0]) * np.eye(2))
+        fam = edgewise(OperatorFamily, graph, 2,
+                       lambda e: np.exp(e[1] - e[0]) * np.eye(2))
         ell = proportional_length(1.0)
         rep = check_geometric_growth(fam, ell)
         assert not rep.passed  # e^x - 1 > x for large gaps
@@ -251,11 +252,12 @@ class TestBatchedCheckers:
     @given(points=st.integers(2, 7), block=families["block"], data=st.data())
     def test_triple_check_raises_for_first_bad_edge(self, points, block, data):
         # a block reads (u,v) of every triple, then (v,w), then (u,w); the
-        # first edge in that order whose value is bad names the error
+        # first edge in that order whose value is non-finite names the error
         graph = LinearOrderGraph(list(range(points)))
         edges = sorted(graph.edges())
         bad = data.draw(st.sets(st.sampled_from(edges), min_size=1))
-        fam = OperatorFamily(graph, 2, lambda e: np.eye(3 if e in bad else 2))
+        fam = edgewise(OperatorFamily, graph, 2,
+                       lambda e: np.full((2, 2), np.nan) if e in bad else np.eye(2))
         first = None
         triples = enumerated_triples(graph)
         for start in range(0, len(triples), block):
@@ -266,7 +268,7 @@ class TestBatchedCheckers:
             if first is not None:
                 break
         with mock.patch.object(dynamics, "_BLOCK", block), \
-                pytest.raises(GraphError, match=re.escape(f"at edge {first!r}")):
+                pytest.raises(DimensionError, match=re.escape(f"at edge {first!r} has")):
             check_divisibility(fam)
 
     @settings(max_examples=30, deadline=None)
@@ -291,8 +293,8 @@ class TestBatchedCheckers:
                 (*loop_worst(keyed), len(edges), loop_offenders(keyed, tol))
         # plus a drift whose Hermitian part has eigenvalues of both signs
         noise = random_matrix(rng_from_seed(seed), gens.dim)
-        rough = GeneratorFamily(gens.graph, gens.dim,
-                                lambda e: gens(e) + (e[0] - e[1]) * noise)
+        rough = edgewise(GeneratorFamily, gens.graph, gens.dim,
+                         lambda e: gens(e) + (e[0] - e[1]) * noise)
         for g in (gens, rough):
             rep = g.check_dissipative()
             assert (rep.max_defect, rep.argmax) == loop_worst(
@@ -300,15 +302,15 @@ class TestBatchedCheckers:
                 for e in edges)
         # loops pushed off the identity by a node-dependent amount
         index = fam.graph.index
-        bumped = OperatorFamily(fam.graph, fam.dim,
-                                lambda e: fam(e) * (1.0 + scale * index(e[0])))
+        bumped = edgewise(OperatorFamily, fam.graph, fam.dim,
+                          lambda e: fam(e) * (1.0 + scale * index(e[0])))
         rep = check_identity_axiom(bumped)
         keyed = [(u, spectral_norm(bumped((u, u)) - eye)) for u in fam.graph.nodes]
         assert (rep.max_defect, rep.argmax, rep.count, rep.offenders) == \
             (*loop_worst(keyed), points, loop_offenders(keyed, 1e-10))
 
     def test_all_zero_defects_have_no_argmax(self, grid):
-        fam = OperatorFamily(grid, 2, lambda e: np.eye(2))
+        fam = edgewise(OperatorFamily, grid, 2, lambda e: np.eye(2))
         for rep in (check_divisibility(fam), check_identity_axiom(fam),
                     check_geometric_growth(fam, LengthFunction(lambda e: 0.0))):
             assert rep.passed and rep.max_defect == 0.0 and rep.argmax is None
@@ -329,8 +331,8 @@ class TestBatchedCheckers:
         fam = dynamics.commuting_evolution(rate, 1.0, 9).exponential(1.0)
         t = fam.graph.nodes
         bump = 1e-3 * np.eye(3)
-        bumped = OperatorFamily(fam.graph, 3,
-                                lambda e: fam(e) + bump if e == (t[0], t[2]) else fam(e))
+        bumped = edgewise(OperatorFamily, fam.graph, 3,
+                          lambda e: fam(e) + bump if e == (t[0], t[2]) else fam(e))
         assert check_divisibility(fam).passed
         rep = check_divisibility(bumped)
         assert not rep.passed
@@ -366,9 +368,10 @@ class TestBatchedFamilies:
     def test_first_bad_edge_in_order_raises(self):
         spec = {"graph": {"order": [0, 1, 2]}, "dim": 2,
                 "family": {"kind": "exponential", "generators": [
-                    {"edge": [0, 1], "matrix": linops.matrix_to_literal(-np.eye(2))}]}}
-        for edges, message in [([(0, 1), (0, 2), (2, 0)], "no generator for edge (0, 2)"),
-                               ([(0, 1), (2, 0), (0, 2)], "(2, 0) is not an edge")]:
+                    {"edge": e, "matrix": linops.matrix_to_literal(-np.eye(2))}
+                    for e in ([0, 1], [1, 2], [0, 2])]}}
+        for edges, message in [([(0, 1), (0, 2), (2, 0)], "(2, 0) is not an edge"),
+                               ([(0, 1), (2, 1), (0, 2), (2, 0)], "(2, 1) is not an edge")]:
             fam = dynamics.build_system(spec)["family"]
             with pytest.raises(GraphError) as loop:
                 for e in edges:
@@ -405,12 +408,6 @@ class TestBatchedFamilies:
         assert np.array_equal(fam(edges[1]), before)
         assert np.array_equal(fam.stack([edges[1]])[0], before)
 
-    def test_evaluator_shape_checked_per_edge(self):
-        graph = LinearOrderGraph([0, 1, 2])
-        fam = OperatorFamily(graph, 2, lambda e: np.eye(3 if e[0] == 1 else 2))
-        with pytest.raises(GraphError, match=r"shape \(3, 3\).*at edge \(1, 1\)"):
-            fam.stack(list(graph.edges()))
-
 
 class TestExactSvdBudget:
     """Exhaustive divisibility and additivity checks of a divisible family
@@ -429,8 +426,8 @@ class TestExactSvdBudget:
         assert all(r.passed and r.count == 6545 for r in reps)
         assert sum(seen) <= 100, seen
         t = fam.graph.nodes
-        bumped = OperatorFamily(fam.graph, 4, lambda e: fam(e) + 1e-3 * np.eye(4)
-                                if e == (t[3], t[20]) else fam(e))
+        bumped = edgewise(OperatorFamily, fam.graph, 4, lambda e: fam(e) + 1e-3 * np.eye(4)
+                          if e == (t[3], t[20]) else fam(e))
         rep = check_divisibility(bumped)
         triples = [(t[i], t[j], t[k]) for i in range(33) for j in range(i, 33)
                    for k in range(j, 33)]
@@ -503,12 +500,27 @@ class TestTripleSampling:
             assert lex == rank
 
 
+def _table_family(kind, key, field, value):
+    """The family that ``build_system`` parses from a ``kind`` table that
+    gives ``value`` at every non-loop edge of the order 0 < 1 < 2."""
+    return dynamics.build_system({
+        "graph": {"order": [0, 1, 2]}, "dim": 2, "family": {"kind": kind, key: [
+            {"edge": e, field: value} for e in ([0, 1], [1, 2], [0, 2])]}})["family"]
+
+
 class TestClosedFormFamilies:
-    """The interpolation and rate families evaluate a batch of edges at once."""
+    """The interpolation, rate and table families evaluate a batch of edges
+    at once."""
 
     @pytest.mark.parametrize("build", [
         lambda: dynamics.commuting_evolution(-np.eye(2), 1.0, 3),
-        lambda: example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 3)], ids=["rate", "interpolation"])
+        lambda: example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 3),
+        lambda: _table_family("explicit", "values", "matrix",
+                              linops.matrix_to_literal(0.5 * np.eye(2))),
+        lambda: _table_family("cptp", "channels", "channel",
+                              {"dim": 2, "repr": "kraus", "data": [
+                                  linops.matrix_to_literal(SIGMA_X)]})],
+        ids=["rate", "interpolation", "explicit-table", "cptp-table"])
     def test_first_bad_edge_in_order_raises(self, build):
         fam = build()
         a, b, c = fam.graph.nodes

@@ -17,7 +17,7 @@ from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
 from graphdyn.linops import SIGMA_X, SIGMA_Z, commutator_superop, spectral_norm
 from graphdyn.rewrite import embed_edge, gmul, identity, word
 from graphdyn.sampling import random_dissipative, rng_from_seed
-from oracles import dense_cover_segments
+from oracles import dense_cover_segments, edgewise
 
 
 @pytest.fixture
@@ -170,7 +170,7 @@ def divisible_family(seed=4, dim=3, points=9):
 
 class TestNormalFormExtension:
     def test_identity_element(self, line):
-        fam = OperatorFamily(line, 2, lambda e: np.eye(2))
+        fam = edgewise(OperatorFamily, line, 2, lambda e: np.eye(2))
         assert np.array_equal(NormalFormExtension(fam)(identity()), np.eye(2))
 
     def test_single_edge(self):
@@ -204,7 +204,7 @@ class TestNormalFormExtension:
             assert np.array_equal(ext(g), want)
 
     def test_identity_axiom_enforced(self, line):
-        fam = OperatorFamily(line, 2, lambda e: 2 * np.eye(2))
+        fam = edgewise(OperatorFamily, line, 2, lambda e: 2 * np.eye(2))
         with pytest.raises(PreconditionError) as exc:
             NormalFormExtension(fam)
         assert exc.value.axiom == "identity"
@@ -374,8 +374,8 @@ class TestSecondCoverExtension:
 
     def test_non_additive_rejected(self):
         x = np.array([[0, 1], [0, 0]], dtype=complex)
-        gens = GeneratorFamily(descending_grid(1.0, 5), 2,
-                               lambda e: (e[0] - e[1]) ** 2 * x)
+        gens = edgewise(GeneratorFamily, descending_grid(1.0, 5), 2,
+                        lambda e: (e[0] - e[1]) ** 2 * x)
         with pytest.raises(PreconditionError) as exc:
             SecondCoverExtension(gens)
         assert exc.value.axiom == "additivity"

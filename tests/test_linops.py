@@ -17,7 +17,7 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, anticommutator_superop,
 from graphdyn.reports import defect_report, dumps
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_matrix, rng_from_seed)
-from oracles import random_unitary
+from oracles import edgewise, random_unitary
 
 
 def kron_oracle(a, b):
@@ -221,7 +221,7 @@ class TestDeduplicatedExpm:
 
     @staticmethod
     def _family():
-        return GeneratorFamily(LinearOrderGraph([0]), 3, lambda e: np.zeros((3, 3)))
+        return edgewise(GeneratorFamily, LinearOrderGraph([0]), 3, lambda e: np.zeros((3, 3)))
 
     def _repeating(self, seed, distinct, shape):
         rng = rng_from_seed(seed)
@@ -256,7 +256,7 @@ class TestDeduplicatedExpm:
         neg = pos.copy()
         neg[0, 0] = -0.0
         assert np.array_equal(pos, neg) and pos.tobytes() != neg.tobytes()
-        fam = GeneratorFamily(LinearOrderGraph([0]), 2, lambda e: np.zeros((2, 2)))
+        fam = edgewise(GeneratorFamily, LinearOrderGraph([0]), 2, lambda e: np.zeros((2, 2)))
         (out,), sent = _sent_to_scipy(fam, [np.stack([pos, neg, pos])])
         assert len(sent) == 2
         assert np.array_equal(out, np.stack([expm(pos), expm(neg), expm(pos)]))
@@ -400,7 +400,7 @@ def is_dissipative(a):
     """The Hilbert-space criterion (Hermitian part <= 0) as pipeline C checks
     it: ``check_dissipative`` of a generator family with the one value ``a``."""
     a = np.asarray(a, dtype=complex)
-    gens = GeneratorFamily(LinearOrderGraph([0]), a.shape[0], lambda e: a)
+    gens = edgewise(GeneratorFamily, LinearOrderGraph([0]), a.shape[0], lambda e: a)
     return gens.check_dissipative().passed
 
 

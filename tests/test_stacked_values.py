@@ -90,7 +90,7 @@ class TestStackedValuesAreBitwise:
         graph = LinearOrderGraph(range(points))
         values = {e: linops.eye(d) if e[0] == e[1] else random_matrix(rng, d, 0.7)
                   for e in graph.edges()}
-        fam = OperatorFamily(graph, d, values.__getitem__)
+        fam = oracles.edgewise(OperatorFamily, graph, d, values.__getitem__)
         ext = NormalFormExtension(fam)
         ctx = graph.context()
         gs = [rewrite.random_element(ctx, rng, max_len) for _ in range(12)]
