@@ -10,10 +10,9 @@ Hamiltonian case exponentiates to conjugation by a unitary.
 
 import numpy as np
 
-from graphdyn.dynamics import (check_schwarz_generator, dissipation_map,
-                               lindblad_generator)
-from graphdyn.linops import (SIGMA_Z, conjugation_superop, expm, is_psd,
-                             kraus_superop, spectral_norm, superop_apply)
+from graphdyn.dynamics import check_schwarz_generator, lindblad_generator
+from graphdyn.linops import (SIGMA_Z, expm, kraus_superop, spectral_norm,
+                             superop_apply)
 
 rng = np.random.default_rng(3)
 
@@ -21,7 +20,7 @@ print("== purely Hamiltonian part ==")
 gen = lindblad_generator(SIGMA_Z, np.zeros((4, 4)))
 t = 0.8
 lhs = expm(t * gen)
-rhs = conjugation_superop(expm(1j * t * SIGMA_Z))
+rhs = kraus_superop([expm(1j * t * SIGMA_Z)])  # conjugation by the unitary
 print(f"expm(t i[h,.]) equals conjugation by expm(ith): "
       f"{spectral_norm(lhs - rhs):.2e}")
 
@@ -33,10 +32,8 @@ print(f"L(1) = {spectral_norm(superop_apply(gen, np.eye(2))):.2e}")
 
 samples = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
            for _ in range(25)]
-print("D_L(a, a) >= 0 on samples:",
-      all(is_psd(dissipation_map(gen, a, a), tol=1e-9) for a in samples))
-
 rep = check_schwarz_generator(gen, samples)
+print("D_L(a, a) >= 0 on samples:", rep.details["dissipation_psd_defect"] <= 1e-9)
 print("generator conditions certified:", rep.passed)
 print("  unital defect      ", f"{rep.details['unital_defect']:.2e}")
 print("  self-adjoint defect", f"{rep.details['self_adjoint_defect']:.2e}")

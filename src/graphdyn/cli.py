@@ -400,17 +400,17 @@ def _demo_network():
     }
     system = dynamics.build_system(spec)
     net, fam = system["network"], system["family"]
-    rows = []
-    for u in net.nodes:
-        for v in net.nodes:
-            for target in net.nodes:
-                d = linops.spectral_norm(
-                    dynamics.network_defect(net, u, v, target))
-                rows.append([u, v, target, d])
+    nodes = net.nodes
+    # defects[u, v, w]: the walks from u to w that avoid v, one sweep per v
+    defects = np.stack([dynamics.walk_sums(net, range(len(nodes)), avoid=b)
+                        for b in range(len(nodes))], axis=1)
+    norms = linops.spectral_norm(defects).tolist()
+    rows = [[u, v, w, norms[i][j][k]] for i, u in enumerate(nodes)
+            for j, v in enumerate(nodes) for k, w in enumerate(nodes)]
     expected = {
         "phi(u,w)_entry": float(fam(("u", "w"))[0, 0].real),
         "defect(u,v,w)_entry": float(
-            dynamics.network_defect(net, "u", "v", "w")[0, 0].real),
+            defects[net.index["u"], net.index["v"], net.index["w"]][0, 0].real),
     }
     return spec, rows, ["from", "through", "to", "defect_norm"], expected
 

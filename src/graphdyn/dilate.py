@@ -71,11 +71,6 @@ class Channel:
         return cls(d, linops.superop_to_choi(m, d))
 
     @classmethod
-    def depolarizing(cls, d):
-        """s -> tr(s) 1/d."""
-        return cls.from_kraus(d**-0.5 * linops.matrix_units(d))
-
-    @classmethod
     def random(cls, rng, d):
         from .sampling import random_kraus_ops
         return cls.from_kraus(random_kraus_ops(rng, d))
@@ -154,29 +149,6 @@ def kraus_stacks(chois, d):
     return ks, counts
 
 
-def isometric_partition(ch):
-    """Canonical isometry v and the isometric partition {v_i} over the
-    channel's Kraus list: v maps xi to the stack of K_i xi tagged by i, and
-    v_i embeds xi into slot i.  The identities v*v = 1, v_j* v_i = delta 1,
-    sum v_i v_i* = 1 and K_i* = v* v_i are all verified before returning.
-    """
-    w = ch.kraus.transpose(1, 0, 2)  # w[a, i, c] = K_i[a, c]
-    d, k = w.shape[:2]
-    v = w.reshape(d * k, d)
-    parts = [linops.tensor(eye(d), eye(k)[:, [i]]) for i in range(k)]
-    checks = [spectral_norm(dagger(v) @ v - eye(d))]
-    for i, vi in enumerate(parts):
-        checks.append(spectral_norm(dagger(v) @ vi - dagger(w[:, i])))
-        for j, vj in enumerate(parts):
-            target = eye(d) if i == j else np.zeros((d, d))
-            checks.append(spectral_norm(dagger(vj) @ vi - target))
-    checks.append(spectral_norm(sum(vi @ dagger(vi) for vi in parts) - eye(d * k)))
-    worst = max(checks)
-    if worst > 1e-12:
-        raise NotCPTPError(f"isometric partition identities fail by {worst:.3e}")
-    return v, parts
-
-
 def _env_column(u, env):
     """``V = u (1 (x) e_0)``, the first environment column of a unitary ``u``
     on system (x) environment, as a (d, env, d) array: d columns in all."""
@@ -253,22 +225,12 @@ class KrausDilation:
                              list(defects), tol, details=defects)
 
 
-def kraus_ii_dilation(ch, pad_to=None):
+def kraus_ii_dilation(ch):
     """Reflection dilation of a channel with environment H + H (x) C^k: the
     :func:`reflection_unitaries` of its Kraus list, whose environment state
-    is e_0.  ``pad_to`` zero-pads the Kraus list to that many operators, so
-    families of channels can share one environment.
-    """
+    is e_0."""
     ks = ch.kraus
-    d, k = ch.dim, len(ks)
-    if pad_to is None:
-        pad_to = k
-    elif pad_to < k:
-        raise InputError(f"{k} Kraus operators do not fit in {pad_to} "
-                         "environment slots")
-    padded = np.zeros((1, pad_to, d, d), dtype=complex)
-    padded[0, :k] = ks
-    return KrausDilation(d, d + d * pad_to, reflection_unitaries(padded)[0])
+    return KrausDilation(ch.dim, ch.dim * (1 + len(ks)), reflection_unitaries(ks[None])[0])
 
 
 # -- unitary representation dilation of a channel family ------------------------

@@ -5,14 +5,13 @@ interpolation family, weighted acyclic networks, Lindblad-form generators).
 
 import itertools
 import math
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
 from . import linops, rewrite
 from .errors import (AcyclicityError, DegeneracyError, DimensionError, GraphError,
-                     InputError, OrderError, is_number, reading)
+                     InputError, is_number, reading)
 from .linops import commutator_superop, dagger, spectral_norm, superop_apply
 from .reports import CheckReport, defect_report
 
@@ -197,22 +196,10 @@ class GeneratorFamily(_Family):
                              edges, tol)
 
 
-@dataclass
-class LengthFunction:
-    """Edge length bound: a nonnegative number per edge."""
-
-    eval_fn: object
-
-    def __call__(self, edge):
-        val = float(self.eval_fn(edge))
-        if val < 0:
-            raise OrderError(f"length function negative at {edge!r}")
-        return val
-
-
 def proportional_length(scale):
-    """l(u, v) = scale * |v - u| for numeric node keys (additive)."""
-    return LengthFunction(lambda e: scale * abs(e[1] - e[0]))
+    """The edge length bound l(u, v) = scale * |v - u| for numeric node keys
+    (additive); every scale reaching it is parsed or built ``>= 0``."""
+    return lambda e: scale * abs(e[1] - e[0])
 
 
 # -- axiom checkers ------------------------------------------------------------
@@ -557,20 +544,6 @@ def network_family(net):
         return walk_sums(net, targets)[pos[:, 0], cols]
 
     return OperatorFamily(CompleteGraph(net.nodes), net.dim, stack_fn=stack)
-
-
-def network_defect(net, u, v, w):
-    """Path-sum over the walks from u to w that avoid node v.
-
-    Equals phi(u, w) - phi(u, v) phi(v, w) for the network family (walks
-    through v factor through the pair product; the rest is the defect).
-    """
-    for x in (u, v, w):
-        if x not in net.index:
-            raise GraphError(f"node {x!r} is not in the network")
-    if u == v or w == v:  # every such walk touches v
-        return np.zeros((net.dim, net.dim), dtype=complex)
-    return walk_sums(net, [net.index[w]], avoid=net.index[v])[net.index[u], 0]
 
 
 def check_network_defect(net, fam, tol):

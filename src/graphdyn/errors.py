@@ -20,10 +20,6 @@ class GraphError(GraphDynError, ValueError):
     """A node or edge is missing from the graph."""
 
 
-class OrderError(GraphDynError, ValueError):
-    """Interval endpoints are not in the required order."""
-
-
 class StructureError(GraphDynError, ValueError):
     """The graph lacks structure required by the operation (e.g. a linear order)."""
 

@@ -51,11 +51,6 @@ def _kron(a, b):
     return prod.reshape(prod.shape[:-4] + (m * p, n * q))
 
 
-def tensor(a, b):
-    """Kronecker product; the first factor is the slow index."""
-    return _kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace_first(m, d1, d2):
     """Trace out the first tensor factor of an operator on C^d1 (x) C^d2, or
     of each operator of a (..., d1 d2, d1 d2) stack."""
@@ -187,14 +182,6 @@ def is_hermitian(a, tol=DEFAULT_TOL):
     return bool(_singular_values(a - dagger(a))[0] <= tol)
 
 
-def is_psd(a, tol=DEFAULT_TOL):
-    """True iff ``a`` is Hermitian within ``tol`` and has min eigenvalue >= -tol."""
-    a = _square(a)
-    if not _singular_values(a - dagger(a))[0] <= tol:
-        return False
-    return float(np.linalg.eigvalsh(0.5 * (a + dagger(a))).min()) >= -tol
-
-
 # -- superoperators: d^2 x d^2 column-stacking matrices (fixed globally) ------
 #
 # A linear map on d x d matrices is the d^2 x d^2 matrix M with
@@ -227,12 +214,6 @@ def anticommutator_superop(a):
     a = _square(a)
     d = a.shape[0]
     return _kron(eye(d), a) + _kron(a.T, eye(d))
-
-
-def conjugation_superop(u):
-    """X -> u X u*."""
-    u = _square(u)
-    return _kron(np.conj(u), u)
 
 
 def kraus_superop(kraus_ops):

@@ -468,12 +468,14 @@ def edge_from_literal(lit, where):
 
 
 def nodes_from_literal(lit, where):
-    """Parse a node list, an array of distinct scalar node keys, into a tuple;
-    anything else, or a key listed twice, is an input error naming the field
-    ``where``."""
+    """Parse a node list, a non-empty array of distinct scalar node keys, into
+    a tuple; anything else, or a key listed twice, is an input error naming
+    the field ``where``.  A graph with no nodes would certify nothing."""
     if not (isinstance(lit, list) and all(isinstance(key, _SCALAR_KEYS) for key in lit)):
         raise InputError(f"malformed node list: {where} is {lit!r}, "
                          "not an array of scalar node keys")
+    if not lit:
+        raise InputError(f"malformed node list: {where} is empty")
     seen = set()
     for key in lit:
         if key in seen:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphdyn import dynamics, linops
+from graphdyn import linops
 from graphdyn.dynamics import OperatorFamily, descending_grid
 from graphdyn.linops import spectral_norm
 from graphdyn.sampling import random_dissipative, rng_from_seed
@@ -33,4 +33,4 @@ def noncommuting_divisible():
                                   for k in range(i, j))))
 
     fam = edgewise(OperatorFamily, graph, dim, phi)
-    return fam, dynamics.LengthFunction(ell)
+    return fam, ell

@@ -140,6 +140,15 @@ def path_sums_into(net, target, avoid=None):
     return sums
 
 
+def avoiding_walk_sum(net, u, v, w):
+    """The sum over the walks from ``u`` to ``w`` that skip ``v``, from the
+    one-target sweep into ``w``; zero when ``v`` is ``u`` or ``w``, since
+    every such walk touches it."""
+    if v in (u, w):
+        return np.zeros((net.dim, net.dim), dtype=complex)
+    return path_sums_into(net, w, avoid=v)[u]
+
+
 # -- one channel at a time: what the stacked channel kernels batch ------------------
 
 def validate_choi(choi, d):

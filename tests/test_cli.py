@@ -235,9 +235,7 @@ class TestCheck:
         monkeypatch.setattr(dynamics, "walk_sums", lambda net, targets, avoid=None:
                             calls.append((avoid, list(targets))) or sweep(net, targets, avoid))
         assert dynamics.network_family(net)(("a", "c")) == 0.25
-        assert dynamics.network_defect(net, "a", "b", "c") == 0
-        assert dynamics.network_defect(net, "a", "c", "c") == 0  # no sweep: w is v
-        assert calls == [(None, [2]), (1, [2])]
+        assert calls == [(None, [2])]
 
     def test_cptp_family_fails_at_tolerance_0(self, capsys, cptp_spec):
         # the random channels' CPTP defects are rounding, above 0: the report
@@ -364,6 +362,30 @@ class TestSpecForms:
                      ("extend", "--which", "normal", "--word", "[[0, 1]]"),
                      ("dilate", "--pipeline", "A")]:
             assert run(capsys, *argv, "--input", spec) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("family, field", [
+        ({"kind": "explicit", "values": []}, "graph.order"),
+        ({"kind": "exponential", "generators": []}, "graph.order"),
+        ({"kind": "exponential", "rate": linops.matrix_to_literal(-np.eye(2))}, "graph.order"),
+        ({"kind": "cptp", "channels": []}, "graph.order"),
+        ({"kind": "network", "weights": []}, "graph.nodes"),
+    ], ids=["explicit", "exponential-table", "exponential-rate", "cptp", "network"])
+    def test_a_spec_with_no_nodes_exits_2(self, capsys, tmp_path, family, field):
+        # with no nodes every check counted 0 and passed, and A-cptp on a
+        # cptp spec stacked no arrays and crashed
+        graph = {"order": []} if field == "graph.order" else {"nodes": [], "edges": []}
+        spec = write_json(tmp_path / "spec.json", {"graph": graph, "dim": 2, "family": family})
+        for argv in [("check",), *(("dilate", "--pipeline", p) for p in ("A", "B", "C", "A-cptp"))]:
+            assert run(capsys, *argv, "--input", spec) == (
+                2, "", f"input error: malformed node list: {field} is empty\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "--word", "[]"), ("group", "mul", "--words", "[[], []]"),
+        ("group", "inv", "--word", "[]")], ids=["normalize", "mul", "inv"])
+    def test_a_graph_with_no_nodes_exits_2(self, capsys, tmp_path, argv):
+        spec = write_json(tmp_path / "graph.json", {"graph": {"nodes": [], "edges": []}})
+        assert run(capsys, *argv, "--input", spec) == (
+            2, "", "input error: malformed node list: graph.nodes is empty\n")
 
     @pytest.mark.parametrize("argv", [
         ("check",), ("dilate", "--pipeline", "C"), ("extend", "--word", "[[2, 0]]")],
@@ -970,10 +992,21 @@ class TestDemo:
         assert sweep.startswith("alpha,")
 
     def test_network_demo_files(self, capsys, tmp_path):
+        # each row's defect and the expected entry, bitwise those of the
+        # one-target sweep into each node
+        from oracles import avoiding_walk_sum
         code, _, _ = run(capsys, "demo", "network-2.5", "--output",
                          str(tmp_path))
         assert code == 0
-        assert (tmp_path / "network-2_5.json").exists()
+        body = json.loads((tmp_path / "network-2_5.json").read_text())
+        net = dynamics.build_system(body["system"])["network"]
+        header, *rows = (tmp_path / "network-2_5_sweep.csv").read_text().splitlines()
+        assert header == "from,through,to,defect_norm"
+        want = [(u, v, w, linops.spectral_norm(avoiding_walk_sum(net, u, v, w)))
+                for u in net.nodes for v in net.nodes for w in net.nodes]
+        assert [(u, v, w, float(x)) for u, v, w, x in (r.split(",") for r in rows)] == want
+        assert body["expected"]["defect(u,v,w)_entry"] == \
+            avoiding_walk_sum(net, "u", "v", "w")[0, 0].real
 
     def test_lindblad_demo(self, capsys, tmp_path):
         code, _, _ = run(capsys, "demo", "lindblad", "--output", str(tmp_path))

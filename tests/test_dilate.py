@@ -1,3 +1,5 @@
+import pathlib
+import runpy
 from unittest import mock
 
 import numpy as np
@@ -9,21 +11,26 @@ from graphdyn import dilate, dynamics, linops, rewrite
 from graphdyn.dilate import (Channel, FormalVector, ShiftDilation,
                              dilate_cptp, dilate_discrete,
                              dilate_divisible, dilate_exponential,
-                             isometric_partition, kraus_ii_dilation,
+                             kraus_ii_dilation,
                              one_param_factorization)
 from graphdyn.dynamics import (CompleteGraph, LinearOrderGraph,
                                OperatorFamily, descending_grid,
                                example_indivisible, proportional_length)
 from graphdyn.errors import (GraphError, InputError, NotCPTPError,
                              PreconditionError)
-from graphdyn.linops import (SIGMA_X, SIGMA_Z, commutator_superop,
-                             conjugation_superop, dagger, spectral_norm,
-                             trace_norm)
+from graphdyn.linops import (SIGMA_X, SIGMA_Z, commutator_superop, dagger,
+                             kraus_superop, spectral_norm, trace_norm)
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
                                random_matrix, rng_from_seed)
 from oracles import (channel_to_spec, compress, cptp_system, edgewise, evaluate,
                      identity_channel, kraus_apply, kraus_spec, random_unitary)
+
+# the isometric partition and the depolarizing channel live in their demo
+KRAUS_DEMO = runpy.run_path(
+    str(pathlib.Path(__file__).parents[1] / "demos" / "kraus_reflections.py"))
+isometric_partition = KRAUS_DEMO["isometric_partition"]
+depolarizing = KRAUS_DEMO["depolarizing"]
 
 
 def matrix_units(d):
@@ -217,7 +224,7 @@ class TestKrausFromChoi:
         assert spectral_norm(k - phase * u) < 1e-10
 
     def test_depolarizing_spectrum(self):
-        ch = Channel.depolarizing(2)
+        ch = depolarizing(2)
         w = np.linalg.eigvalsh(ch.choi)
         # trace of the Choi matrix is the dimension; rank 4, flat spectrum
         assert np.allclose(w, 0.5)
@@ -245,7 +252,7 @@ class TestIsometricPartition:
         assert spectral_norm(dagger(v) @ parts[0] - dagger(ch.kraus[0])) < 1e-12
 
     def test_depolarizing(self):
-        v, parts = isometric_partition(Channel.depolarizing(2))
+        v, parts = isometric_partition(depolarizing(2))
         assert len(parts) == 4  # identities verified inside
 
     def test_random_cptp(self):
@@ -260,7 +267,8 @@ class TestIsometricPartition:
 
 
 def kron_reflection_unitary(ch, pad_to=None):
-    """Oracle for ``kraus_ii_dilation(ch, pad_to).unitary``: the coupling
+    """Oracle for the reflection unitary of ``ch``'s Kraus list, zero-padded
+    to ``pad_to`` operators if given: the coupling
     ``D = sum_i K_i (x) 1 (x) slot_i`` as a sum of Kronecker products, and
     the blocks [[0, D*], [D, 1 - D D*]] placed by the embeddings of the two
     environment summands, in three dense products."""
@@ -271,17 +279,26 @@ def kron_reflection_unitary(ch, pad_to=None):
     k = len(ks)
     env = d + d * k
     eye = linops.eye
-    dmat = sum(linops.tensor(ki, linops.tensor(eye(d), eye(k)[:, [i]]))
+    dmat = sum(np.kron(ki, np.kron(eye(d), eye(k)[:, [i]]))
                for i, ki in enumerate(ks))
     iota1 = np.zeros((env, d), dtype=complex)
     iota1[:d, :] = eye(d)
     iota2 = np.zeros((env, d * k), dtype=complex)
     iota2[d:, :] = eye(d * k)
-    emb1 = linops.tensor(eye(d), iota1)
-    emb2 = linops.tensor(eye(d), iota2)
+    emb1 = np.kron(eye(d), iota1)
+    emb2 = np.kron(eye(d), iota2)
     return (emb1 @ dagger(dmat) @ dagger(emb2)
             + emb2 @ dmat @ dagger(emb1)
             + emb2 @ (eye(d * d * k) - dmat @ dagger(dmat)) @ dagger(emb2))
+
+
+def padded_dilation(ch, slots):
+    """The reflection dilation of ``ch`` with its Kraus list zero-padded to
+    ``slots`` operators, as a channel family's shared environment pads it."""
+    ks = np.zeros((1, slots, ch.dim, ch.dim), dtype=complex)
+    ks[0, :len(ch.kraus)] = ch.kraus
+    return dilate.KrausDilation(ch.dim, ch.dim * (1 + slots),
+                                dilate.reflection_unitaries(ks)[0])
 
 
 class TestKrausII:
@@ -316,7 +333,7 @@ class TestKrausII:
     def test_zero_padding_keeps_reconstruction(self):
         rng = rng_from_seed(10)
         ch = Channel.random(rng, 2)
-        kd = kraus_ii_dilation(ch, pad_to=7)
+        kd = padded_dilation(ch, 7)
         assert kd.env_dim == 2 * (7 + 1)
         assert kd.verify(ch).passed
 
@@ -325,18 +342,19 @@ class TestKrausII:
     @settings(max_examples=3, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_unitary_equals_kron_oracle(self, d, rank, data, seed):
-        pad_to = data.draw(st.one_of(st.none(), st.integers(rank, d * d + 2)),
-                           label="pad_to")
+        pad_to = data.draw(st.integers(rank, d * d + 2), label="pad_to")
         ch = Channel.from_kraus(random_kraus_ops(rng_from_seed(seed), d, rank))
-        kd = kraus_ii_dilation(ch, pad_to=pad_to)
-        assert np.array_equal(kd.unitary, kron_reflection_unitary(ch, pad_to))
-        assert kd.env_dim == d * (1 + (rank if pad_to is None else pad_to))
+        kd = kraus_ii_dilation(ch)
+        assert np.array_equal(kd.unitary, kron_reflection_unitary(ch))
+        assert kd.env_dim == d * (1 + rank)
+        assert np.array_equal(padded_dilation(ch, pad_to).unitary,
+                              kron_reflection_unitary(ch, pad_to))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_reduced_action_equals_product_with_e0(self, d):
         rng = rng_from_seed(40 + d)
         ch = Channel.random(rng, d)
-        kd = kraus_ii_dilation(ch, pad_to=d * d)
+        kd = padded_dilation(ch, d * d)
         u, env = kd.unitary, kd.env_dim
         e0 = np.zeros(env, dtype=complex)
         e0[0] = 1.0
@@ -344,12 +362,6 @@ class TestKrausII:
         s = np.concatenate([linops.matrix_units(d), [random_matrix(rng, d)]])
         old = (v @ s[:, None]).reshape(len(s), d, -1) @ dagger(v.reshape(d, -1))
         assert np.array_equal(kd.reconstructed(s), old)
-
-    def test_too_many_kraus_operators_for_the_padding(self):
-        rng = rng_from_seed(43)
-        ch = Channel.from_kraus(random_kraus_ops(rng, 2, 3))
-        with pytest.raises(InputError, match="3 Kraus operators"):
-            kraus_ii_dilation(ch, pad_to=2)
 
     def test_perturbed_unitary_fails_and_names_its_witness(self):
         rng = rng_from_seed(44)
@@ -381,7 +393,7 @@ def formal_verify_element(dil, x, s):
     """Oracle for ``VedDilation.verify_element``: builds U(x) m U(x)* column
     by column from FormalVector round trips through the group identity."""
     p = dil.dim * dil.env_dim
-    m = linops.tensor(s, np.diag(np.eye(dil.env_dim)[0]))
+    m = np.kron(s, np.diag(np.eye(dil.env_dim)[0]))
     cols = np.empty((p, p), dtype=complex)
     for j, e_j in enumerate(np.eye(p, dtype=complex)):
         (tag, back), = dil.apply(ginv(x), FormalVector.of([(x, e_j)])).terms
@@ -601,7 +613,7 @@ class TestShiftDilationCstar:
         def value(e):
             t, s = e
             u = linops.expm(1j * (t - s) * h)
-            return conjugation_superop(u)
+            return kraus_superop([u])
 
         fam = edgewise(OperatorFamily, graph, 4, value)
         from graphdyn.extend import FirstCoverExtension
@@ -640,8 +652,8 @@ def shift_setup(which, seed):
         return SecondCoverExtension(gens), 3, "banach"
     h = random_matrix(rng, 2)
     h = h + dagger(h)
-    fam = edgewise(OperatorFamily, gens.graph, 4, lambda e: conjugation_superop(
-        linops.expm(1j * (e[0] - e[1]) * h)))
+    fam = edgewise(OperatorFamily, gens.graph, 4, lambda e: kraus_superop([
+        linops.expm(1j * (e[0] - e[1]) * h)]))
     return FirstCoverExtension(fam), 2, "cstar"
 
 
@@ -674,7 +686,7 @@ class TestBatchedShiftValues:
 
         def value(e):
             u = linops.expm(1j * (e[1] - e[0]) * SIGMA_X)
-            return scale.get(e, 1.0) * conjugation_superop(u)
+            return scale.get(e, 1.0) * kraus_superop([u])
 
         for bad in (None, (2, 3)):
             # a later edge with no value must not mask the first failure
@@ -759,8 +771,8 @@ class TestPipelines:
         h = np.diag([0.7, -0.2]).astype(complex)
         fam = edgewise(
             OperatorFamily, graph, 4,
-            lambda e: conjugation_superop(
-                linops.expm(1j * (e[0] - e[1]) * h)))
+            lambda e: kraus_superop([
+                linops.expm(1j * (e[0] - e[1]) * h)]))
         ds = dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
         reports = ds.verify(rng=rng)
         assert all(r.passed for r in reports)

@@ -11,23 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdyn import dynamics, linops, rewrite
-from graphdyn.dynamics import (DagNetwork, GeneratorFamily, LengthFunction,
+from graphdyn.dynamics import (DagNetwork, GeneratorFamily,
                                LinearOrderGraph, OperatorFamily,
                                check_additivity, check_divisibility,
                                check_geometric_growth, check_identity_axiom,
                                check_network_defect, check_schwarz_generator,
                                descending_grid, dissipation_map, divisibility_defect,
                                example_indivisible, lindblad_generator,
-                               network_defect, network_family, proportional_length)
+                               network_family, proportional_length, walk_sums)
 from graphdyn.errors import (AcyclicityError, DegeneracyError, DimensionError,
                              GraphError, InputError)
 from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, commutator_superop,
-                             conjugation_superop, kraus_superop, spectral_norm,
-                             superop_apply)
+                             kraus_superop, spectral_norm, superop_apply)
 from graphdyn.reports import defect_report
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_kraus_ops, random_matrix, rng_from_seed)
-from oracles import additivity_defect, edgewise
+from oracles import additivity_defect, avoiding_walk_sum, edgewise
 
 
 @pytest.fixture
@@ -147,8 +146,7 @@ class TestGeometricGrowth:
 
     def test_identity_with_zero_length(self, grid):
         fam = edgewise(OperatorFamily, grid, 2, lambda e: np.eye(2))
-        ell = LengthFunction(lambda e: 0.0)
-        assert check_geometric_growth(fam, ell).passed
+        assert check_geometric_growth(fam, lambda e: 0.0).passed
 
     def test_expanding_family_fails(self):
         graph = LinearOrderGraph([0.0, 1.0, 2.0, 4.0])
@@ -312,7 +310,7 @@ class TestBatchedCheckers:
     def test_all_zero_defects_have_no_argmax(self, grid):
         fam = edgewise(OperatorFamily, grid, 2, lambda e: np.eye(2))
         for rep in (check_divisibility(fam), check_identity_axiom(fam),
-                    check_geometric_growth(fam, LengthFunction(lambda e: 0.0))):
+                    check_geometric_growth(fam, lambda e: 0.0)):
             assert rep.passed and rep.max_defect == 0.0 and rep.argmax is None
 
         def worst(defects, keys):
@@ -601,7 +599,7 @@ class TestLindblad:
         gen = lindblad_generator(SIGMA_Z, np.zeros((4, 4)))
         t = 0.6
         lhs = linops.expm(t * gen)
-        rhs = conjugation_superop(linops.expm(1j * t * SIGMA_Z))
+        rhs = kraus_superop([linops.expm(1j * t * SIGMA_Z)])
         assert spectral_norm(lhs - rhs) < 1e-12
 
     def test_unital(self):
@@ -619,7 +617,9 @@ class TestLindblad:
             gen = lindblad_generator(h, psi)
             for _ in range(25):
                 a = random_matrix(rng, d)
-                assert linops.is_psd(dissipation_map(gen, a, a), tol=1e-9)
+                m = dissipation_map(gen, a, a)
+                assert spectral_norm(m - linops.dagger(m)) <= 1e-9
+                assert np.linalg.eigvalsh(linops.hermitian_part(m)).min() >= -1e-9
 
     def test_non_hermitian_hamiltonian(self):
         with pytest.raises(InputError):
@@ -637,6 +637,16 @@ class TestSchwarzChecker:
         gen = lindblad_generator(SIGMA_Y, psi)
         samples = [random_matrix(rng, 2) for _ in range(20)]
         assert check_schwarz_generator(gen, samples).passed
+
+    def test_dissipation_defect_reads_sign_and_hermiticity(self):
+        # D_L(a, a) of -L is -D_L(a, a), negative semidefinite; of the map
+        # X -> i X it is i a* a, not Hermitian
+        rng = rng_from_seed(18)
+        gen = lindblad_generator(SIGMA_Z, kraus_superop(random_kraus_ops(rng, 2, 2)))
+        samples = [random_matrix(rng, 2) for _ in range(5)]
+        for bad in (-gen, 1j * np.eye(4)):
+            rep = check_schwarz_generator(bad, samples)
+            assert not rep.passed and rep.details["dissipation_psd_defect"] > 1e-3
 
     def test_zero_passes(self):
         rng = rng_from_seed(9)
@@ -663,7 +673,7 @@ class TestSchwarzChecker:
         # conditions, whatever they turn out to be
         d = 2
         # transposition is the swap matrix under column stacking
-        swap = sum(linops.tensor(e_ij, e_ij.T)
+        swap = sum(np.kron(e_ij, e_ij.T)
                    for e_ij in (np.eye(d)[:, [i]] @ np.eye(d)[[j], :]
                                 for i in range(d) for j in range(d)))
         x = random_matrix(rng_from_seed(42), d)
@@ -692,6 +702,12 @@ def enumerate_walks(net, u, v):
     return out
 
 
+def avoiding(net, u, v, w):
+    """The library's sum over the walks from u to w that avoid v: the sweep
+    of :func:`walk_sums` into w."""
+    return walk_sums(net, [net.index[w]], avoid=net.index[v])[net.index[u], 0]
+
+
 class TestNetworks:
     def diamond(self, scale):
         w = scale * np.eye(2, dtype=complex)
@@ -707,7 +723,7 @@ class TestNetworks:
         net = self.diamond(2.0)
         fam = network_family(net)
         assert np.allclose(fam(("u", "w")), 8 * np.eye(2))
-        defect = network_defect(net, "u", "v", "w")
+        defect = avoiding(net, "u", "v", "w")
         assert np.allclose(defect, 4 * np.eye(2))
 
     def test_defect_equals_axiom_gap(self):
@@ -716,9 +732,10 @@ class TestNetworks:
         for u in net.nodes:
             for v in net.nodes:
                 for w in net.nodes:
-                    lhs = network_defect(net, u, v, w)
+                    lhs = avoiding(net, u, v, w)
                     rhs = fam((u, w)) - fam((u, v)) @ fam((v, w))
                     assert np.array_equal(lhs, rhs)
+                    assert np.array_equal(lhs, avoiding_walk_sum(net, u, v, w))
 
     def test_against_walk_enumeration_oracle(self):
         rng = rng_from_seed(11)
@@ -757,7 +774,7 @@ class TestNetworks:
                             for a, b in zip(walk, walk[1:]):
                                 prod = prod @ net.weight(a, b)
                             total = total + prod
-                    assert spectral_norm(network_defect(net, u, v, w)
+                    assert spectral_norm(avoiding(net, u, v, w)
                                          - total) < 1e-12
 
     def test_no_path(self):
@@ -766,7 +783,7 @@ class TestNetworks:
         fam = network_family(net)
         assert np.array_equal(fam(("b", "c")), np.zeros((2, 2)))
         # avoiding-sum is empty, so the defect is minus the pair product
-        defect = network_defect(net, "a", "b", "c")
+        defect = avoiding(net, "a", "b", "c")
         rhs = fam(("a", "c")) - fam(("a", "b")) @ fam(("b", "c"))
         assert np.array_equal(defect, rhs)
 
@@ -781,7 +798,7 @@ class TestNetworks:
         assert spectral_norm(network_family(net)((0, n - 1)) - product) < 1e-10
         # node 0 is not on any walk from 1, so avoiding it removes nothing
         tail = np.diag(np.exp(1j * thetas[1:].sum(axis=0)))
-        assert spectral_norm(network_defect(net, 1, 0, n - 1) - tail) < 1e-10
+        assert spectral_norm(avoiding(net, 1, 0, n - 1) - tail) < 1e-10
 
     def test_a_null_node_key_carries_its_walks(self):
         # compared by key with the default "avoid nothing", None was skipped
@@ -789,7 +806,7 @@ class TestNetworks:
         net = DagNetwork(["a", None, "c"], edges, {e: 0.5 * np.eye(1) for e in edges}, 1)
         fam = network_family(net)
         assert fam(("a", None)) == 0.5 and fam(("a", "c")) == 0.25
-        assert network_defect(net, "a", None, "c") == 0
+        assert avoiding(net, "a", None, "c") == 0
         assert check_network_defect(net, fam, 1e-12).passed
 
     def test_cycle_rejected(self):

@@ -10,10 +10,10 @@ from graphdyn import linops
 from graphdyn.dynamics import GeneratorFamily, LinearOrderGraph
 from graphdyn.errors import DimensionError
 from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, anticommutator_superop,
-                             commutator, commutator_superop,
-                             conjugation_superop, dagger, exp_derivative, expm,
-                             is_psd, kraus_superop, partial_trace_first,
-                             spectral_norm, superop_apply, tensor, trace_norm)
+                             commutator, commutator_superop, dagger,
+                             exp_derivative, expm, kraus_superop,
+                             partial_trace_first, spectral_norm, superop_apply,
+                             trace_norm)
 from graphdyn.reports import defect_report, dumps
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_matrix, rng_from_seed)
@@ -42,39 +42,6 @@ def expm_taylor(a, terms=80):
     return out
 
 
-class TestTensor:
-    def test_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_diagonal(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.diag([1.0, 0.0]).astype(complex)
-        assert np.array_equal(np.diag(tensor(a, b)), [1, 0, 2, 0])
-
-    def test_product_vector(self):
-        e0 = np.array([1, 0], dtype=complex)
-        e1 = np.array([0, 1], dtype=complex)
-        out = tensor(SIGMA_X, SIGMA_X) @ np.kron(e0, e0)
-        assert np.allclose(out, np.kron(e1, e1))
-
-    def test_matches_entrywise_oracle(self):
-        rng = rng_from_seed(1)
-        a = random_matrix(rng, 2)
-        b = random_matrix(rng, 3)
-        assert spectral_norm(tensor(a, b) - kron_oracle(a, b)) < 1e-14
-
-    def test_associative_exactly(self):
-        # entry products must be exact for bitwise associativity, so use
-        # small integer entries
-        rng = rng_from_seed(2)
-        mats = [rng.integers(-3, 4, size=(d, d))
-                + 1j * rng.integers(-3, 4, size=(d, d))
-                for d in (2, 3, 2)]
-        a, b, c = (m.astype(complex) for m in mats)
-        assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-        assert np.array_equal(tensor(a, b), kron_oracle(a, b))
-
-
 class TestPartialTrace:
     def test_defining_identity(self):
         # tr(T tr1(s)) = tr((1 (x) T) s) over all matrix-unit test operators T
@@ -86,7 +53,7 @@ class TestPartialTrace:
                 t = np.zeros((3, 3), dtype=complex)
                 t[i, j] = 1.0
                 lhs = np.trace(t @ red)
-                rhs = np.trace(tensor(np.eye(2), t) @ s)
+                rhs = np.trace(np.kron(np.eye(2), t) @ s)
                 assert abs(lhs - rhs) < 1e-12
 
     def test_product_state(self):
@@ -94,7 +61,7 @@ class TestPartialTrace:
         rng = rng_from_seed(4)
         a, c = random_matrix(rng, 3), random_matrix(rng, 3)
         b, d = random_matrix(rng, 2), random_matrix(rng, 2)
-        assert spectral_norm(partial_trace_first(tensor(a, b) + tensor(c, d), 3, 2)
+        assert spectral_norm(partial_trace_first(np.kron(a, b) + np.kron(c, d), 3, 2)
                              - np.trace(a) * b - np.trace(c) * d) < 1e-12
 
     def test_identity(self):
@@ -106,13 +73,13 @@ class TestPartialTrace:
         eta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         eta /= np.linalg.norm(eta)
         env = np.outer(eta, np.conj(eta))
-        assert spectral_norm(partial_trace_first(tensor(env, s), 4, 3) - s) < 1e-12
+        assert spectral_norm(partial_trace_first(np.kron(env, s), 4, 3) - s) < 1e-12
 
     def test_first_factor(self):
         rng = rng_from_seed(6)
         a = random_matrix(rng, 2)
         b = random_matrix(rng, 3)
-        assert spectral_norm(linops.partial_trace_first(tensor(a, b), 2, 3)
+        assert spectral_norm(linops.partial_trace_first(np.kron(a, b), 2, 3)
                              - np.trace(a) * b) < 1e-12
 
     def test_shape_error(self):
@@ -384,13 +351,13 @@ class TestAlgebra:
     def test_adjoint_identity(self):
         rng = rng_from_seed(14)
         s = random_matrix(rng, 3)
-        assert np.array_equal(superop_apply(conjugation_superop(np.eye(3)), s), s)
+        assert np.array_equal(superop_apply(kraus_superop([np.eye(3)]), s), s)
 
     def test_adjoint_preserves_trace_and_spectrum(self):
         rng = rng_from_seed(15)
         u = random_unitary(rng, 4)
         s = random_hermitian(rng, 4)
-        out = superop_apply(conjugation_superop(u), s)
+        out = superop_apply(kraus_superop([u]), s)
         assert abs(np.trace(out) - np.trace(s)) < 1e-12
         assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(s),
                            atol=1e-12)
@@ -422,22 +389,6 @@ class TestDissipative:
         assert is_dissipative(a)
         for alpha in (0.1, 1.0, 10.0):
             assert spectral_norm(expm(alpha * a)) <= 1 + 1e-9
-
-
-class TestPsd:
-    def test_identity(self):
-        assert is_psd(np.eye(3))
-
-    def test_negative(self):
-        assert not is_psd(-np.eye(3))
-
-    def test_gram(self):
-        rng = rng_from_seed(18)
-        b = random_matrix(rng, 4)
-        assert is_psd(b @ linops.dagger(b))
-
-    def test_non_hermitian(self):
-        assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestPerturbationBound:
@@ -499,7 +450,14 @@ class TestVectorization:
         rng = rng_from_seed(22)
         u = random_unitary(rng, 3)
         x = random_matrix(rng, 3)
-        assert np.allclose(superop_apply(conjugation_superop(u), x), u @ x @ dagger(u))
+        assert np.allclose(superop_apply(kraus_superop([u]), x), u @ x @ dagger(u))
+
+    def test_conjugation_is_the_entrywise_kron(self):
+        # kraus_superop([u]) is X -> u X u*, the matrix conj(u) (x) u; small
+        # integer entries make every product exact
+        rng = rng_from_seed(2)
+        u = rng.integers(-3, 4, size=(3, 3)) + 1j * rng.integers(-3, 4, size=(3, 3))
+        assert np.array_equal(kraus_superop([u]), kron_oracle(np.conj(u), u))
 
     def test_commutator_superop(self):
         rng = rng_from_seed(23)

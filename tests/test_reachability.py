@@ -1,17 +1,19 @@
-"""``src/graphdyn`` keeps only what the system runs.
+"""``src/graphdyn`` keeps only what the commands run.
 
-A walk through what the package is for records, with ``sys.setprofile``,
-every function of ``src/graphdyn`` that it calls: the ``verify`` suite, the
-three ``demo`` commands, the demo scripts, the word commands, and ``check``,
-``extend`` and ``dilate`` on the command-line test specs of every family kind,
-extension and pipeline, one failing precondition included.  A module-level
-function or a method that the walk never calls must be on ``UNREACHED`` with
-the reason it stays.  A function that only tests call belongs in
-``tests/oracles.py`` if tests compare against it, and nowhere otherwise.
+A walk through the commands records, with ``sys.setprofile``, every function
+of ``src/graphdyn`` that they call: the ``verify`` suite, the three ``demo``
+commands, the word commands, and ``check``, ``extend`` and ``dilate`` on the
+command-line test specs of every family kind, extension and pipeline, one
+failing precondition included.  A module-level function or a method that the
+walk never calls must be on ``UNREACHED`` with the reason it stays.  A
+function that only tests call belongs in ``tests/oracles.py`` if tests
+compare against it, and nowhere otherwise; one that only a demo script calls
+belongs in that script.
 
-The acceptance suite is not part of the walk: under the profiler its
-criterion 2 overruns its time budget.  The functions that only acceptance
-criteria call are on the list with their criteria.
+The demo scripts and the acceptance suite are not part of the walk: a demo
+script is not a command, and under the profiler criterion 2 overruns its time
+budget.  The functions that only acceptance criteria, a demo script or the
+benchmark's spans read are on the list with their readers.
 """
 
 import ast
@@ -23,6 +25,8 @@ import pathlib
 import runpy
 import sys
 
+import pytest
+
 from graphdyn import cli
 
 # the command-line test specs; the imported fixtures are fixtures here too
@@ -31,14 +35,31 @@ from test_cli import (_explicit_spec, _generator_table_spec,  # noqa: F401
                       line_graph_spec, network_spec, write_json)
 
 SRC = pathlib.Path(cli.__file__).parent
-DEMOS = pathlib.Path(__file__).parents[1] / "demos"
 
 # "module.qualname" -> why it stays although the walk never calls it
 UNREACHED = {
+    "dilate.FormalVector.distance": "one_param_factorization, acceptance criterion 10",
+    "dilate.FormalVector.map": "VedDilation.apply, ShiftDilation.shift",
+    "dilate.FormalVector.of": "bench/spans.py's METHODS wraps it; acceptance "
+                              "criterion 10, one_param_factorization",
+    "dilate.ShiftDilation.compression_matrix": "bench/spans.py's METHODS wraps it; "
+                                               "acceptance criterion 8, "
+                                               "one_param_factorization",
+    "dilate.ShiftDilation.embed": "one_param_factorization",
+    "dilate.ShiftDilation.shift": "one_param_factorization",
+    "dilate.VedDilation.apply": "bench/spans.py's METHODS wraps it; acceptance "
+                                "criterion 10",
+    "dilate.VedDilation.unitary_of": "bench/spans.py's METHODS wraps it; "
+                                     "VedDilation.apply",
+    "dilate.VedDilation.verify_element": "bench/spans.py's METHODS wraps it; "
+                                         "acceptance criterion 10",
+    "dilate.one_param_factorization": "acceptance criterion 11",
     "dynamics.commuting_evolution": "acceptance criteria 6, 7, 8 and 11",
     "linops.exp_derivative": "acceptance criterion 4",
     "rewrite.GroupElement.__repr__": "the exit-3 line of a failing dilate precondition "
                                      "names the group element by it",
+    "rewrite.reduce_once_all": "demos/edge_group_rewriting.py prints its one-step "
+                               "reducts; bench/run.py counts its calls",
     "sampling.random_dissipative": "acceptance criteria 3, 6, 7, 8 and 11",
     "sampling.random_hermitian": "random_dissipative",
 }
@@ -98,7 +119,7 @@ RUNS = {
 
 
 def walk(tmp_path, specs):
-    """Run the system end to end; the exit code of each command."""
+    """Run every command of the walk; the exit code of each."""
     cli.build_parser.cache_clear()  # built once per process: here, in the walk
     codes = {}
     line = specs["line_graph"]
@@ -122,18 +143,15 @@ def walk(tmp_path, specs):
     # a precondition that fails: the family is not divisible
     codes["dilate indivisible B"] = run_cli("dilate", "--input", specs["indivisible"],
                                             "--pipeline", "B")
-    for script in sorted(DEMOS.glob("*.py")):
-        with contextlib.redirect_stdout(io.StringIO()):
-            runpy.run_path(str(script), run_name="__main__")
     return codes
 
 
-def test_every_library_function_serves_the_system(tmp_path, line_graph_spec,
-                                                  divisible_spec, indivisible_spec,
-                                                  network_spec, cptp_spec):
+@pytest.fixture
+def specs(tmp_path, line_graph_spec, divisible_spec, indivisible_spec, network_spec,
+          cptp_spec):
     half = [[0.5, 0.0], [0.0, 0.5]]
     quarter = [[0.25, 0.0], [0.0, 0.25]]
-    specs = {
+    return {
         "line_graph": line_graph_spec, "divisible": divisible_spec,
         "indivisible": indivisible_spec, "network": network_spec, "cptp": cptp_spec,
         "explicit": write_json(tmp_path / "explicit.json", _explicit_spec(
@@ -141,6 +159,17 @@ def test_every_library_function_serves_the_system(tmp_path, line_graph_spec,
         "generators": write_json(tmp_path / "generators.json",
                                  _generator_table_spec([(0, 1), (1, 2), (0, 2)])),
     }
+
+
+def load(path):
+    """Import the module at ``path`` under its file stem."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_library_function_serves_the_system(tmp_path, specs):
     functions = library_functions(sorted(SRC.glob("*.py")))
     assert set(UNREACHED) <= set(functions.values())
     missed, codes = never_called(functions, lambda: walk(tmp_path, specs))
@@ -160,12 +189,32 @@ def test_a_function_no_run_calls_is_listed(tmp_path):
         "    def used(self, x):\n        return x\n\n"
         "    def unused(self):\n        return 0\n\n\n"
         "def only_tests():\n    return 1\n")
-    spec = importlib.util.spec_from_file_location("extra", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load(path)
     functions = library_functions([path])
     assert sorted(functions.values()) == [
         "extra.Box.unused", "extra.Box.used", "extra.cached", "extra.only_tests"]
     missed, result = never_called(functions, lambda: module.cached(3))
     assert result == 3
     assert missed == {"extra.Box.unused", "extra.only_tests"}
+
+
+def run_script(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(path), run_name="__main__")
+
+
+def test_a_function_only_a_demo_script_calls_fails_the_walk(tmp_path, monkeypatch, specs):
+    # a scratch module among the library's, whose one function a demo script calls
+    lib = tmp_path / "scratch_lib.py"
+    lib.write_text("def demo_only():\n    return 1\n")
+    monkeypatch.setitem(sys.modules, "scratch_lib", load(lib))
+    script = tmp_path / "scratch_demo.py"
+    script.write_text("import scratch_lib\n\nscratch_lib.demo_only()\n")
+    functions = library_functions(sorted(SRC.glob("*.py")) + [lib])
+    assert "scratch_lib.demo_only" not in never_called(functions, lambda: run_script(script))[0]
+    missed, _ = never_called(functions, lambda: walk(tmp_path, specs))
+    assert missed - set(UNREACHED) == {"scratch_lib.demo_only"}
+    # so is rewrite.reduce_once_all, which a demo script of the repo calls
+    demo = pathlib.Path(__file__).parents[1] / "demos" / "edge_group_rewriting.py"
+    assert "rewrite.reduce_once_all" in missed - never_called(
+        functions, lambda: run_script(demo))[0]

@@ -201,10 +201,10 @@ class TestBatchedChannelKernels:
         # the kernels at stack size one
         ch = dilate.Channel(d, good[0])
         assert_bitwise(ch.kraus[None], lists[:1])
-        kd = dilate.kraus_ii_dilation(ch, pad_to=d * d)
-        assert_bitwise(kd.unitary[None], [oracles.reflection_unitary(lists[0], d * d)])
+        kd = dilate.kraus_ii_dilation(ch)
+        assert_bitwise(kd.unitary[None], [oracles.reflection_unitary(lists[0], len(lists[0]))])
         assert_bitwise(kd.reconstructed(samples)[None],
-                       [oracles.reduced_action(kd.unitary, env, samples)])
+                       [oracles.reduced_action(kd.unitary, kd.env_dim, samples)])
 
 
 def _has_avx2():
