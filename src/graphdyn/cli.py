@@ -18,7 +18,7 @@ import sys
 # numpy and the numeric layers are imported inside the commands that use
 # them, so that the word commands (normalize, group) start without them
 from . import rewrite
-from .errors import GraphDynError, InputError, PreconditionError, reading
+from .errors import InputError, PreconditionError, reading
 from .reports import CheckReport, dumps
 
 SCHEMA = "graphdyn-report/1"
@@ -39,7 +39,7 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition failure [{exc.axiom}]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (GraphDynError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,8 +18,7 @@ from . import linops, rewrite
 from .dynamics import (GeneratorFamily, LinearOrderGraph, _blockwise,
                        _node_triples, _ordered_triples, _spec_number,
                        check_geometric_growth)
-from .errors import (InputError, NotCPTPError, PreconditionError,
-                     StructureError, reading)
+from .errors import InputError, PreconditionError, reading
 from .extend import (FirstCoverExtension, NormalFormExtension,
                      SecondCoverExtension, continuity_modulus_check)
 from .linops import dagger, eye, spectral_norm, trace_norm
@@ -42,11 +41,6 @@ class Channel:
     def __init__(self, dim, choi):
         self.dim = int(dim)
         self.choi = _choi_matrix(self.dim, choi)
-        self.validate()
-
-    def validate(self):
-        """Raise NotCPTPError unless the Choi matrix passes
-        :func:`validate_chois`."""
         validate_chois([self.choi])
 
     @property
@@ -80,7 +74,7 @@ def _choi_matrix(dim, choi):
     """``choi`` as a finite complex matrix of the shape (dim^2, dim^2)."""
     choi = linops.as_matrix(choi)
     if choi.shape != (dim**2, dim**2):
-        raise NotCPTPError(f"Choi matrix has shape {choi.shape}")
+        raise InputError(f"Choi matrix has shape {choi.shape}")
     return choi
 
 
@@ -96,7 +90,7 @@ def cptp_defects(choi, d):
 
 
 def validate_chois(chois):
-    """Raise NotCPTPError for the first Choi matrix of the list, in order,
+    """Raise InputError for the first Choi matrix of the list, in order,
     whose :func:`cptp_defects` exceed ``linops.DEFAULT_TOL``: not PSD (either
     of the first two), then not trace preserving.
 
@@ -119,9 +113,9 @@ def validate_chois(chois):
             rows[i] = row
     for herm, negative, tp in rows:
         if max(herm, negative) > tol:
-            raise NotCPTPError("Choi matrix is not positive semidefinite")
+            raise InputError("Choi matrix is not positive semidefinite")
         if tp > tol:
-            raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
+            raise InputError(f"trace-preservation defect {tp:.3e}")
 
 
 def check_cptp_family(system, tol):
@@ -373,7 +367,7 @@ class ShiftDilation:
 
     def __init__(self, phi_bar, dim, flavor="banach"):
         if flavor not in ("banach", "cstar"):
-            raise InputError(f"unknown flavor {flavor!r}")
+            raise ValueError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.dim = int(dim)  # payload dimension: vector length or matrix size
         self._phi = phi_bar
@@ -418,7 +412,7 @@ class ShiftDilation:
     def _evaluate(self, gs):
         vals = np.asarray(self._phi.stack(gs), dtype=complex)
         if vals.shape != (len(gs),) + self._shape:
-            raise InputError(f"value stack has shape {vals.shape}")
+            raise ValueError(f"value stack has shape {vals.shape}")
         return vals
 
     def _check(self, gs, vals):
@@ -536,7 +530,7 @@ def _payload_dim(fam_dim, flavor):
         return fam_dim
     d = int(round(fam_dim**0.5))
     if d * d != fam_dim:
-        raise InputError(
+        raise ValueError(
             "the cstar flavor needs superoperator-valued families "
             f"(square dimension), got {fam_dim}")
     return d
@@ -615,9 +609,9 @@ def one_param_factorization(dilsys, t0, rng=None):
     """
     graph = dilsys.system["graph"]
     if not isinstance(graph, LinearOrderGraph):
-        raise StructureError("factorization needs a linearly ordered graph")
+        raise ValueError("factorization needs a linearly ordered graph")
     if not isinstance(dilsys.dilation, ShiftDilation):
-        raise StructureError("factorization needs a shift-dilated system")
+        raise ValueError("factorization needs a shift-dilated system")
     ctx = dilsys.context
     rng = rng or np.random.default_rng(0)
 

@@ -3,6 +3,7 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
+import functools
 import itertools
 import math
 from graphlib import CycleError, TopologicalSorter
@@ -10,8 +11,7 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from . import linops, rewrite
-from .errors import (AcyclicityError, DegeneracyError, DimensionError, GraphError,
-                     InputError, is_number, reading)
+from .errors import InputError, is_number, reading
 from .linops import commutator_superop, dagger, spectral_norm, superop_apply
 from .reports import CheckReport, defect_report
 
@@ -29,13 +29,13 @@ class LinearOrderGraph:
         self.nodes = tuple(nodes)
         self._index = {u: i for i, u in enumerate(self.nodes)}
         if len(self._index) != len(self.nodes):
-            raise GraphError("linear order nodes must be distinct")
+            raise InputError("linear order nodes must be distinct")
 
     def index(self, u):
         try:
             return self._index[u]
         except KeyError:
-            raise GraphError(f"node {u!r} is not on the grid") from None
+            raise ValueError(f"node {u!r} is not on the grid") from None
 
     def leq(self, u, v):
         return self.index(u) <= self.index(v)
@@ -55,7 +55,7 @@ class LinearOrderGraph:
         bad = np.flatnonzero((i < 0) | (j < i))  # an unknown head has j = -1 < i
         if bad.size:
             u, v = edges[bad[0]]
-            raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
+            raise ValueError(f"({u!r}, {v!r}) is not an edge of the graph")
         return i, j
 
     def meet(self, u, v):
@@ -119,12 +119,12 @@ class _Family:
             out = self._stack_fn(edges)
         if out.shape != (len(edges), self.dim, self.dim):
             # the batch's values share one shape
-            raise GraphError(f"evaluator returned shape {out.shape[1:]}, expected "
+            raise ValueError(f"evaluator returned shape {out.shape[1:]}, expected "
                              f"{(self.dim, self.dim)} at edge {edges[0]!r}")
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
-            raise DimensionError(f"value at edge {edges[np.argmin(finite)]!r} "
-                                 "has non-finite entries")
+            raise InputError(f"value at edge {edges[np.argmin(finite)]!r} "
+                             "has non-finite entries")
         return out
 
     def __call__(self, edge):
@@ -229,7 +229,7 @@ def divisibility_defect(fam, u, v, w):
     """Norm of phi(u,w) - phi(u,v) phi(v,w); zero iff divisible at the triple."""
     for e in ((u, v), (v, w), (u, w)):
         if not fam.graph.has_edge(*e):
-            raise GraphError(f"missing edge {e!r}")
+            raise ValueError(f"missing edge {e!r}")
     return spectral_norm(fam((u, w)) - fam((u, v)) @ fam((v, w)))
 
 
@@ -363,7 +363,7 @@ def example_indivisible(h1, h2, t_max=1.0, grid_points=9):
     hat = linops.commutator(h1, h2)
     # tr[h1,h2] = 0, so [h1,h2] is central iff it vanishes
     if spectral_norm(hat) <= 1e-12:
-        raise DegeneracyError("[h1, h2] is central; the family would be divisible")
+        raise InputError("[h1, h2] is central; the family would be divisible")
     d = h1.shape[0]
     psi1 = 1j * commutator_superop(h1)
     psi2 = 1j * commutator_superop(h2)
@@ -410,11 +410,11 @@ def lindblad_generator(h, psi):
     completely positive map Psi, both maps as superoperator matrices."""
     h = np.asarray(h, dtype=complex)
     if not linops.is_hermitian(h):
-        raise InputError("Hamiltonian part must be Hermitian")
+        raise ValueError("Hamiltonian part must be Hermitian")
     d = h.shape[0]
     psi = linops.as_matrix(psi)
     if psi.shape != (d * d, d * d):
-        raise InputError("dimension mismatch between h and Psi")
+        raise ValueError("dimension mismatch between h and Psi")
     psi_of_one = superop_apply(psi, linops.eye(d))
     return (1j * commutator_superop(h)
             + psi
@@ -487,24 +487,24 @@ class DagNetwork:
                         for e, w in weights.items()}
         for e in self.edges:
             if e not in self.weights:
-                raise GraphError(f"edge {e!r} has no weight")
+                raise InputError(f"edge {e!r} has no weight")
             if self.weights[e].shape != (self.dim, self.dim):
-                raise GraphError(f"weight at {e!r} has wrong shape")
+                raise InputError(f"weight at {e!r} has wrong shape")
         self._succ = {u: [] for u in self.nodes}
         sorter = TopologicalSorter({u: () for u in self.nodes})
         seen = set()
         for (t, h) in self.edges:
             if t not in self._succ or h not in self._succ:
-                raise GraphError(f"edge ({t!r}, {h!r}) uses unknown nodes")
+                raise InputError(f"edge ({t!r}, {h!r}) uses unknown nodes")
             if (t, h) in seen:  # a second copy would count each walk twice
-                raise GraphError(f"edge ({t!r}, {h!r}) is listed twice")
+                raise InputError(f"edge ({t!r}, {h!r}) is listed twice")
             seen.add((t, h))
             self._succ[t].append(h)
             sorter.add(h, t)
         try:
             self.order = list(sorter.static_order())  # every edge points forward
         except CycleError:
-            raise AcyclicityError("the weighted graph has a directed cycle") from None
+            raise InputError("the weighted graph has a directed cycle") from None
 
     def successors(self, u):
         return self._succ[u]
@@ -534,14 +534,17 @@ def walk_sums(net, targets, avoid=None):
 def network_family(net):
     """Path-sum family on the complete graph over the network's nodes:
     phi(u, v) sums the ordered weight products over all directed walks.
-    Loops contribute the empty product, so phi(u, u) = 1."""
-    def stack(edges):  # one sweep carries the batch's distinct heads
+    Loops contribute the empty product, so phi(u, u) = 1.  The first read
+    sweeps every head at once, and each batch gathers from that sweep."""
+    sweep = functools.cache(lambda: walk_sums(net, range(len(net.nodes))))
+
+    def stack(edges):
         for u, v in edges:  # the first non-edge, in order, is the error
             if u not in net.index or v not in net.index:
-                raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
-        pos = np.array([(net.index[u], net.index[v]) for u, v in edges], dtype=np.intp)
-        targets, cols = np.unique(pos[:, 1], return_inverse=True)
-        return walk_sums(net, targets)[pos[:, 0], cols]
+                raise ValueError(f"({u!r}, {v!r}) is not an edge of the graph")
+        i, j = np.array([(net.index[u], net.index[v]) for u, v in edges],
+                        dtype=np.intp).reshape(-1, 2).T
+        return sweep()[i, j]
 
     return OperatorFamily(CompleteGraph(net.nodes), net.dim, stack_fn=stack)
 
@@ -642,10 +645,13 @@ def _spec_number(spec, key, default=None, integer=False, minimum=None, name=None
 
 
 def _numeric_nodes(graph, field):
-    """Raise unless every node key is a number: ``field`` subtracts them."""
+    """Raise unless every node key is a number and their span ``max - min`` is
+    a finite float: ``field`` subtracts them."""
     for u in graph.nodes:
         if not is_number(u):
             raise InputError(f"{field} needs numeric graph.order keys, got {u!r}")
+    if not is_number(max(graph.nodes) - min(graph.nodes)):
+        raise InputError(f"{field} needs graph.order keys whose span is a finite float")
 
 
 def _order_and_dim(spec):
@@ -666,6 +672,8 @@ def _build_exponential(spec, fam_spec):
     graph, dim = _order_and_dim(spec)
     if "rate" in fam_spec:
         rate = linops.matrix_from_literal(fam_spec["rate"])
+        if rate.shape != (dim, dim):
+            raise InputError(f"family.rate has shape {rate.shape}, but dim is {dim}")
         _numeric_nodes(graph, "rate")
         raw = _rate_generators(graph, rate)
     else:

@@ -22,7 +22,7 @@ import numpy as np
 from . import linops, rewrite
 from .dynamics import GeneratorFamily, LinearOrderGraph, check_additivity, \
     check_divisibility, check_identity_axiom
-from .errors import PreconditionError, StructureError
+from .errors import InputError, PreconditionError
 from .linops import spectral_norm
 from .reports import defect_report
 
@@ -62,7 +62,7 @@ def cover_of_word(graph, w):
     off the endpoint deltas at their sorted indices: O(k log k) for k
     letters, whatever the number of nodes."""
     if not isinstance(graph, LinearOrderGraph):
-        raise StructureError("covers need a linearly ordered graph")
+        raise InputError("covers need a linearly ordered graph")
     delta = {}
     letters = w.letters if isinstance(w, rewrite.GroupElement) else w
     for letter in letters:
@@ -156,7 +156,7 @@ class FirstCoverExtension:
 
     def __init__(self, fam):
         if not isinstance(fam.graph, LinearOrderGraph):
-            raise StructureError("cover extensions need a linearly ordered graph")
+            raise InputError("cover extensions need a linearly ordered graph")
         self.fam = fam
         self.dim = fam.dim
         rep = check_identity_axiom(fam, COVER_TOL)
@@ -203,9 +203,9 @@ class SecondCoverExtension:
 
     def __init__(self, gen):
         if not isinstance(gen, GeneratorFamily):
-            raise StructureError("the generator-sum extension needs a GeneratorFamily")
+            raise ValueError("the generator-sum extension needs a GeneratorFamily")
         if not isinstance(gen.graph, LinearOrderGraph):
-            raise StructureError("cover extensions need a linearly ordered graph")
+            raise ValueError("cover extensions need a linearly ordered graph")
         self.fam = gen
         self.dim = gen.dim
         rep = check_additivity(gen, COVER_TOL)

@@ -9,7 +9,7 @@ Everything in this module is a pure function of its inputs.
 
 import numpy as np
 
-from .errors import DimensionError, InputError, is_number, reading
+from .errors import InputError, is_number, reading
 
 DEFAULT_TOL = 1e-10
 
@@ -20,16 +20,16 @@ def as_matrix(a, stack=False):
     real and the imaginary parts."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 and not (stack and m.ndim > 2):
-        raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
+        raise InputError(f"expected a matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
-        raise DimensionError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     return m
 
 
 def _square(a, stack=False):
     m = as_matrix(a, stack)
     if m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -56,7 +56,7 @@ def partial_trace_first(m, d1, d2):
     of each operator of a (..., d1 d2, d1 d2) stack."""
     m = as_matrix(m, stack=True)
     if m.shape[-2:] != (d1 * d2, d1 * d2):
-        raise DimensionError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
+        raise ValueError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
     return np.einsum("...aiaj->...ij", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
 
 
@@ -74,7 +74,7 @@ def exp_derivative(x, y, t=0.0):
     x = _square(x)
     y = as_matrix(y)
     if y.shape != x.shape:
-        raise DimensionError(f"shape mismatch: {x.shape} vs {y.shape}")
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     import scipy.linalg
     return scipy.linalg.expm_frechet(x + t * y, y, compute_expm=False)
 
@@ -167,7 +167,7 @@ def trace_norm(a):
 def commutator(a, b):
     a, b = _square(a), _square(b)
     if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+        raise InputError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
 
 
@@ -195,7 +195,7 @@ def superop_apply(m, x):
     m, x = _square(m, stack=True), _square(x, stack=True)
     d = x.shape[-1]
     if m.shape[-1] != d * d:
-        raise DimensionError(f"superoperator of shape {m.shape[-2:]} at {d}x{d} input")
+        raise ValueError(f"superoperator of shape {m.shape[-2:]} at {d}x{d} input")
     # the column-stacked x is x^T flattened row-major: a (d^2, 1) column per matrix
     cols = x.swapaxes(-1, -2).reshape(x.shape[:-2] + (d * d, 1))
     out = m @ cols
@@ -221,13 +221,13 @@ def kraus_superop(kraus_ops):
     broadcast product; they are added in list order, starting from zeros."""
     ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
     if not ks:
-        raise DimensionError("a kraus channel needs at least one operator")
+        raise InputError("a kraus channel needs at least one operator")
     for k in ks:
         if k.shape != ks[0].shape:
-            raise DimensionError(f"Kraus operators of shapes {ks[0].shape} "
-                                 f"and {k.shape}")
+            raise ValueError(f"Kraus operators of shapes {ks[0].shape} "
+                             f"and {k.shape}")
     if ks[0].ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={ks[0].ndim}")
+        raise ValueError(f"expected a matrix, got ndim={ks[0].ndim}")
     ks = _square(np.stack(ks), stack=True)
     d = ks.shape[-1]
     m = np.zeros((d * d, d * d), dtype=complex)

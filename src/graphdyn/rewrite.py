@@ -14,7 +14,7 @@ stamps must quantize them before building a context.
 
 from typing import Hashable, NamedTuple
 
-from .errors import ContextError, InputError, reading
+from .errors import InputError, reading
 from .reports import CheckReport, bad_keys_report
 
 
@@ -49,7 +49,7 @@ class EdgeContext:
 
         for (t, h) in edges:
             if t not in parent or h not in parent:
-                raise ContextError(f"edge ({t!r}, {h!r}) uses unknown nodes")
+                raise InputError(f"edge ({t!r}, {h!r}) uses unknown nodes")
             parent[find(t)] = find(h)
         self._root = {u: find(u) for u in self.nodes}
         self._closure = None
@@ -65,7 +65,7 @@ class EdgeContext:
 
     def check_letter(self, letter):
         if not self.related(letter.tail, letter.head):
-            raise ContextError(
+            raise InputError(
                 f"letter {letter!r} is not in the closed edge relation"
             )
 
@@ -251,7 +251,7 @@ def embed_edge(ctx, edge):
     A one-letter word that is not a loop is irreducible."""
     u, v = edge
     if not ctx.related(u, v):
-        raise ContextError(f"edge ({u!r}, {v!r}) is not in the closed edge relation")
+        raise ValueError(f"edge ({u!r}, {v!r}) is not in the closed edge relation")
     return _trusted(() if u == v else (Letter(u, v),))
 
 

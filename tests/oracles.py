@@ -15,7 +15,7 @@ import numpy as np
 
 from graphdyn import dilate, dynamics, extend, linops, rewrite
 from graphdyn.dilate import Channel
-from graphdyn.errors import GraphError, NotCPTPError
+from graphdyn.errors import InputError
 from graphdyn.sampling import random_matrix
 
 
@@ -57,7 +57,7 @@ def edgewise(cls, graph, dim, value):
     def stack(edges):
         for u, v in edges:
             if not graph.has_edge(u, v):
-                raise GraphError(f"({u!r}, {v!r}) is not an edge of the graph")
+                raise ValueError(f"({u!r}, {v!r}) is not an edge of the graph")
         vals = [np.asarray(value(e), dtype=complex) for e in edges]
         return np.stack(vals) if vals else np.empty((0, dim, dim), dtype=complex)
     return cls(graph, dim, stack)
@@ -67,7 +67,7 @@ def additivity_defect(gen, u, v, w):
     """Norm of A(u,w) - A(u,v) - A(v,w)."""
     for e in ((u, v), (v, w), (u, w)):
         if not gen.graph.has_edge(*e):
-            raise GraphError(f"missing edge {e!r}")
+            raise ValueError(f"missing edge {e!r}")
     return linops.spectral_norm(gen((u, w)) - gen((u, v)) - gen((v, w)))
 
 
@@ -152,15 +152,15 @@ def avoiding_walk_sum(net, u, v, w):
 # -- one channel at a time: what the stacked channel kernels batch ------------------
 
 def validate_choi(choi, d):
-    """Raise NotCPTPError unless the Choi matrix's ``dilate.cptp_defects``
+    """Raise InputError unless the Choi matrix's ``dilate.cptp_defects``
     are at most ``linops.DEFAULT_TOL``: not PSD first, then not trace
     preserving."""
     tol = linops.DEFAULT_TOL
     herm, negative, tp = dilate.cptp_defects(choi, d)
     if max(herm, negative) > tol:
-        raise NotCPTPError("Choi matrix is not positive semidefinite")
+        raise InputError("Choi matrix is not positive semidefinite")
     if tp > tol:
-        raise NotCPTPError(f"trace-preservation defect {tp:.3e}")
+        raise InputError(f"trace-preservation defect {tp:.3e}")
 
 
 def kraus_list(choi, d):

@@ -216,26 +216,27 @@ class TestCheck:
     def test_network_check_sweeps_once_per_avoided_node(self, capsys, monkeypatch,
                                                          network_spec):
         # one walk-sum sweep per avoided node, carrying every target, not one
-        # per (avoided node, target) pair; the family sweeps once per batch
-        # it reads (the identity, divisibility and defect checks), each
-        # carrying only the batch's heads
+        # per (avoided node, target) pair; the family sweeps every head once,
+        # at its first read (the identity check), and the divisibility and
+        # defect checks gather from that sweep
         calls, sweep = [], dynamics.walk_sums
         monkeypatch.setattr(dynamics, "walk_sums", lambda net, targets, avoid=None:
                             calls.append((avoid, list(targets))) or sweep(net, targets, avoid))
         code, _, _ = run(capsys, "check", "--input", network_spec)
         assert code == 0
-        assert [c for c in calls if c[0] is not None] == [(b, [0, 1, 2, 3]) for b in range(4)]
-        assert len(calls) <= 4 + 3
+        assert calls == [(b, [0, 1, 2, 3]) for b in (None, 0, 1, 2, 3)]
 
-    def test_a_network_value_sweeps_only_its_head(self, monkeypatch):
-        # a single read carries one target column, not the whole network
+    def test_a_network_family_sweeps_once(self, monkeypatch):
+        # the first read sweeps every head, and later reads gather from it
         edges = [("a", "b"), ("b", "c")]
         net = dynamics.DagNetwork(["a", "b", "c"], edges, {e: 0.5 * np.eye(1) for e in edges}, 1)
         calls, sweep = [], dynamics.walk_sums
         monkeypatch.setattr(dynamics, "walk_sums", lambda net, targets, avoid=None:
                             calls.append((avoid, list(targets))) or sweep(net, targets, avoid))
-        assert dynamics.network_family(net)(("a", "c")) == 0.25
-        assert calls == [(None, [2])]
+        fam = dynamics.network_family(net)
+        assert fam(("a", "c")) == 0.25
+        assert fam.stack([("a", "b"), ("c", "c"), ("c", "a")]).ravel().tolist() == [0.5, 1, 0]
+        assert calls == [(None, [0, 1, 2])]
 
     def test_cptp_family_fails_at_tolerance_0(self, capsys, cptp_spec):
         # the random channels' CPTP defects are rounding, above 0: the report
@@ -391,13 +392,45 @@ class TestSpecForms:
         ("check",), ("dilate", "--pipeline", "C"), ("extend", "--word", "[[2, 0]]")],
         ids=["check", "dilate", "extend"])
     def test_a_rate_of_another_dimension_exits_2(self, capsys, tmp_path, argv):
-        # the rate family builds its values as one stack of the rate's shape
+        # the rate is checked against dim at parse, before any value is read
         spec = {"graph": {"order": [2, 1, 0]}, "dim": 3, "family": {
             "kind": "exponential", "rate": linops.matrix_to_literal(-np.eye(2))}}
         code, out, err = run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec))
         assert (code, out) == (2, "")
-        assert err == ("input error: evaluator returned shape (2, 2), expected (3, 3) "
-                       "at edge (2, 2)\n")
+        assert err == "input error: family.rate has shape (2, 2), but dim is 3\n"
+
+    @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "B")],
+                             ids=["check", "dilate-B"])
+    @pytest.mark.parametrize("field, keys", [
+        ("rate", [-17 * 10**307, 17 * 10**307]), ("ell", [-17 * 10**307, 17 * 10**307]),
+        ("rate", [-1.7e308, 1.7e308]), ("ell", [-1.7e308, 1.7e308])],
+        ids=["rate-int", "ell-int", "rate-float", "ell-float"])
+    def test_node_keys_whose_span_a_float_cannot_hold_exit_2(self, capsys, tmp_path, argv,
+                                                              field, keys):
+        # each key is a finite number, but max - min is not: a difference t - s
+        # of integer keys overflows as a float, and of float keys it gives an
+        # infinite length bound, against which no growth certificate can fail
+        half = linops.matrix_to_literal([[0.5]])
+        family = {"kind": "exponential", "rate": linops.matrix_to_literal([[-1.0]])}
+        if field == "ell":
+            family = {"kind": "explicit", "values": [{"edge": keys, "matrix": half}],
+                      "ell": {"kind": "proportional", "scale": 1.0}}
+        spec = {"graph": {"order": keys}, "dim": 1, "family": family}
+        assert run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec)) == (
+            2, "", f"input error: {field} needs graph.order keys whose span is a finite "
+            "float\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("check",), ("dilate", "--pipeline", "A"), ("dilate", "--pipeline", "C"),
+        ("extend", "--which", "cover2", "--word", "[[1.0, 0.0]]")],
+        ids=["check", "dilate-A", "dilate-C", "extend-cover2"])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)], ids=["3x3", "2x3"])
+    def test_a_rate_that_is_not_dim_by_dim_exits_2(self, capsys, tmp_path, argv, shape):
+        # checked at parse, so the message names the field, not an edge
+        spec = {"graph": {"order": [1.0, 0.5, 0.0]}, "dim": 2, "family": {
+            "kind": "exponential", "rate": linops.matrix_to_literal(-np.eye(*shape))}}
+        assert run(capsys, *argv, "--input", write_json(tmp_path / "s.json", spec)) == (
+            2, "", f"input error: family.rate has shape {shape}, but dim is 2\n")
 
     @pytest.mark.parametrize("argv", [("check",), ("dilate", "--pipeline", "A")],
                              ids=["check", "dilate"])
@@ -708,6 +741,29 @@ def test_reachable_exit(capsys, tmp_path, case):
     if spec is not None:
         argv += ("--input", write_json(tmp_path / "s.json", spec))
     assert run(capsys, *argv) == (code, "", message + "\n")
+
+
+# exits 2 that a reading of the parsers finds and no other tier-1 command
+# runs; each stays an input error: (argv without --input, spec, stderr)
+_READ_EXITS = {
+    "commuting-h1-h2": (("check",), _indivisible_family(h2=linops.matrix_to_literal(SIGMA_X)),
+                        "input error: [h1, h2] is central; the family would be divisible"),
+    "grid-points-that-coincide": (("check",), _indivisible_family(t_max=5e-324, grid_points=3),
+                                  "input error: linear order nodes must be distinct"),
+    "network-cycle": (("check",), _network_with(lambda edges, weights: (
+        edges.append(["w", "u"]), weights.append(dict(weights[0], edge=["w", "u"])))),
+        "input error: the weighted graph has a directed cycle"),
+    "cover1-of-network": (("extend", "--which", "cover1", "--word", '[["u", "v"]]'),
+                          _network_with(lambda edges, weights: None),
+                          "input error: covers need a linearly ordered graph"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_EXITS))
+def test_an_exit_found_by_reading_stays_an_input_error(capsys, tmp_path, case):
+    argv, spec, message = _READ_EXITS[case]
+    argv += ("--input", write_json(tmp_path / "s.json", spec))
+    assert run(capsys, *argv) == (2, "", message + "\n")
 
 
 _BAD_INTEGERS = [("x", "string"), (True, "bool"), (None, "null"), (2.0, "float"),

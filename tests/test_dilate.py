@@ -16,8 +16,7 @@ from graphdyn.dilate import (Channel, FormalVector, ShiftDilation,
 from graphdyn.dynamics import (CompleteGraph, LinearOrderGraph,
                                OperatorFamily, descending_grid,
                                example_indivisible, proportional_length)
-from graphdyn.errors import (GraphError, InputError, NotCPTPError,
-                             PreconditionError)
+from graphdyn.errors import InputError, PreconditionError
 from graphdyn.linops import (SIGMA_X, SIGMA_Z, commutator_superop, dagger,
                              kraus_superop, spectral_norm, trace_norm)
 from graphdyn.rewrite import embed_edge, ginv, gmul, identity
@@ -66,13 +65,13 @@ class TestChannel:
 
     def test_trace_preserving_validated(self):
         bad_kraus = [0.5 * np.eye(2)]
-        with pytest.raises(NotCPTPError, match="trace-preservation defect 7.500e-01"):
+        with pytest.raises(InputError, match="trace-preservation defect 7.500e-01"):
             Channel.from_kraus(bad_kraus)
 
     def test_non_psd_choi_rejected(self):
         choi = np.eye(4, dtype=complex)
         choi[0, 0] = -1.0
-        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
+        with pytest.raises(InputError, match="not positive semidefinite"):
             Channel(2, choi)
 
 
@@ -125,7 +124,7 @@ class TestChannelForms:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_transpose_map_rejected(self, d):
-        with pytest.raises(NotCPTPError):
+        with pytest.raises(InputError):
             Channel(d, linops.superop_to_choi(transpose_superop(d), d))
 
     def test_compose_revalidates(self):
@@ -136,7 +135,7 @@ class TestChannelForms:
         fam = edgewise(OperatorFamily, graph, 4,
                        lambda e: transpose_superop(2) if e[0] != e[1] else np.eye(4))
         ds = dilate_cptp({"graph": graph, "family": fam, "dim": 2, "kind": "cptp"})
-        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
+        with pytest.raises(InputError, match="not positive semidefinite"):
             ds.verify(rng=rng_from_seed(0))
 
 
@@ -145,14 +144,14 @@ def identity_choi(d):
 
 
 class TestEveryChannelCheckFails:
-    """Each check of ``Channel.validate`` has an input that only it rejects
+    """Each check of the ``Channel`` constructor has an input that only it rejects
     (with ``TestChannel``'s non-PSD and trace-preservation cases), so a check
     that is dropped or skipped fails its case here."""
 
     def test_non_hermitian_choi(self):
         choi = identity_choi(2)
         choi[0, 1], choi[1, 0] = 0.25, -0.25  # its Hermitian part stays PSD
-        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
+        with pytest.raises(InputError, match="not positive semidefinite"):
             Channel(2, choi)
 
     @pytest.mark.parametrize("make", [identity_channel,
@@ -163,9 +162,9 @@ class TestEveryChannelCheckFails:
         not_cp, not_tp = make(2), make(2)
         not_cp.choi[:] = linops.superop_to_choi(transpose_superop(2), 2)
         not_tp.choi *= 1.5
-        with pytest.raises(NotCPTPError, match="not positive semidefinite"):
+        with pytest.raises(InputError, match="not positive semidefinite"):
             Channel(not_cp.dim, not_cp.choi)
-        with pytest.raises(NotCPTPError, match="trace-preservation defect"):
+        with pytest.raises(InputError, match="trace-preservation defect"):
             Channel(not_tp.dim, not_tp.choi)
 
 
@@ -692,7 +691,7 @@ class TestBatchedShiftValues:
             # a later edge with no value must not mask the first failure
             def fam_value(e, bad=bad):
                 if e == bad:
-                    raise GraphError(f"no value supplied for edge {e!r}")
+                    raise ValueError(f"no value supplied for edge {e!r}")
                 return value(e)
 
             fam = edgewise(OperatorFamily, graph, 4, fam_value)
@@ -780,7 +779,7 @@ class TestPipelines:
     def test_cstar_flavor_needs_square_dimension(self):
         graph = descending_grid(1.0, 3)
         fam = edgewise(OperatorFamily, graph, 3, lambda e: np.eye(3))
-        with pytest.raises(InputError):
+        with pytest.raises(ValueError):
             dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
 
 

@@ -10,7 +10,7 @@ from graphdyn import dynamics, linops, rewrite
 from graphdyn.dynamics import (GeneratorFamily, LinearOrderGraph,
                                OperatorFamily, descending_grid,
                                example_indivisible, proportional_length)
-from graphdyn.errors import PreconditionError, StructureError
+from graphdyn.errors import InputError, PreconditionError
 from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
                              SecondCoverExtension, continuity_modulus_check,
                              cover_of_word, positive_intervals)
@@ -97,7 +97,7 @@ class TestCoverOfWord:
 
     def test_needs_linear_order(self):
         ctx = rewrite.complete_context(["a", "b"])
-        with pytest.raises(StructureError):
+        with pytest.raises(InputError):
             cover_of_word(ctx, word([("a", "b")]))
 
     @settings(max_examples=300, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdyn import rewrite
-from graphdyn.errors import ContextError
+from graphdyn.errors import InputError
 from graphdyn.rewrite import (EdgeContext, Letter, check_confluence_bruteforce,
                               check_rule_axioms, complete_context, embed_edge,
                               ginv, gmul, identity, is_irreducible, normalize,
@@ -69,7 +69,7 @@ class TestReduceOnce:
                 assert len(r) == len(w) - 1
 
     def test_invalid_letter(self, abc):
-        with pytest.raises(ContextError):
+        with pytest.raises(InputError):
             reduce_once_all(abc, word([("a", "z")]))
 
 
@@ -190,7 +190,7 @@ class TestEmbedEdge:
         ctx = EdgeContext(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert ctx.related("a", "b") and ctx.related("c", "d")
         assert not ctx.related("a", "c")
-        with pytest.raises(ContextError):
+        with pytest.raises(ValueError):
             embed_edge(ctx, ("a", "c"))
 
     def test_linear_order_composition(self, line4):
@@ -313,7 +313,6 @@ class TestWireFormats:
         assert ctx.related("a", "b")
 
     def test_malformed_spec(self):
-        from graphdyn.errors import InputError
         with pytest.raises(InputError):
             rewrite.context_from_spec({"edges": []})
 
@@ -457,7 +456,7 @@ class TestReductionTrace:
         assert rewrite.reduction_trace(abc, w) == [loop(0)] * 40 + [loop(1)] * 40
 
     def test_checks_the_context(self, abc):
-        with pytest.raises(ContextError):
+        with pytest.raises(InputError):
             rewrite.reduction_trace(abc, word([("a", "b"), ("b", "z")]))
 
 
@@ -646,13 +645,11 @@ class TestWordLiterals:
         ([("a", "b")], 0),
     ])
     def test_rejects_malformed_letters(self, lit, index):
-        from graphdyn.errors import InputError
         with pytest.raises(InputError, match=f"letter {index} "):
             rewrite.word_from_literal(lit)
 
     @pytest.mark.parametrize("lit", ["ab", {"a": "b"}, 3, None])
     def test_rejects_non_arrays(self, lit):
-        from graphdyn.errors import InputError
         with pytest.raises(InputError, match="not an array of letters"):
             rewrite.word_from_literal(lit)
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from graphdyn import dilate, dynamics, linops, rewrite
 from graphdyn.dynamics import DagNetwork, LinearOrderGraph, OperatorFamily
-from graphdyn.errors import NotCPTPError
+from graphdyn.errors import InputError
 from graphdyn.extend import FirstCoverExtension, NormalFormExtension
 from graphdyn.sampling import (random_dissipative, random_hermitian, random_kraus_ops,
                                random_matrix, rng_from_seed)
@@ -160,10 +160,10 @@ class TestBatchedChannelKernels:
         for c in chois:
             try:
                 oracles.validate_choi(c, d)
-            except NotCPTPError as exc:
+            except InputError as exc:
                 errors.append(str(exc))
         if errors:
-            with pytest.raises(NotCPTPError) as exc:
+            with pytest.raises(InputError) as exc:
                 dilate.validate_chois(chois)
             assert str(exc.value) == errors[0]
         good = [c for c, scale in zip(chois, scales) if scale == 1.0]
