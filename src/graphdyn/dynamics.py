@@ -3,7 +3,6 @@ built-in example systems (commuting evolutions, a non-commuting
 interpolation family, weighted acyclic networks, Lindblad-form generators).
 """
 
-import functools
 import itertools
 import math
 from graphlib import CycleError, TopologicalSorter
@@ -534,17 +533,14 @@ def walk_sums(net, targets, avoid=None):
 def network_family(net):
     """Path-sum family on the complete graph over the network's nodes:
     phi(u, v) sums the ordered weight products over all directed walks.
-    Loops contribute the empty product, so phi(u, u) = 1.  The first read
-    sweeps every head at once, and each batch gathers from that sweep."""
-    sweep = functools.cache(lambda: walk_sums(net, range(len(net.nodes))))
-
-    def stack(edges):
+    Loops contribute the empty product, so phi(u, u) = 1."""
+    def stack(edges):  # one sweep carries the batch's distinct heads
         for u, v in edges:  # the first non-edge, in order, is the error
             if u not in net.index or v not in net.index:
                 raise ValueError(f"({u!r}, {v!r}) is not an edge of the graph")
-        i, j = np.array([(net.index[u], net.index[v]) for u, v in edges],
-                        dtype=np.intp).reshape(-1, 2).T
-        return sweep()[i, j]
+        pos = np.array([(net.index[u], net.index[v]) for u, v in edges], dtype=np.intp)
+        targets, cols = np.unique(pos[:, 1], return_inverse=True)
+        return walk_sums(net, targets)[pos[:, 0], cols]
 
     return OperatorFamily(CompleteGraph(net.nodes), net.dim, stack_fn=stack)
 
@@ -758,6 +754,9 @@ def _parse_ell(fam_spec, graph):
         raise InputError(f'ell must be {{"kind": "proportional", "scale": c}}, got {spec!r}')
     scale = _spec_number(spec, "scale", minimum=0, name="ell.scale")
     _numeric_nodes(graph, "ell")
+    if not is_number(scale * (max(graph.nodes) - min(graph.nodes))):  # bounds every length
+        raise InputError("ell needs ell.scale times the graph.order keys' span "
+                         "to be a finite float")
     return proportional_length(scale)
 
 

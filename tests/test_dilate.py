@@ -779,8 +779,9 @@ class TestPipelines:
     def test_cstar_flavor_needs_square_dimension(self):
         graph = descending_grid(1.0, 3)
         fam = edgewise(OperatorFamily, graph, 3, lambda e: np.eye(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
 
 class TestBatchedVerify:

@@ -106,8 +106,9 @@ class TestDivisibility:
 
     def test_missing_edge(self, interp):
         fam = interp.exponential(1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             divisibility_defect(fam, 0.0, 0.5, 1.0)
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
 
 class TestAdditivity:
@@ -377,6 +378,7 @@ class TestBatchedFamilies:
             with pytest.raises(ValueError) as batch:
                 fam.stack(edges)
             assert message in str(batch.value) and str(batch.value) == str(loop.value)
+            assert batch.type is loop.type is ValueError  # no input reaches it
 
     def test_freed_without_the_cycle_collector(self):
         # a reference cycle through a family would keep its cached values
@@ -531,6 +533,7 @@ class TestClosedFormFamilies:
                 for e in edges:
                     fam(e)
             assert str(batch.value) == str(loop.value)
+            assert batch.type is loop.type is ValueError  # no input reaches it
 
     def test_integer_keys_stay_exact(self):
         # t - s is the keys' own difference: the floats of the keys would
@@ -546,8 +549,9 @@ class TestClosedFormFamilies:
         gens = dynamics.GeneratorFamily(LinearOrderGraph([2, 1, 0]), 3,
                                         lambda edges: np.zeros((len(edges), 2, 2)))
         with pytest.raises(ValueError, match=re.escape(
-                "evaluator returned shape (2, 2), expected (3, 3) at edge (1, 0)")):
+                "evaluator returned shape (2, 2), expected (3, 3) at edge (1, 0)")) as exc:
             gens.stack([(1, 0), (2, 0)])
+        assert exc.type is ValueError
 
 
 class TestIntegrateGenerators:
@@ -621,12 +625,14 @@ class TestLindblad:
                 assert np.linalg.eigvalsh(linops.hermitian_part(m)).min() >= -1e-9
 
     def test_non_hermitian_hamiltonian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             lindblad_generator(np.array([[0, 1], [0, 0]]), np.zeros((4, 4)))
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
     def test_jump_map_of_another_dimension(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match="dimension mismatch") as exc:
             lindblad_generator(SIGMA_Z, np.zeros((9, 9)))
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
 
 class TestSchwarzChecker:

@@ -83,8 +83,9 @@ class TestPartialTrace:
                              - np.trace(a) * b) < 1e-12
 
     def test_shape_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             partial_trace_first(np.eye(5), 2, 3)
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
 
 class TestExpm:
@@ -270,8 +271,9 @@ class TestExpDerivative:
                     <= spectral_norm(y) + 1e-10
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             exp_derivative(np.eye(2), np.eye(3))
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
     @pytest.mark.parametrize("n, t, scale", [(2, 0.0, 1.0), (3, 0.4, 1.0),
                                              (4, -1.3, 0.01), (5, 0.7, 20.0)])
@@ -467,16 +469,18 @@ class TestVectorization:
         assert np.allclose(superop_apply(anticommutator_superop(a), x), a @ x + x @ a)
 
     def test_kraus_operators_of_different_sizes(self):
-        with pytest.raises(ValueError, match=r"\(2, 2\) and \(1, 1\)"):
+        with pytest.raises(ValueError, match=r"\(2, 2\) and \(1, 1\)") as exc:
             kraus_superop([np.eye(2) / 2, np.eye(1)])
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
     def test_empty_kraus_list(self):
         with pytest.raises(InputError, match="needs at least one operator"):
             kraus_superop([])
 
     def test_input_of_the_wrong_size(self):
-        with pytest.raises(ValueError, match=r"shape \(4, 4\) at 3x3 input"):
+        with pytest.raises(ValueError, match=r"shape \(4, 4\) at 3x3 input") as exc:
             superop_apply(np.eye(4), np.eye(3))
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
 
 def kron_loop_from_kraus(kraus_ops):

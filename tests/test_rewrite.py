@@ -190,8 +190,9 @@ class TestEmbedEdge:
         ctx = EdgeContext(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert ctx.related("a", "b") and ctx.related("c", "d")
         assert not ctx.related("a", "c")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             embed_edge(ctx, ("a", "c"))
+        assert exc.type is ValueError  # no input reaches it: not an InputError
 
     def test_linear_order_composition(self, line4):
         for u in range(4):
