@@ -140,13 +140,14 @@ class _Family:
         except (KeyError, TypeError):  # an uncached edge, or one given as a list
             edges = [(e[0], e[1]) for e in edges]
             missing = [e for e in dict.fromkeys(edges) if e not in self._rows]
-            vals, n = self._evaluate(missing), len(self._rows)
-            if n + len(vals) > len(self._values):  # at least double the array
-                self._values = np.resize(self._values, (2 * n + len(vals),) + vals.shape[1:])
-            self._values.flags.writeable = True
-            self._values[n:n + len(vals)] = vals
-            self._values.flags.writeable = False
-            self._rows.update(zip(missing, range(n, n + len(vals))))
+            if missing:  # cached edges given as lists need no evaluation
+                vals, n = self._evaluate(missing), len(self._rows)
+                if n + len(vals) > len(self._values):  # at least double the array
+                    self._values = np.resize(self._values, (2 * n + len(vals),) + vals.shape[1:])
+                self._values.flags.writeable = True
+                self._values[n:n + len(vals)] = vals
+                self._values.flags.writeable = False
+                self._rows.update(zip(missing, range(n, n + len(vals))))
             rows = np.fromiter(map(self._rows.__getitem__, edges), np.intp, len(edges))
         return self._values[rows]
 
@@ -264,14 +265,14 @@ def _node_triples(nodes, idx):
 
 
 def _difference_norms(diffs, tol):
-    """``linops.screened_norms`` of an (N, d, d) stack of differences, where a
-    difference with a non-finite entry, which finite values reach by
-    overflow, has the defect inf."""
+    """``linops.screened_norms`` of an (N, d, d) complex stack of differences,
+    where a difference with a non-finite entry, which finite values reach by
+    overflow, has the defect inf.  The one finiteness pass is this one."""
     finite = np.isfinite(diffs).all(axis=(1, 2))
     if finite.all():
-        return linops.screened_norms(diffs, tol)
+        return linops._screen(diffs, tol, 0.0, False)
     out = np.full(len(diffs), np.inf)
-    out[finite] = linops.screened_norms(diffs[finite], tol)
+    out[finite] = linops._screen(diffs[finite], tol, 0.0, False)
     return out
 
 
@@ -302,6 +303,68 @@ def _triple_check(name, fam, difference, tol, rng, count):
     if rep.argmax is not None:  # a row of node indices
         rep.argmax = tuple(nodes[t] for t in rep.argmax)
     return rep
+
+
+def _divisible_by_pairs(fam, tol):
+    """True when one O(m^2) pass over the edges of a linear order proves that
+    ``check_divisibility(fam, tol)`` passes; False when it cannot, and the
+    exhaustive scan must decide.
+
+    With nodes ``x_0 < ... < x_{m-1}``, write ``phi_ik = phi(x_i, x_k)``, the
+    steps ``S_l = phi_{l,l+1}``, ``T(l, k) = S_l ... S_{k-1}`` (``T(k, k) = 1``)
+    and the residuals ``R(i, l) = phi_il - phi_{i,l-1} S_{l-1}`` for ``l > i``.
+    Telescoping over ``l`` gives ``phi_ik = phi_ij T(j, k) + sum_{l=j+1..k}
+    R(i, l) T(l, k)`` for ``i <= j <= k``, and with it, for every triple,
+
+        phi_ik - phi_ij phi_jk = phi_ij (1 - phi_jj) T(j, k)
+                                 + sum_{l=j+1..k} (R(i, l) - phi_ij R(j, l)) T(l, k).
+
+    So every exact defect is at most ``B = tau (N eps + (1 + N) rho)``, where
+    ``rho = max_i sum_l |R(i, l)|_F``, ``eps = max_x |1 - phi(x, x)|_F``,
+    ``N = max |phi|_F`` and ``tau >= 1`` is the product of
+    ``max(1, |S_l|_2)``, which bounds every ``|T(l, k)|_2``.
+
+    Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, ch. 3), with ``gamma_n = n u / (1 - n u)``: every computed norm, sum
+    and product of norms here, and the scan's difference, is within a
+    relative ``g = gamma_{4d^2+2m+16}`` of its exact value, either way up;
+    each entry of a computed product of d x d complex matrices is within
+    ``c = gamma_{2d+4}`` (twice the ``n`` of the complex inner-product bound
+    ``gamma_{n+2}``, for any order of summation) of ``|A||B|``, so within
+    ``c N^2`` in the Frobenius norm; an SVD norm is within a relative
+    ``eta = 1e-10``, far over LAPACK's.  So the exact ``rho`` is at most the
+    computed one times ``1 + g`` plus ``(m - 1) c N^2``, and the scan's
+    computed defect at most ``(1 + eta)(1 + g)(B + c N^2)``: when that is at
+    most ``tol``, every triple passes.
+
+    Nothing is certified for fewer than two nodes, when reading the values
+    raises an input error, or when anything is NaN or inf.  ``max rho > tol``
+    is tested first, so an indivisible family fails in one residual pass."""
+    m, d = len(fam.graph.nodes), fam.dim
+    if m < 2:
+        return False
+    try:
+        vals = fam.stack(list(fam.graph.edges()))
+    except InputError:
+        return False
+    # the rows (i, i), (i, i+1), ..., (i, m-1) of graph.edges() are consecutive
+    i, j = np.triu_indices(m)
+    rows = np.flatnonzero(j > i)
+    steps = vals[np.flatnonzero(j == i + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = vals[rows - 1] @ steps[j[rows] - 1]
+        np.subtract(vals[rows], res, out=res)
+        rho = np.bincount(i[rows], np.linalg.norm(res, axis=(1, 2)), m).max()
+        if not rho <= tol:
+            return False
+        u = np.finfo(float).eps / 2
+        g, c = ((n * u / (1 - n * u)) for n in (4 * d * d + 2 * m + 16, 2 * d + 4))
+        top = (1 + g) * np.linalg.norm(vals, axis=(1, 2)).max()  # N
+        eps = (1 + g) * np.linalg.norm(linops.eye(d) - vals[j == i], axis=(1, 2)).max()
+        rho = (1 + g) * rho + (m - 1) * c * top * top
+        tau = (1 + g) * np.prod(np.maximum(1.0, (1 + 1e-10) * spectral_norm(steps)))
+        bound = (1 + 1e-10) * (1 + g) * (tau * (top * eps + (1 + top) * rho) + c * top * top)
+    return bool(bound <= tol)
 
 
 def check_divisibility(fam, tol=1e-9, rng=None, count=None):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops, rewrite
-from .dynamics import GeneratorFamily, LinearOrderGraph, check_additivity, \
-    check_divisibility, check_identity_axiom
+from .dynamics import GeneratorFamily, LinearOrderGraph, _divisible_by_pairs, \
+    check_additivity, check_divisibility, check_identity_axiom
 from .errors import InputError, PreconditionError
 from .linops import spectral_norm
 from .reports import defect_report
@@ -162,13 +162,14 @@ class FirstCoverExtension:
         rep = check_identity_axiom(fam, COVER_TOL)
         if not rep.passed:
             raise PreconditionError("identity", f"identity axiom fails: {rep.max_defect:.3e}")
-        rep = check_divisibility(fam, COVER_TOL)
-        if not rep.passed:
-            raise PreconditionError(
-                "divisibility",
-                f"divisibility defect {rep.max_defect:.3e} at {rep.argmax} "
-                f"exceeds {COVER_TOL:.1e}; the interval product would be ill-defined",
-            )
+        if not _divisible_by_pairs(fam, COVER_TOL):  # O(m^2); else the O(m^3) scan decides
+            rep = check_divisibility(fam, COVER_TOL)
+            if not rep.passed:
+                raise PreconditionError(
+                    "divisibility",
+                    f"divisibility defect {rep.max_defect:.3e} at {rep.argmax} "
+                    f"exceeds {COVER_TOL:.1e}; the interval product would be ill-defined",
+                )
 
     @staticmethod
     def corner_bound(lengths):

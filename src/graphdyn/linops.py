@@ -102,7 +102,14 @@ def _gram_roots(x):
 
 def screened_norms(a, tol, shift=0.0, offenders=False):
     """``spectral_norm(a) - shift`` for an (N, m, n) stack, exact only where
-    it can decide a :func:`graphdyn.reports.defect_report` on ``tol``.
+    it can decide a :func:`graphdyn.reports.defect_report` on ``tol``; a
+    non-finite entry is an input error.  See :func:`_screen`."""
+    return _screen(as_matrix(a, stack=True), tol, shift, offenders)
+
+
+def _screen(a, tol, shift, offenders):
+    """:func:`screened_norms` of an (N, m, n) complex stack whose entries are
+    known to be finite: nothing here checks them again.
 
     Two upper bounds screen the SVD (Golub & Van Loan §2.3).  The Frobenius
     bound ``|A|_2 <= |A|_F`` of every matrix sends the matrix of the largest
@@ -115,9 +122,8 @@ def screened_norms(a, tol, shift=0.0, offenders=False):
     every one not ``<= tol``.  The rest get ``-inf``: not a witness, not
     failing, so no field moves.  Only the first exact value can be an SVD
     that a screen on the Gram bound alone would not run."""
-    a = as_matrix(a, stack=True)
     if not a.size:
-        return spectral_norm(a) - shift
+        return _singular_values(a)[..., 0] - shift
     n = len(a)
     shift = np.broadcast_to(shift, (n,))
     parts = np.ascontiguousarray(a).view(float).reshape(n, -1)
@@ -133,7 +139,7 @@ def screened_norms(a, tol, shift=0.0, offenders=False):
             return np.ldexp(root * (1 + 1e-10), exp[rows]) - shift[rows]
 
     def norms(rows):
-        return spectral_norm(a[rows]) - shift[rows]
+        return _singular_values(a[rows])[..., 0] - shift[rows]
 
     hi = bound(np.sqrt(np.einsum("ij,ij->i", x, x)), slice(None))  # Frobenius
     floor = min(tol, 0.0)

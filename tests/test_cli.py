@@ -504,6 +504,43 @@ class TestSpecForms:
         assert err == ("precondition failure [divisibility]: divisibility defect inf at "
                        "(0, 1, 2) exceeds 1.0e-09; the interval product would be ill-defined\n")
 
+    @pytest.mark.parametrize("argv", [("dilate", "--pipeline", "B"),
+                                      ("extend", "--which", "cover1", "--word", "[[0, 1]]")],
+                             ids=["B", "cover1"])
+    def test_a_non_finite_value_is_named_where_the_scan_reads_it(self, capsys, tmp_path,
+                                                                 argv):
+        # exp(10 * 1000) at (0, 1) overflows; 10 * -1e308 at (30, 35) overflows
+        # as a generator.  Read all at once, the generator is found first, but
+        # the divisibility scan's first block of triples never reads (30, 35):
+        # a pair certificate that cannot read the values leaves the scan to it
+        table = {(0, 1): 1000.0, (30, 35): -1e308}
+        spec = write_json(tmp_path / "s.json", {
+            "graph": {"order": list(range(40))}, "dim": 1,
+            "family": {"kind": "exponential", "alpha": 10, "generators": [
+                {"edge": [i, j], "matrix": [[[table.get((i, j), 0.0), 0]]]}
+                for i in range(40) for j in range(i + 1, 40)]}})
+        assert run(capsys, *argv, "--input", spec) == (
+            2, "", "input error: value at edge (0, 1) has non-finite entries\n")
+        code, _, err = run(capsys, "check", "--input", spec)
+        assert (code, err) == (2, "input error: value at edge (30, 35) has non-finite entries\n")
+
+    @pytest.mark.parametrize("warnings", [(), ("-W", "error")], ids=["default", "W-error"])
+    def test_a_kraus_channel_that_overflows_exits_2(self, tmp_path, warnings):
+        # conj(K) (x) K overflows inside the Kraus -> Choi conversion; the
+        # non-finite Choi matrix is the input error, with no warning line
+        import os
+        import subprocess
+        import sys
+        spec = write_json(tmp_path / "s.json", {
+            "graph": {"order": [0, 1]}, "dim": 1, "family": {"kind": "cptp", "channels": [
+                {"edge": [0, 1], "channel": {"dim": 1, "repr": "kraus",
+                                             "data": [[[[1e200, 0]]]]}}]}})
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, *warnings, "-m", "graphdyn.cli", "check",
+                               "--input", spec], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "input error: matrix has non-finite entries\n")
+
     def test_a_generator_sum_that_overflows_fails_at_its_triple(self, capsys, tmp_path):
         # imaginary generators keep every exponential finite, but
         # A(0,2) - A(0,1) - A(1,2) = -3e308 i overflows

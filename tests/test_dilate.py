@@ -603,6 +603,48 @@ class TestShiftDilation:
         assert exc.value.axiom == "contraction"
 
 
+class TestContractionCertificate:
+    """One stacked Cholesky factorization certifies a batch of contractions;
+    where it cannot, the SVD decides."""
+
+    @staticmethod
+    def with_norm(norm, dim, seed=48):
+        rng = rng_from_seed(seed)
+        u, v = (np.linalg.qr(random_matrix(rng, dim))[0] for _ in range(2))
+        return (u * np.linspace(norm, 0.5, dim)) @ dagger(v)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 9])
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12], ids=["below", "above"])
+    def test_decides_as_the_svd_next_to_the_bound(self, dim, offset):
+        vals = self.with_norm(1 + 1e-10 + offset, dim)[None]
+        fails = bool(spectral_norm(vals)[0] > 1 + 1e-10)
+        assert fails == (offset > 0)
+        assert dilate._contractions(vals) is not fails
+        dil = ShiftDilation(None, dim)
+        if fails:
+            with pytest.raises(PreconditionError) as exc:
+                dil._check(["g"], vals)
+            assert exc.value.axiom == "contraction"
+        else:
+            dil._check(["g"], vals)
+
+    def test_a_failing_batch_goes_to_the_svd(self):
+        vals = np.stack([self.with_norm(1.0, 3), self.with_norm(1.5, 3, seed=49),
+                         self.with_norm(2.0, 3, seed=50)])
+        assert not dilate._contractions(vals)
+        with mock.patch.object(dilate, "spectral_norm", wraps=spectral_norm) as norm, \
+                pytest.raises(PreconditionError, match="family value at 'b' has norm 1.500000"):
+            ShiftDilation(None, 3)._check(["a", "b", "c"], vals)
+        norm.assert_called_once()
+
+    def test_non_finite_values_certify_nothing(self):
+        # inf - inf in the Gram product gives NaN, silently
+        vals = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
+        assert not dilate._contractions(vals)
+        with pytest.raises(InputError, match="non-finite"):
+            ShiftDilation(None, 2)._check(["a", "b"], vals)
+
+
 class TestShiftDilationCstar:
     def setup_cstar(self, seed=19, h=np.diag([1.0, -0.3]).astype(complex)):
         # unitary-conjugation channel family: positive unital superoperators

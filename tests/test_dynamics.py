@@ -407,6 +407,14 @@ class TestBatchedFamilies:
         assert np.array_equal(fam(edges[1]), before)
         assert np.array_equal(fam.stack([edges[1]])[0], before)
 
+    def test_cached_edges_given_as_lists_are_not_evaluated(self):
+        # a stack of cached edges given as lists once sent the evaluator an
+        # empty batch, on which a network's evaluator raised IndexError
+        net = DagNetwork(["a", "b"], [("a", "b")], {("a", "b"): [[2.0]]}, 1)
+        fam = network_family(net)
+        value = fam(("a", "b"))
+        assert np.array_equal(fam.stack([["a", "b"]]), [value])
+
 
 class TestExactSvdBudget:
     """Exhaustive divisibility and additivity checks of a divisible family
@@ -433,6 +441,96 @@ class TestExactSvdBudget:
         worst = max(triples, key=lambda x: divisibility_defect(bumped, *x))  # the first
         assert not rep.passed and rep.argmax == worst and worst[::2] == (t[3], t[20])
         assert rep.max_defect == divisibility_defect(bumped, *worst)
+
+
+def product_family(seed, points, dim, scale, loop=0.0, bump=0.0, at=(0, 1)):
+    """Divisible by construction, up to rounding: phi(t_i, t_k) is the
+    ordered product S_i ... S_{k-1} of random steps of spectral norm
+    ``scale``.  Each loop is 1 plus a random matrix of norm ``loop``, and the
+    edge of node indices ``at`` gets a random matrix of norm ``bump`` added."""
+    rng = rng_from_seed(seed)
+    graph = descending_grid(1.0, points)
+
+    def unit():
+        a = random_matrix(rng, dim)
+        return a / spectral_norm(a)
+
+    steps = [scale * unit() for _ in range(points - 1)]
+    loops = [np.eye(dim) + loop * unit() for _ in range(points)]
+    kick = bump * unit()
+
+    def phi(edge):
+        i, k = graph.index(edge[0]), graph.index(edge[1])
+        out = loops[i] if i == k else np.linalg.multi_dot([np.eye(dim), *steps[i:k]])
+        return out + kick if (i, k) == at else out
+
+    return edgewise(OperatorFamily, graph, dim, phi)
+
+
+class TestPairCertificate:
+    """``_divisible_by_pairs`` certifies the divisibility scan in O(m^2): it
+    may decline to, but it never passes a family that the scan fails."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**16), points=st.integers(2, 7), dim=st.integers(1, 3),
+           scale=st.floats(0.5, 1.4), loop=st.sampled_from([0.0, 1e-13, 1e-11, 1e-10, 5e-10]),
+           bump=st.one_of(st.just(0.0), st.floats(0.1, 10.0)), data=st.data())
+    def test_never_passes_what_the_scan_fails(self, seed, points, dim, scale, loop, bump,
+                                              data):
+        tol = 1e-9
+        i = data.draw(st.integers(0, points - 1))
+        at = (i, data.draw(st.integers(i, points - 1)))
+        fam = product_family(seed, points, dim, scale, loop, bump * tol, at)
+        certified = dynamics._divisible_by_pairs(fam, tol)
+        assert not certified or check_divisibility(fam, tol).passed
+
+    @pytest.mark.parametrize("scale", [0.9, 1.0, 1.2])
+    def test_certifies_divisible_families(self, scale):
+        # steps of norm 1.2 give tau = 1.2^8 and phi up to that norm
+        fam = product_family(3, 9, 3, scale, loop=1e-12)
+        assert dynamics._divisible_by_pairs(fam, 1e-9)
+        assert check_divisibility(fam, 1e-9).passed
+
+    def test_declines_near_the_tolerance(self):
+        # one edge off by 0.3 tol: the scan passes, but the bound is not sharp
+        fam = product_family(3, 9, 3, 1.0, bump=3e-10, at=(2, 6))
+        assert not dynamics._divisible_by_pairs(fam, 1e-9)
+        assert check_divisibility(fam, 1e-9).passed
+
+    def test_an_indivisible_family_fails_at_its_residuals(self, interp):
+        fam = interp.exponential(1.0)
+        with mock.patch.object(dynamics, "spectral_norm") as norm:
+            assert not dynamics._divisible_by_pairs(fam, 1e-9)
+        norm.assert_not_called()  # no step norm, after the residual pass
+
+    def test_declines_one_node_and_non_finite_values(self):
+        one = edgewise(OperatorFamily, LinearOrderGraph([0.0]), 2, lambda e: np.eye(2))
+        assert not dynamics._divisible_by_pairs(one, 1e-9)
+        graph = LinearOrderGraph([0, 1, 2])
+        bad = edgewise(OperatorFamily, graph, 1,
+                       lambda e: [[np.inf if e == (1, 2) else 1.0]])
+        assert not dynamics._divisible_by_pairs(bad, 1e-9)
+        # products that overflow give inf residuals, without a warning
+        huge = edgewise(OperatorFamily, graph, 1,
+                        lambda e: [[1.0 if e[0] == e[1] else 1e200]])
+        assert not dynamics._divisible_by_pairs(huge, 1e-9)
+
+    def test_pipeline_b_runs_no_scan_on_a_divisible_family(self):
+        from graphdyn import dilate, extend
+        rng = rng_from_seed(47)
+        gens = dynamics.commuting_evolution(random_dissipative(rng, 2, 0.5), 1.0, 33)
+        system = {"graph": gens.graph, "family": gens.exponential(), "ell": None}
+        svds = []
+        real = linops._singular_values
+        with mock.patch.object(extend, "check_divisibility") as scan, \
+                mock.patch.object(dilate, "spectral_norm") as norm:
+            dilsys = dilate.dilate_divisible(system)
+            with mock.patch.object(linops, "_singular_values",
+                                   side_effect=lambda a: svds.append(len(a)) or real(a)):
+                dilsys.dilation.values([dilsys.edge_element(e) for e in gens.graph.edges()])
+        scan.assert_not_called()
+        norm.assert_not_called()  # ShiftDilation._check certified all 561 values
+        assert svds == []
 
 
 class TestExpmBudget:
