@@ -209,12 +209,14 @@ def cmd_group_mul(args):
     spec = _load(args)
     with reading("spec"):
         ctx = rewrite.context_from_spec(spec["graph"])
-        words = [rewrite.word_from_literal(lit) for lit in
-                 (_decode(args.words, "--words") if args.words is not None
-                  else spec["words"])]
-    product = rewrite.identity()
-    for w in words:
-        product = rewrite.gmul(product, rewrite.normalize(ctx, w))
+        if args.words is not None:
+            words = rewrite.words_from_literal(_decode(args.words, "--words"), "--words")
+        else:
+            words = rewrite.words_from_literal(spec["words"], "words")
+    # the system is confluent, so the product of the words' normal forms is
+    # the normal form of their concatenation: one stack pass, linear in the
+    # total letters
+    product = rewrite.normalize(ctx, [letter for w in words for letter in w])
     _emit(args, {
         "schema": SCHEMA,
         "command": "group mul",

@@ -747,8 +747,7 @@ def _build_exponential(spec, fam_spec):
 def _build_network(spec, fam_spec):
     gspec = spec["graph"]
     dim = _spec_number(spec, "dim", integer=True)
-    edges = [rewrite.edge_from_literal(e, f"graph.edges entry {i}")
-             for i, e in enumerate(gspec["edges"])]
+    edges = rewrite.edges_from_literal(gspec["edges"], "graph.edges")
     edge_set = set(edges)
     weights = dict(_edge_entries(fam_spec, "weights", lambda t, h: (t, h) in edge_set))
     net = DagNetwork(rewrite.nodes_from_literal(gspec["nodes"], "graph.nodes"), edges,

@@ -25,7 +25,7 @@ class Letter(NamedTuple):
 
 def word(pairs):
     """Build a word from an iterable of (tail, head) pairs."""
-    return tuple(Letter(t, h) for t, h in pairs)
+    return tuple(map(Letter._make, pairs))
 
 
 class EdgeContext:
@@ -184,7 +184,7 @@ def _stack_reduce(letters, steps=None):
                 continue
             out.append((t, h))
             break
-    return tuple(Letter(t, h) for t, h in out)
+    return word(out)
 
 
 def normalize(ctx, w):
@@ -454,7 +454,7 @@ _SCALAR_KEYS = (str, int, float, type(None))  # JSON scalars (bool is an int)
 def _is_pair(lit):
     """An array of exactly two scalar node keys."""
     return isinstance(lit, list) and len(lit) == 2 \
-        and all(isinstance(key, _SCALAR_KEYS) for key in lit)
+        and isinstance(lit[0], _SCALAR_KEYS) and isinstance(lit[1], _SCALAR_KEYS)
 
 
 def edge_from_literal(lit, where):
@@ -465,6 +465,16 @@ def edge_from_literal(lit, where):
         raise InputError(f"malformed edge literal: {where} is {lit!r}, "
                          "not [tail, head] with two scalar node keys")
     return tuple(lit)
+
+
+def edges_from_literal(lit, where):
+    """Parse an edge list, an array of edge literals, into a list of tuples;
+    anything else is an input error naming the field ``where``, and a bad
+    entry names its index."""
+    if not isinstance(lit, list):
+        raise InputError(f"malformed edge list: {where} is {lit!r}, "
+                         "not an array of edge literals")
+    return [edge_from_literal(e, f"{where} entry {i}") for i, e in enumerate(lit)]
 
 
 def nodes_from_literal(lit, where):
@@ -496,6 +506,15 @@ def word_from_literal(lit):
     return word(lit)
 
 
+def words_from_literal(lit, where):
+    """Parse an array of word literals into a list of words; anything else is
+    an input error naming the field ``where``."""
+    if not isinstance(lit, list):
+        raise InputError(f"malformed word list: {where} is {lit!r}, "
+                         "not an array of word literals")
+    return [word_from_literal(w) for w in lit]
+
+
 def word_to_literal(w):
     return [[letter.tail, letter.head] for letter in w]
 
@@ -504,5 +523,4 @@ def word_to_literal(w):
 def context_from_spec(spec):
     """Parse a graph spec: {"nodes": [...], "edges": [[t, h], ...]}."""
     return EdgeContext(nodes_from_literal(spec["nodes"], "graph.nodes"),
-                       [edge_from_literal(e, f"graph.edges entry {i}")
-                        for i, e in enumerate(spec.get("edges", []))])
+                       edges_from_literal(spec.get("edges", []), "graph.edges"))

@@ -1,12 +1,13 @@
 """Reference computations that tests compare the library against.
 
 Each one is the direct, unbatched form of something the library computes
-another way: the formal tag/payload evaluation of a shift dilation, the
-additivity defect of one triple, a family evaluated one edge at a time, the
-closed-form generators at one edge, the extension products of one element,
-the dense cover pass, the walk sums into one target, the validation, Kraus
-list, reflection unitary and reduced action of one channel, the Kraus sum of
-a channel, a Haar-random unitary and channel specs.
+another way: the group product of words folded one word at a time, the
+formal tag/payload evaluation of a shift dilation, the additivity defect of
+one triple, a family evaluated one edge at a time, the closed-form
+generators at one edge, the extension products of one element, the dense
+cover pass, the walk sums into one target, the validation, Kraus list,
+reflection unitary and reduced action of one channel, the Kraus sum of a
+channel, a Haar-random unitary and channel specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
 """
@@ -17,6 +18,18 @@ from graphdyn import dilate, dynamics, extend, linops, rewrite
 from graphdyn.dilate import Channel
 from graphdyn.errors import InputError
 from graphdyn.sampling import random_matrix
+
+
+# -- the edge group -------------------------------------------------------------
+
+def folded_product(ctx, words):
+    """The product of ``words`` as a left fold of ``gmul`` over their normal
+    forms, one word at a time from the identity; by confluence, the normal
+    form of the concatenated words that ``group mul`` prints."""
+    product = rewrite.identity()
+    for w in words:
+        product = rewrite.gmul(product, rewrite.normalize(ctx, w))
+    return product
 
 
 # -- shift dilations: the formal round trip that compression_matrix shortcuts --

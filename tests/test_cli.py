@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphdyn import cli, dynamics, linops, rewrite
 from graphdyn.linops import SIGMA_X, SIGMA_Z
+from oracles import folded_product
 
 
 def run(capsys, *argv):
@@ -144,7 +150,13 @@ class TestWordLiterals:
         (("normalize", "--word", '[["a", "b"], ["b", "c", "a"]]', "--trace"), 1),
         (("group", "inv", "--word", '[[["a"], "b"]]'), 0),
         (("group", "mul", "--words", '[[["a", "b"]], [["a", "b", "c"]]]'), 0),
-    ], ids=["string-letter", "three-entry-trace", "array-key", "mul-three-entry"])
+        # the index within the letter's own word, not within the concatenation
+        (("group", "mul", "--words", '[[["a", "b"], ["b", "c"]], [["c", "b"], ["b", "a"], ["a"]]]'),
+         2),
+        (("group", "mul", "--words", '[[["a", "b"]], [], [["b", "c"], ["c", "a"], [["b"], "c"]]]'),
+         2),
+    ], ids=["string-letter", "three-entry-trace", "array-key", "mul-three-entry",
+            "mul-second-word", "mul-third-word"])
     def test_malformed_letter_exits_2(self, capsys, line_graph_spec, argv, index):
         argv = argv[:2] + ("--input", line_graph_spec) + argv[2:] \
             if argv[0] == "group" else argv[:1] + ("--input", line_graph_spec) + argv[1:]
@@ -171,6 +183,38 @@ class TestWordLiterals:
                        f"{bad!r}, not [tail, head] with two scalar node keys\n")
 
 
+# two closure components, {a, b, c} and {0, 1}; every closed letter, loops included
+_TWO_COMPONENTS = {"nodes": ["a", "b", "c", 0, 1], "edges": [["a", "b"], ["b", "c"], [0, 1]]}
+_CLOSED_LETTERS = [[u, v] for part in (["a", "b", "c"], [0, 1]) for u in part for v in part]
+
+
+@st.composite
+def word_lists(draw):
+    """Lists of words over the closed letters of ``_TWO_COMPONENTS``; a word
+    may be followed by its inverse, which cancels it, and words and the list
+    may be empty."""
+    words = []
+    for w in draw(st.lists(st.lists(st.sampled_from(_CLOSED_LETTERS), max_size=6),
+                           max_size=8)):
+        words.append(w)
+        if draw(st.booleans()):
+            words.append([[h, t] for t, h in reversed(w)])
+    return words
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def two_component_spec(tmp_path_factory):
+    return write_json(tmp_path_factory.mktemp("group") / "graph.json",
+                      {"graph": _TWO_COMPONENTS})
+
+
 class TestGroup:
     def test_mul(self, capsys, line_graph_spec):
         words = [[["a", "b"]], [["b", "c"]]]
@@ -178,6 +222,51 @@ class TestGroup:
                            "--words", json.dumps(words))
         assert code == 0
         assert json.loads(out)["normal_form"] == [["a", "c"]]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(word_lists())
+    @example([])
+    @example([[], [["a", "a"], [0, 0]], [["a", "b"], ["b", "c"]], [["c", "b"], ["b", "a"]], []])
+    def test_mul_is_the_fold_of_gmul(self, two_component_spec, words):
+        ctx = rewrite.context_from_spec(_TWO_COMPONENTS)
+        product = folded_product(ctx, [rewrite.word_from_literal(w) for w in words])
+        code, out, err = run_quiet("group", "mul", "--input", two_component_spec,
+                                   "--words", json.dumps(words))
+        assert (code, err) == (0, "")
+        body = json.loads(out)
+        assert body["normal_form"] == rewrite.word_to_literal(product.letters)
+        assert body["is_identity"] is product.is_identity()
+
+    @pytest.mark.parametrize("words, bad", [
+        ([[["a", "b"]], [["b", "c"], ["c", 0]]], "Letter(tail='c', head=0)"),
+        ([[["a", "b"]], [], [["b", 1]], [[1, "b"]]], "Letter(tail='b', head=1)"),
+        ([[[0, 1]], [[1, 0], ["a", "x"]], [[0, "c"]]], "Letter(tail='a', head='x')"),
+    ], ids=["second-word", "cancelled-by-the-next-word", "first-of-two"])
+    def test_a_letter_outside_the_relation_in_a_later_word_exits_2(
+            self, capsys, two_component_spec, words, bad):
+        # the first such letter in reading order is named, even where the
+        # next word would cancel it
+        assert run(capsys, "group", "mul", "--input", two_component_spec,
+                   "--words", json.dumps(words)) == (
+            2, "", f"input error: letter {bad} is not in the closed edge relation\n")
+
+    def test_mul_is_linear_in_the_letters(self, tmp_path):
+        """64,000 one-letter words on an 8-node path, no two adjacent ones
+        fusing, so the product keeps all 64,000 letters.  One stack pass over
+        the concatenated words took 0.35 s wall-clock on a shared 2-vCPU
+        AVX-512 Xeon (Python 3.11); the fold of ``gmul`` over the words'
+        normal forms, which copies the growing product once per word, took
+        10.0 s there."""
+        nodes = [f"v{i}" for i in range(8)]
+        words = [[[nodes[i % 8], nodes[(i + 3) % 8]]] for i in range(64_000)]
+        spec = write_json(tmp_path / "words.json", {
+            "graph": {"nodes": nodes, "edges": [[u, v] for u, v in zip(nodes, nodes[1:])]},
+            "words": words})
+        start = time.perf_counter()
+        code, out, _ = run_quiet("group", "mul", "--input", spec)
+        elapsed = time.perf_counter() - start
+        assert code == 0 and json.loads(out)["normal_form"] == [w[0] for w in words]
+        assert elapsed < 1.5, f"group mul of 64,000 words took {elapsed:.2f}s"
 
     def test_inv(self, capsys, line_graph_spec):
         code, out, _ = run(capsys, "group", "inv", "--input", line_graph_spec,

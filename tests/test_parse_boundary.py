@@ -138,6 +138,16 @@ def run_in_process(spec, command):
           CHECK, "graph.order"))
 @example((mutate(BASES["exponential"], ("graph", "order"), ["a", "b"]),
           CHECK, "graph.order"))
+# a words list or graph.edges that is not an array exits 2 naming its field;
+# read as an array, most of these exit 0, which the fuzzer accepts
+@example((BASES["words"], ("group", "mul", "--words", "{}"), "--words"))
+@example((BASES["words"], ("group", "mul", "--words", '""'), "--words"))
+@example((BASES["words"], ("group", "mul", "--words", '"ab"'), "--words"))
+@example((mutate(BASES["words"], ("words",), {}), ("group", "mul"), "words"))
+@example((mutate(mutate(BASES["words"], ("graph", "edges"), {}),
+                 ("word",), [["a", "a"], ["b", "b"]]), ("normalize",), "graph.edges"))
+@example((mutate(mutate(BASES["network"], ("graph", "edges"), {}),
+                 ("family", "weights"), {}), CHECK, "graph.edges"))
 def test_mutated_specs_exit_cleanly(case):
     spec, command, field = case
     code, out, err = run_in_process(spec, command)
