@@ -35,7 +35,7 @@ print("\n== a reduction trace, replayed ==")
 w = word([("a", "b"), ("b", "b"), ("b", "c"), ("c", "a"), ("a", "b")])
 cur = list(w)
 print(f"start:     {[tuple(l) for l in cur]}")
-for step in rewrite.reduction_trace(ctx, w):
+for step in rewrite.reduction_trace(ctx, w)[1]:
     i = step["at"]
     if step["rule"] == "loop":
         assert cur[i].tail == cur[i].head

@@ -145,9 +145,10 @@ def kraus_stacks(chois, d):
 
 def _env_column(u, env):
     """``V = u (1 (x) e_0)``, the first environment column of a unitary ``u``
-    on system (x) environment, as a (d, env, d) array: d columns in all."""
-    d = len(u) // env
-    return u.reshape(d, env, d, env)[..., 0]
+    on system (x) environment, as a (d, env, d) array: d columns in all.  Of
+    an (E, n, n) stack of unitaries, an (E, d, env, d) array."""
+    d = u.shape[-1] // env
+    return u.reshape(u.shape[:-2] + (d, env, d, env))[..., 0]
 
 
 def _reduced_action(v, s):
@@ -225,6 +226,64 @@ def kraus_ii_dilation(ch):
     is e_0."""
     ks = ch.kraus
     return KrausDilation(ch.dim, ch.dim * (1 + len(ks)), reflection_unitaries(ks[None])[0])
+
+
+def check_kraus_dilations(kraus_lists, tol):
+    """The reflection dilations of the channels with the S Kraus lists
+    ``kraus_lists``, each of k d x d operators, checked as one stack: the
+    report ``"kraus-dilations"`` of count S when all pass, else the
+    :meth:`KrausDilation.verify` report of the first failing channel in
+    order, rebuilt alone through :meth:`Channel.from_kraus` and
+    :func:`kraus_ii_dilation`.
+
+    The Choi stack is bit for bit the one ``Channel.from_kraus`` builds.  It
+    is validated with one :func:`validate_chois`, read with one
+    :func:`kraus_stacks` and dilated with one :func:`reflection_unitaries`
+    per Kraus count, so each channel keeps the environment of
+    ``kraus_ii_dilation``.  A channel fails when one of its four defects is
+    not at most ``tol``: the unitarity, self-adjointness and involution
+    defects, screened by one :func:`linops.screened_norms` with ``offenders``
+    per Kraus count, and the reconstruction defect at the matrix units, one
+    stacked trace norm.  A stack that does not build or validate is checked
+    again one channel at a time, in order: a channel whose dilation fails
+    before the first non-channel is reported, and otherwise that non-channel
+    raises its own error."""
+    kraus_lists = np.asarray(kraus_lists, dtype=complex)
+    count, d = len(kraus_lists), kraus_lists.shape[-1]
+    passed = CheckReport("kraus-dilations", True, 0.0, tol, count=count)
+    if not count:
+        return passed
+    try:
+        superops = linops.kraus_superop(kraus_lists)
+        chois = linops.superop_to_choi(superops, d)
+        validate_chois(chois)
+    except InputError:
+        if count > 1:
+            for i in range(count):
+                rep = check_kraus_dilations(kraus_lists[i:i + 1], tol)
+                if not rep.passed:
+                    return rep
+        raise
+    ks, counts = kraus_stacks(chois, d)
+    defects = np.empty((count, 4))
+    reduced = np.empty((count, d * d, d, d), dtype=complex)
+    units = linops.matrix_units(d)
+    for k in np.unique(counts):
+        idx = np.flatnonzero(counts == k)
+        us = reflection_unitaries(ks[idx, :k])
+        one = eye(us.shape[-1])
+        defects[idx, :3] = linops.screened_norms(
+            np.concatenate([us @ dagger(us) - one, us - dagger(us), us @ us - one]),
+            tol, offenders=True).reshape(3, -1).T
+        reduced[idx] = _reduced_action(
+            np.ascontiguousarray(_env_column(us, d * (1 + k))), units)
+    defects[:, 3] = trace_norm(reduced - linops.superop_apply(
+        superops[:, None], units)).max(axis=1)
+    bad = np.flatnonzero(~(defects <= tol).all(axis=1))
+    if not bad.size:
+        return passed
+    ch = Channel.from_kraus(kraus_lists[bad[0]])
+    return kraus_ii_dilation(ch).verify(ch, tol)
 
 
 # -- unitary representation dilation of a channel family ------------------------

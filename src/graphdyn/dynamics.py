@@ -644,11 +644,15 @@ def build_system(spec):
 def _edge_entries(fam_spec, key, has_edge, field="matrix", parse=linops.matrix_from_literal):
     """The (edge, parsed value) pairs of ``fam_spec[key]``, a list
     ``[{"edge": [t, h], field: ...}, ...]``, parsed one entry at a time.  A
-    malformed edge literal, an edge that ``has_edge(t, h)`` rejects, or one
-    listed twice, is an input error: none can be misread, dropped or
-    overwritten unseen."""
+    table that is not an array, a malformed edge literal, an edge that
+    ``has_edge(t, h)`` rejects, or one listed twice, is an input error: none
+    can be misread, dropped or overwritten unseen."""
+    table = fam_spec[key]
+    if not isinstance(table, list):
+        raise InputError(f"malformed edge table: family.{key} is {table!r}, "
+                         "not an array of edge entries")
     seen = set()
-    for i, item in enumerate(fam_spec[key]):
+    for i, item in enumerate(table):
         edge = rewrite.edge_from_literal(item["edge"], f"the edge of family.{key} entry {i}")
         if not has_edge(*edge):
             raise InputError(f"edge {edge!r} is not an edge of the graph")

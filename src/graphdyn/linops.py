@@ -223,21 +223,27 @@ def anticommutator_superop(a):
 
 
 def kraus_superop(kraus_ops):
-    """X -> sum_i K_i X K_i*.  Every conj(K_i) (x) K_i comes from one
-    broadcast product; they are added in list order, starting from zeros."""
-    ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
-    if not ks:
-        raise InputError("a kraus channel needs at least one operator")
-    for k in ks:
-        if k.shape != ks[0].shape:
-            raise ValueError(f"Kraus operators of shapes {ks[0].shape} "
-                             f"and {k.shape}")
-    if ks[0].ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={ks[0].ndim}")
-    ks = _square(np.stack(ks), stack=True)
+    """X -> sum_i K_i X K_i*, for a list of operators K_i, or that map for
+    each Kraus list of an (S, k, d, d) array, as an (S, d^2, d^2) stack.
+    Every conj(K_i) (x) K_i comes from one broadcast product; they are added
+    in list order, starting from zeros, so a list in a stack gives the bits
+    it gives alone."""
+    if isinstance(kraus_ops, np.ndarray) and kraus_ops.ndim == 4:
+        ks = _square(kraus_ops, stack=True)
+    else:
+        ks = [np.asarray(k, dtype=complex) for k in kraus_ops]
+        if not ks:
+            raise InputError("a kraus channel needs at least one operator")
+        for k in ks:
+            if k.shape != ks[0].shape:
+                raise ValueError(f"Kraus operators of shapes {ks[0].shape} "
+                                 f"and {k.shape}")
+        if ks[0].ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={ks[0].ndim}")
+        ks = _square(np.stack(ks), stack=True)
     d = ks.shape[-1]
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for term in _kron(np.conj(ks), ks):
+    m = np.zeros(ks.shape[:-3] + (d * d, d * d), dtype=complex)
+    for term in _kron(np.conj(ks), ks).swapaxes(0, -3):
         m += term
     return m
 

@@ -199,16 +199,16 @@ def normalize(ctx, w):
 
 
 def reduction_trace(ctx, w):
-    """The rule applications of the stack pass that :func:`normalize` runs on
-    ``w``, in order, as ``{"at": i, "rule": r}``.  Each acts on the word left
-    by the steps before it: ``"loop"`` deletes the loop letter at ``i``,
-    ``"fuse"`` replaces letters ``i`` and ``i + 1`` by their fusion.  Every
-    step removes one letter, and the last word is the normal form.
+    """The normal form of ``w`` and the rule applications of the one stack
+    pass that finds it, in order, as ``{"at": i, "rule": r}``.  Each acts on
+    the word left by the steps before it: ``"loop"`` deletes the loop letter
+    at ``i``, ``"fuse"`` replaces letters ``i`` and ``i + 1`` by their
+    fusion.  Every step removes one letter, and the last word is the normal
+    form that :func:`normalize` returns.
     """
     ctx.check_word(w)
     steps = []
-    _stack_reduce(w, steps)
-    return steps
+    return _trusted(_stack_reduce(w, steps)), steps
 
 
 def gmul(g, h):

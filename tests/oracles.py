@@ -6,8 +6,9 @@ formal tag/payload evaluation of a shift dilation, the additivity defect of
 one triple, a family evaluated one edge at a time, the closed-form
 generators at one edge, the extension products of one element, the dense
 cover pass, the walk sums into one target, the validation, Kraus list,
-reflection unitary and reduced action of one channel, the Kraus sum of a
-channel, a Haar-random unitary and channel specs.
+reflection unitary and reduced action of one channel, the Kraus suite of
+``verify`` one channel at a time, the Kraus sum of a channel, a Haar-random
+unitary and channel specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
 """
@@ -17,6 +18,7 @@ import numpy as np
 from graphdyn import dilate, dynamics, extend, linops, rewrite
 from graphdyn.dilate import Channel
 from graphdyn.errors import InputError
+from graphdyn.reports import CheckReport
 from graphdyn.sampling import random_matrix
 
 
@@ -221,6 +223,19 @@ def element_unitary(value, d):
     choi = linops.superop_to_choi(value, d)
     validate_choi(choi, d)
     return reflection_unitary(kraus_list(choi, d), d * d)
+
+
+def kraus_dilations_loop(kraus_lists, tol):
+    """The Kraus suite of ``verify`` one channel at a time, in order: each
+    channel built and validated by ``Channel.from_kraus``, dilated by
+    ``kraus_ii_dilation`` and verified, up to the first that fails, whose
+    report is returned; the pass report when none fails."""
+    for ks in kraus_lists:
+        ch = Channel.from_kraus(ks)
+        rep = dilate.kraus_ii_dilation(ch).verify(ch, tol=tol)
+        if not rep.passed:
+            return rep
+    return CheckReport("kraus-dilations", True, 0.0, tol, count=len(kraus_lists))
 
 
 def random_unitary(rng, d):

@@ -104,6 +104,17 @@ class TestNormalize:
         assert body["normal_form"] == []
         assert len(body["trace"]) == 4  # one step per deleted letter
 
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+    def test_one_stack_pass(self, capsys, monkeypatch, line_graph_spec, trace):
+        # the normal form and the trace come from the same checked pass
+        real, calls = rewrite._stack_reduce, []
+        monkeypatch.setattr(rewrite, "_stack_reduce",
+                            lambda *args: calls.append(args) or real(*args))
+        code, out, _ = run(capsys, "normalize", "--input", line_graph_spec, *trace,
+                           "--word", '[["a", "b"], ["b", "b"], ["b", "c"]]')
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["normal_form"] == [["a", "c"]]
+
     def test_irreducible_word(self, capsys, line_graph_spec):
         word = [["a", "b"], ["c", "a"]]
         code, out, _ = run(capsys, "normalize", "--input", line_graph_spec,
@@ -131,7 +142,7 @@ class TestNormalize:
             "input_word": rewrite.word_to_literal(w),
             "normal_form": rewrite.word_to_literal(nf.letters),
             "is_identity": nf.is_identity(),
-            "trace": rewrite.reduction_trace(ctx, w),
+            "trace": rewrite.reduction_trace(ctx, w)[1],
         }
         assert len(body["trace"]) == len(w) - len(nf.letters) == 6
         assert out.read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"

@@ -23,7 +23,8 @@ from graphdyn.rewrite import embed_edge, ginv, gmul, identity
 from graphdyn.sampling import (random_dissipative, random_kraus_ops,
                                random_matrix, rng_from_seed)
 from oracles import (channel_to_spec, compress, cptp_system, edgewise, evaluate,
-                     identity_channel, kraus_apply, kraus_spec, random_unitary)
+                     identity_channel, kraus_apply, kraus_dilations_loop, kraus_spec,
+                     random_unitary)
 
 # the isometric partition and the depolarizing channel live in their demo
 KRAUS_DEMO = runpy.run_path(
@@ -379,6 +380,156 @@ class TestKrausII:
         # a reflection of another channel fails on reconstruction alone
         other = kraus_ii_dilation(Channel.random(rng, 2)).verify(ch)
         assert not other.passed and other.argmax == "reconstruction"
+
+
+def broken_at(target, how="zeroed-block"):
+    """``dilate.reflection_unitaries``, broken in the unitary of each Kraus
+    list whose channel is that of the list ``target``: a mutant that fails
+    that one channel's dilation, whether it is dilated in a stack or alone.
+    ``"zeroed-block"`` zeroes its ``1 - D D*`` block, so it is no unitary,
+    and ``"nudged-block"`` scales that block by ``1 - 1e-6``, so it misses
+    by about ``1e-6``; ``"swapped-env"`` swaps the first environment state with the first one
+    of the second summand, so it stays a self-adjoint unitary, but one that
+    dilates another channel."""
+    real, superop = dilate.reflection_unitaries, kraus_superop(target)
+
+    def mutant(ks):
+        us = real(ks)
+        d = ks.shape[-1]
+        env = d + d * ks.shape[1]
+        for u, k in zip(us, ks):
+            if np.allclose(kraus_superop(k), superop, rtol=0, atol=1e-12):
+                u4 = u.reshape(d, env, d, env)
+                if how == "zeroed-block":
+                    u4[:, d:, :, d:] = 0
+                elif how == "nudged-block":
+                    u4[:, d:, :, d:] *= 1 - 1e-6
+                else:
+                    u4[:, [0, d]] = u4[:, [d, 0]]
+                    u4[..., [0, d]] = u4[..., [d, 0]]
+        return us
+    return mutant
+
+
+def not_a_channel(ks, i):
+    """The Kraus list ``ks`` scaled by ``1 + (i + 1) / 100``: not trace
+    preserving, with a defect that names ``i``."""
+    return [(1 + (i + 1) / 100) * k for k in ks]
+
+
+class TestKrausSuite:
+    """``verify``'s Kraus suite, checked as one stack, against the loop over
+    channels that it replaced."""
+
+    @staticmethod
+    def draws(seed, samples):
+        rng = rng_from_seed(seed)
+        return [random_kraus_ops(rng, 2) for _ in range(samples)]
+
+    @pytest.mark.parametrize("samples", [0, 1, 3, 25, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_reports_what_the_loop_reports(self, seed, samples):
+        lists = self.draws(seed, samples)
+        for tol in (1e-10, 0.0):
+            rep = dilate.check_kraus_dilations(lists, tol)
+            assert rep.as_dict() == kraus_dilations_loop(lists, tol).as_dict()
+            assert rep.passed == (tol > 0 or not samples)
+
+    @pytest.mark.parametrize("i", [0, 1, 12, 24])
+    @pytest.mark.parametrize("how", ["zeroed-block", "swapped-env"])
+    def test_a_broken_dilation_fails_its_channel(self, monkeypatch, i, how):
+        lists = self.draws(3, 25)
+        monkeypatch.setattr(dilate, "reflection_unitaries", broken_at(lists[i], how))
+        rep = dilate.check_kraus_dilations(lists, 1e-10)
+        assert not rep.passed and rep.name == "reflection-dilation"
+        failing = {k for k, v in rep.details.items() if v > 1e-10}
+        assert failing == ({"reconstruction"} if how == "swapped-env" else
+                           {"unitary", "squares_to_identity"})
+        assert rep.as_dict() == kraus_dilations_loop(lists, 1e-10).as_dict()
+        assert rep.as_dict() == kraus_dilations_loop(lists[i:i + 1], 1e-10).as_dict()
+
+    def test_a_small_failure_before_a_large_one_is_reported(self, monkeypatch):
+        # every defect above tol is exact, not only the largest one
+        lists = self.draws(3, 25)
+        monkeypatch.setattr(dilate, "reflection_unitaries", broken_at(lists[3], "nudged-block"))
+        monkeypatch.setattr(dilate, "reflection_unitaries", broken_at(lists[7]))
+        rep = dilate.check_kraus_dilations(lists, 1e-10)
+        assert 1e-7 < rep.max_defect < 1e-5
+        assert rep.as_dict() == kraus_dilations_loop(lists, 1e-10).as_dict()
+
+    @pytest.mark.parametrize("i", [0, 1, 12, 24])
+    @pytest.mark.parametrize("kind", ["not-tp", "non-finite"])
+    @pytest.mark.parametrize("tol", [1e-10, 1.0])
+    def test_a_draw_that_is_not_a_channel_raises_its_error(self, i, kind, tol):
+        # also where tol is so loose that its dilation would pass
+        lists = self.draws(3, 25)
+        if kind == "not-tp":
+            lists[i] = not_a_channel(lists[i], i)
+        else:
+            lists[i][1] = lists[i][1] * np.nan
+        with pytest.raises(InputError) as loop:
+            kraus_dilations_loop(lists, tol)
+        with pytest.raises(InputError) as stacked:
+            dilate.check_kraus_dilations(lists, tol)
+        assert stacked.type is loop.type is InputError
+        assert str(stacked.value) == str(loop.value)
+
+    @pytest.mark.parametrize("bad, invalid", [(3, 7), (7, 3), (5, 5)])
+    def test_the_first_of_a_failing_dilation_and_a_non_channel(self, monkeypatch, bad,
+                                                               invalid):
+        # a channel is validated before it is dilated, and nothing after the
+        # first failing dilation is validated
+        lists = self.draws(5, 25)
+        monkeypatch.setattr(dilate, "reflection_unitaries", broken_at(lists[bad]))
+        lists[invalid] = not_a_channel(lists[invalid], invalid)
+        if bad < invalid:
+            rep = dilate.check_kraus_dilations(lists, 1e-10)
+            assert not rep.passed
+            assert rep.as_dict() == kraus_dilations_loop(lists, 1e-10).as_dict()
+            return
+        with pytest.raises(InputError, match="trace-preservation") as loop:
+            kraus_dilations_loop(lists, 1e-10)
+        with pytest.raises(InputError) as stacked:
+            dilate.check_kraus_dilations(lists, 1e-10)
+        assert str(stacked.value) == str(loop.value)
+
+    def test_the_choi_stack_is_from_kraus_bitwise(self):
+        lists = self.draws(2, 25)
+        stacked = linops.superop_to_choi(kraus_superop(np.array(lists)), 2)
+        alone = np.stack([Channel.from_kraus(ks).choi for ks in lists])
+        assert np.array_equal(stacked.view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("argv", [
+        ("--samples", "0"), ("--samples", "1", "--seed", "2"),
+        ("--samples", "3", "--seed", "4"), ("--samples", "25", "--tol", "0"),
+        ("--samples", "200", "--seed", "7")])
+    def test_verify_prints_the_body_of_the_loop(self, capsys, monkeypatch, argv):
+        from graphdyn import cli
+        runs = []
+        for check in (dilate.check_kraus_dilations, kraus_dilations_loop):
+            monkeypatch.setattr(dilate, "check_kraus_dilations", check)
+            runs.append((cli.main(["verify", *argv]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (cli.EXIT_VERIFICATION if "--tol" in argv else cli.EXIT_OK)
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_verify_exits_2_at_the_draw_that_is_not_a_channel(self, capsys, monkeypatch,
+                                                              i):
+        from graphdyn import cli, sampling
+        real, runs = sampling.random_kraus_ops, []
+
+        def draw(rng, d):
+            draw.calls += 1
+            ks = real(rng, d)
+            return not_a_channel(ks, i) if draw.calls == i + 1 else ks
+        monkeypatch.setattr(sampling, "random_kraus_ops", draw)
+        for check in (dilate.check_kraus_dilations, kraus_dilations_loop):
+            monkeypatch.setattr(dilate, "check_kraus_dilations", check)
+            draw.calls = 0
+            runs.append((cli.main(["verify", "--samples", "6"]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == cli.EXIT_INPUT
+        assert runs[0][1].err.startswith("input error: trace-preservation defect")
 
 
 def three_node_channel_family(rng):

@@ -148,6 +148,16 @@ def run_in_process(spec, command):
                  ("word",), [["a", "a"], ["b", "b"]]), ("normalize",), "graph.edges"))
 @example((mutate(mutate(BASES["network"], ("graph", "edges"), {}),
                  ("family", "weights"), {}), CHECK, "graph.edges"))
+# so does an edge table; read as an array, {} on one node exits 0, on more
+# nodes it blames an edge, and a string names no field
+@example((mutate(mutate(BASES["explicit"], ("graph", "order"), [0]),
+                 ("family", "values"), {}), CHECK, "family.values"))
+@example((mutate(BASES["explicit"], ("family", "values"), {}), CHECK, "family.values"))
+@example((mutate(BASES["explicit"], ("family", "values"), "ab"), CHECK, "family.values"))
+@example((mutate(mutate(BASES["exponential"], ("family", "rate"), _DELETE),
+                 ("family", "generators"), {}), CHECK, "family.generators"))
+@example((mutate(BASES["network"], ("family", "weights"), {}), CHECK, "family.weights"))
+@example((mutate(BASES["cptp"], ("family", "channels"), {}), CHECK, "family.channels"))
 def test_mutated_specs_exit_cleanly(case):
     spec, command, field = case
     code, out, err = run_in_process(spec, command)

@@ -1,10 +1,10 @@
 """``src/graphdyn`` keeps only what the commands run.
 
 A walk through the commands records, with ``sys.setprofile``, every function
-of ``src/graphdyn`` that they call: the ``verify`` suite, the three ``demo``
-commands, the word commands, and ``check``, ``extend`` and ``dilate`` on the
-command-line test specs of every family kind, extension and pipeline, one
-failing precondition included.  A module-level function or a method that the
+of ``src/graphdyn`` that they call: the ``verify`` suite, passing and
+failing, the three ``demo`` commands, the word commands, and ``check``,
+``extend`` and ``dilate`` on the command-line test specs of every family
+kind, extension and pipeline, one failing precondition included.  A module-level function or a method that the
 walk never calls must be on ``UNREACHED`` with the reason it stays.  A
 function that only tests call belongs in ``tests/oracles.py`` if tests
 compare against it, and nowhere otherwise; one that only a demo script calls
@@ -38,6 +38,8 @@ SRC = pathlib.Path(cli.__file__).parent
 
 # "module.qualname" -> why it stays although the walk never calls it
 UNREACHED = {
+    "dilate.Channel.random": "acceptance criteria 9 and 10; demos/kraus_reflections.py "
+                             "and demos/cptp_unitary_representation.py",
     "dilate.FormalVector.distance": "one_param_factorization, acceptance criterion 10",
     "dilate.FormalVector.map": "VedDilation.apply, ShiftDilation.shift",
     "dilate.FormalVector.of": "bench/spans.py's METHODS wraps it; acceptance "
@@ -129,6 +131,8 @@ def walk(tmp_path, specs):
                                  "--words", '[[["a", "b"]], [["b", "c"]]]')
     codes["group inv"] = run_cli("group", "inv", "--input", line, "--word", '[["a", "c"]]')
     codes["verify"] = run_cli("verify", "--seed", "0", "--samples", "25", "--tol", "1e-10")
+    # at tol 0 the first Kraus channel fails, and its report is rebuilt alone
+    codes["verify tol 0"] = run_cli("verify", "--seed", "0", "--samples", "2", "--tol", "0")
     for name in ("indivisible-2.4", "network-2.5", "lindblad"):
         codes[f"demo {name}"] = run_cli("demo", name, "--output", str(tmp_path))
     for kind, (extensions, pipelines, word) in RUNS.items():
@@ -174,6 +178,7 @@ def test_every_library_function_serves_the_system(tmp_path, specs):
     assert set(UNREACHED) <= set(functions.values())
     missed, codes = never_called(functions, lambda: walk(tmp_path, specs))
     assert codes.pop("dilate indivisible B") == cli.EXIT_PRECONDITION
+    assert codes.pop("verify tol 0") == cli.EXIT_VERIFICATION
     assert set(codes.values()) == {cli.EXIT_OK}, codes
     assert missed == set(UNREACHED)
 
