@@ -12,7 +12,7 @@ import numpy as np
 from . import linops, rewrite
 from .errors import InputError, is_number, reading
 from .linops import commutator_superop, dagger, spectral_norm, superop_apply
-from .reports import CheckReport, defect_report
+from .reports import CheckReport, defect_report, streamed_report
 
 
 class LinearOrderGraph:
@@ -68,6 +68,15 @@ class LinearOrderGraph:
             for v in self.nodes[i:]:
                 yield (u, v)
 
+    def triple_count(self):
+        m = len(self.nodes)
+        return m * (m + 1) * (m + 2) // 6
+
+    def triples(self, ranks):
+        """The node-index triples (i <= j <= k) at ``ranks`` of their
+        lexicographic order, as an (N, 3) array."""
+        return _unrank_triples(len(self.nodes), ranks)
+
     def context(self):
         # the closure of the edges is one component
         return rewrite.complete_context(self.nodes)
@@ -91,6 +100,15 @@ class CompleteGraph:
             for v in self.nodes:
                 yield (u, v)
 
+    def triple_count(self):
+        return len(self.nodes) ** 3
+
+    def triples(self, ranks):
+        """The node-index triples (i, j, k), every one of them a path, at
+        ``ranks`` of their lexicographic order, as an (N, 3) array."""
+        n, ranks = len(self.nodes), np.asarray(ranks, dtype=np.int64)
+        return np.stack([ranks // (n * n), ranks // n % n, ranks % n], axis=-1)
+
     def context(self):
         # the closure of the edges is one component
         return rewrite.complete_context(self.nodes)
@@ -104,8 +122,8 @@ class _Family:
     Every missing value of a call or a stack is filled by one call of it,
     whose shape is checked, and a value with a non-finite entry (an
     overflow, say) is an error that names its edge.  The values sit in one
-    array with an edge -> row index: a stack is one gather, and a call
-    returns a read-only view."""
+    array with an edge -> row index (:meth:`rows_of`): a stack is one
+    gather, and a call returns a read-only view."""
 
     def __init__(self, graph, dim, stack_fn):
         self.graph = graph
@@ -135,8 +153,14 @@ class _Family:
     def stack(self, edges):
         """The values at ``edges`` as one (len(edges), dim, dim) array; the
         distinct uncached edges are evaluated in one batch."""
+        rows = self.rows_of(edges)  # may grow the value array
+        return self._values[rows]
+
+    def rows_of(self, edges):
+        """The rows of ``edges`` in the value array, as an int array; the
+        distinct uncached edges are evaluated in one batch."""
         try:
-            rows = np.fromiter(map(self._rows.__getitem__, edges), np.intp, len(edges))
+            return np.fromiter(map(self._rows.__getitem__, edges), np.intp, len(edges))
         except (KeyError, TypeError):  # an uncached edge, or one given as a list
             edges = [(e[0], e[1]) for e in edges]
             missing = [e for e in dict.fromkeys(edges) if e not in self._rows]
@@ -148,8 +172,7 @@ class _Family:
                 self._values[n:n + len(vals)] = vals
                 self._values.flags.writeable = False
                 self._rows.update(zip(missing, range(n, n + len(vals))))
-            rows = np.fromiter(map(self._rows.__getitem__, edges), np.intp, len(edges))
-        return self._values[rows]
+            return np.fromiter(map(self._rows.__getitem__, edges), np.intp, len(edges))
 
 
 class OperatorFamily(_Family):
@@ -249,14 +272,20 @@ def _unrank_triples(m, ranks):
     return np.stack([i, j, j + pair - first_pair[j]], axis=-1)
 
 
-def _ordered_triples(graph, rng=None, count=None):
-    """Node-index triples (i <= j <= k) of the graph's node order, as an
-    (N, 3) array: all of them, or ``count`` drawn without replacement."""
-    m = len(graph.nodes)
-    total = m * (m + 1) * (m + 2) // 6
+def _drawn_ranks(graph, rng, count):
+    """The ranks of ``count`` of the graph's triples drawn without
+    replacement, or None when the population is every triple in rank order."""
+    total = graph.triple_count()
     if rng is not None and count is not None and count < total:
-        return _unrank_triples(m, rng.choice(total, size=count, replace=False))
-    return _unrank_triples(m, np.arange(total))
+        return rng.choice(total, size=count, replace=False)
+    return None
+
+
+def _ordered_triples(graph, rng=None, count=None):
+    """The graph's node-index triples, as an (N, 3) array: all of them in rank
+    order, or ``count`` drawn without replacement."""
+    ranks = _drawn_ranks(graph, rng, count)
+    return graph.triples(np.arange(graph.triple_count()) if ranks is None else ranks)
 
 
 def _node_triples(nodes, idx):
@@ -264,45 +293,80 @@ def _node_triples(nodes, idx):
     return [(nodes[i], nodes[j], nodes[k]) for i, j, k in idx.tolist()]
 
 
-def _difference_norms(diffs, tol):
+def _difference_norms(diffs, tol, held):
     """``linops.screened_norms`` of an (N, d, d) complex stack of differences,
     where a difference with a non-finite entry, which finite values reach by
-    overflow, has the defect inf.  The one finiteness pass is this one."""
+    overflow, has the defect inf.  The one finiteness pass is this one.
+    ``held`` is the largest defect of the report's earlier blocks, as
+    ``linops._screen`` takes it."""
     finite = np.isfinite(diffs).all(axis=(1, 2))
     if finite.all():
-        return linops._screen(diffs, tol, 0.0, False)
+        return linops._screen(diffs, tol, 0.0, False, held)
     out = np.full(len(diffs), np.inf)
-    out[finite] = linops._screen(diffs[finite], tol, 0.0, False)
+    out[finite] = linops._screen(diffs[finite], tol, 0.0, False, held)
     return out
 
 
 def _triple_check(name, fam, difference, tol, rng, count):
     """Report on the spectral norm of ``difference(phi(u,v), phi(v,w),
     phi(u,w))``, which maps three (N, d, d) value stacks to N matrices, over
-    the ordered triples, by :func:`_difference_norms`."""
-    nodes = fam.graph.nodes
-    m = len(nodes)
-    idx = _ordered_triples(fam.graph, rng, count)
+    the graph's triples (all of them, or ``count`` drawn by rank), by
+    :func:`_difference_norms`, streamed in blocks of ``_BLOCK`` triples.
 
-    def block_defects(rows):
-        # edge codes a*m + b of (u,v), (v,w), (u,w); the distinct edges are
-        # stacked in first-occurrence order, so the first bad edge still raises
-        i, j, k = rows.T
-        codes = np.concatenate([i, j, i]) * m + np.concatenate([j, k, k])
-        uniq, first, inverse = np.unique(codes, return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        edges = [(nodes[c // m], nodes[c % m]) for c in uniq[order].tolist()]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf defects
-            diffs = difference(*np.split(fam.stack(edges)[rank[inverse]], 3))
-        return _difference_norms(diffs, tol)
+    Each edge is looked up once: a table maps its slot to its row of the
+    family's value array.  The slot of edge (a, b) is its code a*m + b when
+    the scan is exhaustive, and the place of that code among the drawn
+    triples' codes when it is sampled, so a sample allocates nothing of size
+    m^2.  A block's unread edges (u,v) of every triple, then (v,w), then
+    (u,w) go to the family as one batch in first-occurrence order, so the
+    first non-finite value of that batch names the error.  Each block is
+    screened below the largest defect the earlier blocks hold."""
+    graph = fam.graph
+    nodes, m = graph.nodes, len(graph.nodes)
+    ranks = _drawn_ranks(graph, rng, count)
 
-    rep = defect_report(name, _blockwise(idx, block_defects), idx, tol)
-    if rep.argmax is not None:  # a row of node indices
-        rep.argmax = tuple(nodes[t] for t in rep.argmax)
-    return rep
+    def codes(triples):  # the edge codes of (u,v), (v,w), (u,w), each a row
+        i, j, k = triples.T
+        return np.stack([i * m + j, j * m + k, i * m + k])
+
+    if ranks is None:
+        size, code_of = graph.triple_count(), None
+        table = np.full(m * m, -1, dtype=np.intp)
+
+        def slots(start, stop):
+            return codes(graph.triples(np.arange(start, stop))).reshape(-1)
+    else:
+        size = len(ranks)
+        code_of, drawn = np.unique(codes(graph.triples(ranks)), return_inverse=True)
+        table, drawn = np.full(len(code_of), -1, dtype=np.intp), drawn.reshape(3, size)
+
+        def slots(start, stop):
+            return drawn[:, start:stop].reshape(-1)
+
+    def blocks():
+        held = -np.inf
+        for start in range(0, size, _BLOCK):
+            stop = min(start + _BLOCK, size)
+            at = slots(start, stop)
+            rows = table[at]
+            unread = rows < 0
+            if unread.any():
+                fresh, first = np.unique(at[unread], return_index=True)
+                fresh = fresh[np.argsort(first)]
+                edges = (fresh if code_of is None else code_of[fresh]).tolist()
+                table[fresh] = fam.rows_of([(nodes[c // m], nodes[c % m]) for c in edges])
+                rows = table[at]
+            with np.errstate(over="ignore", invalid="ignore"):  # inf defects
+                diffs = difference(*np.split(fam._values[rows], 3))
+            defects = _difference_norms(diffs, tol, held)
+            held = max(held, defects.max())
+            yield np.arange(start, stop), defects
+
+    def key(p):
+        i, j, k = graph.triples([p if ranks is None else ranks[p]])[0].tolist()
+        return nodes[i], nodes[j], nodes[k]
+
+    return streamed_report(name, blocks(), key, tol, floor=0.0, offenders=False)
 
 
 def _divisible_by_pairs(fam, tol):
@@ -610,16 +674,27 @@ def network_family(net):
 
 def check_network_defect(net, fam, tol):
     """phi(u,w) - phi(u,v) phi(v,w) against the v-avoiding path sum over all
-    node triples, by :func:`_difference_norms`; one sweep per v."""
+    node triples, by :func:`_difference_norms`; one sweep per v, streamed as
+    one block of the population positions (u*n + v)*n + w and screened below
+    the largest defect the earlier blocks hold."""
     nodes, n, d = net.nodes, len(net.nodes), net.dim
     phi = fam.stack(list(itertools.product(nodes, repeat=2))).reshape(n, n, d, d)
-    defects = np.empty((n, n, n))
-    for b in range(n):
-        with np.errstate(over="ignore", invalid="ignore"):  # inf defects
-            diffs = walk_sums(net, range(n), avoid=b) - (phi - phi[:, b, None] @ phi[b])
-        defects[:, b] = _difference_norms(diffs.reshape(-1, d, d), tol).reshape(n, n)
-    return defect_report("network-defect-formula", defects.reshape(-1),
-                         list(itertools.product(nodes, repeat=3)), tol)
+    outer = (np.arange(n)[:, None] * (n * n) + np.arange(n)).reshape(-1)  # u*n^2 + w
+
+    def blocks():
+        held = -np.inf
+        for b in range(n):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf defects
+                diffs = walk_sums(net, range(n), avoid=b) - (phi - phi[:, b, None] @ phi[b])
+            defects = _difference_norms(diffs.reshape(-1, d, d), tol, held)
+            held = max(held, defects.max())
+            yield outer + b * n, defects
+
+    def key(p):
+        return nodes[p // (n * n)], nodes[p // n % n], nodes[p % n]
+
+    return streamed_report("network-defect-formula", blocks(), key, tol, floor=0.0,
+                           offenders=False)
 
 
 # -- JSON system specs ------------------------------------------------------------

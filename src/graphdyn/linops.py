@@ -104,12 +104,16 @@ def screened_norms(a, tol, shift=0.0, offenders=False):
     """``spectral_norm(a) - shift`` for an (N, m, n) stack, exact only where
     it can decide a :func:`graphdyn.reports.defect_report` on ``tol``; a
     non-finite entry is an input error.  See :func:`_screen`."""
-    return _screen(as_matrix(a, stack=True), tol, shift, offenders)
+    return _screen(as_matrix(a, stack=True), tol, shift, offenders, -np.inf)
 
 
-def _screen(a, tol, shift, offenders):
+def _screen(a, tol, shift, offenders, held):
     """:func:`screened_norms` of an (N, m, n) complex stack whose entries are
-    known to be finite: nothing here checks them again.
+    known to be finite: nothing here checks them again.  ``held`` is the
+    largest exact value of the report's earlier blocks (``-inf`` for none):
+    a matrix whose bound is below it can be neither the witness nor, unless
+    ``held`` already fails, a failure, so it is screened as if below an
+    exact value of this stack.
 
     Two upper bounds screen the SVD (Golub & Van Loan §2.3).  The Frobenius
     bound ``|A|_2 <= |A|_F`` of every matrix sends the matrix of the largest
@@ -145,19 +149,22 @@ def _screen(a, tol, shift, offenders):
     floor = min(tol, 0.0)
     out = np.full(n, -np.inf)
     first = np.argmax(hi)
-    out[first] = norms([first])[0]
-    todo = (~(hi < out[first]) | offenders & ~(hi <= tol)) & ~(hi <= floor)
-    todo[first] = False
+    sent = not hi[first] < held
+    if sent:
+        out[first] = norms([first])[0]
+    known = max(out[first], held)  # the largest exact value so far
+    todo = (~(hi < known) | offenders & ~(hi <= tol)) & ~(hi <= floor)
+    todo[first] &= not sent
     if todo.any():
         hi[todo] = bound(_gram_roots(x[todo].view(complex).reshape((-1,) + a.shape[1:])),
                          todo)
         exact = todo & ~(hi <= tol) if offenders else np.zeros(n, dtype=bool)
         k = np.argmax(np.where(todo, hi, -np.inf))
-        exact[k] |= not hi[k] < out[first]
+        exact[k] |= not hi[k] < known
         if exact.any():
             out[exact] = norms(exact)
         # one pass: the largest value only grows past the bounds left below it
-        late = todo & ~exact & ~(hi < out.max()) & ~(hi <= floor)
+        late = todo & ~exact & ~(hi < max(out.max(), held)) & ~(hi <= floor)
         if late.any():
             out[late] = norms(late)
     return out

@@ -56,22 +56,59 @@ def defect_report(name, defects, keys, tol, *, floor=0.0, offenders=False,
     below at 0; with no such defect they are ``0.0`` and ``None``.  A signed
     check passes ``floor=-inf`` to name the key closest to failing even when
     every key passes.  ``offenders`` lists the first ten failing
-    ``(key, defect)`` pairs; ``count`` is the number of defects."""
+    ``(key, defect)`` pairs; ``count`` is the number of defects.  It is the
+    one-block case of :func:`streamed_report`."""
     import numpy as np
     defects = np.asarray(defects, dtype=float)
-    failing = ~(defects <= tol)
+    rep = streamed_report(name, [(np.arange(defects.size), defects)], keys.__getitem__,
+                          tol, floor=floor, offenders=offenders)
+    rep.details = details or {}
+    return rep
+
+
+def streamed_report(name, blocks, key, tol, *, floor, offenders):
+    """:func:`defect_report` on a population whose defects arrive in blocks,
+    reduced as they arrive, so that no more than a block is held.
+
+    ``blocks`` yields ``(index, defects)`` pairs of equal-length arrays:
+    ``index`` holds the defects' positions in the population, ascending
+    within a block, and the blocks cover the population once, in any order.
+    "First" means least position, whatever the order of the blocks.
+    ``key(i)`` is the key of position ``i``; it is called for the witness and
+    the offenders only."""
+    import numpy as np
+    count, failed = 0, False
+    top = None  # (defect, position) of the witness so far
+    kept = []  # the first ten failing (position, defect) pairs so far
+    for index, defects in blocks:
+        if not len(defects):
+            continue
+        count += len(defects)
+        i = int(np.argmax(defects))  # the block's first NaN, if it has one
+        d, at = float(defects[i]), int(index[i])
+        if top is None or _outranks(d, at, *top):
+            top = (d, at)
+        bad = np.flatnonzero(~(defects <= tol))[:10]
+        if bad.size:
+            failed = True
+            if offenders:
+                kept = sorted(kept + list(zip(index[bad].tolist(), defects[bad].tolist())))[:10]
     worst, arg = 0.0, None
-    if defects.size:
-        i = int(np.argmax(defects))  # the first NaN, if there is one
-        if not defects[i] <= floor:
-            # max returns its first argument unless the second is larger,
-            # so a NaN stays NaN
-            worst, arg = max(float(defects[i]), 0.0), keys[i]
-    return CheckReport(
-        name, not failing.any(), worst, tol, arg, count=defects.size,
-        offenders=[(keys[i], float(defects[i]))
-                   for i in np.flatnonzero(failing)[:10]] if offenders else [],
-        details=details or {})
+    if top is not None and not top[0] <= floor:
+        # max returns its first argument unless the second is larger, so a
+        # NaN stays NaN
+        worst, arg = max(top[0], 0.0), key(top[1])
+    return CheckReport(name, not failed, worst, tol, arg, count=count,
+                       offenders=[(key(i), d) for i, d in kept])
+
+
+def _outranks(d, at, d0, at0):
+    """Whether defect ``d`` at position ``at`` is a witness before ``d0`` at
+    ``at0``: a NaN outranks every number, and among NaNs or among equal
+    numbers the least position wins."""
+    if d != d or d0 != d0:
+        return d != d and (d0 == d0 or at < at0)
+    return d > d0 or (d == d0 and at < at0)
 
 
 def bad_keys_report(name, bad, count, details=None):

@@ -1017,11 +1017,14 @@ class TestBatchedVerify:
                                        descending_grid(1.0, 9),
                                        CompleteGraph("abcde")])
     def test_ordered_triples_are_paths(self, graph):
-        # DilatedSystem.verify takes every ordered triple of the node list; on
-        # both graph classes its pipelines run on, each one is a path u -> v -> w
+        # DilatedSystem.verify takes every triple of the graph: i <= j <= k on a
+        # linear order, all n^3 on a complete graph; on both graph classes its
+        # pipelines run on, each one is a path u -> v -> w
         triples = dynamics._node_triples(graph.nodes, dynamics._ordered_triples(graph))
         m = len(graph.nodes)
-        assert len(triples) == m * (m + 1) * (m + 2) // 6
+        assert len(triples) == graph.triple_count() == len(set(triples))
+        assert len(triples) == (m ** 3 if isinstance(graph, CompleteGraph)
+                                else m * (m + 1) * (m + 2) // 6)
         assert all(graph.has_edge(u, v) and graph.has_edge(v, w) and graph.has_edge(u, w)
                    for u, v, w in triples)
 

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import re
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -443,6 +445,22 @@ class TestExactSvdBudget:
         assert rep.max_defect == divisibility_defect(bumped, *worst)
 
 
+    def test_blocks_below_the_held_defect_reach_no_svd(self):
+        # the worst triple (1, 1/2, 0) is in the first of 13 blocks; each later
+        # block is screened below its defect, so only matrices whose bound
+        # reaches 0.2385 go to the SVD (216 of them when blocks were screened
+        # alone)
+        fam = example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 33).exponential(1.0)
+        seen = []
+        real = linops._singular_values
+        with mock.patch.object(linops, "_singular_values",
+                               side_effect=lambda a: seen.append(len(a)) or real(a)):
+            rep = check_divisibility(fam)
+        assert (rep.passed, rep.argmax, rep.count) == (False, (1.0, 0.5, 0.0), 6545)
+        assert rep.max_defect == divisibility_defect(fam, 1.0, 0.5, 0.0)
+        assert sum(seen) <= 40, seen
+
+
 def product_family(seed, points, dim, scale, loop=0.0, bump=0.0, at=(0, 1)):
     """Divisible by construction, up to rounding: phi(t_i, t_k) is the
     ordered product S_i ... S_{k-1} of random steps of spectral norm
@@ -595,6 +613,78 @@ class TestTripleSampling:
             lex = (sum((m - a) * (m - a + 1) // 2 for a in range(i))
                    + sum(m - b for b in range(i, j)) + k - j)
             assert lex == rank
+
+
+class TestCompleteGraphTriples:
+    """A complete graph's triple population is all n^3 ordered triples, so
+    a verdict does not depend on how its nodes are listed."""
+
+    def diamond(self, nodes):
+        w = 0.3 * np.eye(2, dtype=complex)
+        edges = [("u", "v"), ("v", "w"), ("u", "z"), ("z", "w")]
+        return network_family(DagNetwork(nodes, edges, {e: w for e in edges}, 2))
+
+    @pytest.mark.parametrize("nodes", [["w", "z", "v", "u"], ["z", "u", "w", "v"]])
+    def test_a_permuted_node_list_gives_the_same_verdict(self, nodes):
+        # listed u, v, z, w, the i <= j <= k triples failed by 0.3; listed
+        # w, z, v, u they all passed.  Every backward triple such as
+        # (z, w, z) has the defect |phi(z, z)| = 1: no walk leads back
+        want = check_divisibility(self.diamond(["u", "v", "z", "w"]))
+        rep = check_divisibility(self.diamond(nodes))
+        assert (rep.passed, rep.max_defect, rep.count) == \
+            (want.passed, want.max_defect, want.count) == (False, 1.0, 64)
+        fam = self.diamond(nodes)
+        assert rep.argmax == max(itertools.product(fam.graph.nodes, repeat=3),
+                                 key=lambda t: divisibility_defect(fam, *t))
+
+    def test_a_sample_is_drawn_by_rank_from_all_triples(self):
+        graph = dynamics.CompleteGraph("abcde")
+        idx = dynamics._ordered_triples(graph, rng_from_seed(5), 40)
+        ranks = rng_from_seed(5).choice(125, size=40, replace=False)
+        assert idx.tolist() == [[r // 25, r // 5 % 5, r % 5] for r in ranks.tolist()]
+
+
+def scan_peak(run):
+    """The peak of the memory ``run()`` allocates, as tracemalloc sees it
+    (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemory:
+    """An exhaustive triple scan holds O(block + m^2), not its m^3
+    population: doubling m multiplies its peak by about 4, not 8."""
+
+    def test_divisibility_scan_grows_as_m_squared(self):
+        peaks = []
+        for points in (40, 80):
+            fam = dynamics.commuting_evolution([[-1.0]], 1.0, points).exponential()
+            fam.stack(list(fam.graph.edges()))  # the values are not the scan's
+            peaks.append(scan_peak(lambda: check_divisibility(fam)))
+        assert peaks[1] <= 5 * peaks[0], peaks
+
+    def test_a_sampled_scan_allocates_nothing_of_size_m_squared(self):
+        # an m^2 code table at 800 points would be 5 MB
+        peaks = []
+        for points in (200, 800):
+            fam = dynamics.commuting_evolution([[-1.0]], 1.0, points).exponential()
+            peaks.append(scan_peak(lambda: check_divisibility(fam, rng=rng_from_seed(0),
+                                                              count=25)))
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+    def test_network_defect_grows_as_n_squared(self):
+        peaks = []
+        for n in (16, 32):
+            edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+            net = DagNetwork(range(n), edges, {e: [[0.5]] for e in edges}, 1)
+            fam = network_family(net)
+            fam.stack(list(fam.graph.edges()))
+            peaks.append(scan_peak(lambda: check_network_defect(net, fam, 1e-12)))
+        assert peaks[1] <= 5 * peaks[0], peaks
 
 
 def _table_family(kind, key, field, value):

@@ -14,6 +14,7 @@ from graphdyn.linops import (SIGMA_X, SIGMA_Y, SIGMA_Z, anticommutator_superop,
                              exp_derivative, expm, kraus_superop,
                              partial_trace_first, spectral_norm, superop_apply,
                              trace_norm)
+from graphdyn import reports
 from graphdyn.reports import defect_report, dumps
 from graphdyn.sampling import (random_dissipative, random_hermitian,
                                random_matrix, rng_from_seed)
@@ -669,6 +670,30 @@ class TestScreenedNorms:
     def test_report_is_the_exact_one(self, case):
         plain, screened = self.reports(*case)
         assert screened == plain
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(screen_cases(), st.data())
+    def test_blocks_screened_below_the_held_value_give_the_exact_report(self, case, data):
+        # a streamed scan screens each block below the largest value its
+        # earlier blocks hold; the blocks may interleave and come in any order
+        stack, shift, tol, offenders = case
+        stack = linops.as_matrix(stack, stack=True)
+        n = len(stack)
+        shift = np.broadcast_to(shift, (n,))
+        label = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        blocks, held = [], -np.inf
+        for b in data.draw(st.permutations(range(3))):
+            index = np.flatnonzero(label == b)
+            defects = linops._screen(stack[index], tol, shift[index], offenders, held)
+            if index.size:
+                held = max(held, defects.max())
+            blocks.append((index, defects))
+        keys = [f"k{i}" for i in range(n)]
+        streamed = reports.streamed_report("r", blocks, keys.__getitem__, tol, floor=0.0,
+                                           offenders=offenders)
+        plain = defect_report("r", spectral_norm(stack) - shift, keys, tol,
+                              offenders=offenders)
+        assert dumps(streamed.as_dict()) == dumps(plain.as_dict())
 
     @pytest.mark.parametrize("offenders", [False, True])
     def test_rank_one_tolerance_just_below_its_norm(self, offenders):

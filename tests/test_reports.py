@@ -162,6 +162,60 @@ class TestDefectReport:
         assert defect_report("d", [0.0], "a", 0.0).details == {}
 
 
+def report_bits(rep):
+    """The fields a defect report reduces to, with each float as its hex
+    text, so that NaN equals NaN and -0.0 differs from 0.0."""
+    def bits(x):
+        return float.hex(x) if isinstance(x, float) else x
+    return (rep.passed, bits(rep.max_defect), rep.argmax, rep.count,
+            [(k, bits(d)) for k, d in rep.offenders])
+
+
+class TestStreamedReport:
+    """``streamed_report`` over blocks, in any split and any order, is
+    ``defect_report`` over the whole population, bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(defects=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-10,
+                                             0.5, 2.0, -1.0]) | st.floats(-3.0, 3.0),
+                            max_size=40),
+           tol=st.sampled_from([0.0, 1e-10, 1.0]),
+           floor=st.sampled_from([0.0, -np.inf]), offenders=st.booleans(), data=st.data())
+    def test_equals_the_one_block_report(self, defects, tol, floor, offenders, data):
+        n = len(defects)
+        # each position goes to one of k blocks, so blocks interleave as a
+        # network's per-node blocks do; some blocks are empty
+        k = data.draw(st.integers(1, 6))
+        label = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(k)))
+        values = np.array(defects, dtype=float)
+        blocks = []
+        for b in order:
+            index = np.array([i for i in range(n) if label[i] == b], dtype=np.intp)
+            blocks.append((index, values[index]))
+        keys = [f"k{i}" for i in range(n)]
+        got = reports.streamed_report("d", blocks, keys.__getitem__, tol, floor=floor,
+                                      offenders=offenders)
+        want = defect_report("d", defects, keys, tol, floor=floor, offenders=offenders)
+        assert report_bits(got) == report_bits(want)
+
+    def test_the_first_nan_is_the_witness_whatever_the_block_order(self):
+        blocks = [(np.array([5, 7]), np.array([np.nan, 9.0])),
+                  (np.array([1, 2, 6]), np.array([3.0, np.nan, 9.0]))]
+        rep = reports.streamed_report("d", blocks, str, 1.0, floor=0.0, offenders=True)
+        assert math.isnan(rep.max_defect) and rep.argmax == "2"
+        assert [k for k, _ in rep.offenders] == ["1", "2", "5", "6", "7"]
+
+    def test_keys_are_built_for_the_witness_and_offenders_only(self):
+        built = []
+        defects = np.arange(1000, dtype=float) % 17
+        blocks = [(np.arange(s, s + 100), defects[s:s + 100]) for s in range(0, 1000, 100)]
+        rep = reports.streamed_report("d", blocks, lambda i: built.append(i) or i, 15.5,
+                                      floor=0.0, offenders=True)
+        assert (rep.max_defect, rep.argmax, rep.count) == (16.0, 16, 1000)
+        assert sorted(built) == sorted([16] + [16 + 17 * j for j in range(10)])
+
+
 class TestAsDict:
     @pytest.mark.parametrize("field", ["argmax", "offenders", "details"])
     @pytest.mark.parametrize("value", [np.float64(0.5), 1j, {"a": 1}, {"a"}],
