@@ -10,7 +10,7 @@ exactly at the tag level.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -546,9 +546,15 @@ class DilatedSystem:
     extension: object
     dilation: object
     context: object
+    # edge -> its group element, built once: the axiom checks and the
+    # compression identity share the elements the dilation keys its values by
+    _elements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def edge_element(self, e):
-        return rewrite.embed_edge(self.context, e)
+        g = self._elements.get(e)
+        if g is None:
+            g = self._elements[e] = rewrite.embed_edge(self.context, e)
+        return g
 
     def verify(self, rng=None, tol=1e-10):
         reports = []

@@ -40,17 +40,22 @@ class CoverFunction:
     graph: LinearOrderGraph
     segments: tuple
 
-    def value_at(self, index):
-        for (l, r, c) in self.segments:
-            if l <= index < r:
-                return c
-        return 0
-
     def as_segment_dicts(self):
         """JSON-facing dump: endpoints as node keys."""
         nodes = self.graph.nodes
         return [{"left": nodes[l], "right": nodes[r], "coeff": int(c)}
                 for (l, r, c) in self.segments]
+
+
+def _endpoint_deltas(graph, letters):
+    """The net sweep that starts at each node index: each letter (u, v) adds
+    +1 at u and -1 at v, so a loop's deltas cancel."""
+    delta = {}
+    for t, h in letters:
+        iu, iv = graph.index(t), graph.index(h)
+        delta[iu] = delta.get(iu, 0) + 1
+        delta[iv] = delta.get(iv, 0) - 1
+    return delta
 
 
 def cover_of_word(graph, w):
@@ -63,13 +68,7 @@ def cover_of_word(graph, w):
     letters, whatever the number of nodes."""
     if not isinstance(graph, LinearOrderGraph):
         raise InputError("covers need a linearly ordered graph")
-    delta = {}
-    letters = w.letters if isinstance(w, rewrite.GroupElement) else w
-    for letter in letters:
-        iu = graph.index(letter.tail)
-        iv = graph.index(letter.head)
-        delta[iu] = delta.get(iu, 0) + 1
-        delta[iv] = delta.get(iv, 0) - 1
+    delta = _endpoint_deltas(graph, w.letters if isinstance(w, rewrite.GroupElement) else w)
     segments, start, cur = [], None, 0
     for i in sorted(delta):
         if delta[i]:
@@ -79,17 +78,30 @@ def cover_of_word(graph, w):
     return CoverFunction(graph, tuple(segments))
 
 
-def positive_intervals(cov, extra_nodes=()):
+def positive_part(graph, letters, extra_nodes):
     """The (left, right) node pairs of consecutive breakpoints on which the
-    cover is positive; the breakpoints are the segment ends plus the extra
-    nodes."""
-    graph = cov.graph
-    points = {i for (l, r, _) in cov.segments for i in (l, r)}
-    points.update(graph.index(u) for u in extra_nodes)
+    cover of the word ``letters`` is positive; the breakpoints are the ends
+    of the cover's segments plus the extra nodes.
+
+    One sorted pass over the letters' endpoint deltas, with no cover built:
+    every point whose deltas do not cancel ends or starts a segment, and a
+    point whose deltas cancel is a breakpoint only when it is an extra node.
+    The cover on each interval is the running sum of the deltas up to its
+    left end."""
+    if len(letters) == 1 and not extra_nodes:  # an edge element: its letter, if forward
+        (t, h), = letters
+        i, j = graph.index(t), graph.index(h)
+        return [(graph.nodes[i], graph.nodes[j])] if i < j else []
+    delta = _endpoint_deltas(graph, letters)
+    points = {i for i, d in delta.items() if d}
+    points.update(map(graph.index, extra_nodes))
     bps = sorted(points)
-    nodes = graph.nodes
-    return [(nodes[l], nodes[r]) for l, r in zip(bps, bps[1:])
-            if cov.value_at(l) > 0]
+    nodes, out, cur = graph.nodes, [], 0
+    for l, r in zip(bps, bps[1:]):
+        cur += delta.get(l, 0)
+        if cur > 0:
+            out.append((nodes[l], nodes[r]))
+    return out
 
 
 # -- the three extensions ------------------------------------------------------
@@ -177,7 +189,7 @@ class FirstCoverExtension:
         return float(sum(np.expm1(x) for x in lengths))
 
     def _intervals(self, g, extra):
-        return positive_intervals(cover_of_word(self.fam.graph, g), extra)
+        return positive_part(self.fam.graph, g.letters, extra)
 
     def evaluate(self, g, extra=()):
         return _products(self.fam, [self._intervals(g, extra)])[0]
@@ -231,7 +243,7 @@ class SecondCoverExtension:
 
     def generator_of(self, g, extra=()):
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for edge in positive_intervals(cover_of_word(self.fam.graph, g), extra):
+        for edge in positive_part(self.fam.graph, g.letters, extra):
             out = out + self.fam(edge)
         return out
 
@@ -257,7 +269,8 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis):
     extension's ``corner_bound`` turns them into the bound: the
     interval-product extension pays expm1 of each corner, the generator-sum
     extension pays the corner lengths themselves.  The extension is read
-    once, through ``stack``, at every translate of both edges.
+    once, through ``stack``, at every translate of both edges, and each
+    vector is normalized once.
     """
     graph = ext.fam.graph
     ctx = graph.context()
@@ -271,12 +284,12 @@ def continuity_modulus_check(ext, ell, e, e_prime, gh_pairs, xis):
     lefts = [rewrite.gmul(rewrite.gmul(g, ge_prime), h) for g, h in gh_pairs]
     rights = [rewrite.gmul(rewrite.gmul(g, ge), h) for g, h in gh_pairs]
     values = ext.stack(lefts + rights) if gh_pairs else ()
+    units = [np.asarray(xi, dtype=complex) for xi in xis]
+    units = [xi / np.linalg.norm(xi) for xi in units]
     keys, excess = [], []
     for k, (g, h) in enumerate(gh_pairs):
         delta = values[k] - values[len(lefts) + k]
-        for xi in xis:
-            xi = np.asarray(xi, dtype=complex)
-            xi = xi / np.linalg.norm(xi)
+        for xi in units:
             keys.append((g.letters, h.letters))
             excess.append(float(np.linalg.norm(delta @ xi)) - bound)
     signed = float(np.max(excess, initial=-np.inf))

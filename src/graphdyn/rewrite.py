@@ -76,10 +76,10 @@ class EdgeContext:
     def closure_pairs(self):
         """All ordered pairs in the equivalence closure (finite node sets only)."""
         if self._closure is None:
-            self._closure = [
-                (u, v) for u in self.nodes for v in self.nodes
-                if self.related(u, v)
-            ]
+            # both keys are nodes, so related() is a comparison of their roots
+            root = self._root
+            self._closure = [(u, v) for u in self.nodes for v in self.nodes
+                             if root[u] is root[v]]
         return self._closure
 
 
@@ -256,11 +256,14 @@ def embed_edge(ctx, edge):
 
 
 def random_element(ctx, rng, max_len=5):
-    """Normal form of a uniformly random word of length <= max_len."""
+    """Normal form of a uniformly random word of length <= max_len.  An empty
+    word draws no letters: a bounded draw of size 0 reads no bits, so the
+    stream is the one that a draw of every length leaves."""
     pairs = ctx.closure_pairs()
     n = int(rng.integers(0, max_len + 1))
-    idx = rng.integers(0, len(pairs), size=n)
-    return _trusted(_stack_reduce([pairs[i] for i in idx]))
+    if not n:
+        return _trusted(())
+    return _trusted(_stack_reduce([pairs[i] for i in rng.integers(0, len(pairs), size=n)]))
 
 
 # -- exhaustive small-scale verification --------------------------------------

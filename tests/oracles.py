@@ -1,14 +1,15 @@
 """Reference computations that tests compare the library against.
 
 Each one is the direct, unbatched form of something the library computes
-another way: the group product of words folded one word at a time, the
-formal tag/payload evaluation of a shift dilation, the additivity defect of
-one triple, a family evaluated one edge at a time, the closed-form
-generators at one edge, the extension products of one element, the dense
-cover pass, the walk sums into one target, the validation, Kraus list,
-reflection unitary and reduced action of one channel, the Kraus suite of
-``verify`` one channel at a time, the Kraus sum of a channel, a Haar-random
-unitary and channel specs.
+another way: the group product of words folded one word at a time, a random
+element that always draws its letters, the formal tag/payload evaluation of a
+shift dilation, the additivity defect of one triple, a family evaluated one
+edge at a time, the closed-form generators at one edge, the extension
+products of one element, the dense cover pass, the positive part of a built
+cover, the walk sums into one target, the validation, Kraus list, reflection
+unitary and reduced action of one channel, the Kraus suite of ``verify`` one
+channel at a time, the Kraus sum of a channel, a Haar-random unitary and
+channel specs.
 ``cptp_system`` parses the cptp spec of a dict of channels, and
 ``identity_channel`` is the channel the parser puts on a loop.
 """
@@ -32,6 +33,15 @@ def folded_product(ctx, words):
     for w in words:
         product = rewrite.gmul(product, rewrite.normalize(ctx, w))
     return product
+
+
+def drawn_element(ctx, rng, max_len):
+    """``rewrite.random_element`` with both of its draws always made: the
+    word length, then its letter indices, of size 0 for an empty word."""
+    pairs = ctx.closure_pairs()
+    n = int(rng.integers(0, max_len + 1))
+    idx = rng.integers(0, len(pairs), size=n)
+    return rewrite.normalize(ctx, rewrite.word(pairs[i] for i in idx))
 
 
 # -- shift dilations: the formal round trip that compression_matrix shortcuts --
@@ -114,11 +124,33 @@ def normal_form_value(fam, g):
     return ordered_product(fam, [(t, h) for t, h in g.letters if fam.graph.has_edge(t, h)])
 
 
+def cover_value(cov, index):
+    """The coefficient of the cover ``cov`` at the node index ``index``: that
+    of the segment holding it, 0 outside every segment."""
+    for (l, r, c) in cov.segments:
+        if l <= index < r:
+            return c
+    return 0
+
+
+def positive_intervals(cov, extra_nodes=()):
+    """The (left, right) node pairs of consecutive breakpoints on which the
+    cover ``cov`` is positive, read off the built cover: the breakpoints are
+    its segment ends plus the extra nodes, and each interval is kept when
+    :func:`cover_value` at its left end is positive."""
+    graph = cov.graph
+    points = {i for (l, r, _) in cov.segments for i in (l, r)}
+    points.update(graph.index(u) for u in extra_nodes)
+    bps = sorted(points)
+    nodes = graph.nodes
+    return [(nodes[l], nodes[r]) for l, r in zip(bps, bps[1:])
+            if cover_value(cov, l) > 0]
+
+
 def interval_value(fam, g, extra=()):
     """The interval-product extension at ``g``: the product over the positive
     intervals of its cover, cut also at the nodes ``extra``."""
-    return ordered_product(fam, extend.positive_intervals(
-        extend.cover_of_word(fam.graph, g), extra))
+    return ordered_product(fam, positive_intervals(extend.cover_of_word(fam.graph, g), extra))
 
 
 def dense_cover_segments(graph, w):

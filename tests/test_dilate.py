@@ -1002,6 +1002,34 @@ class TestBatchedVerify:
             assert (rep.max_defect, rep.argmax, rep.count) == (worst, arg, len(edges))
             assert not rep.passed
 
+    @pytest.mark.parametrize("pipeline", [dilate_discrete, dilate_divisible, dilate_exponential])
+    def test_each_edge_element_is_built_once_and_keys_the_dilation(self, pipeline):
+        gens = dynamics.commuting_evolution(random_dissipative(rng_from_seed(25), 2), 1.0, 7)
+        ds = pipeline({"graph": gens.graph, "family": gens.exponential(1.0), "generators": gens})
+        edges = list(gens.graph.edges())
+        with mock.patch.object(rewrite, "embed_edge", wraps=rewrite.embed_edge) as embed:
+            assert all(r.passed for r in ds.verify(rng=rng_from_seed(26)))
+        # the loops, the sampled triples and the compression identity share them
+        assert embed.call_count == len(edges)
+        assert all(ds.edge_element(e) is ds.edge_element(e) for e in edges)
+        assert embed.call_count == len(edges)
+        # every loop is the identity: the first one's element is its key
+        first = {}
+        for e in edges:
+            first.setdefault(ds.edge_element(e), ds.edge_element(e))
+        assert sorted(map(id, ds.dilation._values)) == sorted(map(id, first.values()))
+
+    def test_one_context_serves_every_continuity_probe(self):
+        gens = example_indivisible(SIGMA_X, SIGMA_Z, 1.0, 9)
+        c0 = max(spectral_norm(1j * commutator_superop(h)) for h in (SIGMA_X, SIGMA_Z))
+        system = {"graph": gens.graph, "family": gens.exponential(1.0),
+                  "generators": gens, "ell": proportional_length(c0)}
+        with mock.patch.object(rewrite, "complete_context",
+                               wraps=rewrite.complete_context) as build:
+            reports = dilate_exponential(system).verify(rng=rng_from_seed(22))
+        assert reports[-1].name == "continuity-modulus" and reports[-1].passed
+        assert build.call_count == 1
+
     def test_verify_samples_at_most_200_triples(self):
         for points, sampled in ((9, 165), (17, 200)):
             fam = edgewise(OperatorFamily, descending_grid(1.0, points), 2,

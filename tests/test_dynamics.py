@@ -66,6 +66,24 @@ class TestGraphs:
         every_edge = rewrite.EdgeContext(graph.nodes, list(graph.edges()))
         assert graph.context().closure_pairs() == every_edge.closure_pairs()
 
+    def test_context_is_built_once(self, grid):
+        with mock.patch.object(rewrite, "complete_context",
+                               wraps=rewrite.complete_context) as build:
+            ctx = grid.context()
+            assert grid.context() is ctx
+        assert build.call_count == 1
+
+    def test_has_edge_is_the_three_call_definition(self):
+        nan = float("nan")
+        graph = LinearOrderGraph([1.0, 0.5, nan, "b", 0.0, None])
+        # the node NaN itself, another NaN, keys equal to a node, unknown keys
+        keys = list(graph.nodes) + [float("nan"), 1, True, "a", 2, (1.0,)]
+        for u in keys:
+            for v in keys:
+                old = graph.has_node(u) and graph.has_node(v) and graph.leq(u, v)
+                assert graph.has_edge(u, v) is old, (u, v)
+        assert graph.has_edge(nan, 0.0) and not graph.has_edge(float("nan"), 0.0)
+
     def test_family_rejects_non_edges(self, grid):
         fam = edgewise(OperatorFamily, grid, 2, lambda e: np.eye(2))
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdyn import dynamics, linops, rewrite
@@ -13,11 +13,11 @@ from graphdyn.dynamics import (GeneratorFamily, LinearOrderGraph,
 from graphdyn.errors import InputError, PreconditionError
 from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
                              SecondCoverExtension, continuity_modulus_check,
-                             cover_of_word, positive_intervals)
+                             cover_of_word, positive_part)
 from graphdyn.linops import SIGMA_X, SIGMA_Z, commutator_superop, spectral_norm
 from graphdyn.rewrite import embed_edge, gmul, identity, word
 from graphdyn.sampling import random_dissipative, rng_from_seed
-from oracles import dense_cover_segments, edgewise
+from oracles import cover_value, dense_cover_segments, edgewise, positive_intervals
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ def pointwise_cover_oracle(graph, letters):
 
 
 def cover_values(cov):
-    return [cov.value_at(i) for i in range(len(cov.graph.nodes))]
+    return [cover_value(cov, i) for i in range(len(cov.graph.nodes))]
 
 
 class TestCoverOfWord:
@@ -91,8 +91,7 @@ class TestCoverOfWord:
                       for _ in range(int(rng.integers(0, 4))))
             lhs = cover_of_word(line, w1 + w2)
             c1, c2 = cover_of_word(line, w1), cover_of_word(line, w2)
-            assert [lhs.value_at(i) for i in range(len(nodes))] == \
-                [c1.value_at(i) + c2.value_at(i) for i in range(len(nodes))]
+            assert cover_values(lhs) == [a + b for a, b in zip(cover_values(c1), cover_values(c2))]
             assert lhs == cover_of_word(line, w2 + w1)
 
     def test_needs_linear_order(self):
@@ -112,17 +111,16 @@ class TestCoverOfWord:
 
 
 class TestRefine:
-    """positive_intervals: the positive part of a cover, cut at the segment
-    ends and at the extra nodes."""
+    """positive_part: the positive part of a cover, cut at the segment ends
+    and at the extra nodes."""
 
     def assert_refines(self, line, w, extra):
-        cov = cover_of_word(line, w)
         values = pointwise_cover_oracle(line, w)
         breakpoints = {line.index(u) for u in extra}
         breakpoints.update(i for i, v in enumerate(values)
                            if v != (values[i - 1] if i else 0))
         covered = []
-        for (left, right) in positive_intervals(cov, extra):
+        for (left, right) in positive_part(line, w, extra):
             lo, hi = line.index(left), line.index(right)
             assert lo < hi and {lo, hi} <= breakpoints
             assert not breakpoints & set(range(lo + 1, hi))
@@ -133,21 +131,18 @@ class TestRefine:
         assert covered == [i for i, v in enumerate(values) if v > 0]
 
     def test_zero_cover_with_extras(self, line):
-        cov = cover_of_word(line, ())
-        assert positive_intervals(cov, [1, 4]) == []
+        assert positive_part(line, (), [1, 4]) == []
         self.assert_refines(line, (), [1, 4])
 
     def test_interior_point_splits(self, line):
-        cov = cover_of_word(line, word([(1, 4)]))
-        assert positive_intervals(cov) == [(1, 4)]
-        assert positive_intervals(cov, [2]) == [(1, 2), (2, 4)]
+        assert positive_part(line, word([(1, 4)]), ()) == [(1, 4)]
+        assert positive_part(line, word([(1, 4)]), [2]) == [(1, 2), (2, 4)]
         self.assert_refines(line, word([(1, 4)]), [2])
 
     def test_overlap_scenario(self, line):
         w = word([(0, 3), (2, 5)])
-        cov = cover_of_word(line, w)
-        assert positive_intervals(cov, [1, 4]) == [(0, 1), (1, 2), (2, 3),
-                                                   (3, 4), (4, 5)]
+        assert positive_part(line, w, [1, 4]) == [(0, 1), (1, 2), (2, 3),
+                                                  (3, 4), (4, 5)]
         self.assert_refines(line, w, [1, 4])
 
     def test_random_refinements_reproduce(self, line):
@@ -159,6 +154,49 @@ class TestRefine:
                      for _ in range(n))
             extra = [nodes[i] for i in rng.integers(0, 6, size=3)]
             self.assert_refines(line, w, extra)
+
+
+GRID9 = descending_grid(1.0, 9)
+NODE9 = st.integers(0, 8)
+
+
+class TestPositivePart:
+    """The one-pass positive part against the positive intervals read off
+    the built cover, interval for interval and in the same order."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(pairs=st.lists(st.tuples(NODE9, NODE9), max_size=12),
+           extra=st.lists(NODE9, max_size=5))
+    # the deltas at index 3 cancel: no breakpoint there unless it is extra
+    @example(pairs=[(0, 3), (3, 5)], extra=[])
+    @example(pairs=[(0, 3), (3, 5)], extra=[3])
+    # loops and reversed letters: zero and negative parts
+    @example(pairs=[(2, 2), (5, 1), (1, 5), (7, 4)], extra=[])
+    # one letter and no extra node: an edge element, a loop, a reversed edge
+    @example(pairs=[(1, 5)], extra=[])
+    @example(pairs=[(3, 3)], extra=[])
+    @example(pairs=[(5, 1)], extra=[])
+    @example(pairs=[(1, 5)], extra=[3])
+    # extra nodes at segment ends, inside segments and outside every segment
+    @example(pairs=[(1, 6), (2, 4), (2, 4)], extra=[0, 1, 3, 6, 8, 3])
+    def test_matches_the_built_cover(self, pairs, extra):
+        nodes = GRID9.nodes
+        w = word((nodes[i], nodes[j]) for i, j in pairs)
+        extra = [nodes[i] for i in extra]
+        assert positive_part(GRID9, w, extra) == \
+            positive_intervals(cover_of_word(GRID9, w), extra)
+
+    def test_cancelled_deltas_are_no_breakpoint(self, line):
+        w = word([(0, 3), (3, 5)])
+        assert cover_of_word(line, w).segments == ((0, 5, 1),)
+        assert positive_part(line, w, ()) == [(0, 5)]
+        assert positive_part(line, w, [3]) == [(0, 3), (3, 5)]
+
+    def test_an_unknown_node_raises_letters_first(self, line):
+        with pytest.raises(ValueError, match="node 9 is not on the grid"):
+            positive_part(line, word([(0, 9)]), [8])
+        with pytest.raises(ValueError, match="node 8 is not on the grid"):
+            positive_part(line, word([(0, 2)]), [8])
 
 
 def divisible_family(seed=4, dim=3, points=9):

@@ -56,6 +56,7 @@ UNREACHED = {
     "dilate.VedDilation.verify_element": "bench/spans.py's METHODS wraps it; "
                                          "acceptance criterion 10",
     "dilate.one_param_factorization": "acceptance criterion 11",
+    "dynamics.LinearOrderGraph.has_node": "one_param_factorization, acceptance criterion 11",
     "dynamics.commuting_evolution": "acceptance criteria 6, 7, 8 and 11",
     "linops.exp_derivative": "acceptance criterion 4",
     "rewrite.GroupElement.__repr__": "the exit-3 line of a failing dilate precondition "

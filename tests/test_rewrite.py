@@ -12,6 +12,7 @@ from graphdyn.rewrite import (EdgeContext, Letter, check_confluence_bruteforce,
                               ginv, gmul, identity, is_irreducible, normalize,
                               reduce_once_all, word)
 from graphdyn.sampling import rng_from_seed
+from oracles import drawn_element
 
 
 @pytest.fixture
@@ -167,6 +168,26 @@ class TestGroupOps:
             g, h = (rewrite.random_element(abc, rng) for _ in range(2))
             assert ginv(gmul(g, h)) == gmul(ginv(h), ginv(g))
 
+
+    def test_an_empty_word_draws_no_letters(self, abc):
+        # the elements and the stream are those of a draw of every length,
+        # and an empty word costs one draw, its length, where it cost two
+        lengths = [0, 1, 2, 3, 5] * 2000
+        rng, ref = rng_from_seed(11), rng_from_seed(11)
+        assert [rewrite.random_element(abc, rng, k) for k in lengths] == \
+            [drawn_element(abc, ref, k) for k in lengths]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+        class Counting:
+            calls = 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return rng.integers(*args, **kwargs)
+
+        counting = Counting()
+        assert all(rewrite.random_element(abc, counting, 0).is_identity() for _ in range(10))
+        assert counting.calls == 10
 
 class TestEmbedEdge:
     def test_loop_maps_to_identity(self, abc):
