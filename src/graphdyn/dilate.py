@@ -82,33 +82,39 @@ def cptp_defects(choi, d):
     """The CPTP defects of a Choi matrix, or of each matrix of a stack, along
     a last axis of three: the Hermiticity defect ``|C - C*|``, the negative of
     the least eigenvalue of ``(C + C*)/2`` and the trace-preservation defect
-    ``|Tr_out C - 1|``.  The map is CPTP to ``tol`` if all are at most ``tol``."""
-    return np.stack([spectral_norm(choi - dagger(choi)),
-                     -np.linalg.eigvalsh(linops.hermitian_part(choi)).min(axis=-1),
-                     spectral_norm(linops.partial_trace_first(choi, d, d) - eye(d))],
-                    axis=-1)
+    ``|Tr_out C - 1|``.  The map is CPTP to ``tol`` if all are at most ``tol``.
+    A defect that overflows, or that reads NaN, is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.stack([
+            _finite_or_inf(spectral_norm, choi - dagger(choi)),
+            _finite_or_inf(lambda h: -np.linalg.eigvalsh(h).min(axis=-1),
+                           linops.hermitian_part(choi)),
+            _finite_or_inf(spectral_norm, linops.partial_trace_first(choi, d, d) - eye(d))],
+            axis=-1)
+    return np.where(np.isfinite(defects), defects, np.inf)
+
+
+def _finite_or_inf(measure, mats):
+    """``measure`` of each matrix of ``mats``; if a non-finite matrix makes it
+    raise, as ``spectral_norm`` does, that matrix reads inf."""
+    try:
+        return measure(mats)
+    except (InputError, np.linalg.LinAlgError):
+        ok = np.isfinite(mats).all(axis=(-2, -1))
+        return np.where(ok, measure(np.where(ok[..., None, None], mats, 0)), np.inf)
 
 
 def validate_chois(chois):
     """Raise InputError for the first Choi matrix of the list, in order,
     whose :func:`cptp_defects` exceed ``linops.DEFAULT_TOL``: not PSD (either
-    of the first two), then not trace preserving.
-
-    The matrices of one size are checked as one stack.  A stack that raises
-    on its own is checked again one matrix at a time, in order, so the error
-    of the first matrix that fails is the one raised."""
+    of the first two), then not trace preserving.  The matrices of one size
+    are checked as one stack."""
     tol = linops.DEFAULT_TOL
     groups, rows = {}, [None] * len(chois)
     for i, choi in enumerate(chois):
         groups.setdefault(len(choi), []).append(i)
     for n, idx in groups.items():
-        try:
-            defects = cptp_defects(np.array([chois[i] for i in idx]), math.isqrt(n))
-        except Exception:
-            if len(chois) > 1:
-                for choi in chois:
-                    validate_chois([choi])
-            raise
+        defects = cptp_defects(np.array([chois[i] for i in idx]), math.isqrt(n))
         for i, row in zip(idx, defects.tolist()):
             rows[i] = row
     for herm, negative, tp in rows:
@@ -441,24 +447,14 @@ class ShiftDilation:
     tags.  Then U is a representation, exactly at the tag level, and
     j U(x) r is the value at x, which :meth:`compression_matrix` returns.
 
-    Flavors: "banach" (payloads are vectors, values act by matrix product,
-    and must be contractions) and "cstar" (payloads are square matrices,
-    values are superoperators on their column-stacked vectorizations, and
-    must be unital).
-
-    ``phi_bar`` is an extension: its ``stack(elements)`` gives the values at
-    a batch of group elements in one call.
+    ``phi_bar`` extends a family of contractions: its ``dim`` is the payload
+    length, and ``stack(elements)`` gives its values at a batch of elements.
     """
 
-    def __init__(self, phi_bar, dim, flavor="banach"):
-        if flavor not in ("banach", "cstar"):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
-        self.dim = int(dim)  # payload dimension: vector length or matrix size
+    def __init__(self, phi_bar):
+        self.dim = phi_bar.dim
         self._phi = phi_bar
         self._values = {}
-        n = self.dim if flavor == "banach" else self.dim**2
-        self._shape = (n, n)
 
     def value(self, g):
         val = self._values.get(g)
@@ -474,7 +470,7 @@ class ShiftDilation:
         gs = list(gs)
         self._fill(list(dict.fromkeys(g for g in gs if g not in self._values)))
         if not gs:
-            return np.empty((0,) + self._shape, dtype=complex)
+            return np.empty((0, self.dim, self.dim), dtype=complex)
         return np.stack([self.value(g) for g in gs])
 
     def _fill(self, gs):
@@ -496,29 +492,22 @@ class ShiftDilation:
 
     def _evaluate(self, gs):
         vals = np.asarray(self._phi.stack(gs), dtype=complex)
-        if vals.shape != (len(gs),) + self._shape:
+        if vals.shape != (len(gs), self.dim, self.dim):
             raise ValueError(f"value stack has shape {vals.shape}")
         return vals
 
-    def _check(self, gs, vals):
-        """Raise for the first value of the stack that is not a contraction
-        (banach) or not unital (cstar).  A banach stack that
-        :func:`_contractions` certifies needs no SVD."""
-        if self.flavor == "banach":
-            if _contractions(vals):
-                return
-            axiom, fmt = "contraction", "norm {:.6f}"
-            defects, bound = spectral_norm(vals), 1.0 + 1e-10
-        else:
-            d = self.dim
-            ones = linops.superop_apply(vals, eye(d))
-            axiom, fmt = "unitality", "unitality defect {:.3e}"
-            defects, bound = spectral_norm(ones - eye(d)), 1e-10
-        bad = np.flatnonzero(defects > bound)
+    @staticmethod
+    def _check(gs, vals):
+        """Raise for the first value of the stack that is not a contraction.
+        A stack that :func:`_contractions` certifies needs no SVD."""
+        if _contractions(vals):
+            return
+        norms = spectral_norm(vals)
+        bad = np.flatnonzero(norms > 1.0 + 1e-10)
         if bad.size:
             i = bad[0]
             raise PreconditionError(
-                axiom, f"family value at {gs[i]!r} has " + fmt.format(defects[i]))
+                "contraction", f"family value at {gs[i]!r} has norm {norms[i]:.6f}")
 
     @staticmethod
     def embed(payload):
@@ -529,11 +518,8 @@ class ShiftDilation:
         return v.map(lambda tag, payload: (rewrite.gmul(x, tag), payload))
 
     def compression_matrix(self, x):
-        """The matrix of the compression j U(x) r.
-
-        Shifting moves the embedded payload to tag x and j applies the value
-        there, so the matrix is the value at x itself: p -> value(x) p
-        (banach) or p -> superop_apply(value(x), p) (cstar)."""
+        """The matrix of the compression j U(x) r: shifting moves the embedded
+        payload to tag x, and j applies the value there, p -> value(x) p."""
         return self.value(x)
 
 
@@ -619,21 +605,9 @@ class DilatedSystem:
         return worst
 
 
-def _payload_dim(fam_dim, flavor):
-    if flavor == "banach":
-        return fam_dim
-    d = int(round(fam_dim**0.5))
-    if d * d != fam_dim:
-        raise ValueError(
-            "the cstar flavor needs superoperator-valued families "
-            f"(square dimension), got {fam_dim}")
-    return d
-
-
-def _shift_pipeline(label, system, ext, flavor):
+def _shift_pipeline(label, system, ext):
     """Shift-dilate the group family ``ext`` and wrap it for verification."""
-    dil = ShiftDilation(ext, _payload_dim(ext.dim, flavor), flavor=flavor)
-    return DilatedSystem(label, system, ext, dil, system["graph"].context())
+    return DilatedSystem(label, system, ext, ShiftDilation(ext), system["graph"].context())
 
 
 def _require_growth(fam, ell, what):
@@ -647,10 +621,10 @@ def _require_growth(fam, ell, what):
             f"{what} bound fails by {growth.max_defect:.3e} at {growth.argmax}")
 
 
-def dilate_discrete(system, flavor="banach"):
+def dilate_discrete(system):
     """Discrete pipeline: normal-form extension + shift dilation.  Needs the
     identity axiom only; the input family may be indivisible."""
-    return _shift_pipeline("A", system, NormalFormExtension(system["family"]), flavor)
+    return _shift_pipeline("A", system, NormalFormExtension(system["family"]))
 
 
 def dilate_divisible(system):
@@ -658,7 +632,7 @@ def dilate_divisible(system):
     interval-product extension + shift dilation."""
     fam = system["family"]
     _require_growth(fam, system.get("ell"), "growth")
-    return _shift_pipeline("B", system, FirstCoverExtension(fam), "banach")
+    return _shift_pipeline("B", system, FirstCoverExtension(fam))
 
 
 def dilate_exponential(system):
@@ -670,7 +644,7 @@ def dilate_exponential(system):
     if not isinstance(gens, GeneratorFamily):
         raise InputError("pipeline C needs a generator family")
     _require_growth(gens, system.get("ell"), "generator growth")
-    return _shift_pipeline("C", system, SecondCoverExtension(gens), "banach")
+    return _shift_pipeline("C", system, SecondCoverExtension(gens))
 
 
 def dilate_cptp(system):
@@ -728,7 +702,7 @@ def one_param_factorization(dilsys, t0, rng=None):
     op_defects = []
     sample_pairs = pairs if len(pairs) <= 24 else \
         [pairs[i] for i in rng.choice(len(pairs), size=24, replace=False)]
-    n = dil._shape[0]
+    n = dil.dim
     for (t, s) in sample_pairs:
         # shift only moves the payload, so it need not have the value's shape
         v = dil.embed(rng.standard_normal(n) + 1j * rng.standard_normal(n))

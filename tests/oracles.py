@@ -46,25 +46,15 @@ def drawn_element(ctx, rng, max_len):
 
 # -- shift dilations: the formal round trip that compression_matrix shortcuts --
 
-def act(dil, g, payload):
-    """The value of ``dil`` at ``g`` applied to one payload: a matrix
-    product (banach) or a superoperator applied to the payload (cstar)."""
-    val = dil.value(g)
-    if dil.flavor == "banach":
-        return val @ payload
-    return linops.superop_apply(val, payload)
-
-
 def evaluate(dil, v, g):
-    """The formal vector ``v`` evaluated at ``g``: each payload acted on by
+    """The formal vector ``v`` evaluated at ``g``: each payload multiplied by
     the value at ``g`` times its tag, summed."""
     total = None
     for tag, payload in v.terms:
-        term = act(dil, rewrite.gmul(g, tag), payload)
+        term = dil.value(rewrite.gmul(g, tag)) @ payload
         total = term if total is None else total + term
     if total is None:
-        shape = (dil.dim, dil.dim) if dil.flavor == "cstar" else (dil.dim,)
-        total = np.zeros(shape, dtype=complex)
+        total = np.zeros(dil.dim, dtype=complex)
     return total
 
 

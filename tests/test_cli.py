@@ -641,6 +641,29 @@ class TestSpecForms:
         assert (done.returncode, done.stdout, done.stderr) == (
             2, "", "input error: matrix has non-finite entries\n")
 
+    @pytest.mark.parametrize("warnings", [(), ("-W", "error")], ids=["default", "W-error"])
+    @pytest.mark.parametrize("order", [("huge",), ("not-cp", "huge"), ("huge", "not-cp")],
+                             ids=["alone", "not-cp-before", "not-cp-after"])
+    def test_a_choi_matrix_whose_defects_overflow_exits_2(self, tmp_path, warnings, order):
+        # C - C* overflows at (0, 1): the Hermiticity defect is inf, so the
+        # matrix is not PSD, and the first channel that fails names the error
+        import os
+        import subprocess
+        import sys
+        huge = np.zeros((4, 4))
+        huge[0, 1], huge[1, 0] = 1e308, -1e308
+        entries = {"huge": huge, "not-cp": np.eye(4)[[0, 2, 1, 3]]}  # the swap: X -> X^T
+        channels = [{"dim": 2, "repr": "choi", "data": linops.matrix_to_literal(entries[k])}
+                    for k in order]
+        spec = write_json(tmp_path / "s.json", {
+            "graph": {"order": [0, 1, 2]}, "dim": 2, "family": {"kind": "cptp", "channels": [
+                {"edge": e, "channel": c} for e, c in zip([[0, 1], [1, 2]], channels)]}})
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, *warnings, "-m", "graphdyn.cli", "check",
+                               "--input", spec], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "input error: Choi matrix is not positive semidefinite\n")
+
     def test_a_generator_sum_that_overflows_fails_at_its_triple(self, capsys, tmp_path):
         # imaginary generators keep every exponential finite, but
         # A(0,2) - A(0,1) - A(1,2) = -3e308 i overflows
@@ -1076,6 +1099,28 @@ class TestDilate:
                            "--pipeline", "C")
         assert code == 0
         assert json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("pipeline, message", [
+        ("A", "precondition failure [contraction]: family value at "
+              "GroupElement(letters=(Letter(tail=0, head=1),)) has norm 2.000000"),
+        ("B", "precondition failure [divisibility]: divisibility defect 6.000e+00 at "
+              "(0, 1, 2) exceeds 1.0e-09; the interval product would be ill-defined"),
+    ])
+    def test_a_unital_map_that_is_not_positive_is_not_dilated(self, capsys, tmp_path,
+                                                               pipeline, message):
+        # x -> 3 tr(x)/2 1 - 2x is unital, but it sends |0><0| to
+        # diag(-0.5, 1.5): no pipeline may certify it, as a superoperator
+        vec_1 = np.eye(2).reshape(-1, order="F")
+        phi = 1.5 * np.outer(vec_1, vec_1) - 2 * np.eye(4)
+        assert np.allclose(linops.superop_apply(phi, np.eye(2)), np.eye(2))
+        assert np.linalg.eigvalsh(linops.superop_apply(phi, np.diag([1.0, 0.0]))).min() < 0
+        spec = write_json(tmp_path / "s.json", {
+            "graph": {"order": [0, 1, 2]}, "dim": 4,
+            "family": {"kind": "explicit", "values": [
+                {"edge": e, "matrix": linops.matrix_to_literal(phi)}
+                for e in ([0, 1], [1, 2], [0, 2])]}})
+        assert run(capsys, "dilate", "--input", spec, "--pipeline", pipeline) == (
+            3, "", message + "\n")
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_check_and_pipeline_c_agree_on_scaled_growth(self, capsys, tmp_path,

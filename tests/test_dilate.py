@@ -1,5 +1,6 @@
 import pathlib
 import runpy
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -200,6 +201,29 @@ class TestCptpDefects:
         normalization = spectral_norm((dagger(ks) @ ks).sum(axis=0) - np.eye(d))
         assert abs(tp - normalization) <= 1e-14 * max(scale**2, 1.0)
         assert herm <= 1e-14 * scale**2 and negative <= 1e-14 * scale**2
+
+    def test_a_defect_that_overflows_is_inf(self):
+        # C - C* overflows in the Hermiticity defect of ``huge``, and Tr_out C
+        # in the trace-preservation defect of ``wide``; the finite rows of the
+        # stack keep their bits, and the first failing matrix raises
+        huge = np.zeros((4, 4), dtype=complex)
+        huge[0, 1], huge[1, 0] = 1e308, -1e308
+        wide = np.diag([1e308, 0, 1e308, 0]).astype(complex)
+        good, not_tp = identity_choi(2), 1.5 * identity_choi(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dilate.cptp_defects(np.stack([good, huge, not_tp, wide]), 2)
+            assert got[1, 0] == np.inf and np.isfinite(got[1, 1:]).all()
+            assert got[3, 2] == np.inf
+            assert got[[0, 2]].tobytes() == dilate.cptp_defects(
+                np.stack([good, not_tp]), 2).tobytes()
+            assert dilate.cptp_defects(huge, 2).tolist() == got[1].tolist()
+            for chois, message in [
+                    ([huge, not_tp], "Choi matrix is not positive semidefinite"),
+                    ([not_tp, huge], "trace-preservation defect 5.000e-01")]:
+                with pytest.raises(InputError) as exc:
+                    dilate.validate_chois(chois)
+                assert str(exc.value) == message
 
 
 class TestKrausFromChoi:
@@ -591,6 +615,21 @@ class TestVedDilation:
         s = random_matrix(rng, 2)
         assert ds.dilation.verify_element(identity(), s) < 1e-14
 
+    def test_a_stack_that_raises_names_its_first_element_that_fails(self):
+        # a non-CPTP superoperator before a non-finite one: the stack raises
+        # for the non-finite entries, and the one-at-a-time replay raises the
+        # first element's own error
+        ctx = LinearOrderGraph([0, 1, 2]).context()
+        xs = [embed_edge(ctx, (0, 1)), embed_edge(ctx, (1, 2))]
+        values = np.stack([transpose_superop(2), np.full((4, 4), np.inf)]).astype(complex)
+        with pytest.raises(InputError, match="matrix has non-finite entries"):
+            dilate.validate_chois(linops.superop_to_choi(values, 2))
+        dil = dilate.VedDilation(None, 2)
+        with pytest.raises(InputError) as exc:
+            dil._element_defects(xs, matrix_units(2), values)
+        assert str(exc.value) == "Choi matrix is not positive semidefinite"
+        assert list(dil._unitaries) == [identity()]
+
     def test_common_environment_shapes(self):
         rng = rng_from_seed(13)
         # one unitary channel (1 Kraus op), one full-rank channel (4)
@@ -682,7 +721,7 @@ class TestShiftDilation:
         fam = gens.exponential(1.0)
         from graphdyn.extend import FirstCoverExtension
         ext = FirstCoverExtension(fam)
-        dil = ShiftDilation(ext, fam.dim, flavor="banach")
+        dil = ShiftDilation(ext)
         return rng, fam, dil, fam.graph.context()
 
     def test_section_identity(self):
@@ -748,7 +787,7 @@ class TestShiftDilation:
                        lambda e: np.eye(2) * (1.0 if e[0] == e[1] else 2.0))
         from graphdyn.extend import NormalFormExtension
         ext = NormalFormExtension(fam)
-        dil = ShiftDilation(ext, 2, flavor="banach")
+        dil = ShiftDilation(ext)
         with pytest.raises(PreconditionError) as exc:
             dil.compression_matrix(embed_edge(graph.context(), (1.0, 0.5)))
         assert exc.value.axiom == "contraction"
@@ -771,13 +810,12 @@ class TestContractionCertificate:
         fails = bool(spectral_norm(vals)[0] > 1 + 1e-10)
         assert fails == (offset > 0)
         assert dilate._contractions(vals) is not fails
-        dil = ShiftDilation(None, dim)
         if fails:
             with pytest.raises(PreconditionError) as exc:
-                dil._check(["g"], vals)
+                ShiftDilation._check(["g"], vals)
             assert exc.value.axiom == "contraction"
         else:
-            dil._check(["g"], vals)
+            ShiftDilation._check(["g"], vals)
 
     def test_a_failing_batch_goes_to_the_svd(self):
         vals = np.stack([self.with_norm(1.0, 3), self.with_norm(1.5, 3, seed=49),
@@ -785,7 +823,7 @@ class TestContractionCertificate:
         assert not dilate._contractions(vals)
         with mock.patch.object(dilate, "spectral_norm", wraps=spectral_norm) as norm, \
                 pytest.raises(PreconditionError, match="family value at 'b' has norm 1.500000"):
-            ShiftDilation(None, 3)._check(["a", "b", "c"], vals)
+            ShiftDilation._check(["a", "b", "c"], vals)
         norm.assert_called_once()
 
     def test_non_finite_values_certify_nothing(self):
@@ -793,71 +831,31 @@ class TestContractionCertificate:
         vals = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
         assert not dilate._contractions(vals)
         with pytest.raises(InputError, match="non-finite"):
-            ShiftDilation(None, 2)._check(["a", "b"], vals)
-
-
-class TestShiftDilationCstar:
-    def setup_cstar(self, seed=19, h=np.diag([1.0, -0.3]).astype(complex)):
-        # unitary-conjugation channel family: positive unital superoperators
-        rng = rng_from_seed(seed)
-        graph = descending_grid(1.0, 5)
-
-        def value(e):
-            t, s = e
-            u = linops.expm(1j * (t - s) * h)
-            return kraus_superop([u])
-
-        fam = edgewise(OperatorFamily, graph, 4, value)
-        from graphdyn.extend import FirstCoverExtension
-        ext = FirstCoverExtension(fam)
-        return rng, fam, ShiftDilation(ext, 2, flavor="cstar"), graph.context()
-
-    def test_compression_reproduces_family(self):
-        rng, fam, dil, ctx = self.setup_cstar()
-        for e in [(1.0, 0.75), (0.5, 0.25)]:
-            g = embed_edge(ctx, e)
-            assert spectral_norm(dil.compression_matrix(g) - fam(e)) < 1e-10
-
-    def test_compression_matrix_matches_column_loop(self):
-        # oracle: one formal round trip per basis payload, column by column;
-        # a non-diagonal Hamiltonian makes the superoperators non-symmetric
-        rng, fam, dil, ctx = self.setup_cstar(h=SIGMA_X + 0.3 * SIGMA_Z)
-        for _ in range(10):
-            x = rewrite.random_element(ctx, rng, 3)
-            columns = [compress(dil, dil.shift(x, dil.embed(
-                e.reshape(2, 2, order="F")))).reshape(-1, order="F") for e in np.eye(4)]
-            assert np.array_equal(dil.compression_matrix(x), np.stack(columns, axis=1))
+            ShiftDilation._check(["a", "b"], vals)
 
 
 def shift_setup(which, seed):
-    """A fresh (extension, payload dim, flavor) over a 5-point grid: each
-    extension kind, and a conjugation family for the cstar flavor."""
+    """A fresh extension of each kind over a 5-point grid."""
     from graphdyn.extend import (FirstCoverExtension, NormalFormExtension,
                                  SecondCoverExtension)
     rng = rng_from_seed(seed)
     gens = dynamics.commuting_evolution(random_dissipative(rng, 3), 1.0, 5)
     if which == "normal":
-        return NormalFormExtension(gens.exponential(1.0)), 3, "banach"
+        return NormalFormExtension(gens.exponential(1.0))
     if which == "cover1":
-        return FirstCoverExtension(gens.exponential(1.0)), 3, "banach"
-    if which == "cover2":
-        return SecondCoverExtension(gens), 3, "banach"
-    h = random_matrix(rng, 2)
-    h = h + dagger(h)
-    fam = edgewise(OperatorFamily, gens.graph, 4, lambda e: kraus_superop([
-        linops.expm(1j * (e[0] - e[1]) * h)]))
-    return FirstCoverExtension(fam), 2, "cstar"
+        return FirstCoverExtension(gens.exponential(1.0))
+    return SecondCoverExtension(gens)
 
 
 class TestBatchedShiftValues:
     @settings(max_examples=40, deadline=None)
-    @given(which=st.sampled_from(["normal", "cover1", "cover2", "cstar"]),
+    @given(which=st.sampled_from(["normal", "cover1", "cover2"]),
            seed=st.integers(0, 2**16), data=st.data())
     def test_values_match_value_loop(self, which, seed, data):
-        ext, dim, flavor = shift_setup(which, seed)
-        dil = ShiftDilation(ext, dim, flavor=flavor)
-        oracle_ext = shift_setup(which, seed)[0]
-        oracle = ShiftDilation(oracle_ext, dim, flavor=flavor)
+        ext = shift_setup(which, seed)
+        dil = ShiftDilation(ext)
+        oracle_ext = shift_setup(which, seed)
+        oracle = ShiftDilation(oracle_ext)
         ctx = ext.fam.graph.context()
         rng = rng_from_seed(seed)
         pool = [rewrite.random_element(ctx, rng, 3) for _ in range(8)]
@@ -865,20 +863,19 @@ class TestBatchedShiftValues:
         for i in data.draw(st.lists(st.integers(0, 7), max_size=3)):
             dil.value(pool[i])  # partly cached
         got = dil.values(gs)
-        assert got.shape == (len(gs),) + dil._shape
+        assert got.shape == (len(gs), 3, 3)
         if gs:
             assert np.array_equal(got, np.stack([oracle.value(g) for g in gs]))
             assert np.array_equal(got, np.stack([oracle_ext(g) for g in gs]))
 
-    def test_first_non_unital_element_in_order_raises(self):
+    def test_first_non_contraction_in_order_raises(self):
         graph = LinearOrderGraph([0, 1, 2, 3])
         nonloop = [e for e in graph.edges() if e[0] != e[1]]
-        # the third and fifth non-loop edges are not unital; the third is named
-        scale = {nonloop[2]: 0.9, nonloop[4]: 0.8}
+        # the third and fifth non-loop edges are not contractions; the third is named
+        scale = {nonloop[2]: 2.0, nonloop[4]: 3.0}
 
         def value(e):
-            u = linops.expm(1j * (e[1] - e[0]) * SIGMA_X)
-            return scale.get(e, 1.0) * kraus_superop([u])
+            return scale.get(e, 1.0) * linops.expm(1j * (e[1] - e[0]) * SIGMA_X)
 
         for bad in (None, (2, 3)):
             # a later edge with no value must not mask the first failure
@@ -887,14 +884,14 @@ class TestBatchedShiftValues:
                     raise ValueError(f"no value supplied for edge {e!r}")
                 return value(e)
 
-            fam = edgewise(OperatorFamily, graph, 4, fam_value)
-            ds = dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
+            fam = edgewise(OperatorFamily, graph, 2, fam_value)
+            ds = dilate_discrete({"graph": graph, "family": fam})
             with pytest.raises(PreconditionError) as exc:
                 ds.verify()
-            assert exc.value.axiom == "unitality"
+            assert exc.value.axiom == "contraction"
             assert str(exc.value) == (
                 "family value at GroupElement(letters=(Letter(tail=0, head=3),)) "
-                "has unitality defect 1.000e-01")
+                "has norm 2.000000")
 
 
 class TestPipelines:
@@ -955,26 +952,6 @@ class TestPipelines:
         ds = dilate_cptp(cptp_system(graph, chans))
         reports = ds.verify(rng=rng)
         assert all(r.passed for r in reports)
-
-    def test_pipeline_a_cstar_flavor(self):
-        # positive unital superoperator family through the algebra flavor
-        rng = rng_from_seed(28)
-        graph = descending_grid(1.0, 5)
-        h = np.diag([0.7, -0.2]).astype(complex)
-        fam = edgewise(
-            OperatorFamily, graph, 4,
-            lambda e: kraus_superop([
-                linops.expm(1j * (e[0] - e[1]) * h)]))
-        ds = dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
-        reports = ds.verify(rng=rng)
-        assert all(r.passed for r in reports)
-
-    def test_cstar_flavor_needs_square_dimension(self):
-        graph = descending_grid(1.0, 3)
-        fam = edgewise(OperatorFamily, graph, 3, lambda e: np.eye(3))
-        with pytest.raises(ValueError) as exc:
-            dilate_discrete({"graph": graph, "family": fam}, flavor="cstar")
-        assert exc.type is ValueError  # no input reaches it: not an InputError
 
 
 class TestBatchedVerify:

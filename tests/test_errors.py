@@ -115,9 +115,8 @@ UNREACHABLE = {
     "index": lambda: _order().index(2.0),
     "network_family": lambda: dynamics.network_family(dynamics.DagNetwork(
         ["a"], [], {}, 1)).stack([("a", "b")]),
-    "shift_flavor": lambda: dilate.ShiftDilation(None, 1, flavor="hilbert"),
     "shift_value_shape": lambda: dilate.ShiftDilation(types.SimpleNamespace(
-        stack=lambda gs: np.zeros((len(gs), 3, 3))), 2).values([rewrite.identity()]),
+        dim=2, stack=lambda gs: np.zeros((len(gs), 3, 3)))).values([rewrite.identity()]),
     "second_cover_family": lambda: extend.SecondCoverExtension(
         _generators(_order()).exponential()),
     "second_cover_order": lambda: extend.SecondCoverExtension(

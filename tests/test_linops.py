@@ -544,7 +544,7 @@ class TestStackedKernelsAreBitwise:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(kraus_shapes)
     def test_stack_of_superoperators_at_one_matrix_is_the_loop(self, shape):
-        # as the cstar unitality check applies every family value at 1
+        # as VedDilation.verify_element applies its stack of values at one matrix
         d, rank, seed = shape
         rng = rng_from_seed(seed)
         sops = np.stack([random_matrix(rng, d * d) for _ in range(rank)])
